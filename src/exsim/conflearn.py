@@ -162,7 +162,7 @@ def prune(pairs: Sequence[LabeledPair], joint: ConfidentJoint,
             continue
         cls_idx = np.flatnonzero(labels == noisy)
         order = sorted(cls_idx, key=lambda i: (p_self[i], i))
-        to_prune.update(order[:k])
+        to_prune.update(int(i) for i in order[:k])
     cleaned = [p for i, p in enumerate(pairs) if i not in to_prune]
     return cleaned, sorted(to_prune)
 

@@ -29,7 +29,7 @@ from . import ranking, recall as recall_mod, rerank as rerank_mod
 from .corpus import Corpus, Exercise, LabeledPair, SyntheticSpec, SyntheticTruth
 from .evaluate import (EvalReport, annotated_similars, config_hash,
                        evaluate_precision, evaluate_recall)
-from .pairclf import PairFeaturizer
+from .pairclf import PairFeaturizer, PreparedCorpus
 from .recall import Candidate, RecallConfig, Recaller
 from .rerank import RerankConfig, RerankedResult, StudentProfile, VariantClassifier
 from .snapshots import file_digest
@@ -410,7 +410,10 @@ class Pipeline:
         lexical = recall_mod.LexicalIndex.load(_path(workdir, "lexical"))
         vector = recall_mod.VectorIndex.load(_path(workdir, "vector"))
         stop = config.stop_words()
-        featurizer = PairFeaturizer(vocab, encoder, stop)
+        # every exercise's text normalized and embedded once, shared by the
+        # dedup and variant heads and the ranker
+        view = PreparedCorpus(corpus, vocab, encoder, stop)
+        featurizer = PairFeaturizer(vocab, encoder, stop, view)
         dedup = None
         if _path(workdir, "dedup").exists():
             dedup = recall_mod.DuplicateDetector.load(
@@ -430,7 +433,7 @@ class Pipeline:
             if p.exists() and name not in ("report", "cleaning", "embeddings"):
                 versions[name] = file_digest(p)
         return cls(corpus=corpus, vocab=vocab, encoder=encoder, recaller=recaller,
-                   ranker=ranking.Ranker(vocab, ranker_params, stop),
+                   ranker=ranking.Ranker(vocab, ranker_params, stop, view),
                    variant_clf=variant_clf, config=config, versions=versions,
                    cache_size=config.get_int("cache.size"))
 

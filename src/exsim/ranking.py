@@ -35,7 +35,7 @@ import numpy as np
 
 from .corpus import Corpus, Exercise, LabeledPair
 from .encoder import EncoderParams, softmax_cross_entropy, TrainingDivergedError
-from .pairclf import UntrainedModelError
+from .pairclf import PreparedCorpus, UntrainedModelError
 from .recall import Candidate
 from .snapshots import load_arrays, save_arrays
 from .textnorm import SEP_ID, Vocab, normalize_text, tokenize
@@ -435,27 +435,40 @@ def _mean_dicts(dicts: list[dict[str, float]]) -> dict[str, float]:
 
 @dataclass
 class Ranker:
-    """Scores exercise pairs with the trained stem-stem head."""
+    """Scores exercise pairs with the trained stem-stem head.
+
+    ``view``, when given, must be prepared with this ranker's vocab and stop
+    words; an exercise that is one of its objects is not normalized again,
+    any other (a probe, or an equal id) is prepared from its own text.
+    """
 
     vocab: Vocab
     params: RankerParams
     stop_words: tuple[str, ...] = ()
+    view: Optional[PreparedCorpus] = None
+
+    def __post_init__(self):
+        self.stop_words = tuple(self.stop_words)
+        if self.view is not None:
+            self.view.check(self.vocab, self.stop_words)
 
     def _check_trained(self):
         if not self.params.trained:
             raise UntrainedModelError("ranker has not been trained")
 
-    def _stem_ids(self, ex: Exercise) -> tuple[int, ...]:
-        return tokenize(normalize_text(ex.text, self.stop_words)[0], self.vocab).ids
+    def _stem_ids(self, ex: Exercise) -> np.ndarray:
+        row = self.view.lookup(ex) if self.view is not None else None
+        if row is not None:
+            return self.view.vocab_ids(row)
+        return tokenize(normalize_text(ex.text, self.stop_words)[0], self.vocab).array()
 
     def score_pairs(self, query: Exercise, others: Sequence[Exercise]) -> np.ndarray:
         """Positive-class probability for (query, other) under the pair head."""
         self._check_trained()
         if not others:
             return np.zeros(0)
-        q_ids = self._stem_ids(query)
-        seqs = [TaskInstance(TASK_STEM_STEM, q_ids, self._stem_ids(o), 0).sequence()
-                for o in others]
+        head = np.append(self._stem_ids(query), SEP_ID)
+        seqs = [np.concatenate([head, self._stem_ids(o)]) for o in others]
         f, _ = _pair_features(seqs, self.params)
         logits = f @ self.params.heads[TASK_STEM_STEM]["w"] \
             + self.params.heads[TASK_STEM_STEM]["b"]

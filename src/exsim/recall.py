@@ -12,7 +12,13 @@ first (ordered by embedding score), then the remaining slots split between
 the channel-only lists, the lexical side receiving the extra slot on odd
 remainders, backfilling from the other side when one list runs short.
 Finally, candidates the duplicate classifier flags against the query are
-dropped so near-identical exercises are never recommended.
+dropped so near-identical exercises are never recommended. Dedup scores all
+merged candidates at once: one edit-distance kernel call against the
+candidates' prepared token codes (``pairclf.PreparedCorpus``), both argument
+orders averaged. Its embeddings stay the query's ``query_embedding`` vector
+and the candidates' vector-index rows, and each feature row is scored with
+its own 1-D dot product, so the batch is bit-identical to calling
+``DuplicateDetector.prob`` per candidate (see the rules in ``pairclf``).
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ import numpy as np
 
 from .corpus import Corpus, Exercise
 from .encoder import EncoderParams, embed_corpus, embed_text
-from .pairclf import PairClassifier, PairFeaturizer, UntrainedModelError
+from .pairclf import (PairClassifier, PairFeaturizer, UntrainedModelError,
+                      pair_feature_rows)
 from .snapshots import SnapshotFormatError, load_arrays, save_arrays
 from .textnorm import Vocab, normalize_text, split_tokens, tokenize
 
@@ -309,6 +316,15 @@ class DuplicateDetector:
         p_ba = self.classifier.prob(self.featurizer.features(ex_b, ex_a, v, u))
         return (p_ab + p_ba) / 2.0
 
+    def prob_many(self, query: Exercise, others: Sequence[Exercise],
+                  u: Optional[np.ndarray] = None,
+                  v: Optional[np.ndarray] = None) -> np.ndarray:
+        """``prob(query, other, u, v[i])`` for every other, bit for bit."""
+        u, v, sims = self.featurizer.query_pairs(query, others, u, v)
+        p_ab = self.classifier.prob_rows(pair_feature_rows(u, v, sims))
+        p_ba = self.classifier.prob_rows(pair_feature_rows(v, u, sims))
+        return (p_ab + p_ba) / 2.0
+
     def is_duplicate(self, ex_a: Exercise, ex_b: Exercise,
                      u: Optional[np.ndarray] = None,
                      v: Optional[np.ndarray] = None) -> bool:
@@ -331,13 +347,9 @@ def train_dedup(dedup_pairs: Sequence[tuple[Exercise, Exercise, int]],
     if not dedup_pairs:
         raise UntrainedModelError("no duplicate-labeled pairs to train on")
     featurizer = PairFeaturizer(vocab, params, tuple(stop_words))
-    feats, labels = [], []
-    for ex_a, ex_b, label in dedup_pairs:
-        u, v = featurizer.embedding(ex_a), featurizer.embedding(ex_b)
-        feats.append(featurizer.features(ex_a, ex_b, u, v))
-        feats.append(featurizer.features(ex_b, ex_a, v, u))
-        labels.extend([label, label])
-    clf = PairClassifier.train(np.asarray(feats), np.asarray(labels))
+    feats = featurizer.both_orders([(a, b) for a, b, _ in dedup_pairs])
+    labels = np.repeat([label for _, _, label in dedup_pairs], 2)
+    clf = PairClassifier.train(feats, labels)
     return DuplicateDetector(clf, featurizer, threshold)
 
 
@@ -387,16 +399,12 @@ class Recaller:
             q_vec = None
             embed = []
         merged = merge_candidates(exact, embed, cfg.n)
-        if self.dedup is None:
+        if self.dedup is None or not merged:
             return merged
-        kept = []
-        for cand in merged:
-            ex = self.corpus[cand.ex_id]
-            v = None
-            row = self.vector.row_of.get(cand.ex_id)
-            if row is not None:
-                v = self.vector.matrix[row]
-            prob = self.dedup.prob(query, ex, q_vec, v)
-            if prob < cfg.dedup_threshold:
-                kept.append(cand)
-        return kept
+        others = [self.corpus[c.ex_id] for c in merged]
+        rows = [self.vector.row_of.get(c.ex_id) for c in merged]
+        v = np.stack([self.vector.matrix[row] if row is not None
+                      else self.dedup.featurizer.embedding(ex)
+                      for row, ex in zip(rows, others)])
+        probs = self.dedup.prob_many(query, others, q_vec, v)
+        return [c for c, p in zip(merged, probs.tolist()) if p < cfg.dedup_threshold]

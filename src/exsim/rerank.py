@@ -14,6 +14,15 @@ Three opt-in steps, cheapest and most absolute first:
 Every step preserves the incoming ranking order and is idempotent. With no
 profile and no classifier the whole stage is a pass-through, so the
 pipeline is testable end to end before any re-rank model exists.
+
+The variant split scores every kept candidate in one batch: one
+edit-distance kernel call against the candidates' prepared token codes and
+their single-text embeddings from the featurizer's ``PreparedCorpus``, each
+feature row scored with its own 1-D dot product. This is bit-identical to
+``VariantClassifier.prob`` per candidate (see the rules in ``pairclf``).
+
+Results are stored column-wise (:class:`RerankedResult`): a served list is
+kept in the query cache, so per-item objects are only built on access.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ import numpy as np
 
 from .corpus import Corpus, Exercise, LabeledPair, VARIANT
 from .encoder import EncoderParams
-from .pairclf import PairClassifier, PairFeaturizer, UntrainedModelError
+from .pairclf import (PairClassifier, PairFeaturizer, UntrainedModelError,
+                      pair_feature_rows)
 from .recall import Candidate
 from .textnorm import Vocab
 
@@ -65,13 +75,45 @@ class RerankedItem:
     variant_prob: Optional[float] = None
 
 
-@dataclass
 class RerankedResult:
-    variant: list[RerankedItem]
-    similar: list[RerankedItem]
+    """The served list, column-wise: the first ``n_variant`` entries are the
+    variant list, the rest the similar list, each in ranking order.
+
+    ``variant_probs`` is None when no variant step ran; ``passed`` is shared
+    by every item. ``variant`` and ``similar`` build their items on access.
+    """
+
+    __slots__ = ("ids", "scores", "sources", "variant_probs", "passed", "n_variant")
+
+    def __init__(self, ids: Sequence[str], scores: Sequence[float],
+                 sources: Sequence[str], passed: tuple[str, ...] = (),
+                 variant_probs: Optional[Sequence[float]] = None, n_variant: int = 0):
+        self.ids = tuple(ids)
+        self.scores = np.asarray(scores, dtype=np.float64)
+        self.sources = tuple(sources)
+        self.passed = tuple(passed)
+        self.variant_probs = (None if variant_probs is None
+                              else np.asarray(variant_probs, dtype=np.float64))
+        self.n_variant = n_variant
+
+    def _items(self, start: int, stop: int) -> list[RerankedItem]:
+        probs = ([None] * (stop - start) if self.variant_probs is None
+                 else self.variant_probs[start:stop].tolist())
+        return [RerankedItem(ex_id, score, source, self.passed, prob)
+                for ex_id, score, source, prob in zip(
+                    self.ids[start:stop], self.scores[start:stop].tolist(),
+                    self.sources[start:stop], probs)]
+
+    @property
+    def variant(self) -> list[RerankedItem]:
+        return self._items(0, self.n_variant)
+
+    @property
+    def similar(self) -> list[RerankedItem]:
+        return self._items(self.n_variant, len(self.ids))
 
     def all_ids(self) -> list[str]:
-        return [i.ex_id for i in self.variant] + [i.ex_id for i in self.similar]
+        return list(self.ids)
 
     def to_dict(self) -> dict:
         def items(lst):
@@ -149,6 +191,11 @@ class VariantClassifier:
              v: Optional[np.ndarray] = None) -> float:
         return self.classifier.prob(self.featurizer.features(query, candidate, u, v))
 
+    def prob_many(self, query: Exercise, candidates: Sequence[Exercise]) -> np.ndarray:
+        """``prob(query, candidate)`` for every candidate, bit for bit."""
+        u, v, sims = self.featurizer.query_pairs(query, candidates)
+        return self.classifier.prob_rows(pair_feature_rows(u, v, sims))
+
     def is_variant(self, query: Exercise, candidate: Exercise) -> bool:
         return self.prob(query, candidate) >= self.threshold
 
@@ -169,15 +216,9 @@ def train_variant(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab,
     if not flagged:
         raise UntrainedModelError("no variant-flagged pairs to train on")
     featurizer = PairFeaturizer(vocab, params, tuple(stop_words))
-    feats, labels = [], []
-    for p in flagged:
-        a, b = corpus[p.a_id], corpus[p.b_id]
-        u, v = featurizer.embedding(a), featurizer.embedding(b)
-        label = 1 if p.variant == VARIANT else 0
-        feats.append(featurizer.features(a, b, u, v))
-        feats.append(featurizer.features(b, a, v, u))
-        labels.extend([label, label])
-    clf = PairClassifier.train(np.asarray(feats), np.asarray(labels))
+    feats = featurizer.both_orders([(corpus[p.a_id], corpus[p.b_id]) for p in flagged])
+    labels = np.repeat([1 if p.variant == VARIANT else 0 for p in flagged], 2)
+    clf = PairClassifier.train(feats, labels)
     return VariantClassifier(clf, featurizer, threshold)
 
 
@@ -196,19 +237,17 @@ def rerank(query: Exercise, candidates: Sequence[Candidate],
         passed.append("stage")
         kept = personalize_filter(kept, query.metadata.difficulty, profile, corpus)
         passed.append("difficulty")
-    use_variant = variant_clf is not None and config.enable_variant
-    variant_items: list[RerankedItem] = []
-    similar_items: list[RerankedItem] = []
-    for c in kept:
-        if use_variant:
-            prob = variant_clf.prob(query, corpus[c.ex_id])
-            item = RerankedItem(c.ex_id, c.score, c.source,
-                                tuple(passed + ["variant"]), prob)
-            if prob >= config.variant_threshold:
-                variant_items.append(item)
-            else:
-                similar_items.append(item)
-        else:
-            similar_items.append(RerankedItem(c.ex_id, c.score, c.source,
-                                              tuple(passed), None))
-    return RerankedResult(variant=variant_items, similar=similar_items)
+    if variant_clf is None or not config.enable_variant:
+        return RerankedResult([c.ex_id for c in kept], [c.score for c in kept],
+                              [c.source for c in kept], tuple(passed))
+    passed.append("variant")
+    probs = (variant_clf.prob_many(query, [corpus[c.ex_id] for c in kept])
+             if kept else np.zeros(0))
+    # stable partition: variants first, each side in ranking order
+    similar = ~(probs >= config.variant_threshold)
+    order = np.argsort(similar, kind="stable")
+    kept = [kept[i] for i in order]
+    return RerankedResult([c.ex_id for c in kept], [c.score for c in kept],
+                          [c.source for c in kept], tuple(passed),
+                          variant_probs=probs[order],
+                          n_variant=len(kept) - int(similar.sum()))

@@ -1,11 +1,32 @@
 import numpy as np
 import pytest
 from gradcheck import assert_grads_match, finite_difference
+from hypothesis import given, settings, strategies as st
 
+from exsim.corpus import Exercise, Metadata
+from exsim.encoder import EncoderParams
 from exsim.pairclf import (
-    PairClassifier, PairFeaturizer, bce_loss_and_grads, edit_similarity,
-    pair_features,
+    PairClassifier, PairFeaturizer, PreparedCorpus, bce_loss_and_grads,
+    edit_similarities, edit_similarity, levenshtein, pair_features,
 )
+from exsim.textnorm import UNK_ID, Vocab
+
+
+def reference_levenshtein(a, b) -> int:
+    """Textbook full-matrix DP, independent of the vectorized kernel."""
+    d = [[i + j if i == 0 or j == 0 else 0 for j in range(len(b) + 1)]
+         for i in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1,
+                          d[i - 1][j - 1] + (a[i - 1] != b[j - 1]))
+    return d[len(a)][len(b)]
+
+
+def reference_similarity(a, b) -> float:
+    if not a and not b:
+        return 1.0
+    return 1.0 - reference_levenshtein(a, b) / max(len(a), len(b))
 
 
 def test_edit_similarity_basics():
@@ -72,3 +93,117 @@ def test_featurizer_uses_canonical_text(small_trained):
     f = feat.features(ex, ex)
     assert f.shape == (feat.n_features,)
     assert f[-1] == 1.0  # identical text, edit similarity 1
+
+
+# ---------------------------------------------------------------------------
+# the edit-distance kernel against the reference DP
+
+codes = st.lists(st.integers(0, 4), max_size=9)
+
+
+def padded(rows, pad, extra):
+    """Rows padded with ``pad`` (possibly a real code) to max length + extra."""
+    width = max((len(r) for r in rows), default=0) + extra
+    return (np.array([r + [pad] * (width - len(r)) for r in rows], dtype=np.int64),
+            np.array([len(r) for r in rows], dtype=np.int64))
+
+
+@given(st.lists(st.sampled_from(["a", "b", "c"]), max_size=9),
+       st.lists(st.sampled_from(["a", "b", "c"]), max_size=9))
+def test_edit_similarity_equals_reference(a, b):
+    assert edit_similarity(a, b) == reference_similarity(a, b)
+
+
+@given(codes, st.lists(codes, min_size=1, max_size=8), st.integers(0, 4),
+       st.integers(0, 3))
+def test_kernel_one_query_against_many(query, others, pad, extra):
+    q, q_len = padded([query], pad, extra)
+    b, b_len = padded(others, pad, extra)
+    assert levenshtein(q, q_len, b, b_len).tolist() == \
+        [reference_levenshtein(query, o) for o in others]
+    assert edit_similarities(q, q_len, b, b_len).tolist() == \
+        [reference_similarity(query, o) for o in others]
+
+
+@given(st.lists(st.tuples(codes, codes), min_size=1, max_size=8), st.integers(0, 4),
+       st.integers(0, 3))
+def test_kernel_aligned_pairs(pairs, pad, extra):
+    a, a_len = padded([p[0] for p in pairs], pad, extra)
+    b, b_len = padded([p[1] for p in pairs], pad, extra + 1)
+    assert edit_similarities(a, a_len, b, b_len).tolist() == \
+        [reference_similarity(x, y) for x, y in pairs]
+
+
+def test_kernel_blocks_match_one_pass():
+    rng = np.random.default_rng(0)
+    rows = [rng.integers(0, 3, size=rng.integers(0, 7)).tolist() for _ in range(1300)]
+    a, a_len = padded(rows[:650], -1, 0)
+    b, b_len = padded(rows[650:], -1, 0)
+    assert levenshtein(a, a_len, b, b_len).tolist() == \
+        [reference_levenshtein(x, y) for x, y in zip(rows[:650], rows[650:])]
+
+
+def exercise(ex_id, text):
+    return Exercise(id=ex_id, stem=text, options=(), answer="", analysis="",
+                    image_features=(), metadata=Metadata("fill", 1, ("c01",)),
+                    learning_stage=(7, 1))
+
+
+VOCAB = Vocab(["ab", "cd", "ef"])
+PARAMS = EncoderParams.init(vocab_size=len(VOCAB), d=4, d_img=2, n_types=1,
+                            levels=1, n_concepts=1, seed=0)
+# "xy", "zq" and "mn" are out of vocabulary: all three map to UNK there
+words = st.lists(st.sampled_from(["ab", "cd", "ef", "xy", "zq", "mn"]),
+                 min_size=1, max_size=8)
+
+
+@settings(max_examples=50, deadline=None)
+@given(words, st.lists(words, min_size=1, max_size=6))
+def test_query_pairs_codes_tell_oov_tokens_apart(query_words, corpus_words):
+    corpus = [exercise(f"e{i}", " ".join(w)) for i, w in enumerate(corpus_words)]
+    query = exercise("q", " ".join(query_words))
+    expected = [reference_similarity(query_words, w) for w in corpus_words]
+    with_view = PairFeaturizer(VOCAB, PARAMS, (), PreparedCorpus(corpus, VOCAB, PARAMS))
+    without_view = PairFeaturizer(VOCAB, PARAMS)
+    for feat in (with_view, without_view):
+        _, _, sims = feat.query_pairs(query, corpus)
+        assert sims.tolist() == expected
+
+
+def test_unk_tokens_that_differ_as_strings_are_an_edit():
+    assert VOCAB.id_of("xy") == VOCAB.id_of("zq") == UNK_ID
+    view = PreparedCorpus([exercise("e", "ab zq")], VOCAB, PARAMS)
+    feat = PairFeaturizer(VOCAB, PARAMS, (), view)
+    sims = [feat.query_pairs(exercise("q", text), view.exercises)[2][0]
+            for text in ("ab xy", "ab zq")]
+    assert sims == [0.5, 1.0]
+    assert view.vocab_ids(0).tolist() == [VOCAB.id_of("ab"), UNK_ID]
+
+
+def test_view_embeddings_equal_single_text_embedding():
+    exs = [exercise("a", "ab cd xy"), exercise("b", "ef")]
+    view = PreparedCorpus(exs, VOCAB, PARAMS)
+    feat = PairFeaturizer(VOCAB, PARAMS)
+    for row, ex in enumerate(exs):
+        assert np.array_equal(view.embeddings[row], feat.embedding(ex))
+    assert view.lookup(exs[0]) == 0
+    assert view.lookup(exercise("a", "ab cd xy")) is None  # equal id, other object
+
+
+def test_both_orders_equal_features_per_pair(small_trained):
+    corpus, _, _, vocab, params = small_trained
+    feat = PairFeaturizer(vocab, params)
+    exs = list(corpus)
+    pairs = [(exs[0], exs[1]), (exs[2], exs[0]), (exs[3], exs[3])]
+    rows = feat.both_orders(pairs)
+    expected = []
+    for a, b in pairs:
+        expected += [feat.features(a, b), feat.features(b, a)]
+    assert np.array_equal(rows, np.array(expected))
+
+
+def test_prob_rows_equal_prob_per_row():
+    rng = np.random.default_rng(3)
+    clf = PairClassifier(weights=rng.normal(size=33), bias=0.1)
+    x = rng.normal(size=(100, 33))
+    assert clf.prob_rows(x).tolist() == [clf.prob(row) for row in x]

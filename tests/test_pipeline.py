@@ -1,0 +1,166 @@
+"""The product path end to end on a tiny workspace: every build step, then
+Pipeline.load and queries, plus bit-identity of the batched pair scoring
+against a per-pair computation written out here."""
+
+import dataclasses
+import json
+
+import pytest
+from test_pairclf import reference_similarity
+
+from exsim import pipeline as pl
+from exsim.corpus import SyntheticSpec, load_corpus, save_corpus_jsonl
+from exsim.pairclf import pair_features
+from exsim.ranking import Ranker
+from exsim.recall import merge_candidates
+from exsim.rerank import StudentProfile
+from exsim.textnorm import normalize_text, split_tokens
+
+TINY = SyntheticSpec(n_templates=3, per_template=8, seed=3)
+CONFIG = {"encoder.epochs": "2", "finetune.epochs": "1",
+          "rank.epochs": "1", "cl.folds": "2", "cache.size": "4"}
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """Every build step over the tiny bank, in product order."""
+    workdir = tmp_path_factory.mktemp("workspace")
+    config = pl.Config(CONFIG)
+    corpus, truth, pairs = pl.step_synth(workdir, TINY)
+    pl.step_pretrain(workdir, config)
+    pl.step_finetune(workdir, config)
+    pl.step_index(workdir, config)
+    pl.step_train_rank(workdir, config)
+    _, cleaned, report = pl.step_clean(workdir, config)
+    assert report.n_pruned == len(pairs) - len(cleaned)
+    eval_report = pl.step_eval(workdir, config)
+    assert 0.0 <= eval_report.recall_at_k <= 1.0
+    out = pl.step_export_embeddings(workdir, config)
+    assert len(out.read_text().splitlines()) == len(corpus)
+    return workdir, config, corpus, truth
+
+
+def probe_of(ex):
+    """A near-duplicate outside the corpus: the stem plus a year phrase."""
+    return dataclasses.replace(ex, id=ex.id + "-probe", stem=ex.stem + " in 2021")
+
+
+def test_build_steps_write_every_artifact(workspace):
+    workdir, _, _, _ = workspace
+    for name in ("corpus", "pairs", "pairs_clean", "truth", "vocab", "encoder",
+                 "ranker", "dedup", "variant", "lexical", "vector", "report",
+                 "cleaning", "embeddings"):
+        assert (workdir / pl.FILES[name]).is_file(), name
+    json.loads((workdir / pl.FILES["cleaning"]).read_text())
+    json.loads((workdir / pl.FILES["report"]).read_text())
+
+
+def test_ingest_reads_back_the_bank(workspace, tmp_path):
+    _, _, corpus, _ = workspace
+    save_corpus_jsonl(corpus, tmp_path / "bank.jsonl")
+    ingested = pl.step_ingest(tmp_path / "ws", tmp_path / "bank.jsonl")
+    assert ingested.ids == corpus.ids
+    assert ingested.ids == load_corpus(tmp_path / "bank.jsonl").ids
+
+
+def test_load_refuses_an_empty_workspace(tmp_path):
+    with pytest.raises(pl.ConfigurationError):
+        pl.Pipeline.load(tmp_path)
+
+
+def test_query_flow_and_cache(workspace):
+    workdir, config, corpus, truth = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+    query_id = corpus.ids[5]
+    result, hit = pipe.query_with_cache_info(query_id)
+    assert not hit
+    ids = result.all_ids()
+    assert ids and query_id not in ids and len(set(ids)) == len(ids)
+    assert ids == [i.ex_id for i in result.variant + result.similar]
+    again, hit = pipe.query_with_cache_info(query_id)
+    assert hit and again is result
+
+    probe = probe_of(corpus[query_id])
+    served = pipe.query(probe).all_ids()
+    assert query_id not in served  # dropped as a duplicate of the probe
+
+    profile = StudentProfile("average", "synchronous", (9, 2))
+    profiled = pipe.query(query_id, profile)
+    assert set(profiled.all_ids()) <= set(ids)
+    assert all(i.passed == ("stage", "difficulty", "variant")
+               for i in profiled.variant + profiled.similar)
+
+    record = profiled.to_dict()
+    assert [d["id"] for d in record["variant"] + record["similar"]] == profiled.all_ids()
+    json.dumps(record)
+
+    verdict = pipe.duplicate_verdict(query_id, probe)
+    assert verdict["duplicate"] and verdict["a"] == query_id
+    assert not pipe.duplicate_verdict(query_id, corpus.ids[0])["duplicate"]
+    with pytest.raises(pl.NotFoundError):
+        pipe.query("no-such-id")
+    markup_only = dataclasses.replace(probe, id="markup", stem="<p></p>", options=())
+    assert pipe.query(markup_only).all_ids() == []
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the batched path
+
+def dedup_reference(detector, a, b, u, v):
+    feat = detector.featurizer
+    sim = reference_similarity(feat.norm_tokens(a), feat.norm_tokens(b))
+    clf = detector.classifier
+    return (clf.prob(pair_features(u, v, sim)) + clf.prob(pair_features(v, u, sim))) / 2.0
+
+
+def variant_reference(variant_clf, query, candidate):
+    feat = variant_clf.featurizer
+    sim = reference_similarity(feat.norm_tokens(query), feat.norm_tokens(candidate))
+    return variant_clf.classifier.prob(
+        pair_features(feat.embedding(query), feat.embedding(candidate), sim))
+
+
+def reference_query(pipe, query):
+    """The served (id, score, variant_prob) list, one pair at a time."""
+    rec = pipe.recaller
+    tokens = split_tokens(normalize_text(query.text, rec.stop_words)[0])
+    q_vec = rec.query_embedding(query)
+    exact = rec.lexical.search(tokens, frozenset(query.metadata.knowledge_concepts),
+                               rec.config.k_exact, exclude_id=query.id)
+    embed = rec.vector.search(q_vec, rec.config.k_embed, exclude_id=query.id)
+    kept = [c for c in merge_candidates(exact, embed, rec.config.n)
+            if dedup_reference(rec.dedup, query, pipe.corpus[c.ex_id], q_vec,
+                               rec.vector.matrix[rec.vector.row_of[c.ex_id]])
+            < rec.config.dedup_threshold]
+    plain_ranker = Ranker(pipe.vocab, pipe.ranker.params, pipe.ranker.stop_words)
+    ranked = plain_ranker.rank(query, kept, pipe.corpus)
+    threshold = pipe.config.get_float("rerank.variant_threshold")
+    scored = [(c.ex_id, c.score, variant_reference(pipe.variant_clf, query,
+                                                   pipe.corpus[c.ex_id]))
+              for c in ranked]
+    return ([s for s in scored if s[2] >= threshold],
+            [s for s in scored if not s[2] >= threshold])
+
+
+@pytest.mark.parametrize("kind", ["corpus", "probe"])
+def test_batched_scores_equal_per_pair(workspace, kind):
+    workdir, config, corpus, _ = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+    query = corpus[corpus.ids[7]]
+    if kind == "probe":
+        query = probe_of(query)
+    others = [ex for ex in corpus if ex.id != query.id]
+    rec = pipe.recaller
+    u = rec.query_embedding(query)
+    v = rec.vector.matrix[[rec.vector.row_of[ex.id] for ex in others]]
+    got = rec.dedup.prob_many(query, others, u, v).tolist()
+    assert got == [dedup_reference(rec.dedup, query, ex, u, row)
+                   for ex, row in zip(others, v)]
+    got = pipe.variant_clf.prob_many(query, others).tolist()
+    assert got == [variant_reference(pipe.variant_clf, query, ex) for ex in others]
+    assert got == [pipe.variant_clf.prob(query, ex) for ex in others]
+
+    result = pipe.query(query if kind == "probe" else query.id)
+    variant, similar = reference_query(pipe, query)
+    assert [(i.ex_id, i.score, i.variant_prob) for i in result.variant] == variant
+    assert [(i.ex_id, i.score, i.variant_prob) for i in result.similar] == similar
