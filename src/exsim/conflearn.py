@@ -39,15 +39,11 @@ from .textnorm import Vocab
 
 log = logging.getLogger(__name__)
 
-PRUNE_BY_NOISE_RATE = "noise-rate"
-PRUNE_BY_CLASS = "class"
-
 
 @dataclass
 class CleanConfig:
     folds: int = 5
     seed: int = 0
-    strategy: str = PRUNE_BY_NOISE_RATE
     estimator_epochs: int = 3
     estimator_lr: float = 0.05
     retrain: RankConfig = field(default_factory=RankConfig)
@@ -140,27 +136,19 @@ def build_confident_joint(probs: Sequence[float],
 
 
 def prune(pairs: Sequence[LabeledPair], joint: ConfidentJoint,
-          probs: Sequence[float],
-          strategy: str = PRUNE_BY_NOISE_RATE) -> tuple[list[LabeledPair], list[int]]:
+          probs: Sequence[float]) -> tuple[list[LabeledPair], list[int]]:
     """Drop the likely-mislabeled pairs; returns (cleaned, pruned indices).
 
-    noise-rate: per off-diagonal cell C[i][j], prune the C[i][j] pairs with
-    noisy label i of lowest self-class probability. class: per noisy label i,
-    prune its total off-diagonal count, same ordering. The two coincide for
-    binary labels (one off-diagonal cell per row); both are kept so configs
-    can name either.
+    Prune by noise rate: per off-diagonal cell C[i][j], prune the C[i][j]
+    pairs with noisy label i of lowest self-class probability. With binary
+    labels that is each class's whole off-diagonal count.
     """
-    if strategy not in (PRUNE_BY_NOISE_RATE, PRUNE_BY_CLASS):
-        raise ValueError(f"unknown prune strategy {strategy!r}")
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.array([1 if p.is_similar else 0 for p in pairs])
     p_self = np.where(labels == 1, probs, 1.0 - probs)
     to_prune: set[int] = set()
     for noisy in (0, 1):
-        if strategy == PRUNE_BY_NOISE_RATE:
-            k = int(joint.counts[noisy, 1 - noisy])
-        else:
-            k = int(joint.counts[noisy].sum() - joint.counts[noisy, noisy])
+        k = int(joint.counts[noisy, 1 - noisy])
         if k <= 0:
             continue
         cls_idx = np.flatnonzero(labels == noisy)
@@ -197,7 +185,7 @@ def clean_and_retrain(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab
     probs = out_of_fold_probs(pairs, corpus, vocab, encoder, config, stop_words)
     labels = [1 if p.is_similar else 0 for p in pairs]
     joint = build_confident_joint(probs, labels)
-    cleaned, pruned_idx = prune(pairs, joint, probs, config.strategy)
+    cleaned, pruned_idx = prune(pairs, joint, probs)
     log.info("confident joint %s; pruning %d of %d pairs",
              joint.counts.tolist(), len(pruned_idx), len(pairs))
 

@@ -1,11 +1,14 @@
 """End-to-end pipeline: workspace artifacts, configuration, query flow.
 
 A workspace directory holds every trained artifact under fixed names
-(corpus snapshot, vocabulary, encoder and ranker parameters, classifier
-heads, both indexes). Build steps write them, :class:`Pipeline` loads them
-and answers queries by composing recall, ranking and re-rank. Each loaded
-snapshot carries a content digest; the digests version the query cache, so
-retraining anything invalidates cached results implicitly.
+(corpus snapshot, labeled pairs, vocabulary, encoder and ranker parameters,
+classifier heads). Build steps write them, :class:`Pipeline` loads them and
+answers queries by composing recall, ranking and re-rank. The two recall
+indexes are not artifacts: ``Pipeline.load`` builds them in memory from the
+corpus, vocabulary and encoder it loads, so they cannot go stale. Each
+loaded snapshot carries a content digest; the digests version the query
+cache, so retraining anything invalidates cached results implicitly. Steps
+that read the labeled pairs refuse a pair naming an id the corpus lacks.
 
 Configuration is a flat key = value file; see DEFAULTS for the full key
 list with defaults.
@@ -20,9 +23,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
-
-import numpy as np
+from typing import Optional, Sequence, Union
 
 from . import conflearn, corpus as corpus_mod, encoder as encoder_mod
 from . import ranking, recall as recall_mod, rerank as rerank_mod
@@ -30,7 +31,7 @@ from .corpus import Corpus, Exercise, LabeledPair, SyntheticSpec, SyntheticTruth
 from .evaluate import (EvalReport, annotated_similars, config_hash,
                        evaluate_precision, evaluate_recall)
 from .pairclf import PairFeaturizer, PreparedCorpus
-from .recall import Candidate, RecallConfig, Recaller
+from .recall import RecallConfig, Recaller
 from .rerank import RerankConfig, RerankedResult, StudentProfile, VariantClassifier
 from .snapshots import file_digest
 from .textnorm import Vocab
@@ -47,8 +48,6 @@ FILES = {
     "ranker": "ranker.params",
     "dedup": "dedup.params",
     "variant": "variant.params",
-    "lexical": "lexical.idx",
-    "vector": "vector.idx",
     "report": "report.json",
     "cleaning": "cleaning.json",
     "embeddings": "embeddings.txt",
@@ -78,14 +77,10 @@ DEFAULTS = {
     "rank.alpha": "0.3333333333333333,0.3333333333333333,0.3333333333333333",
     "rank.tasks": "t1,t2,t3",
     "cl.folds": "5",
-    "cl.strategy": "noise-rate",
     "cl.seed": "0",
     "rerank.variant_threshold": "0.5",
     "rerank.enable_variant": "on",
     "cache.size": "256",
-    "service.port": "8100",
-    "service.batch_window_ms": "10",
-    "service.max_pending": "64",
     "eval.k_recall": "100",
     "eval.ks": "1,3,5",
 }
@@ -153,6 +148,13 @@ def _path(workdir, name: str) -> Path:
     return Path(workdir) / FILES[name]
 
 
+def _load_pairs(workdir, corpus: Corpus, name: str = "pairs") -> list[LabeledPair]:
+    """The labeled pairs file; CorpusError when a pair names an id not in corpus."""
+    pairs = corpus_mod.load_pairs(_path(workdir, name))
+    corpus_mod.validate_pairs(corpus, pairs)
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # Build steps (each reads earlier artifacts, writes its own)
 
@@ -191,7 +193,7 @@ def step_finetune(workdir, config: Config):
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
     vocab = Vocab.load(_path(workdir, "vocab"))
     params = encoder_mod.load_encoder(_path(workdir, "encoder"))
-    pairs = corpus_mod.load_pairs(_path(workdir, "pairs"))
+    pairs = _load_pairs(workdir, corpus)
     ft_cfg = encoder_mod.FinetuneConfig(
         epochs=config.get_int("finetune.epochs"), lr=config.get_float("finetune.lr"),
         n_negatives=config.get_int("finetune.negatives"),
@@ -203,16 +205,13 @@ def step_finetune(workdir, config: Config):
 
 
 def step_index(workdir, config: Config) -> None:
-    """Build both indexes; also fit dedup/variant heads when data allows."""
+    """Fit the dedup head (given ground truth) and the variant head (given
+    variant-labeled pairs). The recall indexes are not artifacts:
+    ``Pipeline.load`` builds them."""
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
     vocab = Vocab.load(_path(workdir, "vocab"))
     params = encoder_mod.load_encoder(_path(workdir, "encoder"))
     stop = config.stop_words()
-    lexical = recall_mod.LexicalIndex.build(
-        corpus, stop, config.get_float("recall.concept_boost"))
-    lexical.save(_path(workdir, "lexical"))
-    vector = recall_mod.VectorIndex.build(corpus, vocab, params, stop)
-    vector.save(_path(workdir, "vector"))
     truth_path = _path(workdir, "truth")
     if truth_path.exists():
         truth = corpus_mod.load_truth(truth_path)
@@ -221,7 +220,7 @@ def step_index(workdir, config: Config) -> None:
         detector.save(_path(workdir, "dedup"))
     pairs_path = _path(workdir, "pairs")
     if pairs_path.exists():
-        pairs = corpus_mod.load_pairs(pairs_path)
+        pairs = _load_pairs(workdir, corpus)
         if any(p.variant is not None for p in pairs):
             variant_clf = rerank_mod.train_variant(pairs, corpus, vocab, params, stop)
             variant_clf.save(_path(workdir, "variant"))
@@ -241,7 +240,7 @@ def step_train_rank(workdir, config: Config, pairs_name: str = "pairs"):
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
     vocab = Vocab.load(_path(workdir, "vocab"))
     encoder = encoder_mod.load_encoder(_path(workdir, "encoder"))
-    pairs = corpus_mod.load_pairs(_path(workdir, pairs_name))
+    pairs = _load_pairs(workdir, corpus, pairs_name)
     params, history = ranking.train_ranker(pairs, corpus, vocab, _rank_config(config),
                                            encoder=encoder,
                                            stop_words=config.stop_words())
@@ -254,10 +253,10 @@ def step_clean(workdir, config: Config):
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
     vocab = Vocab.load(_path(workdir, "vocab"))
     encoder = encoder_mod.load_encoder(_path(workdir, "encoder"))
-    pairs = corpus_mod.load_pairs(_path(workdir, "pairs"))
+    pairs = _load_pairs(workdir, corpus)
     cl_cfg = conflearn.CleanConfig(
         folds=config.get_int("cl.folds"), seed=config.get_int("cl.seed"),
-        strategy=config.get("cl.strategy"), retrain=_rank_config(config))
+        retrain=_rank_config(config))
     eval_fn = _make_p5_eval(workdir, config, corpus, vocab, encoder, pairs)
     params, cleaned, report = conflearn.clean_and_retrain(
         pairs, corpus, vocab, encoder, cl_cfg, eval_fn=eval_fn,
@@ -346,7 +345,7 @@ def step_eval(workdir, config: Config) -> EvalReport:
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
     vocab = Vocab.load(_path(workdir, "vocab"))
     encoder = encoder_mod.load_encoder(_path(workdir, "encoder"))
-    pairs = corpus_mod.load_pairs(_path(workdir, "pairs"))
+    pairs = _load_pairs(workdir, corpus)
     ranker_params = ranking.load_ranker(_path(workdir, "ranker"))
     recaller = Recaller.build(corpus, vocab, encoder, stop_words=config.stop_words(),
                               config=_recall_config(config))
@@ -397,7 +396,7 @@ class Pipeline:
     @classmethod
     def load(cls, workdir, config: Optional[Config] = None) -> "Pipeline":
         config = config or Config()
-        required = ("corpus", "vocab", "encoder", "ranker", "lexical", "vector")
+        required = ("corpus", "vocab", "encoder", "ranker")
         missing = [name for name in required if not _path(workdir, name).exists()]
         if missing:
             raise ConfigurationError([FILES[m] for m in missing])
@@ -407,8 +406,6 @@ class Pipeline:
         ranker_params = ranking.load_ranker(_path(workdir, "ranker"))
         if not ranker_params.trained:
             raise ConfigurationError([FILES["ranker"] + " (untrained)"])
-        lexical = recall_mod.LexicalIndex.load(_path(workdir, "lexical"))
-        vector = recall_mod.VectorIndex.load(_path(workdir, "vector"))
         stop = config.stop_words()
         # every exercise's text normalized and embedded once, shared by the
         # dedup and variant heads and the ranker (which embeds each row once
@@ -425,9 +422,8 @@ class Pipeline:
             variant_clf = VariantClassifier.load(
                 _path(workdir, "variant"), featurizer,
                 threshold=config.get_float("rerank.variant_threshold"))
-        recaller = Recaller(corpus=corpus, vocab=vocab, params=encoder,
-                            lexical=lexical, vector=vector, dedup=dedup,
-                            stop_words=stop, config=_recall_config(config))
+        recaller = Recaller.build(corpus, vocab, encoder, dedup=dedup, stop_words=stop,
+                                  config=_recall_config(config))
         versions = {}
         for name in FILES:
             p = _path(workdir, name)
@@ -489,17 +485,6 @@ class Pipeline:
             RerankConfig(
                 variant_threshold=self.config.get_float("rerank.variant_threshold"),
                 enable_variant=self.config.get_bool("rerank.enable_variant")))
-
-    def query_batch(self, requests: Sequence[tuple[Union[str, Exercise],
-                                                   Optional[StudentProfile]]]
-                    ) -> list[RerankedResult]:
-        """Process a group of requests as one unit.
-
-        Per-query arithmetic is identical to the single-query path, so
-        grouping can never change a response; batching buys shared passes,
-        not different math.
-        """
-        return [self.query(q, p) for q, p in requests]
 
     def duplicate_verdict(self, a: Union[str, Exercise],
                           b: Union[str, Exercise]) -> dict:

@@ -4,8 +4,9 @@ Two complementary retrieval channels run per query. The lexical channel is
 an inverted-index BM25 (k1=1.2, b=0.75) over the normalized stem+options
 text with an additive bonus per shared knowledge concept; it only retrieves
 documents sharing at least one text token with the query. The embedding
-channel scans unit-norm encoder embeddings by cosine (an optional graph
-index approximates the scan when the bank grows).
+channel scans unit-norm encoder embeddings by cosine. Both indexes are
+derived data: ``Recaller.build`` makes them in memory from the corpus, the
+vocabulary and the encoder, so they always match the artifacts they serve.
 
 Channel results merge by a set rule: candidates found by both channels come
 first (ordered by embedding score), then the remaining slots split between
@@ -23,7 +24,6 @@ its own 1-D dot product, so the batch is bit-identical to calling
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -34,7 +34,6 @@ from .corpus import Corpus, Exercise
 from .encoder import EncoderParams, embed_corpus, embed_text
 from .pairclf import (PairClassifier, PairFeaturizer, UntrainedModelError,
                       pair_feature_rows)
-from .snapshots import SnapshotFormatError, load_arrays, save_arrays
 from .textnorm import Vocab, normalize_text, split_tokens, tokenize
 
 BM25_K1 = 1.2
@@ -132,43 +131,12 @@ class LexicalIndex:
                         key=lambda rs: (-rs[1], self.ids[rs[0]]))
         return [Candidate(self.ids[row], s, SOURCE_EXACT) for row, s in ranked[:k]]
 
-    def save(self, path) -> None:
-        payload = {
-            "kind": "lexical_index",
-            "version": 1,
-            "ids": self.ids,
-            "doc_lens": self.doc_lens,
-            "avg_len": self.avg_len,
-            "concept_boost": self.concept_boost,
-            "concepts": [sorted(c) for c in self.concepts],
-            "postings": {t: p for t, p in self.postings.items()},
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-
-    @classmethod
-    def load(cls, path) -> "LexicalIndex":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("kind") != "lexical_index":
-            raise SnapshotFormatError(f"{path}: not a lexical index snapshot")
-        idx = cls.__new__(cls)
-        idx.ids = payload["ids"]
-        idx.row_of = {ex_id: i for i, ex_id in enumerate(idx.ids)}
-        idx.doc_lens = payload["doc_lens"]
-        idx.avg_len = payload["avg_len"]
-        idx.concept_boost = payload["concept_boost"]
-        idx.concepts = [frozenset(c) for c in payload["concepts"]]
-        idx.postings = {t: [(int(r), int(tf)) for r, tf in p]
-                        for t, p in payload["postings"].items()}
-        return idx
-
 
 # ---------------------------------------------------------------------------
 # Embedding channel
 
 class VectorIndex:
-    """Unit-norm embedding matrix scanned by cosine; optional graph search."""
+    """Unit-norm embedding matrix scanned by cosine."""
 
     def __init__(self, matrix: np.ndarray, ids: list[str]):
         if matrix.ndim != 2 or len(ids) != matrix.shape[0]:
@@ -179,7 +147,6 @@ class VectorIndex:
         self.matrix = matrix
         self.ids = ids
         self.row_of = {ex_id: i for i, ex_id in enumerate(ids)}
-        self._graph: Optional[list[list[int]]] = None
 
     @classmethod
     def build(cls, corpus: Corpus, vocab: Vocab, params: EncoderParams,
@@ -192,62 +159,15 @@ class VectorIndex:
         return self.matrix.shape[1]
 
     def search(self, query: np.ndarray, k: int,
-               exclude_id: Optional[str] = None,
-               approximate: bool = False) -> list[Candidate]:
+               exclude_id: Optional[str] = None) -> list[Candidate]:
         query = np.asarray(query, dtype=np.float64)
         if query.shape != (self.dim,):
             raise ValueError(f"query must have dimension {self.dim}")
-        if approximate and self._graph is not None:
-            rows = self._graph_search(query, max(k + 1, 32))
-            sims = {row: float(self.matrix[row] @ query) for row in rows}
-            items = sims.items()
-        else:
-            scores = self.matrix @ query
-            items = enumerate(scores.tolist())
+        scores = (self.matrix @ query).tolist()
         exclude_row = self.row_of.get(exclude_id, -1)
-        ranked = sorted(((row, s) for row, s in items if row != exclude_row),
+        ranked = sorted(((row, s) for row, s in enumerate(scores) if row != exclude_row),
                         key=lambda rs: (-rs[1], self.ids[rs[0]]))
         return [Candidate(self.ids[row], s, SOURCE_EMBED) for row, s in ranked[:k]]
-
-    # -- optional approximate search over a nearest-neighbor graph ----------
-
-    def build_graph(self, n_links: int = 8) -> None:
-        """Connect each row to its nearest neighbors for greedy beam search."""
-        sims = self.matrix @ self.matrix.T
-        np.fill_diagonal(sims, -np.inf)
-        order = np.argsort(-sims, axis=1)
-        self._graph = [list(map(int, order[i, :n_links])) for i in range(len(self.ids))]
-
-    def _graph_search(self, query: np.ndarray, ef: int) -> list[int]:
-        start = 0
-        visited = {start}
-        frontier = [(float(self.matrix[start] @ query), start)]
-        best = dict(frontier)
-        while frontier:
-            frontier.sort(reverse=True)
-            sim, node = frontier.pop(0)
-            if len(best) >= ef and sim < min(best.values()):
-                break
-            for nb in self._graph[node]:
-                if nb in visited:
-                    continue
-                visited.add(nb)
-                s = float(self.matrix[nb] @ query)
-                if len(best) < ef or s > min(best.values()):
-                    best[nb] = s
-                    frontier.append((s, nb))
-                    if len(best) > ef:
-                        worst = min(best, key=best.get)
-                        del best[worst]
-        return list(best)
-
-    def save(self, path) -> None:
-        save_arrays(path, "vector_index", {"ids": self.ids}, {"matrix": self.matrix})
-
-    @classmethod
-    def load(cls, path) -> "VectorIndex":
-        meta, arrays = load_arrays(path, "vector_index")
-        return cls(arrays["matrix"], list(meta["ids"]))
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +305,14 @@ class Recaller:
         seq = tokenize(normalize_text(query.text, self.stop_words)[0], self.vocab)
         return embed_text(seq, self.params)
 
-    def recall(self, query: Exercise,
-               approximate: bool = False) -> list[Candidate]:
+    def recall(self, query: Exercise) -> list[Candidate]:
         cfg = self.config
         tokens = split_tokens(normalize_text(query.text, self.stop_words)[0])
         concepts = frozenset(query.metadata.knowledge_concepts)
         exact = self.lexical.search(tokens, concepts, cfg.k_exact, exclude_id=query.id)
         if tokens:
             q_vec = self.query_embedding(query)
-            embed = self.vector.search(q_vec, cfg.k_embed, exclude_id=query.id,
-                                       approximate=approximate)
+            embed = self.vector.search(q_vec, cfg.k_embed, exclude_id=query.id)
         else:
             q_vec = None
             embed = []

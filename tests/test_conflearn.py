@@ -69,19 +69,6 @@ def test_confident_joint_validation():
         cl.build_confident_joint([0.5, 0.6], [1, 1])
 
 
-def test_prune_by_class_matches_noise_rate_for_binary():
-    probs = [0.9, 0.2, 0.7, 0.4, 0.1, 0.85]
-    labels = [1, 1, 0, 0, 0, 1]
-    joint = cl.build_confident_joint(probs, labels)
-    pairs = [LabeledPair(f"a{i}", f"b{i}", "similar" if l else "dissimilar")
-             for i, l in enumerate(labels)]
-    c1, p1 = cl.prune(pairs, joint, probs, strategy=cl.PRUNE_BY_NOISE_RATE)
-    c2, p2 = cl.prune(pairs, joint, probs, strategy=cl.PRUNE_BY_CLASS)
-    assert p1 == p2 and c1 == c2
-    with pytest.raises(ValueError):
-        cl.prune(pairs, joint, probs, strategy="bogus")
-
-
 @pytest.fixture(scope="module")
 def cl_setup():
     spec = SyntheticSpec(n_templates=4, per_template=8, noise_rate=0.15,

@@ -4,15 +4,19 @@ against a per-pair computation written out here."""
 
 import dataclasses
 import json
+import shutil
 
+import numpy as np
 import pytest
 from test_pairclf import reference_similarity
 
 from exsim import pipeline as pl
-from exsim.corpus import SyntheticSpec, load_corpus, save_corpus_jsonl
+from exsim.corpus import (CorpusError, LabeledPair, SyntheticSpec, load_corpus,
+                          save_corpus_jsonl, save_pairs)
+from exsim.encoder import load_encoder
 from exsim.pairclf import pair_features
 from exsim.ranking import Ranker
-from exsim.recall import merge_candidates
+from exsim.recall import VectorIndex, merge_candidates
 from exsim.rerank import StudentProfile
 from exsim.textnorm import normalize_text, split_tokens
 
@@ -48,8 +52,7 @@ def probe_of(ex):
 def test_build_steps_write_every_artifact(workspace):
     workdir, _, _, _ = workspace
     for name in ("corpus", "pairs", "pairs_clean", "truth", "vocab", "encoder",
-                 "ranker", "dedup", "variant", "lexical", "vector", "report",
-                 "cleaning", "embeddings"):
+                 "ranker", "dedup", "variant", "report", "cleaning", "embeddings"):
         assert (workdir / pl.FILES[name]).is_file(), name
     json.loads((workdir / pl.FILES["cleaning"]).read_text())
     json.loads((workdir / pl.FILES["report"]).read_text())
@@ -66,6 +69,35 @@ def test_ingest_reads_back_the_bank(workspace, tmp_path):
 def test_load_refuses_an_empty_workspace(tmp_path):
     with pytest.raises(pl.ConfigurationError):
         pl.Pipeline.load(tmp_path)
+
+
+def copy_workspace(workspace, tmp_path):
+    workdir, config, corpus, _ = workspace
+    copy = tmp_path / "ws"
+    shutil.copytree(workdir, copy)
+    return copy, config, corpus
+
+
+def test_pairs_naming_an_unknown_id_are_refused(workspace, tmp_path):
+    workdir, config, corpus = copy_workspace(workspace, tmp_path)
+    save_pairs([LabeledPair(corpus.ids[0], "no-such-id", "similar")],
+               workdir / pl.FILES["pairs"])
+    with pytest.raises(CorpusError, match="no-such-id"):
+        pl.step_finetune(workdir, config)
+
+
+def test_load_indexes_the_current_encoder(workspace, tmp_path):
+    workdir, config, corpus = copy_workspace(workspace, tmp_path)
+    before = pl.Pipeline.load(workdir, config).recaller.vector.matrix
+    retrain = pl.Config({**CONFIG, "finetune.epochs": "2"})
+    pl.step_finetune(workdir, retrain)
+    pipe = pl.Pipeline.load(workdir, retrain)
+    current = VectorIndex.build(corpus, pipe.vocab,
+                                load_encoder(workdir / pl.FILES["encoder"]),
+                                retrain.stop_words())
+    assert not np.array_equal(current.matrix, before)
+    assert np.array_equal(pipe.recaller.vector.matrix, current.matrix)
+    assert pipe.query(corpus.ids[5]).all_ids()
 
 
 def test_query_flow_and_cache(workspace):

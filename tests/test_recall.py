@@ -92,17 +92,6 @@ def test_lexical_zero_overlap_returns_empty(medium_synth):
     assert index.search([], frozenset(), k=10) == []
 
 
-def test_lexical_snapshot_round_trip(tmp_path, medium_synth):
-    corpus, _, _ = medium_synth
-    index = LexicalIndex.build(corpus)
-    index.save(tmp_path / "lex.idx")
-    loaded = LexicalIndex.load(tmp_path / "lex.idx")
-    query = corpus[corpus.ids[3]]
-    q_tokens = split_tokens(normalize_text(query.text)[0])
-    q_concepts = frozenset(query.metadata.knowledge_concepts)
-    assert loaded.score_all(q_tokens, q_concepts) == index.score_all(q_tokens, q_concepts)
-
-
 def test_vector_search_exact_matches_reembedded_oracle(medium_synth):
     corpus, _, _ = medium_synth
     vocab = build_vocab(corpus)
@@ -148,29 +137,6 @@ def test_vector_dimension_mismatch(medium_synth):
     index = VectorIndex.build(corpus, vocab, params)
     with pytest.raises(ValueError, match="dimension"):
         index.search(np.zeros(9), k=5)
-
-
-def test_vector_snapshot_round_trip(tmp_path, medium_synth):
-    corpus, _, _ = medium_synth
-    vocab = build_vocab(corpus)
-    params = init_params(corpus, vocab, d=8, seed=0)
-    index = VectorIndex.build(corpus, vocab, params)
-    index.save(tmp_path / "vec.idx")
-    loaded = VectorIndex.load(tmp_path / "vec.idx")
-    assert loaded.ids == index.ids
-    assert np.array_equal(loaded.matrix, index.matrix)
-
-
-def test_vector_approximate_graph_mostly_agrees(medium_synth):
-    corpus, _, _ = medium_synth
-    vocab = build_vocab(corpus)
-    params = init_params(corpus, vocab, d=12, seed=0)
-    index = VectorIndex.build(corpus, vocab, params)
-    index.build_graph(n_links=12)
-    q = index.matrix[40]
-    exact = {c.ex_id for c in index.search(q, k=10)}
-    approx = {c.ex_id for c in index.search(q, k=10, approximate=True)}
-    assert len(exact & approx) >= 7  # approximate recall, not exactness
 
 
 # ---------------------------------------------------------------------------
