@@ -192,6 +192,7 @@ class TaskBuilder:
         self.codes, self.lengths = pad_codes(codes)
         self.by_concept = by_concept
         self.ids = corpus.ids
+        self._pools: dict[str, list[str]] = {}
 
     def build(self, pair: LabeledPair, rng: np.random.Generator) -> list[TaskInstance]:
         return self.build_all([pair], rng)[0]
@@ -232,7 +233,7 @@ class TaskBuilder:
         label = 1 if pair.is_similar else 0
         stem_a, stem_b = self.row_of[a.id], self.row_of[b.id]
         if pair.is_similar:
-            neg_id = self._concept_sharing_draw(a, exclude={a.id, b.id}, rng=rng)
+            neg_id = self._concept_sharing_draw(a, b.id, rng)
         else:
             neg_id = b.id
         ss, aa, sa = range(len(TASKS))
@@ -244,19 +245,38 @@ class TaskBuilder:
             (sa, stem_a, self.row_of[neg_id] + 1, 0),
         ]
 
-    def _concept_sharing_draw(self, ex: Exercise, exclude: set[str],
+    def _concept_sharing_draw(self, ex: Exercise, partner_id: str,
                               rng: np.random.Generator) -> str:
-        pool: list[str] = []
-        seen = set(exclude)
-        for c in ex.metadata.knowledge_concepts:
-            for other in self.by_concept.get(c, ()):
-                if other not in seen:
-                    pool.append(other)
-                    seen.add(other)
-        if not pool:
+        """A uniform draw from the exercises sharing a concept with ``ex``,
+        other than ``ex`` and ``partner_id``; from the whole bank minus those
+        two when none shares one."""
+        pool = self._concept_pool(ex)
+        try:
+            skip = pool.index(partner_id)
+        except ValueError:
+            skip = len(pool)
+        size = len(pool) - (skip < len(pool))
+        if not size:
             log.debug("no concept-sharing negative for %s; drawing uniformly", ex.id)
-            pool = [i for i in self.ids if i not in exclude]
-        return pool[int(rng.integers(0, len(pool)))]
+            pool = [i for i in self.ids if i not in (ex.id, partner_id)]
+            return pool[int(rng.integers(0, len(pool)))]
+        pick = int(rng.integers(0, size))
+        return pool[pick + (pick >= skip)]
+
+    def _concept_pool(self, ex: Exercise) -> list[str]:
+        """The exercises sharing a concept with ``ex``, other than ``ex``, in
+        concept order then bank order, each once; built on first use."""
+        pool = self._pools.get(ex.id)
+        if pool is None:
+            pool = []
+            seen = {ex.id}
+            for c in ex.metadata.knowledge_concepts:
+                for other in self.by_concept.get(c, ()):
+                    if other not in seen:
+                        pool.append(other)
+                        seen.add(other)
+            self._pools[ex.id] = pool
+        return pool
 
 
 def build_task_instances(pair: LabeledPair, corpus: Corpus, vocab: Vocab,

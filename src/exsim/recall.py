@@ -8,6 +8,19 @@ channel scans unit-norm encoder embeddings by cosine. Both indexes are
 derived data: ``Recaller.build`` makes them in memory from the corpus, the
 vocabulary and the encoder, so they always match the artifacts they serve.
 
+No per-document Python loop runs per query, and both channels return what a
+plain loop and ``sorted(..., key=(-score, id))[:k]`` would, bit for bit:
+
+- BM25 postings are numpy arrays built once with each posting's length
+  denominator and each token's ``math.log`` idf (not ``np.log``, whose last
+  bit can differ). A query accumulates token by token in sorted-token
+  order, so each document's score is the same sequence of float operations
+  as the per-document loop.
+- Top-k finds the k-th best score by partition and keeps every row scoring
+  at least that much, so ties at the cut survive; those rows are ordered by
+  ``np.lexsort`` on (-score, the row's rank in sorted-id order), so ties
+  break by id, not by row.
+
 Channel results merge by a set rule: candidates found by both channels come
 first (ordered by embedding score), then the remaining slots split between
 the channel-only lists, the lexical side receiving the extra slot on odd
@@ -61,30 +74,128 @@ class RecallConfig:
 
 
 # ---------------------------------------------------------------------------
+# Top-k shared by both channels
+
+def _id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Each row's position when the rows are sorted by id."""
+    ranks = np.empty(len(ids), dtype=np.intp)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
+def _top_k(rows: np.ndarray, scores: np.ndarray, ids: Sequence[str],
+           id_rank: np.ndarray, k: int, exclude_row: int,
+           source: str) -> list[Candidate]:
+    """The k best of ``rows`` by (-score, id), as ``sorted`` with that key
+    would give them.
+
+    The k-th best score is found by partition and every row scoring at least
+    that much is kept, so ties straddling position k are all ordered by id
+    before the cut.
+    """
+    if k <= 0:
+        return []
+    if exclude_row >= 0:
+        keep = rows != exclude_row
+        rows, scores = rows[keep], scores[keep]
+    if k < len(scores):
+        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+        keep = scores >= kth
+        rows, scores = rows[keep], scores[keep]
+    order = np.lexsort((id_rank[rows], -scores))[:k]
+    return [Candidate(ids[row], score, source)
+            for row, score in zip(rows[order].tolist(), scores[order].tolist())]
+
+
+# ---------------------------------------------------------------------------
 # Lexical channel
+
+class Postings:
+    """One token's postings: the rows holding it (ascending), each row's term
+    frequency and BM25 denominator ``tf + k1 * (1 - b + b * len / avg_len)``,
+    and the token's idf. ``len`` is the token's document frequency."""
+
+    __slots__ = ("rows", "tf", "denom", "idf")
+
+    def __init__(self, rows: np.ndarray, tf: np.ndarray, denom: np.ndarray,
+                 idf: float):
+        self.rows = rows
+        self.tf = tf
+        self.denom = denom
+        self.idf = idf
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+class RowScores:
+    """Scores of the documents sharing a query token: ``rows`` ascending and
+    ``scores`` aligned with them. Equal to the ``{row: score}`` dict it
+    stands for; ``len`` is the number of such documents."""
+
+    __slots__ = ("rows", "scores")
+
+    def __init__(self, rows: np.ndarray, scores: np.ndarray):
+        self.rows = rows
+        self.scores = scores
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, dict):
+            return NotImplemented
+        return dict(zip(self.rows.tolist(), self.scores.tolist())) == other
+
 
 class LexicalIndex:
     """Inverted index with BM25 scoring and a concept-overlap bonus.
 
-    Scoring stays in plain Python floats accumulated in sorted-token order,
-    so an independent per-document loop reproduces the scores bit for bit.
+    Each token's postings are numpy arrays holding the per-posting BM25
+    denominator, and its idf is a ``math.log`` float, both computed once.
+    A query adds ``qtf * idf * tf * (k1 + 1) / denom`` into a dense score
+    array one token at a time in sorted-token order, then adds
+    ``boost * shared`` to the touched rows sharing a concept. Every float
+    operation is the one a per-document loop over sorted tokens performs, in
+    the same order, so such a loop reproduces the scores bit for bit.
     """
 
     def __init__(self, ids: list[str], token_lists: list[list[str]],
                  concept_sets: list[frozenset[str]], concept_boost: float = 0.5):
         self.ids = ids
         self.row_of = {ex_id: i for i, ex_id in enumerate(ids)}
-        self.doc_lens = [len(t) for t in token_lists]
-        self.avg_len = (sum(self.doc_lens) / len(self.doc_lens)) if ids else 0.0
+        self.id_rank = _id_ranks(ids)
+        n_tokens = sum(len(t) for t in token_lists)
+        self.avg_len = (n_tokens / len(ids)) if ids else 0.0
         self.concepts = concept_sets
         self.concept_boost = concept_boost
-        self.postings: dict[str, list[tuple[int, int]]] = {}
+        raw: dict[str, tuple[list[int], list[int], list[float]]] = {}
         for row, tokens in enumerate(token_lists):
             counts: dict[str, int] = {}
             for t in tokens:
                 counts[t] = counts.get(t, 0) + 1
+            if not counts:
+                continue
+            norm = len(tokens) / self.avg_len
+            length_term = BM25_K1 * (1.0 - BM25_B + BM25_B * norm)
             for t, tf in counts.items():
-                self.postings.setdefault(t, []).append((row, tf))
+                rows, tfs, denoms = raw.setdefault(t, ([], [], []))
+                rows.append(row)
+                tfs.append(tf)
+                denoms.append(tf + length_term)
+        self.postings: dict[str, Postings] = {}
+        for t, (rows, tfs, denoms) in raw.items():
+            df = len(rows)
+            self.postings[t] = Postings(
+                np.array(rows, dtype=np.intp), np.array(tfs, dtype=np.float64),
+                np.array(denoms, dtype=np.float64),
+                math.log(1.0 + (len(ids) - df + 0.5) / (df + 0.5)))
+        by_concept: dict[str, list[int]] = {}
+        for row, concepts in enumerate(concept_sets):
+            for c in concepts:
+                by_concept.setdefault(c, []).append(row)
+        self.concept_rows = {c: np.array(rows, dtype=np.intp)
+                             for c, rows in by_concept.items()}
 
     @classmethod
     def build(cls, corpus: Corpus, stop_words: Iterable[str] = (),
@@ -94,42 +205,40 @@ class LexicalIndex:
         concept_sets = [frozenset(ex.metadata.knowledge_concepts) for ex in corpus]
         return cls(corpus.ids, token_lists, concept_sets, concept_boost)
 
-    def idf(self, token: str) -> float:
-        df = len(self.postings.get(token, ()))
-        return math.log(1.0 + (len(self.ids) - df + 0.5) / (df + 0.5))
-
     def score_all(self, query_tokens: Sequence[str],
-                  query_concepts: frozenset[str]) -> dict[int, float]:
+                  query_concepts: frozenset[str]) -> RowScores:
         """BM25 over documents sharing a token, plus the concept bonus."""
         counts: dict[str, int] = {}
         for t in query_tokens:
             counts[t] = counts.get(t, 0) + 1
-        scores: dict[int, float] = {}
+        n = len(self.ids)
+        scores = np.zeros(n)
+        touched = np.zeros(n, dtype=bool)
         for t in sorted(counts):
             plist = self.postings.get(t)
-            if not plist:
+            if plist is None:
                 continue
-            idf = self.idf(t)
-            qtf = counts[t]
-            for row, tf in plist:
-                norm = self.doc_lens[row] / self.avg_len
-                contrib = qtf * idf * tf * (BM25_K1 + 1.0) / (
-                    tf + BM25_K1 * (1.0 - BM25_B + BM25_B * norm))
-                scores[row] = scores.get(row, 0.0) + contrib
+            scores[plist.rows] += (counts[t] * plist.idf * plist.tf
+                                   * (BM25_K1 + 1.0) / plist.denom)
+            touched[plist.rows] = True
         if query_concepts and self.concept_boost:
-            for row in scores:
-                shared = len(query_concepts & self.concepts[row])
-                if shared:
-                    scores[row] = scores[row] + self.concept_boost * shared
-        return scores
+            shared = np.zeros(n, dtype=np.int64)
+            for c in query_concepts:
+                rows = self.concept_rows.get(c)
+                if rows is not None:
+                    shared[rows] += 1
+            bonus = touched & (shared > 0)
+            scores[bonus] = scores[bonus] + self.concept_boost * shared[bonus]
+        rows = np.flatnonzero(touched)
+        return RowScores(rows, scores[rows])
 
     def search(self, query_tokens: Sequence[str], query_concepts: frozenset[str],
                k: int, exclude_id: Optional[str] = None) -> list[Candidate]:
-        scores = self.score_all(query_tokens, query_concepts)
-        exclude_row = self.row_of.get(exclude_id, -1)
-        ranked = sorted(((row, s) for row, s in scores.items() if row != exclude_row),
-                        key=lambda rs: (-rs[1], self.ids[rs[0]]))
-        return [Candidate(self.ids[row], s, SOURCE_EXACT) for row, s in ranked[:k]]
+        """The k best-scoring documents other than ``exclude_id``, ordered by
+        (-score, id)."""
+        scored = self.score_all(query_tokens, query_concepts)
+        return _top_k(scored.rows, scored.scores, self.ids, self.id_rank, k,
+                      self.row_of.get(exclude_id, -1), SOURCE_EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +256,7 @@ class VectorIndex:
         self.matrix = matrix
         self.ids = ids
         self.row_of = {ex_id: i for i, ex_id in enumerate(ids)}
+        self.id_rank = _id_ranks(ids)
 
     @classmethod
     def build(cls, corpus: Corpus, vocab: Vocab, params: EncoderParams,
@@ -160,14 +270,14 @@ class VectorIndex:
 
     def search(self, query: np.ndarray, k: int,
                exclude_id: Optional[str] = None) -> list[Candidate]:
+        """The k rows of highest cosine other than ``exclude_id``, ordered by
+        (-score, id)."""
         query = np.asarray(query, dtype=np.float64)
         if query.shape != (self.dim,):
             raise ValueError(f"query must have dimension {self.dim}")
-        scores = (self.matrix @ query).tolist()
-        exclude_row = self.row_of.get(exclude_id, -1)
-        ranked = sorted(((row, s) for row, s in enumerate(scores) if row != exclude_row),
-                        key=lambda rs: (-rs[1], self.ids[rs[0]]))
-        return [Candidate(self.ids[row], s, SOURCE_EMBED) for row, s in ranked[:k]]
+        scores = self.matrix @ query
+        return _top_k(np.arange(len(self.ids)), scores, self.ids, self.id_rank, k,
+                      self.row_of.get(exclude_id, -1), SOURCE_EMBED)
 
 
 # ---------------------------------------------------------------------------

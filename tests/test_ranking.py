@@ -7,7 +7,7 @@ from test_pairclf import reference_similarity
 
 from exsim import encoder as enc
 from exsim import ranking as rk
-from exsim.corpus import LabeledPair, SyntheticSpec, generate_synthetic
+from exsim.corpus import Corpus, LabeledPair, SyntheticSpec, generate_synthetic
 from exsim.pairclf import PreparedCorpus, UntrainedModelError
 from exsim.recall import Candidate
 from exsim.snapshots import SnapshotFormatError, save_arrays
@@ -62,6 +62,43 @@ def test_task_instances_deterministic(tiny_setup):
     one = rk.build_task_instances(pair, corpus, vocab, seed=9)
     two = rk.build_task_instances(pair, corpus, vocab, seed=9)
     assert one == two
+
+
+def rebuilt_pool_draw(builder, ex, exclude, rng):
+    """The negative draw with its concept pool rebuilt for every pair."""
+    pool, seen = [], set(exclude)
+    for c in ex.metadata.knowledge_concepts:
+        for other in builder.by_concept.get(c, ()):
+            if other not in seen:
+                pool.append(other)
+                seen.add(other)
+    if not pool:
+        pool = [i for i in builder.ids if i not in exclude]
+    return pool[int(rng.integers(0, len(pool)))]
+
+
+def test_concept_sharing_draw_equals_pool_rebuilt_per_pair(tiny_setup):
+    corpus, _, _, vocab, _ = tiny_setup
+    base = corpus[corpus.ids[0]]
+
+    def with_concepts(suffix, concepts):
+        return dataclasses.replace(base, id=base.id + suffix, metadata=dataclasses.replace(
+            base.metadata, knowledge_concepts=concepts))
+
+    # a concept of its own (empty pool) and a concept two exercises share
+    # (empty once the partner is skipped): both take the uniform fallback
+    extra = [with_concepts("-solo", ("solo",)), with_concepts("-duo1", ("duo",)),
+             with_concepts("-duo2", ("duo",))]
+    bank = Corpus(list(corpus) + extra, levels=corpus.levels, d_img=corpus.d_img)
+    builder = rk.TaskBuilder(bank, vocab)
+    rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(2):  # the second pass reads the cached pools
+        for a_id in bank.ids:
+            for b_id in bank.ids:
+                ex = bank[a_id]
+                assert builder._concept_sharing_draw(ex, b_id, rng) == \
+                    rebuilt_pool_draw(builder, ex, {a_id, b_id}, reference_rng)
+    assert rng.random() == reference_rng.random()
 
 
 def test_resolve_tasks_accepts_aliases():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from exsim.corpus import SyntheticSpec, generate_dedup_pairs, generate_synthetic
 from exsim.encoder import build_vocab, embed_corpus, init_params
@@ -137,6 +138,81 @@ def test_vector_dimension_mismatch(medium_synth):
     index = VectorIndex.build(corpus, vocab, params)
     with pytest.raises(ValueError, match="dimension"):
         index.search(np.zeros(9), k=5)
+
+
+# ---------------------------------------------------------------------------
+# top-k against the sorted oracle, ties and edge cases
+
+def sorted_oracle(ids, scores, k, exclude_id):
+    """``sorted`` over every (row, score) by (-score, id), cut at k."""
+    ranked = sorted(((r, s) for r, s in scores.items() if ids[r] != exclude_id),
+                    key=lambda rs: (-rs[1], ids[rs[0]]))
+    return [(ids[r], s) for r, s in ranked[:k]]
+
+
+# short ids in random order, so sorted-id order differs from row order
+ids_st = st.lists(st.text(alphabet="pqrs", min_size=1, max_size=3),
+                  max_size=12, unique=True)
+# a tiny token alphabet and a few stock documents, so scores tie often
+doc_st = st.one_of(
+    st.sampled_from([["a"], ["a", "b"], ["b", "c", "c"], ["d", "a", "d", "b"]]),
+    st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=5))
+concepts_st = st.frozensets(st.sampled_from(["k1", "k2"]), max_size=1)
+
+
+def exclude_of(ids, pick):
+    """None, an id absent from the index, or one of its ids."""
+    if pick == 0:
+        return None
+    if pick == 1 or not ids:
+        return "absent"
+    return ids[pick % len(ids)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=ids_st, data=st.data(),
+       query=st.lists(st.sampled_from(["a", "b", "c", "d", "zz"]), max_size=6),
+       q_concepts=concepts_st, boost=st.sampled_from([0.0, 0.5, 1.0]),
+       k=st.integers(0, 14), pick=st.integers(0, 5))
+@example(ids=[], data=None, query=["a"], q_concepts=frozenset(), boost=0.5, k=3, pick=1)
+def test_lexical_search_equals_sorted_oracle(ids, data, query, q_concepts, boost,
+                                             k, pick):
+    n = len(ids)
+    docs = data.draw(st.lists(doc_st, min_size=n, max_size=n)) if n else []
+    concepts = data.draw(st.lists(concepts_st, min_size=n, max_size=n)) if n else []
+    index = LexicalIndex(ids, docs, concepts, concept_boost=boost)
+    expected = brute_force_bm25(index, docs, query, q_concepts)
+    got = index.score_all(query, q_concepts)
+    assert got == expected
+    assert len(got) == len(expected)
+    exclude = exclude_of(ids, pick)
+    ranked = index.search(query, q_concepts, k, exclude_id=exclude)
+    assert [(c.ex_id, c.score) for c in ranked] == \
+        sorted_oracle(ids, expected, k, exclude)
+
+
+# unit rows from a small set (with repeats) give exact ties, also at zero
+UNIT_ROWS = [np.array(v, dtype=np.float64) / np.linalg.norm(v)
+             for v in ([1, 0, 0], [0, 1, 0], [0.6, 0.8, 0], [1, 1, 1], [0, 0, -1])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=ids_st, data=st.data(),
+       query=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+       k=st.integers(0, 14), pick=st.integers(0, 5))
+@example(ids=[], data=None, query=[1, 0, 0], k=2, pick=0)
+def test_vector_search_equals_sorted_oracle(ids, data, query, k, pick):
+    n = len(ids)
+    which = data.draw(st.lists(st.integers(0, len(UNIT_ROWS) - 1),
+                               min_size=n, max_size=n)) if n else []
+    matrix = (np.stack([UNIT_ROWS[w] for w in which]) if n
+              else np.zeros((0, 3)))
+    index = VectorIndex(matrix, ids)
+    q = np.array(query, dtype=np.float64)
+    exclude = exclude_of(ids, pick)
+    got = index.search(q, k, exclude_id=exclude)
+    scores = dict(enumerate((matrix @ q).tolist()))
+    assert [(c.ex_id, c.score) for c in got] == sorted_oracle(ids, scores, k, exclude)
 
 
 # ---------------------------------------------------------------------------
