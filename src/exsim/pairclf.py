@@ -9,8 +9,8 @@ matters here: structural edits such as a raised power inflate into several
 canonical tokens, while cosmetic digit noise stays small.
 
 Hot path. Every uncached query scores about a hundred (query, candidate)
-pairs twice, once for dedup and once for the variant split, so the pair work
-is organised around two pieces:
+pairs in three stages: dedup, ranking and the variant split. The pair work
+is organised around three pieces:
 
 * :func:`levenshtein`, one edit-distance kernel over padded integer token
   codes. It runs the row DP over the first sequence's tokens and is
@@ -18,12 +18,18 @@ is organised around two pieces:
   aligned pairs at training time. ``edit_similarity`` is a thin wrapper over
   it; there is no second implementation.
 * :class:`PreparedCorpus`, a view that normalizes each exercise's text once:
-  padded token codes and lengths, each exercise's single-text
+  its tokens, padded token codes and lengths, each exercise's single-text
   ``embed_text`` embedding, and the vocabulary ids the ranker reads. Token
   codes are equal exactly when tokens are equal: in-vocabulary tokens use
   their vocabulary id, every out-of-vocabulary token gets a code of its own
-  (vocabulary ids alone would collapse all of them onto UNK). A query is
-  always prepared from its own text, never looked up by id.
+  (vocabulary ids alone would collapse all of them onto UNK).
+* :class:`PreparedQuery`, the query's side of every pair, prepared once per
+  cache miss and passed through all three stages: its tokens, its codes
+  under the view's code table, its embedding under each backbone, and its
+  edit similarities to view rows. The stages score shrinking subsets of the
+  recalled list, so one kernel call, made by whichever stage asks first,
+  serves all three. A query is always prepared from its own text, never
+  looked up by id.
 
 Bit-identity rules. The batched path must give the same bits as scoring one
 pair at a time with :meth:`PairFeaturizer.features` and
@@ -36,7 +42,11 @@ pair at a time with :meth:`PairFeaturizer.features` and
    stores them. Rows of a batched ``embed_text_batch`` (the vector index)
    differ from them bitwise.
 3. Dedup keeps the inputs it always had: the query's ``query_embedding``
-   vector and the vector-index rows of the candidates.
+   vector and the vector-index rows of the candidates. The variant split
+   reads the same query vector: both are ``embed_text`` of the same ids
+   under the encoder.
+4. Edit similarities are integer distances divided elementwise, so a kept
+   similarity read back for a subset of rows equals a fresh kernel call.
 """
 
 from __future__ import annotations
@@ -70,10 +80,12 @@ def levenshtein(a: np.ndarray, a_len, b: np.ndarray, b_len) -> np.ndarray:
     row of ``b`` (P, Lb); ``a_len``/``b_len`` give each row's true length and
     the entries past it are padding, whatever their value. The DP runs one
     row per token of ``a``, vectorized across pairs and across the columns
-    of ``b``: ``tmp = min(prev[1:] + 1, prev[:-1] + cost)`` covers deletion
-    and substitution, and a prefix ``minimum.accumulate(tmp - j) + j`` then
-    settles the insertion chain along the row. Pairs go through in blocks
-    of ``_BLOCK`` to bound the temporaries.
+    of ``b``. A row stores ``D[i, c] - c``: ``min(prev[1:] + 1, prev[:-1] -
+    match)`` covers deletion and substitution, and a prefix
+    ``minimum.accumulate`` along the columns settles the insertion chain.
+    Rows are laid out (columns, pairs), so every step works on contiguous
+    runs of pairs. Pairs go through in blocks of ``_BLOCK`` to bound the
+    temporaries. The result is integers, so it is exact whatever the layout.
     """
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
@@ -94,22 +106,26 @@ def _levenshtein_block(a, a_len, b, b_len) -> np.ndarray:
     # longest first, so the pairs still inside their a-sequence at row i are
     # a prefix; a pair's DP row then stays at i = a_len once it is done
     order = np.argsort(-a_len, kind="stable")
-    a, b, a_len, b_len = a[order], b[order], a_len[order], b_len[order]
-    j = np.arange(b.shape[1] + 1, dtype=np.int32)
-    prev = np.tile(j, (n, 1))
+    a_len, b_len = a_len[order], b_len[order]
+    # tokens and DP rows are stored position-major, pairs on the contiguous
+    # axis, so the insertion chain accumulates along axis 0 over whole rows
+    at = np.ascontiguousarray(a[order].T)
+    bt = np.ascontiguousarray(b[order].T)
+    # a row holds D[i, c] - c: insertion (D[i, c - 1] + 1) is then the plain
+    # prefix minimum, deletion adds 1 and a match subtracts 1
+    prev = np.zeros((b.shape[1] + 1, n), dtype=np.int32)
     tmp = np.empty_like(prev)
     # active[i - 1]: how many pairs have a_len >= i
     active = np.searchsorted(-a_len, -np.arange(1, int(a_len.max(initial=0)) + 1),
                              side="right")
     for i, k in enumerate(active.tolist(), start=1):
-        cost = a[:k, i - 1, None] != b[:k]
-        tmp[:k, 0] = i
-        np.minimum(prev[:k, 1:] + 1, prev[:k, :-1] + cost, out=tmp[:k, 1:])
-        tmp[:k] -= j
-        np.minimum.accumulate(tmp[:k], axis=1, out=prev[:k])
-        prev[:k] += j
+        match = at[i - 1, :k] == bt[:, :k]
+        tmp[0, :k] = i
+        np.subtract(prev[:-1, :k], match, out=tmp[1:, :k])
+        np.minimum(tmp[1:, :k], prev[1:, :k] + 1, out=tmp[1:, :k])
+        np.minimum.accumulate(tmp[:, :k], axis=0, out=prev[:, :k])
     out = np.empty(n, dtype=np.int64)
-    out[order] = prev[np.arange(n), b_len]
+    out[order] = prev[b_len, np.arange(n)] + b_len
     return out
 
 
@@ -129,6 +145,12 @@ def edit_similarity(a: Sequence[str], b: Sequence[str]) -> float:
     b_codes = [codes.setdefault(t, len(codes)) for t in b]
     a_arr, b_arr = pad_codes([a_codes, b_codes])
     return float(edit_similarities(a_arr[:1], len(a), a_arr[1:], len(b))[0])
+
+
+def text_tokens(text: str, stop_words: Iterable[str] = ()) -> list[str]:
+    """The normalized tokens of one text; every prepared view and query goes
+    through here."""
+    return split_tokens(normalize_text(text, stop_words)[0])
 
 
 def pad_codes(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -172,11 +194,12 @@ class CodeTable:
 class PreparedCorpus:
     """Each exercise's text normalized once, held column-wise.
 
-    ``codes``/``lengths`` are the padded token codes of every exercise,
-    ``embeddings`` its single-text ``embed_text`` vector (row i is
-    bit-identical to ``PairFeaturizer.embedding`` of exercise i), and
-    ``vocab_ids`` gives the vocabulary ids those embeddings read.
-    ``params`` is the encoder's, or any backbone ``embed_text`` takes.
+    ``tokens`` holds every exercise's normalized tokens, ``codes``/``lengths``
+    their padded token codes, ``embeddings`` its single-text ``embed_text``
+    vector (row i is bit-identical to ``PairFeaturizer.embedding`` of
+    exercise i), and ``vocab_ids`` gives the vocabulary ids those embeddings
+    read. ``params`` is the encoder's, or any backbone ``embed_text`` takes.
+    The recall indexes are built from the same tokens and ids.
     """
 
     def __init__(self, exercises: Iterable[Exercise], vocab: Vocab,
@@ -185,11 +208,10 @@ class PreparedCorpus:
         self.vocab = vocab
         self.stop_words = tuple(stop_words)
         self.row_of = {ex.id: i for i, ex in enumerate(self.exercises)}
+        self.tokens = [text_tokens(ex.text, self.stop_words) for ex in self.exercises]
         table = CodeTable(vocab)
-        rows = [table.encode(split_tokens(normalize_text(ex.text, self.stop_words)[0]))
-                for ex in self.exercises]
         self.oov_codes = table.extra
-        self.codes, self.lengths = pad_codes(rows)
+        self.codes, self.lengths = pad_codes([table.encode(t) for t in self.tokens])
         self.embeddings = self._embed(params)
 
     def _embed(self, params) -> np.ndarray:
@@ -224,10 +246,103 @@ class PreparedCorpus:
         """A fresh table for one query, consistent with the view's codes."""
         return CodeTable(self.vocab, self.oov_codes)
 
-    def check(self, vocab: Vocab, stop_words: tuple[str, ...]) -> None:
+    def check(self, vocab: Vocab, stop_words: Iterable[str]) -> None:
         """Refuse a consumer whose text preparation differs from the view's."""
-        if self.vocab is not vocab or self.stop_words != tuple(stop_words):
-            raise ValueError("prepared corpus was built with another vocab or stop words")
+        _check_preparation(self, "prepared corpus", vocab, stop_words)
+
+
+def _check_preparation(prepared, what: str, vocab: Vocab,
+                       stop_words: Iterable[str]) -> None:
+    if prepared.vocab is not vocab or prepared.stop_words != tuple(stop_words):
+        raise ValueError(f"{what} was built with another vocab or stop words")
+
+
+class PreparedQuery:
+    """One query's side of its pairs, prepared once for every stage of a miss.
+
+    ``tokens`` are the query's normalized tokens, ``ids`` their vocabulary
+    ids and ``concepts`` its knowledge concepts. The rest is computed on
+    first use and kept:
+
+    * :meth:`embedding`, the single-text ``embed_text`` vector under one
+      backbone. Recall's ``query_embedding``, dedup and the variant split
+      read the encoder's; the ranker reads its own.
+    * :meth:`rows`, the view row of each candidate object, resolved once.
+    * :meth:`edit_similarities` to view rows, over ``codes``, the query's
+      codes under the view's code table. Rows not scored yet go through one
+      kernel call; rows scored before are read back, which equals a fresh
+      call bit for bit (rule 4 above).
+
+    Rows and similarities belong to the view's codes; views that share them
+    (``embedded_with`` copies) share the kept values, and another view starts
+    them afresh. A stage given an ``Exercise`` prepares it with :meth:`of`.
+    """
+
+    def __init__(self, exercise: Exercise, vocab: Vocab, stop_words: Iterable[str] = ()):
+        self.exercise = exercise
+        self.vocab = vocab
+        self.stop_words = tuple(stop_words)
+        self.tokens = text_tokens(exercise.text, self.stop_words)
+        self.ids = TokenSequence(tuple(vocab.id_of(t) for t in self.tokens))
+        self.concepts = frozenset(exercise.metadata.knowledge_concepts)
+        self._embeddings: dict[int, tuple[object, np.ndarray]] = {}
+        self._view_codes: Optional[np.ndarray] = None
+        self._view_exercises: list[Exercise] = []
+        self.codes = self.length = None
+        self._rows: dict[int, int] = {}
+        self._sims = np.zeros(0)
+
+    @classmethod
+    def of(cls, query, vocab: Vocab, stop_words: Iterable[str] = ()) -> "PreparedQuery":
+        """``query`` itself when it is prepared (and prepared alike), else a
+        new one prepared from its text."""
+        if isinstance(query, PreparedQuery):
+            query.check(vocab, stop_words)
+            return query
+        return cls(query, vocab, stop_words)
+
+    def check(self, vocab: Vocab, stop_words: Iterable[str]) -> None:
+        """Refuse a consumer whose text preparation differs from the query's."""
+        _check_preparation(self, "prepared query", vocab, stop_words)
+
+    def embedding(self, params) -> np.ndarray:
+        kept = self._embeddings.get(id(params))
+        if kept is None:  # the params are kept too, so their id stays theirs
+            kept = self._embeddings[id(params)] = (params, embed_text(self.ids, params))
+        return kept[1]
+
+    def _bind(self, view: PreparedCorpus) -> None:
+        if self._view_codes is not view.codes:
+            self._view_codes = view.codes
+            self.codes, self.length = pad_codes([view.code_table().encode(self.tokens)])
+            # keyed by object id: the view keeps its exercises, and so their
+            # ids, alive as long as this list is held
+            self._view_exercises = view.exercises
+            self._rows = {}
+            self._sims = np.full(len(view.lengths), np.nan)
+
+    def rows(self, view: PreparedCorpus,
+             others: Sequence[Exercise]) -> Optional[np.ndarray]:
+        """``view.rows(others)``; each object is looked up in the view once."""
+        self._bind(view)
+        rows = list(map(self._rows.get, map(id, others)))
+        if None in rows:
+            for i, ex in enumerate(others):
+                if rows[i] is None:
+                    rows[i] = view.lookup(ex)
+                    if rows[i] is None:
+                        return None
+                    self._rows[id(ex)] = rows[i]
+        return np.array(rows, dtype=np.int64)
+
+    def edit_similarities(self, view: PreparedCorpus, rows: np.ndarray) -> np.ndarray:
+        """Edit similarity of the query to each of ``view``'s ``rows``."""
+        self._bind(view)
+        todo = rows[np.isnan(self._sims[rows])]
+        if len(todo):
+            self._sims[todo] = edit_similarities(self.codes, self.length,
+                                                 view.codes[todo], view.lengths[todo])
+        return self._sims[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +388,7 @@ class PairFeaturizer:
             self.view.check(self.vocab, self.stop_words)
 
     def norm_tokens(self, ex: Exercise) -> list[str]:
-        return split_tokens(normalize_text(ex.text, self.stop_words)[0])
+        return text_tokens(ex.text, self.stop_words)
 
     def embedding(self, ex: Exercise) -> np.ndarray:
         seq = tokenize(normalize_text(ex.text, self.stop_words)[0], self.vocab)
@@ -292,26 +407,25 @@ class PairFeaturizer:
     def prepare(self, exercises: Sequence[Exercise]) -> PreparedCorpus:
         return PreparedCorpus(exercises, self.vocab, self.params, self.stop_words)
 
-    def query_pairs(self, query: Exercise, others: Sequence[Exercise],
+    def query_pairs(self, query, others: Sequence[Exercise],
                     u: Optional[np.ndarray] = None,
                     v: Optional[np.ndarray] = None):
-        """(u, v, edit similarities) of the pairs (query, other), one kernel call.
+        """(u, v, edit similarities) of the pairs (query, other).
 
-        ``u`` defaults to the query's single-text embedding and ``v`` (one row
-        per other) to the view's rows. Others outside the view are prepared
-        from their text, all of them, in a view of their own.
+        ``query`` is an ``Exercise`` or a ``PreparedQuery``. ``u`` defaults
+        to the query's single-text embedding and ``v`` (one row per other)
+        to the view's rows. Others outside the view are prepared from their
+        text, all of them, in a view of their own.
         """
+        query = PreparedQuery.of(query, self.vocab, self.stop_words)
         view = self.view
-        rows = view.rows(others) if view is not None else None
+        rows = query.rows(view, others) if view is not None else None
         if rows is None:
             view = self.prepare(others)
             rows = np.arange(len(others))
-        tokens = self.norm_tokens(query)
-        q_codes, q_len = pad_codes([view.code_table().encode(tokens)])
-        sims = edit_similarities(q_codes, q_len, view.codes[rows], view.lengths[rows])
+        sims = query.edit_similarities(view, rows)
         if u is None:
-            u = embed_text(TokenSequence(tuple(self.vocab.id_of(t) for t in tokens)),
-                           self.params)
+            u = query.embedding(self.params)
         if v is None:
             v = view.embeddings[rows]
         return u, v, sims

@@ -10,6 +10,17 @@ loaded snapshot carries a content digest; the digests version the query
 cache, so retraining anything invalidates cached results implicitly. Steps
 that read the labeled pairs refuse a pair naming an id the corpus lacks.
 
+Query flow. ``Pipeline.load`` prepares the corpus once
+(``pairclf.PreparedCorpus``): the recall indexes, dedup, the variant split
+and the ranker (which embeds each row once more under its own backbone) all
+read that one view. A cache miss prepares the query once
+(``pairclf.PreparedQuery``: one normalization, the encoder embedding) and
+passes it to recall, ranking and re-rank. The first stage to score pairs,
+dedup when its head is loaded, makes the miss's one edit-distance kernel
+call over the recalled list; ranking and the variant split read their
+subsets back. The ranker embeds the query under its own backbone, so a miss
+runs ``embed_text`` twice.
+
 Configuration is a flat key = value file; see DEFAULTS for the full key
 list with defaults.
 """
@@ -30,7 +41,7 @@ from . import ranking, recall as recall_mod, rerank as rerank_mod
 from .corpus import Corpus, Exercise, LabeledPair, SyntheticSpec, SyntheticTruth
 from .evaluate import (EvalReport, annotated_similars, config_hash,
                        evaluate_precision, evaluate_recall)
-from .pairclf import PairFeaturizer, PreparedCorpus
+from .pairclf import PairFeaturizer, PreparedCorpus, PreparedQuery
 from .recall import RecallConfig, Recaller
 from .rerank import RerankConfig, RerankedResult, StudentProfile, VariantClassifier
 from .snapshots import file_digest
@@ -281,7 +292,7 @@ def _make_p5_eval(workdir, config, corpus, vocab, encoder, pairs):
                               config=_recall_config(config))
 
     def eval_fn(ranker_params) -> float:
-        ranker = ranking.Ranker(vocab, ranker_params, config.stop_words())
+        ranker = ranking.Ranker(vocab, ranker_params, config.stop_words(), recaller.view)
         ranked = ranked_lists(recaller, ranker, corpus, list(relevant))
         values, _ = evaluate_precision(ranked, relevant, ks=(5,))
         return values[5]
@@ -349,7 +360,7 @@ def step_eval(workdir, config: Config) -> EvalReport:
     ranker_params = ranking.load_ranker(_path(workdir, "ranker"))
     recaller = Recaller.build(corpus, vocab, encoder, stop_words=config.stop_words(),
                               config=_recall_config(config))
-    ranker = ranking.Ranker(vocab, ranker_params, config.stop_words())
+    ranker = ranking.Ranker(vocab, ranker_params, config.stop_words(), recaller.view)
 
     k_recall = config.get_int("eval.k_recall")
     annotated = {k: v for k, v in annotated_similars(pairs).items() if v}
@@ -408,8 +419,8 @@ class Pipeline:
             raise ConfigurationError([FILES["ranker"] + " (untrained)"])
         stop = config.stop_words()
         # every exercise's text normalized and embedded once, shared by the
-        # dedup and variant heads and the ranker (which embeds each row once
-        # more under its own backbone, here at load)
+        # recall indexes, the dedup and variant heads and the ranker (which
+        # embeds each row once more under its own backbone, here at load)
         view = PreparedCorpus(corpus, vocab, encoder, stop)
         featurizer = PairFeaturizer(vocab, encoder, stop, view)
         dedup = None
@@ -423,7 +434,7 @@ class Pipeline:
                 _path(workdir, "variant"), featurizer,
                 threshold=config.get_float("rerank.variant_threshold"))
         recaller = Recaller.build(corpus, vocab, encoder, dedup=dedup, stop_words=stop,
-                                  config=_recall_config(config))
+                                  config=_recall_config(config), view=view)
         versions = {}
         for name in FILES:
             p = _path(workdir, name)
@@ -476,8 +487,9 @@ class Pipeline:
                 self._cache.popitem(last=False)
         return result, False
 
-    def _compute(self, query: Exercise,
+    def _compute(self, exercise: Exercise,
                  profile: Optional[StudentProfile]) -> RerankedResult:
+        query = PreparedQuery(exercise, self.vocab, self.recaller.stop_words)
         candidates = self.recaller.recall(query)
         ranked = self.ranker.rank(query, candidates, self.corpus)
         return rerank_mod.rerank(

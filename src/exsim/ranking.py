@@ -19,8 +19,11 @@ shared pair features of :mod:`pairclf`, ``[u, v, |u - v|, u * v, edit_sim]``
 token-level edit similarity of the two texts over the same token codes dedup
 uses; it is computed when the instances are built, once per distinct pair
 of texts. At serving time every exercise's row is computed once per loaded
-view, so a query encodes only itself and makes one edit-similarity kernel
-call over its candidates.
+view, so a query encodes only itself under the ranker's backbone. Given the
+miss's ``pairclf.PreparedQuery``, ranking makes no edit-similarity kernel
+call of its own: it reads back the similarities dedup computed over the
+recalled list, and makes the one call of the miss only when no dedup head
+ran before it.
 
 The combined loss is a convex combination of the per-task cross-entropies.
 The coefficients come from one small expert network per task (three layers:
@@ -546,8 +549,9 @@ class Ranker:
         if not self.params.trained:
             raise UntrainedModelError("ranker has not been trained")
 
-    def score_pairs(self, query: Exercise, others: Sequence[Exercise]) -> np.ndarray:
-        """Positive-class probability for (query, other) under the pair head."""
+    def score_pairs(self, query, others: Sequence[Exercise]) -> np.ndarray:
+        """Positive-class probability for (query, other) under the pair head;
+        ``query`` is an ``Exercise`` or a ``PreparedQuery``."""
         self._check_trained()
         if not others:
             return np.zeros(0)
@@ -561,9 +565,10 @@ class Ranker:
     def score_pair(self, ex_a: Exercise, ex_b: Exercise) -> float:
         return float(self.score_pairs(ex_a, [ex_b])[0])
 
-    def rank(self, query: Exercise, candidates: Sequence[Candidate],
+    def rank(self, query, candidates: Sequence[Candidate],
              corpus: Corpus) -> list[Candidate]:
-        """Re-score candidates and sort descending, ties broken by id."""
+        """Re-score candidates and sort descending, ties broken by id;
+        ``query`` is an ``Exercise`` or a ``PreparedQuery``."""
         self._check_trained()
         others = [corpus[c.ex_id] for c in candidates]
         scores = self.score_pairs(query, others)

@@ -27,12 +27,20 @@ the channel-only lists, the lexical side receiving the extra slot on odd
 remainders, backfilling from the other side when one list runs short.
 Finally, candidates the duplicate classifier flags against the query are
 dropped so near-identical exercises are never recommended. Dedup scores all
-merged candidates at once: one edit-distance kernel call against the
-candidates' prepared token codes (``pairclf.PreparedCorpus``), both argument
-orders averaged. Its embeddings stay the query's ``query_embedding`` vector
-and the candidates' vector-index rows, and each feature row is scored with
-its own 1-D dot product, so the batch is bit-identical to calling
-``DuplicateDetector.prob`` per candidate (see the rules in ``pairclf``).
+merged candidates at once, both argument orders averaged. Its edit
+similarities come from the query's ``pairclf.PreparedQuery``: one kernel
+call over the whole merged list, which ranking and the variant split then
+read back for their subsets. Its embeddings stay the query's
+``query_embedding`` vector and the candidates' vector-index rows, and each
+feature row is scored with its own 1-D dot product, so the batch is
+bit-identical to calling ``DuplicateDetector.prob`` per candidate (see the
+rules in ``pairclf``).
+
+``Recaller.build`` derives both indexes from one ``pairclf.PreparedCorpus``
+(the one ``Pipeline.load`` shares with dedup, the ranker and the variant
+split), so the corpus is normalized once: BM25 reads the view's token lists
+and the vector index embeds the view's vocabulary ids in one
+``embed_text_batch`` call, whose rows equal ``embed_corpus``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -44,10 +52,12 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .corpus import Corpus, Exercise
-from .encoder import EncoderParams, embed_corpus, embed_text
-from .pairclf import (PairClassifier, PairFeaturizer, UntrainedModelError,
-                      pair_feature_rows)
-from .textnorm import Vocab, normalize_text, split_tokens, tokenize
+# embed_text and normalize_text are unused here but stay bound: perfbench's
+# tracer wraps them in every module that imports them
+from .encoder import EncoderParams, embed_corpus, embed_text, embed_text_batch  # noqa: F401
+from .pairclf import (PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery,
+                      UntrainedModelError, pair_feature_rows, text_tokens)
+from .textnorm import Vocab, normalize_text  # noqa: F401
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -199,9 +209,12 @@ class LexicalIndex:
 
     @classmethod
     def build(cls, corpus: Corpus, stop_words: Iterable[str] = (),
-              concept_boost: float = 0.5) -> "LexicalIndex":
-        token_lists = [split_tokens(normalize_text(ex.text, stop_words)[0])
-                       for ex in corpus]
+              concept_boost: float = 0.5,
+              view: Optional[PreparedCorpus] = None) -> "LexicalIndex":
+        """Index ``corpus``; ``view``, when given, holds it in order and its
+        token lists are indexed instead of normalizing the texts again."""
+        token_lists = (view.tokens if view is not None
+                       else [text_tokens(ex.text, stop_words) for ex in corpus])
         concept_sets = [frozenset(ex.metadata.knowledge_concepts) for ex in corpus]
         return cls(corpus.ids, token_lists, concept_sets, concept_boost)
 
@@ -260,9 +273,14 @@ class VectorIndex:
 
     @classmethod
     def build(cls, corpus: Corpus, vocab: Vocab, params: EncoderParams,
-              stop_words: Iterable[str] = ()) -> "VectorIndex":
-        matrix, ids = embed_corpus(corpus, vocab, params, stop_words)
-        return cls(matrix, ids)
+              stop_words: Iterable[str] = (),
+              view: Optional[PreparedCorpus] = None) -> "VectorIndex":
+        """``embed_corpus`` rows of ``corpus``; ``view``, when given, holds it
+        in order and its vocabulary ids are embedded instead (same bits)."""
+        if view is None:
+            return cls(*embed_corpus(corpus, vocab, params, stop_words))
+        seqs = [view.vocab_ids(row) for row in range(len(view.exercises))]
+        return cls(embed_text_batch(seqs, params)[0], corpus.ids)
 
     @property
     def dim(self) -> int:
@@ -346,10 +364,11 @@ class DuplicateDetector:
         p_ba = self.classifier.prob(self.featurizer.features(ex_b, ex_a, v, u))
         return (p_ab + p_ba) / 2.0
 
-    def prob_many(self, query: Exercise, others: Sequence[Exercise],
+    def prob_many(self, query, others: Sequence[Exercise],
                   u: Optional[np.ndarray] = None,
                   v: Optional[np.ndarray] = None) -> np.ndarray:
-        """``prob(query, other, u, v[i])`` for every other, bit for bit."""
+        """``prob(query, other, u, v[i])`` for every other, bit for bit;
+        ``query`` is an ``Exercise`` or a ``PreparedQuery``."""
         u, v, sims = self.featurizer.query_pairs(query, others, u, v)
         p_ab = self.classifier.prob_rows(pair_feature_rows(u, v, sims))
         p_ba = self.classifier.prob_rows(pair_feature_rows(v, u, sims))
@@ -388,7 +407,8 @@ def train_dedup(dedup_pairs: Sequence[tuple[Exercise, Exercise, int]],
 
 @dataclass
 class Recaller:
-    """Bundles everything a recall query needs."""
+    """Bundles everything a recall query needs. ``view`` is the prepared
+    corpus both indexes were built from."""
 
     corpus: Corpus
     vocab: Vocab
@@ -398,31 +418,48 @@ class Recaller:
     dedup: Optional[DuplicateDetector] = None
     stop_words: tuple[str, ...] = ()
     config: RecallConfig = field(default_factory=RecallConfig)
+    view: Optional[PreparedCorpus] = None
 
     @classmethod
     def build(cls, corpus: Corpus, vocab: Vocab, params: EncoderParams,
               dedup: Optional[DuplicateDetector] = None,
               stop_words: Iterable[str] = (),
-              config: Optional[RecallConfig] = None) -> "Recaller":
+              config: Optional[RecallConfig] = None,
+              view: Optional[PreparedCorpus] = None) -> "Recaller":
+        """Both indexes from ``view``, which must hold ``corpus`` in order,
+        prepared with ``vocab``, ``params`` and ``stop_words``; without one,
+        a view is prepared here."""
         config = config or RecallConfig()
+        stop_words = tuple(stop_words)
+        if view is None:
+            view = PreparedCorpus(corpus, vocab, params, stop_words)
+        view.check(vocab, stop_words)
+        if (len(view.exercises) != len(corpus)
+                or any(a is not b for a, b in zip(view.exercises, corpus))):
+            raise ValueError("prepared corpus does not hold this corpus in order")
         return cls(
             corpus=corpus, vocab=vocab, params=params,
-            lexical=LexicalIndex.build(corpus, stop_words, config.concept_boost),
-            vector=VectorIndex.build(corpus, vocab, params, stop_words),
-            dedup=dedup, stop_words=tuple(stop_words), config=config)
+            lexical=LexicalIndex.build(corpus, stop_words, config.concept_boost, view),
+            vector=VectorIndex.build(corpus, vocab, params, stop_words, view),
+            dedup=dedup, stop_words=stop_words, config=config, view=view)
 
-    def query_embedding(self, query: Exercise) -> np.ndarray:
-        seq = tokenize(normalize_text(query.text, self.stop_words)[0], self.vocab)
-        return embed_text(seq, self.params)
+    def query_embedding(self, query) -> np.ndarray:
+        """The encoder embedding of ``query`` (an ``Exercise`` or a
+        ``PreparedQuery``)."""
+        return PreparedQuery.of(query, self.vocab, self.stop_words).embedding(self.params)
 
-    def recall(self, query: Exercise) -> list[Candidate]:
+    def recall(self, query) -> list[Candidate]:
+        """Merged, deduplicated candidates of ``query`` (an ``Exercise`` or a
+        ``PreparedQuery``, which then carries the dedup edit similarities on
+        to the later stages)."""
         cfg = self.config
-        tokens = split_tokens(normalize_text(query.text, self.stop_words)[0])
-        concepts = frozenset(query.metadata.knowledge_concepts)
-        exact = self.lexical.search(tokens, concepts, cfg.k_exact, exclude_id=query.id)
-        if tokens:
+        query = PreparedQuery.of(query, self.vocab, self.stop_words)
+        query_id = query.exercise.id
+        exact = self.lexical.search(query.tokens, query.concepts, cfg.k_exact,
+                                    exclude_id=query_id)
+        if query.tokens:
             q_vec = self.query_embedding(query)
-            embed = self.vector.search(q_vec, cfg.k_embed, exclude_id=query.id)
+            embed = self.vector.search(q_vec, cfg.k_embed, exclude_id=query_id)
         else:
             q_vec = None
             embed = []

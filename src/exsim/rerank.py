@@ -15,11 +15,14 @@ Every step preserves the incoming ranking order and is idempotent. With no
 profile and no classifier the whole stage is a pass-through, so the
 pipeline is testable end to end before any re-rank model exists.
 
-The variant split scores every kept candidate in one batch: one
-edit-distance kernel call against the candidates' prepared token codes and
-their single-text embeddings from the featurizer's ``PreparedCorpus``, each
-feature row scored with its own 1-D dot product. This is bit-identical to
-``VariantClassifier.prob`` per candidate (see the rules in ``pairclf``).
+The variant split scores every kept candidate in one batch, over their
+single-text embeddings from the featurizer's ``PreparedCorpus``, each
+feature row scored with its own 1-D dot product. Given the miss's
+``pairclf.PreparedQuery`` it makes no edit-distance kernel call of its own:
+the kept candidates are a subset of the recalled list, whose similarities
+the query already holds, and its query embedding is the one recall
+computed. This is bit-identical to ``VariantClassifier.prob`` per candidate
+(see the rules in ``pairclf``).
 
 Results are stored column-wise (:class:`RerankedResult`): a served list is
 kept in the query cache, so per-item objects are only built on access.
@@ -34,8 +37,8 @@ import numpy as np
 
 from .corpus import Corpus, Exercise, LabeledPair, VARIANT
 from .encoder import EncoderParams
-from .pairclf import (PairClassifier, PairFeaturizer, UntrainedModelError,
-                      pair_feature_rows)
+from .pairclf import (PairClassifier, PairFeaturizer, PreparedQuery,
+                      UntrainedModelError, pair_feature_rows)
 from .recall import Candidate
 from .textnorm import Vocab
 
@@ -191,8 +194,9 @@ class VariantClassifier:
              v: Optional[np.ndarray] = None) -> float:
         return self.classifier.prob(self.featurizer.features(query, candidate, u, v))
 
-    def prob_many(self, query: Exercise, candidates: Sequence[Exercise]) -> np.ndarray:
-        """``prob(query, candidate)`` for every candidate, bit for bit."""
+    def prob_many(self, query, candidates: Sequence[Exercise]) -> np.ndarray:
+        """``prob(query, candidate)`` for every candidate, bit for bit;
+        ``query`` is an ``Exercise`` or a ``PreparedQuery``."""
         u, v, sims = self.featurizer.query_pairs(query, candidates)
         return self.classifier.prob_rows(pair_feature_rows(u, v, sims))
 
@@ -225,17 +229,19 @@ def train_variant(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab,
 # ---------------------------------------------------------------------------
 # Full re-rank
 
-def rerank(query: Exercise, candidates: Sequence[Candidate],
+def rerank(query, candidates: Sequence[Candidate],
            profile: Optional[StudentProfile], corpus: Corpus,
            variant_clf: Optional[VariantClassifier] = None,
            config: RerankConfig = RerankConfig()) -> RerankedResult:
-    """Stage filter, difficulty filter, then variant split, order preserved."""
+    """Stage filter, difficulty filter, then variant split, order preserved.
+    ``query`` is an ``Exercise`` or a ``PreparedQuery``."""
     passed: list[str] = []
     kept = list(candidates)
     if profile is not None:
         kept = stage_filter(kept, profile, corpus)
         passed.append("stage")
-        kept = personalize_filter(kept, query.metadata.difficulty, profile, corpus)
+        exercise = query.exercise if isinstance(query, PreparedQuery) else query
+        kept = personalize_filter(kept, exercise.metadata.difficulty, profile, corpus)
         passed.append("difficulty")
     if variant_clf is None or not config.enable_variant:
         return RerankedResult([c.ex_id for c in kept], [c.score for c in kept],

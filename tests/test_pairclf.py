@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from exsim.corpus import Exercise, Metadata
 from exsim.encoder import EncoderParams
 from exsim.pairclf import (
-    PairClassifier, PairFeaturizer, PreparedCorpus, bce_loss_and_grads,
+    PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery, bce_loss_and_grads,
     edit_similarities, edit_similarity, levenshtein, pair_features,
 )
 from exsim.textnorm import UNK_ID, Vocab
@@ -207,3 +207,62 @@ def test_prob_rows_equal_prob_per_row():
     clf = PairClassifier(weights=rng.normal(size=33), bias=0.1)
     x = rng.normal(size=(100, 33))
     assert clf.prob_rows(x).tolist() == [clf.prob(row) for row in x]
+
+
+@settings(max_examples=50, deadline=None)
+@given(words, st.lists(words, min_size=2, max_size=8), st.data())
+def test_prepared_query_reads_kept_similarities_by_row(query_words, corpus_words, data):
+    """Later, smaller and reordered row sets read back what the first call
+    computed, equal to the reference DP, and views sharing codes share it."""
+    corpus = [exercise(f"e{i}", " ".join(w)) for i, w in enumerate(corpus_words)]
+    view = PreparedCorpus(corpus, VOCAB, PARAMS)
+    query = PreparedQuery(exercise("q", " ".join(query_words)), VOCAB)
+    expected = [reference_similarity(query_words, w) for w in corpus_words]
+    everyone = np.arange(len(corpus))
+    assert query.edit_similarities(view, everyone).tolist() == expected
+    other_backbone = view.embedded_with(PARAMS)
+    for _ in range(3):
+        rows = np.array(data.draw(st.lists(st.sampled_from(everyone.tolist()),
+                                           max_size=len(corpus))), dtype=np.int64)
+        assert query.edit_similarities(other_backbone, rows).tolist() == \
+            [expected[r] for r in rows]
+        assert query.rows(view, [corpus[r] for r in rows]).tolist() == rows.tolist()
+
+
+def test_prepared_query_starts_afresh_for_another_view():
+    exs = [exercise("a", "ab xy"), exercise("b", "zq ef")]
+    first = PreparedCorpus(exs, VOCAB, PARAMS)
+    second = PreparedCorpus(exs[::-1], VOCAB, PARAMS)
+    query = PreparedQuery(exercise("q", "zq ef"), VOCAB)
+    assert query.edit_similarities(first, np.array([0, 1])).tolist() == [0.0, 1.0]
+    assert query.edit_similarities(second, np.array([0, 1])).tolist() == [1.0, 0.0]
+    assert query.rows(second, exs).tolist() == [1, 0]
+    assert query.rows(second, [exercise("a", "ab xy")]) is None  # equal id, other object
+
+
+def test_prepared_query_is_embedded_once_per_backbone(monkeypatch):
+    import exsim.pairclf as pairclf
+    calls = []
+    real = pairclf.embed_text
+    monkeypatch.setattr(pairclf, "embed_text",
+                        lambda seq, params: calls.append(params) or real(seq, params))
+    other = EncoderParams.init(vocab_size=len(VOCAB), d=4, d_img=2, n_types=1,
+                               levels=1, n_concepts=1, seed=1)
+    ex = exercise("q", "ab xy cd")
+    expected = {id(p): PairFeaturizer(VOCAB, p).embedding(ex) for p in (PARAMS, other)}
+    calls.clear()
+    query = PreparedQuery(ex, VOCAB)
+    for params in (PARAMS, other, PARAMS, other):
+        assert np.array_equal(query.embedding(params), expected[id(params)])
+    assert [id(p) for p in calls] == [id(PARAMS), id(other)]
+    assert PreparedQuery.of(query, VOCAB) is query
+
+
+def test_prepared_query_refuses_another_preparation():
+    query = PreparedQuery(exercise("q", "ab"), VOCAB, ("the",))
+    with pytest.raises(ValueError, match="prepared query"):
+        PreparedQuery.of(query, VOCAB)
+    with pytest.raises(ValueError, match="prepared query"):
+        PreparedQuery.of(query, Vocab(["ab", "cd", "ef"]), ("the",))
+    with pytest.raises(ValueError, match="prepared query"):
+        PairFeaturizer(VOCAB, PARAMS).query_pairs(query, [exercise("a", "ab")])

@@ -5,11 +5,13 @@ against a per-pair computation written out here."""
 import dataclasses
 import json
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
 from test_pairclf import reference_similarity
 
+from exsim import encoder, pairclf, ranking, recall, textnorm
 from exsim import pipeline as pl
 from exsim.corpus import (CorpusError, LabeledPair, SyntheticSpec, load_corpus,
                           save_corpus_jsonl, save_pairs)
@@ -17,7 +19,7 @@ from exsim.encoder import load_encoder
 from exsim.pairclf import pair_features
 from exsim.ranking import Ranker
 from exsim.recall import VectorIndex, merge_candidates
-from exsim.rerank import StudentProfile
+from exsim.rerank import StudentProfile, personalize_filter, stage_filter
 from exsim.textnorm import normalize_text, split_tokens
 
 TINY = SyntheticSpec(n_templates=3, per_template=8, seed=3)
@@ -152,7 +154,7 @@ def variant_reference(variant_clf, query, candidate):
         pair_features(feat.embedding(query), feat.embedding(candidate), sim))
 
 
-def reference_query(pipe, query):
+def reference_query(pipe, query, profile=None):
     """The served (id, score, variant_prob) list, one pair at a time."""
     rec = pipe.recaller
     tokens = split_tokens(normalize_text(query.text, rec.stop_words)[0])
@@ -161,11 +163,15 @@ def reference_query(pipe, query):
                                rec.config.k_exact, exclude_id=query.id)
     embed = rec.vector.search(q_vec, rec.config.k_embed, exclude_id=query.id)
     kept = [c for c in merge_candidates(exact, embed, rec.config.n)
-            if dedup_reference(rec.dedup, query, pipe.corpus[c.ex_id], q_vec,
+            if rec.dedup is None
+            or dedup_reference(rec.dedup, query, pipe.corpus[c.ex_id], q_vec,
                                rec.vector.matrix[rec.vector.row_of[c.ex_id]])
             < rec.config.dedup_threshold]
     plain_ranker = Ranker(pipe.vocab, pipe.ranker.params, pipe.ranker.stop_words)
     ranked = plain_ranker.rank(query, kept, pipe.corpus)
+    if profile is not None:
+        ranked = personalize_filter(stage_filter(ranked, profile, pipe.corpus),
+                                    query.metadata.difficulty, profile, pipe.corpus)
     threshold = pipe.config.get_float("rerank.variant_threshold")
     scored = [(c.ex_id, c.score, variant_reference(pipe.variant_clf, query,
                                                    pipe.corpus[c.ex_id]))
@@ -196,3 +202,106 @@ def test_batched_scores_equal_per_pair(workspace, kind):
     variant, similar = reference_query(pipe, query)
     assert [(i.ex_id, i.score, i.variant_prob) for i in result.variant] == variant
     assert [(i.ex_id, i.score, i.variant_prob) for i in result.similar] == similar
+
+
+# ---------------------------------------------------------------------------
+# one prepared query per miss
+
+# keeps 13 of query e0007's 23 served candidates on the tiny bank
+PROFILE = StudentProfile("average", "synchronous", (8, 2))
+
+
+def oov_probe_of(ex):
+    """A probe whose stem ends in two words the vocabulary lacks."""
+    return dataclasses.replace(ex, id=ex.id + "-oov", stem=ex.stem + " quokka zebu")
+
+
+def request_of(pipe, corpus, kind):
+    query = corpus[corpus.ids[7]]
+    if kind == "probe":
+        return probe_of(query)
+    if kind == "oov-probe":
+        assert "quokka" not in pipe.vocab and "zebu" not in pipe.vocab
+        return oov_probe_of(query)
+    return query.id
+
+
+def served_items(result):
+    return ([(i.ex_id, i.score, i.variant_prob) for i in result.variant],
+            [(i.ex_id, i.score, i.variant_prob) for i in result.similar])
+
+
+def load_without_dedup(workspace, tmp_path):
+    workdir, config, corpus = copy_workspace(workspace, tmp_path)
+    (workdir / pl.FILES["dedup"]).unlink()
+    pipe = pl.Pipeline.load(workdir, config)
+    assert pipe.recaller.dedup is None and pipe.variant_clf is not None
+    return pipe, corpus
+
+
+def count_calls(monkeypatch) -> Counter:
+    """Count calls of normalize_text, embed_text and the edit-distance
+    kernel through every module binding of them."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (textnorm, encoder, pairclf, recall, ranking):
+        for name in ("normalize_text", "embed_text"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+    monkeypatch.setattr(pairclf, "levenshtein", counted("levenshtein", pairclf.levenshtein))
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["corpus", "probe"])
+@pytest.mark.parametrize("profile", [None, PROFILE])
+def test_a_miss_prepares_its_query_once(workspace, monkeypatch, kind, profile):
+    workdir, config, corpus, _ = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+    counts = count_calls(monkeypatch)
+    result, hit = pipe.query_with_cache_info(request_of(pipe, corpus, kind), profile)
+    assert not hit and result.variant
+    # one normalization, one kernel call for dedup, ranking and the variant
+    # split, the encoder embedding and the ranker's own
+    assert counts == {"normalize_text": 1, "levenshtein": 1, "embed_text": 2}
+
+
+def test_without_dedup_ranking_makes_the_one_kernel_call(workspace, tmp_path,
+                                                         monkeypatch):
+    pipe, corpus = load_without_dedup(workspace, tmp_path)
+    counts = count_calls(monkeypatch)
+    result = pipe.query(request_of(pipe, corpus, "probe"), PROFILE)
+    assert result.variant
+    assert counts == {"normalize_text": 1, "levenshtein": 1, "embed_text": 2}
+
+
+@pytest.mark.parametrize("kind", ["corpus", "probe", "oov-probe"])
+def test_profiled_scores_equal_per_pair(workspace, kind):
+    """The filters leave the variant split a strict subset of the ranked
+    list, so it must read back each kept similarity by its row."""
+    workdir, config, corpus, _ = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+    request = request_of(pipe, corpus, kind)
+    query = pipe.resolve(request)
+    everyone = pipe.query(request)
+    result = pipe.query(request, PROFILE)
+    assert 0 < len(result.all_ids()) < len(everyone.all_ids())
+    assert served_items(result) == reference_query(pipe, query, PROFILE)
+    assert served_items(everyone) == reference_query(pipe, query)
+
+
+@pytest.mark.parametrize("profile", [None, PROFILE])
+@pytest.mark.parametrize("kind", ["corpus", "oov-probe"])
+def test_scores_equal_per_pair_without_dedup(workspace, tmp_path, kind, profile):
+    """Without a dedup head ranking is the first stage to ask for the edit
+    similarities; the variant split reads them back."""
+    pipe, corpus = load_without_dedup(workspace, tmp_path)
+    request = request_of(pipe, corpus, kind)
+    result = pipe.query(request, profile)
+    assert result.all_ids()
+    assert served_items(result) == reference_query(pipe, pipe.resolve(request), profile)

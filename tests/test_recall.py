@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from exsim.corpus import SyntheticSpec, generate_dedup_pairs, generate_synthetic
 from exsim.encoder import build_vocab, embed_corpus, init_params
+from exsim.pairclf import PreparedCorpus
 from exsim.recall import (
     BM25_B, BM25_K1, Candidate, LexicalIndex, RecallConfig, Recaller,
     VectorIndex, merge_candidates, train_dedup,
@@ -366,3 +367,38 @@ def test_recall_merges_channels_once(small_trained_module):
     assert len(ids) == len(set(ids))
     assert len(ids) <= 20
     assert query.id not in ids
+
+
+def test_indexes_built_from_a_view_equal_those_built_from_text(medium_synth):
+    corpus, _, _ = medium_synth
+    stop = ("the", "of")
+    vocab = build_vocab(corpus, stop)
+    params = init_params(corpus, vocab, d=12, seed=0)
+    view = PreparedCorpus(corpus, vocab, params, stop)
+    vector = VectorIndex.build(corpus, vocab, params, stop, view)
+    assert np.array_equal(vector.matrix, embed_corpus(corpus, vocab, params, stop)[0])
+    assert vector.ids == corpus.ids
+    lexical = LexicalIndex.build(corpus, stop, 0.7, view)
+    plain = LexicalIndex.build(corpus, stop, 0.7)
+    assert lexical.avg_len == plain.avg_len and lexical.ids == plain.ids
+    assert set(lexical.postings) == set(plain.postings)
+    for t, got in lexical.postings.items():
+        want = plain.postings[t]
+        assert got.idf == want.idf
+        for field in ("rows", "tf", "denom"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (t, field)
+    recaller = Recaller.build(corpus, vocab, params, stop_words=stop, view=view)
+    assert recaller.view is view
+    assert np.array_equal(recaller.vector.matrix, vector.matrix)
+
+
+def test_recaller_refuses_a_view_of_another_corpus(medium_synth):
+    corpus, _, _ = medium_synth
+    vocab = build_vocab(corpus)
+    params = init_params(corpus, vocab, d=12, seed=0)
+    shuffled = PreparedCorpus(list(corpus)[::-1], vocab, params)
+    with pytest.raises(ValueError, match="in order"):
+        Recaller.build(corpus, vocab, params, view=shuffled)
+    with pytest.raises(ValueError, match="stop words"):
+        Recaller.build(corpus, vocab, params, stop_words=("the",),
+                       view=PreparedCorpus(corpus, vocab, params))
