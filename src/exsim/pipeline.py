@@ -217,7 +217,10 @@ def step_finetune(workdir, config: Config):
 
 def step_index(workdir, config: Config) -> None:
     """Fit the dedup head (given ground truth) and the variant head (given
-    variant-labeled pairs). The recall indexes are not artifacts:
+    variant-labeled pairs), each a logistic regression over the pair
+    features solved by Newton's method (``PairClassifier.train``). The heads
+    are as wide as the encoder's pair features, so rerun this step after
+    the encoder changes width. The recall indexes are not artifacts:
     ``Pipeline.load`` builds them."""
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
     vocab = Vocab.load(_path(workdir, "vocab"))

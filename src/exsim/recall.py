@@ -385,7 +385,8 @@ class DuplicateDetector:
     @classmethod
     def load(cls, path, featurizer: PairFeaturizer,
              threshold: float = 0.5) -> "DuplicateDetector":
-        return cls(PairClassifier.load(path, "dedup"), featurizer, threshold)
+        return cls(PairClassifier.load(path, "dedup", featurizer.n_features),
+                   featurizer, threshold)
 
 
 def train_dedup(dedup_pairs: Sequence[tuple[Exercise, Exercise, int]],

@@ -209,7 +209,8 @@ class VariantClassifier:
     @classmethod
     def load(cls, path, featurizer: PairFeaturizer,
              threshold: float = 0.5) -> "VariantClassifier":
-        return cls(PairClassifier.load(path, "variant"), featurizer, threshold)
+        return cls(PairClassifier.load(path, "variant", featurizer.n_features),
+                   featurizer, threshold)
 
 
 def train_variant(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab,

@@ -343,6 +343,18 @@ def test_params_snapshot_wrong_kind(tmp_path):
         enc.load_encoder(path)
 
 
+def test_failed_snapshot_write_leaves_the_old_file(tmp_path):
+    from exsim.snapshots import save_arrays
+    path = tmp_path / "enc.params"
+    enc.save_encoder(toy_params(seed=5), path)
+    before = path.read_bytes()
+    # the first array is written, then the second cannot be made float64
+    with pytest.raises(ValueError):
+        save_arrays(path, "encoder", {}, {"a": np.zeros(3), "b": np.array(["x"])})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["enc.params"]
+
+
 def test_export_embeddings_format_and_exactness(tmp_path, small_trained):
     corpus, _, _, vocab, params = small_trained
     path = tmp_path / "emb.txt"

@@ -3,11 +3,12 @@ import pytest
 from gradcheck import assert_grads_match, finite_difference
 from hypothesis import given, settings, strategies as st
 
+from exsim import pairclf
 from exsim.corpus import Exercise, Metadata
 from exsim.encoder import EncoderParams
 from exsim.pairclf import (
     PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery, bce_loss_and_grads,
-    edit_similarities, edit_similarity, levenshtein, pair_features,
+    edit_similarities, edit_similarity, levenshtein, pair_feature_rows, pair_features,
 )
 from exsim.textnorm import UNK_ID, Vocab
 
@@ -51,7 +52,7 @@ def test_classifier_learns_separable_data():
     x = rng.normal(size=(200, 5))
     w_true = np.array([2.0, -1.0, 0.5, 0.0, 1.0])
     y = (x @ w_true > 0).astype(float)
-    clf = PairClassifier.train(x, y, epochs=800)
+    clf = PairClassifier.train(x, y)
     preds = (clf.prob_batch(x) > 0.5).astype(float)
     assert (preds == y).mean() > 0.95
 
@@ -63,6 +64,68 @@ def test_classifier_training_deterministic():
     c1 = PairClassifier.train(x, y)
     c2 = PairClassifier.train(x.copy(), y.copy())
     assert np.array_equal(c1.weights, c2.weights) and c1.bias == c2.bias
+
+
+def noisy_pair_features(n=400, d=8, flip=0.1, seed=3):
+    """Rows laid out like the heads' [u, v, |u - v|, u * v, sim]: a label 1
+    pair is a near copy with a high edit similarity. A share ``flip`` of the
+    labels is flipped, so no weights separate the classes."""
+    rng = np.random.default_rng(seed)
+    y = (rng.random(n) < 0.5).astype(float)
+    u = rng.normal(size=(n, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = np.where(y[:, None] == 1, u + 0.3 * rng.normal(size=(n, d)), rng.normal(size=(n, d)))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    sims = np.clip(0.3 + 0.5 * y + 0.15 * rng.normal(size=n), 0.0, 1.0)
+    flipped = rng.random(n) < flip
+    y[flipped] = 1.0 - y[flipped]
+    return pair_feature_rows(u, v, sims), y
+
+
+def gradient_descent(x, y, lr=5.0, epochs=6000, l2=1e-6):
+    """The full-batch gradient descent the heads were fitted with before."""
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    for _ in range(epochs):
+        err = (1.0 / (1.0 + np.exp(-np.clip(x @ w + b, -35.0, 35.0))) - y) / len(y)
+        w -= lr * (x.T @ err + l2 * w)
+        b -= lr * float(err.sum())
+    return w, b
+
+
+def test_newton_fit_reaches_the_gradient_tolerance():
+    x, y = noisy_pair_features()
+    clf = PairClassifier.train(x, y)
+    _, gw, gb = bce_loss_and_grads(clf.weights, clf.bias, x, y, l2=1e-6)
+    assert max(np.abs(gw).max(), abs(gb)) < 1e-8
+
+
+def test_newton_fit_is_no_worse_than_gradient_descent():
+    x, y = noisy_pair_features()
+    clf = PairClassifier.train(x, y)
+    newton = bce_loss_and_grads(clf.weights, clf.bias, x, y, l2=1e-6)[0]
+    w, b = gradient_descent(x, y)
+    assert newton <= bce_loss_and_grads(w, b, x, y, l2=1e-6)[0]
+
+
+def test_newton_fit_of_separable_data_stays_finite(monkeypatch):
+    """A few of the separable rows lie far out, so their logits reach the
+    thousands, where an overflowing sigmoid would warn."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(200, 5))
+    y = (x @ np.array([2.0, -1.0, 0.5, 0.0, 1.0]) > 0).astype(float)
+    x[:5] *= 100.0
+    steps = []
+    newton_step = pairclf._newton_step
+    monkeypatch.setattr(pairclf, "_newton_step",
+                        lambda *args: steps.append(1) or newton_step(*args))
+    clf = PairClassifier.train(x, y)
+    assert np.isfinite(clf.weights).all() and np.isfinite(clf.bias)
+    assert (clf.prob_batch(x) > 0.5).astype(float).tolist() == y.tolist()
+    # it stopped at the tolerance, not at the cap
+    assert len(steps) < pairclf._NEWTON_STEPS
+    _, gw, gb = bce_loss_and_grads(clf.weights, clf.bias, x, y, l2=1e-6)
+    assert max(np.abs(gw).max(), abs(gb)) < 1e-8
 
 
 def test_bce_gradients_match_finite_differences():
@@ -81,7 +144,7 @@ def test_bce_gradients_match_finite_differences():
 def test_classifier_snapshot_round_trip(tmp_path):
     clf = PairClassifier(weights=np.array([0.5, -1.5]), bias=0.25)
     clf.save(tmp_path / "clf.params", "dedup")
-    loaded = PairClassifier.load(tmp_path / "clf.params", "dedup")
+    loaded = PairClassifier.load(tmp_path / "clf.params", "dedup", 2)
     assert np.array_equal(loaded.weights, clf.weights)
     assert loaded.bias == clf.bias
 

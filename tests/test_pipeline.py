@@ -20,6 +20,7 @@ from exsim.pairclf import pair_features
 from exsim.ranking import Ranker
 from exsim.recall import VectorIndex, merge_candidates
 from exsim.rerank import StudentProfile, personalize_filter, stage_filter
+from exsim.snapshots import SnapshotFormatError
 from exsim.textnorm import normalize_text, split_tokens
 
 TINY = SyntheticSpec(n_templates=3, per_template=8, seed=3)
@@ -86,6 +87,17 @@ def test_pairs_naming_an_unknown_id_are_refused(workspace, tmp_path):
                workdir / pl.FILES["pairs"])
     with pytest.raises(CorpusError, match="no-such-id"):
         pl.step_finetune(workdir, config)
+
+
+@pytest.mark.parametrize("head", ["dedup", "variant"])
+def test_load_refuses_a_head_of_another_width(workspace, tmp_path, head):
+    """A head fitted before the encoder changed width is refused at load,
+    not at the first query."""
+    workdir, config, _ = copy_workspace(workspace, tmp_path)
+    width = 4 * load_encoder(workdir / pl.FILES["encoder"]).d + 1
+    pairclf.PairClassifier(np.zeros(width - 4), 0.0).save(workdir / pl.FILES[head], head)
+    with pytest.raises(SnapshotFormatError, match="step_index"):
+        pl.Pipeline.load(workdir, config)
 
 
 def test_load_indexes_the_current_encoder(workspace, tmp_path):
