@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -77,8 +77,7 @@ def stratified_folds(labels: Sequence[int], folds: int,
 
 def out_of_fold_probs(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab,
                       encoder: EncoderParams,
-                      config: CleanConfig = CleanConfig(),
-                      stop_words: Iterable[str] = ()) -> np.ndarray:
+                      config: CleanConfig = CleanConfig()) -> np.ndarray:
     """Probability of "similar" for every pair, scored out of fold."""
     if len(pairs) < 2 * config.folds:
         raise ValueError("need at least two pairs per fold")
@@ -95,8 +94,8 @@ def out_of_fold_probs(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab
                      % (2 ** 31)),
             moe=False, alpha=(1.0, 0.0, 0.0), tasks=(TASK_STEM_STEM,))
         params, _ = train_ranker([pairs[i] for i in train_idx], corpus, vocab,
-                                 fold_cfg, encoder=encoder, stop_words=stop_words)
-        ranker = Ranker(vocab, params, tuple(stop_words))
+                                 fold_cfg, encoder=encoder)
+        ranker = Ranker(vocab, params)
         for i in holdout:
             probs[i] = ranker.score_pair(corpus[pairs[i].a_id], corpus[pairs[i].b_id])
     return probs
@@ -175,14 +174,13 @@ class CleaningReport:
 def clean_and_retrain(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab,
                       encoder: EncoderParams,
                       config: CleanConfig = CleanConfig(),
-                      eval_fn: Optional[Callable[[RankerParams], float]] = None,
-                      stop_words: Iterable[str] = ()):
+                      eval_fn: Optional[Callable[[RankerParams], float]] = None):
     """Full cycle: out-of-fold probs, joint, prune, retrain the full ranker.
 
     Returns (params, cleaned_pairs, report). When eval_fn is given it is
     called on the before/after rankers to record precision at 5.
     """
-    probs = out_of_fold_probs(pairs, corpus, vocab, encoder, config, stop_words)
+    probs = out_of_fold_probs(pairs, corpus, vocab, encoder, config)
     labels = [1 if p.is_similar else 0 for p in pairs]
     joint = build_confident_joint(probs, labels)
     cleaned, pruned_idx = prune(pairs, joint, probs)
@@ -192,10 +190,9 @@ def clean_and_retrain(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab
     p5_before = p5_after = None
     if eval_fn is not None:
         before_params, _ = train_ranker(pairs, corpus, vocab, config.retrain,
-                                        encoder=encoder, stop_words=stop_words)
+                                        encoder=encoder)
         p5_before = eval_fn(before_params)
-    params, _ = train_ranker(cleaned, corpus, vocab, config.retrain,
-                             encoder=encoder, stop_words=stop_words)
+    params, _ = train_ranker(cleaned, corpus, vocab, config.retrain, encoder=encoder)
     if eval_fn is not None:
         p5_after = eval_fn(params)
 

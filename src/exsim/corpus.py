@@ -23,6 +23,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .snapshots import atomic_write
+
 SIMILAR = "similar"
 DISSIMILAR = "dissimilar"
 VARIANT = "variant"
@@ -287,7 +289,7 @@ def load_corpus(path, levels: Optional[int] = None) -> Corpus:
 
 
 def save_corpus_jsonl(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for ex in corpus:
             fh.write(json.dumps(ex.to_record(), ensure_ascii=False) + "\n")
 
@@ -302,7 +304,7 @@ def save_snapshot(corpus: Corpus, path) -> None:
         "levels": corpus.levels,
         "d_img": corpus.d_img,
     }).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_SNAPSHOT_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
@@ -345,7 +347,7 @@ def _read_exact(fh, n: int, path) -> bytes:
 # Labeled pair and truth persistence
 
 def save_pairs(pairs: list[LabeledPair], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for p in pairs:
             fh.write(json.dumps({
                 "a_id": p.a_id, "b_id": p.b_id, "label": p.label,
@@ -370,7 +372,7 @@ def load_pairs(path) -> list[LabeledPair]:
 
 
 def save_truth(truth: SyntheticTruth, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump({"groups": truth.groups, "flipped": truth.flipped}, fh, indent=1, sort_keys=True)
 
 

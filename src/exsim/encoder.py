@@ -28,13 +28,13 @@ bit-identical parameter trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, Exercise, LabeledPair
-from .snapshots import load_arrays, save_arrays
+from .snapshots import atomic_write, load_arrays, save_arrays
 from .textnorm import MetadataEncoding, TokenSequence, Vocab, encode_metadata, normalize_text, tokenize
 
 _EPS = 1e-12
@@ -274,29 +274,29 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     return loss, d_logits
 
 
+# metadata task -> (its head in EncoderParams, its MetadataEncoding target)
+_META_TASKS = {"type": ("W_type", "type_onehot"),
+               "difficulty": ("W_diff", "difficulty_onehot"),
+               "concept": ("W_concept", "concept_vector")}
+
+
 def metadata_task_loss(stem_embeddings: np.ndarray, targets: Sequence[MetadataEncoding],
                        params: EncoderParams):
     """Cross-entropy of the three metadata heads stacked on the stem embedding.
 
-    Returns (total, parts, d_embeddings, head_grads); parts keys are
-    "type", "difficulty", "concept".
+    Returns (parts, d_embeddings, head_grads), each keyed by task name
+    ("type", "difficulty", "concept", in that order). The gradients are
+    unweighted: a caller weights each task's terms and adds them up itself.
     """
     e = np.asarray(stem_embeddings, dtype=np.float64)
-    t_type = np.stack([t.type_onehot for t in targets])
-    t_diff = np.stack([t.difficulty_onehot for t in targets])
-    t_conc = np.stack([t.concept_vector for t in targets])
-    parts = {}
-    d_e = np.zeros_like(e)
-    head_grads = {}
-    for name, head, target in (("type", "W_type", t_type),
-                               ("difficulty", "W_diff", t_diff),
-                               ("concept", "W_concept", t_conc)):
+    parts, d_e, head_grads = {}, {}, {}
+    for name, (head, target) in _META_TASKS.items():
         w = getattr(params, head)
-        loss, d_logits = softmax_cross_entropy(e @ w, target)
-        parts[name] = loss
-        head_grads[head] = e.T @ d_logits
-        d_e += d_logits @ w.T
-    return sum(parts.values()), parts, d_e, head_grads
+        parts[name], d_logits = softmax_cross_entropy(
+            e @ w, np.stack([getattr(t, target) for t in targets]))
+        head_grads[name] = e.T @ d_logits
+        d_e[name] = d_logits @ w.T
+    return parts, d_e, head_grads
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +313,16 @@ class EncodedExercise:
     image_feats: np.ndarray  # (n_images, d_img)
 
 
-def encode_corpus(corpus: Corpus, vocab: Vocab,
-                  stop_words: Iterable[str] = ()) -> list[EncodedExercise]:
+def _tokens(text: str, vocab: Vocab) -> TokenSequence:
+    """``text`` normalized with the vocabulary's stop words, as its ids."""
+    return tokenize(normalize_text(text, vocab.stop_words)[0], vocab)
+
+
+def encode_corpus(corpus: Corpus, vocab: Vocab) -> list[EncodedExercise]:
     out = []
     for ex in corpus:
-        stem_ids = tokenize(normalize_text(ex.text, stop_words)[0], vocab).array()
-        ana_ids = tokenize(normalize_text(ex.answer_analysis, stop_words)[0], vocab).array()
+        stem_ids = _tokens(ex.text, vocab).array()
+        ana_ids = _tokens(ex.answer_analysis, vocab).array()
         if len(ana_ids) == 0:
             ana_ids = stem_ids  # degenerate but total: no answer/analysis text
         meta = encode_metadata(ex.metadata, corpus.exercise_types, corpus.levels,
@@ -331,11 +335,12 @@ def encode_corpus(corpus: Corpus, vocab: Vocab,
 
 def build_vocab(corpus: Corpus, stop_words: Iterable[str] = (),
                 min_count: int = 1) -> Vocab:
+    """The corpus vocabulary; it keeps ``stop_words`` for every later stage."""
     texts = []
     for ex in corpus:
         texts.append(normalize_text(ex.text, stop_words)[0])
         texts.append(normalize_text(ex.answer_analysis, stop_words)[0])
-    return Vocab.build(texts, min_count=min_count)
+    return Vocab.build(texts, min_count=min_count, stop_words=stop_words)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +369,7 @@ def init_params(corpus: Corpus, vocab: Vocab, d: int, seed: int) -> EncoderParam
 
 
 def pretrain(corpus: Corpus, vocab: Vocab, config: PretrainConfig = PretrainConfig(),
-             params: Optional[EncoderParams] = None,
-             stop_words: Iterable[str] = ()):
+             params: Optional[EncoderParams] = None):
     """Multi-task pre-training over the corpus; returns (params, history).
 
     history maps loss names to per-epoch means. Aborts with
@@ -373,7 +377,7 @@ def pretrain(corpus: Corpus, vocab: Vocab, config: PretrainConfig = PretrainConf
     """
     if len(corpus) < 2:
         raise ValueError("pre-training needs at least 2 exercises")
-    encoded = encode_corpus(corpus, vocab, stop_words)
+    encoded = encode_corpus(corpus, vocab)
     if params is None:
         params = init_params(corpus, vocab, config.d, config.seed)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 11]))
@@ -413,17 +417,11 @@ def _pretrain_step(batch: list[EncodedExercise], params: EncoderParams,
 
     weights = {"type": config.w_type, "difficulty": config.w_difficulty,
                "concept": config.w_concept}
-    targets = [e.meta for e in batch]
-    stacks = {"type": np.stack([t.type_onehot for t in targets]),
-              "difficulty": np.stack([t.difficulty_onehot for t in targets]),
-              "concept": np.stack([t.concept_vector for t in targets])}
-    head_names = {"type": "W_type", "difficulty": "W_diff", "concept": "W_concept"}
-    parts = {}
-    for name, w in weights.items():
-        head = getattr(params, head_names[name])
-        parts[name], d_logits = softmax_cross_entropy(stem_out @ head, stacks[name])
-        grads[head_names[name]] += w * (stem_out.T @ d_logits)
-        d_stem += w * (d_logits @ head.T)
+    parts, d_meta, head_grads = metadata_task_loss(stem_out, [e.meta for e in batch],
+                                                   params)
+    for name, (head, _) in _META_TASKS.items():
+        grads[head] += weights[name] * head_grads[name]
+        d_stem += weights[name] * d_meta[name]
 
     # image alignment: anchor is the owner's stem embedding, candidates are all
     # image projections in the batch, same-owner columns masked
@@ -449,9 +447,7 @@ def _pretrain_step(batch: list[EncodedExercise], params: EncoderParams,
     total = (config.w_contrastive * c_loss
              + sum(weights[k] * parts[k] for k in weights)
              + config.w_image * img_loss)
-    return {"total": total, "contrastive": c_loss, "type": parts["type"],
-            "difficulty": parts["difficulty"], "concept": parts["concept"],
-            "image": img_loss}
+    return {"total": total, "contrastive": c_loss, **parts, "image": img_loss}
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +474,7 @@ def similar_sets(pairs: Iterable[LabeledPair]) -> dict[str, set[str]]:
 
 
 def fine_tune(params: EncoderParams, pairs: Sequence[LabeledPair], corpus: Corpus,
-              vocab: Vocab, config: FinetuneConfig = FinetuneConfig(),
-              stop_words: Iterable[str] = ()):
+              vocab: Vocab, config: FinetuneConfig = FinetuneConfig()):
     """Contrastive fine-tuning on similar pairs; returns (params, history).
 
     history["batch"] records every batch loss (the first entry is evaluated
@@ -489,8 +484,7 @@ def fine_tune(params: EncoderParams, pairs: Sequence[LabeledPair], corpus: Corpu
     if not positives:
         raise ValueError("fine_tune needs at least one pair labeled similar")
     params = params.copy()
-    seqs = {ex.id: tokenize(normalize_text(ex.text, stop_words)[0], vocab).array()
-            for ex in corpus}
+    seqs = {ex.id: _tokens(ex.text, vocab).array() for ex in corpus}
     sims = similar_sets(pairs)
     ids = corpus.ids
     anchors_all = [(a, b) for a, b in positives] + [(b, a) for a, b in positives]
@@ -545,19 +539,18 @@ def _finetune_step(chosen, negatives, seqs, params: EncoderParams,
 # ---------------------------------------------------------------------------
 # Embedding export
 
-def export_embeddings(corpus: Corpus, vocab: Vocab, params: EncoderParams, path,
-                      stop_words: Iterable[str] = ()) -> None:
+def export_embeddings(corpus: Corpus, vocab: Vocab, params: EncoderParams,
+                      path) -> None:
     """One line per exercise: id then d floats, round-trip exact."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for ex in corpus:
-            vec = embed_text(tokenize(normalize_text(ex.text, stop_words)[0], vocab), params)
+            vec = embed_text(_tokens(ex.text, vocab), params)
             fh.write(" ".join([ex.id] + [repr(float(x)) for x in vec]) + "\n")
 
 
-def embed_corpus(corpus: Corpus, vocab: Vocab, params: EncoderParams,
-                 stop_words: Iterable[str] = ()) -> tuple[np.ndarray, list[str]]:
+def embed_corpus(corpus: Corpus, vocab: Vocab,
+                 params: EncoderParams) -> tuple[np.ndarray, list[str]]:
     """Embedding matrix over the whole corpus plus the row-aligned id list."""
-    seqs = [tokenize(normalize_text(ex.text, stop_words)[0], vocab).array()
-            for ex in corpus]
+    seqs = [_tokens(ex.text, vocab).array() for ex in corpus]
     out, _ = embed_text_batch(seqs, params)
     return out, corpus.ids

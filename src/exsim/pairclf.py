@@ -66,7 +66,7 @@ import numpy as np
 from .corpus import Exercise
 from .encoder import EncoderParams, embed_text
 from .snapshots import SnapshotFormatError, load_arrays, save_arrays
-from .textnorm import UNK_ID, TokenSequence, Vocab, normalize_text, split_tokens, tokenize
+from .textnorm import UNK_ID, TokenSequence, Vocab, normalize_text, split_tokens
 
 PAD_CODE = -1
 _BLOCK = 512  # pairs per pass of the edit-distance kernel
@@ -161,10 +161,10 @@ def edit_similarity(a: Sequence[str], b: Sequence[str]) -> float:
     return float(edit_similarities(a_arr[:1], len(a), a_arr[1:], len(b))[0])
 
 
-def text_tokens(text: str, stop_words: Iterable[str] = ()) -> list[str]:
-    """The normalized tokens of one text; every prepared view and query goes
-    through here."""
-    return split_tokens(normalize_text(text, stop_words)[0])
+def text_tokens(text: str, vocab: Vocab) -> list[str]:
+    """The tokens of one text normalized with the vocabulary's stop words;
+    every prepared view and query goes through here."""
+    return split_tokens(normalize_text(text, vocab.stop_words)[0])
 
 
 def pad_codes(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -217,12 +217,11 @@ class PreparedCorpus:
     """
 
     def __init__(self, exercises: Iterable[Exercise], vocab: Vocab,
-                 params: EncoderParams, stop_words: Iterable[str] = ()):
+                 params: EncoderParams):
         self.exercises = list(exercises)
         self.vocab = vocab
-        self.stop_words = tuple(stop_words)
         self.row_of = {ex.id: i for i, ex in enumerate(self.exercises)}
-        self.tokens = [text_tokens(ex.text, self.stop_words) for ex in self.exercises]
+        self.tokens = [text_tokens(ex.text, vocab) for ex in self.exercises]
         table = CodeTable(vocab)
         self.oov_codes = table.extra
         self.codes, self.lengths = pad_codes([table.encode(t) for t in self.tokens])
@@ -260,15 +259,10 @@ class PreparedCorpus:
         """A fresh table for one query, consistent with the view's codes."""
         return CodeTable(self.vocab, self.oov_codes)
 
-    def check(self, vocab: Vocab, stop_words: Iterable[str]) -> None:
-        """Refuse a consumer whose text preparation differs from the view's."""
-        _check_preparation(self, "prepared corpus", vocab, stop_words)
-
-
-def _check_preparation(prepared, what: str, vocab: Vocab,
-                       stop_words: Iterable[str]) -> None:
-    if prepared.vocab is not vocab or prepared.stop_words != tuple(stop_words):
-        raise ValueError(f"{what} was built with another vocab or stop words")
+    def check(self, vocab: Vocab) -> None:
+        """Refuse a consumer with another vocab, and so maybe other stop words."""
+        if self.vocab is not vocab:
+            raise ValueError("prepared corpus was built with another vocab")
 
 
 class PreparedQuery:
@@ -292,11 +286,10 @@ class PreparedQuery:
     them afresh. A stage given an ``Exercise`` prepares it with :meth:`of`.
     """
 
-    def __init__(self, exercise: Exercise, vocab: Vocab, stop_words: Iterable[str] = ()):
+    def __init__(self, exercise: Exercise, vocab: Vocab):
         self.exercise = exercise
         self.vocab = vocab
-        self.stop_words = tuple(stop_words)
-        self.tokens = text_tokens(exercise.text, self.stop_words)
+        self.tokens = text_tokens(exercise.text, vocab)
         self.ids = TokenSequence(tuple(vocab.id_of(t) for t in self.tokens))
         self.concepts = frozenset(exercise.metadata.knowledge_concepts)
         self._embeddings: dict[int, tuple[object, np.ndarray]] = {}
@@ -307,17 +300,14 @@ class PreparedQuery:
         self._sims = np.zeros(0)
 
     @classmethod
-    def of(cls, query, vocab: Vocab, stop_words: Iterable[str] = ()) -> "PreparedQuery":
-        """``query`` itself when it is prepared (and prepared alike), else a
-        new one prepared from its text."""
+    def of(cls, query, vocab: Vocab) -> "PreparedQuery":
+        """``query`` itself when it is prepared with ``vocab`` (and so with
+        its stop words), else a new one prepared from its text."""
         if isinstance(query, PreparedQuery):
-            query.check(vocab, stop_words)
+            if query.vocab is not vocab:
+                raise ValueError("prepared query was built with another vocab")
             return query
-        return cls(query, vocab, stop_words)
-
-    def check(self, vocab: Vocab, stop_words: Iterable[str]) -> None:
-        """Refuse a consumer whose text preparation differs from the query's."""
-        _check_preparation(self, "prepared query", vocab, stop_words)
+        return cls(query, vocab)
 
     def embedding(self, params) -> np.ndarray:
         kept = self._embeddings.get(id(params))
@@ -385,28 +375,26 @@ def pair_feature_rows(u: np.ndarray, v: np.ndarray, sims: np.ndarray,
 class PairFeaturizer:
     """Turns two exercises into the classifier's feature vector.
 
-    ``view``, when given, must be prepared with this featurizer's vocab,
-    params and stop words; the batched methods read candidates from it.
-    ``params`` is the encoder's, or any backbone ``embed_text`` takes (the
-    ranker scores its pairs through a featurizer over its own backbone).
+    ``view``, when given, must be prepared with this featurizer's vocab and
+    params; the batched methods read candidates from it. ``params`` is the
+    encoder's, or any backbone ``embed_text`` takes (the ranker scores its
+    pairs through a featurizer over its own backbone).
     """
 
     vocab: Vocab
     params: EncoderParams
-    stop_words: tuple[str, ...] = ()
     view: Optional[PreparedCorpus] = None
 
     def __post_init__(self):
-        self.stop_words = tuple(self.stop_words)
         if self.view is not None:
-            self.view.check(self.vocab, self.stop_words)
+            self.view.check(self.vocab)
 
     def norm_tokens(self, ex: Exercise) -> list[str]:
-        return text_tokens(ex.text, self.stop_words)
+        return text_tokens(ex.text, self.vocab)
 
     def embedding(self, ex: Exercise) -> np.ndarray:
-        seq = tokenize(normalize_text(ex.text, self.stop_words)[0], self.vocab)
-        return embed_text(seq, self.params)
+        ids = tuple(self.vocab.id_of(t) for t in self.norm_tokens(ex))
+        return embed_text(TokenSequence(ids), self.params)
 
     def features(self, ex_a: Exercise, ex_b: Exercise,
                  u: Optional[np.ndarray] = None,
@@ -419,7 +407,7 @@ class PairFeaturizer:
         return pair_features(u, v, sim)
 
     def prepare(self, exercises: Sequence[Exercise]) -> PreparedCorpus:
-        return PreparedCorpus(exercises, self.vocab, self.params, self.stop_words)
+        return PreparedCorpus(exercises, self.vocab, self.params)
 
     def query_pairs(self, query, others: Sequence[Exercise],
                     u: Optional[np.ndarray] = None,
@@ -431,7 +419,7 @@ class PairFeaturizer:
         to the view's rows. Others outside the view are prepared from their
         text, all of them, in a view of their own.
         """
-        query = PreparedQuery.of(query, self.vocab, self.stop_words)
+        query = PreparedQuery.of(query, self.vocab)
         view = self.view
         rows = query.rows(view, others) if view is not None else None
         if rows is None:

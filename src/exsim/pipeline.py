@@ -21,6 +21,11 @@ call over the recalled list; ranking and the variant split read their
 subsets back. The ranker embeds the query under its own backbone, so a miss
 runs ``embed_text`` twice.
 
+Stop words live in the vocabulary (``Vocab.stop_words``, the header line of
+``vocab.txt``); every stage normalizes text with its vocabulary's. Only
+``step_pretrain`` reads the ``stopwords`` key, to build the vocabulary; every
+later step and ``Pipeline.load`` refuse a key that differs from it.
+
 Configuration is a flat key = value file; see DEFAULTS for the full key
 list with defaults.
 """
@@ -44,8 +49,8 @@ from .evaluate import (EvalReport, annotated_similars, config_hash,
 from .pairclf import PairFeaturizer, PreparedCorpus, PreparedQuery
 from .recall import RecallConfig, Recaller
 from .rerank import RerankConfig, RerankedResult, StudentProfile, VariantClassifier
-from .snapshots import file_digest
-from .textnorm import Vocab
+from .snapshots import atomic_write, file_digest
+from .textnorm import Vocab, canonical_stop_words
 
 log = logging.getLogger(__name__)
 
@@ -99,7 +104,8 @@ DEFAULTS = {
 
 class ConfigurationError(RuntimeError):
     def __init__(self, missing: list[str]):
-        super().__init__("missing or untrained components: " + ", ".join(missing))
+        super().__init__("missing, untrained or mismatched components: "
+                         + ", ".join(missing))
         self.missing = missing
 
 
@@ -159,6 +165,23 @@ def _path(workdir, name: str) -> Path:
     return Path(workdir) / FILES[name]
 
 
+def _load_vocab(workdir, config: Config) -> Vocab:
+    """The workspace vocabulary; ConfigurationError when the configured stop
+    words are not the ones it was built with."""
+    vocab = Vocab.load(_path(workdir, "vocab"))
+    configured = canonical_stop_words(config.stop_words())
+    if configured != vocab.stop_words:
+        raise ConfigurationError([f"{FILES['vocab']} (stop words {list(vocab.stop_words)}, "
+                                  f"not {list(configured)}: rerun step_pretrain)"])
+    return vocab
+
+
+def _load_trained(workdir, config: Config):
+    """The corpus, vocabulary and encoder every step after step_pretrain reads."""
+    return (corpus_mod.load_snapshot(_path(workdir, "corpus")), _load_vocab(workdir, config),
+            encoder_mod.load_encoder(_path(workdir, "encoder")))
+
+
 def _load_pairs(workdir, corpus: Corpus, name: str = "pairs") -> list[LabeledPair]:
     """The labeled pairs file; CorpusError when a pair names an id not in corpus."""
     pairs = corpus_mod.load_pairs(_path(workdir, name))
@@ -188,29 +211,25 @@ def step_synth(workdir, spec: SyntheticSpec) -> tuple[Corpus, SyntheticTruth,
 
 def step_pretrain(workdir, config: Config):
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
-    stop = config.stop_words()
-    vocab = encoder_mod.build_vocab(corpus, stop)
+    vocab = encoder_mod.build_vocab(corpus, config.stop_words())
     vocab.save(_path(workdir, "vocab"))
     pre_cfg = encoder_mod.PretrainConfig(
         d=config.get_int("encoder.d"), epochs=config.get_int("encoder.epochs"),
         lr=config.get_float("encoder.lr"), batch_size=config.get_int("encoder.batch"),
         tau=config.get_float("encoder.tau"), seed=config.get_int("encoder.seed"))
-    params, history = encoder_mod.pretrain(corpus, vocab, pre_cfg, stop_words=stop)
+    params, history = encoder_mod.pretrain(corpus, vocab, pre_cfg)
     encoder_mod.save_encoder(params, _path(workdir, "encoder"))
     return params, history
 
 
 def step_finetune(workdir, config: Config):
-    corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
-    vocab = Vocab.load(_path(workdir, "vocab"))
-    params = encoder_mod.load_encoder(_path(workdir, "encoder"))
+    corpus, vocab, params = _load_trained(workdir, config)
     pairs = _load_pairs(workdir, corpus)
     ft_cfg = encoder_mod.FinetuneConfig(
         epochs=config.get_int("finetune.epochs"), lr=config.get_float("finetune.lr"),
         n_negatives=config.get_int("finetune.negatives"),
         seed=config.get_int("encoder.seed"))
-    params, history = encoder_mod.fine_tune(params, pairs, corpus, vocab, ft_cfg,
-                                            stop_words=config.stop_words())
+    params, history = encoder_mod.fine_tune(params, pairs, corpus, vocab, ft_cfg)
     encoder_mod.save_encoder(params, _path(workdir, "encoder"))
     return params, history
 
@@ -222,21 +241,18 @@ def step_index(workdir, config: Config) -> None:
     are as wide as the encoder's pair features, so rerun this step after
     the encoder changes width. The recall indexes are not artifacts:
     ``Pipeline.load`` builds them."""
-    corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
-    vocab = Vocab.load(_path(workdir, "vocab"))
-    params = encoder_mod.load_encoder(_path(workdir, "encoder"))
-    stop = config.stop_words()
+    corpus, vocab, params = _load_trained(workdir, config)
     truth_path = _path(workdir, "truth")
     if truth_path.exists():
         truth = corpus_mod.load_truth(truth_path)
         dedup_pairs = corpus_mod.generate_dedup_pairs(corpus, truth, seed=97)
-        detector = recall_mod.train_dedup(dedup_pairs, vocab, params, stop)
+        detector = recall_mod.train_dedup(dedup_pairs, vocab, params)
         detector.save(_path(workdir, "dedup"))
     pairs_path = _path(workdir, "pairs")
     if pairs_path.exists():
         pairs = _load_pairs(workdir, corpus)
         if any(p.variant is not None for p in pairs):
-            variant_clf = rerank_mod.train_variant(pairs, corpus, vocab, params, stop)
+            variant_clf = rerank_mod.train_variant(pairs, corpus, vocab, params)
             variant_clf.save(_path(workdir, "variant"))
 
 
@@ -251,51 +267,48 @@ def _rank_config(config: Config) -> ranking.RankConfig:
 
 
 def step_train_rank(workdir, config: Config, pairs_name: str = "pairs"):
-    corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
-    vocab = Vocab.load(_path(workdir, "vocab"))
-    encoder = encoder_mod.load_encoder(_path(workdir, "encoder"))
+    corpus, vocab, encoder = _load_trained(workdir, config)
     pairs = _load_pairs(workdir, corpus, pairs_name)
     params, history = ranking.train_ranker(pairs, corpus, vocab, _rank_config(config),
-                                           encoder=encoder,
-                                           stop_words=config.stop_words())
+                                           encoder=encoder)
     ranking.save_ranker(params, _path(workdir, "ranker"))
     return params, history
 
 
 def step_clean(workdir, config: Config):
     """Confidence-learning cycle; retrains and saves the ranker on clean pairs."""
-    corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
-    vocab = Vocab.load(_path(workdir, "vocab"))
-    encoder = encoder_mod.load_encoder(_path(workdir, "encoder"))
+    corpus, vocab, encoder = _load_trained(workdir, config)
     pairs = _load_pairs(workdir, corpus)
     cl_cfg = conflearn.CleanConfig(
         folds=config.get_int("cl.folds"), seed=config.get_int("cl.seed"),
         retrain=_rank_config(config))
     eval_fn = _make_p5_eval(workdir, config, corpus, vocab, encoder, pairs)
     params, cleaned, report = conflearn.clean_and_retrain(
-        pairs, corpus, vocab, encoder, cl_cfg, eval_fn=eval_fn,
-        stop_words=config.stop_words())
+        pairs, corpus, vocab, encoder, cl_cfg, eval_fn=eval_fn)
     ranking.save_ranker(params, _path(workdir, "ranker"))
     corpus_mod.save_pairs(cleaned, _path(workdir, "pairs_clean"))
-    with open(_path(workdir, "cleaning"), "w", encoding="utf-8") as fh:
+    with atomic_write(_path(workdir, "cleaning")) as fh:
         fh.write(report.to_json())
     return params, cleaned, report
 
 
-def _make_p5_eval(workdir, config, corpus, vocab, encoder, pairs):
-    """P@5 evaluator against ground truth when available, else annotations."""
+def _relevant(workdir, corpus: Corpus, pairs) -> dict[str, set[str]]:
+    """Evaluation queries and their relevant ids: template mates against
+    ground truth when available, else annotated similars."""
     truth_path = _path(workdir, "truth")
     if truth_path.exists():
         truth = corpus_mod.load_truth(truth_path)
-        relevant = {ex_id: truth.mates(ex_id) for ex_id in _eval_query_ids(corpus)}
-    else:
-        relevant = {k: v for k, v in annotated_similars(pairs).items() if v}
-    recaller = Recaller.build(corpus, vocab, encoder,
-                              stop_words=config.stop_words(),
-                              config=_recall_config(config))
+        return {ex_id: truth.mates(ex_id) for ex_id in _eval_query_ids(corpus)}
+    return {k: v for k, v in annotated_similars(pairs).items() if v}
+
+
+def _make_p5_eval(workdir, config, corpus, vocab, encoder, pairs):
+    """P@5 evaluator against ground truth when available, else annotations."""
+    relevant = _relevant(workdir, corpus, pairs)
+    recaller = Recaller.build(corpus, vocab, encoder, config=_recall_config(config))
 
     def eval_fn(ranker_params) -> float:
-        ranker = ranking.Ranker(vocab, ranker_params, config.stop_words(), recaller.view)
+        ranker = ranking.Ranker(vocab, ranker_params, recaller.view)
         ranked = ranked_lists(recaller, ranker, corpus, list(relevant))
         values, _ = evaluate_precision(ranked, relevant, ks=(5,))
         return values[5]
@@ -321,11 +334,9 @@ def _recall_config(config: Config) -> RecallConfig:
 
 
 def step_export_embeddings(workdir, config: Config, out_path=None) -> Path:
-    corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
-    vocab = Vocab.load(_path(workdir, "vocab"))
-    params = encoder_mod.load_encoder(_path(workdir, "encoder"))
+    corpus, vocab, params = _load_trained(workdir, config)
     out = Path(out_path) if out_path else _path(workdir, "embeddings")
-    encoder_mod.export_embeddings(corpus, vocab, params, out, config.stop_words())
+    encoder_mod.export_embeddings(corpus, vocab, params, out)
     return out
 
 
@@ -356,14 +367,11 @@ def ranked_lists(recaller: Recaller, ranker: ranking.Ranker, corpus: Corpus,
 
 def step_eval(workdir, config: Config) -> EvalReport:
     """Recall@K over annotations plus P@1/3/5 after ranking; writes report.json."""
-    corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
-    vocab = Vocab.load(_path(workdir, "vocab"))
-    encoder = encoder_mod.load_encoder(_path(workdir, "encoder"))
+    corpus, vocab, encoder = _load_trained(workdir, config)
     pairs = _load_pairs(workdir, corpus)
     ranker_params = ranking.load_ranker(_path(workdir, "ranker"))
-    recaller = Recaller.build(corpus, vocab, encoder, stop_words=config.stop_words(),
-                              config=_recall_config(config))
-    ranker = ranking.Ranker(vocab, ranker_params, config.stop_words(), recaller.view)
+    recaller = Recaller.build(corpus, vocab, encoder, config=_recall_config(config))
+    ranker = ranking.Ranker(vocab, ranker_params, recaller.view)
 
     k_recall = config.get_int("eval.k_recall")
     annotated = {k: v for k, v in annotated_similars(pairs).items() if v}
@@ -371,13 +379,7 @@ def step_eval(workdir, config: Config) -> EvalReport:
     recall_value, per_seed = evaluate_recall(
         recall_lists(recaller, seed_ids, k_recall), annotated, k_recall)
 
-    truth_path = _path(workdir, "truth")
-    if truth_path.exists():
-        truth = corpus_mod.load_truth(truth_path)
-        query_ids = _eval_query_ids(corpus)
-        relevant = {q: truth.mates(q) for q in query_ids}
-    else:
-        relevant = annotated
+    relevant = _relevant(workdir, corpus, pairs)
     ks = tuple(int(k) for k in config.get_list("eval.ks"))
     values, per_query = evaluate_precision(
         ranked_lists(recaller, ranker, corpus, list(relevant)), relevant, ks)
@@ -385,7 +387,7 @@ def step_eval(workdir, config: Config) -> EvalReport:
     report = EvalReport(config_hash=config.hash(), k_recall=k_recall,
                         recall_at_k=recall_value, per_seed=per_seed,
                         precision_ks=ks, precision_at_k=values, per_query=per_query)
-    with open(_path(workdir, "report"), "w", encoding="utf-8") as fh:
+    with atomic_write(_path(workdir, "report")) as fh:
         fh.write(report.to_json())
     return report
 
@@ -414,18 +416,15 @@ class Pipeline:
         missing = [name for name in required if not _path(workdir, name).exists()]
         if missing:
             raise ConfigurationError([FILES[m] for m in missing])
-        corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
-        vocab = Vocab.load(_path(workdir, "vocab"))
-        encoder = encoder_mod.load_encoder(_path(workdir, "encoder"))
+        corpus, vocab, encoder = _load_trained(workdir, config)
         ranker_params = ranking.load_ranker(_path(workdir, "ranker"))
         if not ranker_params.trained:
             raise ConfigurationError([FILES["ranker"] + " (untrained)"])
-        stop = config.stop_words()
         # every exercise's text normalized and embedded once, shared by the
         # recall indexes, the dedup and variant heads and the ranker (which
         # embeds each row once more under its own backbone, here at load)
-        view = PreparedCorpus(corpus, vocab, encoder, stop)
-        featurizer = PairFeaturizer(vocab, encoder, stop, view)
+        view = PreparedCorpus(corpus, vocab, encoder)
+        featurizer = PairFeaturizer(vocab, encoder, view)
         dedup = None
         if _path(workdir, "dedup").exists():
             dedup = recall_mod.DuplicateDetector.load(
@@ -436,7 +435,7 @@ class Pipeline:
             variant_clf = VariantClassifier.load(
                 _path(workdir, "variant"), featurizer,
                 threshold=config.get_float("rerank.variant_threshold"))
-        recaller = Recaller.build(corpus, vocab, encoder, dedup=dedup, stop_words=stop,
+        recaller = Recaller.build(corpus, vocab, encoder, dedup=dedup,
                                   config=_recall_config(config), view=view)
         versions = {}
         for name in FILES:
@@ -444,7 +443,7 @@ class Pipeline:
             if p.exists() and name not in ("report", "cleaning", "embeddings"):
                 versions[name] = file_digest(p)
         return cls(corpus=corpus, vocab=vocab, encoder=encoder, recaller=recaller,
-                   ranker=ranking.Ranker(vocab, ranker_params, stop, view),
+                   ranker=ranking.Ranker(vocab, ranker_params, view),
                    variant_clf=variant_clf, config=config, versions=versions,
                    cache_size=config.get_int("cache.size"))
 
@@ -492,7 +491,7 @@ class Pipeline:
 
     def _compute(self, exercise: Exercise,
                  profile: Optional[StudentProfile]) -> RerankedResult:
-        query = PreparedQuery(exercise, self.vocab, self.recaller.stop_words)
+        query = PreparedQuery(exercise, self.vocab)
         candidates = self.recaller.recall(query)
         ranked = self.ranker.rank(query, candidates, self.corpus)
         return rerank_mod.rerank(

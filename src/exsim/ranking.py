@@ -49,10 +49,11 @@ from .corpus import Corpus, Exercise, LabeledPair
 from .encoder import (EncoderParams, TrainingDivergedError, embed_text_batch,
                       embed_text_batch_backward, softmax_cross_entropy)
 from .pairclf import (CodeTable, PairFeaturizer, PreparedCorpus, UntrainedModelError,
-                      edit_similarities, pad_codes, pair_feature_rows)
+                      edit_similarities, pad_codes, pair_feature_rows, text_tokens)
 from .recall import Candidate
 from .snapshots import SnapshotFormatError, load_arrays, save_arrays
-from .textnorm import Vocab, normalize_text, split_tokens
+# normalize_text stays bound, unused: perfbench's tracer wraps it where imported
+from .textnorm import Vocab, normalize_text  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -174,7 +175,7 @@ def load_ranker(path) -> RankerParams:
 class TaskBuilder:
     """Expands labeled pairs into task instances over a tokenized corpus."""
 
-    def __init__(self, corpus: Corpus, vocab: Vocab, stop_words: Iterable[str] = ()):
+    def __init__(self, corpus: Corpus, vocab: Vocab):
         self.corpus = corpus
         self.stems: dict[str, tuple[int, ...]] = {}
         self.analyses: dict[str, tuple[int, ...]] = {}
@@ -186,7 +187,7 @@ class TaskBuilder:
         for ex in corpus:
             self.row_of[ex.id] = len(codes)
             for side, text in ((self.stems, ex.text), (self.analyses, ex.answer_analysis)):
-                tokens = split_tokens(normalize_text(text, stop_words)[0])
+                tokens = text_tokens(text, vocab)
                 side[ex.id] = tuple(vocab.id_of(t) for t in tokens)
                 self.texts.append(side[ex.id])
                 codes.append(table.encode(tokens))
@@ -283,10 +284,9 @@ class TaskBuilder:
 
 
 def build_task_instances(pair: LabeledPair, corpus: Corpus, vocab: Vocab,
-                         seed: int = 0,
-                         stop_words: Iterable[str] = ()) -> list[TaskInstance]:
+                         seed: int = 0) -> list[TaskInstance]:
     """One-shot instance construction for a single pair (tests, inspection)."""
-    builder = TaskBuilder(corpus, vocab, stop_words)
+    builder = TaskBuilder(corpus, vocab)
     return builder.build(pair, np.random.default_rng(seed))
 
 
@@ -461,8 +461,7 @@ class RankConfig:
 def train_ranker(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab,
                  config: RankConfig = RankConfig(),
                  encoder: Optional[EncoderParams] = None,
-                 init: Optional[RankerParams] = None,
-                 stop_words: Iterable[str] = ()):
+                 init: Optional[RankerParams] = None):
     """Train the multi-task ranker; returns (params, history).
 
     The shared backbone starts from the pre-trained encoder when given.
@@ -481,7 +480,7 @@ def train_ranker(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab,
         params = RankerParams.init(encoder, seed=config.seed)
     fixed_alpha = dict(zip(TASKS, config.alpha))
 
-    builder = TaskBuilder(corpus, vocab, stop_words)
+    builder = TaskBuilder(corpus, vocab)
     build_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 5]))
     per_pair = builder.build_all(pairs, build_rng, tasks)
 
@@ -525,24 +524,22 @@ def _mean_dicts(dicts: list[dict[str, float]]) -> dict[str, float]:
 class Ranker:
     """Scores exercise pairs with the trained stem-stem head.
 
-    ``view``, when given, must be prepared with this ranker's vocab and stop
-    words; every exercise's row under the ranker's backbone is computed from
-    it once, here. An exercise that is one of its objects is read from it,
-    any other (a probe, or an equal id) is prepared from its own text, with
-    the same result bit for bit.
+    ``view``, when given, must be prepared with this ranker's vocab; every
+    exercise's row under the ranker's backbone is computed from it once,
+    here. An exercise that is one of its objects is read from it, any other
+    (a probe, or an equal id) is prepared from its own text, with the same
+    result bit for bit.
     """
 
     vocab: Vocab
     params: RankerParams
-    stop_words: tuple[str, ...] = ()
     view: Optional[PreparedCorpus] = None
 
     def __post_init__(self):
-        self.stop_words = tuple(self.stop_words)
         if self.view is not None:
-            self.view.check(self.vocab, self.stop_words)
+            self.view.check(self.vocab)
         self.featurizer = PairFeaturizer(
-            self.vocab, self.params, self.stop_words,
+            self.vocab, self.params,
             self.view.embedded_with(self.params) if self.view is not None else None)
 
     def _check_trained(self):

@@ -52,12 +52,11 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .corpus import Corpus, Exercise
-# embed_text and normalize_text are unused here but stay bound: perfbench's
-# tracer wraps them in every module that imports them
+# embed_text stays bound, unused: perfbench's tracer wraps it where imported
 from .encoder import EncoderParams, embed_corpus, embed_text, embed_text_batch  # noqa: F401
 from .pairclf import (PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery,
-                      UntrainedModelError, pair_feature_rows, text_tokens)
-from .textnorm import Vocab, normalize_text  # noqa: F401
+                      UntrainedModelError, pair_feature_rows)
+from .textnorm import Vocab, normalize_text, split_tokens
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -211,10 +210,12 @@ class LexicalIndex:
     def build(cls, corpus: Corpus, stop_words: Iterable[str] = (),
               concept_boost: float = 0.5,
               view: Optional[PreparedCorpus] = None) -> "LexicalIndex":
-        """Index ``corpus``; ``view``, when given, holds it in order and its
-        token lists are indexed instead of normalizing the texts again."""
+        """Index ``corpus`` normalized with ``stop_words``; ``view``, when
+        given, holds it in order and its token lists are indexed instead of
+        normalizing the texts again."""
         token_lists = (view.tokens if view is not None
-                       else [text_tokens(ex.text, stop_words) for ex in corpus])
+                       else [split_tokens(normalize_text(ex.text, stop_words)[0])
+                             for ex in corpus])
         concept_sets = [frozenset(ex.metadata.knowledge_concepts) for ex in corpus]
         return cls(corpus.ids, token_lists, concept_sets, concept_boost)
 
@@ -273,12 +274,11 @@ class VectorIndex:
 
     @classmethod
     def build(cls, corpus: Corpus, vocab: Vocab, params: EncoderParams,
-              stop_words: Iterable[str] = (),
               view: Optional[PreparedCorpus] = None) -> "VectorIndex":
         """``embed_corpus`` rows of ``corpus``; ``view``, when given, holds it
         in order and its vocabulary ids are embedded instead (same bits)."""
         if view is None:
-            return cls(*embed_corpus(corpus, vocab, params, stop_words))
+            return cls(*embed_corpus(corpus, vocab, params))
         seqs = [view.vocab_ids(row) for row in range(len(view.exercises))]
         return cls(embed_text_batch(seqs, params)[0], corpus.ids)
 
@@ -374,11 +374,6 @@ class DuplicateDetector:
         p_ba = self.classifier.prob_rows(pair_feature_rows(v, u, sims))
         return (p_ab + p_ba) / 2.0
 
-    def is_duplicate(self, ex_a: Exercise, ex_b: Exercise,
-                     u: Optional[np.ndarray] = None,
-                     v: Optional[np.ndarray] = None) -> bool:
-        return self.prob(ex_a, ex_b, u, v) >= self.threshold
-
     def save(self, path) -> None:
         self.classifier.save(path, "dedup")
 
@@ -391,12 +386,11 @@ class DuplicateDetector:
 
 def train_dedup(dedup_pairs: Sequence[tuple[Exercise, Exercise, int]],
                 vocab: Vocab, params: EncoderParams,
-                stop_words: Iterable[str] = (),
                 threshold: float = 0.5) -> DuplicateDetector:
     """Fit the dedup classifier; each pair is fed in both argument orders."""
     if not dedup_pairs:
         raise UntrainedModelError("no duplicate-labeled pairs to train on")
-    featurizer = PairFeaturizer(vocab, params, tuple(stop_words))
+    featurizer = PairFeaturizer(vocab, params)
     feats = featurizer.both_orders([(a, b) for a, b, _ in dedup_pairs])
     labels = np.repeat([label for _, _, label in dedup_pairs], 2)
     clf = PairClassifier.train(feats, labels)
@@ -417,44 +411,41 @@ class Recaller:
     lexical: LexicalIndex
     vector: VectorIndex
     dedup: Optional[DuplicateDetector] = None
-    stop_words: tuple[str, ...] = ()
     config: RecallConfig = field(default_factory=RecallConfig)
     view: Optional[PreparedCorpus] = None
 
     @classmethod
     def build(cls, corpus: Corpus, vocab: Vocab, params: EncoderParams,
               dedup: Optional[DuplicateDetector] = None,
-              stop_words: Iterable[str] = (),
               config: Optional[RecallConfig] = None,
               view: Optional[PreparedCorpus] = None) -> "Recaller":
         """Both indexes from ``view``, which must hold ``corpus`` in order,
-        prepared with ``vocab``, ``params`` and ``stop_words``; without one,
-        a view is prepared here."""
+        prepared with ``vocab`` and ``params``; without one, a view is
+        prepared here."""
         config = config or RecallConfig()
-        stop_words = tuple(stop_words)
         if view is None:
-            view = PreparedCorpus(corpus, vocab, params, stop_words)
-        view.check(vocab, stop_words)
+            view = PreparedCorpus(corpus, vocab, params)
+        view.check(vocab)
         if (len(view.exercises) != len(corpus)
                 or any(a is not b for a, b in zip(view.exercises, corpus))):
             raise ValueError("prepared corpus does not hold this corpus in order")
         return cls(
             corpus=corpus, vocab=vocab, params=params,
-            lexical=LexicalIndex.build(corpus, stop_words, config.concept_boost, view),
-            vector=VectorIndex.build(corpus, vocab, params, stop_words, view),
-            dedup=dedup, stop_words=stop_words, config=config, view=view)
+            lexical=LexicalIndex.build(corpus, concept_boost=config.concept_boost, view=view),
+            vector=VectorIndex.build(corpus, vocab, params, view),
+            dedup=dedup, config=config, view=view)
 
     def query_embedding(self, query) -> np.ndarray:
         """The encoder embedding of ``query`` (an ``Exercise`` or a
         ``PreparedQuery``)."""
-        return PreparedQuery.of(query, self.vocab, self.stop_words).embedding(self.params)
+        return PreparedQuery.of(query, self.vocab).embedding(self.params)
 
     def recall(self, query) -> list[Candidate]:
         """Merged, deduplicated candidates of ``query`` (an ``Exercise`` or a
         ``PreparedQuery``, which then carries the dedup edit similarities on
         to the later stages)."""
         cfg = self.config
-        query = PreparedQuery.of(query, self.vocab, self.stop_words)
+        query = PreparedQuery.of(query, self.vocab)
         query_id = query.exercise.id
         exact = self.lexical.search(query.tokens, query.concepts, cfg.k_exact,
                                     exclude_id=query_id)
@@ -468,9 +459,6 @@ class Recaller:
         if self.dedup is None or not merged:
             return merged
         others = [self.corpus[c.ex_id] for c in merged]
-        rows = [self.vector.row_of.get(c.ex_id) for c in merged]
-        v = np.stack([self.vector.matrix[row] if row is not None
-                      else self.dedup.featurizer.embedding(ex)
-                      for row, ex in zip(rows, others)])
+        v = self.vector.matrix[[self.vector.row_of[c.ex_id] for c in merged]]
         probs = self.dedup.prob_many(query, others, q_vec, v)
         return [c for c, p in zip(merged, probs.tolist()) if p < cfg.dedup_threshold]

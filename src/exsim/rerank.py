@@ -31,7 +31,7 @@ kept in the query cache, so per-item objects are only built on access.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -214,13 +214,12 @@ class VariantClassifier:
 
 
 def train_variant(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab,
-                  params: EncoderParams, stop_words: Iterable[str] = (),
-                  threshold: float = 0.5) -> VariantClassifier:
+                  params: EncoderParams, threshold: float = 0.5) -> VariantClassifier:
     """Fit on the variant-flagged labeled pairs (variant=1, plain-similar=0)."""
     flagged = [p for p in pairs if p.variant is not None]
     if not flagged:
         raise UntrainedModelError("no variant-flagged pairs to train on")
-    featurizer = PairFeaturizer(vocab, params, tuple(stop_words))
+    featurizer = PairFeaturizer(vocab, params)
     feats = featurizer.both_orders([(corpus[p.a_id], corpus[p.b_id]) for p in flagged])
     labels = np.repeat([1 if p.variant == VARIANT else 0 for p in flagged], 2)
     clf = PairClassifier.train(feats, labels)

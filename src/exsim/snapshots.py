@@ -3,8 +3,10 @@
 Layout: magic line, little-endian uint32 header length, JSON header (kind,
 metadata, array names and shapes), then each array as raw little-endian
 float64 bytes in header order. Loading verifies the magic, the kind and the
-exact byte count, so truncation and format drift fail loudly. Saving is
-atomic: a write that fails leaves the previous file as it was.
+exact byte count, so truncation and format drift fail loudly.
+
+Every workspace artifact, snapshot or not, is written through
+:func:`atomic_write`: a write that fails leaves the previous file as it was.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import hashlib
 import json
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,28 +27,35 @@ class SnapshotFormatError(ValueError):
     pass
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temporary file beside ``path`` for writing (text is UTF-8) and
+    rename it over ``path`` once the block completes; on failure the
+    temporary file is removed and ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_arrays(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write a snapshot to a temporary file beside ``path``, then rename it
-    over ``path``; on failure the temporary file is removed."""
     header = json.dumps({
         "version": 1,
         "kind": kind,
         "meta": meta,
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
     }, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
-            for v in arrays.values():
-                fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<I", len(header)))
+        fh.write(header)
+        for v in arrays.values():
+            fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
 
 
 def load_arrays(path, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]]:

@@ -7,11 +7,13 @@ The normalization pipeline applied before any matching or embedding:
    (:mod:`exsim.formula`),
 3. lowercase and split into word / number / single-character tokens.
 
-All functions here are pure; a built :class:`Vocab` is immutable.
+All functions here are pure; a built :class:`Vocab` is immutable and owns
+the stop words every text mapped through it is normalized with.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -20,6 +22,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .formula import normalize_formula
+from .snapshots import atomic_write
 
 PAD_ID = 0
 UNK_ID = 1
@@ -29,6 +32,8 @@ RESERVED_TOKENS = ("<pad>", "<unk>", "<sep>")
 _SCRIPT_STYLE_RE = re.compile(r"<(script|style)\b[^>]*>.*?</\1\s*>", re.I | re.S)
 _TAG_RE = re.compile(r"<[^>]*>")
 _TOKEN_RE = re.compile(r"[a-z]+|\d+(?:\.\d+)?|\S")
+# first line of a saved vocabulary; it holds a space, which no token does
+_STOP_WORDS_HEADER = "<stop words> "
 
 
 def _formula_segments(text: str):
@@ -60,13 +65,18 @@ def clean_text(raw: str, stop_words: Iterable[str] = ()) -> str:
     """
     text = _SCRIPT_STYLE_RE.sub(" ", raw)
     text = _TAG_RE.sub(" ", text)
-    stop = sorted({w for w in stop_words if w})
+    stop = canonical_stop_words(stop_words)
     if stop:
         pattern = re.compile(r"\b(?:" + "|".join(re.escape(w) for w in stop) + r")\b",
                              re.IGNORECASE)
         text = "".join(seg if is_formula else pattern.sub(" ", seg)
                        for is_formula, seg in _formula_segments(text))
     return " ".join(text.split())
+
+
+def canonical_stop_words(stop_words: Iterable[str]) -> tuple[str, ...]:
+    """Distinct non-empty stop words, sorted: equal exactly when they act alike."""
+    return tuple(sorted({w for w in stop_words if w}))
 
 
 def normalize_text(raw: str, stop_words: Iterable[str] = ()) -> tuple[str, int]:
@@ -91,23 +101,29 @@ def normalize_text(raw: str, stop_words: Iterable[str] = ()) -> tuple[str, int]:
 
 
 class Vocab:
-    """Token to id map with reserved PAD/UNK/SEP ids and stable ordering."""
+    """Token to id map with reserved PAD/UNK/SEP ids and stable ordering,
+    plus the stop words of the texts it maps (``canonical_stop_words``)."""
 
-    def __init__(self, tokens: Sequence[str]):
+    def __init__(self, tokens: Sequence[str], stop_words: Iterable[str] = ()):
         self._id_to_token = list(RESERVED_TOKENS) + list(tokens)
         self._token_to_id = {t: i for i, t in enumerate(self._id_to_token)}
         if len(self._token_to_id) != len(self._id_to_token):
             raise ValueError("vocabulary contains duplicate tokens")
+        if any(t.split() != [t] for t in tokens):
+            raise ValueError("a token is empty or holds whitespace")
+        self.stop_words = canonical_stop_words(stop_words)
 
     @classmethod
-    def build(cls, texts: Iterable[str], min_count: int = 1) -> "Vocab":
-        """Count tokens over normalized texts; order by count desc, then token."""
+    def build(cls, texts: Iterable[str], min_count: int = 1,
+              stop_words: Iterable[str] = ()) -> "Vocab":
+        """Count tokens over texts normalized with ``stop_words``; order by
+        count desc, then token."""
         counts = Counter()
         for text in texts:
             counts.update(split_tokens(text))
         kept = sorted((t for t, c in counts.items() if c >= min_count),
                       key=lambda t: (-counts[t], t))
-        return cls(kept)
+        return cls(kept, stop_words)
 
     def __len__(self) -> int:
         return len(self._id_to_token)
@@ -125,15 +141,23 @@ class Vocab:
         return [self._id_to_token[i] for i in ids]
 
     def save(self, path) -> None:
-        """One non-reserved token per line; line number + reserved count = id."""
-        with open(path, "w", encoding="utf-8") as fh:
+        """A header line with the stop words, then one non-reserved token per
+        line: line number after the header + reserved count = id."""
+        with atomic_write(path) as fh:
+            fh.write(_STOP_WORDS_HEADER + json.dumps(list(self.stop_words)) + "\n")
             for token in self._id_to_token[len(RESERVED_TOKENS):]:
                 fh.write(token + "\n")
 
     @classmethod
     def load(cls, path) -> "Vocab":
+        """Read a saved vocabulary; one without the header line has no stop
+        words."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
+            lines = [line.rstrip("\n") for line in fh]
+        stop_words = []
+        if lines and lines[0].startswith(_STOP_WORDS_HEADER):
+            stop_words = json.loads(lines.pop(0)[len(_STOP_WORDS_HEADER):])
+        return cls([line for line in lines if line], stop_words)
 
 
 @dataclass(frozen=True)

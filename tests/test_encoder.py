@@ -125,7 +125,7 @@ def test_metadata_loss_uniform_prediction_is_log_classes():
     e = rand_unit(np.random.default_rng(1), 3, params.d)
     from exsim.textnorm import MetadataEncoding
     targets = [MetadataEncoding(np.eye(4)[0], np.eye(4)[1], np.full(5, 0.2))]
-    total, parts, _, _ = enc.metadata_task_loss(e[:1], targets, params)
+    parts, _, _ = enc.metadata_task_loss(e[:1], targets, params)
     assert parts["type"] == pytest.approx(math.log(4), rel=1e-9)
     assert parts["difficulty"] == pytest.approx(math.log(4), rel=1e-9)
     # uniform concept target over the whole dictionary: loss equals entropy
@@ -140,7 +140,7 @@ def test_metadata_loss_minimum_is_target_entropy():
     e = np.array([[1.0, 0.0]])
     from exsim.textnorm import MetadataEncoding
     targets = [MetadataEncoding(np.eye(3)[0], np.eye(4)[0], np.full(5, 0.2))]
-    _, parts, _, _ = enc.metadata_task_loss(e, targets, params)
+    parts, _, _ = enc.metadata_task_loss(e, targets, params)
     assert parts["type"] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -181,7 +181,7 @@ def test_full_pretrain_step_gradients():
         stem, _ = enc.embed_text_batch([e.stem_ids for e in batch], params)
         ana, _ = enc.embed_text_batch([e.analysis_ids for e in batch], params)
         total = cfg.w_contrastive * enc.infonce_inbatch(stem, ana, cfg.tau)[0]
-        _, parts, _, _ = enc.metadata_task_loss(stem, [e.meta for e in batch], params)
+        parts, _, _ = enc.metadata_task_loss(stem, [e.meta for e in batch], params)
         total += (cfg.w_type * parts["type"] + cfg.w_difficulty * parts["difficulty"]
                   + cfg.w_concept * parts["concept"])
         owners, feats = [], []

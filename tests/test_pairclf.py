@@ -226,7 +226,7 @@ def test_query_pairs_codes_tell_oov_tokens_apart(query_words, corpus_words):
     corpus = [exercise(f"e{i}", " ".join(w)) for i, w in enumerate(corpus_words)]
     query = exercise("q", " ".join(query_words))
     expected = [reference_similarity(query_words, w) for w in corpus_words]
-    with_view = PairFeaturizer(VOCAB, PARAMS, (), PreparedCorpus(corpus, VOCAB, PARAMS))
+    with_view = PairFeaturizer(VOCAB, PARAMS, PreparedCorpus(corpus, VOCAB, PARAMS))
     without_view = PairFeaturizer(VOCAB, PARAMS)
     for feat in (with_view, without_view):
         _, _, sims = feat.query_pairs(query, corpus)
@@ -236,7 +236,7 @@ def test_query_pairs_codes_tell_oov_tokens_apart(query_words, corpus_words):
 def test_unk_tokens_that_differ_as_strings_are_an_edit():
     assert VOCAB.id_of("xy") == VOCAB.id_of("zq") == UNK_ID
     view = PreparedCorpus([exercise("e", "ab zq")], VOCAB, PARAMS)
-    feat = PairFeaturizer(VOCAB, PARAMS, (), view)
+    feat = PairFeaturizer(VOCAB, PARAMS, view)
     sims = [feat.query_pairs(exercise("q", text), view.exercises)[2][0]
             for text in ("ab xy", "ab zq")]
     assert sims == [0.5, 1.0]
@@ -322,10 +322,10 @@ def test_prepared_query_is_embedded_once_per_backbone(monkeypatch):
 
 
 def test_prepared_query_refuses_another_preparation():
-    query = PreparedQuery(exercise("q", "ab"), VOCAB, ("the",))
+    query = PreparedQuery(exercise("q", "ab"), Vocab(["ab", "cd", "ef"], ("the",)))
     with pytest.raises(ValueError, match="prepared query"):
         PreparedQuery.of(query, VOCAB)
     with pytest.raises(ValueError, match="prepared query"):
-        PreparedQuery.of(query, Vocab(["ab", "cd", "ef"]), ("the",))
+        PreparedQuery.of(query, Vocab(["ab", "cd", "ef"], ("the",)))
     with pytest.raises(ValueError, match="prepared query"):
         PairFeaturizer(VOCAB, PARAMS).query_pairs(query, [exercise("a", "ab")])

@@ -107,8 +107,7 @@ def test_load_indexes_the_current_encoder(workspace, tmp_path):
     pl.step_finetune(workdir, retrain)
     pipe = pl.Pipeline.load(workdir, retrain)
     current = VectorIndex.build(corpus, pipe.vocab,
-                                load_encoder(workdir / pl.FILES["encoder"]),
-                                retrain.stop_words())
+                                load_encoder(workdir / pl.FILES["encoder"]))
     assert not np.array_equal(current.matrix, before)
     assert np.array_equal(pipe.recaller.vector.matrix, current.matrix)
     assert pipe.query(corpus.ids[5]).all_ids()
@@ -169,7 +168,7 @@ def variant_reference(variant_clf, query, candidate):
 def reference_query(pipe, query, profile=None):
     """The served (id, score, variant_prob) list, one pair at a time."""
     rec = pipe.recaller
-    tokens = split_tokens(normalize_text(query.text, rec.stop_words)[0])
+    tokens = split_tokens(normalize_text(query.text, pipe.vocab.stop_words)[0])
     q_vec = rec.query_embedding(query)
     exact = rec.lexical.search(tokens, frozenset(query.metadata.knowledge_concepts),
                                rec.config.k_exact, exclude_id=query.id)
@@ -179,7 +178,7 @@ def reference_query(pipe, query, profile=None):
             or dedup_reference(rec.dedup, query, pipe.corpus[c.ex_id], q_vec,
                                rec.vector.matrix[rec.vector.row_of[c.ex_id]])
             < rec.config.dedup_threshold]
-    plain_ranker = Ranker(pipe.vocab, pipe.ranker.params, pipe.ranker.stop_words)
+    plain_ranker = Ranker(pipe.vocab, pipe.ranker.params)
     ranked = plain_ranker.rank(query, kept, pipe.corpus)
     if profile is not None:
         ranked = personalize_filter(stage_filter(ranked, profile, pipe.corpus),
@@ -317,3 +316,46 @@ def test_scores_equal_per_pair_without_dedup(workspace, tmp_path, kind, profile)
     result = pipe.query(request, profile)
     assert result.all_ids()
     assert served_items(result) == reference_query(pipe, pipe.resolve(request), profile)
+
+
+# ---------------------------------------------------------------------------
+# stop words: the vocabulary owns them
+
+@pytest.fixture(scope="module")
+def stop_workspace(tmp_path_factory):
+    """The serving build steps over the tiny bank with stop words set; both
+    words occur in every stem."""
+    workdir = tmp_path_factory.mktemp("stop-workspace")
+    config = pl.Config({**CONFIG, "stopwords": "the,of"})
+    corpus, _, _ = pl.step_synth(workdir, TINY)
+    for step in (pl.step_pretrain, pl.step_finetune, pl.step_index, pl.step_train_rank):
+        step(workdir, config)
+    return workdir, config, corpus
+
+
+@pytest.mark.parametrize("profile", [None, PROFILE])
+@pytest.mark.parametrize("kind", ["corpus", "probe"])
+def test_stop_words_reach_every_stage(stop_workspace, kind, profile):
+    workdir, config, corpus = stop_workspace
+    pipe = pl.Pipeline.load(workdir, config)
+    assert pipe.vocab.stop_words == ("of", "the")
+    assert "the" not in pipe.vocab and "of" not in pipe.vocab
+    request = request_of(pipe, corpus, kind)
+    query = pipe.resolve(request)
+    assert {"the", "of"} <= set(split_tokens(query.text))
+    assert not {"the", "of"} & set(pairclf.PreparedQuery(query, pipe.vocab).tokens)
+    result = pipe.query(request, profile)
+    assert result.variant and result.similar
+    assert served_items(result) == reference_query(pipe, query, profile)
+
+
+def test_a_stop_word_mismatch_is_refused(stop_workspace):
+    workdir, _, _ = stop_workspace
+    plain = pl.Config({**CONFIG, "stopwords": ""})
+    with pytest.raises(pl.ConfigurationError, match="step_pretrain"):
+        pl.Pipeline.load(workdir, plain)
+    with pytest.raises(pl.ConfigurationError, match="step_pretrain"):
+        pl.step_train_rank(workdir, plain)
+    # the same words in another order are the same stop words
+    reordered = pl.Config({**CONFIG, "stopwords": "of, the"})
+    assert pl.Pipeline.load(workdir, reordered).vocab.stop_words == ("of", "the")

@@ -288,7 +288,7 @@ def test_score_pairs_equal_from_view_and_from_own_text(tiny_setup):
     query = dataclasses.replace(corpus[corpus.ids[7]], id="probe",
                                 stem=corpus[corpus.ids[7]].stem + " oovb")
     others = [exs[4], exs[2], exs[0], exs[3]]  # a reordered subset of the view
-    with_view = rk.Ranker(vocab, params, (), PreparedCorpus(exs, vocab, encoder))
+    with_view = rk.Ranker(vocab, params, PreparedCorpus(exs, vocab, encoder))
     without_view = rk.Ranker(vocab, params)
     assert with_view.featurizer.view.rows(others) is not None
     got = with_view.score_pairs(query, others).tolist()

@@ -374,9 +374,9 @@ def test_indexes_built_from_a_view_equal_those_built_from_text(medium_synth):
     stop = ("the", "of")
     vocab = build_vocab(corpus, stop)
     params = init_params(corpus, vocab, d=12, seed=0)
-    view = PreparedCorpus(corpus, vocab, params, stop)
-    vector = VectorIndex.build(corpus, vocab, params, stop, view)
-    assert np.array_equal(vector.matrix, embed_corpus(corpus, vocab, params, stop)[0])
+    view = PreparedCorpus(corpus, vocab, params)
+    vector = VectorIndex.build(corpus, vocab, params, view)
+    assert np.array_equal(vector.matrix, embed_corpus(corpus, vocab, params)[0])
     assert vector.ids == corpus.ids
     lexical = LexicalIndex.build(corpus, stop, 0.7, view)
     plain = LexicalIndex.build(corpus, stop, 0.7)
@@ -387,7 +387,7 @@ def test_indexes_built_from_a_view_equal_those_built_from_text(medium_synth):
         assert got.idf == want.idf
         for field in ("rows", "tf", "denom"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), (t, field)
-    recaller = Recaller.build(corpus, vocab, params, stop_words=stop, view=view)
+    recaller = Recaller.build(corpus, vocab, params, view=view)
     assert recaller.view is view
     assert np.array_equal(recaller.vector.matrix, vector.matrix)
 
@@ -399,6 +399,6 @@ def test_recaller_refuses_a_view_of_another_corpus(medium_synth):
     shuffled = PreparedCorpus(list(corpus)[::-1], vocab, params)
     with pytest.raises(ValueError, match="in order"):
         Recaller.build(corpus, vocab, params, view=shuffled)
-    with pytest.raises(ValueError, match="stop words"):
-        Recaller.build(corpus, vocab, params, stop_words=("the",),
+    with pytest.raises(ValueError, match="another vocab"):
+        Recaller.build(corpus, build_vocab(corpus, ("the",)), params,
                        view=PreparedCorpus(corpus, vocab, params))

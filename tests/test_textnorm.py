@@ -88,16 +88,43 @@ def test_vocab_reserved_ids():
 
 
 def test_vocab_save_load(tmp_path):
-    vocab = Vocab.build(["alpha beta beta", "gamma"])
-    path = tmp_path / "vocab.txt"
-    vocab.save(path)
+    for stop_words in ((), ("the", "find the", "the")):
+        vocab = Vocab.build(["alpha beta beta", "gamma"], stop_words=stop_words)
+        assert vocab.stop_words == tuple(sorted(set(stop_words)))
+        path = tmp_path / "vocab.txt"
+        vocab.save(path)
+        loaded = Vocab.load(path)
+        assert len(loaded) == len(vocab)
+        assert loaded.stop_words == vocab.stop_words
+        for tok in ("alpha", "beta", "gamma"):
+            assert loaded.id_of(tok) == vocab.id_of(tok)
+        # a header line that is no token, then line number = id offset by
+        # the reserved count
+        lines = path.read_text().splitlines()
+        assert lines[0] not in vocab
+        assert vocab.id_of(lines[1]) == 3
+    # a file written before the header existed loads with no stop words
+    path.write_text("beta\nalpha\n", encoding="utf-8")
     loaded = Vocab.load(path)
-    assert len(loaded) == len(vocab)
-    for tok in ("alpha", "beta", "gamma"):
-        assert loaded.id_of(tok) == vocab.id_of(tok)
-    # line number = id offset by the reserved count
-    lines = path.read_text().splitlines()
-    assert vocab.id_of(lines[0]) == 3
+    assert loaded.stop_words == ()
+    assert loaded.id_of("beta") == 3 and loaded.id_of("alpha") == 4
+
+
+def test_vocab_refuses_a_token_with_whitespace():
+    for token in ("", "find the", "x\n"):
+        with pytest.raises(ValueError, match="whitespace"):
+            Vocab([token])
+
+
+def test_failed_vocab_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "vocab.txt"
+    Vocab(["alpha"], ("the",)).save(path)
+    before = path.read_bytes()
+    # the first token is written, then a lone surrogate cannot be encoded
+    with pytest.raises(UnicodeEncodeError):
+        Vocab(["beta", "\ud800"]).save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
 
 
 CONCEPTS = tuple(f"c{i:02d}" for i in range(10))
