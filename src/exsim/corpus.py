@@ -17,20 +17,17 @@ from __future__ import annotations
 
 import itertools
 import json
-import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .snapshots import atomic_write
+from .snapshots import atomic_write, load_arrays, save_arrays
 
 SIMILAR = "similar"
 DISSIMILAR = "dissimilar"
 VARIANT = "variant"
 PLAIN_SIMILAR = "plain-similar"
-
-_SNAPSHOT_MAGIC = b"EXSIMCORP1\n"
 
 EXERCISE_FIELDS = (
     "id", "stem", "options", "answer", "analysis", "image_features",
@@ -40,10 +37,6 @@ EXERCISE_FIELDS = (
 
 class CorpusError(ValueError):
     """Raised when a corpus file or record violates the schema."""
-
-
-class SnapshotError(ValueError):
-    """Raised when a snapshot file is unreadable, truncated or version mismatched."""
 
 
 @dataclass(frozen=True)
@@ -229,8 +222,9 @@ class SyntheticSpec:
     seed: int = 7
 
     def __post_init__(self):
-        if self.n_templates < 1 or self.per_template < 2:
-            raise ValueError("need at least 1 template with 2 exercises each")
+        if self.n_templates < 2 or self.per_template < 2:
+            # dissimilar pairs are drawn across two templates
+            raise ValueError("need at least 2 templates with 2 exercises each")
         if not 0.0 <= self.noise_rate < 0.5:
             raise ValueError("noise_rate must be in [0, 0.5)")
         if self.vocab_size < 50:
@@ -295,52 +289,20 @@ def save_corpus_jsonl(corpus: Corpus, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot persistence: versioned header + length-prefixed records
+# Snapshot persistence: the shared snapshot format, records in its header
 
 def save_snapshot(corpus: Corpus, path) -> None:
-    header = json.dumps({
-        "version": 1,
-        "count": len(corpus),
+    save_arrays(path, "corpus", {
         "levels": corpus.levels,
         "d_img": corpus.d_img,
-    }).encode("utf-8")
-    with atomic_write(path, "wb") as fh:
-        fh.write(_SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for ex in corpus:
-            rec = json.dumps(ex.to_record(), ensure_ascii=False).encode("utf-8")
-            fh.write(struct.pack("<I", len(rec)))
-            fh.write(rec)
+        "exercises": [ex.to_record() for ex in corpus],
+    }, {})
 
 
 def load_snapshot(path) -> Corpus:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_SNAPSHOT_MAGIC))
-        if magic != _SNAPSHOT_MAGIC:
-            raise SnapshotError(f"{path}: not a corpus snapshot (bad magic/version)")
-        header = json.loads(_read_exact(fh, _read_len(fh, path), path))
-        exercises = []
-        for _ in range(header["count"]):
-            rec = json.loads(_read_exact(fh, _read_len(fh, path), path))
-            exercises.append(Exercise.from_record(rec))
-        if fh.read(1):
-            raise SnapshotError(f"{path}: trailing bytes after last record")
-    return Corpus(exercises, levels=header["levels"], d_img=header["d_img"])
-
-
-def _read_len(fh, path) -> int:
-    raw = fh.read(4)
-    if len(raw) != 4:
-        raise SnapshotError(f"{path}: truncated snapshot (incomplete length prefix)")
-    return struct.unpack("<I", raw)[0]
-
-
-def _read_exact(fh, n: int, path) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise SnapshotError(f"{path}: truncated snapshot (short record)")
-    return raw
+    meta, _ = load_arrays(path, "corpus")
+    return Corpus([Exercise.from_record(rec) for rec in meta["exercises"]],
+                  levels=meta["levels"], d_img=meta["d_img"])
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Exercise, LabeledPair
+from .corpus import Corpus, CorpusError, LabeledPair
 from .snapshots import atomic_write, load_arrays, save_arrays
 from .textnorm import MetadataEncoding, TokenSequence, Vocab, encode_metadata, normalize_text, tokenize
 
@@ -319,9 +319,14 @@ def _tokens(text: str, vocab: Vocab) -> TokenSequence:
 
 
 def encode_corpus(corpus: Corpus, vocab: Vocab) -> list[EncodedExercise]:
+    """Every exercise's training inputs; CorpusError names an exercise whose
+    stem and options normalize to no tokens, which nothing can embed."""
     out = []
     for ex in corpus:
         stem_ids = _tokens(ex.text, vocab).array()
+        if len(stem_ids) == 0:
+            raise CorpusError(f"exercise {ex.id!r}: stem and options normalize to "
+                              "no tokens, so it cannot be embedded")
         ana_ids = _tokens(ex.answer_analysis, vocab).array()
         if len(ana_ids) == 0:
             ana_ids = stem_ids  # degenerate but total: no answer/analysis text
@@ -483,10 +488,17 @@ def fine_tune(params: EncoderParams, pairs: Sequence[LabeledPair], corpus: Corpu
     positives = [(p.a_id, p.b_id) for p in pairs if p.is_similar]
     if not positives:
         raise ValueError("fine_tune needs at least one pair labeled similar")
-    params = params.copy()
-    seqs = {ex.id: _tokens(ex.text, vocab).array() for ex in corpus}
     sims = similar_sets(pairs)
     ids = corpus.ids
+    for anchor in sorted(sims):
+        eligible = len(ids) - sum(1 for x in sims[anchor] | {anchor} if x in corpus)
+        if eligible < config.n_negatives:
+            raise ValueError(
+                f"fine_tune: anchor {anchor!r} has {eligible} exercises eligible as "
+                "negatives (not itself or its similars), fewer than "
+                f"finetune.negatives = {config.n_negatives}")
+    params = params.copy()
+    seqs = {ex.id: _tokens(ex.text, vocab).array() for ex in corpus}
     anchors_all = [(a, b) for a, b in positives] + [(b, a) for a, b in positives]
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 23]))
     history = {"batch": [], "epoch": []}
@@ -541,16 +553,20 @@ def _finetune_step(chosen, negatives, seqs, params: EncoderParams,
 
 def export_embeddings(corpus: Corpus, vocab: Vocab, params: EncoderParams,
                       path) -> None:
-    """One line per exercise: id then d floats, round-trip exact."""
+    """One line per exercise: id then its ``embed_corpus`` row, round-trip exact."""
+    matrix, ids = embed_corpus(corpus, vocab, params)
     with atomic_write(path) as fh:
-        for ex in corpus:
-            vec = embed_text(_tokens(ex.text, vocab), params)
-            fh.write(" ".join([ex.id] + [repr(float(x)) for x in vec]) + "\n")
+        for ex_id, vec in zip(ids, matrix.tolist()):
+            fh.write(" ".join([ex_id] + [repr(x) for x in vec]) + "\n")
 
 
 def embed_corpus(corpus: Corpus, vocab: Vocab,
                  params: EncoderParams) -> tuple[np.ndarray, list[str]]:
-    """Embedding matrix over the whole corpus plus the row-aligned id list."""
-    seqs = [_tokens(ex.text, vocab).array() for ex in corpus]
-    out, _ = embed_text_batch(seqs, params)
-    return out, corpus.ids
+    """Embedding matrix over the whole corpus plus the row-aligned id list.
+
+    Row i is ``embed_text`` of exercise i alone, bit for bit: the one
+    encoder embedding of an exercise that every stage reads (rows of a
+    batched ``embed_text_batch`` call can differ from it in the last bit).
+    """
+    rows = [embed_text(_tokens(ex.text, vocab), params) for ex in corpus]
+    return (np.stack(rows) if rows else np.zeros((0, params.d))), corpus.ids

@@ -44,14 +44,13 @@ pair at a time with :meth:`PairFeaturizer.features` and
 1. Each feature row is scored with the 1-D ``row @ weights``
    (:meth:`PairClassifier.prob_rows`). The matrix product of
    :meth:`PairClassifier.prob_batch` rounds differently in the last bit.
-2. Variant embeddings are single-text ``embed_text`` results, as the view
-   stores them. Rows of a batched ``embed_text_batch`` (the vector index)
-   differ from them bitwise.
-3. Dedup keeps the inputs it always had: the query's ``query_embedding``
-   vector and the vector-index rows of the candidates. The variant split
-   reads the same query vector: both are ``embed_text`` of the same ids
-   under the encoder.
-4. Edit similarities are integer distances divided elementwise, so a kept
+2. Every encoder embedding is a single-text ``embed_text`` result: the
+   view's rows (``encoder.embed_corpus`` rows, bit for bit) and the query's
+   :meth:`PreparedQuery.embedding`. One array serves the vector channel,
+   dedup and the variant split. Rows of an ``embed_text_batch`` call over
+   several texts can differ from it in the last bit; only training makes
+   such calls.
+3. Edit similarities are integer distances divided elementwise, so a kept
    similarity read back for a subset of rows equals a fresh kernel call.
 """
 
@@ -212,14 +211,16 @@ class PreparedCorpus:
     their padded token codes, ``embeddings`` its single-text ``embed_text``
     vector (row i is bit-identical to ``PairFeaturizer.embedding`` of
     exercise i), and ``vocab_ids`` gives the vocabulary ids those embeddings
-    read. ``params`` is the encoder's, or any backbone ``embed_text`` takes.
-    The recall indexes are built from the same tokens and ids.
+    read. ``params``, which the rows are embedded under, is the encoder's or
+    any backbone ``embed_text`` takes. The recall indexes read the same
+    tokens and, under the encoder, the same embeddings.
     """
 
     def __init__(self, exercises: Iterable[Exercise], vocab: Vocab,
                  params: EncoderParams):
         self.exercises = list(exercises)
         self.vocab = vocab
+        self.params = params
         self.row_of = {ex.id: i for i, ex in enumerate(self.exercises)}
         self.tokens = [text_tokens(ex.text, vocab) for ex in self.exercises]
         table = CodeTable(vocab)
@@ -236,6 +237,7 @@ class PreparedCorpus:
         """This view with every row embedded under other ``params`` (the
         ranker's backbone); the text, codes and lookups are shared."""
         out = copy.copy(self)
+        out.params = params
         out.embeddings = out._embed(params)
         return out
 
@@ -259,10 +261,13 @@ class PreparedCorpus:
         """A fresh table for one query, consistent with the view's codes."""
         return CodeTable(self.vocab, self.oov_codes)
 
-    def check(self, vocab: Vocab) -> None:
-        """Refuse a consumer with another vocab, and so maybe other stop words."""
+    def check(self, vocab: Vocab, params=None) -> None:
+        """Refuse a consumer with another vocab, and so maybe other stop
+        words, or, when it reads the embeddings, with other ``params``."""
         if self.vocab is not vocab:
             raise ValueError("prepared corpus was built with another vocab")
+        if params is not None and self.params is not params:
+            raise ValueError("prepared corpus was embedded under other params")
 
 
 class PreparedQuery:
@@ -279,7 +284,7 @@ class PreparedQuery:
     * :meth:`edit_similarities` to view rows, over ``codes``, the query's
       codes under the view's code table. Rows not scored yet go through one
       kernel call; rows scored before are read back, which equals a fresh
-      call bit for bit (rule 4 above).
+      call bit for bit (rule 3 above).
 
     Rows and similarities belong to the view's codes; views that share them
     (``embedded_with`` copies) share the kept values, and another view starts
@@ -387,7 +392,7 @@ class PairFeaturizer:
 
     def __post_init__(self):
         if self.view is not None:
-            self.view.check(self.vocab)
+            self.view.check(self.vocab, self.params)
 
     def norm_tokens(self, ex: Exercise) -> list[str]:
         return text_tokens(ex.text, self.vocab)
@@ -396,28 +401,20 @@ class PairFeaturizer:
         ids = tuple(self.vocab.id_of(t) for t in self.norm_tokens(ex))
         return embed_text(TokenSequence(ids), self.params)
 
-    def features(self, ex_a: Exercise, ex_b: Exercise,
-                 u: Optional[np.ndarray] = None,
-                 v: Optional[np.ndarray] = None) -> np.ndarray:
-        if u is None:
-            u = self.embedding(ex_a)
-        if v is None:
-            v = self.embedding(ex_b)
+    def features(self, ex_a: Exercise, ex_b: Exercise) -> np.ndarray:
         sim = edit_similarity(self.norm_tokens(ex_a), self.norm_tokens(ex_b))
-        return pair_features(u, v, sim)
+        return pair_features(self.embedding(ex_a), self.embedding(ex_b), sim)
 
     def prepare(self, exercises: Sequence[Exercise]) -> PreparedCorpus:
         return PreparedCorpus(exercises, self.vocab, self.params)
 
-    def query_pairs(self, query, others: Sequence[Exercise],
-                    u: Optional[np.ndarray] = None,
-                    v: Optional[np.ndarray] = None):
+    def query_pairs(self, query, others: Sequence[Exercise]):
         """(u, v, edit similarities) of the pairs (query, other).
 
-        ``query`` is an ``Exercise`` or a ``PreparedQuery``. ``u`` defaults
-        to the query's single-text embedding and ``v`` (one row per other)
-        to the view's rows. Others outside the view are prepared from their
-        text, all of them, in a view of their own.
+        ``query`` is an ``Exercise`` or a ``PreparedQuery``. ``u`` is the
+        query's single-text embedding and ``v`` (one row per other) the
+        view's rows. Others outside the view are prepared from their text,
+        all of them, in a view of their own.
         """
         query = PreparedQuery.of(query, self.vocab)
         view = self.view
@@ -425,12 +422,8 @@ class PairFeaturizer:
         if rows is None:
             view = self.prepare(others)
             rows = np.arange(len(others))
-        sims = query.edit_similarities(view, rows)
-        if u is None:
-            u = query.embedding(self.params)
-        if v is None:
-            v = view.embeddings[rows]
-        return u, v, sims
+        return (query.embedding(self.params), view.embeddings[rows],
+                query.edit_similarities(view, rows))
 
     def both_orders(self, pairs: Sequence[tuple[Exercise, Exercise]]) -> np.ndarray:
         """Feature rows of every pair as (a, b) then (b, a), interleaved.

@@ -11,14 +11,15 @@ cache, so retraining anything invalidates cached results implicitly. Steps
 that read the labeled pairs refuse a pair naming an id the corpus lacks.
 
 Query flow. ``Pipeline.load`` prepares the corpus once
-(``pairclf.PreparedCorpus``): the recall indexes, dedup, the variant split
-and the ranker (which embeds each row once more under its own backbone) all
-read that one view. A cache miss prepares the query once
-(``pairclf.PreparedQuery``: one normalization, the encoder embedding) and
-passes it to recall, ranking and re-rank. The first stage to score pairs,
-dedup when its head is loaded, makes the miss's one edit-distance kernel
-call over the recalled list; ranking and the variant split read their
-subsets back. The ranker embeds the query under its own backbone, so a miss
+(``pairclf.PreparedCorpus``): each exercise is normalized once and embedded
+once under the encoder. The recall indexes, dedup, the variant split and the
+ranker all read that one view; its embedding matrix is the vector index, and
+the ranker embeds each row once more under its own backbone. A cache miss
+prepares the query once (``pairclf.PreparedQuery``: one normalization, the
+encoder embedding) and passes it to recall, ranking and re-rank. The first
+stage to score pairs, dedup when its head is loaded, makes the miss's one
+edit-distance kernel call over the recalled list; ranking and the variant
+split read their subsets back. The ranker embeds the query under its own backbone, so a miss
 runs ``embed_text`` twice.
 
 Stop words live in the vocabulary (``Vocab.stop_words``, the header line of
@@ -102,6 +103,10 @@ DEFAULTS = {
 }
 
 
+_TRUE = ("1", "true", "on", "yes")
+_FALSE = ("0", "false", "off", "no")
+
+
 class ConfigurationError(RuntimeError):
     def __init__(self, missing: list[str]):
         super().__init__("missing, untrained or mismatched components: "
@@ -148,7 +153,13 @@ class Config:
         return float(self.values[key])
 
     def get_bool(self, key: str) -> bool:
-        return self.values[key].lower() in ("1", "true", "on", "yes")
+        value = self.values[key]
+        if value.lower() in _TRUE:
+            return True
+        if value.lower() in _FALSE:
+            return False
+        raise ValueError(f"config {key} = {value!r}: expected one of "
+                         + ", ".join(_TRUE + _FALSE))
 
     def get_list(self, key: str) -> list[str]:
         raw = self.values[key].strip()
@@ -257,12 +268,15 @@ def step_index(workdir, config: Config) -> None:
 
 
 def _rank_config(config: Config) -> ranking.RankConfig:
-    alpha = [float(x) for x in config.get_list("rank.alpha")]
+    alpha = tuple(float(x) for x in config.get_list("rank.alpha"))
+    if len(alpha) != 3:
+        raise ValueError(f"config rank.alpha = {config.get('rank.alpha')!r}: "
+                         "expected 3 comma-separated task weights")
     return ranking.RankConfig(
         lr=config.get_float("rank.lr"), epochs=config.get_int("rank.epochs"),
         batch_pairs=config.get_int("rank.batch_pairs"),
         seed=config.get_int("rank.seed"), moe=config.get_bool("rank.moe"),
-        alpha=tuple(alpha) if len(alpha) == 3 else (1 / 3, 1 / 3, 1 / 3),
+        alpha=alpha,
         tasks=ranking.resolve_tasks(config.get_list("rank.tasks")))
 
 
@@ -421,8 +435,9 @@ class Pipeline:
         if not ranker_params.trained:
             raise ConfigurationError([FILES["ranker"] + " (untrained)"])
         # every exercise's text normalized and embedded once, shared by the
-        # recall indexes, the dedup and variant heads and the ranker (which
-        # embeds each row once more under its own backbone, here at load)
+        # recall indexes (the vector index is the view's matrix), the dedup
+        # and variant heads and the ranker (which embeds each row once more
+        # under its own backbone, here at load)
         view = PreparedCorpus(corpus, vocab, encoder)
         featurizer = PairFeaturizer(vocab, encoder, view)
         dedup = None

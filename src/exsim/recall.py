@@ -30,7 +30,7 @@ dropped so near-identical exercises are never recommended. Dedup scores all
 merged candidates at once, both argument orders averaged. Its edit
 similarities come from the query's ``pairclf.PreparedQuery``: one kernel
 call over the whole merged list, which ranking and the variant split then
-read back for their subsets. Its embeddings stay the query's
+read back for their subsets. Its embeddings are the query's
 ``query_embedding`` vector and the candidates' vector-index rows, and each
 feature row is scored with its own 1-D dot product, so the batch is
 bit-identical to calling ``DuplicateDetector.prob`` per candidate (see the
@@ -38,9 +38,10 @@ rules in ``pairclf``).
 
 ``Recaller.build`` derives both indexes from one ``pairclf.PreparedCorpus``
 (the one ``Pipeline.load`` shares with dedup, the ranker and the variant
-split), so the corpus is normalized once: BM25 reads the view's token lists
-and the vector index embeds the view's vocabulary ids in one
-``embed_text_batch`` call, whose rows equal ``embed_corpus``'s bit for bit.
+split), so the corpus is normalized and embedded once: BM25 reads the
+view's token lists, and the vector index is the view's embedding matrix
+itself. Its rows equal ``embed_corpus``'s bit for bit, and dedup and the
+variant split read the same rows.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 
 from .corpus import Corpus, Exercise
 # embed_text stays bound, unused: perfbench's tracer wraps it where imported
-from .encoder import EncoderParams, embed_corpus, embed_text, embed_text_batch  # noqa: F401
+from .encoder import EncoderParams, embed_corpus, embed_text  # noqa: F401
 from .pairclf import (PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery,
                       UntrainedModelError, pair_feature_rows)
 from .textnorm import Vocab, normalize_text, split_tokens
@@ -276,11 +277,11 @@ class VectorIndex:
     def build(cls, corpus: Corpus, vocab: Vocab, params: EncoderParams,
               view: Optional[PreparedCorpus] = None) -> "VectorIndex":
         """``embed_corpus`` rows of ``corpus``; ``view``, when given, holds it
-        in order and its vocabulary ids are embedded instead (same bits)."""
+        in order, embedded under ``params``, and its embeddings are the
+        matrix (the same bits, and no embedding call)."""
         if view is None:
             return cls(*embed_corpus(corpus, vocab, params))
-        seqs = [view.vocab_ids(row) for row in range(len(view.exercises))]
-        return cls(embed_text_batch(seqs, params)[0], corpus.ids)
+        return cls(view.embeddings, corpus.ids)
 
     @property
     def dim(self) -> int:
@@ -358,18 +359,15 @@ class DuplicateDetector:
     featurizer: PairFeaturizer
     threshold: float = 0.5
 
-    def prob(self, ex_a: Exercise, ex_b: Exercise,
-             u: Optional[np.ndarray] = None, v: Optional[np.ndarray] = None) -> float:
-        p_ab = self.classifier.prob(self.featurizer.features(ex_a, ex_b, u, v))
-        p_ba = self.classifier.prob(self.featurizer.features(ex_b, ex_a, v, u))
+    def prob(self, ex_a: Exercise, ex_b: Exercise) -> float:
+        p_ab = self.classifier.prob(self.featurizer.features(ex_a, ex_b))
+        p_ba = self.classifier.prob(self.featurizer.features(ex_b, ex_a))
         return (p_ab + p_ba) / 2.0
 
-    def prob_many(self, query, others: Sequence[Exercise],
-                  u: Optional[np.ndarray] = None,
-                  v: Optional[np.ndarray] = None) -> np.ndarray:
-        """``prob(query, other, u, v[i])`` for every other, bit for bit;
-        ``query`` is an ``Exercise`` or a ``PreparedQuery``."""
-        u, v, sims = self.featurizer.query_pairs(query, others, u, v)
+    def prob_many(self, query, others: Sequence[Exercise]) -> np.ndarray:
+        """``prob(query, other)`` for every other, bit for bit; ``query`` is
+        an ``Exercise`` or a ``PreparedQuery``."""
+        u, v, sims = self.featurizer.query_pairs(query, others)
         p_ab = self.classifier.prob_rows(pair_feature_rows(u, v, sims))
         p_ba = self.classifier.prob_rows(pair_feature_rows(v, u, sims))
         return (p_ab + p_ba) / 2.0
@@ -425,7 +423,7 @@ class Recaller:
         config = config or RecallConfig()
         if view is None:
             view = PreparedCorpus(corpus, vocab, params)
-        view.check(vocab)
+        view.check(vocab, params)
         if (len(view.exercises) != len(corpus)
                 or any(a is not b for a, b in zip(view.exercises, corpus))):
             raise ValueError("prepared corpus does not hold this corpus in order")
@@ -449,16 +447,11 @@ class Recaller:
         query_id = query.exercise.id
         exact = self.lexical.search(query.tokens, query.concepts, cfg.k_exact,
                                     exclude_id=query_id)
-        if query.tokens:
-            q_vec = self.query_embedding(query)
-            embed = self.vector.search(q_vec, cfg.k_embed, exclude_id=query_id)
-        else:
-            q_vec = None
-            embed = []
+        embed = (self.vector.search(self.query_embedding(query), cfg.k_embed,
+                                    exclude_id=query_id)
+                 if query.tokens else [])
         merged = merge_candidates(exact, embed, cfg.n)
         if self.dedup is None or not merged:
             return merged
-        others = [self.corpus[c.ex_id] for c in merged]
-        v = self.vector.matrix[[self.vector.row_of[c.ex_id] for c in merged]]
-        probs = self.dedup.prob_many(query, others, q_vec, v)
+        probs = self.dedup.prob_many(query, [self.corpus[c.ex_id] for c in merged])
         return [c for c, p in zip(merged, probs.tolist()) if p < cfg.dedup_threshold]

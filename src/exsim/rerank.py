@@ -189,10 +189,8 @@ class VariantClassifier:
     featurizer: PairFeaturizer
     threshold: float = 0.5
 
-    def prob(self, query: Exercise, candidate: Exercise,
-             u: Optional[np.ndarray] = None,
-             v: Optional[np.ndarray] = None) -> float:
-        return self.classifier.prob(self.featurizer.features(query, candidate, u, v))
+    def prob(self, query: Exercise, candidate: Exercise) -> float:
+        return self.classifier.prob(self.featurizer.features(query, candidate))
 
     def prob_many(self, query, candidates: Sequence[Exercise]) -> np.ndarray:
         """``prob(query, candidate)`` for every candidate, bit for bit;

@@ -1,8 +1,10 @@
-"""Versioned binary snapshot format shared by all trained-parameter files.
+"""Versioned binary snapshot format shared by the corpus snapshot and all
+trained-parameter files.
 
 Layout: magic line, little-endian uint32 header length, JSON header (kind,
 metadata, array names and shapes), then each array as raw little-endian
-float64 bytes in header order. Loading verifies the magic, the kind and the
+float64 bytes in header order. The corpus snapshot keeps its records in the
+metadata and has no arrays. Loading verifies the magic, the kind and the
 exact byte count, so truncation and format drift fail loudly.
 
 Every workspace artifact, snapshot or not, is written through

@@ -3,11 +3,11 @@ import json
 import pytest
 
 from exsim.corpus import (
-    Corpus, CorpusError, Exercise, LabeledPair, Metadata, SnapshotError,
-    SyntheticSpec, generate_dedup_pairs, generate_synthetic, load_corpus,
-    load_pairs, load_snapshot, save_corpus_jsonl, save_pairs, save_snapshot,
-    validate_pairs,
+    Corpus, CorpusError, Exercise, LabeledPair, Metadata, SyntheticSpec,
+    generate_dedup_pairs, generate_synthetic, load_corpus, load_pairs,
+    load_snapshot, save_corpus_jsonl, save_pairs, save_snapshot, validate_pairs,
 )
+from exsim.snapshots import SnapshotFormatError
 
 
 def make_exercise(ex_id="e1", stem="solve $x+1=2$", difficulty=2):
@@ -75,6 +75,12 @@ def test_exercise_validation():
         Exercise(id="e1", stem="s", options=(), answer="", analysis="",
                  image_features=((0.0,), (0.0, 1.0)),
                  metadata=Metadata("choice", 1, ("c0",)), learning_stage=(7, 1))
+
+
+def test_synthetic_spec_needs_two_templates():
+    with pytest.raises(ValueError, match="2 templates"):
+        SyntheticSpec(n_templates=1)
+    SyntheticSpec(n_templates=2)
 
 
 def test_corpus_difficulty_bounds():
@@ -146,7 +152,7 @@ def test_snapshot_round_trip(tmp_path, small_synth):
 def test_snapshot_bad_magic(tmp_path):
     path = tmp_path / "c.snap"
     path.write_bytes(b"NOTASNAP??\n" + b"\x00" * 32)
-    with pytest.raises(SnapshotError, match="magic"):
+    with pytest.raises(SnapshotFormatError, match="magic"):
         load_snapshot(path)
 
 
@@ -156,7 +162,7 @@ def test_snapshot_truncated(tmp_path, small_synth):
     save_snapshot(corpus, path)
     data = path.read_bytes()
     path.write_bytes(data[:len(data) // 2])
-    with pytest.raises(SnapshotError, match="truncated"):
+    with pytest.raises(SnapshotFormatError, match="truncated"):
         load_snapshot(path)
 
 

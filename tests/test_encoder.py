@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from gradcheck import assert_grads_match, finite_difference
 
 from exsim import encoder as enc
-from exsim.corpus import SyntheticSpec, generate_synthetic
+from exsim.corpus import (SIMILAR, Corpus, CorpusError, LabeledPair, SyntheticSpec,
+                          generate_synthetic)
 from exsim.snapshots import SnapshotFormatError
 from exsim.textnorm import TokenSequence, Vocab
 
@@ -240,6 +242,18 @@ def test_pretrain_zero_epochs_is_initialization(small_synth):
     assert history["total"] == []
 
 
+def test_an_exercise_without_tokens_is_refused_by_name(small_synth):
+    corpus, _, _ = small_synth
+    exercises = list(corpus)[:4]
+    exercises[2] = dataclasses.replace(exercises[2], stem="<p></p>", options=())
+    markup = Corpus(exercises, levels=corpus.levels, d_img=corpus.d_img)
+    vocab = enc.build_vocab(markup)
+    with pytest.raises(CorpusError, match=rf"'{exercises[2].id}'.*no tokens"):
+        enc.encode_corpus(markup, vocab)
+    with pytest.raises(CorpusError, match=rf"'{exercises[2].id}'"):
+        enc.pretrain(markup, vocab, enc.PretrainConfig(d=4, epochs=1))
+
+
 def test_finetune_requires_positive_pairs(small_synth):
     corpus, _, pairs = small_synth
     vocab = enc.build_vocab(corpus)
@@ -247,6 +261,23 @@ def test_finetune_requires_positive_pairs(small_synth):
     negatives_only = [p for p in pairs if not p.is_similar]
     with pytest.raises(ValueError):
         enc.fine_tune(params, negatives_only, corpus, vocab)
+
+
+def test_finetune_refuses_an_anchor_with_too_few_negatives(small_synth):
+    """Anchor a has 1 exercise that is neither itself nor one of its 3
+    similars, so 2 distinct negatives cannot be drawn for it."""
+    corpus, _, _ = small_synth
+    few = Corpus(list(corpus)[:5], levels=corpus.levels, d_img=corpus.d_img)
+    a, b, c, d, _ = few.ids
+    pairs = [LabeledPair(a, other, SIMILAR) for other in (b, c, d)]
+    vocab = enc.build_vocab(few)
+    params = enc.init_params(few, vocab, d=8, seed=0)
+    cfg = enc.FinetuneConfig(epochs=1, n_negatives=2)
+    with pytest.raises(ValueError, match=rf"anchor '{a}' has 1 .*finetune.negatives = 2"):
+        enc.fine_tune(params, pairs, few, vocab, cfg)
+    _, history = enc.fine_tune(params, pairs, few, vocab,
+                               dataclasses.replace(cfg, n_negatives=1))
+    assert len(history["batch"]) == 1
 
 
 def test_finetune_zero_epochs_identity(small_synth):
@@ -368,5 +399,9 @@ def test_export_embeddings_format_and_exactness(tmp_path, small_trained):
     vec = enc.embed_text(tokenize(enc.normalize_text(ex.text)[0], vocab), params)
     parsed = np.array([float(x) for x in first[1:]])
     assert np.array_equal(parsed, vec)  # bit-for-bit via repr round-trip
+    matrix, ids = enc.embed_corpus(corpus, vocab, params)
+    exported = [[float(x) for x in line.split()[1:]] for line in lines]
+    assert [line.split()[0] for line in lines] == ids
+    assert matrix.tolist() == exported
     enc.export_embeddings(corpus, vocab, params, tmp_path / "emb2.txt")
     assert (tmp_path / "emb2.txt").read_text() == path.read_text()

@@ -329,3 +329,7 @@ def test_prepared_query_refuses_another_preparation():
         PreparedQuery.of(query, Vocab(["ab", "cd", "ef"], ("the",)))
     with pytest.raises(ValueError, match="prepared query"):
         PairFeaturizer(VOCAB, PARAMS).query_pairs(query, [exercise("a", "ab")])
+    other = EncoderParams.init(vocab_size=len(VOCAB), d=4, d_img=2, n_types=1,
+                               levels=1, n_concepts=1, seed=1)
+    with pytest.raises(ValueError, match="other params"):
+        PairFeaturizer(VOCAB, other, PreparedCorpus([exercise("a", "ab")], VOCAB, PARAMS))

@@ -74,6 +74,22 @@ def test_load_refuses_an_empty_workspace(tmp_path):
         pl.Pipeline.load(tmp_path)
 
 
+def test_config_refuses_an_unknown_bool_spelling():
+    config = pl.Config({"rank.moe": "enabled", "rerank.enable_variant": "Off"})
+    with pytest.raises(ValueError, match="rank.moe = 'enabled'"):
+        config.get_bool("rank.moe")
+    assert config.get_bool("rerank.enable_variant") is False
+    assert pl.Config({"rank.moe": "YES"}).get_bool("rank.moe") is True
+
+
+@pytest.mark.parametrize("alpha", ["0.5,0.5", "0.2,0.2,0.3,0.3", ""])
+def test_rank_alpha_needs_three_weights(alpha):
+    with pytest.raises(ValueError, match=f"rank.alpha = '{alpha}'"):
+        pl._rank_config(pl.Config({"rank.alpha": alpha}))
+    weighted = pl._rank_config(pl.Config({"rank.alpha": "0.5,0.3,0.2"}))
+    assert weighted.alpha == (0.5, 0.3, 0.2)
+
+
 def copy_workspace(workspace, tmp_path):
     workdir, config, corpus, _ = workspace
     copy = tmp_path / "ws"
@@ -110,6 +126,7 @@ def test_load_indexes_the_current_encoder(workspace, tmp_path):
                                 load_encoder(workdir / pl.FILES["encoder"]))
     assert not np.array_equal(current.matrix, before)
     assert np.array_equal(pipe.recaller.vector.matrix, current.matrix)
+    assert pipe.recaller.vector.matrix is pipe.recaller.view.embeddings
     assert pipe.query(corpus.ids[5]).all_ids()
 
 
@@ -202,7 +219,7 @@ def test_batched_scores_equal_per_pair(workspace, kind):
     rec = pipe.recaller
     u = rec.query_embedding(query)
     v = rec.vector.matrix[[rec.vector.row_of[ex.id] for ex in others]]
-    got = rec.dedup.prob_many(query, others, u, v).tolist()
+    got = rec.dedup.prob_many(query, others).tolist()
     assert got == [dedup_reference(rec.dedup, query, ex, u, row)
                    for ex, row in zip(others, v)]
     got = pipe.variant_clf.prob_many(query, others).tolist()

@@ -377,6 +377,7 @@ def test_indexes_built_from_a_view_equal_those_built_from_text(medium_synth):
     view = PreparedCorpus(corpus, vocab, params)
     vector = VectorIndex.build(corpus, vocab, params, view)
     assert np.array_equal(vector.matrix, embed_corpus(corpus, vocab, params)[0])
+    assert np.array_equal(vector.matrix, view.embeddings)
     assert vector.ids == corpus.ids
     lexical = LexicalIndex.build(corpus, stop, 0.7, view)
     plain = LexicalIndex.build(corpus, stop, 0.7)
@@ -402,3 +403,8 @@ def test_recaller_refuses_a_view_of_another_corpus(medium_synth):
     with pytest.raises(ValueError, match="another vocab"):
         Recaller.build(corpus, build_vocab(corpus, ("the",)), params,
                        view=PreparedCorpus(corpus, vocab, params))
+    # the view's embeddings are the vector index, so they must be the encoder's
+    other = PreparedCorpus(corpus, vocab, params).embedded_with(
+        init_params(corpus, vocab, d=12, seed=1))
+    with pytest.raises(ValueError, match="other params"):
+        Recaller.build(corpus, vocab, params, view=other)
