@@ -24,6 +24,20 @@ and differentiable everywhere. Temperature defaults to 0.1.
 
 Everything is float64, single-threaded and seeded: a fixed seed gives a
 bit-identical parameter trajectory.
+
+Pooling and its gradient run without a per-sequence loop, and their sums
+keep a fixed order:
+
+* pooling (``embed_text_batch``) gathers a batch's token rows into one block
+  padded with zeros, tokens leading, and sums it: each sequence's rows are
+  added in token order, its padding last, which for d >= 2 equals the
+  per-sequence ``emb[ids].sum(axis=0)`` bit for bit (see ``_pool``);
+* the scatter (``embed_text_batch_backward``): a training step makes one call
+  over all its ``embed_text_batch`` calls (pre-training: stems, then
+  analyses). ``W`` and ``b`` add each call's gradient in turn; the token rows
+  take one scatter into the still-zero ``grads["emb"]``, one ``np.bincount``
+  per column in sequence-then-token order, which equals one ``np.add.at``
+  per call, in call order, bit for bit.
 """
 
 from __future__ import annotations
@@ -117,7 +131,9 @@ def load_encoder(path) -> EncoderParams:
 
 def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalize with an epsilon floor; exact-zero rows become basis e0."""
-    norms = np.linalg.norm(raw, axis=1)
+    # the sums np.linalg.norm(raw, axis=1) takes, bit for bit, without its
+    # per-call overhead (a third of a single-sequence embed_text's pooling)
+    norms = np.sqrt(np.add.reduce(raw * raw, axis=1))
     out = raw / (norms + _EPS)[:, None]
     degenerate = norms == 0.0
     if degenerate.any():
@@ -137,39 +153,94 @@ def _normalize_rows_backward(d_out: np.ndarray, raw: np.ndarray,
     return d_raw
 
 
-def embed_text_batch(seqs: Sequence[np.ndarray], params: EncoderParams):
-    """Embed token-id sequences: sum rows, tanh transform, L2 normalize."""
-    if any(len(s) == 0 for s in seqs):
+def _pool(emb: np.ndarray, seqs: Sequence[Sequence[int]]):
+    """Each sequence's ``emb`` rows summed; returns (pooled, ids, lengths).
+
+    ``ids`` holds every token id, sequence by sequence. The rows are gathered
+    into one (longest, n, d) block, tokens leading, and the slots after a
+    shorter sequence's real tokens are zeroed in place (no copy of the
+    table). Numpy starts a sum from +0.0 and sums pairwise only along the
+    axis it walks innermost, here the n * d one, so it adds the block one
+    token slot at a time: row i is 0.0 plus sequence i's rows in token order,
+    plus 0.0 per padded slot, which changes nothing. For d >= 2 that equals
+    ``emb[seqs[i]].sum(axis=0)`` bit for bit. At d = 1 that per-row sum walks
+    the tokens innermost and adds them pairwise from 8 tokens on; so does
+    this block for a single sequence (n * d = 1), and no other.
+    """
+    lengths = list(map(len, seqs))
+    shortest = min(lengths, default=0)
+    if shortest == 0:
         raise ValueError("cannot embed an empty token sequence")
-    d = params.d
-    pooled = np.zeros((len(seqs), d))
-    for i, ids in enumerate(seqs):
-        pooled[i] = params.emb[ids].sum(axis=0)
+    n, longest = len(seqs), max(lengths)
+    ids = np.concatenate(seqs)
+    if shortest == longest:
+        block = emb.take(ids.reshape(n, longest).T, axis=0)
+    else:
+        real = np.arange(longest)[:, None] < np.array(lengths)
+        slots = np.zeros((longest, n), dtype=np.intp)
+        slots.T[real.T] = ids
+        block = emb.take(slots, axis=0)
+        block[~real] = 0.0
+    return np.add.reduce(block, axis=0), ids, lengths
+
+
+def _scatter_pooled(vocab_size: int, ids: np.ndarray, lengths: Sequence[int],
+                    d_pooled: np.ndarray) -> np.ndarray:
+    """The token-row gradient: ``d_pooled[i]`` added at every token of sequence i.
+
+    Each column is one ``np.bincount``, which adds its weights in input order
+    starting from 0.0, so the result equals ``np.add.at`` on a zero array bit
+    for bit: per row, sequence by sequence, token by token.
+    """
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    per_token = np.ascontiguousarray(d_pooled.T).take(rows, axis=1)
+    out = np.empty((len(per_token), vocab_size))
+    for column, weights in zip(out, per_token):
+        column[...] = np.bincount(ids, weights=weights, minlength=vocab_size)
+    return out.T
+
+
+def embed_text_batch(seqs: Sequence[Sequence[int]], params: EncoderParams):
+    """Embed token-id sequences: sum rows, tanh transform, L2 normalize.
+
+    Pooling adds each sequence's embedding rows in token order, padding last
+    (see ``_pool``), so for d >= 2 a row is ``emb[ids].sum(axis=0)`` bit for
+    bit whatever else is in the batch.
+    """
+    pooled, ids, lengths = _pool(params.emb, seqs)
     pre = pooled @ params.W + params.b
     act = np.tanh(pre)
     out, norms = _normalize_rows(act)
-    cache = (seqs, pooled, act, norms, out)
-    return out, cache
+    return out, (ids, lengths, pooled, act, norms, out)
 
 
-def embed_text_batch_backward(d_out: np.ndarray, cache, params: EncoderParams,
+def embed_text_batch_backward(parts: Sequence[tuple[np.ndarray, tuple]],
+                              params: EncoderParams,
                               grads: dict[str, np.ndarray]) -> None:
-    seqs, pooled, act, norms, out = cache
-    d_act = _normalize_rows_backward(d_out, act, out, norms)
-    d_pre = d_act * (1.0 - act * act)
-    grads["W"] += pooled.T @ d_pre
-    grads["b"] += d_pre.sum(axis=0)
-    d_pooled = d_pre @ params.W.T
-    all_ids = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])
-    rows = np.repeat(np.arange(len(seqs)), [len(s) for s in seqs])
-    np.add.at(grads["emb"], all_ids, d_pooled[rows])
+    """Add the gradients of a training step's ``embed_text_batch`` calls.
+
+    ``parts`` pairs d(loss)/d(output) of each call with its cache. ``W`` and
+    ``b`` take each part's gradient in the order given. The token rows take
+    one scatter over every part, sequence by sequence and token by token,
+    into ``grads["emb"]``, which must still be zero: a step calls this once.
+    That equals one ``np.add.at`` per part, in order, bit for bit.
+    """
+    all_ids, all_lengths, d_pooled = [], [], []
+    for d_out, (ids, lengths, pooled, act, norms, out) in parts:
+        d_act = _normalize_rows_backward(d_out, act, out, norms)
+        d_pre = d_act * (1.0 - act * act)
+        grads["W"] += pooled.T @ d_pre
+        grads["b"] += d_pre.sum(axis=0)
+        d_pooled.append(d_pre @ params.W.T)
+        all_ids.append(ids)
+        all_lengths += lengths
+    grads["emb"] += _scatter_pooled(len(params.emb), np.concatenate(all_ids),
+                                    all_lengths, np.concatenate(d_pooled))
 
 
 def embed_text(seq: TokenSequence, params: EncoderParams) -> np.ndarray:
     """Unit-norm embedding of one token sequence."""
-    if len(seq) == 0:
-        raise ValueError("cannot embed an empty token sequence")
-    out, _ = embed_text_batch([seq.array()], params)
+    out, _ = embed_text_batch([seq.ids], params)
     return out[0]
 
 
@@ -445,8 +516,7 @@ def _pretrain_step(batch: list[EncodedExercise], params: EncoderParams,
         np.add.at(d_stem, owners_arr, config.w_image * da_img)
         project_image_batch_backward(config.w_image * dp_img, img_cache, params, grads)
 
-    embed_text_batch_backward(d_stem, stem_cache, params, grads)
-    embed_text_batch_backward(d_ana, ana_cache, params, grads)
+    embed_text_batch_backward([(d_stem, stem_cache), (d_ana, ana_cache)], params, grads)
     params.apply_grads(grads, config.lr)
 
     total = (config.w_contrastive * c_loss
@@ -543,7 +613,7 @@ def _finetune_step(chosen, negatives, seqs, params: EncoderParams,
     loss, d_anchors, d_candidates = infonce_sampled(anchors, candidates, config.tau)
     d_out = np.concatenate([d_anchors[:, None, :], d_candidates], axis=1)
     grads = params.zero_grads()
-    embed_text_batch_backward(d_out.reshape(n * (2 + k), -1), cache, params, grads)
+    embed_text_batch_backward([(d_out.reshape(n * (2 + k), -1), cache)], params, grads)
     params.apply_grads(grads, config.lr)
     return loss
 

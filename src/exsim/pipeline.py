@@ -418,6 +418,7 @@ class Pipeline:
     ranker: ranking.Ranker
     variant_clf: Optional[VariantClassifier]
     config: Config
+    rerank_config: RerankConfig
     versions: dict[str, str]
     cache_size: int = 256
     _cache: "OrderedDict[tuple, RerankedResult]" = field(default_factory=OrderedDict)
@@ -445,11 +446,14 @@ class Pipeline:
             dedup = recall_mod.DuplicateDetector.load(
                 _path(workdir, "dedup"), featurizer,
                 threshold=config.get_float("recall.dedup_threshold"))
+        rerank_config = RerankConfig(
+            variant_threshold=config.get_float("rerank.variant_threshold"),
+            enable_variant=config.get_bool("rerank.enable_variant"))
         variant_clf = None
         if _path(workdir, "variant").exists():
             variant_clf = VariantClassifier.load(
                 _path(workdir, "variant"), featurizer,
-                threshold=config.get_float("rerank.variant_threshold"))
+                threshold=rerank_config.variant_threshold)
         recaller = Recaller.build(corpus, vocab, encoder, dedup=dedup,
                                   config=_recall_config(config), view=view)
         versions = {}
@@ -459,7 +463,8 @@ class Pipeline:
                 versions[name] = file_digest(p)
         return cls(corpus=corpus, vocab=vocab, encoder=encoder, recaller=recaller,
                    ranker=ranking.Ranker(vocab, ranker_params, view),
-                   variant_clf=variant_clf, config=config, versions=versions,
+                   variant_clf=variant_clf, config=config,
+                   rerank_config=rerank_config, versions=versions,
                    cache_size=config.get_int("cache.size"))
 
     # -- query flow ----------------------------------------------------------
@@ -509,11 +514,8 @@ class Pipeline:
         query = PreparedQuery(exercise, self.vocab)
         candidates = self.recaller.recall(query)
         ranked = self.ranker.rank(query, candidates, self.corpus)
-        return rerank_mod.rerank(
-            query, ranked, profile, self.corpus, self.variant_clf,
-            RerankConfig(
-                variant_threshold=self.config.get_float("rerank.variant_threshold"),
-                enable_variant=self.config.get_bool("rerank.enable_variant")))
+        return rerank_mod.rerank(query, ranked, profile, self.corpus, self.variant_clf,
+                                 self.rerank_config)
 
     def duplicate_verdict(self, a: Union[str, Exercise],
                           b: Union[str, Exercise]) -> dict:

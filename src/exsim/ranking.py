@@ -297,9 +297,7 @@ def _pair_features(instances: Sequence[TaskInstance], params: RankerParams):
     """Pair feature rows: both sides through the encoder's text function."""
     n = len(instances)
     embedded, cache = embed_text_batch(
-        [np.asarray(side, dtype=np.int64) for side in
-         [inst.left for inst in instances] + [inst.right for inst in instances]],
-        params)
+        [inst.left for inst in instances] + [inst.right for inst in instances], params)
     u, v = embedded[:n], embedded[n:]
     sims = np.array([inst.edit_sim for inst in instances])
     return pair_feature_rows(u, v, sims), (u, v, cache)
@@ -313,7 +311,7 @@ def _pair_features_backward(d_f: np.ndarray, cache, params: RankerParams,
     d_prod = d_f[:, 3 * d:4 * d]
     d_u = d_f[:, :d] + d_abs + d_prod * v
     d_v = d_f[:, d:2 * d] - d_abs + d_prod * u
-    embed_text_batch_backward(np.concatenate([d_u, d_v]), embed_cache, params, grads)
+    embed_text_batch_backward([(np.concatenate([d_u, d_v]), embed_cache)], params, grads)
 
 
 def _gate_input(f: np.ndarray, d: int) -> np.ndarray:

@@ -30,7 +30,7 @@ kept in the query cache, so per-item objects are only built on access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

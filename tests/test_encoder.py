@@ -1,15 +1,19 @@
 import dataclasses
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 from gradcheck import assert_grads_match, finite_difference
+from hypothesis import example, given, settings, strategies as st
 
 from exsim import encoder as enc
+from exsim import ranking as rk
 from exsim.corpus import (SIMILAR, Corpus, CorpusError, LabeledPair, SyntheticSpec,
                           generate_synthetic)
 from exsim.snapshots import SnapshotFormatError
-from exsim.textnorm import TokenSequence, Vocab
+from exsim.textnorm import TokenSequence
 
 
 def toy_params(vocab_size=12, d=4, d_img=3, n_types=3, levels=4, n_concepts=5, seed=0):
@@ -207,6 +211,172 @@ def test_full_pretrain_step_gradients():
         params.arrays()[k][...] = v
     numeric = finite_difference(loss_fn, params.arrays())
     assert_grads_match(analytic, numeric, rtol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# pooling and scatter kernels, bit for bit against the loops they replaced
+
+FORWARD_CALLS = itertools.count()
+
+
+def reference_embed_text_batch(seqs, params):
+    """Pooling one sequence at a time, ``emb[ids].sum(axis=0)`` per row."""
+    pooled = np.zeros((len(seqs), params.d))
+    for i, ids in enumerate(seqs):
+        pooled[i] = params.emb[np.asarray(ids, dtype=np.int64)].sum(axis=0)
+    act = np.tanh(pooled @ params.W + params.b)
+    out, norms = enc._normalize_rows(act)
+    return out, (next(FORWARD_CALLS), seqs, pooled, act, norms, out)
+
+
+def reference_embed_text_batch_backward(parts, params, grads):
+    """Each call's gradients in the order the calls were made (pre-training:
+    stems, then analyses), its token rows by one ``np.add.at``."""
+    for d_out, (_, seqs, pooled, act, norms, out) in sorted(parts, key=lambda p: p[1][0]):
+        d_pre = enc._normalize_rows_backward(d_out, act, out, norms) * (1.0 - act * act)
+        grads["W"] += pooled.T @ d_pre
+        grads["b"] += d_pre.sum(axis=0)
+        d_pooled = d_pre @ params.W.T
+        ids = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])
+        rows = np.repeat(np.arange(len(seqs)), [len(s) for s in seqs])
+        np.add.at(grads["emb"], ids, d_pooled[rows])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def wide_floats(rng, shape):
+    """Values over 12 decades, a tenth of them -0.0, so a change in the
+    order of additions or in the sign of a zero shows in the bits."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    x[rng.random(shape) < 0.1] = -0.0
+    return x
+
+
+@st.composite
+def token_batches(draw, dims=(1, 2, 3, 5)):
+    vocab = draw(st.integers(1, 10))
+    d = draw(st.sampled_from(dims))
+    seqs = draw(st.lists(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=20),
+                         min_size=1, max_size=6))
+    return vocab, d, seqs, draw(st.integers(0, 2**32 - 1))
+
+
+# a single sequence; length-1 sequences; unequal lengths with ids repeated
+# within and across sequences and the last vocabulary row; a one-row
+# vocabulary; d = 1 past the 8 tokens where numpy starts summing pairwise
+KERNEL_EXAMPLES = [(9, 3, [[8, 0, 8, 3]], 1), (5, 2, [[4], [0], [4]], 2),
+                   (6, 4, [[5, 1, 5], [2], [5, 5, 0, 1, 1, 5, 3, 2, 5, 0], [1, 5]], 3),
+                   (1, 3, [[0, 0, 0], [0], [0] * 12], 4),
+                   (7, 1, [[6] * 3 + [1, 2, 3] * 4, [6], [0, 6] * 9], 5),
+                   (7, 1, [[6, 1, 2, 3, 4, 5, 0, 6, 6, 1]], 6)]
+
+
+def with_examples(cases):
+    def wrap(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return wrap
+
+
+@settings(max_examples=200, deadline=None)
+@given(token_batches())
+@with_examples(KERNEL_EXAMPLES)
+def test_pooling_adds_each_sequence_in_token_order(case):
+    vocab, d, seqs, seed = case
+    emb = wide_floats(np.random.default_rng(seed), (vocab, d))
+    pooled, ids, lengths = enc._pool(emb, seqs)
+    assert bits(ids) == bits(np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs]))
+    assert lengths == [len(s) for s in seqs]
+    if d >= 2 or len(seqs) == 1:
+        # the replaced loop; at d = 1 numpy sums an (L, 1) column pairwise
+        assert bits(pooled) == bits(np.stack([emb[s].sum(axis=0) for s in seqs]))
+    if len(seqs) * d >= 2:
+        token_order = [functools.reduce(np.add, emb[s], np.zeros(d)) for s in seqs]
+        assert bits(pooled) == bits(np.stack(token_order))
+    if d >= 2:
+        params = toy_params(vocab_size=vocab, d=d, seed=seed % 1000)
+        params.emb[...] = emb
+        assert bits(enc.embed_text_batch(seqs, params)[0]) == bits(
+            reference_embed_text_batch(seqs, params)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(token_batches())
+@with_examples(KERNEL_EXAMPLES)
+def test_scatter_equals_add_at_on_zeros(case):
+    vocab, d, seqs, seed = case
+    d_pooled = wide_floats(np.random.default_rng(seed), (len(seqs), d))
+    ids = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])
+    rows = np.repeat(np.arange(len(seqs)), [len(s) for s in seqs])
+    expected = np.zeros((vocab, d))
+    np.add.at(expected, ids, d_pooled[rows])
+    got = enc._scatter_pooled(vocab, ids, [len(s) for s in seqs], d_pooled)
+    assert bits(got) == bits(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(token_batches(dims=(2, 3, 5)),
+       st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=20), min_size=1, max_size=6))
+@example(KERNEL_EXAMPLES[2], KERNEL_EXAMPLES[3][2])
+def test_one_backward_over_two_calls_equals_two_add_at(first, second):
+    # two embed_text_batch calls of one step (pre-training's stems, then
+    # analyses): W and b in call order, token rows in one scatter
+    vocab, d, seqs_a, seed = first
+    seqs_b = [[i % vocab for i in s] for s in second]
+    rng = np.random.default_rng(seed)
+    params = toy_params(vocab_size=vocab, d=d, seed=seed % 1000)
+    params.emb[...] = wide_floats(rng, (vocab, d))
+    d_a = wide_floats(rng, (len(seqs_a), d))
+    d_b = wide_floats(rng, (len(seqs_b), d))
+    grads = params.zero_grads()
+    enc.embed_text_batch_backward(
+        [(d_a, enc.embed_text_batch(seqs_a, params)[1]),
+         (d_b, enc.embed_text_batch(seqs_b, params)[1])], params, grads)
+    expected = params.zero_grads()
+    reference_embed_text_batch_backward(
+        [(d_a, reference_embed_text_batch(seqs_a, params)[1]),
+         (d_b, reference_embed_text_batch(seqs_b, params)[1])], params, expected)
+    for name in ("emb", "W", "b"):
+        assert bits(grads[name]) == bits(expected[name]), name
+
+
+@pytest.fixture(scope="module")
+def image_bank():
+    spec = SyntheticSpec(n_templates=3, per_template=6, noise_rate=0.0,
+                         vocab_size=90, seed=8)
+    corpus, _, pairs = generate_synthetic(spec, d_img=4)
+    assert any(ex.image_features for ex in corpus)
+    return corpus, pairs, enc.build_vocab(corpus)
+
+
+def use_reference_kernels(monkeypatch):
+    for module in (enc, rk):
+        monkeypatch.setattr(module, "embed_text_batch", reference_embed_text_batch)
+        monkeypatch.setattr(module, "embed_text_batch_backward",
+                            reference_embed_text_batch_backward)
+
+
+def train_all_three(corpus, pairs, vocab):
+    encoder, _ = enc.pretrain(corpus, vocab, enc.PretrainConfig(
+        d=6, epochs=3, batch_size=8, seed=4))
+    tuned, _ = enc.fine_tune(encoder, pairs, corpus, vocab, enc.FinetuneConfig(
+        epochs=2, batch_size=8, n_negatives=4, seed=4))
+    ranker, _ = rk.train_ranker(pairs, corpus, vocab, rk.RankConfig(
+        epochs=2, batch_pairs=6, seed=4), encoder=tuned)
+    return encoder.arrays(), tuned.arrays(), ranker.arrays()
+
+
+def test_training_trajectories_equal_the_replaced_kernels(image_bank, monkeypatch):
+    got = train_all_three(*image_bank)
+    use_reference_kernels(monkeypatch)
+    expected = train_all_three(*image_bank)
+    for stage, new, old in zip(("pretrain", "fine_tune", "train_ranker"), got, expected):
+        assert new.keys() == old.keys()
+        for name in new:
+            assert bits(new[name]) == bits(old[name]), f"{stage}: {name}"
 
 
 # ---------------------------------------------------------------------------

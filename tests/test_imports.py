@@ -1,0 +1,68 @@
+"""No module imports a name it never reads.
+
+A stdlib stand-in for a linter's unused-import rule (F401) over every module
+of ``src/exsim`` and ``tests``. An import line that must stay although
+nothing reads it (a binding another tool looks up by name) says so with
+``# noqa: F401``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+NOQA = "# noqa: F401"
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names read inside a string annotation such as ``"Optional[Corpus]"``."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                parsed = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name the source imports and never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: list[tuple[int, str]] = []
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any(NOQA in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported.append((node.lineno, bound))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            read |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            read |= _annotation_names(node.returns)
+    return [(line, name) for line, name in imported if name not in read]
+
+
+def test_the_check_finds_an_unused_import():
+    source = ("import os\nimport sys  # noqa: F401\nfrom typing import Optional, List\n"
+              "from collections import OrderedDict as OD\n"
+              "def f(x: 'Optional[int]') -> int:\n    return os.sep\n")
+    assert unused_imports(source) == [(3, "List"), (4, "OD")]
+
+
+@pytest.mark.parametrize("path", sorted(
+    str(p.relative_to(ROOT)) for folder in ("src/exsim", "tests")
+    for p in (ROOT / folder).glob("*.py")))
+def test_no_unused_imports(path):
+    found = unused_imports((ROOT / path).read_text(encoding="utf-8"))
+    assert not found, ", ".join(f"{path}:{line} imports {name!r}, never read"
+                                for line, name in found)

@@ -82,6 +82,13 @@ def test_config_refuses_an_unknown_bool_spelling():
     assert pl.Config({"rank.moe": "YES"}).get_bool("rank.moe") is True
 
 
+def test_load_refuses_a_bad_rerank_key(workspace):
+    workdir, config, _, _ = workspace
+    bad = pl.Config({**config.values, "rerank.enable_variant": "enabled"})
+    with pytest.raises(ValueError, match="rerank.enable_variant = 'enabled'"):
+        pl.Pipeline.load(workdir, bad)
+
+
 @pytest.mark.parametrize("alpha", ["0.5,0.5", "0.2,0.2,0.3,0.3", ""])
 def test_rank_alpha_needs_three_weights(alpha):
     with pytest.raises(ValueError, match=f"rank.alpha = '{alpha}'"):

@@ -7,7 +7,7 @@ from test_pairclf import reference_similarity
 
 from exsim import encoder as enc
 from exsim import ranking as rk
-from exsim.corpus import Corpus, LabeledPair, SyntheticSpec, generate_synthetic
+from exsim.corpus import Corpus, SyntheticSpec, generate_synthetic
 from exsim.pairclf import PreparedCorpus, UntrainedModelError
 from exsim.recall import Candidate
 from exsim.snapshots import SnapshotFormatError, save_arrays
