@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -123,8 +124,35 @@ class Exercise:
             raise CorpusError(f"malformed exercise record: {exc}") from exc
 
 
+class RowIndex:
+    """Rows of a fixed id order: ``ids`` by row, ``row_of`` each id's row and
+    ``id_rank`` each row's position when the rows are sorted by id.
+
+    A corpus owns one, and candidate lists refer to their rows through it; a
+    stage that reads its own per-row arrays checks by identity that the
+    candidates' index is the one those arrays follow.
+    """
+
+    __slots__ = ("ids", "row_of", "id_rank")
+
+    def __init__(self, ids: Iterable[str]):
+        self.ids = list(ids)
+        self.row_of = {ex_id: i for i, ex_id in enumerate(self.ids)}
+        self.id_rank = np.empty(len(self.ids), dtype=np.intp)
+        self.id_rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = \
+            np.arange(len(self.ids))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 class Corpus:
-    """Ordered, immutable exercise collection with closed metadata dictionaries."""
+    """Ordered, immutable exercise collection with closed metadata dictionaries.
+
+    ``index`` is the corpus's :class:`RowIndex`; ``learning_stages`` (n, 2)
+    and ``difficulties`` (n,) hold every exercise's metadata in row order,
+    for the re-rank filters. Each is built on first use and kept.
+    """
 
     def __init__(self, exercises: Iterable[Exercise], levels: Optional[int] = None,
                  d_img: Optional[int] = None):
@@ -166,6 +194,19 @@ class Corpus:
 
     def get(self, ex_id: str) -> Optional[Exercise]:
         return self._by_id.get(ex_id)
+
+    @cached_property
+    def index(self) -> RowIndex:
+        return RowIndex(self._by_id)
+
+    @cached_property
+    def learning_stages(self) -> np.ndarray:
+        return np.array([ex.learning_stage for ex in self],
+                        dtype=np.int64).reshape(-1, 2)
+
+    @cached_property
+    def difficulties(self) -> np.ndarray:
+        return np.array([ex.metadata.difficulty for ex in self], dtype=np.int64)
 
     @property
     def ids(self) -> list[str]:

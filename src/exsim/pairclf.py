@@ -37,13 +37,20 @@ is organised around three pieces:
   serves all three. A query is always prepared from its own text, never
   looked up by id.
 
+The stages hand each other candidates as view rows, so
+:meth:`PairFeaturizer.view_pairs` reads a pair's candidate side straight
+from the view; :meth:`PairFeaturizer.query_pairs` takes exercise objects and
+finds their rows first.
+
 Bit-identity rules. The batched path must give the same bits as scoring one
 pair at a time with :meth:`PairFeaturizer.features` and
 :meth:`PairClassifier.prob`; the tests compare them with ``==``.
 
-1. Each feature row is scored with the 1-D ``row @ weights``
-   (:meth:`PairClassifier.prob_rows`). The matrix product of
-   :meth:`PairClassifier.prob_batch` rounds differently in the last bit.
+1. :meth:`PairClassifier.prob_rows` scores all rows with one
+   ``np.vecdot(features, weights)`` (numpy >= 2.0), which sends each row
+   through the same 1-D dot kernel as ``row @ weights`` in ``prob``, so
+   every row's logit has the bits of the per-row product. The matrix product
+   of :meth:`PairClassifier.prob_batch` rounds differently in the last bit.
 2. Every encoder embedding is a single-text ``embed_text`` result: the
    view's rows (``encoder.embed_corpus`` rows, bit for bit) and the query's
    :meth:`PreparedQuery.embedding`. One array serves the vector channel,
@@ -62,7 +69,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Exercise
+from .corpus import Corpus, Exercise, RowIndex
 from .encoder import EncoderParams, embed_text
 from .snapshots import SnapshotFormatError, load_arrays, save_arrays
 from .textnorm import UNK_ID, TokenSequence, Vocab, normalize_text, split_tokens
@@ -213,7 +220,9 @@ class PreparedCorpus:
     exercise i), and ``vocab_ids`` gives the vocabulary ids those embeddings
     read. ``params``, which the rows are embedded under, is the encoder's or
     any backbone ``embed_text`` takes. The recall indexes read the same
-    tokens and, under the encoder, the same embeddings.
+    tokens and, under the encoder, the same embeddings. ``index`` gives the
+    rows of the ids; a view of a ``Corpus`` shares the corpus's, so
+    candidates recalled from that corpus are rows of the view.
     """
 
     def __init__(self, exercises: Iterable[Exercise], vocab: Vocab,
@@ -221,7 +230,8 @@ class PreparedCorpus:
         self.exercises = list(exercises)
         self.vocab = vocab
         self.params = params
-        self.row_of = {ex.id: i for i, ex in enumerate(self.exercises)}
+        self.index = (exercises.index if isinstance(exercises, Corpus)
+                      else RowIndex(ex.id for ex in self.exercises))
         self.tokens = [text_tokens(ex.text, vocab) for ex in self.exercises]
         table = CodeTable(vocab)
         self.oov_codes = table.extra
@@ -243,7 +253,7 @@ class PreparedCorpus:
 
     def lookup(self, ex: Exercise) -> Optional[int]:
         """Row of this very exercise object, or None (an equal id is not enough)."""
-        row = self.row_of.get(ex.id)
+        row = self.index.row_of.get(ex.id)
         if row is not None and self.exercises[row] is ex:
             return row
         return None
@@ -280,13 +290,12 @@ class PreparedQuery:
     * :meth:`embedding`, the single-text ``embed_text`` vector under one
       backbone. Recall's ``query_embedding``, dedup and the variant split
       read the encoder's; the ranker reads its own.
-    * :meth:`rows`, the view row of each candidate object, resolved once.
     * :meth:`edit_similarities` to view rows, over ``codes``, the query's
       codes under the view's code table. Rows not scored yet go through one
       kernel call; rows scored before are read back, which equals a fresh
       call bit for bit (rule 3 above).
 
-    Rows and similarities belong to the view's codes; views that share them
+    Similarities belong to the view's codes; views that share them
     (``embedded_with`` copies) share the kept values, and another view starts
     them afresh. A stage given an ``Exercise`` prepares it with :meth:`of`.
     """
@@ -299,9 +308,7 @@ class PreparedQuery:
         self.concepts = frozenset(exercise.metadata.knowledge_concepts)
         self._embeddings: dict[int, tuple[object, np.ndarray]] = {}
         self._view_codes: Optional[np.ndarray] = None
-        self._view_exercises: list[Exercise] = []
         self.codes = self.length = None
-        self._rows: dict[int, int] = {}
         self._sims = np.zeros(0)
 
     @classmethod
@@ -324,25 +331,7 @@ class PreparedQuery:
         if self._view_codes is not view.codes:
             self._view_codes = view.codes
             self.codes, self.length = pad_codes([view.code_table().encode(self.tokens)])
-            # keyed by object id: the view keeps its exercises, and so their
-            # ids, alive as long as this list is held
-            self._view_exercises = view.exercises
-            self._rows = {}
             self._sims = np.full(len(view.lengths), np.nan)
-
-    def rows(self, view: PreparedCorpus,
-             others: Sequence[Exercise]) -> Optional[np.ndarray]:
-        """``view.rows(others)``; each object is looked up in the view once."""
-        self._bind(view)
-        rows = list(map(self._rows.get, map(id, others)))
-        if None in rows:
-            for i, ex in enumerate(others):
-                if rows[i] is None:
-                    rows[i] = view.lookup(ex)
-                    if rows[i] is None:
-                        return None
-                    self._rows[id(ex)] = rows[i]
-        return np.array(rows, dtype=np.int64)
 
     def edit_similarities(self, view: PreparedCorpus, rows: np.ndarray) -> np.ndarray:
         """Edit similarity of the query to each of ``view``'s ``rows``."""
@@ -408,22 +397,37 @@ class PairFeaturizer:
     def prepare(self, exercises: Sequence[Exercise]) -> PreparedCorpus:
         return PreparedCorpus(exercises, self.vocab, self.params)
 
-    def query_pairs(self, query, others: Sequence[Exercise]):
-        """(u, v, edit similarities) of the pairs (query, other).
+    def view_pairs(self, query, view: PreparedCorpus, rows: np.ndarray):
+        """(u, v, edit similarities) of the pairs (query, row) over ``view``'s
+        ``rows``.
 
         ``query`` is an ``Exercise`` or a ``PreparedQuery``. ``u`` is the
-        query's single-text embedding and ``v`` (one row per other) the
-        view's rows. Others outside the view are prepared from their text,
-        all of them, in a view of their own.
+        query's single-text embedding and ``v`` the view's rows, which must
+        be embedded under this featurizer's params.
         """
+        view.check(self.vocab, self.params)
         query = PreparedQuery.of(query, self.vocab)
+        return (query.embedding(self.params), view.embeddings[rows],
+                query.edit_similarities(view, rows))
+
+    def query_pairs(self, query, others: Sequence[Exercise]):
+        """``view_pairs`` of the pairs (query, other). Others are read from
+        the view when all of them are its objects, else all are prepared
+        from their text in a view of their own."""
         view = self.view
-        rows = query.rows(view, others) if view is not None else None
+        rows = view.rows(others) if view is not None else None
         if rows is None:
             view = self.prepare(others)
             rows = np.arange(len(others))
-        return (query.embedding(self.params), view.embeddings[rows],
-                query.edit_similarities(view, rows))
+        return self.view_pairs(query, view, rows)
+
+    def row_pairs(self, query, index: RowIndex, rows: np.ndarray, corpus: Corpus):
+        """``view_pairs`` of the exercises at ``index``'s ``rows``: straight
+        from the view when it is over ``index`` (so over ``corpus``), else
+        ``query_pairs`` of the corpus's exercises with those ids."""
+        if self.view is not None and self.view.index is index:
+            return self.view_pairs(query, self.view, rows)
+        return self.query_pairs(query, [corpus[index.ids[r]] for r in rows.tolist()])
 
     def both_orders(self, pairs: Sequence[tuple[Exercise, Exercise]]) -> np.ndarray:
         """Feature rows of every pair as (a, b) then (b, a), interleaved.
@@ -473,10 +477,10 @@ class PairClassifier:
         return float(_sigmoid(features @ self.weights + self.bias))
 
     def prob_rows(self, features: np.ndarray) -> np.ndarray:
-        """``prob`` of every row, bit for bit: each row is its own 1-D dot
-        product (the matrix product of ``prob_batch`` rounds differently)."""
-        z = np.array([row @ self.weights for row in features], dtype=np.float64)
-        return _sigmoid(z + self.bias)
+        """``prob`` of every row, bit for bit: ``vecdot`` takes each row's dot
+        product with the 1-D kernel of ``prob`` (the matrix product of
+        ``prob_batch`` rounds differently)."""
+        return _sigmoid(np.vecdot(features, self.weights) + self.bias)
 
     def prob_batch(self, features: np.ndarray) -> np.ndarray:
         return _sigmoid(features @ self.weights + self.bias)

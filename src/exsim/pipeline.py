@@ -20,7 +20,8 @@ encoder embedding) and passes it to recall, ranking and re-rank. The first
 stage to score pairs, dedup when its head is loaded, makes the miss's one
 edit-distance kernel call over the recalled list; ranking and the variant
 split read their subsets back. The ranker embeds the query under its own backbone, so a miss
-runs ``embed_text`` twice.
+runs ``embed_text`` twice. The stages pass candidates as arrays of corpus
+rows (``recall.Candidates``); ids are looked up once, for the served list.
 
 Stop words live in the vocabulary (``Vocab.stop_words``, the header line of
 ``vocab.txt``); every stage normalizes text with its vocabulary's. Only
@@ -362,8 +363,7 @@ def recall_lists(recaller: Recaller, seed_ids: Sequence[str],
     """Top-k recall output per seed (merge stage, before ranking)."""
     out = {}
     for seed_id in seed_ids:
-        cands = recaller.recall(recaller.corpus[seed_id])
-        out[seed_id] = [c.ex_id for c in cands[:k]]
+        out[seed_id] = recaller.recall(recaller.corpus[seed_id]).ids[:k]
     return out
 
 
@@ -373,9 +373,7 @@ def ranked_lists(recaller: Recaller, ranker: ranking.Ranker, corpus: Corpus,
     out = {}
     for query_id in query_ids:
         query = corpus[query_id]
-        cands = recaller.recall(query)
-        ranked = ranker.rank(query, cands, corpus)
-        out[query_id] = [c.ex_id for c in ranked]
+        out[query_id] = ranker.rank(query, recaller.recall(query), corpus).ids
     return out
 
 

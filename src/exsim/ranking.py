@@ -50,7 +50,7 @@ from .encoder import (EncoderParams, TrainingDivergedError, embed_text_batch,
                       embed_text_batch_backward, softmax_cross_entropy)
 from .pairclf import (CodeTable, PairFeaturizer, PreparedCorpus, UntrainedModelError,
                       edit_similarities, pad_codes, pair_feature_rows, text_tokens)
-from .recall import Candidate
+from .recall import Candidates
 from .snapshots import SnapshotFormatError, load_arrays, save_arrays
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
 from .textnorm import Vocab, normalize_text  # noqa: F401
@@ -550,7 +550,10 @@ class Ranker:
         self._check_trained()
         if not others:
             return np.zeros(0)
-        f = pair_feature_rows(*self.featurizer.query_pairs(query, others))
+        return self._probs(*self.featurizer.query_pairs(query, others))
+
+    def _probs(self, u: np.ndarray, v: np.ndarray, sims: np.ndarray) -> np.ndarray:
+        f = pair_feature_rows(u, v, sims)
         logits = f @ self.params.heads[TASK_STEM_STEM]["w"] \
             + self.params.heads[TASK_STEM_STEM]["b"]
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -560,13 +563,16 @@ class Ranker:
     def score_pair(self, ex_a: Exercise, ex_b: Exercise) -> float:
         return float(self.score_pairs(ex_a, [ex_b])[0])
 
-    def rank(self, query, candidates: Sequence[Candidate],
-             corpus: Corpus) -> list[Candidate]:
+    def rank(self, query, candidates: Candidates, corpus: Corpus) -> Candidates:
         """Re-score candidates and sort descending, ties broken by id;
-        ``query`` is an ``Exercise`` or a ``PreparedQuery``."""
+        ``query`` is an ``Exercise`` or a ``PreparedQuery``. Candidates that
+        are rows of this ranker's view are read from it, others are looked
+        up in ``corpus``."""
         self._check_trained()
-        others = [corpus[c.ex_id] for c in candidates]
-        scores = self.score_pairs(query, others)
-        rescored = [Candidate(c.ex_id, float(s), c.source)
-                    for c, s in zip(candidates, scores)]
-        return sorted(rescored, key=lambda c: (-c.score, c.ex_id))
+        rows = candidates.rows
+        scores = (self._probs(*self.featurizer.row_pairs(query, candidates.index, rows,
+                                                         corpus))
+                  if len(rows) else np.zeros(0))
+        order = np.lexsort((candidates.index.id_rank[rows], -scores))
+        return Candidates(candidates.index, rows[order], scores[order],
+                          candidates.sources[order])

@@ -21,20 +21,27 @@ plain loop and ``sorted(..., key=(-score, id))[:k]`` would, bit for bit:
   ``np.lexsort`` on (-score, the row's rank in sorted-id order), so ties
   break by id, not by row.
 
+Candidates travel as :class:`Candidates`: the corpus rows, their scores and
+a source code per row, in arrays, from top-k through ranking to the served
+list. Ids are looked up only for the served list; iterating a candidate
+list builds a :class:`Candidate` per row for callers that want objects.
+Both channels share the corpus's ``RowIndex`` (each id's row and each row's
+rank in sorted-id order).
+
 Channel results merge by a set rule: candidates found by both channels come
 first (ordered by embedding score), then the remaining slots split between
 the channel-only lists, the lexical side receiving the extra slot on odd
-remainders, backfilling from the other side when one list runs short.
-Finally, candidates the duplicate classifier flags against the query are
-dropped so near-identical exercises are never recommended. Dedup scores all
-merged candidates at once, both argument orders averaged. Its edit
-similarities come from the query's ``pairclf.PreparedQuery``: one kernel
-call over the whole merged list, which ranking and the variant split then
-read back for their subsets. Its embeddings are the query's
-``query_embedding`` vector and the candidates' vector-index rows, and each
-feature row is scored with its own 1-D dot product, so the batch is
-bit-identical to calling ``DuplicateDetector.prob`` per candidate (see the
-rules in ``pairclf``).
+remainders, backfilling from the other side when one list runs short. The
+rule is applied with boolean masks over the corpus rows. Finally,
+candidates the duplicate classifier flags against the query are dropped so
+near-identical exercises are never recommended. Dedup scores all merged
+candidates at once, both argument orders averaged. Its edit similarities
+come from the query's ``pairclf.PreparedQuery``: one kernel call over the
+whole merged list, which ranking and the variant split then read back for
+their subsets. Its embeddings are the query's ``query_embedding`` vector
+and the view's rows, and the feature rows are scored by ``prob_rows``, so
+the batch is bit-identical to calling ``DuplicateDetector.prob`` per
+candidate (see the rules in ``pairclf``).
 
 ``Recaller.build`` derives both indexes from one ``pairclf.PreparedCorpus``
 (the one ``Pipeline.load`` shares with dedup, the ranker and the variant
@@ -48,11 +55,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Exercise
+from .corpus import Corpus, Exercise, RowIndex
 # embed_text stays bound, unused: perfbench's tracer wraps it where imported
 from .encoder import EncoderParams, embed_corpus, embed_text  # noqa: F401
 from .pairclf import (PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery,
@@ -62,16 +69,54 @@ from .textnorm import Vocab, normalize_text, split_tokens
 BM25_K1 = 1.2
 BM25_B = 0.75
 
-SOURCE_EXACT = "exact"
-SOURCE_EMBED = "embed"
-SOURCE_BOTH = "both"
+# a candidate's source code is its source's position here
+SOURCES = ("exact", "embed", "both")
+EXACT, EMBED, BOTH = range(len(SOURCES))
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     ex_id: str
     score: float
     source: str
+
+
+class Candidates:
+    """A candidate list, column-wise: ``rows`` of ``index`` (intp), their
+    ``scores`` (float64) and ``sources`` (int8 codes into ``SOURCES``).
+    Iterating builds a ``Candidate`` per row."""
+
+    __slots__ = ("index", "rows", "scores", "sources")
+
+    def __init__(self, index: RowIndex, rows: np.ndarray, scores: np.ndarray,
+                 sources: np.ndarray):
+        self.index = index
+        self.rows = rows
+        self.scores = scores
+        self.sources = sources
+
+    @classmethod
+    def empty(cls, index: RowIndex) -> "Candidates":
+        return cls(index, np.zeros(0, dtype=np.intp), np.zeros(0),
+                   np.zeros(0, dtype=np.int8))
+
+    def take(self, which) -> "Candidates":
+        """The candidates ``which`` (a mask, positions or a slice) selects."""
+        return Candidates(self.index, self.rows[which], self.scores[which],
+                          self.sources[which])
+
+    @property
+    def ids(self) -> list[str]:
+        return list(map(self.index.ids.__getitem__, self.rows.tolist()))
+
+    @property
+    def source_names(self) -> list[str]:
+        return list(map(SOURCES.__getitem__, self.sources.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(Candidate, self.ids, self.scores.tolist(), self.source_names)
 
 
 @dataclass
@@ -86,16 +131,8 @@ class RecallConfig:
 # ---------------------------------------------------------------------------
 # Top-k shared by both channels
 
-def _id_ranks(ids: Sequence[str]) -> np.ndarray:
-    """Each row's position when the rows are sorted by id."""
-    ranks = np.empty(len(ids), dtype=np.intp)
-    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return ranks
-
-
-def _top_k(rows: np.ndarray, scores: np.ndarray, ids: Sequence[str],
-           id_rank: np.ndarray, k: int, exclude_row: int,
-           source: str) -> list[Candidate]:
+def _top_k(rows: np.ndarray, scores: np.ndarray, index: RowIndex, k: int,
+           exclude_row: int, source: int) -> Candidates:
     """The k best of ``rows`` by (-score, id), as ``sorted`` with that key
     would give them.
 
@@ -104,7 +141,7 @@ def _top_k(rows: np.ndarray, scores: np.ndarray, ids: Sequence[str],
     before the cut.
     """
     if k <= 0:
-        return []
+        return Candidates.empty(index)
     if exclude_row >= 0:
         keep = rows != exclude_row
         rows, scores = rows[keep], scores[keep]
@@ -112,9 +149,9 @@ def _top_k(rows: np.ndarray, scores: np.ndarray, ids: Sequence[str],
         kth = np.partition(scores, len(scores) - k)[len(scores) - k]
         keep = scores >= kth
         rows, scores = rows[keep], scores[keep]
-    order = np.lexsort((id_rank[rows], -scores))[:k]
-    return [Candidate(ids[row], score, source)
-            for row, score in zip(rows[order].tolist(), scores[order].tolist())]
+    order = np.lexsort((index.id_rank[rows], -scores))[:k]
+    return Candidates(index, rows[order], scores[order],
+                      np.full(len(order), source, dtype=np.int8))
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +207,10 @@ class LexicalIndex:
     the same order, so such a loop reproduces the scores bit for bit.
     """
 
-    def __init__(self, ids: list[str], token_lists: list[list[str]],
+    def __init__(self, index: RowIndex, token_lists: list[list[str]],
                  concept_sets: list[frozenset[str]], concept_boost: float = 0.5):
-        self.ids = ids
-        self.row_of = {ex_id: i for i, ex_id in enumerate(ids)}
-        self.id_rank = _id_ranks(ids)
+        self.index = index
+        self.ids = ids = index.ids
         n_tokens = sum(len(t) for t in token_lists)
         self.avg_len = (n_tokens / len(ids)) if ids else 0.0
         self.concepts = concept_sets
@@ -218,7 +254,7 @@ class LexicalIndex:
                        else [split_tokens(normalize_text(ex.text, stop_words)[0])
                              for ex in corpus])
         concept_sets = [frozenset(ex.metadata.knowledge_concepts) for ex in corpus]
-        return cls(corpus.ids, token_lists, concept_sets, concept_boost)
+        return cls(corpus.index, token_lists, concept_sets, concept_boost)
 
     def score_all(self, query_tokens: Sequence[str],
                   query_concepts: frozenset[str]) -> RowScores:
@@ -248,12 +284,12 @@ class LexicalIndex:
         return RowScores(rows, scores[rows])
 
     def search(self, query_tokens: Sequence[str], query_concepts: frozenset[str],
-               k: int, exclude_id: Optional[str] = None) -> list[Candidate]:
+               k: int, exclude_id: Optional[str] = None) -> Candidates:
         """The k best-scoring documents other than ``exclude_id``, ordered by
         (-score, id)."""
         scored = self.score_all(query_tokens, query_concepts)
-        return _top_k(scored.rows, scored.scores, self.ids, self.id_rank, k,
-                      self.row_of.get(exclude_id, -1), SOURCE_EXACT)
+        return _top_k(scored.rows, scored.scores, self.index, k,
+                      self.index.row_of.get(exclude_id, -1), EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +298,15 @@ class LexicalIndex:
 class VectorIndex:
     """Unit-norm embedding matrix scanned by cosine."""
 
-    def __init__(self, matrix: np.ndarray, ids: list[str]):
-        if matrix.ndim != 2 or len(ids) != matrix.shape[0]:
+    def __init__(self, matrix: np.ndarray, index: RowIndex):
+        if matrix.ndim != 2 or len(index) != matrix.shape[0]:
             raise ValueError("matrix rows must align with ids")
         norms = np.linalg.norm(matrix, axis=1)
-        if len(ids) and not np.allclose(norms, 1.0, atol=1e-6):
+        if len(index) and not np.allclose(norms, 1.0, atol=1e-6):
             raise ValueError("vector index rows must be unit-norm")
         self.matrix = matrix
-        self.ids = ids
-        self.row_of = {ex_id: i for i, ex_id in enumerate(ids)}
-        self.id_rank = _id_ranks(ids)
+        self.index = index
+        self.ids = index.ids
 
     @classmethod
     def build(cls, corpus: Corpus, vocab: Vocab, params: EncoderParams,
@@ -279,69 +314,65 @@ class VectorIndex:
         """``embed_corpus`` rows of ``corpus``; ``view``, when given, holds it
         in order, embedded under ``params``, and its embeddings are the
         matrix (the same bits, and no embedding call)."""
-        if view is None:
-            return cls(*embed_corpus(corpus, vocab, params))
-        return cls(view.embeddings, corpus.ids)
+        matrix = embed_corpus(corpus, vocab, params)[0] if view is None else view.embeddings
+        return cls(matrix, corpus.index)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
 
     def search(self, query: np.ndarray, k: int,
-               exclude_id: Optional[str] = None) -> list[Candidate]:
+               exclude_id: Optional[str] = None) -> Candidates:
         """The k rows of highest cosine other than ``exclude_id``, ordered by
         (-score, id)."""
         query = np.asarray(query, dtype=np.float64)
         if query.shape != (self.dim,):
             raise ValueError(f"query must have dimension {self.dim}")
         scores = self.matrix @ query
-        return _top_k(np.arange(len(self.ids)), scores, self.ids, self.id_rank, k,
-                      self.row_of.get(exclude_id, -1), SOURCE_EMBED)
+        return _top_k(np.arange(len(self.ids)), scores, self.index, k,
+                      self.index.row_of.get(exclude_id, -1), EMBED)
 
 
 # ---------------------------------------------------------------------------
 # Merge rule
 
-def merge_candidates(exact: Sequence[Candidate], embed: Sequence[Candidate],
-                     n: int) -> list[Candidate]:
+def merge_candidates(exact: Candidates, embed: Candidates, n: int) -> Candidates:
     """Merge the two channel lists into at most n candidates.
 
     Intersection members come first, ordered by embedding score. The
     remaining slots split evenly between the channel-only lists (lexical
     receives the extra slot on odd remainders); when one side runs out the
     other fills in. The tail interleaves the channels, lexical first.
+    Membership is read from boolean masks over the rows of the shared index.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    exact_ids = {c.ex_id for c in exact}
-    embed_ids = {c.ex_id for c in embed}
-    inter = [Candidate(c.ex_id, c.score, SOURCE_BOTH)
-             for c in embed if c.ex_id in exact_ids]
-    if len(inter) >= n:
-        return inter[:n]
+    index = exact.index
+    if embed.index is not index:
+        raise ValueError("the channel lists are rows of different indexes")
+    in_exact = np.zeros(len(index), dtype=bool)
+    in_exact[exact.rows] = True
+    in_embed = np.zeros(len(index), dtype=bool)
+    in_embed[embed.rows] = True
+    shared = in_exact[embed.rows]
+    inter = np.flatnonzero(shared)[:n]
+    exact_only = np.flatnonzero(~in_embed[exact.rows])
+    embed_only = np.flatnonzero(~shared)
     rem = n - len(inter)
-    exact_only = [c for c in exact if c.ex_id not in embed_ids]
-    embed_only = [c for c in embed if c.ex_id not in exact_ids]
-    want_exact = (rem + 1) // 2
-    want_embed = rem - want_exact
-    take_exact = min(want_exact, len(exact_only))
-    take_embed = min(want_embed, len(embed_only))
-    leftover = rem - take_exact - take_embed
-    if leftover > 0:
-        extra = min(leftover, len(embed_only) - take_embed)
-        take_embed += extra
-        leftover -= extra
-    if leftover > 0:
-        take_exact += min(leftover, len(exact_only) - take_exact)
-    merged = list(inter)
-    e_list = exact_only[:take_exact]
-    m_list = embed_only[:take_embed]
-    for i in range(max(len(e_list), len(m_list))):
-        if i < len(e_list):
-            merged.append(e_list[i])
-        if i < len(m_list):
-            merged.append(m_list[i])
-    return merged
+    take_exact = min((rem + 1) // 2, len(exact_only))
+    take_embed = min(rem - take_exact, len(embed_only))
+    take_exact = min(rem - take_embed, len(exact_only))
+    e, m = exact_only[:take_exact], embed_only[:take_embed]
+    # intersection first, then lexical i at 2i and embedding j at 2j + 1, so
+    # the tail alternates until one side runs out
+    order = np.argsort(np.concatenate([np.arange(len(inter)) - len(inter),
+                                       2 * np.arange(len(e)), 2 * np.arange(len(m)) + 1]))
+    return Candidates(
+        index,
+        np.concatenate([embed.rows[inter], exact.rows[e], embed.rows[m]])[order],
+        np.concatenate([embed.scores[inter], exact.scores[e], embed.scores[m]])[order],
+        np.repeat(np.array([BOTH, EXACT, EMBED], dtype=np.int8),
+                  [len(inter), len(e), len(m)])[order])
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +395,8 @@ class DuplicateDetector:
         p_ba = self.classifier.prob(self.featurizer.features(ex_b, ex_a))
         return (p_ab + p_ba) / 2.0
 
-    def prob_many(self, query, others: Sequence[Exercise]) -> np.ndarray:
-        """``prob(query, other)`` for every other, bit for bit; ``query`` is
-        an ``Exercise`` or a ``PreparedQuery``."""
-        u, v, sims = self.featurizer.query_pairs(query, others)
+    def prob_pairs(self, u: np.ndarray, v: np.ndarray, sims: np.ndarray) -> np.ndarray:
+        """``prob`` of the pairs a featurizer gives as (u, v, edit similarities)."""
         p_ab = self.classifier.prob_rows(pair_feature_rows(u, v, sims))
         p_ba = self.classifier.prob_rows(pair_feature_rows(v, u, sims))
         return (p_ab + p_ba) / 2.0
@@ -401,7 +430,7 @@ def train_dedup(dedup_pairs: Sequence[tuple[Exercise, Exercise, int]],
 @dataclass
 class Recaller:
     """Bundles everything a recall query needs. ``view`` is the prepared
-    corpus both indexes were built from."""
+    corpus both indexes were built from; dedup reads its rows."""
 
     corpus: Corpus
     vocab: Vocab
@@ -419,11 +448,14 @@ class Recaller:
               view: Optional[PreparedCorpus] = None) -> "Recaller":
         """Both indexes from ``view``, which must hold ``corpus`` in order,
         prepared with ``vocab`` and ``params``; without one, a view is
-        prepared here."""
+        prepared here. A ``dedup`` head must be over the same vocab and
+        params, since it reads the view's rows."""
         config = config or RecallConfig()
         if view is None:
             view = PreparedCorpus(corpus, vocab, params)
         view.check(vocab, params)
+        if dedup is not None:
+            view.check(dedup.featurizer.vocab, dedup.featurizer.params)
         if (len(view.exercises) != len(corpus)
                 or any(a is not b for a, b in zip(view.exercises, corpus))):
             raise ValueError("prepared corpus does not hold this corpus in order")
@@ -438,10 +470,10 @@ class Recaller:
         ``PreparedQuery``)."""
         return PreparedQuery.of(query, self.vocab).embedding(self.params)
 
-    def recall(self, query) -> list[Candidate]:
+    def recall(self, query) -> Candidates:
         """Merged, deduplicated candidates of ``query`` (an ``Exercise`` or a
         ``PreparedQuery``, which then carries the dedup edit similarities on
-        to the later stages)."""
+        to the later stages), as rows of the corpus."""
         cfg = self.config
         query = PreparedQuery.of(query, self.vocab)
         query_id = query.exercise.id
@@ -449,9 +481,10 @@ class Recaller:
                                     exclude_id=query_id)
         embed = (self.vector.search(self.query_embedding(query), cfg.k_embed,
                                     exclude_id=query_id)
-                 if query.tokens else [])
+                 if query.tokens else Candidates.empty(self.vector.index))
         merged = merge_candidates(exact, embed, cfg.n)
-        if self.dedup is None or not merged:
+        if self.dedup is None or not len(merged):
             return merged
-        probs = self.dedup.prob_many(query, [self.corpus[c.ex_id] for c in merged])
-        return [c for c, p in zip(merged, probs.tolist()) if p < cfg.dedup_threshold]
+        probs = self.dedup.prob_pairs(
+            *self.dedup.featurizer.view_pairs(query, self.view, merged.rows))
+        return merged.take(probs < cfg.dedup_threshold)

@@ -15,14 +15,16 @@ Every step preserves the incoming ranking order and is idempotent. With no
 profile and no classifier the whole stage is a pass-through, so the
 pipeline is testable end to end before any re-rank model exists.
 
-The variant split scores every kept candidate in one batch, over their
-single-text embeddings from the featurizer's ``PreparedCorpus``, each
-feature row scored with its own 1-D dot product. Given the miss's
-``pairclf.PreparedQuery`` it makes no edit-distance kernel call of its own:
-the kept candidates are a subset of the recalled list, whose similarities
-the query already holds, and its query embedding is the one recall
-computed. This is bit-identical to ``VariantClassifier.prob`` per candidate
-(see the rules in ``pairclf``).
+Candidates arrive as ``recall.Candidates``, rows of the corpus. The two
+filters are masks over the corpus's per-row ``learning_stages`` and
+``difficulties`` arrays, built with the corpus. The variant split scores
+every kept row in one batch, over the rows of the featurizer's
+``PreparedCorpus``, the feature rows scored by ``prob_rows``. Given the
+miss's ``pairclf.PreparedQuery`` it makes no edit-distance kernel call of
+its own: the kept candidates are a subset of the recalled list, whose
+similarities the query already holds, and its query embedding is the one
+recall computed. This is bit-identical to ``VariantClassifier.prob`` per
+candidate (see the rules in ``pairclf``).
 
 Results are stored column-wise (:class:`RerankedResult`): a served list is
 kept in the query cache, so per-item objects are only built on access.
@@ -39,7 +41,7 @@ from .corpus import Corpus, Exercise, LabeledPair, VARIANT
 from .encoder import EncoderParams
 from .pairclf import (PairClassifier, PairFeaturizer, PreparedQuery,
                       UntrainedModelError, pair_feature_rows)
-from .recall import Candidate
+from .recall import Candidates
 from .textnorm import Vocab
 
 ABILITIES = ("weak", "average", "excellent")
@@ -83,20 +85,19 @@ class RerankedResult:
     variant list, the rest the similar list, each in ranking order.
 
     ``variant_probs`` is None when no variant step ran; ``passed`` is shared
-    by every item. ``variant`` and ``similar`` build their items on access.
+    by every item. The ids of the candidates' rows are looked up here;
+    ``variant`` and ``similar`` build their items on access.
     """
 
     __slots__ = ("ids", "scores", "sources", "variant_probs", "passed", "n_variant")
 
-    def __init__(self, ids: Sequence[str], scores: Sequence[float],
-                 sources: Sequence[str], passed: tuple[str, ...] = (),
-                 variant_probs: Optional[Sequence[float]] = None, n_variant: int = 0):
-        self.ids = tuple(ids)
-        self.scores = np.asarray(scores, dtype=np.float64)
-        self.sources = tuple(sources)
+    def __init__(self, candidates: Candidates, passed: Sequence[str] = (),
+                 variant_probs: Optional[np.ndarray] = None, n_variant: int = 0):
+        self.ids = tuple(candidates.ids)
+        self.scores = candidates.scores
+        self.sources = tuple(candidates.source_names)
         self.passed = tuple(passed)
-        self.variant_probs = (None if variant_probs is None
-                              else np.asarray(variant_probs, dtype=np.float64))
+        self.variant_probs = variant_probs
         self.n_variant = n_variant
 
     def _items(self, start: int, stop: int) -> list[RerankedItem]:
@@ -135,46 +136,45 @@ class RerankConfig:
 # ---------------------------------------------------------------------------
 # Filters
 
-def stage_filter(candidates: Sequence[Candidate], profile: Optional[StudentProfile],
-                 corpus: Corpus) -> list[Candidate]:
+def _corpus_rows(candidates: Candidates, corpus: Corpus) -> np.ndarray:
+    if candidates.index is not corpus.index:
+        raise ValueError("candidates are not rows of this corpus")
+    return candidates.rows
+
+
+def stage_filter(candidates: Candidates, profile: Optional[StudentProfile],
+                 corpus: Corpus) -> Candidates:
     """Drop candidates beyond the student's learning stage; order preserved.
 
     Synchronous practice compares whole (grade, semester) stages; review
     compares the semester component only, per the stated rules.
     """
     if profile is None:
-        return list(candidates)
-    kept = []
-    for c in candidates:
-        stage = corpus[c.ex_id].learning_stage
-        if profile.stage_mode == "synchronous":
-            if stage <= profile.current_stage:
-                kept.append(c)
-        else:  # review
-            if stage[1] <= profile.current_stage[1]:
-                kept.append(c)
-    return kept
+        return candidates
+    grade, semester = corpus.learning_stages[_corpus_rows(candidates, corpus)].T
+    cur_grade, cur_semester = profile.current_stage
+    if profile.stage_mode == "synchronous":
+        keep = (grade < cur_grade) | ((grade == cur_grade) & (semester <= cur_semester))
+    else:  # review
+        keep = semester <= cur_semester
+    return candidates.take(keep)
 
 
-def personalize_filter(candidates: Sequence[Candidate], query_difficulty: int,
+def personalize_filter(candidates: Candidates, query_difficulty: int,
                        profile: Optional[StudentProfile],
-                       corpus: Corpus) -> list[Candidate]:
+                       corpus: Corpus) -> Candidates:
     """Difficulty band by ability: similar-or-hard for excellent students,
     similar-or-easy for weak, within one level for average."""
     if profile is None:
-        return list(candidates)
-    kept = []
-    for c in candidates:
-        d = corpus[c.ex_id].metadata.difficulty
-        if profile.ability == "excellent":
-            ok = d >= query_difficulty
-        elif profile.ability == "weak":
-            ok = d <= query_difficulty
-        else:
-            ok = abs(d - query_difficulty) <= 1
-        if ok:
-            kept.append(c)
-    return kept
+        return candidates
+    d = corpus.difficulties[_corpus_rows(candidates, corpus)]
+    if profile.ability == "excellent":
+        keep = d >= query_difficulty
+    elif profile.ability == "weak":
+        keep = d <= query_difficulty
+    else:
+        keep = np.abs(d - query_difficulty) <= 1
+    return candidates.take(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +192,8 @@ class VariantClassifier:
     def prob(self, query: Exercise, candidate: Exercise) -> float:
         return self.classifier.prob(self.featurizer.features(query, candidate))
 
-    def prob_many(self, query, candidates: Sequence[Exercise]) -> np.ndarray:
-        """``prob(query, candidate)`` for every candidate, bit for bit;
-        ``query`` is an ``Exercise`` or a ``PreparedQuery``."""
-        u, v, sims = self.featurizer.query_pairs(query, candidates)
+    def prob_pairs(self, u: np.ndarray, v: np.ndarray, sims: np.ndarray) -> np.ndarray:
+        """``prob`` of the pairs a featurizer gives as (u, v, edit similarities)."""
         return self.classifier.prob_rows(pair_feature_rows(u, v, sims))
 
     def is_variant(self, query: Exercise, candidate: Exercise) -> bool:
@@ -227,14 +225,15 @@ def train_variant(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab,
 # ---------------------------------------------------------------------------
 # Full re-rank
 
-def rerank(query, candidates: Sequence[Candidate],
+def rerank(query, candidates: Candidates,
            profile: Optional[StudentProfile], corpus: Corpus,
            variant_clf: Optional[VariantClassifier] = None,
            config: RerankConfig = RerankConfig()) -> RerankedResult:
     """Stage filter, difficulty filter, then variant split, order preserved.
-    ``query`` is an ``Exercise`` or a ``PreparedQuery``."""
+    ``query`` is an ``Exercise`` or a ``PreparedQuery``; ``candidates`` are
+    rows of ``corpus``."""
     passed: list[str] = []
-    kept = list(candidates)
+    kept = candidates
     if profile is not None:
         kept = stage_filter(kept, profile, corpus)
         passed.append("stage")
@@ -242,16 +241,12 @@ def rerank(query, candidates: Sequence[Candidate],
         kept = personalize_filter(kept, exercise.metadata.difficulty, profile, corpus)
         passed.append("difficulty")
     if variant_clf is None or not config.enable_variant:
-        return RerankedResult([c.ex_id for c in kept], [c.score for c in kept],
-                              [c.source for c in kept], tuple(passed))
+        return RerankedResult(kept, passed)
     passed.append("variant")
-    probs = (variant_clf.prob_many(query, [corpus[c.ex_id] for c in kept])
-             if kept else np.zeros(0))
+    probs = (variant_clf.prob_pairs(*variant_clf.featurizer.row_pairs(
+        query, kept.index, kept.rows, corpus)) if len(kept) else np.zeros(0))
     # stable partition: variants first, each side in ranking order
     similar = ~(probs >= config.variant_threshold)
     order = np.argsort(similar, kind="stable")
-    kept = [kept[i] for i in order]
-    return RerankedResult([c.ex_id for c in kept], [c.score for c in kept],
-                          [c.source for c in kept], tuple(passed),
-                          variant_probs=probs[order],
+    return RerankedResult(kept.take(order), passed, variant_probs=probs[order],
                           n_variant=len(kept) - int(similar.sum()))

@@ -1,7 +1,7 @@
 """No module imports a name it never reads.
 
 A stdlib stand-in for a linter's unused-import rule (F401) over every module
-of ``src/exsim`` and ``tests``. An import line that must stay although
+of ``src/exsim``, ``tests`` and ``perfbench``. An import line that must stay although
 nothing reads it (a binding another tool looks up by name) says so with
 ``# noqa: F401``.
 """
@@ -60,7 +60,7 @@ def test_the_check_finds_an_unused_import():
 
 
 @pytest.mark.parametrize("path", sorted(
-    str(p.relative_to(ROOT)) for folder in ("src/exsim", "tests")
+    str(p.relative_to(ROOT)) for folder in ("src/exsim", "tests", "perfbench")
     for p in (ROOT / folder).glob("*.py")))
 def test_no_unused_imports(path):
     found = unused_imports((ROOT / path).read_text(encoding="utf-8"))

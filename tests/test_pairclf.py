@@ -265,10 +265,25 @@ def test_both_orders_equal_features_per_pair(small_trained):
     assert np.array_equal(rows, np.array(expected))
 
 
-def test_prob_rows_equal_prob_per_row():
-    rng = np.random.default_rng(3)
-    clf = PairClassifier(weights=rng.normal(size=33), bias=0.1)
-    x = rng.normal(size=(100, 33))
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([0, 1, 2, 7, 100]), width=st.integers(1, 140),
+       decades=st.integers(0, 12), strided=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_prob_rows_equal_prob_per_row(n, width, decades, strided, seed):
+    """``prob_rows`` gives the bits of a per-row ``row @ w`` loop, also over
+    rows of ``both_orders``'s ``rows[:, 0]`` layout and magnitudes spanning
+    ``decades`` powers of ten."""
+    rng = np.random.default_rng(seed)
+    clf = PairClassifier(weights=rng.normal(size=width) * 10.0 ** rng.uniform(-3, 3),
+                         bias=float(rng.normal()))
+    x = rng.normal(size=(n, width)) * 10.0 ** rng.uniform(-decades / 2, decades / 2,
+                                                         size=(n, width))
+    if strided:
+        pairs = np.empty((n, 2, width))
+        pairs[:, 0] = x
+        x = pairs[:, 0]
+    z = np.array([row @ clf.weights for row in x], dtype=np.float64)
+    expected = 1.0 / (1.0 + np.exp(-np.clip(z + clf.bias, -35.0, 35.0)))
+    assert clf.prob_rows(x).tolist() == expected.tolist()
     assert clf.prob_rows(x).tolist() == [clf.prob(row) for row in x]
 
 
@@ -289,7 +304,7 @@ def test_prepared_query_reads_kept_similarities_by_row(query_words, corpus_words
                                            max_size=len(corpus))), dtype=np.int64)
         assert query.edit_similarities(other_backbone, rows).tolist() == \
             [expected[r] for r in rows]
-        assert query.rows(view, [corpus[r] for r in rows]).tolist() == rows.tolist()
+        assert view.rows([corpus[r] for r in rows]).tolist() == rows.tolist()
 
 
 def test_prepared_query_starts_afresh_for_another_view():
@@ -299,8 +314,8 @@ def test_prepared_query_starts_afresh_for_another_view():
     query = PreparedQuery(exercise("q", "zq ef"), VOCAB)
     assert query.edit_similarities(first, np.array([0, 1])).tolist() == [0.0, 1.0]
     assert query.edit_similarities(second, np.array([0, 1])).tolist() == [1.0, 0.0]
-    assert query.rows(second, exs).tolist() == [1, 0]
-    assert query.rows(second, [exercise("a", "ab xy")]) is None  # equal id, other object
+    assert second.rows(exs).tolist() == [1, 0]
+    assert second.rows([exercise("a", "ab xy")]) is None  # equal id, other object
 
 
 def test_prepared_query_is_embedded_once_per_backbone(monkeypatch):

@@ -10,6 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from test_pairclf import reference_similarity
+from test_recall import reference_merge
 
 from exsim import encoder, pairclf, ranking, recall, textnorm
 from exsim import pipeline as pl
@@ -18,8 +19,8 @@ from exsim.corpus import (CorpusError, LabeledPair, SyntheticSpec, load_corpus,
 from exsim.encoder import load_encoder
 from exsim.pairclf import pair_features
 from exsim.ranking import Ranker
-from exsim.recall import VectorIndex, merge_candidates
-from exsim.rerank import StudentProfile, personalize_filter, stage_filter
+from exsim.recall import VectorIndex
+from exsim.rerank import StudentProfile
 from exsim.snapshots import SnapshotFormatError
 from exsim.textnorm import normalize_text, split_tokens
 
@@ -189,28 +190,41 @@ def variant_reference(variant_clf, query, candidate):
         pair_features(feat.embedding(query), feat.embedding(candidate), sim))
 
 
+def profile_keeps(profile, query, ex):
+    """The stage and difficulty rules for one candidate."""
+    stage, current = ex.learning_stage, profile.current_stage
+    if not (stage <= current if profile.stage_mode == "synchronous"
+            else stage[1] <= current[1]):
+        return False
+    d, q = ex.metadata.difficulty, query.metadata.difficulty
+    return {"excellent": d >= q, "weak": d <= q}.get(profile.ability, abs(d - q) <= 1)
+
+
 def reference_query(pipe, query, profile=None):
-    """The served (id, score, variant_prob) list, one pair at a time."""
+    """The served (id, score, variant_prob) list, one pair at a time, over
+    lists of ``Candidate``."""
     rec = pipe.recaller
+    corpus = pipe.corpus
     tokens = split_tokens(normalize_text(query.text, pipe.vocab.stop_words)[0])
-    q_vec = rec.query_embedding(query)
-    exact = rec.lexical.search(tokens, frozenset(query.metadata.knowledge_concepts),
-                               rec.config.k_exact, exclude_id=query.id)
-    embed = rec.vector.search(q_vec, rec.config.k_embed, exclude_id=query.id)
-    kept = [c for c in merge_candidates(exact, embed, rec.config.n)
+    exact = list(rec.lexical.search(tokens, frozenset(query.metadata.knowledge_concepts),
+                                    rec.config.k_exact, exclude_id=query.id))
+    embed = []
+    if tokens:
+        q_vec = rec.query_embedding(query)
+        embed = list(rec.vector.search(q_vec, rec.config.k_embed, exclude_id=query.id))
+    kept = [c for c in reference_merge(exact, embed, rec.config.n)
             if rec.dedup is None
-            or dedup_reference(rec.dedup, query, pipe.corpus[c.ex_id], q_vec,
-                               rec.vector.matrix[rec.vector.row_of[c.ex_id]])
+            or dedup_reference(rec.dedup, query, corpus[c.ex_id], q_vec,
+                               rec.vector.matrix[rec.vector.index.row_of[c.ex_id]])
             < rec.config.dedup_threshold]
     plain_ranker = Ranker(pipe.vocab, pipe.ranker.params)
-    ranked = plain_ranker.rank(query, kept, pipe.corpus)
+    scores = plain_ranker.score_pairs(query, [corpus[c.ex_id] for c in kept]).tolist()
+    ranked = sorted(zip([c.ex_id for c in kept], scores), key=lambda c: (-c[1], c[0]))
     if profile is not None:
-        ranked = personalize_filter(stage_filter(ranked, profile, pipe.corpus),
-                                    query.metadata.difficulty, profile, pipe.corpus)
+        ranked = [c for c in ranked if profile_keeps(profile, query, corpus[c[0]])]
     threshold = pipe.config.get_float("rerank.variant_threshold")
-    scored = [(c.ex_id, c.score, variant_reference(pipe.variant_clf, query,
-                                                   pipe.corpus[c.ex_id]))
-              for c in ranked]
+    scored = [(ex_id, score, variant_reference(pipe.variant_clf, query, corpus[ex_id]))
+              for ex_id, score in ranked]
     return ([s for s in scored if s[2] >= threshold],
             [s for s in scored if not s[2] >= threshold])
 
@@ -225,11 +239,12 @@ def test_batched_scores_equal_per_pair(workspace, kind):
     others = [ex for ex in corpus if ex.id != query.id]
     rec = pipe.recaller
     u = rec.query_embedding(query)
-    v = rec.vector.matrix[[rec.vector.row_of[ex.id] for ex in others]]
-    got = rec.dedup.prob_many(query, others).tolist()
+    v = rec.vector.matrix[[rec.vector.index.row_of[ex.id] for ex in others]]
+    got = rec.dedup.prob_pairs(*rec.dedup.featurizer.query_pairs(query, others)).tolist()
     assert got == [dedup_reference(rec.dedup, query, ex, u, row)
                    for ex, row in zip(others, v)]
-    got = pipe.variant_clf.prob_many(query, others).tolist()
+    got = pipe.variant_clf.prob_pairs(
+        *pipe.variant_clf.featurizer.query_pairs(query, others)).tolist()
     assert got == [variant_reference(pipe.variant_clf, query, ex) for ex in others]
     assert got == [pipe.variant_clf.prob(query, ex) for ex in others]
 
@@ -255,6 +270,9 @@ def request_of(pipe, corpus, kind):
     query = corpus[corpus.ids[7]]
     if kind == "probe":
         return probe_of(query)
+    if kind == "markup":  # no text token, so nothing is recalled
+        return dataclasses.replace(probe_of(query), id="markup", stem="<p></p>",
+                                   options=())
     if kind == "oov-probe":
         assert "quokka" not in pipe.vocab and "zebu" not in pipe.vocab
         return oov_probe_of(query)
@@ -313,6 +331,21 @@ def test_without_dedup_ranking_makes_the_one_kernel_call(workspace, tmp_path,
     result = pipe.query(request_of(pipe, corpus, "probe"), PROFILE)
     assert result.variant
     assert counts == {"normalize_text": 1, "levenshtein": 1, "embed_text": 2}
+
+
+@pytest.mark.parametrize("profile", [None, PROFILE])
+@pytest.mark.parametrize("kind", ["corpus", "probe", "oov-probe", "markup"])
+def test_served_list_equals_reference(workspace, kind, profile):
+    """Served ids, scores and variant probabilities equal the per-pair
+    reference over lists of ``Candidate``, also when recall is empty."""
+    workdir, config, corpus, _ = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+    request = request_of(pipe, corpus, kind)
+    query = pipe.resolve(request)
+    result = pipe.query(request, profile)
+    assert served_items(result) == reference_query(pipe, query, profile)
+    assert (len(pipe.recaller.recall(query)) == 0) == (kind == "markup")
+    assert bool(result.all_ids()) == (kind != "markup")
 
 
 @pytest.mark.parametrize("kind", ["corpus", "probe", "oov-probe"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from gradcheck import assert_grads_match, finite_difference
 from test_pairclf import reference_similarity
+from test_recall import candidates_of
 
 from exsim import encoder as enc
 from exsim import ranking as rk
@@ -243,11 +244,13 @@ def test_rank_is_permutation_sorted_with_id_ties(tiny_setup):
                                 rk.RankConfig(epochs=1, seed=0), encoder=encoder)
     ranker = rk.Ranker(vocab, params)
     query = corpus[corpus.ids[0]]
-    cands = [Candidate(ex_id, 0.0, "exact") for ex_id in corpus.ids[1:10]]
+    cands = candidates_of(corpus.index, [Candidate(ex_id, 0.0, "exact")
+                                         for ex_id in corpus.ids[1:10]])
     out = ranker.rank(query, cands, corpus)
     assert sorted(c.ex_id for c in out) == sorted(c.ex_id for c in cands)
     scores = [c.score for c in out]
     assert scores == sorted(scores, reverse=True)
+    out = list(out)
     for earlier, later in zip(out, out[1:]):
         if earlier.score == later.score:
             assert earlier.ex_id < later.ex_id

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from exsim.corpus import SyntheticSpec, generate_dedup_pairs, generate_synthetic
+from exsim.corpus import RowIndex, SyntheticSpec, generate_dedup_pairs, generate_synthetic
 from exsim.encoder import build_vocab, embed_corpus, init_params
-from exsim.pairclf import PreparedCorpus
+from exsim.pairclf import PairClassifier, PairFeaturizer, PreparedCorpus
 from exsim.recall import (
-    BM25_B, BM25_K1, Candidate, LexicalIndex, RecallConfig, Recaller,
-    VectorIndex, merge_candidates, train_dedup,
+    BM25_B, BM25_K1, SOURCES, Candidate, Candidates, DuplicateDetector,
+    LexicalIndex, RecallConfig, Recaller, VectorIndex, merge_candidates, train_dedup,
 )
 from exsim.textnorm import normalize_text, split_tokens
 
@@ -84,14 +84,14 @@ def test_lexical_verbatim_copy_ranks_first(medium_synth):
     target = corpus[corpus.ids[7]]
     q_tokens = split_tokens(normalize_text(target.text)[0])
     ranked = index.search(q_tokens, frozenset(target.metadata.knowledge_concepts), k=5)
-    assert ranked[0].ex_id == target.id
+    assert ranked.ids[0] == target.id
 
 
 def test_lexical_zero_overlap_returns_empty(medium_synth):
     corpus, _, _ = medium_synth
     index = LexicalIndex.build(corpus)
-    assert index.search(["zzzznotaword"], frozenset(), k=10) == []
-    assert index.search([], frozenset(), k=10) == []
+    assert len(index.search(["zzzznotaword"], frozenset(), k=10)) == 0
+    assert len(index.search([], frozenset(), k=10)) == 0
 
 
 def test_vector_search_exact_matches_reembedded_oracle(medium_synth):
@@ -117,8 +117,8 @@ def test_vector_query_equal_to_row(medium_synth):
     index = VectorIndex.build(corpus, vocab, params)
     row = 5
     got = index.search(index.matrix[row], k=3)
-    assert got[0].ex_id == index.ids[row]
-    assert got[0].score == pytest.approx(1.0, abs=1e-9)
+    assert got.ids[0] == index.ids[row]
+    assert got.scores[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_vector_k_larger_than_corpus(medium_synth):
@@ -181,7 +181,7 @@ def test_lexical_search_equals_sorted_oracle(ids, data, query, q_concepts, boost
     n = len(ids)
     docs = data.draw(st.lists(doc_st, min_size=n, max_size=n)) if n else []
     concepts = data.draw(st.lists(concepts_st, min_size=n, max_size=n)) if n else []
-    index = LexicalIndex(ids, docs, concepts, concept_boost=boost)
+    index = LexicalIndex(RowIndex(ids), docs, concepts, concept_boost=boost)
     expected = brute_force_bm25(index, docs, query, q_concepts)
     got = index.score_all(query, q_concepts)
     assert got == expected
@@ -208,7 +208,7 @@ def test_vector_search_equals_sorted_oracle(ids, data, query, k, pick):
                                min_size=n, max_size=n)) if n else []
     matrix = (np.stack([UNIT_ROWS[w] for w in which]) if n
               else np.zeros((0, 3)))
-    index = VectorIndex(matrix, ids)
+    index = VectorIndex(matrix, RowIndex(ids))
     q = np.array(query, dtype=np.float64)
     exclude = exclude_of(ids, pick)
     got = index.search(q, k, exclude_id=exclude)
@@ -219,12 +219,58 @@ def test_vector_search_equals_sorted_oracle(ids, data, query, k, pick):
 # ---------------------------------------------------------------------------
 # merge rule
 
+def reference_merge(exact, embed, n):
+    """The merge rule over lists of ``Candidate``, written item by item."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    exact_ids = {c.ex_id for c in exact}
+    embed_ids = {c.ex_id for c in embed}
+    inter = [Candidate(c.ex_id, c.score, "both")
+             for c in embed if c.ex_id in exact_ids]
+    if len(inter) >= n:
+        return inter[:n]
+    rem = n - len(inter)
+    exact_only = [c for c in exact if c.ex_id not in embed_ids]
+    embed_only = [c for c in embed if c.ex_id not in exact_ids]
+    want_exact = (rem + 1) // 2
+    want_embed = rem - want_exact
+    take_exact = min(want_exact, len(exact_only))
+    take_embed = min(want_embed, len(embed_only))
+    leftover = rem - take_exact - take_embed
+    if leftover > 0:
+        extra = min(leftover, len(embed_only) - take_embed)
+        take_embed += extra
+        leftover -= extra
+    if leftover > 0:
+        take_exact += min(leftover, len(exact_only) - take_exact)
+    merged = list(inter)
+    e_list = exact_only[:take_exact]
+    m_list = embed_only[:take_embed]
+    for i in range(max(len(e_list), len(m_list))):
+        if i < len(e_list):
+            merged.append(e_list[i])
+        if i < len(m_list):
+            merged.append(m_list[i])
+    return merged
+
+
+def candidates_of(index, items):
+    """The ``Candidate`` list ``items``, whose ids are ``index``'s, as columns."""
+    items = list(items)
+    return Candidates(index, np.array([index.row_of[c.ex_id] for c in items], dtype=np.intp),
+                      np.array([c.score for c in items], dtype=np.float64),
+                      np.array([SOURCES.index(c.source) for c in items], dtype=np.int8))
+
+
 def make_lists(n_exact, n_embed, n_inter):
     inter_ids = [f"i{k}" for k in range(n_inter)]
     exact_ids = inter_ids + [f"e{k}" for k in range(n_exact - n_inter)]
     embed_ids = inter_ids + [f"m{k}" for k in range(n_embed - n_inter)]
-    exact = [Candidate(x, 100.0 - j, "exact") for j, x in enumerate(exact_ids)]
-    embed = [Candidate(x, 10.0 - 0.1 * j, "embed") for j, x in enumerate(embed_ids)]
+    index = RowIndex(dict.fromkeys(embed_ids[::-1] + exact_ids))
+    exact = candidates_of(index, [Candidate(x, 100.0 - j, "exact")
+                                  for j, x in enumerate(exact_ids)])
+    embed = candidates_of(index, [Candidate(x, 10.0 - 0.1 * j, "embed")
+                                  for j, x in enumerate(embed_ids)])
     return exact, embed
 
 
@@ -232,7 +278,7 @@ def test_merge_worked_example_even_split():
     exact, embed = make_lists(n_exact=12, n_embed=12, n_inter=4)
     out = merge_candidates(exact, embed, n=10)
     assert len(out) == 10
-    assert [c.ex_id for c in out[:4]] == ["i0", "i1", "i2", "i3"]
+    assert out.ids[:4] == ["i0", "i1", "i2", "i3"]
     assert sum(1 for c in out if c.source == "exact") == 3
     assert sum(1 for c in out if c.source == "embed") == 3
 
@@ -249,7 +295,7 @@ def test_merge_worked_example_odd_remainder_favors_exact():
 def test_merge_identical_lists_returns_top_n():
     exact, embed = make_lists(n_exact=8, n_embed=8, n_inter=8)
     out = merge_candidates(exact, embed, n=5)
-    assert [c.ex_id for c in out] == [c.ex_id for c in embed[:5]]
+    assert out.ids == embed.ids[:5]
     assert all(c.source == "both" for c in out)
 
 
@@ -284,6 +330,36 @@ def test_merge_exhaustive_small_cases():
 def test_merge_rejects_bad_n():
     with pytest.raises(ValueError):
         merge_candidates([], [], 0)
+    exact, embed = make_lists(3, 3, 1)
+    with pytest.raises(ValueError, match="different indexes"):
+        merge_candidates(exact, candidates_of(RowIndex(embed.ids), embed), 2)
+
+
+def channel_list(index, data, source):
+    """Distinct rows of ``index`` in any order, scores from a small set so
+    they tie often."""
+    rows = data.draw(st.lists(st.integers(0, max(len(index) - 1, 0)), unique=True,
+                              max_size=len(index)))
+    scores = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                                min_size=len(rows), max_size=len(rows)))
+    return Candidates(index, np.array(rows, dtype=np.intp), np.array(scores),
+                      np.full(len(rows), SOURCES.index(source), dtype=np.int8))
+
+
+@settings(max_examples=500, deadline=None)
+@given(ids=ids_st, data=st.data(), n=st.integers(1, 30))
+@example(ids=[], data=None, n=1)
+def test_merge_equals_list_reference(ids, data, n):
+    """Overlapping channels, score ties, one side short or empty, any n."""
+    index = RowIndex(ids)
+    if ids:
+        exact = channel_list(index, data, "exact")
+        embed = channel_list(index, data, "embed")
+    else:
+        exact = embed = Candidates.empty(index)
+    got = merge_candidates(exact, embed, n)
+    assert list(got) == reference_merge(list(exact), list(embed), n)
+    assert got.rows.dtype == np.intp and got.scores.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +466,8 @@ def test_indexes_built_from_a_view_equal_those_built_from_text(medium_synth):
             assert np.array_equal(getattr(got, field), getattr(want, field)), (t, field)
     recaller = Recaller.build(corpus, vocab, params, view=view)
     assert recaller.view is view
+    # both channels and the view read the corpus's one row index
+    assert recaller.lexical.index is recaller.vector.index is corpus.index is view.index
     assert np.array_equal(recaller.vector.matrix, vector.matrix)
 
 
@@ -408,3 +486,8 @@ def test_recaller_refuses_a_view_of_another_corpus(medium_synth):
         init_params(corpus, vocab, d=12, seed=1))
     with pytest.raises(ValueError, match="other params"):
         Recaller.build(corpus, vocab, params, view=other)
+    # dedup reads the view's rows, so its head must be over the same encoder
+    stale = DuplicateDetector(PairClassifier(np.zeros(4 * 12 + 1), 0.0),
+                              PairFeaturizer(vocab, other.params))
+    with pytest.raises(ValueError, match="other params"):
+        Recaller.build(corpus, vocab, params, dedup=stale)

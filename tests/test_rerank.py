@@ -1,9 +1,10 @@
 import pytest
+from test_recall import candidates_of
 
 from exsim import encoder as enc
 from exsim import rerank as rr
 from exsim.corpus import (
-    Corpus, Exercise, Metadata, SyntheticSpec, generate_synthetic,
+    Corpus, Exercise, Metadata, RowIndex, SyntheticSpec, generate_synthetic,
 )
 from exsim.recall import Candidate
 
@@ -26,9 +27,14 @@ def fixture_corpus():
         ("s82", 3, (8, 2)), ("s91", 2, (9, 1)), ("s92", 3, (9, 2)),
     ]
     corpus = Corpus([fixture_exercise(i, d, s) for i, d, s in spec], levels=5)
-    cands = [Candidate(ex_id, 1.0 - 0.01 * k, "both")
-             for k, (ex_id, _, _) in enumerate(spec[1:])]
+    cands = ranked_candidates(corpus, [ex_id for ex_id, _, _ in spec[1:]])
     return corpus, corpus["q"], cands
+
+
+def ranked_candidates(corpus, ex_ids):
+    """The corpus rows of ``ex_ids`` as a candidate list, scores descending."""
+    return candidates_of(corpus.index, [Candidate(ex_id, 1.0 - 0.01 * k, "both")
+                                        for k, ex_id in enumerate(ex_ids)])
 
 
 def ids(cands):
@@ -51,43 +57,45 @@ def test_profile_validation():
 
 def test_personalize_excellent_keeps_similar_or_harder(fixture_corpus):
     corpus, query, _ = fixture_corpus
-    cands = [Candidate(f"d{k}", 1.0, "both") for k in (2, 3, 4)]
+    cands = ranked_candidates(corpus, [f"d{k}" for k in (2, 3, 4)])
     out = rr.personalize_filter(cands, 3, profile("excellent"), corpus)
     assert ids(out) == ["d3", "d4"]
 
 
 def test_personalize_weak_keeps_similar_or_easier(fixture_corpus):
     corpus, query, _ = fixture_corpus
-    cands = [Candidate(f"d{k}", 1.0, "both") for k in (2, 3, 4)]
+    cands = ranked_candidates(corpus, [f"d{k}" for k in (2, 3, 4)])
     out = rr.personalize_filter(cands, 3, profile("weak"), corpus)
     assert ids(out) == ["d2", "d3"]
 
 
 def test_personalize_average_within_one_level(fixture_corpus):
     corpus, query, _ = fixture_corpus
-    cands = [Candidate(f"d{k}", 1.0, "both") for k in (1, 2, 3, 4, 5)]
+    cands = ranked_candidates(corpus, [f"d{k}" for k in (1, 2, 3, 4, 5)])
     out = rr.personalize_filter(cands, 3, profile("average"), corpus)
     assert ids(out) == ["d2", "d3", "d4"]
 
 
 def test_personalize_no_profile_is_identity(fixture_corpus):
     corpus, query, cands = fixture_corpus
-    assert rr.personalize_filter(cands, 3, None, corpus) == list(cands)
+    assert list(rr.personalize_filter(cands, 3, None, corpus)) == list(cands)
 
 
 def test_stage_filter_synchronous(fixture_corpus):
     corpus, query, _ = fixture_corpus
-    cands = [Candidate(i, 1.0, "both")
-             for i in ("s71", "s72", "s81", "s82", "s91", "s92")]
+    cands = ranked_candidates(corpus, ["s71", "s72", "s81", "s82", "s91", "s92"])
     out = rr.stage_filter(cands, profile(mode="synchronous", stage=(8, 1)), corpus)
     # candidates beyond (8, 1) are removed, including (9, 1)
     assert ids(out) == ["s71", "s72", "s81"]
+    # the metadata arrays follow the corpus's rows, so other rows are refused
+    with pytest.raises(ValueError, match="not rows of this corpus"):
+        rr.stage_filter(candidates_of(RowIndex(corpus.ids), cands),
+                        profile(mode="synchronous"), corpus)
 
 
 def test_stage_filter_review_compares_semester(fixture_corpus):
     corpus, query, _ = fixture_corpus
-    cands = [Candidate(i, 1.0, "both")
-             for i in ("s71", "s72", "s81", "s82", "s91", "s92")]
+    cands = ranked_candidates(corpus, ["s71", "s72", "s81", "s82", "s91", "s92"])
     out = rr.stage_filter(cands, profile(mode="review", stage=(8, 1)), corpus)
     # same-grade later semester removed, same semester kept (any grade)
     assert "s82" not in ids(out)
@@ -99,9 +107,9 @@ def test_filters_idempotent(fixture_corpus):
     corpus, query, cands = fixture_corpus
     p = profile("excellent", "synchronous", (8, 2))
     once = rr.stage_filter(cands, p, corpus)
-    assert rr.stage_filter(once, p, corpus) == once
+    assert list(rr.stage_filter(once, p, corpus)) == list(once)
     once_d = rr.personalize_filter(cands, 3, p, corpus)
-    assert rr.personalize_filter(once_d, 3, p, corpus) == once_d
+    assert list(rr.personalize_filter(once_d, 3, p, corpus)) == list(once_d)
 
 
 def test_permissive_profile_is_superset(fixture_corpus):
@@ -186,7 +194,7 @@ def test_rerank_splits_variant_first(variant_setup):
     p = next(p for p in pairs if p.variant == "variant")
     query = corpus[p.a_id]
     mates = sorted(truth.mates(query.id))
-    cands = [Candidate(m, 1.0 - 0.001 * k, "both") for k, m in enumerate(mates)]
+    cands = ranked_candidates(corpus, mates)
     out = rr.rerank(query, cands, None, corpus, clf)
     assert p.b_id in [i.ex_id for i in out.variant]
     for lst in (out.variant, out.similar):
