@@ -5,10 +5,15 @@ training pairs is simply wrong. The cleaning cycle:
 
 1. out-of-fold probabilities: stratified folds, each scored by a single-task
    (stem-stem) ranker trained on the other folds, so no pair is scored by a
-   model that saw it. The estimator's budget, ``estimator_epochs`` at
-   ``estimator_lr`` (3 epochs at 0.05 by default), must be enough to learn
-   more than the label prior: at 1 epoch and 0.01 every probability stays
-   near the share of similar labels and the joint below only reflects noise;
+   model that saw it. Every fold trains and scores over one
+   ``pairclf.PreparedCorpus`` of the bank, normalized once: the edit
+   similarity of every pair is computed once, and a fold scores its
+   holdout pairs from the rows of the view embedded under its ranker, each
+   pair on its own (``Ranker.pair_probs``). The estimator's budget,
+   ``estimator_epochs`` at ``estimator_lr`` (3 epochs at 0.05 by default),
+   must be enough to learn more than the label prior: at 1 epoch and 0.01
+   every probability stays near the share of similar labels and the joint
+   below only reflects noise;
 2. confident joint: per-class thresholds (the mean predicted probability of
    a class over the pairs noisily labeled with it) decide which pairs count
    as confidently belonging to which class, giving a 2x2 count matrix of
@@ -30,12 +35,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, LabeledPair
+from .corpus import LabeledPair
 from .encoder import EncoderParams
+from .pairclf import PreparedCorpus, edit_similarities
 from .ranking import (
     RankConfig, Ranker, RankerParams, TASK_STEM_STEM, train_ranker,
 )
-from .textnorm import Vocab
 
 log = logging.getLogger(__name__)
 
@@ -54,10 +59,6 @@ class ConfidentJoint:
     counts: np.ndarray      # 2x2, [noisy label][inferred true label]
     thresholds: np.ndarray  # (2,) mean self-class probability per class
 
-    @property
-    def off_diagonal_total(self) -> int:
-        return int(self.counts.sum() - np.trace(self.counts))
-
 
 def stratified_folds(labels: Sequence[int], folds: int,
                      rng: np.random.Generator) -> np.ndarray:
@@ -75,7 +76,7 @@ def stratified_folds(labels: Sequence[int], folds: int,
     return assignment
 
 
-def out_of_fold_probs(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab,
+def out_of_fold_probs(pairs: Sequence[LabeledPair], view: PreparedCorpus,
                       encoder: EncoderParams,
                       config: CleanConfig = CleanConfig()) -> np.ndarray:
     """Probability of "similar" for every pair, scored out of fold."""
@@ -84,6 +85,10 @@ def out_of_fold_probs(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab
     labels = [1 if p.is_similar else 0 for p in pairs]
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 41]))
     assignment = stratified_folds(labels, config.folds, rng)
+    rows_a = np.array([view.index.row_of[p.a_id] for p in pairs], dtype=np.intp)
+    rows_b = np.array([view.index.row_of[p.b_id] for p in pairs], dtype=np.intp)
+    sims = edit_similarities(view.codes[rows_a], view.lengths[rows_a],
+                             view.codes[rows_b], view.lengths[rows_b])
     probs = np.zeros(len(pairs))
     for fold in range(config.folds):
         holdout = np.flatnonzero(assignment == fold)
@@ -93,11 +98,10 @@ def out_of_fold_probs(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab
             seed=int(np.random.SeedSequence([config.seed, fold]).generate_state(1)[0]
                      % (2 ** 31)),
             moe=False, alpha=(1.0, 0.0, 0.0), tasks=(TASK_STEM_STEM,))
-        params, _ = train_ranker([pairs[i] for i in train_idx], corpus, vocab,
-                                 fold_cfg, encoder=encoder)
-        ranker = Ranker(vocab, params)
-        for i in holdout:
-            probs[i] = ranker.score_pair(corpus[pairs[i].a_id], corpus[pairs[i].b_id])
+        params, _ = train_ranker([pairs[i] for i in train_idx], view, fold_cfg,
+                                 encoder=encoder)
+        probs[holdout] = Ranker(params, view).pair_probs(
+            rows_a[holdout], rows_b[holdout], sims[holdout])
     return probs
 
 
@@ -171,16 +175,17 @@ class CleaningReport:
         return json.dumps(self.__dict__, sort_keys=True, indent=1)
 
 
-def clean_and_retrain(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab,
+def clean_and_retrain(pairs: Sequence[LabeledPair], view: PreparedCorpus,
                       encoder: EncoderParams,
                       config: CleanConfig = CleanConfig(),
                       eval_fn: Optional[Callable[[RankerParams], float]] = None):
-    """Full cycle: out-of-fold probs, joint, prune, retrain the full ranker.
+    """Full cycle: out-of-fold probs, joint, prune, retrain the full ranker,
+    every step over ``view``, the bank prepared once.
 
     Returns (params, cleaned_pairs, report). When eval_fn is given it is
     called on the before/after rankers to record precision at 5.
     """
-    probs = out_of_fold_probs(pairs, corpus, vocab, encoder, config)
+    probs = out_of_fold_probs(pairs, view, encoder, config)
     labels = [1 if p.is_similar else 0 for p in pairs]
     joint = build_confident_joint(probs, labels)
     cleaned, pruned_idx = prune(pairs, joint, probs)
@@ -189,10 +194,9 @@ def clean_and_retrain(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab
 
     p5_before = p5_after = None
     if eval_fn is not None:
-        before_params, _ = train_ranker(pairs, corpus, vocab, config.retrain,
-                                        encoder=encoder)
+        before_params, _ = train_ranker(pairs, view, config.retrain, encoder=encoder)
         p5_before = eval_fn(before_params)
-    params, _ = train_ranker(cleaned, corpus, vocab, config.retrain, encoder=encoder)
+    params, _ = train_ranker(cleaned, view, config.retrain, encoder=encoder)
     if eval_fn is not None:
         p5_after = eval_fn(params)
 

@@ -279,12 +279,6 @@ class SyntheticTruth:
     groups: dict[str, list[str]]
     flipped: list[dict] = field(default_factory=list)  # {index, a_id, b_id, true_label}
 
-    def group_of(self, ex_id: str) -> Optional[str]:
-        for gid, members in self.groups.items():
-            if ex_id in members:
-                return gid
-        return None
-
     def mates(self, ex_id: str) -> set[str]:
         """Ground-truth similars of an exercise: its template mates."""
         for members in self.groups.values():
@@ -321,12 +315,6 @@ def load_corpus(path, levels: Optional[int] = None) -> Corpus:
             seen[ex.id] = lineno
             exercises.append(ex)
     return Corpus(exercises, levels=levels)
-
-
-def save_corpus_jsonl(corpus: Corpus, path) -> None:
-    with atomic_write(path) as fh:
-        for ex in corpus:
-            fh.write(json.dumps(ex.to_record(), ensure_ascii=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +557,7 @@ def generate_synthetic(spec: SyntheticSpec, d_img: int = 32,
         for i in sorted(int(k) for k in flip_idx):
             p = pairs[i]
             new_label = DISSIMILAR if p.label == SIMILAR else SIMILAR
-            pairs[i] = LabeledPair(p.a_id, p.b_id, new_label,
-                                   None if new_label == DISSIMILAR else None,
-                                   _votes(rng, new_label))
+            pairs[i] = LabeledPair(p.a_id, p.b_id, new_label, None, _votes(rng, new_label))
             truth.flipped.append({
                 "index": i, "a_id": p.a_id, "b_id": p.b_id, "true_label": p.label,
             })

@@ -49,7 +49,9 @@ import numpy as np
 
 from .corpus import Corpus, CorpusError, LabeledPair
 from .snapshots import atomic_write, load_arrays, save_arrays
-from .textnorm import MetadataEncoding, TokenSequence, Vocab, encode_metadata, normalize_text, tokenize
+from .textnorm import MetadataEncoding, TokenSequence, Vocab, encode_metadata
+# normalize_text stays bound, unused: perfbench's tracer wraps it where imported
+from .textnorm import normalize_text  # noqa: F401
 
 _EPS = 1e-12
 
@@ -372,6 +374,11 @@ def metadata_task_loss(stem_embeddings: np.ndarray, targets: Sequence[MetadataEn
 
 # ---------------------------------------------------------------------------
 # Corpus-level preparation
+#
+# Text never becomes tokens here. ``pairclf.PreparedCorpus`` normalizes each
+# exercise's texts once and hands this module their vocabulary ids, one
+# array per exercise aligned with the corpus (``stem_ids``, the stem and
+# options, and ``analysis_ids``, the answer and analysis).
 
 @dataclass
 class EncodedExercise:
@@ -384,39 +391,23 @@ class EncodedExercise:
     image_feats: np.ndarray  # (n_images, d_img)
 
 
-def _tokens(text: str, vocab: Vocab) -> TokenSequence:
-    """``text`` normalized with the vocabulary's stop words, as its ids."""
-    return tokenize(normalize_text(text, vocab.stop_words)[0], vocab)
-
-
-def encode_corpus(corpus: Corpus, vocab: Vocab) -> list[EncodedExercise]:
+def encode_corpus(corpus: Corpus, stem_ids: Sequence[np.ndarray],
+                  analysis_ids: Sequence[np.ndarray]) -> list[EncodedExercise]:
     """Every exercise's training inputs; CorpusError names an exercise whose
     stem and options normalize to no tokens, which nothing can embed."""
     out = []
-    for ex in corpus:
-        stem_ids = _tokens(ex.text, vocab).array()
-        if len(stem_ids) == 0:
+    for ex, stem, analysis in zip(corpus, stem_ids, analysis_ids):
+        if len(stem) == 0:
             raise CorpusError(f"exercise {ex.id!r}: stem and options normalize to "
                               "no tokens, so it cannot be embedded")
-        ana_ids = _tokens(ex.answer_analysis, vocab).array()
-        if len(ana_ids) == 0:
-            ana_ids = stem_ids  # degenerate but total: no answer/analysis text
+        if len(analysis) == 0:
+            analysis = stem  # degenerate but total: no answer/analysis text
         meta = encode_metadata(ex.metadata, corpus.exercise_types, corpus.levels,
                                corpus.concepts)
         feats = (np.asarray(ex.image_features, dtype=np.float64)
                  if ex.image_features else np.zeros((0, corpus.d_img)))
-        out.append(EncodedExercise(ex.id, stem_ids, ana_ids, meta, feats))
+        out.append(EncodedExercise(ex.id, stem, analysis, meta, feats))
     return out
-
-
-def build_vocab(corpus: Corpus, stop_words: Iterable[str] = (),
-                min_count: int = 1) -> Vocab:
-    """The corpus vocabulary; it keeps ``stop_words`` for every later stage."""
-    texts = []
-    for ex in corpus:
-        texts.append(normalize_text(ex.text, stop_words)[0])
-        texts.append(normalize_text(ex.answer_analysis, stop_words)[0])
-    return Vocab.build(texts, min_count=min_count, stop_words=stop_words)
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +435,18 @@ def init_params(corpus: Corpus, vocab: Vocab, d: int, seed: int) -> EncoderParam
         n_concepts=len(corpus.concepts), seed=seed)
 
 
-def pretrain(corpus: Corpus, vocab: Vocab, config: PretrainConfig = PretrainConfig(),
+def pretrain(corpus: Corpus, vocab: Vocab, stem_ids: Sequence[np.ndarray],
+             analysis_ids: Sequence[np.ndarray], config: PretrainConfig = PretrainConfig(),
              params: Optional[EncoderParams] = None):
-    """Multi-task pre-training over the corpus; returns (params, history).
+    """Multi-task pre-training over the corpus, given each exercise's stem
+    and analysis ids under ``vocab``; returns (params, history).
 
     history maps loss names to per-epoch means. Aborts with
     TrainingDivergedError if any loss stops being finite.
     """
     if len(corpus) < 2:
         raise ValueError("pre-training needs at least 2 exercises")
-    encoded = encode_corpus(corpus, vocab)
+    encoded = encode_corpus(corpus, stem_ids, analysis_ids)
     if params is None:
         params = init_params(corpus, vocab, config.d, config.seed)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 11]))
@@ -549,8 +542,9 @@ def similar_sets(pairs: Iterable[LabeledPair]) -> dict[str, set[str]]:
 
 
 def fine_tune(params: EncoderParams, pairs: Sequence[LabeledPair], corpus: Corpus,
-              vocab: Vocab, config: FinetuneConfig = FinetuneConfig()):
-    """Contrastive fine-tuning on similar pairs; returns (params, history).
+              stem_ids: Sequence[np.ndarray], config: FinetuneConfig = FinetuneConfig()):
+    """Contrastive fine-tuning on similar pairs, given each exercise's stem
+    ids; returns (params, history).
 
     history["batch"] records every batch loss (the first entry is evaluated
     before any update), history["epoch"] the per-epoch means.
@@ -568,7 +562,7 @@ def fine_tune(params: EncoderParams, pairs: Sequence[LabeledPair], corpus: Corpu
                 "negatives (not itself or its similars), fewer than "
                 f"finetune.negatives = {config.n_negatives}")
     params = params.copy()
-    seqs = {ex.id: _tokens(ex.text, vocab).array() for ex in corpus}
+    seqs = dict(zip(ids, stem_ids))
     anchors_all = [(a, b) for a, b in positives] + [(b, a) for a, b in positives]
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 23]))
     history = {"batch": [], "epoch": []}
@@ -621,22 +615,19 @@ def _finetune_step(chosen, negatives, seqs, params: EncoderParams,
 # ---------------------------------------------------------------------------
 # Embedding export
 
-def export_embeddings(corpus: Corpus, vocab: Vocab, params: EncoderParams,
-                      path) -> None:
-    """One line per exercise: id then its ``embed_corpus`` row, round-trip exact."""
-    matrix, ids = embed_corpus(corpus, vocab, params)
+def export_embeddings(ex_ids: Sequence[str], matrix: np.ndarray, path) -> None:
+    """One line per exercise: id then its embedding row, round-trip exact."""
     with atomic_write(path) as fh:
-        for ex_id, vec in zip(ids, matrix.tolist()):
+        for ex_id, vec in zip(ex_ids, matrix.tolist()):
             fh.write(" ".join([ex_id] + [repr(x) for x in vec]) + "\n")
 
 
-def embed_corpus(corpus: Corpus, vocab: Vocab,
-                 params: EncoderParams) -> tuple[np.ndarray, list[str]]:
-    """Embedding matrix over the whole corpus plus the row-aligned id list.
+def embed_corpus(seqs: Sequence[np.ndarray], params: EncoderParams) -> np.ndarray:
+    """Embedding matrix of token-id sequences, one row each.
 
-    Row i is ``embed_text`` of exercise i alone, bit for bit: the one
+    Row i is ``embed_text`` of sequence i alone, bit for bit: the one
     encoder embedding of an exercise that every stage reads (rows of a
     batched ``embed_text_batch`` call can differ from it in the last bit).
     """
-    rows = [embed_text(_tokens(ex.text, vocab), params) for ex in corpus]
-    return (np.stack(rows) if rows else np.zeros((0, params.d))), corpus.ids
+    rows = [embed_text(TokenSequence(tuple(ids.tolist())), params) for ids in seqs]
+    return np.stack(rows) if rows else np.zeros((0, params.d))

@@ -23,12 +23,16 @@ is organised around three pieces:
   vectorized across all pairs, either one query against many candidates or
   aligned pairs at training time. ``edit_similarity`` is a thin wrapper over
   it; there is no second implementation.
-* :class:`PreparedCorpus`, a view that normalizes each exercise's text once:
-  its tokens, padded token codes and lengths, each exercise's single-text
-  ``embed_text`` embedding, and the vocabulary ids the ranker reads. Token
-  codes are equal exactly when tokens are equal: in-vocabulary tokens use
-  their vocabulary id, every out-of-vocabulary token gets a code of its own
-  (vocabulary ids alone would collapse all of them onto UNK).
+* :class:`PreparedCorpus`, a view that normalizes each exercise's texts
+  once, for serving and for training alike: their tokens, padded token
+  codes and lengths, their vocabulary ids, and each exercise's single-text
+  ``embed_text`` embedding. Every build step prepares the bank once and
+  passes the view down: the vocabulary is built from its token lists, the
+  encoder trains on its ids, and the ranker's task instances read its stem
+  and analysis codes. Token codes are equal exactly when tokens are equal:
+  in-vocabulary tokens use their vocabulary id, every out-of-vocabulary
+  token gets a code of its own (vocabulary ids alone would collapse all of
+  them onto UNK).
 * :class:`PreparedQuery`, the query's side of every pair, prepared once per
   cache miss and passed through all three stages: its tokens, its codes
   under the view's code table, its embedding under each backbone, and its
@@ -39,8 +43,7 @@ is organised around three pieces:
 
 The stages hand each other candidates as view rows, so
 :meth:`PairFeaturizer.view_pairs` reads a pair's candidate side straight
-from the view; :meth:`PairFeaturizer.query_pairs` takes exercise objects and
-finds their rows first.
+from the view.
 
 Bit-identity rules. The batched path must give the same bits as scoring one
 pair at a time with :meth:`PairFeaturizer.features` and
@@ -65,14 +68,16 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, Exercise, RowIndex
-from .encoder import EncoderParams, embed_text
+from .encoder import EncoderParams, embed_corpus, embed_text
 from .snapshots import SnapshotFormatError, load_arrays, save_arrays
-from .textnorm import UNK_ID, TokenSequence, Vocab, normalize_text, split_tokens
+from .textnorm import (UNK_ID, TokenSequence, Vocab, canonical_stop_words, normalize_text,
+                       split_tokens)
 
 PAD_CODE = -1
 _BLOCK = 512  # pairs per pass of the edit-distance kernel
@@ -167,10 +172,10 @@ def edit_similarity(a: Sequence[str], b: Sequence[str]) -> float:
     return float(edit_similarities(a_arr[:1], len(a), a_arr[1:], len(b))[0])
 
 
-def text_tokens(text: str, vocab: Vocab) -> list[str]:
-    """The tokens of one text normalized with the vocabulary's stop words;
-    every prepared view and query goes through here."""
-    return split_tokens(normalize_text(text, vocab.stop_words)[0])
+def text_tokens(text: str, stop_words: Sequence[str]) -> list[str]:
+    """The tokens of one text normalized with ``stop_words``; every prepared
+    view and query goes through here."""
+    return split_tokens(normalize_text(text, stop_words)[0])
 
 
 def pad_codes(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -211,61 +216,104 @@ class CodeTable:
 # ---------------------------------------------------------------------------
 # Prepared corpus view
 
-class PreparedCorpus:
-    """Each exercise's text normalized once, held column-wise.
+class TextColumn(NamedTuple):
+    """One text of every exercise: normalized tokens, padded codes, lengths."""
 
-    ``tokens`` holds every exercise's normalized tokens, ``codes``/``lengths``
-    their padded token codes, ``embeddings`` its single-text ``embed_text``
-    vector (row i is bit-identical to ``PairFeaturizer.embedding`` of
-    exercise i), and ``vocab_ids`` gives the vocabulary ids those embeddings
-    read. ``params``, which the rows are embedded under, is the encoder's or
-    any backbone ``embed_text`` takes. The recall indexes read the same
-    tokens and, under the encoder, the same embeddings. ``index`` gives the
-    rows of the ids; a view of a ``Corpus`` shares the corpus's, so
-    candidates recalled from that corpus are rows of the view.
+    tokens: list[list[str]]
+    codes: np.ndarray
+    lengths: np.ndarray
+
+
+class PreparedCorpus:
+    """Each exercise's texts normalized once, held column-wise: the one place
+    where an exercise's text becomes tokens, vocabulary ids and edit-distance
+    codes, for training and for serving.
+
+    The stem side (``Exercise.text``, stem and options) is prepared at
+    construction: ``tokens`` holds every exercise's normalized tokens,
+    ``codes``/``lengths`` their padded token codes and :meth:`stem_ids` their
+    vocabulary ids. The answer/analysis side, ``analysis`` and
+    :meth:`analysis_ids`, is prepared on first use, with codes consistent
+    with the stem side's; serving never reads it.
+
+    ``embeddings`` holds each row's single-text ``embed_text`` vector under
+    ``params`` (row i is bit-identical to ``PairFeaturizer.embedding`` of
+    exercise i), computed on first read; ``params`` is the encoder's or any
+    backbone ``embed_text`` takes, and training views need none. The recall
+    indexes read the same tokens and, under the encoder, the same embeddings.
+    ``index`` gives the rows of the ids; a view of a ``Corpus`` shares the
+    corpus's, so candidates recalled from that corpus are rows of the view.
     """
 
     def __init__(self, exercises: Iterable[Exercise], vocab: Vocab,
-                 params: EncoderParams):
+                 params: Optional[EncoderParams] = None):
+        exercises = exercises if isinstance(exercises, Corpus) else list(exercises)
+        self._prepare(exercises, vocab, params,
+                      [text_tokens(ex.text, vocab.stop_words) for ex in exercises])
+
+    @classmethod
+    def with_own_vocab(cls, corpus: Corpus, stop_words: Iterable[str] = ()) -> "PreparedCorpus":
+        """``corpus`` prepared under a new vocabulary of its stem and analysis
+        tokens, which keeps ``stop_words``; each text is normalized once, for
+        the vocabulary and the view alike."""
+        stop = canonical_stop_words(stop_words)
+        stems = [text_tokens(ex.text, stop) for ex in corpus]
+        analyses = [text_tokens(ex.answer_analysis, stop) for ex in corpus]
+        view = cls.__new__(cls)
+        view._prepare(corpus, Vocab.build(stems + analyses, stop_words=stop), None, stems)
+        view.analysis = view._column(analyses)
+        return view
+
+    def _prepare(self, exercises, vocab: Vocab, params, tokens: list[list[str]]) -> None:
         self.exercises = list(exercises)
         self.vocab = vocab
         self.params = params
         self.index = (exercises.index if isinstance(exercises, Corpus)
                       else RowIndex(ex.id for ex in self.exercises))
-        self.tokens = [text_tokens(ex.text, vocab) for ex in self.exercises]
+        self.tokens = tokens
         table = CodeTable(vocab)
         self.oov_codes = table.extra
-        self.codes, self.lengths = pad_codes([table.encode(t) for t in self.tokens])
-        self.embeddings = self._embed(params)
+        self.codes, self.lengths = pad_codes([table.encode(t) for t in tokens])
+        self._embeddings: Optional[np.ndarray] = None
 
-    def _embed(self, params) -> np.ndarray:
-        rows = [embed_text(TokenSequence(tuple(self.vocab_ids(i).tolist())), params)
-                for i in range(len(self.exercises))]
-        return np.stack(rows) if rows else np.zeros((0, params.d))
+    def _column(self, tokens: list[list[str]]) -> TextColumn:
+        table = self.code_table()
+        return TextColumn(tokens, *pad_codes([table.encode(t) for t in tokens]))
+
+    @cached_property
+    def analysis(self) -> TextColumn:
+        """Every exercise's answer and analysis, prepared on first use."""
+        return self._column([text_tokens(ex.answer_analysis, self.vocab.stop_words)
+                             for ex in self.exercises])
+
+    def _ids(self, codes: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+        ids = np.where(codes >= len(self.vocab), UNK_ID, codes).astype(np.int64)
+        return [row[:n] for row, n in zip(ids, lengths.tolist())]
+
+    def stem_ids(self) -> list[np.ndarray]:
+        """Each row's stem vocabulary ids; out-of-vocabulary tokens are UNK."""
+        return self._ids(self.codes, self.lengths)
+
+    def analysis_ids(self) -> list[np.ndarray]:
+        """Each row's answer/analysis vocabulary ids."""
+        return self._ids(self.analysis.codes, self.analysis.lengths)
+
+    @property
+    def embeddings(self) -> np.ndarray:
+        if self._embeddings is None:
+            if self.params is None:
+                raise ValueError("prepared corpus has no params to embed under")
+            self._embeddings = embed_corpus(self.stem_ids(), self.params)
+        return self._embeddings
 
     def embedded_with(self, params) -> "PreparedCorpus":
         """This view with every row embedded under other ``params`` (the
-        ranker's backbone); the text, codes and lookups are shared."""
+        ranker's backbone) here, at once; the text, codes and lookups are
+        shared."""
         out = copy.copy(self)
         out.params = params
-        out.embeddings = out._embed(params)
+        out._embeddings = embed_corpus(self.stem_ids(), params)
         return out
-
-    def lookup(self, ex: Exercise) -> Optional[int]:
-        """Row of this very exercise object, or None (an equal id is not enough)."""
-        row = self.index.row_of.get(ex.id)
-        if row is not None and self.exercises[row] is ex:
-            return row
-        return None
-
-    def rows(self, exercises: Sequence[Exercise]) -> Optional[np.ndarray]:
-        """Rows of all the exercises, or None when any of them is not in the view."""
-        out = [self.lookup(ex) for ex in exercises]
-        return None if None in out else np.array(out, dtype=np.int64)
-
-    def vocab_ids(self, row: int) -> np.ndarray:
-        ids = self.codes[row, :self.lengths[row]]
-        return np.where(ids >= len(self.vocab), UNK_ID, ids)
 
     def code_table(self) -> CodeTable:
         """A fresh table for one query, consistent with the view's codes."""
@@ -303,7 +351,7 @@ class PreparedQuery:
     def __init__(self, exercise: Exercise, vocab: Vocab):
         self.exercise = exercise
         self.vocab = vocab
-        self.tokens = text_tokens(exercise.text, vocab)
+        self.tokens = text_tokens(exercise.text, vocab.stop_words)
         self.ids = TokenSequence(tuple(vocab.id_of(t) for t in self.tokens))
         self.concepts = frozenset(exercise.metadata.knowledge_concepts)
         self._embeddings: dict[int, tuple[object, np.ndarray]] = {}
@@ -384,7 +432,7 @@ class PairFeaturizer:
             self.view.check(self.vocab, self.params)
 
     def norm_tokens(self, ex: Exercise) -> list[str]:
-        return text_tokens(ex.text, self.vocab)
+        return text_tokens(ex.text, self.vocab.stop_words)
 
     def embedding(self, ex: Exercise) -> np.ndarray:
         ids = tuple(self.vocab.id_of(t) for t in self.norm_tokens(ex))
@@ -393,9 +441,6 @@ class PairFeaturizer:
     def features(self, ex_a: Exercise, ex_b: Exercise) -> np.ndarray:
         sim = edit_similarity(self.norm_tokens(ex_a), self.norm_tokens(ex_b))
         return pair_features(self.embedding(ex_a), self.embedding(ex_b), sim)
-
-    def prepare(self, exercises: Sequence[Exercise]) -> PreparedCorpus:
-        return PreparedCorpus(exercises, self.vocab, self.params)
 
     def view_pairs(self, query, view: PreparedCorpus, rows: np.ndarray):
         """(u, v, edit similarities) of the pairs (query, row) over ``view``'s
@@ -410,24 +455,12 @@ class PairFeaturizer:
         return (query.embedding(self.params), view.embeddings[rows],
                 query.edit_similarities(view, rows))
 
-    def query_pairs(self, query, others: Sequence[Exercise]):
-        """``view_pairs`` of the pairs (query, other). Others are read from
-        the view when all of them are its objects, else all are prepared
-        from their text in a view of their own."""
-        view = self.view
-        rows = view.rows(others) if view is not None else None
-        if rows is None:
-            view = self.prepare(others)
-            rows = np.arange(len(others))
-        return self.view_pairs(query, view, rows)
-
-    def row_pairs(self, query, index: RowIndex, rows: np.ndarray, corpus: Corpus):
-        """``view_pairs`` of the exercises at ``index``'s ``rows``: straight
-        from the view when it is over ``index`` (so over ``corpus``), else
-        ``query_pairs`` of the corpus's exercises with those ids."""
-        if self.view is not None and self.view.index is index:
-            return self.view_pairs(query, self.view, rows)
-        return self.query_pairs(query, [corpus[index.ids[r]] for r in rows.tolist()])
+    def row_pairs(self, query, index: RowIndex, rows: np.ndarray):
+        """``view_pairs`` of ``index``'s ``rows`` over this featurizer's view,
+        which must be over ``index``."""
+        if self.view is None or self.view.index is not index:
+            raise ValueError("candidates are not rows of this featurizer's view")
+        return self.view_pairs(query, self.view, rows)
 
     def both_orders(self, pairs: Sequence[tuple[Exercise, Exercise]]) -> np.ndarray:
         """Feature rows of every pair as (a, b) then (b, a), interleaved.
@@ -443,7 +476,7 @@ class PairFeaturizer:
                 if id(ex) not in index:
                     index[id(ex)] = len(unique)
                     unique.append(ex)
-        view = self.prepare(unique)
+        view = PreparedCorpus(unique, self.vocab, self.params)
         ra = np.array([index[id(a)] for a, _ in pairs], dtype=np.int64)
         rb = np.array([index[id(b)] for _, b in pairs], dtype=np.int64)
         sims = edit_similarities(view.codes[ra], view.lengths[ra],

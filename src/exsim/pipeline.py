@@ -10,6 +10,14 @@ loaded snapshot carries a content digest; the digests version the query
 cache, so retraining anything invalidates cached results implicitly. Steps
 that read the labeled pairs refuse a pair naming an id the corpus lacks.
 
+Text becomes tokens in one place, ``pairclf.PreparedCorpus``, and each step
+prepares the bank once. ``step_pretrain`` builds the vocabulary from the
+view's token lists and pre-trains on its ids; ``step_finetune`` reads its
+stem ids; ``step_train_rank`` and ``step_clean`` train the ranker over it
+(``step_clean`` every fold, its holdout scoring and its P@5 evaluator on one
+view). Stems are normalized when a view is made, answers and analyses only
+when a step reads them, and embeddings only when a step asks for them.
+
 Query flow. ``Pipeline.load`` prepares the corpus once
 (``pairclf.PreparedCorpus``): each exercise is normalized once and embedded
 once under the encoder. The recall indexes, dedup, the variant split and the
@@ -194,9 +202,9 @@ def _load_trained(workdir, config: Config):
             encoder_mod.load_encoder(_path(workdir, "encoder")))
 
 
-def _load_pairs(workdir, corpus: Corpus, name: str = "pairs") -> list[LabeledPair]:
+def _load_pairs(workdir, corpus: Corpus) -> list[LabeledPair]:
     """The labeled pairs file; CorpusError when a pair names an id not in corpus."""
-    pairs = corpus_mod.load_pairs(_path(workdir, name))
+    pairs = corpus_mod.load_pairs(_path(workdir, "pairs"))
     corpus_mod.validate_pairs(corpus, pairs)
     return pairs
 
@@ -223,13 +231,14 @@ def step_synth(workdir, spec: SyntheticSpec) -> tuple[Corpus, SyntheticTruth,
 
 def step_pretrain(workdir, config: Config):
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
-    vocab = encoder_mod.build_vocab(corpus, config.stop_words())
-    vocab.save(_path(workdir, "vocab"))
+    view = PreparedCorpus.with_own_vocab(corpus, config.stop_words())
+    view.vocab.save(_path(workdir, "vocab"))
     pre_cfg = encoder_mod.PretrainConfig(
         d=config.get_int("encoder.d"), epochs=config.get_int("encoder.epochs"),
         lr=config.get_float("encoder.lr"), batch_size=config.get_int("encoder.batch"),
         tau=config.get_float("encoder.tau"), seed=config.get_int("encoder.seed"))
-    params, history = encoder_mod.pretrain(corpus, vocab, pre_cfg)
+    params, history = encoder_mod.pretrain(corpus, view.vocab, view.stem_ids(),
+                                           view.analysis_ids(), pre_cfg)
     encoder_mod.save_encoder(params, _path(workdir, "encoder"))
     return params, history
 
@@ -241,7 +250,8 @@ def step_finetune(workdir, config: Config):
         epochs=config.get_int("finetune.epochs"), lr=config.get_float("finetune.lr"),
         n_negatives=config.get_int("finetune.negatives"),
         seed=config.get_int("encoder.seed"))
-    params, history = encoder_mod.fine_tune(params, pairs, corpus, vocab, ft_cfg)
+    params, history = encoder_mod.fine_tune(params, pairs, corpus,
+                                            PreparedCorpus(corpus, vocab).stem_ids(), ft_cfg)
     encoder_mod.save_encoder(params, _path(workdir, "encoder"))
     return params, history
 
@@ -281,25 +291,27 @@ def _rank_config(config: Config) -> ranking.RankConfig:
         tasks=ranking.resolve_tasks(config.get_list("rank.tasks")))
 
 
-def step_train_rank(workdir, config: Config, pairs_name: str = "pairs"):
+def step_train_rank(workdir, config: Config):
     corpus, vocab, encoder = _load_trained(workdir, config)
-    pairs = _load_pairs(workdir, corpus, pairs_name)
-    params, history = ranking.train_ranker(pairs, corpus, vocab, _rank_config(config),
-                                           encoder=encoder)
+    pairs = _load_pairs(workdir, corpus)
+    params, history = ranking.train_ranker(pairs, PreparedCorpus(corpus, vocab),
+                                           _rank_config(config), encoder=encoder)
     ranking.save_ranker(params, _path(workdir, "ranker"))
     return params, history
 
 
 def step_clean(workdir, config: Config):
-    """Confidence-learning cycle; retrains and saves the ranker on clean pairs."""
+    """Confidence-learning cycle; retrains and saves the ranker on clean pairs.
+    Training, scoring and the P@5 evaluator share one view of the bank."""
     corpus, vocab, encoder = _load_trained(workdir, config)
     pairs = _load_pairs(workdir, corpus)
     cl_cfg = conflearn.CleanConfig(
         folds=config.get_int("cl.folds"), seed=config.get_int("cl.seed"),
         retrain=_rank_config(config))
-    eval_fn = _make_p5_eval(workdir, config, corpus, vocab, encoder, pairs)
+    view = PreparedCorpus(corpus, vocab, encoder)
+    eval_fn = _make_p5_eval(workdir, config, corpus, view, pairs)
     params, cleaned, report = conflearn.clean_and_retrain(
-        pairs, corpus, vocab, encoder, cl_cfg, eval_fn=eval_fn)
+        pairs, view, encoder, cl_cfg, eval_fn=eval_fn)
     ranking.save_ranker(params, _path(workdir, "ranker"))
     corpus_mod.save_pairs(cleaned, _path(workdir, "pairs_clean"))
     with atomic_write(_path(workdir, "cleaning")) as fh:
@@ -317,13 +329,15 @@ def _relevant(workdir, corpus: Corpus, pairs) -> dict[str, set[str]]:
     return {k: v for k, v in annotated_similars(pairs).items() if v}
 
 
-def _make_p5_eval(workdir, config, corpus, vocab, encoder, pairs):
-    """P@5 evaluator against ground truth when available, else annotations."""
+def _make_p5_eval(workdir, config, corpus: Corpus, view: PreparedCorpus, pairs):
+    """P@5 evaluator against ground truth when available, else annotations;
+    ``view`` holds ``corpus`` under the workspace vocab and encoder."""
     relevant = _relevant(workdir, corpus, pairs)
-    recaller = Recaller.build(corpus, vocab, encoder, config=_recall_config(config))
+    recaller = Recaller.build(corpus, view.vocab, view.params,
+                              config=_recall_config(config), view=view)
 
     def eval_fn(ranker_params) -> float:
-        ranker = ranking.Ranker(vocab, ranker_params, recaller.view)
+        ranker = ranking.Ranker(ranker_params, view)
         ranked = ranked_lists(recaller, ranker, corpus, list(relevant))
         values, _ = evaluate_precision(ranked, relevant, ks=(5,))
         return values[5]
@@ -351,7 +365,8 @@ def _recall_config(config: Config) -> RecallConfig:
 def step_export_embeddings(workdir, config: Config, out_path=None) -> Path:
     corpus, vocab, params = _load_trained(workdir, config)
     out = Path(out_path) if out_path else _path(workdir, "embeddings")
-    encoder_mod.export_embeddings(corpus, vocab, params, out)
+    encoder_mod.export_embeddings(corpus.ids, PreparedCorpus(corpus, vocab, params).embeddings,
+                                  out)
     return out
 
 
@@ -369,11 +384,12 @@ def recall_lists(recaller: Recaller, seed_ids: Sequence[str],
 
 def ranked_lists(recaller: Recaller, ranker: ranking.Ranker, corpus: Corpus,
                  query_ids: Sequence[str]) -> dict[str, list[str]]:
-    """Recall then rank per query; returns ranked id lists."""
+    """Recall then rank per query, each prepared once for both; returns
+    ranked id lists."""
     out = {}
     for query_id in query_ids:
-        query = corpus[query_id]
-        out[query_id] = ranker.rank(query, recaller.recall(query), corpus).ids
+        query = PreparedQuery(corpus[query_id], recaller.vocab)
+        out[query_id] = ranker.rank(query, recaller.recall(query)).ids
     return out
 
 
@@ -383,7 +399,7 @@ def step_eval(workdir, config: Config) -> EvalReport:
     pairs = _load_pairs(workdir, corpus)
     ranker_params = ranking.load_ranker(_path(workdir, "ranker"))
     recaller = Recaller.build(corpus, vocab, encoder, config=_recall_config(config))
-    ranker = ranking.Ranker(vocab, ranker_params, recaller.view)
+    ranker = ranking.Ranker(ranker_params, recaller.view)
 
     k_recall = config.get_int("eval.k_recall")
     annotated = {k: v for k, v in annotated_similars(pairs).items() if v}
@@ -460,7 +476,7 @@ class Pipeline:
             if p.exists() and name not in ("report", "cleaning", "embeddings"):
                 versions[name] = file_digest(p)
         return cls(corpus=corpus, vocab=vocab, encoder=encoder, recaller=recaller,
-                   ranker=ranking.Ranker(vocab, ranker_params, view),
+                   ranker=ranking.Ranker(ranker_params, view),
                    variant_clf=variant_clf, config=config,
                    rerank_config=rerank_config, versions=versions,
                    cache_size=config.get_int("cache.size"))
@@ -511,15 +527,6 @@ class Pipeline:
                  profile: Optional[StudentProfile]) -> RerankedResult:
         query = PreparedQuery(exercise, self.vocab)
         candidates = self.recaller.recall(query)
-        ranked = self.ranker.rank(query, candidates, self.corpus)
+        ranked = self.ranker.rank(query, candidates)
         return rerank_mod.rerank(query, ranked, profile, self.corpus, self.variant_clf,
                                  self.rerank_config)
-
-    def duplicate_verdict(self, a: Union[str, Exercise],
-                          b: Union[str, Exercise]) -> dict:
-        if self.recaller.dedup is None:
-            raise ConfigurationError([FILES["dedup"]])
-        ex_a, ex_b = self.resolve(a), self.resolve(b)
-        prob = self.recaller.dedup.prob(ex_a, ex_b)
-        return {"a": ex_a.id, "b": ex_b.id, "probability": prob,
-                "duplicate": prob >= self.recaller.dedup.threshold}

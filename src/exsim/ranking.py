@@ -17,13 +17,15 @@ token rows, tanh transform, L2 normalize), and a task head classifies the
 shared pair features of :mod:`pairclf`, ``[u, v, |u - v|, u * v, edit_sim]``
 (the Sentence-BERT pair head, arXiv:1908.10084). ``edit_sim`` is the
 token-level edit similarity of the two texts over the same token codes dedup
-uses; it is computed when the instances are built, once per distinct pair
-of texts. At serving time every exercise's row is computed once per loaded
-view, so a query encodes only itself under the ranker's backbone. Given the
-miss's ``pairclf.PreparedQuery``, ranking makes no edit-similarity kernel
-call of its own: it reads back the similarities dedup computed over the
-recalled list, and makes the one call of the miss only when no dedup head
-ran before it.
+uses. Training tokenizes nothing: :class:`TaskBuilder` reads each side's
+vocabulary ids and codes from the ``pairclf.PreparedCorpus`` the caller
+prepared, and computes ``edit_sim`` when the instances are built, once per
+distinct pair of texts. At serving time every exercise's row is computed
+once per loaded view, so a query encodes only itself under the ranker's
+backbone. Given the miss's ``pairclf.PreparedQuery``, ranking makes no
+edit-similarity kernel call of its own: it reads back the similarities
+dedup computed over the recalled list, and makes the one call of the miss
+only when no dedup head ran before it.
 
 The combined loss is a convex combination of the per-task cross-entropies.
 The coefficients come from one small expert network per task (three layers:
@@ -45,15 +47,15 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Exercise, LabeledPair
+from .corpus import Exercise, LabeledPair
 from .encoder import (EncoderParams, TrainingDivergedError, embed_text_batch,
                       embed_text_batch_backward, softmax_cross_entropy)
-from .pairclf import (CodeTable, PairFeaturizer, PreparedCorpus, UntrainedModelError,
-                      edit_similarities, pad_codes, pair_feature_rows, text_tokens)
+from .pairclf import (PAD_CODE, PairFeaturizer, PreparedCorpus, UntrainedModelError,
+                      edit_similarities, pair_feature_rows)
 from .recall import Candidates
 from .snapshots import SnapshotFormatError, load_arrays, save_arrays
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
-from .textnorm import Vocab, normalize_text  # noqa: F401
+from .textnorm import normalize_text  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -173,33 +175,30 @@ def load_ranker(path) -> RankerParams:
 # Task instance construction
 
 class TaskBuilder:
-    """Expands labeled pairs into task instances over a tokenized corpus."""
+    """Expands labeled pairs into task instances over a prepared corpus.
 
-    def __init__(self, corpus: Corpus, vocab: Vocab):
-        self.corpus = corpus
-        self.stems: dict[str, tuple[int, ...]] = {}
-        self.analyses: dict[str, tuple[int, ...]] = {}
-        by_concept: dict[str, list[str]] = {}
-        table = CodeTable(vocab)
-        self.row_of: dict[str, int] = {}  # stem row; the analysis row follows it
-        self.texts: list[tuple[int, ...]] = []
-        codes = []
-        for ex in corpus:
-            self.row_of[ex.id] = len(codes)
-            for side, text in ((self.stems, ex.text), (self.analyses, ex.answer_analysis)):
-                tokens = text_tokens(text, vocab)
-                side[ex.id] = tuple(vocab.id_of(t) for t in tokens)
-                self.texts.append(side[ex.id])
-                codes.append(table.encode(tokens))
+    Texts are rows: row r < n is exercise r's stem and row n + r its
+    answer/analysis, n being the number of exercises in the view. Their
+    vocabulary ids and edit-distance codes are the view's.
+    """
+
+    def __init__(self, view: PreparedCorpus):
+        self.view = view
+        n = len(view.exercises)
+        self.texts = [tuple(ids.tolist()) for ids in view.stem_ids() + view.analysis_ids()]
+        analysis = view.analysis
+        self.lengths = np.concatenate([view.lengths, analysis.lengths])
+        self.codes = np.full((2 * n, max(view.codes.shape[1], analysis.codes.shape[1])),
+                             PAD_CODE, dtype=np.int32)
+        self.codes[:n, :view.codes.shape[1]] = view.codes
+        self.codes[n:, :analysis.codes.shape[1]] = analysis.codes
+        self.row_of = view.index.row_of
+        self.ids = view.index.ids
+        self.by_concept: dict[str, list[str]] = {}
+        for ex in view.exercises:
             for c in ex.metadata.knowledge_concepts:
-                by_concept.setdefault(c, []).append(ex.id)
-        self.codes, self.lengths = pad_codes(codes)
-        self.by_concept = by_concept
-        self.ids = corpus.ids
+                self.by_concept.setdefault(c, []).append(ex.id)
         self._pools: dict[str, list[str]] = {}
-
-    def build(self, pair: LabeledPair, rng: np.random.Generator) -> list[TaskInstance]:
-        return self.build_all([pair], rng)[0]
 
     def build_all(self, pairs: Sequence[LabeledPair], rng: np.random.Generator,
                   tasks: Iterable[str] = TASKS) -> list[list[TaskInstance]]:
@@ -229,24 +228,24 @@ class TaskBuilder:
 
     def _specs(self, pair: LabeledPair, rng: np.random.Generator):
         """(task index, left row, right row, label) of each instance of one pair."""
-        a, b = self.corpus[pair.a_id], self.corpus[pair.b_id]
-        for ex in (a, b):
-            if not self.stems[ex.id] or not self.analyses[ex.id]:
-                raise ValueError(f"pair ({a.id}, {b.id}): both exercises need "
+        n = len(self.view.exercises)
+        stem_a, stem_b = self.row_of[pair.a_id], self.row_of[pair.b_id]
+        for row in (stem_a, stem_b):
+            if not self.lengths[row] or not self.lengths[n + row]:
+                raise ValueError(f"pair ({pair.a_id}, {pair.b_id}): both exercises need "
                                  "stem and analysis text")
         label = 1 if pair.is_similar else 0
-        stem_a, stem_b = self.row_of[a.id], self.row_of[b.id]
         if pair.is_similar:
-            neg_id = self._concept_sharing_draw(a, b.id, rng)
+            neg_id = self._concept_sharing_draw(self.view.exercises[stem_a], pair.b_id, rng)
         else:
-            neg_id = b.id
+            neg_id = pair.b_id
         ss, aa, sa = range(len(TASKS))
         return [
             (ss, stem_a, stem_b, label),
-            (aa, stem_a + 1, stem_b + 1, label),
-            (sa, stem_a, stem_a + 1, 1),
-            (sa, stem_b, stem_b + 1, 1),
-            (sa, stem_a, self.row_of[neg_id] + 1, 0),
+            (aa, n + stem_a, n + stem_b, label),
+            (sa, stem_a, n + stem_a, 1),
+            (sa, stem_b, n + stem_b, 1),
+            (sa, stem_a, n + self.row_of[neg_id], 0),
         ]
 
     def _concept_sharing_draw(self, ex: Exercise, partner_id: str,
@@ -281,13 +280,6 @@ class TaskBuilder:
                         seen.add(other)
             self._pools[ex.id] = pool
         return pool
-
-
-def build_task_instances(pair: LabeledPair, corpus: Corpus, vocab: Vocab,
-                         seed: int = 0) -> list[TaskInstance]:
-    """One-shot instance construction for a single pair (tests, inspection)."""
-    builder = TaskBuilder(corpus, vocab)
-    return builder.build(pair, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +448,12 @@ class RankConfig:
     tasks: tuple[str, ...] = TASKS
 
 
-def train_ranker(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab,
+def train_ranker(pairs: Sequence[LabeledPair], view: PreparedCorpus,
                  config: RankConfig = RankConfig(),
                  encoder: Optional[EncoderParams] = None,
                  init: Optional[RankerParams] = None):
-    """Train the multi-task ranker; returns (params, history).
+    """Train the multi-task ranker over ``view``'s texts; returns (params,
+    history).
 
     The shared backbone starts from the pre-trained encoder when given.
     Task instances are built once, deterministically from the seed, before
@@ -478,7 +471,7 @@ def train_ranker(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab,
         params = RankerParams.init(encoder, seed=config.seed)
     fixed_alpha = dict(zip(TASKS, config.alpha))
 
-    builder = TaskBuilder(corpus, vocab)
+    builder = TaskBuilder(view)
     build_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 5]))
     per_pair = builder.build_all(pairs, build_rng, tasks)
 
@@ -522,35 +515,21 @@ def _mean_dicts(dicts: list[dict[str, float]]) -> dict[str, float]:
 class Ranker:
     """Scores exercise pairs with the trained stem-stem head.
 
-    ``view``, when given, must be prepared with this ranker's vocab; every
-    exercise's row under the ranker's backbone is computed from it once,
-    here. An exercise that is one of its objects is read from it, any other
-    (a probe, or an equal id) is prepared from its own text, with the same
-    result bit for bit.
+    Every exercise's row of ``view`` under the ranker's backbone is computed
+    once, here. Candidates are rows of the view, and a query is always
+    prepared from its own text with the view's vocab.
     """
 
-    vocab: Vocab
     params: RankerParams
-    view: Optional[PreparedCorpus] = None
+    view: PreparedCorpus
 
     def __post_init__(self):
-        if self.view is not None:
-            self.view.check(self.vocab)
-        self.featurizer = PairFeaturizer(
-            self.vocab, self.params,
-            self.view.embedded_with(self.params) if self.view is not None else None)
+        self.featurizer = PairFeaturizer(self.view.vocab, self.params,
+                                         self.view.embedded_with(self.params))
 
     def _check_trained(self):
         if not self.params.trained:
             raise UntrainedModelError("ranker has not been trained")
-
-    def score_pairs(self, query, others: Sequence[Exercise]) -> np.ndarray:
-        """Positive-class probability for (query, other) under the pair head;
-        ``query`` is an ``Exercise`` or a ``PreparedQuery``."""
-        self._check_trained()
-        if not others:
-            return np.zeros(0)
-        return self._probs(*self.featurizer.query_pairs(query, others))
 
     def _probs(self, u: np.ndarray, v: np.ndarray, sims: np.ndarray) -> np.ndarray:
         f = pair_feature_rows(u, v, sims)
@@ -560,18 +539,25 @@ class Ranker:
         expl = np.exp(shifted)
         return expl[:, 1] / expl.sum(axis=1)
 
-    def score_pair(self, ex_a: Exercise, ex_b: Exercise) -> float:
-        return float(self.score_pairs(ex_a, [ex_b])[0])
+    def pair_probs(self, rows_a: np.ndarray, rows_b: np.ndarray,
+                   sims: np.ndarray) -> np.ndarray:
+        """Positive-class probability of each pair of view rows (rows_a[i],
+        rows_b[i]) with edit similarity sims[i]. Each pair is scored alone,
+        as a one-row product, so its probability does not depend on which
+        other pairs are scored with it (a product over many rows rounds
+        differently in the last bit)."""
+        self._check_trained()
+        emb = self.featurizer.view.embeddings
+        return np.array([self._probs(*pair)[0]
+                         for pair in zip(emb[rows_a], emb[rows_b], sims[:, None])])
 
-    def rank(self, query, candidates: Candidates, corpus: Corpus) -> Candidates:
-        """Re-score candidates and sort descending, ties broken by id;
-        ``query`` is an ``Exercise`` or a ``PreparedQuery``. Candidates that
-        are rows of this ranker's view are read from it, others are looked
-        up in ``corpus``."""
+    def rank(self, query, candidates: Candidates) -> Candidates:
+        """Re-score candidates, rows of this ranker's view, and sort
+        descending, ties broken by id; ``query`` is an ``Exercise`` or a
+        ``PreparedQuery``."""
         self._check_trained()
         rows = candidates.rows
-        scores = (self._probs(*self.featurizer.row_pairs(query, candidates.index, rows,
-                                                         corpus))
+        scores = (self._probs(*self.featurizer.row_pairs(query, candidates.index, rows))
                   if len(rows) else np.zeros(0))
         order = np.lexsort((candidates.index.id_rank[rows], -scores))
         return Candidates(candidates.index, rows[order], scores[order],

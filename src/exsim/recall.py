@@ -61,7 +61,7 @@ import numpy as np
 
 from .corpus import Corpus, Exercise, RowIndex
 # embed_text stays bound, unused: perfbench's tracer wraps it where imported
-from .encoder import EncoderParams, embed_corpus, embed_text  # noqa: F401
+from .encoder import EncoderParams, embed_text  # noqa: F401
 from .pairclf import (PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery,
                       UntrainedModelError, pair_feature_rows)
 from .textnorm import Vocab, normalize_text, split_tokens
@@ -311,11 +311,11 @@ class VectorIndex:
     @classmethod
     def build(cls, corpus: Corpus, vocab: Vocab, params: EncoderParams,
               view: Optional[PreparedCorpus] = None) -> "VectorIndex":
-        """``embed_corpus`` rows of ``corpus``; ``view``, when given, holds it
-        in order, embedded under ``params``, and its embeddings are the
-        matrix (the same bits, and no embedding call)."""
-        matrix = embed_corpus(corpus, vocab, params)[0] if view is None else view.embeddings
-        return cls(matrix, corpus.index)
+        """The embeddings of ``view``, which holds ``corpus`` in order under
+        ``params``; without one, a view is prepared here."""
+        if view is None:
+            view = PreparedCorpus(corpus, vocab, params)
+        return cls(view.embeddings, corpus.index)
 
     @property
     def dim(self) -> int:

@@ -196,9 +196,6 @@ class VariantClassifier:
         """``prob`` of the pairs a featurizer gives as (u, v, edit similarities)."""
         return self.classifier.prob_rows(pair_feature_rows(u, v, sims))
 
-    def is_variant(self, query: Exercise, candidate: Exercise) -> bool:
-        return self.prob(query, candidate) >= self.threshold
-
     def save(self, path) -> None:
         self.classifier.save(path, "variant")
 
@@ -244,7 +241,7 @@ def rerank(query, candidates: Candidates,
         return RerankedResult(kept, passed)
     passed.append("variant")
     probs = (variant_clf.prob_pairs(*variant_clf.featurizer.row_pairs(
-        query, kept.index, kept.rows, corpus)) if len(kept) else np.zeros(0))
+        query, kept.index, kept.rows)) if len(kept) else np.zeros(0))
     # stable partition: variants first, each side in ranking order
     similar = ~(probs >= config.variant_threshold)
     order = np.argsort(similar, kind="stable")

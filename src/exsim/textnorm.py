@@ -114,13 +114,13 @@ class Vocab:
         self.stop_words = canonical_stop_words(stop_words)
 
     @classmethod
-    def build(cls, texts: Iterable[str], min_count: int = 1,
+    def build(cls, token_lists: Iterable[Sequence[str]], min_count: int = 1,
               stop_words: Iterable[str] = ()) -> "Vocab":
-        """Count tokens over texts normalized with ``stop_words``; order by
+        """Count the tokens of texts normalized with ``stop_words``; order by
         count desc, then token."""
         counts = Counter()
-        for text in texts:
-            counts.update(split_tokens(text))
+        for tokens in token_lists:
+            counts.update(tokens)
         kept = sorted((t for t, c in counts.items() if c >= min_count),
                       key=lambda t: (-counts[t], t))
         return cls(kept, stop_words)
@@ -133,12 +133,6 @@ class Vocab:
 
     def id_of(self, token: str) -> int:
         return self._token_to_id.get(token, UNK_ID)
-
-    def token_of(self, token_id: int) -> str:
-        return self._id_to_token[token_id]
-
-    def decode(self, ids: Iterable[int]) -> list[str]:
-        return [self._id_to_token[i] for i in ids]
 
     def save(self, path) -> None:
         """A header line with the stop words, then one non-reserved token per
@@ -183,10 +177,6 @@ def split_tokens(text: str) -> list[str]:
 def tokenize(text: str, vocab: Vocab) -> TokenSequence:
     """Map normalized text to vocabulary ids; out-of-vocabulary becomes UNK."""
     return TokenSequence(tuple(vocab.id_of(t) for t in split_tokens(text)))
-
-
-def detokenize(seq: TokenSequence, vocab: Vocab) -> list[str]:
-    return vocab.decode(seq.ids)
 
 
 # ---------------------------------------------------------------------------

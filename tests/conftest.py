@@ -2,6 +2,7 @@ import pytest
 
 from exsim import corpus as corpus_mod
 from exsim import encoder as encoder_mod
+from exsim.pairclf import PreparedCorpus
 
 
 @pytest.fixture(scope="session")
@@ -16,10 +17,11 @@ def small_synth():
 def small_trained(small_synth):
     """Pre-trained and fine-tuned encoder over the small corpus."""
     corpus, truth, pairs = small_synth
-    vocab = encoder_mod.build_vocab(corpus)
+    view = PreparedCorpus.with_own_vocab(corpus)
     params, _ = encoder_mod.pretrain(
-        corpus, vocab, encoder_mod.PretrainConfig(d=16, epochs=8, seed=2))
+        corpus, view.vocab, view.stem_ids(), view.analysis_ids(),
+        encoder_mod.PretrainConfig(d=16, epochs=8, seed=2))
     params, _ = encoder_mod.fine_tune(
-        params, pairs, corpus, vocab,
+        params, pairs, corpus, view.stem_ids(),
         encoder_mod.FinetuneConfig(epochs=3, n_negatives=6, seed=2))
-    return corpus, truth, pairs, vocab, params
+    return corpus, truth, pairs, view.vocab, params

@@ -5,7 +5,7 @@ import pytest
 from exsim.corpus import (
     Corpus, CorpusError, Exercise, LabeledPair, Metadata, SyntheticSpec,
     generate_dedup_pairs, generate_synthetic, load_corpus, load_pairs,
-    load_snapshot, save_corpus_jsonl, save_pairs, save_snapshot, validate_pairs,
+    load_snapshot, save_pairs, save_snapshot, validate_pairs,
 )
 from exsim.snapshots import SnapshotFormatError
 
@@ -169,7 +169,7 @@ def test_snapshot_truncated(tmp_path, small_synth):
 def test_jsonl_round_trip(tmp_path, small_synth):
     corpus, _, _ = small_synth
     path = tmp_path / "c.jsonl"
-    save_corpus_jsonl(corpus, path)
+    write_jsonl(path, [ex.to_record() for ex in corpus])
     assert load_corpus(path, levels=corpus.levels) == corpus
 
 

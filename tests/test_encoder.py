@@ -12,8 +12,9 @@ from exsim import encoder as enc
 from exsim import ranking as rk
 from exsim.corpus import (SIMILAR, Corpus, CorpusError, LabeledPair, SyntheticSpec,
                           generate_synthetic)
+from exsim.pairclf import PreparedCorpus
 from exsim.snapshots import SnapshotFormatError
-from exsim.textnorm import TokenSequence
+from exsim.textnorm import TokenSequence, normalize_text, tokenize
 
 
 def toy_params(vocab_size=12, d=4, d_img=3, n_types=3, levels=4, n_concepts=5, seed=0):
@@ -177,9 +178,9 @@ def test_full_pretrain_step_gradients():
     spec = SyntheticSpec(n_templates=3, per_template=4, noise_rate=0.0,
                          vocab_size=80, seed=5)
     corpus, _, _ = generate_synthetic(spec, d_img=4)
-    vocab = enc.build_vocab(corpus)
-    params = enc.init_params(corpus, vocab, d=5, seed=1)
-    encoded = enc.encode_corpus(corpus, vocab)
+    view = PreparedCorpus.with_own_vocab(corpus)
+    params = enc.init_params(corpus, view.vocab, d=5, seed=1)
+    encoded = enc.encode_corpus(corpus, view.stem_ids(), view.analysis_ids())
     batch = encoded[:4]
     cfg = enc.PretrainConfig(d=5, tau=0.4)
 
@@ -349,7 +350,7 @@ def image_bank():
                          vocab_size=90, seed=8)
     corpus, _, pairs = generate_synthetic(spec, d_img=4)
     assert any(ex.image_features for ex in corpus)
-    return corpus, pairs, enc.build_vocab(corpus)
+    return corpus, pairs, PreparedCorpus.with_own_vocab(corpus)
 
 
 def use_reference_kernels(monkeypatch):
@@ -359,12 +360,12 @@ def use_reference_kernels(monkeypatch):
                             reference_embed_text_batch_backward)
 
 
-def train_all_three(corpus, pairs, vocab):
-    encoder, _ = enc.pretrain(corpus, vocab, enc.PretrainConfig(
-        d=6, epochs=3, batch_size=8, seed=4))
-    tuned, _ = enc.fine_tune(encoder, pairs, corpus, vocab, enc.FinetuneConfig(
+def train_all_three(corpus, pairs, view):
+    encoder, _ = enc.pretrain(corpus, view.vocab, view.stem_ids(), view.analysis_ids(),
+                              enc.PretrainConfig(d=6, epochs=3, batch_size=8, seed=4))
+    tuned, _ = enc.fine_tune(encoder, pairs, corpus, view.stem_ids(), enc.FinetuneConfig(
         epochs=2, batch_size=8, n_negatives=4, seed=4))
-    ranker, _ = rk.train_ranker(pairs, corpus, vocab, rk.RankConfig(
+    ranker, _ = rk.train_ranker(pairs, view, rk.RankConfig(
         epochs=2, batch_pairs=6, seed=4), encoder=tuned)
     return encoder.arrays(), tuned.arrays(), ranker.arrays()
 
@@ -384,18 +385,19 @@ def test_training_trajectories_equal_the_replaced_kernels(image_bank, monkeypatc
 
 def test_pretrain_reduces_contrastive_loss(small_synth):
     corpus, _, _ = small_synth
-    vocab = enc.build_vocab(corpus)
-    _, history = enc.pretrain(corpus, vocab, enc.PretrainConfig(d=16, epochs=8, seed=3))
+    view = PreparedCorpus.with_own_vocab(corpus)
+    _, history = enc.pretrain(corpus, view.vocab, view.stem_ids(), view.analysis_ids(),
+                              enc.PretrainConfig(d=16, epochs=8, seed=3))
     assert history["contrastive"][-1] < history["contrastive"][0]
     assert all(np.isfinite(v) for v in history["total"])
 
 
 def test_pretrain_deterministic(small_synth):
     corpus, _, _ = small_synth
-    vocab = enc.build_vocab(corpus)
+    view = PreparedCorpus.with_own_vocab(corpus)
     cfg = enc.PretrainConfig(d=8, epochs=3, seed=4)
-    p1, h1 = enc.pretrain(corpus, vocab, cfg)
-    p2, h2 = enc.pretrain(corpus, vocab, cfg)
+    p1, h1 = enc.pretrain(corpus, view.vocab, view.stem_ids(), view.analysis_ids(), cfg)
+    p2, h2 = enc.pretrain(corpus, view.vocab, view.stem_ids(), view.analysis_ids(), cfg)
     assert h1 == h2
     for k in p1.arrays():
         assert np.array_equal(p1.arrays()[k], p2.arrays()[k])
@@ -403,10 +405,11 @@ def test_pretrain_deterministic(small_synth):
 
 def test_pretrain_zero_epochs_is_initialization(small_synth):
     corpus, _, _ = small_synth
-    vocab = enc.build_vocab(corpus)
+    view = PreparedCorpus.with_own_vocab(corpus)
     cfg = enc.PretrainConfig(d=8, epochs=0, seed=4)
-    params, history = enc.pretrain(corpus, vocab, cfg)
-    init = enc.init_params(corpus, vocab, d=8, seed=4)
+    params, history = enc.pretrain(corpus, view.vocab, view.stem_ids(), view.analysis_ids(),
+                                   cfg)
+    init = enc.init_params(corpus, view.vocab, d=8, seed=4)
     for k in params.arrays():
         assert np.array_equal(params.arrays()[k], init.arrays()[k])
     assert history["total"] == []
@@ -417,20 +420,21 @@ def test_an_exercise_without_tokens_is_refused_by_name(small_synth):
     exercises = list(corpus)[:4]
     exercises[2] = dataclasses.replace(exercises[2], stem="<p></p>", options=())
     markup = Corpus(exercises, levels=corpus.levels, d_img=corpus.d_img)
-    vocab = enc.build_vocab(markup)
+    view = PreparedCorpus.with_own_vocab(markup)
     with pytest.raises(CorpusError, match=rf"'{exercises[2].id}'.*no tokens"):
-        enc.encode_corpus(markup, vocab)
+        enc.encode_corpus(markup, view.stem_ids(), view.analysis_ids())
     with pytest.raises(CorpusError, match=rf"'{exercises[2].id}'"):
-        enc.pretrain(markup, vocab, enc.PretrainConfig(d=4, epochs=1))
+        enc.pretrain(markup, view.vocab, view.stem_ids(), view.analysis_ids(),
+                     enc.PretrainConfig(d=4, epochs=1))
 
 
 def test_finetune_requires_positive_pairs(small_synth):
     corpus, _, pairs = small_synth
-    vocab = enc.build_vocab(corpus)
-    params = enc.init_params(corpus, vocab, d=8, seed=0)
+    view = PreparedCorpus.with_own_vocab(corpus)
+    params = enc.init_params(corpus, view.vocab, d=8, seed=0)
     negatives_only = [p for p in pairs if not p.is_similar]
     with pytest.raises(ValueError):
-        enc.fine_tune(params, negatives_only, corpus, vocab)
+        enc.fine_tune(params, negatives_only, corpus, view.stem_ids())
 
 
 def test_finetune_refuses_an_anchor_with_too_few_negatives(small_synth):
@@ -440,21 +444,21 @@ def test_finetune_refuses_an_anchor_with_too_few_negatives(small_synth):
     few = Corpus(list(corpus)[:5], levels=corpus.levels, d_img=corpus.d_img)
     a, b, c, d, _ = few.ids
     pairs = [LabeledPair(a, other, SIMILAR) for other in (b, c, d)]
-    vocab = enc.build_vocab(few)
-    params = enc.init_params(few, vocab, d=8, seed=0)
+    view = PreparedCorpus.with_own_vocab(few)
+    params = enc.init_params(few, view.vocab, d=8, seed=0)
     cfg = enc.FinetuneConfig(epochs=1, n_negatives=2)
     with pytest.raises(ValueError, match=rf"anchor '{a}' has 1 .*finetune.negatives = 2"):
-        enc.fine_tune(params, pairs, few, vocab, cfg)
-    _, history = enc.fine_tune(params, pairs, few, vocab,
+        enc.fine_tune(params, pairs, few, view.stem_ids(), cfg)
+    _, history = enc.fine_tune(params, pairs, few, view.stem_ids(),
                                dataclasses.replace(cfg, n_negatives=1))
     assert len(history["batch"]) == 1
 
 
 def test_finetune_zero_epochs_identity(small_synth):
     corpus, _, pairs = small_synth
-    vocab = enc.build_vocab(corpus)
-    params = enc.init_params(corpus, vocab, d=8, seed=0)
-    tuned, history = enc.fine_tune(params, pairs, corpus, vocab,
+    view = PreparedCorpus.with_own_vocab(corpus)
+    params = enc.init_params(corpus, view.vocab, d=8, seed=0)
+    tuned, history = enc.fine_tune(params, pairs, corpus, view.stem_ids(),
                                    enc.FinetuneConfig(epochs=0))
     for k in params.arrays():
         assert np.array_equal(params.arrays()[k], tuned.arrays()[k])
@@ -463,15 +467,12 @@ def test_finetune_zero_epochs_identity(small_synth):
 
 def test_finetune_first_batch_loss_matches_direct_evaluation(small_synth):
     corpus, _, pairs = small_synth
-    vocab = enc.build_vocab(corpus)
-    params = enc.init_params(corpus, vocab, d=8, seed=0)
+    view = PreparedCorpus.with_own_vocab(corpus)
+    params = enc.init_params(corpus, view.vocab, d=8, seed=0)
     cfg = enc.FinetuneConfig(epochs=1, batch_size=4, n_negatives=3, seed=9)
-    _, history = enc.fine_tune(params, pairs, corpus, vocab, cfg)
+    _, history = enc.fine_tune(params, pairs, corpus, view.stem_ids(), cfg)
 
-    # rebuild the first batch exactly as the trainer does
-    from exsim.textnorm import tokenize
-    from exsim.textnorm import Vocab as _V  # noqa: F401 (import parity)
-    from exsim.encoder import normalize_text
+    # rebuild the first batch exactly as the trainer does, ids from the text
     positives = [(p.a_id, p.b_id) for p in pairs if p.is_similar]
     anchors_all = positives + [(b, a) for a, b in positives]
     sims = enc.similar_sets(pairs)
@@ -480,7 +481,8 @@ def test_finetune_first_batch_loss_matches_direct_evaluation(small_synth):
     chosen = [anchors_all[i] for i in order[:cfg.batch_size]]
     negatives = [enc._draw_negatives(a, sims, corpus.ids, cfg.n_negatives, rng)
                  for a, _ in chosen]
-    seqs = {ex.id: tokenize(normalize_text(ex.text)[0], vocab).array() for ex in corpus}
+    seqs = {ex.id: tokenize(normalize_text(ex.text)[0], view.vocab).array()
+            for ex in corpus}
     flat = []
     for (a, b), negs in zip(chosen, negatives):
         flat.extend([a, b] + negs)
@@ -492,7 +494,7 @@ def test_finetune_first_batch_loss_matches_direct_evaluation(small_synth):
 
 def test_finetune_pulls_similars_together(small_trained):
     corpus, truth, pairs, vocab, params = small_trained
-    matrix, ids = enc.embed_corpus(corpus, vocab, params)
+    matrix, ids = PreparedCorpus(corpus, vocab, params).embeddings, corpus.ids
     row = {ex_id: i for i, ex_id in enumerate(ids)}
     rng = np.random.default_rng(0)
     sim_cos, rand_cos = [], []
@@ -508,8 +510,9 @@ def test_finetune_pulls_similars_together(small_trained):
 
 def test_image_alignment_follows_templates(small_trained):
     corpus, truth, _, vocab, params = small_trained
-    matrix, ids = enc.embed_corpus(corpus, vocab, params)
+    matrix, ids = PreparedCorpus(corpus, vocab, params).embeddings, corpus.ids
     row = {ex_id: i for i, ex_id in enumerate(ids)}
+    group_of = {ex_id: g for g, members in truth.groups.items() for ex_id in members}
     own, cross = [], []
     exercises = list(corpus)
     for ex in exercises:
@@ -518,7 +521,7 @@ def test_image_alignment_follows_templates(small_trained):
         h = enc.project_image(np.asarray(ex.image_features[0]), params)
         own.append(float(matrix[row[ex.id]] @ h))
         other = exercises[(exercises.index(ex) + len(exercises) // 2) % len(exercises)]
-        if truth.group_of(other.id) != truth.group_of(ex.id):
+        if group_of[other.id] != group_of[ex.id]:
             cross.append(float(matrix[row[other.id]] @ h))
     assert np.mean(own) > np.mean(cross)
 
@@ -559,19 +562,18 @@ def test_failed_snapshot_write_leaves_the_old_file(tmp_path):
 def test_export_embeddings_format_and_exactness(tmp_path, small_trained):
     corpus, _, _, vocab, params = small_trained
     path = tmp_path / "emb.txt"
-    enc.export_embeddings(corpus, vocab, params, path)
+    matrix = enc.embed_corpus(PreparedCorpus(corpus, vocab).stem_ids(), params)
+    enc.export_embeddings(corpus.ids, matrix, path)
     lines = path.read_text().splitlines()
     assert len(lines) == len(corpus)
     first = lines[0].split()
     assert len(first) == 1 + params.d
     ex = corpus[first[0]]
-    from exsim.textnorm import tokenize
-    vec = enc.embed_text(tokenize(enc.normalize_text(ex.text)[0], vocab), params)
+    vec = enc.embed_text(tokenize(normalize_text(ex.text)[0], vocab), params)
     parsed = np.array([float(x) for x in first[1:]])
     assert np.array_equal(parsed, vec)  # bit-for-bit via repr round-trip
-    matrix, ids = enc.embed_corpus(corpus, vocab, params)
     exported = [[float(x) for x in line.split()[1:]] for line in lines]
-    assert [line.split()[0] for line in lines] == ids
+    assert [line.split()[0] for line in lines] == corpus.ids
     assert matrix.tolist() == exported
-    enc.export_embeddings(corpus, vocab, params, tmp_path / "emb2.txt")
+    enc.export_embeddings(corpus.ids, matrix, tmp_path / "emb2.txt")
     assert (tmp_path / "emb2.txt").read_text() == path.read_text()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from gradcheck import assert_grads_match, finite_difference
@@ -10,7 +12,7 @@ from exsim.pairclf import (
     PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery, bce_loss_and_grads,
     edit_similarities, edit_similarity, levenshtein, pair_feature_rows, pair_features,
 )
-from exsim.textnorm import UNK_ID, Vocab
+from exsim.textnorm import UNK_ID, Vocab, normalize_text, split_tokens
 
 
 def reference_levenshtein(a, b) -> int:
@@ -226,21 +228,68 @@ def test_query_pairs_codes_tell_oov_tokens_apart(query_words, corpus_words):
     corpus = [exercise(f"e{i}", " ".join(w)) for i, w in enumerate(corpus_words)]
     query = exercise("q", " ".join(query_words))
     expected = [reference_similarity(query_words, w) for w in corpus_words]
-    with_view = PairFeaturizer(VOCAB, PARAMS, PreparedCorpus(corpus, VOCAB, PARAMS))
-    without_view = PairFeaturizer(VOCAB, PARAMS)
-    for feat in (with_view, without_view):
-        _, _, sims = feat.query_pairs(query, corpus)
-        assert sims.tolist() == expected
+    view = PreparedCorpus(corpus, VOCAB, PARAMS)
+    _, _, sims = PairFeaturizer(VOCAB, PARAMS).view_pairs(query, view, np.arange(len(corpus)))
+    assert sims.tolist() == expected
 
 
 def test_unk_tokens_that_differ_as_strings_are_an_edit():
     assert VOCAB.id_of("xy") == VOCAB.id_of("zq") == UNK_ID
     view = PreparedCorpus([exercise("e", "ab zq")], VOCAB, PARAMS)
     feat = PairFeaturizer(VOCAB, PARAMS, view)
-    sims = [feat.query_pairs(exercise("q", text), view.exercises)[2][0]
+    sims = [feat.view_pairs(exercise("q", text), view, np.array([0]))[2][0]
             for text in ("ab xy", "ab zq")]
     assert sims == [0.5, 1.0]
-    assert view.vocab_ids(0).tolist() == [VOCAB.id_of("ab"), UNK_ID]
+    assert view.stem_ids()[0].tolist() == [VOCAB.id_of("ab"), UNK_ID]
+
+
+def test_analysis_side_shares_the_stem_codes(monkeypatch):
+    """Equal tokens get equal codes on both sides, out-of-vocabulary ones
+    too; the analysis side is prepared on first use and kept by copies made
+    after it, and a view's embeddings are computed when read."""
+    exs = [dataclasses.replace(exercise("a", "ab xy"), analysis="xy zq ab"),
+           dataclasses.replace(exercise("b", "zq ef"), analysis="mn")]
+    calls = []
+    normalize = pairclf.normalize_text
+    monkeypatch.setattr(pairclf, "normalize_text",
+                        lambda *args: calls.append(args[0]) or normalize(*args))
+    view = PreparedCorpus(exs, VOCAB)
+    assert calls == [ex.text for ex in exs]
+    analysis = view.analysis
+    assert analysis.tokens == [["xy", "zq", "ab"], ["mn"]]
+    assert view.embedded_with(PARAMS).analysis is analysis
+    assert len(calls) == 4
+    coded = {(t, c) for tokens, codes in ((view.tokens, view.codes),
+                                          (analysis.tokens, analysis.codes))
+             for row, c_row in zip(tokens, codes) for t, c in zip(row, c_row.tolist())}
+    # one code per token and one token per code: "xy", "zq" and "mn" differ
+    assert len(coded) == len({t for t, _ in coded}) == len({c for _, c in coded}) == 5
+    assert analysis.lengths.tolist() == [3, 1]
+    assert view.analysis_ids()[0].tolist() == [UNK_ID, UNK_ID, VOCAB.id_of("ab")]
+    with pytest.raises(ValueError, match="no params"):
+        view.embeddings
+    assert np.array_equal(view.embedded_with(PARAMS).embeddings,
+                          PreparedCorpus(exs, VOCAB, PARAMS).embeddings)
+
+
+def test_own_vocab_normalizes_each_text_once(small_synth, monkeypatch):
+    corpus, _, _ = small_synth
+    calls = []
+    normalize = pairclf.normalize_text
+    monkeypatch.setattr(pairclf, "normalize_text",
+                        lambda *args: calls.append(args[0]) or normalize(*args))
+    view = PreparedCorpus.with_own_vocab(corpus, ("the",))
+    view.analysis_ids()
+    assert sorted(calls) == sorted(t for ex in corpus for t in (ex.text, ex.answer_analysis))
+    monkeypatch.undo()
+    plain = [split_tokens(normalize_text(t, ("the",))[0])
+             for ex in corpus for t in (ex.text, ex.answer_analysis)]
+    expected = Vocab.build(plain, stop_words=("the",))
+    assert view.vocab.stop_words == expected.stop_words == ("the",)
+    assert [view.vocab.id_of(t) for tokens in plain for t in tokens] == \
+        [expected.id_of(t) for tokens in plain for t in tokens]
+    assert len(view.vocab) == len(expected)
+    assert view.tokens == plain[::2] and view.analysis.tokens == plain[1::2]
 
 
 def test_view_embeddings_equal_single_text_embedding():
@@ -249,8 +298,6 @@ def test_view_embeddings_equal_single_text_embedding():
     feat = PairFeaturizer(VOCAB, PARAMS)
     for row, ex in enumerate(exs):
         assert np.array_equal(view.embeddings[row], feat.embedding(ex))
-    assert view.lookup(exs[0]) == 0
-    assert view.lookup(exercise("a", "ab cd xy")) is None  # equal id, other object
 
 
 def test_both_orders_equal_features_per_pair(small_trained):
@@ -304,7 +351,6 @@ def test_prepared_query_reads_kept_similarities_by_row(query_words, corpus_words
                                            max_size=len(corpus))), dtype=np.int64)
         assert query.edit_similarities(other_backbone, rows).tolist() == \
             [expected[r] for r in rows]
-        assert view.rows([corpus[r] for r in rows]).tolist() == rows.tolist()
 
 
 def test_prepared_query_starts_afresh_for_another_view():
@@ -314,8 +360,6 @@ def test_prepared_query_starts_afresh_for_another_view():
     query = PreparedQuery(exercise("q", "zq ef"), VOCAB)
     assert query.edit_similarities(first, np.array([0, 1])).tolist() == [0.0, 1.0]
     assert query.edit_similarities(second, np.array([0, 1])).tolist() == [1.0, 0.0]
-    assert second.rows(exs).tolist() == [1, 0]
-    assert second.rows([exercise("a", "ab xy")]) is None  # equal id, other object
 
 
 def test_prepared_query_is_embedded_once_per_backbone(monkeypatch):
@@ -343,7 +387,8 @@ def test_prepared_query_refuses_another_preparation():
     with pytest.raises(ValueError, match="prepared query"):
         PreparedQuery.of(query, Vocab(["ab", "cd", "ef"], ("the",)))
     with pytest.raises(ValueError, match="prepared query"):
-        PairFeaturizer(VOCAB, PARAMS).query_pairs(query, [exercise("a", "ab")])
+        PairFeaturizer(VOCAB, PARAMS).view_pairs(
+            query, PreparedCorpus([exercise("a", "ab")], VOCAB, PARAMS), np.array([0]))
     other = EncoderParams.init(vocab_size=len(VOCAB), d=4, d_img=2, n_types=1,
                                levels=1, n_concepts=1, seed=1)
     with pytest.raises(ValueError, match="other params"):

@@ -9,16 +9,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from test_corpus import write_jsonl
 from test_pairclf import reference_similarity
+from test_ranking import head_probs
 from test_recall import reference_merge
 
 from exsim import encoder, pairclf, ranking, recall, textnorm
 from exsim import pipeline as pl
-from exsim.corpus import (CorpusError, LabeledPair, SyntheticSpec, load_corpus,
-                          save_corpus_jsonl, save_pairs)
+from exsim.corpus import CorpusError, LabeledPair, SyntheticSpec, load_corpus, save_pairs
 from exsim.encoder import load_encoder
-from exsim.pairclf import pair_features
-from exsim.ranking import Ranker
+from exsim.pairclf import PairFeaturizer, pair_features
 from exsim.recall import VectorIndex
 from exsim.rerank import StudentProfile
 from exsim.snapshots import SnapshotFormatError
@@ -64,7 +64,7 @@ def test_build_steps_write_every_artifact(workspace):
 
 def test_ingest_reads_back_the_bank(workspace, tmp_path):
     _, _, corpus, _ = workspace
-    save_corpus_jsonl(corpus, tmp_path / "bank.jsonl")
+    write_jsonl(tmp_path / "bank.jsonl", [ex.to_record() for ex in corpus])
     ingested = pl.step_ingest(tmp_path / "ws", tmp_path / "bank.jsonl")
     assert ingested.ids == corpus.ids
     assert ingested.ids == load_corpus(tmp_path / "bank.jsonl").ids
@@ -164,9 +164,9 @@ def test_query_flow_and_cache(workspace):
     assert [d["id"] for d in record["variant"] + record["similar"]] == profiled.all_ids()
     json.dumps(record)
 
-    verdict = pipe.duplicate_verdict(query_id, probe)
-    assert verdict["duplicate"] and verdict["a"] == query_id
-    assert not pipe.duplicate_verdict(query_id, corpus.ids[0])["duplicate"]
+    dedup = pipe.recaller.dedup
+    assert dedup.prob(corpus[query_id], probe) >= dedup.threshold
+    assert dedup.prob(corpus[query_id], corpus[corpus.ids[0]]) < dedup.threshold
     with pytest.raises(pl.NotFoundError):
         pipe.query("no-such-id")
     markup_only = dataclasses.replace(probe, id="markup", stem="<p></p>", options=())
@@ -188,6 +188,21 @@ def variant_reference(variant_clf, query, candidate):
     sim = reference_similarity(feat.norm_tokens(query), feat.norm_tokens(candidate))
     return variant_clf.classifier.prob(
         pair_features(feat.embedding(query), feat.embedding(candidate), sim))
+
+
+def ranker_reference(pipe, query, candidates):
+    """The stem-stem head over the pair features of each (query, candidate),
+    each side prepared from its own text under the ranker's backbone, scored
+    as one matrix in candidate order, as ranking scores them."""
+    if not candidates:
+        return []
+    params = pipe.ranker.params
+    feat = PairFeaturizer(pipe.vocab, params)
+    f = np.array([pair_features(
+        feat.embedding(query), feat.embedding(ex),
+        reference_similarity(feat.norm_tokens(query), feat.norm_tokens(ex)))
+        for ex in candidates])
+    return head_probs(params, f).tolist()
 
 
 def profile_keeps(profile, query, ex):
@@ -217,8 +232,7 @@ def reference_query(pipe, query, profile=None):
             or dedup_reference(rec.dedup, query, corpus[c.ex_id], q_vec,
                                rec.vector.matrix[rec.vector.index.row_of[c.ex_id]])
             < rec.config.dedup_threshold]
-    plain_ranker = Ranker(pipe.vocab, pipe.ranker.params)
-    scores = plain_ranker.score_pairs(query, [corpus[c.ex_id] for c in kept]).tolist()
+    scores = ranker_reference(pipe, query, [corpus[c.ex_id] for c in kept])
     ranked = sorted(zip([c.ex_id for c in kept], scores), key=lambda c: (-c[1], c[0]))
     if profile is not None:
         ranked = [c for c in ranked if profile_keeps(profile, query, corpus[c[0]])]
@@ -238,13 +252,14 @@ def test_batched_scores_equal_per_pair(workspace, kind):
         query = probe_of(query)
     others = [ex for ex in corpus if ex.id != query.id]
     rec = pipe.recaller
+    rows = np.array([corpus.index.row_of[ex.id] for ex in others])
     u = rec.query_embedding(query)
-    v = rec.vector.matrix[[rec.vector.index.row_of[ex.id] for ex in others]]
-    got = rec.dedup.prob_pairs(*rec.dedup.featurizer.query_pairs(query, others)).tolist()
+    v = rec.vector.matrix[rows]
+    got = rec.dedup.prob_pairs(*rec.dedup.featurizer.view_pairs(query, rec.view, rows)).tolist()
     assert got == [dedup_reference(rec.dedup, query, ex, u, row)
                    for ex, row in zip(others, v)]
     got = pipe.variant_clf.prob_pairs(
-        *pipe.variant_clf.featurizer.query_pairs(query, others)).tolist()
+        *pipe.variant_clf.featurizer.view_pairs(query, rec.view, rows)).tolist()
     assert got == [variant_reference(pipe.variant_clf, query, ex) for ex in others]
     assert got == [pipe.variant_clf.prob(query, ex) for ex in others]
 
@@ -331,6 +346,26 @@ def test_without_dedup_ranking_makes_the_one_kernel_call(workspace, tmp_path,
     result = pipe.query(request_of(pipe, corpus, "probe"), PROFILE)
     assert result.variant
     assert counts == {"normalize_text": 1, "levenshtein": 1, "embed_text": 2}
+
+
+def test_build_steps_prepare_the_bank_once(workspace, tmp_path, monkeypatch):
+    """Each build step normalizes an exercise's stem and its analysis at
+    most once; step_clean adds one normalization per query each time its
+    P@5 evaluator runs (before and after cleaning). Pipeline.load normalizes
+    each exercise once and embeds it twice, under the encoder and under the
+    ranker's backbone."""
+    workdir, config, corpus = copy_workspace(workspace, tmp_path)
+    n = len(corpus)
+    queries = len(pl._eval_query_ids(corpus))
+    counts = count_calls(monkeypatch)
+    for step, most in ((pl.step_pretrain, 2 * n), (pl.step_train_rank, 2 * n),
+                       (pl.step_clean, 2 * n + 2 * queries)):
+        counts.clear()
+        step(workdir, config)
+        assert 0 < counts["normalize_text"] <= most, step.__name__
+    counts.clear()
+    pl.Pipeline.load(workdir, config)
+    assert counts == {"normalize_text": n, "embed_text": 2 * n}
 
 
 @pytest.mark.parametrize("profile", [None, PROFILE])

@@ -9,7 +9,8 @@ from test_recall import candidates_of
 from exsim import encoder as enc
 from exsim import ranking as rk
 from exsim.corpus import Corpus, SyntheticSpec, generate_synthetic
-from exsim.pairclf import PreparedCorpus, UntrainedModelError
+from exsim.pairclf import (PairFeaturizer, PreparedCorpus, UntrainedModelError,
+                           edit_similarities, pair_features)
 from exsim.recall import Candidate
 from exsim.snapshots import SnapshotFormatError, save_arrays
 from exsim.textnorm import UNK_ID, normalize_text, split_tokens
@@ -20,15 +21,29 @@ def tiny_setup():
     spec = SyntheticSpec(n_templates=3, per_template=6, noise_rate=0.0,
                          vocab_size=100, seed=17)
     corpus, truth, pairs = generate_synthetic(spec, d_img=4)
-    vocab = enc.build_vocab(corpus)
-    encoder = enc.init_params(corpus, vocab, d=6, seed=3)
-    return corpus, truth, pairs, vocab, encoder
+    view = PreparedCorpus.with_own_vocab(corpus)
+    encoder = enc.init_params(corpus, view.vocab, d=6, seed=3)
+    return corpus, truth, pairs, view, encoder
+
+
+def ids_of(text, vocab):
+    """The vocabulary ids of one text, normalized from scratch."""
+    return tuple(vocab.id_of(t) for t in split_tokens(normalize_text(text)[0]))
+
+
+def head_probs(params, features):
+    """The stem-stem head's positive-class probability of each feature row,
+    written out: one matrix product, then a softmax over the two logits."""
+    head = params.heads[rk.TASK_STEM_STEM]
+    logits = features @ head["w"] + head["b"]
+    expl = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return expl[:, 1] / expl.sum(axis=1)
 
 
 def test_task_instances_dissimilar_pair(tiny_setup):
-    corpus, truth, pairs, vocab, _ = tiny_setup
+    corpus, truth, pairs, view, _ = tiny_setup
     pair = next(p for p in pairs if not p.is_similar)
-    out = rk.build_task_instances(pair, corpus, vocab, seed=1)
+    out = rk.TaskBuilder(view).build_all([pair], np.random.default_rng(1))[0]
     by_task = {}
     for inst in out:
         by_task.setdefault(inst.task, []).append(inst)
@@ -36,32 +51,31 @@ def test_task_instances_dissimilar_pair(tiny_setup):
     assert len(by_task[rk.TASK_ANALYSIS_ANALYSIS]) == 1
     t3 = by_task[rk.TASK_STEM_ANALYSIS]
     assert [i.label for i in t3] == [1, 1, 0]
-    builder = rk.TaskBuilder(corpus, vocab)
     # the negative pairs stem A with analysis B directly
-    assert t3[2].left == builder.stems[pair.a_id]
-    assert t3[2].right == builder.analyses[pair.b_id]
+    assert t3[2].left == ids_of(corpus[pair.a_id].text, view.vocab)
+    assert t3[2].right == ids_of(corpus[pair.b_id].answer_analysis, view.vocab)
 
 
 def test_task_instances_similar_pair_draws_concept_neighbor(tiny_setup):
-    corpus, truth, pairs, vocab, _ = tiny_setup
+    corpus, truth, pairs, view, _ = tiny_setup
     pair = next(p for p in pairs if p.is_similar)
-    out = rk.build_task_instances(pair, corpus, vocab, seed=1)
+    out = rk.TaskBuilder(view).build_all([pair], np.random.default_rng(1))[0]
     t3_neg = [i for i in out if i.task == rk.TASK_STEM_ANALYSIS and i.label == 0]
     assert len(t3_neg) == 1
-    builder = rk.TaskBuilder(corpus, vocab)
     neg_analysis = t3_neg[0].right
-    donors = [ex_id for ex_id, ana in builder.analyses.items()
-              if ana == neg_analysis and ex_id not in (pair.a_id, pair.b_id)]
+    donors = [ex.id for ex in corpus
+              if ids_of(ex.answer_analysis, view.vocab) == neg_analysis
+              and ex.id not in (pair.a_id, pair.b_id)]
     assert donors, "negative analysis must come from a third exercise"
     a_concepts = set(corpus[pair.a_id].metadata.knowledge_concepts)
     assert any(a_concepts & set(corpus[d].metadata.knowledge_concepts) for d in donors)
 
 
 def test_task_instances_deterministic(tiny_setup):
-    corpus, _, pairs, vocab, _ = tiny_setup
+    _, _, pairs, view, _ = tiny_setup
     pair = next(p for p in pairs if p.is_similar)
-    one = rk.build_task_instances(pair, corpus, vocab, seed=9)
-    two = rk.build_task_instances(pair, corpus, vocab, seed=9)
+    one = rk.TaskBuilder(view).build_all([pair], np.random.default_rng(9))[0]
+    two = rk.TaskBuilder(view).build_all([pair], np.random.default_rng(9))[0]
     assert one == two
 
 
@@ -79,7 +93,7 @@ def rebuilt_pool_draw(builder, ex, exclude, rng):
 
 
 def test_concept_sharing_draw_equals_pool_rebuilt_per_pair(tiny_setup):
-    corpus, _, _, vocab, _ = tiny_setup
+    corpus, _, _, view, _ = tiny_setup
     base = corpus[corpus.ids[0]]
 
     def with_concepts(suffix, concepts):
@@ -91,7 +105,7 @@ def test_concept_sharing_draw_equals_pool_rebuilt_per_pair(tiny_setup):
     extra = [with_concepts("-solo", ("solo",)), with_concepts("-duo1", ("duo",)),
              with_concepts("-duo2", ("duo",))]
     bank = Corpus(list(corpus) + extra, levels=corpus.levels, d_img=corpus.d_img)
-    builder = rk.TaskBuilder(bank, vocab)
+    builder = rk.TaskBuilder(PreparedCorpus(bank, view.vocab))
     rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(2):  # the second pass reads the cached pools
         for a_id in bank.ids:
@@ -110,7 +124,7 @@ def test_resolve_tasks_accepts_aliases():
 
 
 def test_moe_equal_logits_give_uniform(tiny_setup):
-    *_, vocab, encoder = tiny_setup
+    *_, encoder = tiny_setup
     params = rk.RankerParams.init(encoder, seed=0)
     for t in rk.TASKS:
         for arr in params.experts[t].values():
@@ -122,7 +136,7 @@ def test_moe_equal_logits_give_uniform(tiny_setup):
 
 
 def test_moe_coefficients_sum_to_one(tiny_setup):
-    *_, vocab, encoder = tiny_setup
+    *_, encoder = tiny_setup
     rng = np.random.default_rng(4)
     for trial in range(10):
         params = rk.RankerParams.init(encoder, seed=trial)
@@ -133,11 +147,11 @@ def test_moe_coefficients_sum_to_one(tiny_setup):
 
 
 def make_batch(tiny_setup, n_pairs=3, tasks=rk.TASKS):
-    corpus, _, pairs, vocab, encoder = tiny_setup
-    builder = rk.TaskBuilder(corpus, vocab)
+    _, _, pairs, view, encoder = tiny_setup
+    builder = rk.TaskBuilder(view)
     rng = np.random.default_rng(5)
-    chunk = [inst for p in pairs[:n_pairs] for inst in builder.build(p, rng)
-             if inst.task in tasks]
+    chunk = [inst for insts in builder.build_all(pairs[:n_pairs], rng, tasks)
+             for inst in insts]
     return chunk
 
 
@@ -197,10 +211,10 @@ def test_multitask_gradients_fixed_alpha(tiny_setup):
 
 
 def test_train_ranker_smoke_and_determinism(tiny_setup):
-    corpus, _, pairs, vocab, encoder = tiny_setup
+    corpus, _, pairs, view, encoder = tiny_setup
     cfg = rk.RankConfig(lr=0.05, epochs=3, batch_pairs=8, seed=1)
-    p1, h1 = rk.train_ranker(pairs, corpus, vocab, cfg, encoder=encoder)
-    p2, h2 = rk.train_ranker(pairs, corpus, vocab, cfg, encoder=encoder)
+    p1, h1 = rk.train_ranker(pairs, view, cfg, encoder=encoder)
+    p2, h2 = rk.train_ranker(pairs, view, cfg, encoder=encoder)
     assert h1["total"] == h2["total"]
     for k in p1.arrays():
         assert np.array_equal(p1.arrays()[k], p2.arrays()[k])
@@ -209,9 +223,9 @@ def test_train_ranker_smoke_and_determinism(tiny_setup):
 
 
 def test_train_ranker_zero_epochs_keeps_init(tiny_setup):
-    corpus, _, pairs, vocab, encoder = tiny_setup
+    corpus, _, pairs, view, encoder = tiny_setup
     cfg = rk.RankConfig(epochs=0, seed=1)
-    params, history = rk.train_ranker(pairs, corpus, vocab, cfg, encoder=encoder)
+    params, history = rk.train_ranker(pairs, view, cfg, encoder=encoder)
     init = rk.RankerParams.init(encoder, seed=1)
     for k, v in init.arrays().items():
         assert np.array_equal(params.arrays()[k], v)
@@ -219,34 +233,39 @@ def test_train_ranker_zero_epochs_keeps_init(tiny_setup):
 
 
 def test_score_pair_range_and_determinism(tiny_setup):
-    corpus, _, pairs, vocab, encoder = tiny_setup
-    params, _ = rk.train_ranker(pairs, corpus, vocab,
-                                rk.RankConfig(epochs=1, seed=0), encoder=encoder)
-    ranker = rk.Ranker(vocab, params)
-    a, b = corpus[corpus.ids[0]], corpus[corpus.ids[1]]
-    s1 = ranker.score_pair(a, b)
-    s2 = ranker.score_pair(a, b)
-    assert s1 == s2
-    assert 0.0 <= s1 <= 1.0
+    corpus, _, pairs, view, encoder = tiny_setup
+    params, _ = rk.train_ranker(pairs, view, rk.RankConfig(epochs=1, seed=0),
+                                encoder=encoder)
+    ranker = rk.Ranker(params, view)
+    a, b = np.array([0, 2, 1]), np.array([1, 1, 1])
+    sims = edit_similarities(view.codes[a], view.lengths[a], view.codes[b], view.lengths[b])
+    s1 = ranker.pair_probs(a, b, sims)
+    s2 = ranker.pair_probs(a, b, sims)
+    assert s1.tolist() == s2.tolist()
+    assert np.all((0.0 <= s1) & (s1 <= 1.0))
+    # each pair is scored alone: a subset gives the same bits
+    assert ranker.pair_probs(a[1:], b[1:], sims[1:]).tolist() == s1[1:].tolist()
 
 
 def test_score_pair_untrained_rejected(tiny_setup):
-    corpus, _, _, vocab, encoder = tiny_setup
-    ranker = rk.Ranker(vocab, rk.RankerParams.init(encoder, seed=0))
-    a, b = corpus[corpus.ids[0]], corpus[corpus.ids[1]]
+    corpus, _, _, view, encoder = tiny_setup
+    ranker = rk.Ranker(rk.RankerParams.init(encoder, seed=0), view)
     with pytest.raises(UntrainedModelError):
-        ranker.score_pair(a, b)
+        ranker.pair_probs(np.array([0]), np.array([1]), np.array([0.5]))
+    cands = candidates_of(corpus.index, [Candidate(corpus.ids[1], 0.0, "exact")])
+    with pytest.raises(UntrainedModelError):
+        ranker.rank(corpus[corpus.ids[0]], cands)
 
 
 def test_rank_is_permutation_sorted_with_id_ties(tiny_setup):
-    corpus, _, pairs, vocab, encoder = tiny_setup
-    params, _ = rk.train_ranker(pairs, corpus, vocab,
-                                rk.RankConfig(epochs=1, seed=0), encoder=encoder)
-    ranker = rk.Ranker(vocab, params)
+    corpus, _, pairs, view, encoder = tiny_setup
+    params, _ = rk.train_ranker(pairs, view, rk.RankConfig(epochs=1, seed=0),
+                                encoder=encoder)
+    ranker = rk.Ranker(params, view)
     query = corpus[corpus.ids[0]]
     cands = candidates_of(corpus.index, [Candidate(ex_id, 0.0, "exact")
                                          for ex_id in corpus.ids[1:10]])
-    out = ranker.rank(query, cands, corpus)
+    out = ranker.rank(query, cands)
     assert sorted(c.ex_id for c in out) == sorted(c.ex_id for c in cands)
     scores = [c.score for c in out]
     assert scores == sorted(scores, reverse=True)
@@ -254,11 +273,16 @@ def test_rank_is_permutation_sorted_with_id_ties(tiny_setup):
     for earlier, later in zip(out, out[1:]):
         if earlier.score == later.score:
             assert earlier.ex_id < later.ex_id
+    # candidates must be rows of the ranker's view
+    other = candidates_of(PreparedCorpus(list(corpus), view.vocab).index,
+                          [Candidate(corpus.ids[1], 0.0, "exact")])
+    with pytest.raises(ValueError, match="rows of this featurizer's view"):
+        ranker.rank(query, other)
 
 
 def test_ranker_snapshot_round_trip(tmp_path, tiny_setup):
-    corpus, _, pairs, vocab, encoder = tiny_setup
-    params, _ = rk.train_ranker(pairs, corpus, vocab,
+    corpus, _, pairs, view, encoder = tiny_setup
+    params, _ = rk.train_ranker(pairs, view,
                                 rk.RankConfig(epochs=1, seed=0), encoder=encoder)
     rk.save_ranker(params, tmp_path / "r.params")
     loaded = rk.load_ranker(tmp_path / "r.params")
@@ -279,9 +303,12 @@ def test_load_ranker_refuses_the_old_head_layout(tmp_path, tiny_setup):
 
 
 def test_score_pairs_equal_from_view_and_from_own_text(tiny_setup):
-    corpus, _, pairs, vocab, encoder = tiny_setup
-    params, _ = rk.train_ranker(pairs, corpus, vocab,
-                                rk.RankConfig(epochs=1, seed=0), encoder=encoder)
+    """Ranking reads the candidates from the view; scoring the same pairs,
+    each side prepared from its own text, gives the same bits."""
+    corpus, _, pairs, view, encoder = tiny_setup
+    vocab = view.vocab
+    params, _ = rk.train_ranker(pairs, view, rk.RankConfig(epochs=1, seed=0),
+                                encoder=encoder)
     # out-of-vocabulary tokens: the view gives "oova" and "oovb" codes of
     # their own, and the query's "oovb" must get the code its candidates have
     extra = ["oova", "oovb", "oova oovb", "", "oovb", ""]
@@ -290,15 +317,22 @@ def test_score_pairs_equal_from_view_and_from_own_text(tiny_setup):
     assert vocab.id_of("oova") == vocab.id_of("oovb") == UNK_ID
     query = dataclasses.replace(corpus[corpus.ids[7]], id="probe",
                                 stem=corpus[corpus.ids[7]].stem + " oovb")
-    others = [exs[4], exs[2], exs[0], exs[3]]  # a reordered subset of the view
-    with_view = rk.Ranker(vocab, params, PreparedCorpus(exs, vocab, encoder))
-    without_view = rk.Ranker(vocab, params)
-    assert with_view.featurizer.view.rows(others) is not None
-    got = with_view.score_pairs(query, others).tolist()
-    assert got == without_view.score_pairs(query, others).tolist()
+    ranker = rk.Ranker(params, PreparedCorpus(exs, vocab, encoder))
+    rows = [4, 2, 0, 3]  # a reordered subset of the view
+    index = ranker.view.index
+    ranked = ranker.rank(query, candidates_of(
+        index, [Candidate(index.ids[r], 0.0, "exact") for r in rows]))
 
     def tokens(ex):
         return split_tokens(normalize_text(ex.text)[0])
-    expected = [reference_similarity(tokens(query), tokens(ex)) for ex in others]
-    for ranker in (with_view, without_view):
-        assert ranker.featurizer.query_pairs(query, others)[2].tolist() == expected
+    expected = [reference_similarity(tokens(query), tokens(exs[r])) for r in rows]
+    featurizer = ranker.featurizer
+    assert featurizer.view_pairs(query, featurizer.view, np.array(rows))[2].tolist() == expected
+    # the pair features from each side's own text, scored as one matrix in
+    # candidate order, as ranking scores them
+    own = PairFeaturizer(vocab, params)
+    f = np.array([pair_features(own.embedding(query), own.embedding(exs[r]), sim)
+                  for r, sim in zip(rows, expected)])
+    scores = head_probs(params, f).tolist()
+    assert [(c.ex_id, c.score) for c in ranked] == sorted(
+        ((exs[r].id, score) for r, score in zip(rows, scores)), key=lambda c: (-c[1], c[0]))

@@ -6,13 +6,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from exsim.corpus import RowIndex, SyntheticSpec, generate_dedup_pairs, generate_synthetic
-from exsim.encoder import build_vocab, embed_corpus, init_params
+from exsim.encoder import embed_text, init_params
 from exsim.pairclf import PairClassifier, PairFeaturizer, PreparedCorpus
 from exsim.recall import (
     BM25_B, BM25_K1, SOURCES, Candidate, Candidates, DuplicateDetector,
     LexicalIndex, RecallConfig, Recaller, VectorIndex, merge_candidates, train_dedup,
 )
-from exsim.textnorm import normalize_text, split_tokens
+from exsim.textnorm import normalize_text, split_tokens, tokenize
+
+
+def vocab_of(corpus, stop_words=()):
+    return PreparedCorpus.with_own_vocab(corpus, stop_words).vocab
+
+
+def embedded_from_text(corpus, vocab, params):
+    """Every exercise embedded alone from its own text, row by row."""
+    return np.stack([embed_text(tokenize(normalize_text(ex.text, vocab.stop_words)[0], vocab),
+                                params) for ex in corpus])
 
 
 def brute_force_bm25(index: LexicalIndex, token_lists, query_tokens, query_concepts):
@@ -96,11 +106,11 @@ def test_lexical_zero_overlap_returns_empty(medium_synth):
 
 def test_vector_search_exact_matches_reembedded_oracle(medium_synth):
     corpus, _, _ = medium_synth
-    vocab = build_vocab(corpus)
+    vocab = vocab_of(corpus)
     params = init_params(corpus, vocab, d=12, seed=0)
     index = VectorIndex.build(corpus, vocab, params)
     # oracle: re-embed everything from scratch and rank independently
-    matrix, ids = embed_corpus(corpus, vocab, params)
+    matrix, ids = embedded_from_text(corpus, vocab, params), corpus.ids
     for qi in (0, 31, 99):
         q = matrix[qi]
         got = index.search(q, k=20, exclude_id=ids[qi])
@@ -112,7 +122,7 @@ def test_vector_search_exact_matches_reembedded_oracle(medium_synth):
 
 def test_vector_query_equal_to_row(medium_synth):
     corpus, _, _ = medium_synth
-    vocab = build_vocab(corpus)
+    vocab = vocab_of(corpus)
     params = init_params(corpus, vocab, d=12, seed=0)
     index = VectorIndex.build(corpus, vocab, params)
     row = 5
@@ -123,7 +133,7 @@ def test_vector_query_equal_to_row(medium_synth):
 
 def test_vector_k_larger_than_corpus(medium_synth):
     corpus, _, _ = medium_synth
-    vocab = build_vocab(corpus)
+    vocab = vocab_of(corpus)
     params = init_params(corpus, vocab, d=8, seed=0)
     index = VectorIndex.build(corpus, vocab, params)
     got = index.search(index.matrix[0], k=10 * len(corpus))
@@ -134,7 +144,7 @@ def test_vector_k_larger_than_corpus(medium_synth):
 
 def test_vector_dimension_mismatch(medium_synth):
     corpus, _, _ = medium_synth
-    vocab = build_vocab(corpus)
+    vocab = vocab_of(corpus)
     params = init_params(corpus, vocab, d=8, seed=0)
     index = VectorIndex.build(corpus, vocab, params)
     with pytest.raises(ValueError, match="dimension"):
@@ -379,11 +389,12 @@ def small_trained_module():
     spec = SyntheticSpec(n_templates=4, per_template=10, noise_rate=0.0,
                          vocab_size=150, seed=31)
     corpus, truth, pairs = generate_synthetic(spec, d_img=8)
-    vocab = enc.build_vocab(corpus)
-    params, _ = enc.pretrain(corpus, vocab, enc.PretrainConfig(d=16, epochs=8, seed=2))
-    params, _ = enc.fine_tune(params, pairs, corpus, vocab,
+    view = PreparedCorpus.with_own_vocab(corpus)
+    params, _ = enc.pretrain(corpus, view.vocab, view.stem_ids(), view.analysis_ids(),
+                             enc.PretrainConfig(d=16, epochs=8, seed=2))
+    params, _ = enc.fine_tune(params, pairs, corpus, view.stem_ids(),
                               enc.FinetuneConfig(epochs=3, n_negatives=6, seed=2))
-    return corpus, truth, pairs, vocab, params
+    return corpus, truth, pairs, view.vocab, params
 
 
 def test_dedup_identical_exercise_is_duplicate(dedup_setup):
@@ -448,11 +459,11 @@ def test_recall_merges_channels_once(small_trained_module):
 def test_indexes_built_from_a_view_equal_those_built_from_text(medium_synth):
     corpus, _, _ = medium_synth
     stop = ("the", "of")
-    vocab = build_vocab(corpus, stop)
+    vocab = vocab_of(corpus, stop)
     params = init_params(corpus, vocab, d=12, seed=0)
     view = PreparedCorpus(corpus, vocab, params)
     vector = VectorIndex.build(corpus, vocab, params, view)
-    assert np.array_equal(vector.matrix, embed_corpus(corpus, vocab, params)[0])
+    assert np.array_equal(vector.matrix, embedded_from_text(corpus, vocab, params))
     assert np.array_equal(vector.matrix, view.embeddings)
     assert vector.ids == corpus.ids
     lexical = LexicalIndex.build(corpus, stop, 0.7, view)
@@ -473,13 +484,13 @@ def test_indexes_built_from_a_view_equal_those_built_from_text(medium_synth):
 
 def test_recaller_refuses_a_view_of_another_corpus(medium_synth):
     corpus, _, _ = medium_synth
-    vocab = build_vocab(corpus)
+    vocab = vocab_of(corpus)
     params = init_params(corpus, vocab, d=12, seed=0)
     shuffled = PreparedCorpus(list(corpus)[::-1], vocab, params)
     with pytest.raises(ValueError, match="in order"):
         Recaller.build(corpus, vocab, params, view=shuffled)
     with pytest.raises(ValueError, match="another vocab"):
-        Recaller.build(corpus, build_vocab(corpus, ("the",)), params,
+        Recaller.build(corpus, vocab_of(corpus, ("the",)), params,
                        view=PreparedCorpus(corpus, vocab, params))
     # the view's embeddings are the vector index, so they must be the encoder's
     other = PreparedCorpus(corpus, vocab, params).embedded_with(

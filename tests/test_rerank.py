@@ -3,6 +3,7 @@ from test_recall import candidates_of
 
 from exsim import encoder as enc
 from exsim import rerank as rr
+from exsim.pairclf import PairFeaturizer, PreparedCorpus
 from exsim.corpus import (
     Corpus, Exercise, Metadata, RowIndex, SyntheticSpec, generate_synthetic,
 )
@@ -157,12 +158,13 @@ def variant_setup():
     spec = SyntheticSpec(n_templates=4, per_template=12, noise_rate=0.0,
                          vocab_size=150, seed=37)
     corpus, truth, pairs = generate_synthetic(spec, d_img=8)
-    vocab = enc.build_vocab(corpus)
-    params, _ = enc.pretrain(corpus, vocab, enc.PretrainConfig(d=16, epochs=8, seed=2))
-    params, _ = enc.fine_tune(params, pairs, corpus, vocab,
+    view = PreparedCorpus.with_own_vocab(corpus)
+    params, _ = enc.pretrain(corpus, view.vocab, view.stem_ids(), view.analysis_ids(),
+                             enc.PretrainConfig(d=16, epochs=8, seed=2))
+    params, _ = enc.fine_tune(params, pairs, corpus, view.stem_ids(),
                               enc.FinetuneConfig(epochs=3, n_negatives=6, seed=2))
-    clf = rr.train_variant(pairs, corpus, vocab, params)
-    return corpus, truth, pairs, vocab, params, clf
+    clf = rr.train_variant(pairs, corpus, view.vocab, params)
+    return corpus, truth, pairs, view.vocab, params, clf
 
 
 def test_variant_classifier_accuracy(variant_setup):
@@ -170,7 +172,7 @@ def test_variant_classifier_accuracy(variant_setup):
     flagged = [p for p in pairs if p.variant is not None]
     correct = 0
     for p in flagged:
-        got = clf.is_variant(corpus[p.a_id], corpus[p.b_id])
+        got = clf.prob(corpus[p.a_id], corpus[p.b_id]) >= clf.threshold
         correct += got == (p.variant == "variant")
     assert correct / len(flagged) > 0.8
 
@@ -195,6 +197,11 @@ def test_rerank_splits_variant_first(variant_setup):
     query = corpus[p.a_id]
     mates = sorted(truth.mates(query.id))
     cands = ranked_candidates(corpus, mates)
+    # the split reads candidates from the rows of its featurizer's view
+    with pytest.raises(ValueError, match="rows of this featurizer's view"):
+        rr.rerank(query, cands, None, corpus, clf)
+    clf = rr.VariantClassifier(clf.classifier, PairFeaturizer(
+        vocab, params, PreparedCorpus(corpus, vocab, params)), clf.threshold)
     out = rr.rerank(query, cands, None, corpus, clf)
     assert p.b_id in [i.ex_id for i in out.variant]
     for lst in (out.variant, out.similar):
