@@ -49,7 +49,7 @@ import numpy as np
 
 from .corpus import Corpus, CorpusError, LabeledPair
 from .snapshots import atomic_write, load_arrays, save_arrays
-from .textnorm import MetadataEncoding, TokenSequence, Vocab, encode_metadata
+from .textnorm import MetadataEncoding, Vocab, encode_metadata
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
 from .textnorm import normalize_text  # noqa: F401
 
@@ -240,9 +240,9 @@ def embed_text_batch_backward(parts: Sequence[tuple[np.ndarray, tuple]],
                                     all_lengths, np.concatenate(d_pooled))
 
 
-def embed_text(seq: TokenSequence, params: EncoderParams) -> np.ndarray:
-    """Unit-norm embedding of one token sequence."""
-    out, _ = embed_text_batch([seq.ids], params)
+def embed_text(ids: np.ndarray, params: EncoderParams) -> np.ndarray:
+    """Unit-norm embedding of one sequence of vocabulary ids (int64)."""
+    out, _ = embed_text_batch([ids], params)
     return out[0]
 
 
@@ -629,5 +629,5 @@ def embed_corpus(seqs: Sequence[np.ndarray], params: EncoderParams) -> np.ndarra
     encoder embedding of an exercise that every stage reads (rows of a
     batched ``embed_text_batch`` call can differ from it in the last bit).
     """
-    rows = [embed_text(TokenSequence(tuple(ids.tolist())), params) for ids in seqs]
+    rows = [embed_text(ids, params) for ids in seqs]
     return np.stack(rows) if rows else np.zeros((0, params.d))

@@ -41,9 +41,12 @@ is organised around three pieces:
   serves all three. A query is always prepared from its own text, never
   looked up by id.
 
-The stages hand each other candidates as view rows, so
-:meth:`PairFeaturizer.view_pairs` reads a pair's candidate side straight
-from the view.
+A stage is built from one view; a miss passes one ``PreparedQuery``. A
+:class:`PairFeaturizer` is over one view and reads its vocabulary and
+params from it, and :meth:`PairFeaturizer.row_pairs` reads a pair's
+candidate side straight from the view's rows. It refuses rows of another
+``RowIndex`` and a query prepared with another vocabulary; nothing else
+holds a second copy of the view's vocabulary or params to disagree with.
 
 Bit-identity rules. The batched path must give the same bits as scoring one
 pair at a time with :meth:`PairFeaturizer.features` and
@@ -52,8 +55,8 @@ pair at a time with :meth:`PairFeaturizer.features` and
 1. :meth:`PairClassifier.prob_rows` scores all rows with one
    ``np.vecdot(features, weights)`` (numpy >= 2.0), which sends each row
    through the same 1-D dot kernel as ``row @ weights`` in ``prob``, so
-   every row's logit has the bits of the per-row product. The matrix product
-   of :meth:`PairClassifier.prob_batch` rounds differently in the last bit.
+   every row's logit has the bits of the per-row product. A matrix product
+   over many rows rounds differently in the last bit.
 2. Every encoder embedding is a single-text ``embed_text`` result: the
    view's rows (``encoder.embed_corpus`` rows, bit for bit) and the query's
    :meth:`PreparedQuery.embedding`. One array serves the vector channel,
@@ -76,8 +79,7 @@ import numpy as np
 from .corpus import Corpus, Exercise, RowIndex
 from .encoder import EncoderParams, embed_corpus, embed_text
 from .snapshots import SnapshotFormatError, load_arrays, save_arrays
-from .textnorm import (UNK_ID, TokenSequence, Vocab, canonical_stop_words, normalize_text,
-                       split_tokens)
+from .textnorm import UNK_ID, Vocab, canonical_stop_words, normalize_text, split_tokens
 
 PAD_CODE = -1
 _BLOCK = 512  # pairs per pass of the edit-distance kernel
@@ -237,7 +239,7 @@ class PreparedCorpus:
     with the stem side's; serving never reads it.
 
     ``embeddings`` holds each row's single-text ``embed_text`` vector under
-    ``params`` (row i is bit-identical to ``PairFeaturizer.embedding`` of
+    ``params`` (row i is bit-identical to the ``PreparedQuery.embedding`` of
     exercise i), computed on first read; ``params`` is the encoder's or any
     backbone ``embed_text`` takes, and training views need none. The recall
     indexes read the same tokens and, under the encoder, the same embeddings.
@@ -319,14 +321,6 @@ class PreparedCorpus:
         """A fresh table for one query, consistent with the view's codes."""
         return CodeTable(self.vocab, self.oov_codes)
 
-    def check(self, vocab: Vocab, params=None) -> None:
-        """Refuse a consumer with another vocab, and so maybe other stop
-        words, or, when it reads the embeddings, with other ``params``."""
-        if self.vocab is not vocab:
-            raise ValueError("prepared corpus was built with another vocab")
-        if params is not None and self.params is not params:
-            raise ValueError("prepared corpus was embedded under other params")
-
 
 class PreparedQuery:
     """One query's side of its pairs, prepared once for every stage of a miss.
@@ -345,29 +339,19 @@ class PreparedQuery:
 
     Similarities belong to the view's codes; views that share them
     (``embedded_with`` copies) share the kept values, and another view starts
-    them afresh. A stage given an ``Exercise`` prepares it with :meth:`of`.
+    them afresh.
     """
 
     def __init__(self, exercise: Exercise, vocab: Vocab):
         self.exercise = exercise
         self.vocab = vocab
         self.tokens = text_tokens(exercise.text, vocab.stop_words)
-        self.ids = TokenSequence(tuple(vocab.id_of(t) for t in self.tokens))
+        self.ids = np.array([vocab.id_of(t) for t in self.tokens], dtype=np.int64)
         self.concepts = frozenset(exercise.metadata.knowledge_concepts)
         self._embeddings: dict[int, tuple[object, np.ndarray]] = {}
         self._view_codes: Optional[np.ndarray] = None
         self.codes = self.length = None
         self._sims = np.zeros(0)
-
-    @classmethod
-    def of(cls, query, vocab: Vocab) -> "PreparedQuery":
-        """``query`` itself when it is prepared with ``vocab`` (and so with
-        its stop words), else a new one prepared from its text."""
-        if isinstance(query, PreparedQuery):
-            if query.vocab is not vocab:
-                raise ValueError("prepared query was built with another vocab")
-            return query
-        return cls(query, vocab)
 
     def embedding(self, params) -> np.ndarray:
         kept = self._embeddings.get(id(params))
@@ -415,81 +399,66 @@ def pair_feature_rows(u: np.ndarray, v: np.ndarray, sims: np.ndarray,
 
 @dataclass
 class PairFeaturizer:
-    """Turns two exercises into the classifier's feature vector.
+    """Turns (query, candidate) pairs into the classifier's feature rows,
+    over one prepared ``view``: its vocabulary, its ``params`` (the
+    encoder's, or any backbone ``embed_text`` takes; the ranker scores its
+    pairs over an ``embedded_with`` copy) and its rows as candidates."""
 
-    ``view``, when given, must be prepared with this featurizer's vocab and
-    params; the batched methods read candidates from it. ``params`` is the
-    encoder's, or any backbone ``embed_text`` takes (the ranker scores its
-    pairs through a featurizer over its own backbone).
-    """
+    view: PreparedCorpus
 
-    vocab: Vocab
-    params: EncoderParams
-    view: Optional[PreparedCorpus] = None
+    def embedding(self, query: PreparedQuery) -> np.ndarray:
+        """``query``'s single-text embedding under the view's params."""
+        return query.embedding(self.view.params)
 
-    def __post_init__(self):
-        if self.view is not None:
-            self.view.check(self.vocab, self.params)
+    def features(self, a: PreparedQuery, b: PreparedQuery) -> np.ndarray:
+        """The feature row of one pair, each side from its own prepared text."""
+        sim = edit_similarity(a.tokens, b.tokens)
+        return pair_features(self.embedding(a), self.embedding(b), sim)
 
-    def norm_tokens(self, ex: Exercise) -> list[str]:
-        return text_tokens(ex.text, self.vocab.stop_words)
-
-    def embedding(self, ex: Exercise) -> np.ndarray:
-        ids = tuple(self.vocab.id_of(t) for t in self.norm_tokens(ex))
-        return embed_text(TokenSequence(ids), self.params)
-
-    def features(self, ex_a: Exercise, ex_b: Exercise) -> np.ndarray:
-        sim = edit_similarity(self.norm_tokens(ex_a), self.norm_tokens(ex_b))
-        return pair_features(self.embedding(ex_a), self.embedding(ex_b), sim)
-
-    def view_pairs(self, query, view: PreparedCorpus, rows: np.ndarray):
-        """(u, v, edit similarities) of the pairs (query, row) over ``view``'s
-        ``rows``.
-
-        ``query`` is an ``Exercise`` or a ``PreparedQuery``. ``u`` is the
-        query's single-text embedding and ``v`` the view's rows, which must
-        be embedded under this featurizer's params.
-        """
-        view.check(self.vocab, self.params)
-        query = PreparedQuery.of(query, self.vocab)
-        return (query.embedding(self.params), view.embeddings[rows],
-                query.edit_similarities(view, rows))
-
-    def row_pairs(self, query, index: RowIndex, rows: np.ndarray):
-        """``view_pairs`` of ``index``'s ``rows`` over this featurizer's view,
-        which must be over ``index``."""
-        if self.view is None or self.view.index is not index:
+    def row_pairs(self, query: PreparedQuery, index: RowIndex, rows: np.ndarray):
+        """(u, v, edit similarities) of the pairs (query, row) over ``index``'s
+        ``rows``: ``u`` is the query's embedding and ``v`` the view's rows.
+        Refuses rows of an index other than the view's and a query prepared
+        with another vocabulary, whose tokens and ids the view's codes and
+        params do not read."""
+        if index is not self.view.index:
             raise ValueError("candidates are not rows of this featurizer's view")
-        return self.view_pairs(query, self.view, rows)
-
-    def both_orders(self, pairs: Sequence[tuple[Exercise, Exercise]]) -> np.ndarray:
-        """Feature rows of every pair as (a, b) then (b, a), interleaved.
-
-        Row 2k equals ``features(a_k, b_k)`` and row 2k + 1 equals
-        ``features(b_k, a_k)``, bit for bit; each distinct exercise is
-        prepared once.
-        """
-        index: dict[int, int] = {}
-        unique: list[Exercise] = []
-        for pair in pairs:
-            for ex in pair:
-                if id(ex) not in index:
-                    index[id(ex)] = len(unique)
-                    unique.append(ex)
-        view = PreparedCorpus(unique, self.vocab, self.params)
-        ra = np.array([index[id(a)] for a, _ in pairs], dtype=np.int64)
-        rb = np.array([index[id(b)] for _, b in pairs], dtype=np.int64)
-        sims = edit_similarities(view.codes[ra], view.lengths[ra],
-                                 view.codes[rb], view.lengths[rb])
-        u, v = view.embeddings[ra], view.embeddings[rb]
-        rows = np.empty((len(pairs), 2, self.n_features))
-        pair_feature_rows(u, v, sims, out=rows[:, 0])
-        pair_feature_rows(v, u, sims, out=rows[:, 1])
-        return rows.reshape(2 * len(pairs), self.n_features)
+        if query.vocab is not self.view.vocab:
+            raise ValueError("prepared query was built with another vocab")
+        return (query.embedding(self.view.params), self.view.embeddings[rows],
+                query.edit_similarities(self.view, rows))
 
     @property
     def n_features(self) -> int:
-        return 4 * self.params.d + 1
+        return 4 * self.view.params.d + 1
+
+
+def both_orders(pairs: Sequence[tuple[Exercise, Exercise]], vocab: Vocab,
+                params: EncoderParams) -> np.ndarray:
+    """Feature rows of every pair as (a, b) then (b, a), interleaved.
+
+    Row 2k equals ``features(a_k, b_k)`` and row 2k + 1 equals
+    ``features(b_k, a_k)`` under ``vocab`` and ``params``, bit for bit. Each
+    distinct exercise is prepared once, as a row of a view of its own.
+    """
+    index: dict[int, int] = {}
+    unique: list[Exercise] = []
+    for pair in pairs:
+        for ex in pair:
+            if id(ex) not in index:
+                index[id(ex)] = len(unique)
+                unique.append(ex)
+    view = PreparedCorpus(unique, vocab, params)
+    ra = np.array([index[id(a)] for a, _ in pairs], dtype=np.int64)
+    rb = np.array([index[id(b)] for _, b in pairs], dtype=np.int64)
+    sims = edit_similarities(view.codes[ra], view.lengths[ra],
+                             view.codes[rb], view.lengths[rb])
+    u, v = view.embeddings[ra], view.embeddings[rb]
+    n_features = 4 * params.d + 1
+    rows = np.empty((len(pairs), 2, n_features))
+    pair_feature_rows(u, v, sims, out=rows[:, 0])
+    pair_feature_rows(v, u, sims, out=rows[:, 1])
+    return rows.reshape(2 * len(pairs), n_features)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -511,12 +480,9 @@ class PairClassifier:
 
     def prob_rows(self, features: np.ndarray) -> np.ndarray:
         """``prob`` of every row, bit for bit: ``vecdot`` takes each row's dot
-        product with the 1-D kernel of ``prob`` (the matrix product of
-        ``prob_batch`` rounds differently)."""
+        product with the 1-D kernel of ``prob`` (a matrix product rounds
+        differently)."""
         return _sigmoid(np.vecdot(features, self.weights) + self.bias)
-
-    def prob_batch(self, features: np.ndarray) -> np.ndarray:
-        return _sigmoid(features @ self.weights + self.bias)
 
     @classmethod
     def train(cls, features: np.ndarray, labels: np.ndarray,

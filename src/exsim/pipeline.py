@@ -18,18 +18,22 @@ stem ids; ``step_train_rank`` and ``step_clean`` train the ranker over it
 view). Stems are normalized when a view is made, answers and analyses only
 when a step reads them, and embeddings only when a step asks for them.
 
-Query flow. ``Pipeline.load`` prepares the corpus once
+Query flow. A stage is built from one view; a miss passes one
+``PreparedQuery``. ``Pipeline.load`` prepares the corpus once
 (``pairclf.PreparedCorpus``): each exercise is normalized once and embedded
 once under the encoder. The recall indexes, dedup, the variant split and the
-ranker all read that one view; its embedding matrix is the vector index, and
+ranker are built from that one view alone, and the dedup and variant heads
+share one featurizer over it; its embedding matrix is the vector index, and
 the ranker embeds each row once more under its own backbone. A cache miss
 prepares the query once (``pairclf.PreparedQuery``: one normalization, the
-encoder embedding) and passes it to recall, ranking and re-rank. The first
-stage to score pairs, dedup when its head is loaded, makes the miss's one
-edit-distance kernel call over the recalled list; ranking and the variant
-split read their subsets back. The ranker embeds the query under its own backbone, so a miss
-runs ``embed_text`` twice. The stages pass candidates as arrays of corpus
-rows (``recall.Candidates``); ids are looked up once, for the served list.
+encoder embedding) and passes it, and only it, to recall, ranking and
+re-rank. The first stage to score pairs, dedup when its head is loaded,
+makes the miss's one edit-distance kernel call over the recalled list;
+ranking and the variant split read their subsets back. The ranker embeds
+the query under its own backbone, so a miss runs ``embed_text`` twice. The
+stages pass candidates as arrays of corpus rows (``recall.Candidates``); ids
+are looked up once, for the served list. ``step_eval`` and ``step_clean``'s
+P@5 evaluator build their recall and ranking stages the same way.
 
 Stop words live in the vocabulary (``Vocab.stop_words``, the header line of
 ``vocab.txt``); every stage normalizes text with its vocabulary's. Only
@@ -37,7 +41,9 @@ Stop words live in the vocabulary (``Vocab.stop_words``, the header line of
 later step and ``Pipeline.load`` refuse a key that differs from it.
 
 Configuration is a flat key = value file; see DEFAULTS for the full key
-list with defaults.
+list with defaults. A value no query could be served with (``recall.n``
+below 1, a negative ``recall.k_exact``, ``recall.k_embed`` or
+``cache.size``) is refused where it is read, naming the key.
 """
 
 from __future__ import annotations
@@ -155,8 +161,11 @@ class Config:
     def get(self, key: str) -> str:
         return self.values[key]
 
-    def get_int(self, key: str) -> int:
-        return int(self.values[key])
+    def get_int(self, key: str, minimum: Optional[int] = None) -> int:
+        value = int(self.values[key])
+        if minimum is not None and value < minimum:
+            raise ValueError(f"config {key} = {value}: expected at least {minimum}")
+        return value
 
     def get_float(self, key: str) -> float:
         return float(self.values[key])
@@ -268,14 +277,14 @@ def step_index(workdir, config: Config) -> None:
     if truth_path.exists():
         truth = corpus_mod.load_truth(truth_path)
         dedup_pairs = corpus_mod.generate_dedup_pairs(corpus, truth, seed=97)
-        detector = recall_mod.train_dedup(dedup_pairs, vocab, params)
-        detector.save(_path(workdir, "dedup"))
+        head = recall_mod.train_dedup(dedup_pairs, vocab, params)
+        head.save(_path(workdir, "dedup"), "dedup")
     pairs_path = _path(workdir, "pairs")
     if pairs_path.exists():
         pairs = _load_pairs(workdir, corpus)
         if any(p.variant is not None for p in pairs):
-            variant_clf = rerank_mod.train_variant(pairs, corpus, vocab, params)
-            variant_clf.save(_path(workdir, "variant"))
+            head = rerank_mod.train_variant(pairs, corpus, vocab, params)
+            head.save(_path(workdir, "variant"), "variant")
 
 
 def _rank_config(config: Config) -> ranking.RankConfig:
@@ -333,8 +342,7 @@ def _make_p5_eval(workdir, config, corpus: Corpus, view: PreparedCorpus, pairs):
     """P@5 evaluator against ground truth when available, else annotations;
     ``view`` holds ``corpus`` under the workspace vocab and encoder."""
     relevant = _relevant(workdir, corpus, pairs)
-    recaller = Recaller.build(corpus, view.vocab, view.params,
-                              config=_recall_config(config), view=view)
+    recaller = Recaller.build(view, config=_recall_config(config))
 
     def eval_fn(ranker_params) -> float:
         ranker = ranking.Ranker(ranker_params, view)
@@ -355,9 +363,9 @@ def _eval_query_ids(corpus: Corpus, max_queries: int = 60) -> list[str]:
 
 def _recall_config(config: Config) -> RecallConfig:
     return RecallConfig(
-        k_exact=config.get_int("recall.k_exact"),
-        k_embed=config.get_int("recall.k_embed"),
-        n=config.get_int("recall.n"),
+        k_exact=config.get_int("recall.k_exact", minimum=0),
+        k_embed=config.get_int("recall.k_embed", minimum=0),
+        n=config.get_int("recall.n", minimum=1),
         dedup_threshold=config.get_float("recall.dedup_threshold"),
         concept_boost=config.get_float("recall.concept_boost"))
 
@@ -373,12 +381,14 @@ def step_export_embeddings(workdir, config: Config, out_path=None) -> Path:
 # ---------------------------------------------------------------------------
 # Evaluation harness over built components
 
-def recall_lists(recaller: Recaller, seed_ids: Sequence[str],
+def recall_lists(recaller: Recaller, corpus: Corpus, seed_ids: Sequence[str],
                  k: int) -> dict[str, list[str]]:
-    """Top-k recall output per seed (merge stage, before ranking)."""
+    """Top-k recall output per seed (merge stage, before ranking), each
+    prepared once; returns id lists."""
     out = {}
     for seed_id in seed_ids:
-        out[seed_id] = recaller.recall(recaller.corpus[seed_id]).ids[:k]
+        query = PreparedQuery(corpus[seed_id], recaller.view.vocab)
+        out[seed_id] = recaller.recall(query).ids[:k]
     return out
 
 
@@ -388,7 +398,7 @@ def ranked_lists(recaller: Recaller, ranker: ranking.Ranker, corpus: Corpus,
     ranked id lists."""
     out = {}
     for query_id in query_ids:
-        query = PreparedQuery(corpus[query_id], recaller.vocab)
+        query = PreparedQuery(corpus[query_id], recaller.view.vocab)
         out[query_id] = ranker.rank(query, recaller.recall(query)).ids
     return out
 
@@ -398,14 +408,15 @@ def step_eval(workdir, config: Config) -> EvalReport:
     corpus, vocab, encoder = _load_trained(workdir, config)
     pairs = _load_pairs(workdir, corpus)
     ranker_params = ranking.load_ranker(_path(workdir, "ranker"))
-    recaller = Recaller.build(corpus, vocab, encoder, config=_recall_config(config))
-    ranker = ranking.Ranker(ranker_params, recaller.view)
+    view = PreparedCorpus(corpus, vocab, encoder)
+    recaller = Recaller.build(view, config=_recall_config(config))
+    ranker = ranking.Ranker(ranker_params, view)
 
     k_recall = config.get_int("eval.k_recall")
     annotated = {k: v for k, v in annotated_similars(pairs).items() if v}
     seed_ids = sorted(annotated)
     recall_value, per_seed = evaluate_recall(
-        recall_lists(recaller, seed_ids, k_recall), annotated, k_recall)
+        recall_lists(recaller, corpus, seed_ids, k_recall), annotated, k_recall)
 
     relevant = _relevant(workdir, corpus, pairs)
     ks = tuple(int(k) for k in config.get_list("eval.ks"))
@@ -427,7 +438,6 @@ def step_eval(workdir, config: Config) -> EvalReport:
 class Pipeline:
     corpus: Corpus
     vocab: Vocab
-    encoder: encoder_mod.EncoderParams
     recaller: Recaller
     ranker: ranking.Ranker
     variant_clf: Optional[VariantClassifier]
@@ -441,6 +451,11 @@ class Pipeline:
     @classmethod
     def load(cls, workdir, config: Optional[Config] = None) -> "Pipeline":
         config = config or Config()
+        recall_config = _recall_config(config)
+        rerank_config = RerankConfig(
+            variant_threshold=config.get_float("rerank.variant_threshold"),
+            enable_variant=config.get_bool("rerank.enable_variant"))
+        cache_size = config.get_int("cache.size", minimum=0)
         required = ("corpus", "vocab", "encoder", "ranker")
         missing = [name for name in required if not _path(workdir, name).exists()]
         if missing:
@@ -454,32 +469,24 @@ class Pipeline:
         # and variant heads and the ranker (which embeds each row once more
         # under its own backbone, here at load)
         view = PreparedCorpus(corpus, vocab, encoder)
-        featurizer = PairFeaturizer(vocab, encoder, view)
+        featurizer = PairFeaturizer(view)
         dedup = None
         if _path(workdir, "dedup").exists():
-            dedup = recall_mod.DuplicateDetector.load(
-                _path(workdir, "dedup"), featurizer,
-                threshold=config.get_float("recall.dedup_threshold"))
-        rerank_config = RerankConfig(
-            variant_threshold=config.get_float("rerank.variant_threshold"),
-            enable_variant=config.get_bool("rerank.enable_variant"))
+            dedup = recall_mod.DuplicateDetector.load(_path(workdir, "dedup"), featurizer)
         variant_clf = None
         if _path(workdir, "variant").exists():
-            variant_clf = VariantClassifier.load(
-                _path(workdir, "variant"), featurizer,
-                threshold=rerank_config.variant_threshold)
-        recaller = Recaller.build(corpus, vocab, encoder, dedup=dedup,
-                                  config=_recall_config(config), view=view)
+            variant_clf = VariantClassifier.load(_path(workdir, "variant"), featurizer)
+        recaller = Recaller.build(view, dedup=dedup, config=recall_config)
         versions = {}
         for name in FILES:
             p = _path(workdir, name)
             if p.exists() and name not in ("report", "cleaning", "embeddings"):
                 versions[name] = file_digest(p)
-        return cls(corpus=corpus, vocab=vocab, encoder=encoder, recaller=recaller,
+        return cls(corpus=corpus, vocab=vocab, recaller=recaller,
                    ranker=ranking.Ranker(ranker_params, view),
                    variant_clf=variant_clf, config=config,
                    rerank_config=rerank_config, versions=versions,
-                   cache_size=config.get_int("cache.size"))
+                   cache_size=cache_size)
 
     # -- query flow ----------------------------------------------------------
 

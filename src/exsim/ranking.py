@@ -20,12 +20,14 @@ token-level edit similarity of the two texts over the same token codes dedup
 uses. Training tokenizes nothing: :class:`TaskBuilder` reads each side's
 vocabulary ids and codes from the ``pairclf.PreparedCorpus`` the caller
 prepared, and computes ``edit_sim`` when the instances are built, once per
-distinct pair of texts. At serving time every exercise's row is computed
-once per loaded view, so a query encodes only itself under the ranker's
-backbone. Given the miss's ``pairclf.PreparedQuery``, ranking makes no
-edit-similarity kernel call of its own: it reads back the similarities
-dedup computed over the recalled list, and makes the one call of the miss
-only when no dedup head ran before it.
+distinct pair of texts. At serving time a stage is built from one view; a
+miss passes one ``PreparedQuery``. :class:`Ranker` is built from the loaded
+``pairclf.PreparedCorpus`` and embeds every exercise's row once under its
+own backbone, so a query encodes only itself. ``Ranker.rank`` takes the
+miss's ``pairclf.PreparedQuery`` alone and makes no edit-similarity kernel
+call of its own: it reads back the similarities dedup computed over the
+recalled list, and makes the one call of the miss only when no dedup head
+ran before it.
 
 The combined loss is a convex combination of the per-task cross-entropies.
 The coefficients come from one small expert network per task (three layers:
@@ -50,8 +52,8 @@ import numpy as np
 from .corpus import Exercise, LabeledPair
 from .encoder import (EncoderParams, TrainingDivergedError, embed_text_batch,
                       embed_text_batch_backward, softmax_cross_entropy)
-from .pairclf import (PAD_CODE, PairFeaturizer, PreparedCorpus, UntrainedModelError,
-                      edit_similarities, pair_feature_rows)
+from .pairclf import (PAD_CODE, PairFeaturizer, PreparedCorpus, PreparedQuery,
+                      UntrainedModelError, edit_similarities, pair_feature_rows)
 from .recall import Candidates
 from .snapshots import SnapshotFormatError, load_arrays, save_arrays
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
@@ -524,8 +526,7 @@ class Ranker:
     view: PreparedCorpus
 
     def __post_init__(self):
-        self.featurizer = PairFeaturizer(self.view.vocab, self.params,
-                                         self.view.embedded_with(self.params))
+        self.featurizer = PairFeaturizer(self.view.embedded_with(self.params))
 
     def _check_trained(self):
         if not self.params.trained:
@@ -551,10 +552,9 @@ class Ranker:
         return np.array([self._probs(*pair)[0]
                          for pair in zip(emb[rows_a], emb[rows_b], sims[:, None])])
 
-    def rank(self, query, candidates: Candidates) -> Candidates:
+    def rank(self, query: PreparedQuery, candidates: Candidates) -> Candidates:
         """Re-score candidates, rows of this ranker's view, and sort
-        descending, ties broken by id; ``query`` is an ``Exercise`` or a
-        ``PreparedQuery``."""
+        descending, ties broken by id."""
         self._check_trained()
         rows = candidates.rows
         scores = (self._probs(*self.featurizer.row_pairs(query, candidates.index, rows))

@@ -5,8 +5,9 @@ an inverted-index BM25 (k1=1.2, b=0.75) over the normalized stem+options
 text with an additive bonus per shared knowledge concept; it only retrieves
 documents sharing at least one text token with the query. The embedding
 channel scans unit-norm encoder embeddings by cosine. Both indexes are
-derived data: ``Recaller.build`` makes them in memory from the corpus, the
-vocabulary and the encoder, so they always match the artifacts they serve.
+derived data: ``Recaller.build`` makes them in memory from one prepared
+view of the corpus under the vocabulary and the encoder, so they always
+match the artifacts they serve.
 
 No per-document Python loop runs per query, and both channels return what a
 plain loop and ``sorted(..., key=(-score, id))[:k]`` would, bit for bit:
@@ -43,28 +44,33 @@ and the view's rows, and the feature rows are scored by ``prob_rows``, so
 the batch is bit-identical to calling ``DuplicateDetector.prob`` per
 candidate (see the rules in ``pairclf``).
 
-``Recaller.build`` derives both indexes from one ``pairclf.PreparedCorpus``
-(the one ``Pipeline.load`` shares with dedup, the ranker and the variant
-split), so the corpus is normalized and embedded once: BM25 reads the
-view's token lists, and the vector index is the view's embedding matrix
-itself. Its rows equal ``embed_corpus``'s bit for bit, and dedup and the
-variant split read the same rows.
+A stage is built from one view; a miss passes one ``PreparedQuery``.
+``Recaller.build`` takes one ``pairclf.PreparedCorpus`` (the one
+``Pipeline.load`` shares with dedup, the ranker and the variant split) and
+nothing else: BM25 reads the view's token lists and its exercises'
+concepts, the vector index is the view's embedding matrix itself, and a
+dedup head must be over the same view. So the corpus is normalized and
+embedded once; the rows equal ``embed_corpus``'s bit for bit, and dedup and
+the variant split read the same rows. ``Recaller.recall`` takes the miss's
+``PreparedQuery`` alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Exercise, RowIndex
+from .corpus import Exercise, RowIndex
 # embed_text stays bound, unused: perfbench's tracer wraps it where imported
 from .encoder import EncoderParams, embed_text  # noqa: F401
 from .pairclf import (PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery,
-                      UntrainedModelError, pair_feature_rows)
-from .textnorm import Vocab, normalize_text, split_tokens
+                      UntrainedModelError, both_orders, pair_feature_rows)
+from .textnorm import Vocab
+# normalize_text stays bound, unused: perfbench's tracer wraps it where imported
+from .textnorm import normalize_text  # noqa: F401
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -244,17 +250,10 @@ class LexicalIndex:
                              for c, rows in by_concept.items()}
 
     @classmethod
-    def build(cls, corpus: Corpus, stop_words: Iterable[str] = (),
-              concept_boost: float = 0.5,
-              view: Optional[PreparedCorpus] = None) -> "LexicalIndex":
-        """Index ``corpus`` normalized with ``stop_words``; ``view``, when
-        given, holds it in order and its token lists are indexed instead of
-        normalizing the texts again."""
-        token_lists = (view.tokens if view is not None
-                       else [split_tokens(normalize_text(ex.text, stop_words)[0])
-                             for ex in corpus])
-        concept_sets = [frozenset(ex.metadata.knowledge_concepts) for ex in corpus]
-        return cls(corpus.index, token_lists, concept_sets, concept_boost)
+    def build(cls, view: PreparedCorpus, concept_boost: float = 0.5) -> "LexicalIndex":
+        """Index the view's token lists and its exercises' concepts."""
+        concept_sets = [frozenset(ex.metadata.knowledge_concepts) for ex in view.exercises]
+        return cls(view.index, view.tokens, concept_sets, concept_boost)
 
     def score_all(self, query_tokens: Sequence[str],
                   query_concepts: frozenset[str]) -> RowScores:
@@ -309,13 +308,9 @@ class VectorIndex:
         self.ids = index.ids
 
     @classmethod
-    def build(cls, corpus: Corpus, vocab: Vocab, params: EncoderParams,
-              view: Optional[PreparedCorpus] = None) -> "VectorIndex":
-        """The embeddings of ``view``, which holds ``corpus`` in order under
-        ``params``; without one, a view is prepared here."""
-        if view is None:
-            view = PreparedCorpus(corpus, vocab, params)
-        return cls(view.embeddings, corpus.index)
+    def build(cls, view: PreparedCorpus) -> "VectorIndex":
+        """The view's embedding matrix, over its rows."""
+        return cls(view.embeddings, view.index)
 
     @property
     def dim(self) -> int:
@@ -383,16 +378,16 @@ class DuplicateDetector:
     """Symmetric duplicate probability over pair features.
 
     The classifier is evaluated in both argument orders and averaged, which
-    makes detect(a, b) == detect(b, a) hold exactly.
+    makes detect(a, b) == detect(b, a) hold exactly. Recall drops a
+    candidate at ``RecallConfig.dedup_threshold``.
     """
 
     classifier: PairClassifier
     featurizer: PairFeaturizer
-    threshold: float = 0.5
 
-    def prob(self, ex_a: Exercise, ex_b: Exercise) -> float:
-        p_ab = self.classifier.prob(self.featurizer.features(ex_a, ex_b))
-        p_ba = self.classifier.prob(self.featurizer.features(ex_b, ex_a))
+    def prob(self, a: PreparedQuery, b: PreparedQuery) -> float:
+        p_ab = self.classifier.prob(self.featurizer.features(a, b))
+        p_ba = self.classifier.prob(self.featurizer.features(b, a))
         return (p_ab + p_ba) / 2.0
 
     def prob_pairs(self, u: np.ndarray, v: np.ndarray, sims: np.ndarray) -> np.ndarray:
@@ -401,27 +396,20 @@ class DuplicateDetector:
         p_ba = self.classifier.prob_rows(pair_feature_rows(v, u, sims))
         return (p_ab + p_ba) / 2.0
 
-    def save(self, path) -> None:
-        self.classifier.save(path, "dedup")
-
     @classmethod
-    def load(cls, path, featurizer: PairFeaturizer,
-             threshold: float = 0.5) -> "DuplicateDetector":
-        return cls(PairClassifier.load(path, "dedup", featurizer.n_features),
-                   featurizer, threshold)
+    def load(cls, path, featurizer: PairFeaturizer) -> "DuplicateDetector":
+        return cls(PairClassifier.load(path, "dedup", featurizer.n_features), featurizer)
 
 
 def train_dedup(dedup_pairs: Sequence[tuple[Exercise, Exercise, int]],
-                vocab: Vocab, params: EncoderParams,
-                threshold: float = 0.5) -> DuplicateDetector:
-    """Fit the dedup classifier; each pair is fed in both argument orders."""
+                vocab: Vocab, params: EncoderParams) -> PairClassifier:
+    """Fit the dedup head (saved as kind ``"dedup"``); each pair is fed in
+    both argument orders."""
     if not dedup_pairs:
         raise UntrainedModelError("no duplicate-labeled pairs to train on")
-    featurizer = PairFeaturizer(vocab, params)
-    feats = featurizer.both_orders([(a, b) for a, b, _ in dedup_pairs])
+    feats = both_orders([(a, b) for a, b, _ in dedup_pairs], vocab, params)
     labels = np.repeat([label for _, _, label in dedup_pairs], 2)
-    clf = PairClassifier.train(feats, labels)
-    return DuplicateDetector(clf, featurizer, threshold)
+    return PairClassifier.train(feats, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -429,53 +417,35 @@ def train_dedup(dedup_pairs: Sequence[tuple[Exercise, Exercise, int]],
 
 @dataclass
 class Recaller:
-    """Bundles everything a recall query needs. ``view`` is the prepared
-    corpus both indexes were built from; dedup reads its rows."""
+    """Bundles everything a recall query needs, built from one prepared
+    ``view``: both indexes, and the dedup head that reads its rows."""
 
-    corpus: Corpus
-    vocab: Vocab
-    params: EncoderParams
+    view: PreparedCorpus
     lexical: LexicalIndex
     vector: VectorIndex
     dedup: Optional[DuplicateDetector] = None
     config: RecallConfig = field(default_factory=RecallConfig)
-    view: Optional[PreparedCorpus] = None
 
     @classmethod
-    def build(cls, corpus: Corpus, vocab: Vocab, params: EncoderParams,
-              dedup: Optional[DuplicateDetector] = None,
-              config: Optional[RecallConfig] = None,
-              view: Optional[PreparedCorpus] = None) -> "Recaller":
-        """Both indexes from ``view``, which must hold ``corpus`` in order,
-        prepared with ``vocab`` and ``params``; without one, a view is
-        prepared here. A ``dedup`` head must be over the same vocab and
-        params, since it reads the view's rows."""
+    def build(cls, view: PreparedCorpus, dedup: Optional[DuplicateDetector] = None,
+              config: Optional[RecallConfig] = None) -> "Recaller":
+        """Both indexes from ``view``, embedded under the encoder; a ``dedup``
+        head must have its featurizer over the same view, whose rows it
+        reads."""
         config = config or RecallConfig()
-        if view is None:
-            view = PreparedCorpus(corpus, vocab, params)
-        view.check(vocab, params)
-        if dedup is not None:
-            view.check(dedup.featurizer.vocab, dedup.featurizer.params)
-        if (len(view.exercises) != len(corpus)
-                or any(a is not b for a, b in zip(view.exercises, corpus))):
-            raise ValueError("prepared corpus does not hold this corpus in order")
-        return cls(
-            corpus=corpus, vocab=vocab, params=params,
-            lexical=LexicalIndex.build(corpus, concept_boost=config.concept_boost, view=view),
-            vector=VectorIndex.build(corpus, vocab, params, view),
-            dedup=dedup, config=config, view=view)
+        if dedup is not None and dedup.featurizer.view is not view:
+            raise ValueError("the dedup head's featurizer is not over this view")
+        return cls(view=view, lexical=LexicalIndex.build(view, config.concept_boost),
+                   vector=VectorIndex.build(view), dedup=dedup, config=config)
 
-    def query_embedding(self, query) -> np.ndarray:
-        """The encoder embedding of ``query`` (an ``Exercise`` or a
-        ``PreparedQuery``)."""
-        return PreparedQuery.of(query, self.vocab).embedding(self.params)
+    def query_embedding(self, query: PreparedQuery) -> np.ndarray:
+        """The encoder embedding of ``query``."""
+        return query.embedding(self.view.params)
 
-    def recall(self, query) -> Candidates:
-        """Merged, deduplicated candidates of ``query`` (an ``Exercise`` or a
-        ``PreparedQuery``, which then carries the dedup edit similarities on
-        to the later stages), as rows of the corpus."""
+    def recall(self, query: PreparedQuery) -> Candidates:
+        """Merged, deduplicated candidates of ``query``, as rows of the view;
+        the query keeps the dedup edit similarities for the later stages."""
         cfg = self.config
-        query = PreparedQuery.of(query, self.vocab)
         query_id = query.exercise.id
         exact = self.lexical.search(query.tokens, query.concepts, cfg.k_exact,
                                     exclude_id=query_id)
@@ -486,5 +456,5 @@ class Recaller:
         if self.dedup is None or not len(merged):
             return merged
         probs = self.dedup.prob_pairs(
-            *self.dedup.featurizer.view_pairs(query, self.view, merged.rows))
+            *self.dedup.featurizer.row_pairs(query, merged.index, merged.rows))
         return merged.take(probs < cfg.dedup_threshold)

@@ -15,16 +15,18 @@ Every step preserves the incoming ranking order and is idempotent. With no
 profile and no classifier the whole stage is a pass-through, so the
 pipeline is testable end to end before any re-rank model exists.
 
-Candidates arrive as ``recall.Candidates``, rows of the corpus. The two
-filters are masks over the corpus's per-row ``learning_stages`` and
-``difficulties`` arrays, built with the corpus. The variant split scores
-every kept row in one batch, over the rows of the featurizer's
-``PreparedCorpus``, the feature rows scored by ``prob_rows``. Given the
-miss's ``pairclf.PreparedQuery`` it makes no edit-distance kernel call of
-its own: the kept candidates are a subset of the recalled list, whose
-similarities the query already holds, and its query embedding is the one
-recall computed. This is bit-identical to ``VariantClassifier.prob`` per
-candidate (see the rules in ``pairclf``).
+A stage is built from one view; a miss passes one ``PreparedQuery``.
+:func:`rerank` takes the miss's ``pairclf.PreparedQuery`` and candidates
+as ``recall.Candidates``, rows of the corpus. The two filters are masks
+over the corpus's per-row ``learning_stages`` and ``difficulties`` arrays,
+built with the corpus. The variant head's featurizer is over the loaded
+``PreparedCorpus``, and the split scores every kept row in one batch over
+its rows, the feature rows scored by ``prob_rows``. It makes no
+edit-distance kernel call of its own: the kept candidates are a subset of
+the recalled list, whose similarities the query already holds, and its
+query embedding is the one recall computed. This is bit-identical to
+``VariantClassifier.prob`` per candidate (see the rules in ``pairclf``);
+the split puts a candidate first at ``RerankConfig.variant_threshold``.
 
 Results are stored column-wise (:class:`RerankedResult`): a served list is
 kept in the query cache, so per-item objects are only built on access.
@@ -37,10 +39,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Exercise, LabeledPair, VARIANT
+from .corpus import Corpus, LabeledPair, VARIANT
 from .encoder import EncoderParams
 from .pairclf import (PairClassifier, PairFeaturizer, PreparedQuery,
-                      UntrainedModelError, pair_feature_rows)
+                      UntrainedModelError, both_orders, pair_feature_rows)
 from .recall import Candidates
 from .textnorm import Vocab
 
@@ -187,55 +189,46 @@ class VariantClassifier:
 
     classifier: PairClassifier
     featurizer: PairFeaturizer
-    threshold: float = 0.5
 
-    def prob(self, query: Exercise, candidate: Exercise) -> float:
+    def prob(self, query: PreparedQuery, candidate: PreparedQuery) -> float:
         return self.classifier.prob(self.featurizer.features(query, candidate))
 
     def prob_pairs(self, u: np.ndarray, v: np.ndarray, sims: np.ndarray) -> np.ndarray:
         """``prob`` of the pairs a featurizer gives as (u, v, edit similarities)."""
         return self.classifier.prob_rows(pair_feature_rows(u, v, sims))
 
-    def save(self, path) -> None:
-        self.classifier.save(path, "variant")
-
     @classmethod
-    def load(cls, path, featurizer: PairFeaturizer,
-             threshold: float = 0.5) -> "VariantClassifier":
-        return cls(PairClassifier.load(path, "variant", featurizer.n_features),
-                   featurizer, threshold)
+    def load(cls, path, featurizer: PairFeaturizer) -> "VariantClassifier":
+        return cls(PairClassifier.load(path, "variant", featurizer.n_features), featurizer)
 
 
 def train_variant(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab,
-                  params: EncoderParams, threshold: float = 0.5) -> VariantClassifier:
-    """Fit on the variant-flagged labeled pairs (variant=1, plain-similar=0)."""
+                  params: EncoderParams) -> PairClassifier:
+    """Fit the variant head (saved as kind ``"variant"``) on the
+    variant-flagged labeled pairs (variant=1, plain-similar=0)."""
     flagged = [p for p in pairs if p.variant is not None]
     if not flagged:
         raise UntrainedModelError("no variant-flagged pairs to train on")
-    featurizer = PairFeaturizer(vocab, params)
-    feats = featurizer.both_orders([(corpus[p.a_id], corpus[p.b_id]) for p in flagged])
+    feats = both_orders([(corpus[p.a_id], corpus[p.b_id]) for p in flagged], vocab, params)
     labels = np.repeat([1 if p.variant == VARIANT else 0 for p in flagged], 2)
-    clf = PairClassifier.train(feats, labels)
-    return VariantClassifier(clf, featurizer, threshold)
+    return PairClassifier.train(feats, labels)
 
 
 # ---------------------------------------------------------------------------
 # Full re-rank
 
-def rerank(query, candidates: Candidates,
+def rerank(query: PreparedQuery, candidates: Candidates,
            profile: Optional[StudentProfile], corpus: Corpus,
            variant_clf: Optional[VariantClassifier] = None,
            config: RerankConfig = RerankConfig()) -> RerankedResult:
-    """Stage filter, difficulty filter, then variant split, order preserved.
-    ``query`` is an ``Exercise`` or a ``PreparedQuery``; ``candidates`` are
-    rows of ``corpus``."""
+    """Stage filter, difficulty filter, then variant split, order preserved;
+    ``candidates`` are rows of ``corpus``."""
     passed: list[str] = []
     kept = candidates
     if profile is not None:
         kept = stage_filter(kept, profile, corpus)
         passed.append("stage")
-        exercise = query.exercise if isinstance(query, PreparedQuery) else query
-        kept = personalize_filter(kept, exercise.metadata.difficulty, profile, corpus)
+        kept = personalize_filter(kept, query.exercise.metadata.difficulty, profile, corpus)
         passed.append("difficulty")
     if variant_clf is None or not config.enable_variant:
         return RerankedResult(kept, passed)

@@ -154,29 +154,9 @@ class Vocab:
         return cls([line for line in lines if line], stop_words)
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    ids: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(i < 0 for i in self.ids):
-            raise ValueError("negative token id")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.ids, dtype=np.int64)
-
-
 def split_tokens(text: str) -> list[str]:
     """Lowercase and split into words, numbers and single symbol characters."""
     return _TOKEN_RE.findall(text.lower())
-
-
-def tokenize(text: str, vocab: Vocab) -> TokenSequence:
-    """Map normalized text to vocabulary ids; out-of-vocabulary becomes UNK."""
-    return TokenSequence(tuple(vocab.id_of(t) for t in split_tokens(text)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from test_ranking import head_probs
 from exsim import conflearn as cl
 from exsim import encoder as enc
 from exsim.corpus import LabeledPair, SyntheticSpec, generate_synthetic
-from exsim.pairclf import PairFeaturizer, PreparedCorpus, pair_features
+from exsim.pairclf import PreparedCorpus, PreparedQuery, pair_features
 
 
 def test_confident_joint_worked_example():
@@ -140,9 +140,9 @@ def test_clean_and_retrain_bookkeeping(cl_setup):
 def reference_prob(params, vocab, a, b):
     """The stem-stem head on one pair prepared from its own texts, applied
     to a one-row feature matrix."""
-    feat = PairFeaturizer(vocab, params)
-    sim = reference_similarity(feat.norm_tokens(a), feat.norm_tokens(b))
-    return float(head_probs(params, pair_features(feat.embedding(a), feat.embedding(b),
+    a, b = PreparedQuery(a, vocab), PreparedQuery(b, vocab)
+    sim = reference_similarity(a.tokens, b.tokens)
+    return float(head_probs(params, pair_features(a.embedding(params), b.embedding(params),
                                                   sim)[None, :])[0])
 
 

@@ -14,11 +14,17 @@ from exsim.corpus import (SIMILAR, Corpus, CorpusError, LabeledPair, SyntheticSp
                           generate_synthetic)
 from exsim.pairclf import PreparedCorpus
 from exsim.snapshots import SnapshotFormatError
-from exsim.textnorm import TokenSequence, normalize_text, tokenize
+from exsim.textnorm import normalize_text, split_tokens
 
 
 def toy_params(vocab_size=12, d=4, d_img=3, n_types=3, levels=4, n_concepts=5, seed=0):
     return enc.EncoderParams.init(vocab_size, d, d_img, n_types, levels, n_concepts, seed)
+
+
+def text_ids(text, vocab):
+    """The vocabulary ids of one text, normalized from scratch."""
+    return np.array([vocab.id_of(t) for t in split_tokens(normalize_text(text)[0])],
+                    dtype=np.int64)
 
 
 def rand_unit(rng, n, d):
@@ -31,7 +37,7 @@ def rand_unit(rng, n, d):
 
 def test_embed_unit_norm_and_deterministic():
     params = toy_params()
-    seq = TokenSequence((3, 5, 5, 7))
+    seq = np.array([3, 5, 5, 7])
     v1 = enc.embed_text(seq, params)
     v2 = enc.embed_text(seq, params)
     assert abs(np.linalg.norm(v1) - 1.0) < 1e-6
@@ -40,7 +46,7 @@ def test_embed_unit_norm_and_deterministic():
 
 def test_embed_empty_sequence_rejected():
     with pytest.raises(ValueError):
-        enc.embed_text(TokenSequence(()), toy_params())
+        enc.embed_text(np.zeros(0, dtype=np.int64), toy_params())
 
 
 def test_embed_two_dim_toy_matches_hand_computation():
@@ -49,7 +55,7 @@ def test_embed_two_dim_toy_matches_hand_computation():
     params.W[...] = np.eye(2)
     params.b[...] = 0.0
     params.emb[2] = [0.3, -0.4]
-    got = enc.embed_text(TokenSequence((2,)), params)
+    got = enc.embed_text(np.array([2]), params)
     expected = np.tanh([0.3, -0.4])
     expected = expected / np.linalg.norm(expected)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
@@ -481,8 +487,7 @@ def test_finetune_first_batch_loss_matches_direct_evaluation(small_synth):
     chosen = [anchors_all[i] for i in order[:cfg.batch_size]]
     negatives = [enc._draw_negatives(a, sims, corpus.ids, cfg.n_negatives, rng)
                  for a, _ in chosen]
-    seqs = {ex.id: tokenize(normalize_text(ex.text)[0], view.vocab).array()
-            for ex in corpus}
+    seqs = {ex.id: text_ids(ex.text, view.vocab) for ex in corpus}
     flat = []
     for (a, b), negs in zip(chosen, negatives):
         flat.extend([a, b] + negs)
@@ -569,7 +574,7 @@ def test_export_embeddings_format_and_exactness(tmp_path, small_trained):
     first = lines[0].split()
     assert len(first) == 1 + params.d
     ex = corpus[first[0]]
-    vec = enc.embed_text(tokenize(normalize_text(ex.text)[0], vocab), params)
+    vec = enc.embed_text(text_ids(ex.text, vocab), params)
     parsed = np.array([float(x) for x in first[1:]])
     assert np.array_equal(parsed, vec)  # bit-for-bit via repr round-trip
     exported = [[float(x) for x in line.split()[1:]] for line in lines]

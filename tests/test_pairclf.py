@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from exsim import pairclf
 from exsim.corpus import Exercise, Metadata
-from exsim.encoder import EncoderParams
+from exsim.encoder import EncoderParams, embed_text
 from exsim.pairclf import (
     PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery, bce_loss_and_grads,
-    edit_similarities, edit_similarity, levenshtein, pair_feature_rows, pair_features,
+    both_orders, edit_similarities, edit_similarity, levenshtein, pair_feature_rows,
+    pair_features,
 )
 from exsim.textnorm import UNK_ID, Vocab, normalize_text, split_tokens
 
@@ -55,7 +56,7 @@ def test_classifier_learns_separable_data():
     w_true = np.array([2.0, -1.0, 0.5, 0.0, 1.0])
     y = (x @ w_true > 0).astype(float)
     clf = PairClassifier.train(x, y)
-    preds = (clf.prob_batch(x) > 0.5).astype(float)
+    preds = (clf.prob_rows(x) > 0.5).astype(float)
     assert (preds == y).mean() > 0.95
 
 
@@ -123,7 +124,7 @@ def test_newton_fit_of_separable_data_stays_finite(monkeypatch):
                         lambda *args: steps.append(1) or newton_step(*args))
     clf = PairClassifier.train(x, y)
     assert np.isfinite(clf.weights).all() and np.isfinite(clf.bias)
-    assert (clf.prob_batch(x) > 0.5).astype(float).tolist() == y.tolist()
+    assert (clf.prob_rows(x) > 0.5).astype(float).tolist() == y.tolist()
     # it stopped at the tolerance, not at the cap
     assert len(steps) < pairclf._NEWTON_STEPS
     _, gw, gb = bce_loss_and_grads(clf.weights, clf.bias, x, y, l2=1e-6)
@@ -153,8 +154,8 @@ def test_classifier_snapshot_round_trip(tmp_path):
 
 def test_featurizer_uses_canonical_text(small_trained):
     corpus, _, _, vocab, params = small_trained
-    feat = PairFeaturizer(vocab, params)
-    ex = next(iter(corpus))
+    feat = PairFeaturizer(PreparedCorpus(corpus, vocab, params))
+    ex = PreparedQuery(next(iter(corpus)), vocab)
     f = feat.features(ex, ex)
     assert f.shape == (feat.n_features,)
     assert f[-1] == 1.0  # identical text, edit similarity 1
@@ -229,15 +230,17 @@ def test_query_pairs_codes_tell_oov_tokens_apart(query_words, corpus_words):
     query = exercise("q", " ".join(query_words))
     expected = [reference_similarity(query_words, w) for w in corpus_words]
     view = PreparedCorpus(corpus, VOCAB, PARAMS)
-    _, _, sims = PairFeaturizer(VOCAB, PARAMS).view_pairs(query, view, np.arange(len(corpus)))
+    _, _, sims = PairFeaturizer(view).row_pairs(PreparedQuery(query, VOCAB), view.index,
+                                                np.arange(len(corpus)))
     assert sims.tolist() == expected
 
 
 def test_unk_tokens_that_differ_as_strings_are_an_edit():
     assert VOCAB.id_of("xy") == VOCAB.id_of("zq") == UNK_ID
     view = PreparedCorpus([exercise("e", "ab zq")], VOCAB, PARAMS)
-    feat = PairFeaturizer(VOCAB, PARAMS, view)
-    sims = [feat.view_pairs(exercise("q", text), view, np.array([0]))[2][0]
+    feat = PairFeaturizer(view)
+    sims = [feat.row_pairs(PreparedQuery(exercise("q", text), VOCAB), view.index,
+                           np.array([0]))[2][0]
             for text in ("ab xy", "ab zq")]
     assert sims == [0.5, 1.0]
     assert view.stem_ids()[0].tolist() == [VOCAB.id_of("ab"), UNK_ID]
@@ -295,19 +298,20 @@ def test_own_vocab_normalizes_each_text_once(small_synth, monkeypatch):
 def test_view_embeddings_equal_single_text_embedding():
     exs = [exercise("a", "ab cd xy"), exercise("b", "ef")]
     view = PreparedCorpus(exs, VOCAB, PARAMS)
-    feat = PairFeaturizer(VOCAB, PARAMS)
+    feat = PairFeaturizer(view)
     for row, ex in enumerate(exs):
-        assert np.array_equal(view.embeddings[row], feat.embedding(ex))
+        assert np.array_equal(view.embeddings[row], feat.embedding(PreparedQuery(ex, VOCAB)))
 
 
 def test_both_orders_equal_features_per_pair(small_trained):
     corpus, _, _, vocab, params = small_trained
-    feat = PairFeaturizer(vocab, params)
+    feat = PairFeaturizer(PreparedCorpus(corpus, vocab, params))
     exs = list(corpus)
     pairs = [(exs[0], exs[1]), (exs[2], exs[0]), (exs[3], exs[3])]
-    rows = feat.both_orders(pairs)
+    rows = both_orders(pairs, vocab, params)
     expected = []
     for a, b in pairs:
+        a, b = PreparedQuery(a, vocab), PreparedQuery(b, vocab)
         expected += [feat.features(a, b), feat.features(b, a)]
     assert np.array_equal(rows, np.array(expected))
 
@@ -371,25 +375,36 @@ def test_prepared_query_is_embedded_once_per_backbone(monkeypatch):
     other = EncoderParams.init(vocab_size=len(VOCAB), d=4, d_img=2, n_types=1,
                                levels=1, n_concepts=1, seed=1)
     ex = exercise("q", "ab xy cd")
-    expected = {id(p): PairFeaturizer(VOCAB, p).embedding(ex) for p in (PARAMS, other)}
+    ids = np.array([VOCAB.id_of(t) for t in ("ab", "xy", "cd")])
+    expected = {id(p): embed_text(ids, p) for p in (PARAMS, other)}
     calls.clear()
     query = PreparedQuery(ex, VOCAB)
     for params in (PARAMS, other, PARAMS, other):
         assert np.array_equal(query.embedding(params), expected[id(params)])
     assert [id(p) for p in calls] == [id(PARAMS), id(other)]
-    assert PreparedQuery.of(query, VOCAB) is query
 
 
 def test_prepared_query_refuses_another_preparation():
-    query = PreparedQuery(exercise("q", "ab"), Vocab(["ab", "cd", "ef"], ("the",)))
-    with pytest.raises(ValueError, match="prepared query"):
-        PreparedQuery.of(query, VOCAB)
-    with pytest.raises(ValueError, match="prepared query"):
-        PreparedQuery.of(query, Vocab(["ab", "cd", "ef"], ("the",)))
-    with pytest.raises(ValueError, match="prepared query"):
-        PairFeaturizer(VOCAB, PARAMS).view_pairs(
-            query, PreparedCorpus([exercise("a", "ab")], VOCAB, PARAMS), np.array([0]))
-    other = EncoderParams.init(vocab_size=len(VOCAB), d=4, d_img=2, n_types=1,
-                               levels=1, n_concepts=1, seed=1)
-    with pytest.raises(ValueError, match="other params"):
-        PairFeaturizer(VOCAB, other, PreparedCorpus([exercise("a", "ab")], VOCAB, PARAMS))
+    """A query prepared with another vocabulary, even one of the same
+    tokens, may have other tokens (its stop words differ) and other ids."""
+    view = PreparedCorpus([exercise("a", "ab")], VOCAB, PARAMS)
+    for vocab in (Vocab(["ab", "cd", "ef"], ("the",)), Vocab(["ab", "cd", "ef"])):
+        query = PreparedQuery(exercise("q", "ab"), vocab)
+        with pytest.raises(ValueError, match="prepared query"):
+            PairFeaturizer(view).row_pairs(query, view.index, np.array([0]))
+    u, v, sims = PairFeaturizer(view).row_pairs(PreparedQuery(exercise("q", "ab"), VOCAB),
+                                                view.index, np.array([0]))
+    assert np.array_equal(u, v[0]) and sims.tolist() == [1.0]
+
+
+def test_featurizer_refuses_rows_of_another_index():
+    """Rows of another index, even one over the same ids, are not the view's
+    rows; an ``embedded_with`` copy shares the view's index."""
+    exs = [exercise("a", "ab"), exercise("b", "cd")]
+    view = PreparedCorpus(exs, VOCAB, PARAMS)
+    query = PreparedQuery(exercise("q", "ab"), VOCAB)
+    with pytest.raises(ValueError, match="rows of this featurizer's view"):
+        PairFeaturizer(view).row_pairs(query, PreparedCorpus(exs, VOCAB).index, np.array([0]))
+    _, _, sims = PairFeaturizer(view.embedded_with(PARAMS)).row_pairs(
+        query, view.index, np.array([1, 0]))
+    assert sims.tolist() == [0.0, 1.0]

@@ -18,7 +18,7 @@ from exsim import encoder, pairclf, ranking, recall, textnorm
 from exsim import pipeline as pl
 from exsim.corpus import CorpusError, LabeledPair, SyntheticSpec, load_corpus, save_pairs
 from exsim.encoder import load_encoder
-from exsim.pairclf import PairFeaturizer, pair_features
+from exsim.pairclf import PreparedCorpus, PreparedQuery, pair_features
 from exsim.recall import VectorIndex
 from exsim.rerank import StudentProfile
 from exsim.snapshots import SnapshotFormatError
@@ -90,6 +90,27 @@ def test_load_refuses_a_bad_rerank_key(workspace):
         pl.Pipeline.load(workdir, bad)
 
 
+@pytest.mark.parametrize("key, value", [("recall.n", "0"), ("recall.k_exact", "-1"),
+                                        ("recall.k_embed", "-1"), ("cache.size", "-1")])
+def test_load_refuses_a_value_no_query_can_be_served_with(workspace, key, value):
+    """Such a value used to load and then fail every query: recall.n = 0 in
+    the merge, cache.size = -1 evicting from an empty cache."""
+    workdir, config, _, _ = workspace
+    bad = pl.Config({**config.values, key: value})
+    with pytest.raises(ValueError, match=f"config {key} = {value}: expected at least"):
+        pl.Pipeline.load(workdir, bad)
+
+
+def test_load_accepts_the_smallest_serving_values(workspace):
+    workdir, config, corpus, _ = workspace
+    pipe = pl.Pipeline.load(workdir, pl.Config({**config.values, "recall.n": "1",
+                                                "recall.k_exact": "0", "cache.size": "0"}))
+    result, hit = pipe.query_with_cache_info(corpus.ids[5])
+    again, hit_again = pipe.query_with_cache_info(corpus.ids[5])
+    assert len(result.all_ids()) <= 1 and not hit and not hit_again
+    assert again is not result and again.all_ids() == result.all_ids()
+
+
 @pytest.mark.parametrize("alpha", ["0.5,0.5", "0.2,0.2,0.3,0.3", ""])
 def test_rank_alpha_needs_three_weights(alpha):
     with pytest.raises(ValueError, match=f"rank.alpha = '{alpha}'"):
@@ -130,8 +151,8 @@ def test_load_indexes_the_current_encoder(workspace, tmp_path):
     retrain = pl.Config({**CONFIG, "finetune.epochs": "2"})
     pl.step_finetune(workdir, retrain)
     pipe = pl.Pipeline.load(workdir, retrain)
-    current = VectorIndex.build(corpus, pipe.vocab,
-                                load_encoder(workdir / pl.FILES["encoder"]))
+    current = VectorIndex.build(PreparedCorpus(corpus, pipe.vocab,
+                                               load_encoder(workdir / pl.FILES["encoder"])))
     assert not np.array_equal(current.matrix, before)
     assert np.array_equal(pipe.recaller.vector.matrix, current.matrix)
     assert pipe.recaller.vector.matrix is pipe.recaller.view.embeddings
@@ -164,9 +185,10 @@ def test_query_flow_and_cache(workspace):
     assert [d["id"] for d in record["variant"] + record["similar"]] == profiled.all_ids()
     json.dumps(record)
 
-    dedup = pipe.recaller.dedup
-    assert dedup.prob(corpus[query_id], probe) >= dedup.threshold
-    assert dedup.prob(corpus[query_id], corpus[corpus.ids[0]]) < dedup.threshold
+    dedup, threshold = pipe.recaller.dedup, pipe.recaller.config.dedup_threshold
+    query = PreparedQuery(corpus[query_id], pipe.vocab)
+    assert dedup.prob(query, PreparedQuery(probe, pipe.vocab)) >= threshold
+    assert dedup.prob(query, PreparedQuery(corpus[corpus.ids[0]], pipe.vocab)) < threshold
     with pytest.raises(pl.NotFoundError):
         pipe.query("no-such-id")
     markup_only = dataclasses.replace(probe, id="markup", stem="<p></p>", options=())
@@ -176,18 +198,30 @@ def test_query_flow_and_cache(workspace):
 # ---------------------------------------------------------------------------
 # bit identity of the batched path
 
+def own_tokens(ex, vocab):
+    """The tokens of one exercise, normalized from scratch."""
+    return split_tokens(normalize_text(ex.text, vocab.stop_words)[0])
+
+
+def own_embedding(ex, vocab, params):
+    """One exercise embedded alone from its own text under ``params``."""
+    return encoder.embed_text(np.array([vocab.id_of(t) for t in own_tokens(ex, vocab)],
+                                       dtype=np.int64), params)
+
+
 def dedup_reference(detector, a, b, u, v):
-    feat = detector.featurizer
-    sim = reference_similarity(feat.norm_tokens(a), feat.norm_tokens(b))
+    vocab = detector.featurizer.view.vocab
+    sim = reference_similarity(own_tokens(a, vocab), own_tokens(b, vocab))
     clf = detector.classifier
     return (clf.prob(pair_features(u, v, sim)) + clf.prob(pair_features(v, u, sim))) / 2.0
 
 
 def variant_reference(variant_clf, query, candidate):
-    feat = variant_clf.featurizer
-    sim = reference_similarity(feat.norm_tokens(query), feat.norm_tokens(candidate))
-    return variant_clf.classifier.prob(
-        pair_features(feat.embedding(query), feat.embedding(candidate), sim))
+    view = variant_clf.featurizer.view
+    sim = reference_similarity(own_tokens(query, view.vocab), own_tokens(candidate, view.vocab))
+    return variant_clf.classifier.prob(pair_features(
+        own_embedding(query, view.vocab, view.params),
+        own_embedding(candidate, view.vocab, view.params), sim))
 
 
 def ranker_reference(pipe, query, candidates):
@@ -196,11 +230,10 @@ def ranker_reference(pipe, query, candidates):
     as one matrix in candidate order, as ranking scores them."""
     if not candidates:
         return []
-    params = pipe.ranker.params
-    feat = PairFeaturizer(pipe.vocab, params)
+    params, vocab = pipe.ranker.params, pipe.vocab
     f = np.array([pair_features(
-        feat.embedding(query), feat.embedding(ex),
-        reference_similarity(feat.norm_tokens(query), feat.norm_tokens(ex)))
+        own_embedding(query, vocab, params), own_embedding(ex, vocab, params),
+        reference_similarity(own_tokens(query, vocab), own_tokens(ex, vocab)))
         for ex in candidates])
     return head_probs(params, f).tolist()
 
@@ -220,12 +253,12 @@ def reference_query(pipe, query, profile=None):
     lists of ``Candidate``."""
     rec = pipe.recaller
     corpus = pipe.corpus
-    tokens = split_tokens(normalize_text(query.text, pipe.vocab.stop_words)[0])
+    tokens = own_tokens(query, pipe.vocab)
     exact = list(rec.lexical.search(tokens, frozenset(query.metadata.knowledge_concepts),
                                     rec.config.k_exact, exclude_id=query.id))
     embed = []
     if tokens:
-        q_vec = rec.query_embedding(query)
+        q_vec = own_embedding(query, pipe.vocab, rec.view.params)
         embed = list(rec.vector.search(q_vec, rec.config.k_embed, exclude_id=query.id))
     kept = [c for c in reference_merge(exact, embed, rec.config.n)
             if rec.dedup is None
@@ -253,15 +286,18 @@ def test_batched_scores_equal_per_pair(workspace, kind):
     others = [ex for ex in corpus if ex.id != query.id]
     rec = pipe.recaller
     rows = np.array([corpus.index.row_of[ex.id] for ex in others])
-    u = rec.query_embedding(query)
+    u = own_embedding(query, pipe.vocab, rec.view.params)
     v = rec.vector.matrix[rows]
-    got = rec.dedup.prob_pairs(*rec.dedup.featurizer.view_pairs(query, rec.view, rows)).tolist()
+    prepared = PreparedQuery(query, pipe.vocab)
+    got = rec.dedup.prob_pairs(
+        *rec.dedup.featurizer.row_pairs(prepared, rec.view.index, rows)).tolist()
     assert got == [dedup_reference(rec.dedup, query, ex, u, row)
                    for ex, row in zip(others, v)]
     got = pipe.variant_clf.prob_pairs(
-        *pipe.variant_clf.featurizer.view_pairs(query, rec.view, rows)).tolist()
+        *pipe.variant_clf.featurizer.row_pairs(prepared, rec.view.index, rows)).tolist()
     assert got == [variant_reference(pipe.variant_clf, query, ex) for ex in others]
-    assert got == [pipe.variant_clf.prob(query, ex) for ex in others]
+    assert got == [pipe.variant_clf.prob(prepared, PreparedQuery(ex, pipe.vocab))
+                   for ex in others]
 
     result = pipe.query(query if kind == "probe" else query.id)
     variant, similar = reference_query(pipe, query)
@@ -379,7 +415,8 @@ def test_served_list_equals_reference(workspace, kind, profile):
     query = pipe.resolve(request)
     result = pipe.query(request, profile)
     assert served_items(result) == reference_query(pipe, query, profile)
-    assert (len(pipe.recaller.recall(query)) == 0) == (kind == "markup")
+    assert (len(pipe.recaller.recall(PreparedQuery(query, pipe.vocab))) == 0) == \
+        (kind == "markup")
     assert bool(result.all_ids()) == (kind != "markup")
 
 

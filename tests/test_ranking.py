@@ -9,7 +9,7 @@ from test_recall import candidates_of
 from exsim import encoder as enc
 from exsim import ranking as rk
 from exsim.corpus import Corpus, SyntheticSpec, generate_synthetic
-from exsim.pairclf import (PairFeaturizer, PreparedCorpus, UntrainedModelError,
+from exsim.pairclf import (PreparedCorpus, PreparedQuery, UntrainedModelError,
                            edit_similarities, pair_features)
 from exsim.recall import Candidate
 from exsim.snapshots import SnapshotFormatError, save_arrays
@@ -254,7 +254,7 @@ def test_score_pair_untrained_rejected(tiny_setup):
         ranker.pair_probs(np.array([0]), np.array([1]), np.array([0.5]))
     cands = candidates_of(corpus.index, [Candidate(corpus.ids[1], 0.0, "exact")])
     with pytest.raises(UntrainedModelError):
-        ranker.rank(corpus[corpus.ids[0]], cands)
+        ranker.rank(PreparedQuery(corpus[corpus.ids[0]], view.vocab), cands)
 
 
 def test_rank_is_permutation_sorted_with_id_ties(tiny_setup):
@@ -262,7 +262,7 @@ def test_rank_is_permutation_sorted_with_id_ties(tiny_setup):
     params, _ = rk.train_ranker(pairs, view, rk.RankConfig(epochs=1, seed=0),
                                 encoder=encoder)
     ranker = rk.Ranker(params, view)
-    query = corpus[corpus.ids[0]]
+    query = PreparedQuery(corpus[corpus.ids[0]], view.vocab)
     cands = candidates_of(corpus.index, [Candidate(ex_id, 0.0, "exact")
                                          for ex_id in corpus.ids[1:10]])
     out = ranker.rank(query, cands)
@@ -320,18 +320,20 @@ def test_score_pairs_equal_from_view_and_from_own_text(tiny_setup):
     ranker = rk.Ranker(params, PreparedCorpus(exs, vocab, encoder))
     rows = [4, 2, 0, 3]  # a reordered subset of the view
     index = ranker.view.index
-    ranked = ranker.rank(query, candidates_of(
+    ranked = ranker.rank(PreparedQuery(query, vocab), candidates_of(
         index, [Candidate(index.ids[r], 0.0, "exact") for r in rows]))
 
     def tokens(ex):
         return split_tokens(normalize_text(ex.text)[0])
     expected = [reference_similarity(tokens(query), tokens(exs[r])) for r in rows]
-    featurizer = ranker.featurizer
-    assert featurizer.view_pairs(query, featurizer.view, np.array(rows))[2].tolist() == expected
+    assert ranker.featurizer.row_pairs(PreparedQuery(query, vocab), index,
+                                       np.array(rows))[2].tolist() == expected
+
     # the pair features from each side's own text, scored as one matrix in
     # candidate order, as ranking scores them
-    own = PairFeaturizer(vocab, params)
-    f = np.array([pair_features(own.embedding(query), own.embedding(exs[r]), sim)
+    def own_embedding(ex):
+        return enc.embed_text(np.array(ids_of(ex.text, vocab), dtype=np.int64), params)
+    f = np.array([pair_features(own_embedding(query), own_embedding(exs[r]), sim)
                   for r, sim in zip(rows, expected)])
     scores = head_probs(params, f).tolist()
     assert [(c.ex_id, c.score) for c in ranked] == sorted(

@@ -7,12 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from exsim.corpus import RowIndex, SyntheticSpec, generate_dedup_pairs, generate_synthetic
 from exsim.encoder import embed_text, init_params
-from exsim.pairclf import PairClassifier, PairFeaturizer, PreparedCorpus
+from exsim.pairclf import PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery
 from exsim.recall import (
     BM25_B, BM25_K1, SOURCES, Candidate, Candidates, DuplicateDetector,
     LexicalIndex, RecallConfig, Recaller, VectorIndex, merge_candidates, train_dedup,
 )
-from exsim.textnorm import normalize_text, split_tokens, tokenize
+from exsim.textnorm import normalize_text, split_tokens
 
 
 def vocab_of(corpus, stop_words=()):
@@ -21,8 +21,9 @@ def vocab_of(corpus, stop_words=()):
 
 def embedded_from_text(corpus, vocab, params):
     """Every exercise embedded alone from its own text, row by row."""
-    return np.stack([embed_text(tokenize(normalize_text(ex.text, vocab.stop_words)[0], vocab),
-                                params) for ex in corpus])
+    return np.stack([embed_text(np.array([vocab.id_of(t) for t in split_tokens(
+        normalize_text(ex.text, vocab.stop_words)[0])], dtype=np.int64), params)
+        for ex in corpus])
 
 
 def brute_force_bm25(index: LexicalIndex, token_lists, query_tokens, query_concepts):
@@ -71,7 +72,7 @@ def medium_synth():
 
 def test_lexical_scores_equal_brute_force(medium_synth):
     corpus, _, _ = medium_synth
-    index = LexicalIndex.build(corpus)
+    index = LexicalIndex.build(PreparedCorpus.with_own_vocab(corpus))
     token_lists = corpus_token_lists(corpus)
     for qi in (0, 17, 44, 101):
         query = corpus[corpus.ids[qi]]
@@ -90,7 +91,7 @@ def test_lexical_scores_equal_brute_force(medium_synth):
 
 def test_lexical_verbatim_copy_ranks_first(medium_synth):
     corpus, _, _ = medium_synth
-    index = LexicalIndex.build(corpus)
+    index = LexicalIndex.build(PreparedCorpus.with_own_vocab(corpus))
     target = corpus[corpus.ids[7]]
     q_tokens = split_tokens(normalize_text(target.text)[0])
     ranked = index.search(q_tokens, frozenset(target.metadata.knowledge_concepts), k=5)
@@ -99,7 +100,7 @@ def test_lexical_verbatim_copy_ranks_first(medium_synth):
 
 def test_lexical_zero_overlap_returns_empty(medium_synth):
     corpus, _, _ = medium_synth
-    index = LexicalIndex.build(corpus)
+    index = LexicalIndex.build(PreparedCorpus.with_own_vocab(corpus))
     assert len(index.search(["zzzznotaword"], frozenset(), k=10)) == 0
     assert len(index.search([], frozenset(), k=10)) == 0
 
@@ -108,7 +109,7 @@ def test_vector_search_exact_matches_reembedded_oracle(medium_synth):
     corpus, _, _ = medium_synth
     vocab = vocab_of(corpus)
     params = init_params(corpus, vocab, d=12, seed=0)
-    index = VectorIndex.build(corpus, vocab, params)
+    index = VectorIndex.build(PreparedCorpus(corpus, vocab, params))
     # oracle: re-embed everything from scratch and rank independently
     matrix, ids = embedded_from_text(corpus, vocab, params), corpus.ids
     for qi in (0, 31, 99):
@@ -124,7 +125,7 @@ def test_vector_query_equal_to_row(medium_synth):
     corpus, _, _ = medium_synth
     vocab = vocab_of(corpus)
     params = init_params(corpus, vocab, d=12, seed=0)
-    index = VectorIndex.build(corpus, vocab, params)
+    index = VectorIndex.build(PreparedCorpus(corpus, vocab, params))
     row = 5
     got = index.search(index.matrix[row], k=3)
     assert got.ids[0] == index.ids[row]
@@ -135,7 +136,7 @@ def test_vector_k_larger_than_corpus(medium_synth):
     corpus, _, _ = medium_synth
     vocab = vocab_of(corpus)
     params = init_params(corpus, vocab, d=8, seed=0)
-    index = VectorIndex.build(corpus, vocab, params)
+    index = VectorIndex.build(PreparedCorpus(corpus, vocab, params))
     got = index.search(index.matrix[0], k=10 * len(corpus))
     assert len(got) == len(corpus)
     scores = [c.score for c in got]
@@ -146,7 +147,7 @@ def test_vector_dimension_mismatch(medium_synth):
     corpus, _, _ = medium_synth
     vocab = vocab_of(corpus)
     params = init_params(corpus, vocab, d=8, seed=0)
-    index = VectorIndex.build(corpus, vocab, params)
+    index = VectorIndex.build(PreparedCorpus(corpus, vocab, params))
     with pytest.raises(ValueError, match="dimension"):
         index.search(np.zeros(9), k=5)
 
@@ -379,7 +380,8 @@ def test_merge_equals_list_reference(ids, data, n):
 def dedup_setup(small_trained_module):
     corpus, truth, pairs, vocab, params = small_trained_module
     dedup_pairs = generate_dedup_pairs(corpus, truth, seed=13, n_anchors=40)
-    detector = train_dedup(dedup_pairs, vocab, params)
+    detector = DuplicateDetector(train_dedup(dedup_pairs, vocab, params),
+                                 PairFeaturizer(PreparedCorpus(corpus, vocab, params)))
     return corpus, truth, vocab, params, detector
 
 
@@ -398,33 +400,34 @@ def small_trained_module():
 
 
 def test_dedup_identical_exercise_is_duplicate(dedup_setup):
-    corpus, _, _, _, detector = dedup_setup
-    ex = next(iter(corpus))
+    corpus, _, vocab, _, detector = dedup_setup
+    ex = PreparedQuery(next(iter(corpus)), vocab)
     assert detector.prob(ex, ex) > 0.99
 
 
 def test_dedup_symmetric_exactly(dedup_setup):
-    corpus, _, _, _, detector = dedup_setup
+    corpus, _, vocab, _, detector = dedup_setup
     ids = corpus.ids
     for a_id, b_id in [(ids[0], ids[1]), (ids[3], ids[25]), (ids[10], ids[39])]:
-        a, b = corpus[a_id], corpus[b_id]
+        a, b = PreparedQuery(corpus[a_id], vocab), PreparedQuery(corpus[b_id], vocab)
         assert detector.prob(a, b) == detector.prob(b, a)
 
 
 def test_dedup_table_semantics(dedup_setup):
     # year-digit noise is a duplicate; a raised equation degree is not
-    corpus, truth, _, _, detector = dedup_setup
+    corpus, truth, vocab, _, detector = dedup_setup
     from exsim.corpus import _clone, _raise_power
     checked_dup = checked_distinct = 0
     for ex_id in corpus.ids[::7]:
         ex = corpus[ex_id]
-        year_copy = _clone(ex, f"{ex.stem} in 2021", "-y")
-        assert detector.prob(ex, year_copy) >= 0.5
+        query = PreparedQuery(ex, vocab)
+        year_copy = PreparedQuery(_clone(ex, f"{ex.stem} in 2021", "-y"), vocab)
+        assert detector.prob(query, year_copy) >= 0.5
         checked_dup += 1
         mutated = _raise_power(ex.stem)
         if mutated is not None and mutated != ex.stem:
-            power_copy = _clone(ex, mutated, "-p")
-            assert detector.prob(ex, power_copy) < 0.5
+            power_copy = PreparedQuery(_clone(ex, mutated, "-p"), vocab)
+            assert detector.prob(query, power_copy) < 0.5
             checked_distinct += 1
     assert checked_dup >= 3 and checked_distinct >= 3
 
@@ -435,9 +438,10 @@ def test_recall_excludes_duplicates_of_query(dedup_setup):
     query = corpus[corpus.ids[5]]
     clone = _clone(query, query.stem, "-twin")
     bigger = Corpus(list(corpus) + [clone], levels=corpus.levels, d_img=corpus.d_img)
-    recaller = Recaller.build(bigger, vocab, params, dedup=detector,
-                              config=RecallConfig(k_exact=50, k_embed=50, n=30))
-    out = recaller.recall(query)
+    view = PreparedCorpus(bigger, vocab, params)
+    recaller = Recaller.build(view, DuplicateDetector(detector.classifier, PairFeaturizer(view)),
+                              RecallConfig(k_exact=50, k_embed=50, n=30))
+    out = recaller.recall(PreparedQuery(query, vocab))
     ids = [c.ex_id for c in out]
     assert query.id not in ids
     assert clone.id not in ids
@@ -446,10 +450,10 @@ def test_recall_excludes_duplicates_of_query(dedup_setup):
 
 def test_recall_merges_channels_once(small_trained_module):
     corpus, _, _, vocab, params = small_trained_module
-    recaller = Recaller.build(corpus, vocab, params,
+    recaller = Recaller.build(PreparedCorpus(corpus, vocab, params),
                               config=RecallConfig(k_exact=30, k_embed=30, n=20))
     query = corpus[corpus.ids[0]]
-    out = recaller.recall(query)
+    out = recaller.recall(PreparedQuery(query, vocab))
     ids = [c.ex_id for c in out]
     assert len(ids) == len(set(ids))
     assert len(ids) <= 20
@@ -457,48 +461,46 @@ def test_recall_merges_channels_once(small_trained_module):
 
 
 def test_indexes_built_from_a_view_equal_those_built_from_text(medium_synth):
+    """The view's rows and token lists equal every exercise embedded and
+    normalized afresh from its own text."""
     corpus, _, _ = medium_synth
     stop = ("the", "of")
     vocab = vocab_of(corpus, stop)
     params = init_params(corpus, vocab, d=12, seed=0)
     view = PreparedCorpus(corpus, vocab, params)
-    vector = VectorIndex.build(corpus, vocab, params, view)
+    vector = VectorIndex.build(view)
     assert np.array_equal(vector.matrix, embedded_from_text(corpus, vocab, params))
     assert np.array_equal(vector.matrix, view.embeddings)
     assert vector.ids == corpus.ids
-    lexical = LexicalIndex.build(corpus, stop, 0.7, view)
-    plain = LexicalIndex.build(corpus, stop, 0.7)
+    lexical = LexicalIndex.build(view, 0.7)
+    plain = LexicalIndex(corpus.index,
+                         [split_tokens(normalize_text(ex.text, stop)[0]) for ex in corpus],
+                         [frozenset(ex.metadata.knowledge_concepts) for ex in corpus], 0.7)
     assert lexical.avg_len == plain.avg_len and lexical.ids == plain.ids
+    assert lexical.concepts == plain.concepts and lexical.concept_boost == 0.7
     assert set(lexical.postings) == set(plain.postings)
     for t, got in lexical.postings.items():
         want = plain.postings[t]
         assert got.idf == want.idf
         for field in ("rows", "tf", "denom"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), (t, field)
-    recaller = Recaller.build(corpus, vocab, params, view=view)
+    recaller = Recaller.build(view)
     assert recaller.view is view
     # both channels and the view read the corpus's one row index
     assert recaller.lexical.index is recaller.vector.index is corpus.index is view.index
     assert np.array_equal(recaller.vector.matrix, vector.matrix)
 
 
-def test_recaller_refuses_a_view_of_another_corpus(medium_synth):
+def test_recaller_refuses_a_dedup_head_over_another_view(medium_synth):
+    """Dedup reads the rows of its featurizer's view, so that view must be
+    the one the indexes are built from."""
     corpus, _, _ = medium_synth
     vocab = vocab_of(corpus)
     params = init_params(corpus, vocab, d=12, seed=0)
-    shuffled = PreparedCorpus(list(corpus)[::-1], vocab, params)
-    with pytest.raises(ValueError, match="in order"):
-        Recaller.build(corpus, vocab, params, view=shuffled)
-    with pytest.raises(ValueError, match="another vocab"):
-        Recaller.build(corpus, vocab_of(corpus, ("the",)), params,
-                       view=PreparedCorpus(corpus, vocab, params))
-    # the view's embeddings are the vector index, so they must be the encoder's
-    other = PreparedCorpus(corpus, vocab, params).embedded_with(
-        init_params(corpus, vocab, d=12, seed=1))
-    with pytest.raises(ValueError, match="other params"):
-        Recaller.build(corpus, vocab, params, view=other)
-    # dedup reads the view's rows, so its head must be over the same encoder
-    stale = DuplicateDetector(PairClassifier(np.zeros(4 * 12 + 1), 0.0),
-                              PairFeaturizer(vocab, other.params))
-    with pytest.raises(ValueError, match="other params"):
-        Recaller.build(corpus, vocab, params, dedup=stale)
+    view = PreparedCorpus(corpus, vocab, params)
+    head = PairClassifier(np.zeros(4 * 12 + 1), 0.0)
+    for other in (PreparedCorpus(corpus, vocab, params), view.embedded_with(params)):
+        with pytest.raises(ValueError, match="not over this view"):
+            Recaller.build(view, DuplicateDetector(head, PairFeaturizer(other)))
+    recaller = Recaller.build(view, DuplicateDetector(head, PairFeaturizer(view)))
+    assert recaller.dedup.featurizer.view is view

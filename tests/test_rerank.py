@@ -3,7 +3,7 @@ from test_recall import candidates_of
 
 from exsim import encoder as enc
 from exsim import rerank as rr
-from exsim.pairclf import PairFeaturizer, PreparedCorpus
+from exsim.pairclf import PairFeaturizer, PreparedCorpus, PreparedQuery
 from exsim.corpus import (
     Corpus, Exercise, Metadata, RowIndex, SyntheticSpec, generate_synthetic,
 )
@@ -29,7 +29,7 @@ def fixture_corpus():
     ]
     corpus = Corpus([fixture_exercise(i, d, s) for i, d, s in spec], levels=5)
     cands = ranked_candidates(corpus, [ex_id for ex_id, _, _ in spec[1:]])
-    return corpus, corpus["q"], cands
+    return corpus, PreparedQuery(corpus["q"], PreparedCorpus.with_own_vocab(corpus).vocab), cands
 
 
 def ranked_candidates(corpus, ex_ids):
@@ -163,7 +163,8 @@ def variant_setup():
                              enc.PretrainConfig(d=16, epochs=8, seed=2))
     params, _ = enc.fine_tune(params, pairs, corpus, view.stem_ids(),
                               enc.FinetuneConfig(epochs=3, n_negatives=6, seed=2))
-    clf = rr.train_variant(pairs, corpus, view.vocab, params)
+    head = rr.train_variant(pairs, corpus, view.vocab, params)
+    clf = rr.VariantClassifier(head, PairFeaturizer(PreparedCorpus(corpus, view.vocab, params)))
     return corpus, truth, pairs, view.vocab, params, clf
 
 
@@ -172,21 +173,22 @@ def test_variant_classifier_accuracy(variant_setup):
     flagged = [p for p in pairs if p.variant is not None]
     correct = 0
     for p in flagged:
-        got = clf.prob(corpus[p.a_id], corpus[p.b_id]) >= clf.threshold
+        a, b = PreparedQuery(corpus[p.a_id], vocab), PreparedQuery(corpus[p.b_id], vocab)
+        got = clf.prob(a, b) >= rr.RerankConfig().variant_threshold
         correct += got == (p.variant == "variant")
     assert correct / len(flagged) > 0.8
 
 
 def test_variant_verbatim_candidate_is_plain_similar(variant_setup):
-    corpus, _, _, _, _, clf = variant_setup
-    ex = next(iter(corpus))
+    corpus, _, _, vocab, _, clf = variant_setup
+    ex = PreparedQuery(next(iter(corpus)), vocab)
     assert clf.prob(ex, ex) < 0.2
 
 
 def test_variant_directional_contract(variant_setup):
-    corpus, _, pairs, _, _, clf = variant_setup
+    corpus, _, pairs, vocab, _, clf = variant_setup
     p = next(p for p in pairs if p.variant == "variant")
-    a, b = corpus[p.a_id], corpus[p.b_id]
+    a, b = PreparedQuery(corpus[p.a_id], vocab), PreparedQuery(corpus[p.b_id], vocab)
     ab, ba = clf.prob(a, b), clf.prob(b, a)
     assert 0.0 <= ab <= 1.0 and 0.0 <= ba <= 1.0
 
@@ -194,14 +196,14 @@ def test_variant_directional_contract(variant_setup):
 def test_rerank_splits_variant_first(variant_setup):
     corpus, truth, pairs, vocab, params, clf = variant_setup
     p = next(p for p in pairs if p.variant == "variant")
-    query = corpus[p.a_id]
-    mates = sorted(truth.mates(query.id))
+    query = PreparedQuery(corpus[p.a_id], vocab)
+    mates = sorted(truth.mates(p.a_id))
     cands = ranked_candidates(corpus, mates)
     # the split reads candidates from the rows of its featurizer's view
+    elsewhere = rr.VariantClassifier(clf.classifier, PairFeaturizer(
+        PreparedCorpus(list(corpus), vocab, params)))
     with pytest.raises(ValueError, match="rows of this featurizer's view"):
-        rr.rerank(query, cands, None, corpus, clf)
-    clf = rr.VariantClassifier(clf.classifier, PairFeaturizer(
-        vocab, params, PreparedCorpus(corpus, vocab, params)), clf.threshold)
+        rr.rerank(query, cands, None, corpus, elsewhere)
     out = rr.rerank(query, cands, None, corpus, clf)
     assert p.b_id in [i.ex_id for i in out.variant]
     for lst in (out.variant, out.similar):

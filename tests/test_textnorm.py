@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from exsim.corpus import Metadata
 from exsim.textnorm import (
-    MetadataError, SEP_ID, UNK_ID, Vocab, clean_text,
-    encode_metadata, normalize_text, split_tokens, tokenize,
+    MetadataError, SEP_ID, Vocab, clean_text,
+    encode_metadata, normalize_text, split_tokens,
 )
 
 
@@ -48,15 +48,6 @@ def test_normalize_text_canonicalizes_formulas():
 def test_normalize_text_counts_fallbacks():
     _, fallbacks = normalize_text(r"odd $\weird{x}$ thing")
     assert fallbacks == 1
-
-
-def test_tokenize_known_and_unk():
-    vocab = Vocab(["solve", "x"])
-    seq = tokenize("solve x", vocab)
-    assert len(seq) == 2
-    assert UNK_ID not in seq.ids
-    seq2 = tokenize("solve y", vocab)
-    assert seq2.ids[1] == UNK_ID
 
 
 def test_split_tokens_lowercases_and_splits_symbols():
