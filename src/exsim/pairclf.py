@@ -19,10 +19,13 @@ pairs in three stages: dedup, ranking and the variant split. The pair work
 is organised around three pieces:
 
 * :func:`levenshtein`, one edit-distance kernel over padded integer token
-  codes. It runs the row DP over the first sequence's tokens and is
-  vectorized across all pairs, either one query against many candidates or
-  aligned pairs at training time. ``edit_similarity`` is a thin wrapper over
-  it; there is no second implementation.
+  codes: Myers' bit-vector algorithm (1999) in Hyyrö's formulation (2003).
+  Its bit vectors run along each pair's second sequence in 64-token words,
+  one loop step per token of the first sequence, vectorized across all
+  pairs (one query against many candidates, or aligned pairs at training
+  time) in blocks of ``_BLOCK`` pairs. Every step is integer arithmetic, so
+  it returns the textbook DP's distances exactly. ``edit_similarity`` is a
+  thin wrapper over it; there is no second implementation.
 * :class:`PreparedCorpus`, a view that normalizes each exercise's texts
   once, for serving and for training alike: their tokens, padded token
   codes and lengths, their vocabulary ids, and each exercise's single-text
@@ -83,6 +86,7 @@ from .textnorm import UNK_ID, Vocab, canonical_stop_words, normalize_text, split
 
 PAD_CODE = -1
 _BLOCK = 512  # pairs per pass of the edit-distance kernel
+_COMPARE_BOOLS = 2 ** 17  # bool temporary of one compare in the kernel
 _NEWTON_STEPS = 50  # iteration cap of PairClassifier.train
 _NEWTON_TOL = 1e-8  # ... and its stopping bound on max |gradient|
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
@@ -104,15 +108,25 @@ def levenshtein(a: np.ndarray, a_len, b: np.ndarray, b_len) -> np.ndarray:
     """Token-level Levenshtein distance of each pair (a[p], b[p]).
 
     ``a`` is (P, La) or a single (1, La) row that broadcasts against every
-    row of ``b`` (P, Lb); ``a_len``/``b_len`` give each row's true length and
-    the entries past it are padding, whatever their value. The DP runs one
-    row per token of ``a``, vectorized across pairs and across the columns
-    of ``b``. A row stores ``D[i, c] - c``: ``min(prev[1:] + 1, prev[:-1] -
-    match)`` covers deletion and substitution, and a prefix
-    ``minimum.accumulate`` along the columns settles the insertion chain.
-    Rows are laid out (columns, pairs), so every step works on contiguous
-    runs of pairs. Pairs go through in blocks of ``_BLOCK`` to bound the
-    temporaries. The result is integers, so it is exact whatever the layout.
+    row of ``b`` (P, Lb), or the other way round; ``a_len``/``b_len`` give
+    each row's true length and the entries past it are padding, whatever
+    their value.
+
+    Bit-parallel: Myers' algorithm (J. ACM 1999) in Hyyrö's formulation
+    (2003). With D[j, i] the distance of b[:j] to a[:i], column i is held
+    as two bit vectors along ``b``, the positions j where D[j + 1, i] -
+    D[j, i] is +1 (``vp``) and -1 (``vn``), in 64-token uint64 words with
+    the carries passed from word to word. One loop step takes one token of
+    ``a`` to the next column in 14 word operations (a few more per extra
+    word), vectorized across pairs; the matches of every token of ``a``
+    along ``b`` are bit masks built up front for the whole block. Bit j of
+    a step's result depends only on bits 0..j of its inputs (additions
+    carry and shifts move upward), so the bits past ``b_len`` never reach
+    those below it and need no masking. The distance is D[0, a_len] = a_len
+    plus the deltas down the pair's last column, counted over the first
+    ``b_len`` bits. Pairs go through in blocks of ``_BLOCK``, which bounds
+    the temporaries. Every step is exact integer arithmetic, so the result
+    equals the textbook DP's.
     """
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
@@ -128,32 +142,89 @@ def levenshtein(a: np.ndarray, a_len, b: np.ndarray, b_len) -> np.ndarray:
     return out
 
 
+def _pack(flags: np.ndarray, out: np.ndarray) -> None:
+    """Bool ``flags`` (..., 8k) into the first k bytes of the zeroed uint8
+    ``out`` (..., 8 * words): flag j at bit j % 8 of byte j // 8, so that
+    ``out`` viewed as little-endian uint64 holds flag j at bit j % 64 of
+    word j // 64. Each row is whole bytes, so packing the flat array packs
+    every row (several times faster than ``axis=-1`` over short rows)."""
+    row_bytes = flags.shape[-1] // 8
+    packed = np.packbits(flags.reshape(-1), bitorder="little")
+    out[..., :row_bytes] = packed.reshape(flags.shape[:-1] + (row_bytes,))
+
+
+def _carry(total: np.ndarray, addend: np.ndarray) -> None:
+    """Finish ``total = x + addend`` over the words of each row, low word
+    first, after a wordwise wrapping add: a word carries out when its sum is
+    below ``addend`` (or equal to it with a carry in)."""
+    carry = total[:, 0] < addend[:, 0]
+    for w in range(1, total.shape[1]):
+        total[:, w] += carry
+        carry = (total[:, w] < addend[:, w]) | (carry & (total[:, w] == addend[:, w]))
+
+
 def _levenshtein_block(a, a_len, b, b_len) -> np.ndarray:
     n = len(a)
-    # longest first, so the pairs still inside their a-sequence at row i are
-    # a prefix; a pair's DP row then stays at i = a_len once it is done
-    order = np.argsort(-a_len, kind="stable")
-    a_len, b_len = a_len[order], b_len[order]
-    # tokens and DP rows are stored position-major, pairs on the contiguous
-    # axis, so the insertion chain accumulates along axis 0 over whole rows
-    at = np.ascontiguousarray(a[order].T)
-    bt = np.ascontiguousarray(b[order].T)
-    # a row holds D[i, c] - c: insertion (D[i, c - 1] + 1) is then the plain
-    # prefix minimum, deletion adds 1 and a match subtracts 1
-    prev = np.zeros((b.shape[1] + 1, n), dtype=np.int32)
-    tmp = np.empty_like(prev)
-    # active[i - 1]: how many pairs have a_len >= i
-    active = np.searchsorted(-a_len, -np.arange(1, int(a_len.max(initial=0)) + 1),
-                             side="right")
-    for i, k in enumerate(active.tolist(), start=1):
-        match = at[i - 1, :k] == bt[:, :k]
-        tmp[0, :k] = i
-        np.subtract(prev[:-1, :k], match, out=tmp[1:, :k])
-        np.minimum(tmp[1:, :k], prev[1:, :k] + 1, out=tmp[1:, :k])
-        np.minimum.accumulate(tmp[:, :k], axis=0, out=prev[:, :k])
-    out = np.empty(n, dtype=np.int64)
-    out[order] = prev[b_len, np.arange(n)] + b_len
-    return out
+    la, lb = int(a_len.max(initial=0)), int(b_len.max(initial=0))
+    words = max(1, -(-lb // 64))
+    multi = words > 1
+    # b's tokens to a whole number of bytes; what the padding matches lands
+    # past b_len. A one-row a keeps its zero stride, so numpy runs each
+    # compare as one loop over every (pair, position); a chunk of a's
+    # columns at a time bounds the bool temporary.
+    width = -(-lb // 8) * 8
+    b_bytes = np.full((n, width), PAD_CODE, dtype=b.dtype)
+    b_bytes[:, :lb] = b[:, :lb]
+    a_cols = a[:, :la].T[:, :, None]
+    eq = np.zeros((la, n, 8 * words), dtype=np.uint8)
+    chunk = max(1, _COMPARE_BOOLS // max(1, n * width))
+    for i in range(0, la, chunk):
+        _pack(a_cols[i:i + chunk] == b_bytes, eq[i:i + chunk])
+    eq = eq.view("<u8")  # (la, n, words)
+    in_b = np.zeros((n, 8 * words), dtype=np.uint8)
+    _pack(np.arange(width) < b_len[:, None], in_b)
+    in_b = in_b.view("<u8")
+    vp = np.full((n, words), np.iinfo(np.uint64).max, dtype=np.uint64)  # D[j, 0] = j
+    vn = np.zeros_like(vp)
+    x, d0, hn, not_hp = (np.empty_like(vp) for _ in range(4))
+    # the vectors of the pairs whose a ends at a column are copied out there;
+    # pairs with an empty a keep the first column
+    last_vp, last_vn = vp.copy(), vn.copy()
+    ends = np.bincount(a_len).tolist()
+    for i, eq_i in enumerate(eq, start=1):
+        np.bitwise_or(eq_i, vn, out=x)
+        # d0 = (((x & vp) + vp) ^ vp) | x: where the diagonal delta is 0
+        np.bitwise_and(x, vp, out=d0)
+        np.add(d0, vp, out=d0)
+        if multi:
+            _carry(d0, vp)
+        np.bitwise_xor(d0, vp, out=d0)
+        np.bitwise_or(d0, x, out=d0)
+        np.bitwise_and(vp, d0, out=hn)
+        # hp = vn | ~(vp | d0) is the complement of (vp | d0) ^ vn, as vn
+        # lies inside d0. Shifted up by one, the complement takes in the 0
+        # that stands for hp = 1 in row 0 (D[0, i] - D[0, i - 1] = +1).
+        np.bitwise_or(vp, d0, out=not_hp)
+        np.bitwise_xor(not_hp, vn, out=not_hp)
+        if multi:
+            hp_top, hn_top = not_hp[:, :-1] >> 63, hn[:, :-1] >> 63
+        np.add(not_hp, not_hp, out=not_hp)  # doubling: the shift up by one
+        np.add(hn, hn, out=hn)
+        if multi:
+            not_hp[:, 1:] |= hp_top
+            hn[:, 1:] |= hn_top
+        # with the shifted hp = ~not_hp: vn = hp & d0 = d0 ^ (not_hp & d0)
+        # and vp = hn | ~(hp | d0) = hn | (not_hp ^ (not_hp & d0))
+        np.bitwise_and(not_hp, d0, out=x)
+        np.bitwise_xor(d0, x, out=vn)
+        np.bitwise_xor(not_hp, x, out=not_hp)
+        np.bitwise_or(hn, not_hp, out=vp)
+        if ends[i]:
+            done = np.flatnonzero(a_len == i)
+            last_vp[done] = vp[done]
+            last_vn[done] = vn[done]
+    return (a_len + np.bitwise_count(last_vp & in_b).sum(axis=1, dtype=np.int64)
+            - np.bitwise_count(last_vn & in_b).sum(axis=1, dtype=np.int64))
 
 
 def edit_similarities(a: np.ndarray, a_len, b: np.ndarray, b_len) -> np.ndarray:

@@ -14,9 +14,9 @@ plain loop and ``sorted(..., key=(-score, id))[:k]`` would, bit for bit:
 
 - BM25 postings are numpy arrays built once with each posting's length
   denominator and each token's ``math.log`` idf (not ``np.log``, whose last
-  bit can differ). A query accumulates token by token in sorted-token
-  order, so each document's score is the same sequence of float operations
-  as the per-document loop.
+  bit can differ). A query sums its postings with one ``np.bincount``
+  over them in sorted-token order, so each document's score is the same
+  sequence of float operations as the per-document loop.
 - Top-k finds the k-th best score by partition and keeps every row scoring
   at least that much, so ties at the cut survive; those rows are ordered by
   ``np.lexsort`` on (-score, the row's rank in sorted-id order), so ties
@@ -206,11 +206,13 @@ class LexicalIndex:
 
     Each token's postings are numpy arrays holding the per-posting BM25
     denominator, and its idf is a ``math.log`` float, both computed once.
-    A query adds ``qtf * idf * tf * (k1 + 1) / denom`` into a dense score
-    array one token at a time in sorted-token order, then adds
-    ``boost * shared`` to the touched rows sharing a concept. Every float
-    operation is the one a per-document loop over sorted tokens performs, in
-    the same order, so such a loop reproduces the scores bit for bit.
+    A query concatenates its tokens' postings in sorted-token order, takes
+    each posting's ``(qtf * idf) * tf * (k1 + 1) / denom`` and sums them
+    per document with one ``np.bincount``, which adds in input order from
+    0.0; then it adds ``boost * shared`` to the touched rows sharing a
+    concept. Every float operation is the one a per-document loop over
+    sorted tokens performs, in the same order, so such a loop reproduces the
+    scores bit for bit.
     """
 
     def __init__(self, index: RowIndex, token_lists: list[list[str]],
@@ -261,16 +263,17 @@ class LexicalIndex:
         counts: dict[str, int] = {}
         for t in query_tokens:
             counts[t] = counts.get(t, 0) + 1
+        hits = [(counts[t], self.postings[t]) for t in sorted(counts) if t in self.postings]
+        if not hits:
+            return RowScores(np.empty(0, dtype=np.intp), np.empty(0))
         n = len(self.ids)
-        scores = np.zeros(n)
-        touched = np.zeros(n, dtype=bool)
-        for t in sorted(counts):
-            plist = self.postings.get(t)
-            if plist is None:
-                continue
-            scores[plist.rows] += (counts[t] * plist.idf * plist.tf
-                                   * (BM25_K1 + 1.0) / plist.denom)
-            touched[plist.rows] = True
+        rows = np.concatenate([plist.rows for _, plist in hits])
+        weights = np.repeat([count * plist.idf for count, plist in hits],
+                            [len(plist.rows) for _, plist in hits])
+        contributions = (weights * np.concatenate([plist.tf for _, plist in hits])
+                         * (BM25_K1 + 1.0) / np.concatenate([plist.denom for _, plist in hits]))
+        scores = np.bincount(rows, contributions, minlength=n)
+        touched = np.bincount(rows, minlength=n) > 0
         if query_concepts and self.concept_boost:
             shared = np.zeros(n, dtype=np.int64)
             for c in query_concepts:
@@ -391,10 +394,17 @@ class DuplicateDetector:
         return (p_ab + p_ba) / 2.0
 
     def prob_pairs(self, u: np.ndarray, v: np.ndarray, sims: np.ndarray) -> np.ndarray:
-        """``prob`` of the pairs a featurizer gives as (u, v, edit similarities)."""
-        p_ab = self.classifier.prob_rows(pair_feature_rows(u, v, sims))
-        p_ba = self.classifier.prob_rows(pair_feature_rows(v, u, sims))
-        return (p_ab + p_ba) / 2.0
+        """``prob`` of the pairs a featurizer gives as (u, v, edit similarities).
+
+        The (v, u) rows are the (u, v) rows with the u and v blocks swapped:
+        |v - u| and v * u have the bits of |u - v| and u * v, since IEEE
+        subtraction is sign-symmetric and multiplication commutes.
+        """
+        ab = pair_feature_rows(u, v, sims)
+        d = np.shape(u)[-1]
+        ba = np.empty_like(ab)
+        ba[:, :d], ba[:, d:2 * d], ba[:, 2 * d:] = ab[:, d:2 * d], ab[:, :d], ab[:, 2 * d:]
+        return (self.classifier.prob_rows(ab) + self.classifier.prob_rows(ba)) / 2.0
 
     @classmethod
     def load(cls, path, featurizer: PairFeaturizer) -> "DuplicateDetector":

@@ -209,6 +209,108 @@ def test_kernel_blocks_match_one_pass():
         [reference_levenshtein(x, y) for x, y in zip(rows[:650], rows[650:])]
 
 
+# around the edges of the kernel's 64-token words
+EDGE_LENGTHS = [0, 1, 2, 63, 64, 65, 127, 128, 129, 200]
+
+
+def edited(rng, row, n_edits, alphabet):
+    """``row`` after ``n_edits`` random substitutions, insertions and deletions."""
+    row = list(row)
+    for _ in range(n_edits):
+        op, at = rng.integers(3), int(rng.integers(len(row) + 1))
+        if op == 0 and at < len(row):
+            row[at] = int(rng.integers(alphabet))
+        elif op == 1:
+            row.insert(at, int(rng.integers(alphabet)))
+        elif row:
+            del row[min(at, len(row) - 1)]
+    return row
+
+
+def check_kernel(a_rows, b_rows, pad, extra):
+    """``levenshtein`` and ``edit_similarities`` of the rows padded with
+    ``pad`` plus ``extra`` columns equal the reference DP: aligned, and with
+    either side as one broadcast row when it has one row."""
+    a, a_len = padded(a_rows, pad, extra)
+    b, b_len = padded(b_rows, pad, extra + 1)
+    if len(a_rows) == 1:
+        pairs = [(a_rows[0], y) for y in b_rows]
+    elif len(b_rows) == 1:
+        pairs = [(x, b_rows[0]) for x in a_rows]
+    else:
+        pairs = list(zip(a_rows, b_rows))
+    assert levenshtein(a, a_len, b, b_len).tolist() == \
+        [reference_levenshtein(x, y) for x, y in pairs]
+    assert edit_similarities(a, a_len, b, b_len).tolist() == \
+        [reference_similarity(x, y) for x, y in pairs]
+
+
+def test_kernel_crosses_word_boundaries():
+    """Every pair of lengths at the 64- and 128-token word edges, as random
+    rows over 2 or 5 codes and as near copies, which run long chains of
+    matches and carries through the words."""
+    rng = np.random.default_rng(5)
+    a_rows, b_rows = [], []
+    for n in EDGE_LENGTHS:
+        for m in EDGE_LENGTHS:
+            alphabet = 2 if len(a_rows) % 2 else 5
+            a_rows.append(rng.integers(alphabet, size=n).tolist())
+            b_rows.append(rng.integers(alphabet, size=m).tolist())
+    for n in EDGE_LENGTHS:
+        row = rng.integers(3, size=n).tolist()
+        for n_edits in (0, 1, 3, 20):
+            a_rows.append(row)
+            b_rows.append(edited(rng, row, n_edits, 3))
+    # whole words of one code, which a carry runs through into the next word
+    for n in (1, 2, 65, 200):
+        for b_row in ([0] * 129, [0] * 200, [0] * 128 + [1, 0], [0] * 128 + [1] * 10 + [0] * 62):
+            a_rows.append([0] * n)
+            b_rows.append(b_row)
+    check_kernel(a_rows, b_rows, pad=1, extra=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 200), min_size=1, max_size=4), st.integers(0, 200),
+       st.integers(0, 3), st.sampled_from(["aligned", "one a", "one b"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_kernel_long_rows_equal_reference(lengths, other, pad, layout, seed):
+    """Rows of 0-200 tokens over codes 0..3, padded with one of those codes,
+    as aligned pairs, one ``a`` row against many ``b`` rows and the other
+    way round; half the ``b`` rows are near copies of their ``a`` row."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.integers(4, size=n).tolist() for n in lengths]
+    others = [edited(rng, r, int(rng.integers(8)), 4) if rng.random() < 0.5
+              else rng.integers(4, size=int(rng.integers(other + 1))).tolist()
+              for r in rows]
+    if layout == "one a":
+        rows = rows[:1]
+    elif layout == "one b":
+        others = others[:1]
+    check_kernel(rows, others, pad, extra=int(rng.integers(3)))
+
+
+def test_kernel_blocks_of_long_rows():
+    """More than ``_BLOCK`` pairs, whose blocks need different numbers of
+    words: one short ``a`` row against every ``b`` row, and aligned pairs."""
+    rng = np.random.default_rng(11)
+    count = pairclf._BLOCK + 100
+    b_rows = [rng.integers(3, size=int(rng.integers(0, 150 if i < pairclf._BLOCK else 60)))
+              .tolist() for i in range(count)]
+    check_kernel([rng.integers(3, size=9).tolist()], b_rows, pad=0, extra=0)
+    a_rows = [rng.integers(3, size=int(rng.integers(0, 12))).tolist() for _ in range(count)]
+    check_kernel(a_rows, b_rows, pad=2, extra=1)
+
+
+def test_kernel_of_no_pairs():
+    for a_rows in (0, 1):
+        dist = levenshtein(np.zeros((a_rows, 4), dtype=np.int32), np.zeros(a_rows),
+                           np.zeros((0, 3), dtype=np.int32), np.zeros(0))
+        assert dist.dtype == np.int64 and dist.shape == (0,)
+        sims = edit_similarities(np.zeros((a_rows, 4), dtype=np.int32), np.zeros(a_rows),
+                                 np.zeros((0, 3), dtype=np.int32), np.zeros(0))
+        assert sims.shape == (0,)
+
+
 def exercise(ex_id, text):
     return Exercise(id=ex_id, stem=text, options=(), answer="", analysis="",
                     image_features=(), metadata=Metadata("fill", 1, ("c01",)),
@@ -364,6 +466,24 @@ def test_prepared_query_starts_afresh_for_another_view():
     query = PreparedQuery(exercise("q", "zq ef"), VOCAB)
     assert query.edit_similarities(first, np.array([0, 1])).tolist() == [0.0, 1.0]
     assert query.edit_similarities(second, np.array([0, 1])).tolist() == [1.0, 0.0]
+
+
+def test_prepared_query_over_rows_longer_than_a_word():
+    """The serving path over rows of 60 to 150 tokens, most of them longer
+    than one 64-token word, equals the per-pair ``edit_similarity``."""
+    rng = np.random.default_rng(3)
+    vocab_words = ["ab", "cd", "ef", "xy", "zq", "mn"]
+    texts = [" ".join(rng.choice(vocab_words, size=int(rng.integers(60, 150))))
+             for _ in range(12)]
+    texts.append(" ".join(texts[0].split()[:-1] + ["mn"] * 3))
+    view = PreparedCorpus([exercise(f"e{i}", t) for i, t in enumerate(texts)], VOCAB, PARAMS)
+    assert max(view.lengths) > 128
+    query = PreparedQuery(exercise("q", texts[0] + " zq"), VOCAB)
+    rows = np.arange(len(texts))
+    assert query.edit_similarities(view, rows).tolist() == \
+        [edit_similarity(query.tokens, tokens) for tokens in view.tokens]
+    assert query.edit_similarities(view, rows).tolist() == \
+        [reference_similarity(query.tokens, tokens) for tokens in view.tokens]
 
 
 def test_prepared_query_is_embedded_once_per_backbone(monkeypatch):
