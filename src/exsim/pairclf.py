@@ -20,12 +20,13 @@ is organised around three pieces:
 
 * :func:`levenshtein`, one edit-distance kernel over padded integer token
   codes: Myers' bit-vector algorithm (1999) in Hyyrö's formulation (2003).
-  Its bit vectors run along each pair's second sequence in 64-token words,
-  one loop step per token of the first sequence, vectorized across all
-  pairs (one query against many candidates, or aligned pairs at training
-  time) in blocks of ``_BLOCK`` pairs. Every step is integer arithmetic, so
-  it returns the textbook DP's distances exactly. ``edit_similarity`` is a
-  thin wrapper over it; there is no second implementation.
+  Its bit vectors run along each pair's second sequence, one loop step per
+  token of the first sequence. Every pair of a block of ``_BLOCK`` pairs
+  (one query against many candidates, or aligned pairs at training time)
+  is a lane of bits in one Python int, so a step is a dozen int operations
+  over all pairs at once. Every step is integer arithmetic, so it returns
+  the textbook DP's distances exactly. ``edit_similarity`` is a thin
+  wrapper over it; there is no second implementation.
 * :class:`PreparedCorpus`, a view that normalizes each exercise's texts
   once, for serving and for training alike: their tokens, padded token
   codes and lengths, their vocabulary ids, and each exercise's single-text
@@ -113,19 +114,33 @@ def levenshtein(a: np.ndarray, a_len, b: np.ndarray, b_len) -> np.ndarray:
     their value.
 
     Bit-parallel: Myers' algorithm (J. ACM 1999) in Hyyrö's formulation
-    (2003). With D[j, i] the distance of b[:j] to a[:i], column i is held
-    as two bit vectors along ``b``, the positions j where D[j + 1, i] -
-    D[j, i] is +1 (``vp``) and -1 (``vn``), in 64-token uint64 words with
-    the carries passed from word to word. One loop step takes one token of
-    ``a`` to the next column in 14 word operations (a few more per extra
-    word), vectorized across pairs; the matches of every token of ``a``
-    along ``b`` are bit masks built up front for the whole block. Bit j of
-    a step's result depends only on bits 0..j of its inputs (additions
-    carry and shifts move upward), so the bits past ``b_len`` never reach
-    those below it and need no masking. The distance is D[0, a_len] = a_len
-    plus the deltas down the pair's last column, counted over the first
-    ``b_len`` bits. Pairs go through in blocks of ``_BLOCK``, which bounds
-    the temporaries. Every step is exact integer arithmetic, so the result
+    (2003), with the pairs packed side by side as in Hyyrö, Fredriksson and
+    Navarro (JEA 2005). With D[j, i] the distance of b[:j] to a[:i], column
+    i is held as two bit vectors along ``b``, the positions j where
+    D[j + 1, i] - D[j, i] is +1 (``vp``) and -1 (``vn``). Each pair owns a
+    lane of ``width`` = (max b_len // 8 + 1) * 8 bits, and the lanes of a
+    block sit end to end in one Python int, bit j of pair p at bit
+    p * width + j; the matches of every token of ``a`` along ``b`` are ints
+    of the same layout, built up front for the whole block. One loop step
+    takes one token of ``a`` to the next column in about a dozen int
+    operations across every pair.
+
+    Masking rule: the lane mask ``mask`` holds the first ``b_len`` bits of
+    each lane, so every lane has at least one guard bit above its row, and
+    ``vp``/``vn`` never hold a bit outside it. The add then carries at most
+    into a lane's first guard bit, and a shift by one moves a lane's top row
+    bit into that guard and the 0 of the guard below into its bit 0 (the
+    hp = 1 of row 0). ``& mask`` after the add and after each shift clears
+    those bits again, so no lane reaches its neighbour and the bits of
+    ``b``'s padding (matches past ``b_len``) never enter the state. Bit j of
+    a lane depends only on bits 0..j of it, so the masking leaves the bits
+    below ``b_len`` as the unpacked algorithm computes them.
+
+    The distance is D[0, a_len] = a_len plus the deltas down the pair's
+    last column: the set bits of its lane of ``vp`` minus those of ``vn``.
+    A pair whose ``a`` ends before the block's longest keeps its lanes of
+    that column. Pairs go through in blocks of ``_BLOCK``, which bounds the
+    temporaries. Every step is exact integer arithmetic, so the result
     equals the textbook DP's.
     """
     a = np.atleast_2d(a)
@@ -142,89 +157,73 @@ def levenshtein(a: np.ndarray, a_len, b: np.ndarray, b_len) -> np.ndarray:
     return out
 
 
-def _pack(flags: np.ndarray, out: np.ndarray) -> None:
-    """Bool ``flags`` (..., 8k) into the first k bytes of the zeroed uint8
-    ``out`` (..., 8 * words): flag j at bit j % 8 of byte j // 8, so that
-    ``out`` viewed as little-endian uint64 holds flag j at bit j % 64 of
-    word j // 64. Each row is whole bytes, so packing the flat array packs
-    every row (several times faster than ``axis=-1`` over short rows)."""
-    row_bytes = flags.shape[-1] // 8
-    packed = np.packbits(flags.reshape(-1), bitorder="little")
-    out[..., :row_bytes] = packed.reshape(flags.shape[:-1] + (row_bytes,))
-
-
-def _carry(total: np.ndarray, addend: np.ndarray) -> None:
-    """Finish ``total = x + addend`` over the words of each row, low word
-    first, after a wordwise wrapping add: a word carries out when its sum is
-    below ``addend`` (or equal to it with a carry in)."""
-    carry = total[:, 0] < addend[:, 0]
-    for w in range(1, total.shape[1]):
-        total[:, w] += carry
-        carry = (total[:, w] < addend[:, w]) | (carry & (total[:, w] == addend[:, w]))
+def _pack(flags: np.ndarray) -> np.ndarray:
+    """Bool ``flags`` (..., width), width a multiple of 8, as the flat bytes
+    of one little-endian bit string: flag j of row p at bit p * width + j.
+    Each row is whole bytes, so packing the flat array packs every row
+    (several times faster than ``axis=-1`` over short rows)."""
+    return np.packbits(flags.reshape(-1), bitorder="little")
 
 
 def _levenshtein_block(a, a_len, b, b_len) -> np.ndarray:
     n = len(a)
     la, lb = int(a_len.max(initial=0)), int(b_len.max(initial=0))
-    words = max(1, -(-lb // 64))
-    multi = words > 1
-    # b's tokens to a whole number of bytes; what the padding matches lands
-    # past b_len. A one-row a keeps its zero stride, so numpy runs each
-    # compare as one loop over every (pair, position); a chunk of a's
-    # columns at a time bounds the bool temporary.
-    width = -(-lb // 8) * 8
-    b_bytes = np.full((n, width), PAD_CODE, dtype=b.dtype)
-    b_bytes[:, :lb] = b[:, :lb]
+    width = (lb // 8 + 1) * 8  # bits of one pair's lane, guard bits included
+    lane_bytes = width // 8
+    # b's tokens to the lane width; what the padding matches lands past
+    # b_len. A one-row a keeps its zero stride, so numpy runs each compare
+    # as one loop over every (pair, position); a chunk of a's columns at a
+    # time bounds the bool temporary, laid out in C order for the packing
+    # (numpy would follow the layout of a's transposed columns otherwise).
+    b_lane = np.full((n, width), PAD_CODE, dtype=b.dtype)
+    b_lane[:, :lb] = b[:, :lb]
     a_cols = a[:, :la].T[:, :, None]
-    eq = np.zeros((la, n, 8 * words), dtype=np.uint8)
-    chunk = max(1, _COMPARE_BOOLS // max(1, n * width))
+    eq = np.empty((la, n * lane_bytes), dtype=np.uint8)
+    chunk = max(1, _COMPARE_BOOLS // (n * width))
     for i in range(0, la, chunk):
-        _pack(a_cols[i:i + chunk] == b_bytes, eq[i:i + chunk])
-    eq = eq.view("<u8")  # (la, n, words)
-    in_b = np.zeros((n, 8 * words), dtype=np.uint8)
-    _pack(np.arange(width) < b_len[:, None], in_b)
-    in_b = in_b.view("<u8")
-    vp = np.full((n, words), np.iinfo(np.uint64).max, dtype=np.uint64)  # D[j, 0] = j
-    vn = np.zeros_like(vp)
-    x, d0, hn, not_hp = (np.empty_like(vp) for _ in range(4))
-    # the vectors of the pairs whose a ends at a column are copied out there;
-    # pairs with an empty a keep the first column
-    last_vp, last_vn = vp.copy(), vn.copy()
-    ends = np.bincount(a_len).tolist()
+        eq[i:i + chunk] = _pack(np.equal(a_cols[i:i + chunk], b_lane, order="C")).reshape(
+            -1, n * lane_bytes)
+    mask = int.from_bytes(_pack(np.arange(width) < b_len[:, None]), "little")
+    vp, vn = mask, 0  # D[j, 0] = j: every delta down the first column is +1
+    # the vectors of the pairs whose a ends before the last column are kept
+    # there, through the lane masks of every a_len; one a_len needs none
+    ends = _lane_masks(a_len, lane_bytes) if a_len.min() < la else {}
+    kept_p, kept_n = mask & ends.get(0, 0), 0
     for i, eq_i in enumerate(eq, start=1):
-        np.bitwise_or(eq_i, vn, out=x)
-        # d0 = (((x & vp) + vp) ^ vp) | x: where the diagonal delta is 0
-        np.bitwise_and(x, vp, out=d0)
-        np.add(d0, vp, out=d0)
-        if multi:
-            _carry(d0, vp)
-        np.bitwise_xor(d0, vp, out=d0)
-        np.bitwise_or(d0, x, out=d0)
-        np.bitwise_and(vp, d0, out=hn)
+        x = int.from_bytes(eq_i, "little") | vn
+        d0 = ((((x & vp) + vp) ^ vp) | x) & mask
+        hn = ((vp & d0) << 1) & mask
         # hp = vn | ~(vp | d0) is the complement of (vp | d0) ^ vn, as vn
         # lies inside d0. Shifted up by one, the complement takes in the 0
-        # that stands for hp = 1 in row 0 (D[0, i] - D[0, i - 1] = +1).
-        np.bitwise_or(vp, d0, out=not_hp)
-        np.bitwise_xor(not_hp, vn, out=not_hp)
-        if multi:
-            hp_top, hn_top = not_hp[:, :-1] >> 63, hn[:, :-1] >> 63
-        np.add(not_hp, not_hp, out=not_hp)  # doubling: the shift up by one
-        np.add(hn, hn, out=hn)
-        if multi:
-            not_hp[:, 1:] |= hp_top
-            hn[:, 1:] |= hn_top
+        # (the guard bit of the lane below) that stands for hp = 1 in row 0.
+        not_hp = (((vp | d0) ^ vn) << 1) & mask
         # with the shifted hp = ~not_hp: vn = hp & d0 = d0 ^ (not_hp & d0)
         # and vp = hn | ~(hp | d0) = hn | (not_hp ^ (not_hp & d0))
-        np.bitwise_and(not_hp, d0, out=x)
-        np.bitwise_xor(d0, x, out=vn)
-        np.bitwise_xor(not_hp, x, out=not_hp)
-        np.bitwise_or(hn, not_hp, out=vp)
-        if ends[i]:
-            done = np.flatnonzero(a_len == i)
-            last_vp[done] = vp[done]
-            last_vn[done] = vn[done]
-    return (a_len + np.bitwise_count(last_vp & in_b).sum(axis=1, dtype=np.int64)
-            - np.bitwise_count(last_vn & in_b).sum(axis=1, dtype=np.int64))
+        t = not_hp & d0
+        vn = d0 ^ t
+        vp = hn | (not_hp ^ t)
+        if i in ends:
+            kept_p |= vp & ends[i]
+            kept_n |= vn & ends[i]
+    if ends:
+        vp, vn = kept_p, kept_n
+    return a_len + _lane_counts(vp, n, lane_bytes) - _lane_counts(vn, n, lane_bytes)
+
+
+def _lane_masks(a_len: np.ndarray, lane_bytes: int) -> dict[int, int]:
+    """For each distinct ``a_len``, the int with every bit of the lanes of
+    the pairs of that length set, built in one pass. The lengths come from
+    ``bincount``: the first ``np.unique`` call of a process maps about
+    1.6 MB more, which raised cold-5k's peak memory."""
+    lengths = np.flatnonzero(np.bincount(a_len))
+    rows = np.repeat(a_len == lengths[:, None], lane_bytes, axis=1) * np.uint8(255)
+    return {k: int.from_bytes(row, "little") for k, row in zip(lengths.tolist(), rows)}
+
+
+def _lane_counts(lanes: int, n: int, lane_bytes: int) -> np.ndarray:
+    """The number of set bits in each of the ``n`` lanes of ``lanes``."""
+    packed = np.frombuffer(lanes.to_bytes(n * lane_bytes, "little"), dtype=np.uint8)
+    return np.bitwise_count(packed.reshape(n, lane_bytes)).sum(axis=1, dtype=np.int64)
 
 
 def edit_similarities(a: np.ndarray, a_len, b: np.ndarray, b_len) -> np.ndarray:

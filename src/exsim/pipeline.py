@@ -6,9 +6,11 @@ classifier heads). Build steps write them, :class:`Pipeline` loads them and
 answers queries by composing recall, ranking and re-rank. The two recall
 indexes are not artifacts: ``Pipeline.load`` builds them in memory from the
 corpus, vocabulary and encoder it loads, so they cannot go stale. Each
-loaded snapshot carries a content digest; the digests version the query
-cache, so retraining anything invalidates cached results implicitly. Steps
-that read the labeled pairs refuse a pair naming an id the corpus lacks.
+loaded snapshot's content digest is kept in ``Pipeline.versions``. The
+query cache belongs to one loaded pipeline, whose artifacts never change: a
+retrain takes effect through a new ``Pipeline.load``, which starts with an
+empty cache. Steps that read the labeled pairs refuse a pair naming an id
+the corpus lacks.
 
 Text becomes tokens in one place, ``pairclf.PreparedCorpus``, and each step
 prepares the bank once. ``step_pretrain`` builds the vocabulary from the
@@ -508,7 +510,7 @@ class Pipeline:
             qkey = ("id", query)
         pkey = None if profile is None else (profile.ability, profile.stage_mode,
                                              profile.current_stage)
-        return (qkey, pkey, tuple(sorted(self.versions.items())))
+        return qkey, pkey
 
     def query(self, query: Union[str, Exercise],
               profile: Optional[StudentProfile] = None) -> RerankedResult:

@@ -209,7 +209,7 @@ def test_kernel_blocks_match_one_pass():
         [reference_levenshtein(x, y) for x, y in zip(rows[:650], rows[650:])]
 
 
-# around the edges of the kernel's 64-token words
+# lengths around 64 and 128 tokens
 EDGE_LENGTHS = [0, 1, 2, 63, 64, 65, 127, 128, 129, 200]
 
 
@@ -230,7 +230,9 @@ def edited(rng, row, n_edits, alphabet):
 def check_kernel(a_rows, b_rows, pad, extra):
     """``levenshtein`` and ``edit_similarities`` of the rows padded with
     ``pad`` plus ``extra`` columns equal the reference DP: aligned, and with
-    either side as one broadcast row when it has one row."""
+    either side as one broadcast row when it has one row. Each check runs
+    as the kernel is configured and again with blocks of 3 pairs and
+    compares of 64 bools, so it crosses the kernel's block and chunk loops."""
     a, a_len = padded(a_rows, pad, extra)
     b, b_len = padded(b_rows, pad, extra + 1)
     if len(a_rows) == 1:
@@ -239,16 +241,46 @@ def check_kernel(a_rows, b_rows, pad, extra):
         pairs = [(x, b_rows[0]) for x in a_rows]
     else:
         pairs = list(zip(a_rows, b_rows))
-    assert levenshtein(a, a_len, b, b_len).tolist() == \
-        [reference_levenshtein(x, y) for x, y in pairs]
-    assert edit_similarities(a, a_len, b, b_len).tolist() == \
-        [reference_similarity(x, y) for x, y in pairs]
+    distances = [reference_levenshtein(x, y) for x, y in pairs]
+    sims = [reference_similarity(x, y) for x, y in pairs]
+    for block, bools in ((pairclf._BLOCK, pairclf._COMPARE_BOOLS), (3, 64)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pairclf, "_BLOCK", block)
+            patch.setattr(pairclf, "_COMPARE_BOOLS", bools)
+            assert levenshtein(a, a_len, b, b_len).tolist() == distances
+            assert edit_similarities(a, a_len, b, b_len).tolist() == sims
+
+
+# around the bytes of the kernel's lanes: a lane is (longest b // 8 + 1) * 8
+# bits, so a b of 8k tokens leaves a one-byte guard
+LANE_LENGTHS = [0, 1, 7, 8, 9, 63, 64, 200]
+
+
+def test_kernel_lanes_side_by_side():
+    """Every pair of lane lengths as neighbouring lanes of one block. The
+    longest ``b`` has 200 tokens, a multiple of 8, so the guard of its lane
+    starts at the first bit of the next byte. Rows of one code against each
+    other run matches down a whole lane, whose carry reaches the guard.
+    ``a`` ends at every length, 0 included, so the block keeps the lanes of
+    many columns; the padding is a real code, so it matches past
+    ``b_len``. Then one ``b`` row broadcast against every ``a`` row."""
+    rng = np.random.default_rng(15)
+    a_rows, b_rows = [], []
+    for n in LANE_LENGTHS:
+        for m in LANE_LENGTHS:
+            a_rows.append(rng.integers(2, size=n).tolist())
+            b_rows.append(rng.integers(2, size=m).tolist())
+        a_rows.append([0] * n)
+        b_rows.append([0] * n)
+    check_kernel(a_rows, b_rows, pad=0, extra=0)
+    for b_row in ([0] * 200, rng.integers(2, size=200).tolist()):
+        check_kernel(a_rows, [b_row], pad=0, extra=0)
 
 
 def test_kernel_crosses_word_boundaries():
-    """Every pair of lengths at the 64- and 128-token word edges, as random
-    rows over 2 or 5 codes and as near copies, which run long chains of
-    matches and carries through the words."""
+    """Every pair of lengths around 64 and 128 tokens, as random rows over
+    2 or 5 codes and as near copies, which run long chains of matches and
+    carries along a lane."""
     rng = np.random.default_rng(5)
     a_rows, b_rows = [], []
     for n in EDGE_LENGTHS:
@@ -261,7 +293,7 @@ def test_kernel_crosses_word_boundaries():
         for n_edits in (0, 1, 3, 20):
             a_rows.append(row)
             b_rows.append(edited(rng, row, n_edits, 3))
-    # whole words of one code, which a carry runs through into the next word
+    # long runs of one code, which a carry runs through
     for n in (1, 2, 65, 200):
         for b_row in ([0] * 129, [0] * 200, [0] * 128 + [1, 0], [0] * 128 + [1] * 10 + [0] * 62):
             a_rows.append([0] * n)
@@ -290,8 +322,8 @@ def test_kernel_long_rows_equal_reference(lengths, other, pad, layout, seed):
 
 
 def test_kernel_blocks_of_long_rows():
-    """More than ``_BLOCK`` pairs, whose blocks need different numbers of
-    words: one short ``a`` row against every ``b`` row, and aligned pairs."""
+    """More than ``_BLOCK`` pairs, whose blocks have lanes of different
+    widths: one short ``a`` row against every ``b`` row, and aligned pairs."""
     rng = np.random.default_rng(11)
     count = pairclf._BLOCK + 100
     b_rows = [rng.integers(3, size=int(rng.integers(0, 150 if i < pairclf._BLOCK else 60)))
@@ -470,7 +502,7 @@ def test_prepared_query_starts_afresh_for_another_view():
 
 def test_prepared_query_over_rows_longer_than_a_word():
     """The serving path over rows of 60 to 150 tokens, most of them longer
-    than one 64-token word, equals the per-pair ``edit_similarity``."""
+    than 64 tokens, equals the per-pair ``edit_similarity``."""
     rng = np.random.default_rng(3)
     vocab_words = ["ab", "cd", "ef", "xy", "zq", "mn"]
     texts = [" ".join(rng.choice(vocab_words, size=int(rng.integers(60, 150))))

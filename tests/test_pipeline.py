@@ -159,6 +159,27 @@ def test_load_indexes_the_current_encoder(workspace, tmp_path):
     assert pipe.query(corpus.ids[5]).all_ids()
 
 
+def test_a_retrained_ranker_is_served_after_load(workspace, tmp_path):
+    """The cache dies with its pipeline: after step_train_rank reruns with
+    another seed, the pipeline loaded from the workspace names the new ranker
+    and serves its scores, never a result cached under the old one."""
+    workdir, config, corpus = copy_workspace(workspace, tmp_path)
+    query_id = corpus.ids[5]
+    before = pl.Pipeline.load(workdir, config)
+    old = before.query(query_id)
+    retrain = pl.Config({**CONFIG, "rank.seed": "1"})
+    pl.step_train_rank(workdir, retrain)
+    pipe = pl.Pipeline.load(workdir, retrain)
+    assert pipe.versions["ranker"] != before.versions["ranker"]
+    served, hit = pipe.query_with_cache_info(query_id)
+    assert not hit
+    fresh = pipe._compute(pipe.resolve(query_id), None)
+    assert served.ids == fresh.ids
+    assert served.scores.tolist() == fresh.scores.tolist()
+    assert served.scores.tolist() != old.scores.tolist()
+    assert pipe.query_with_cache_info(query_id) == (served, True)
+
+
 def test_query_flow_and_cache(workspace):
     workdir, config, corpus, truth = workspace
     pipe = pl.Pipeline.load(workdir, config)
