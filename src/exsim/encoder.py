@@ -263,14 +263,6 @@ def project_image_batch_backward(d_out: np.ndarray, cache, params: EncoderParams
     grads["b_img"] += d_pre.sum(axis=0)
 
 
-def project_image(feat: np.ndarray, params: EncoderParams) -> np.ndarray:
-    feat = np.asarray(feat, dtype=np.float64)
-    if feat.ndim != 1 or feat.shape[0] != params.d_img:
-        raise ValueError(f"image feature must have dimension {params.d_img}")
-    out, _ = project_image_batch(feat[None, :], params)
-    return out[0]
-
-
 # ---------------------------------------------------------------------------
 # Losses (each returns the loss and analytic gradients w.r.t. its inputs)
 
@@ -307,15 +299,6 @@ def infonce_inbatch(anchors: np.ndarray, positives: np.ndarray, tau: float,
     d_anchors = d_logits @ positives
     d_positives = d_logits.T @ anchors
     return loss, d_anchors, d_positives, per_anchor
-
-
-def contrastive_loss(anchors: Sequence[np.ndarray], positives: Sequence[np.ndarray],
-                     temperature: float = 0.1):
-    """Public form of the in-batch loss over embedding lists."""
-    a = np.asarray(anchors, dtype=np.float64)
-    p = np.asarray(positives, dtype=np.float64)
-    loss, da, dp, _ = infonce_inbatch(a, p, temperature)
-    return loss, da, dp
 
 
 def infonce_sampled(anchors: np.ndarray, candidates: np.ndarray, tau: float):

@@ -42,8 +42,13 @@ is organised around three pieces:
   under the view's code table, its embedding under each backbone, and its
   edit similarities to view rows. The stages score shrinking subsets of the
   recalled list, so one kernel call, made by whichever stage asks first,
-  serves all three. A query is always prepared from its own text, never
-  looked up by id.
+  serves all three. :meth:`PreparedCorpus.query` makes one: the very
+  ``Exercise`` object a view holds at row r (checked by identity, never by
+  id) reads that row's tokens, ids, codes and length, and its embedding in
+  any view sharing those codes (the view itself and its ``embedded_with``
+  copies) is that view's row r, the same bits by rule 2 below. Any other
+  exercise, a probe or an equal copy of a bank exercise, is prepared from
+  its own text.
 
 A stage is built from one view; a miss passes one ``PreparedQuery``. A
 :class:`PairFeaturizer` is over one view and reads its vocabulary and
@@ -391,17 +396,33 @@ class PreparedCorpus:
         """A fresh table for one query, consistent with the view's codes."""
         return CodeTable(self.vocab, self.oov_codes)
 
+    def query(self, exercise: Exercise) -> "PreparedQuery":
+        """``exercise`` prepared as a query under the view's vocabulary.
+
+        The very object held at row r (an identity check, never the id) reads
+        row r's tokens, ids, codes and length, and its embedding in any view
+        sharing these codes is that view's row r (rule 2). Any other object,
+        a probe or an equal copy, is prepared from its own text."""
+        row = self.index.row_of.get(exercise.id)
+        if row is None or self.exercises[row] is not exercise:
+            return PreparedQuery(exercise, self.vocab)
+        return PreparedQuery(exercise, self.vocab, (self, row))
+
 
 class PreparedQuery:
     """One query's side of its pairs, prepared once for every stage of a miss.
 
     ``tokens`` are the query's normalized tokens, ``ids`` their vocabulary
-    ids and ``concepts`` its knowledge concepts. The rest is computed on
-    first use and kept:
+    ids and ``concepts`` its knowledge concepts. Without ``bank_row`` they
+    come from the exercise's own text; :meth:`PreparedCorpus.query` passes
+    (view, row) for the bank object at that row, whose prepared row they
+    are read from. The rest is computed on first use and kept:
 
-    * :meth:`embedding`, the single-text ``embed_text`` vector under one
-      backbone. Recall's ``query_embedding``, dedup and the variant split
-      read the encoder's; the ranker reads its own.
+    * :meth:`embedding_in` a view, the single-text ``embed_text`` vector
+      under its backbone: the view's row for a bank query (see
+      :meth:`PreparedCorpus.query`), else :meth:`embedding`, computed from
+      the query's ids. Recall's ``query_embedding``, dedup and the variant
+      split read the encoder's; the ranker reads its own.
     * :meth:`edit_similarities` to view rows, over ``codes``, the query's
       codes under the view's code table. Rows not scored yet go through one
       kernel call; rows scored before are read back, which equals a fresh
@@ -412,22 +433,44 @@ class PreparedQuery:
     them afresh.
     """
 
-    def __init__(self, exercise: Exercise, vocab: Vocab):
+    def __init__(self, exercise: Exercise, vocab: Vocab,
+                 bank_row: Optional[tuple[PreparedCorpus, int]] = None):
         self.exercise = exercise
         self.vocab = vocab
-        self.tokens = text_tokens(exercise.text, vocab.stop_words)
-        self.ids = np.array([vocab.id_of(t) for t in self.tokens], dtype=np.int64)
         self.concepts = frozenset(exercise.metadata.knowledge_concepts)
         self._embeddings: dict[int, tuple[object, np.ndarray]] = {}
-        self._view_codes: Optional[np.ndarray] = None
-        self.codes = self.length = None
-        self._sims = np.zeros(0)
+        self._bank: Optional[tuple[np.ndarray, int]] = None
+        if bank_row is None:
+            self.tokens = text_tokens(exercise.text, vocab.stop_words)
+            self.ids = np.array([vocab.id_of(t) for t in self.tokens], dtype=np.int64)
+            self._view_codes: Optional[np.ndarray] = None
+            self.codes = self.length = None
+            self._sims = np.zeros(0)
+        else:
+            view, row = bank_row
+            self._bank = (view.codes, row)
+            self.tokens = view.tokens[row]
+            self._view_codes = view.codes
+            self.length = view.lengths[row:row + 1]
+            self.codes = view.codes[row:row + 1, :int(self.length[0])]
+            self.ids = view._ids(self.codes, self.length)[0]
+            self._sims = np.full(len(view.lengths), np.nan)
 
     def embedding(self, params) -> np.ndarray:
+        """The query's single-text ``embed_text`` vector under ``params``,
+        from its own ids."""
         kept = self._embeddings.get(id(params))
         if kept is None:  # the params are kept too, so their id stays theirs
             kept = self._embeddings[id(params)] = (params, embed_text(self.ids, params))
         return kept[1]
+
+    def embedding_in(self, view: PreparedCorpus) -> np.ndarray:
+        """The embedding under ``view``'s params: the view's own row for a
+        bank query over the codes it was prepared from (the same bits, rule
+        2), else :meth:`embedding`."""
+        if self._bank is not None and self._bank[0] is view.codes:
+            return view.embeddings[self._bank[1]]
+        return self.embedding(view.params)
 
     def _bind(self, view: PreparedCorpus) -> None:
         if self._view_codes is not view.codes:
@@ -478,7 +521,7 @@ class PairFeaturizer:
 
     def embedding(self, query: PreparedQuery) -> np.ndarray:
         """``query``'s single-text embedding under the view's params."""
-        return query.embedding(self.view.params)
+        return query.embedding_in(self.view)
 
     def features(self, a: PreparedQuery, b: PreparedQuery) -> np.ndarray:
         """The feature row of one pair, each side from its own prepared text."""
@@ -495,7 +538,7 @@ class PairFeaturizer:
             raise ValueError("candidates are not rows of this featurizer's view")
         if query.vocab is not self.view.vocab:
             raise ValueError("prepared query was built with another vocab")
-        return (query.embedding(self.view.params), self.view.embeddings[rows],
+        return (query.embedding_in(self.view), self.view.embeddings[rows],
                 query.edit_similarities(self.view, rows))
 
     @property

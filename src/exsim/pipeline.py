@@ -27,15 +27,20 @@ once under the encoder. The recall indexes, dedup, the variant split and the
 ranker are built from that one view alone, and the dedup and variant heads
 share one featurizer over it; its embedding matrix is the vector index, and
 the ranker embeds each row once more under its own backbone. A cache miss
-prepares the query once (``pairclf.PreparedQuery``: one normalization, the
-encoder embedding) and passes it, and only it, to recall, ranking and
-re-rank. The first stage to score pairs, dedup when its head is loaded,
-makes the miss's one edit-distance kernel call over the recalled list;
-ranking and the variant split read their subsets back. The ranker embeds
-the query under its own backbone, so a miss runs ``embed_text`` twice. The
-stages pass candidates as arrays of corpus rows (``recall.Candidates``); ids
-are looked up once, for the served list. ``step_eval`` and ``step_clean``'s
-P@5 evaluator build their recall and ranking stages the same way.
+prepares the query once, through ``PreparedCorpus.query``, and passes it,
+and only it, to recall, ranking and re-rank. A bank exercise (the very
+object the loaded corpus holds, which a request by id resolves to) reads
+its prepared row: it is not normalized again, and its embeddings are its
+rows of the view and of the ranker's copy. Any other exercise is normalized
+once and embedded under the encoder and under the ranker's backbone, so a
+miss runs ``embed_text`` twice only for a query that is not a bank object.
+The first stage to score pairs, dedup when its head is loaded, makes the
+miss's one edit-distance kernel call over the recalled list; ranking and
+the variant split read their subsets back. The stages pass candidates as
+arrays of corpus rows (``recall.Candidates``); ids are looked up once, for
+the served list. ``step_eval`` and ``step_clean``'s P@5 evaluator build
+their recall and ranking stages the same way and prepare their bank queries
+through ``PreparedCorpus.query`` too.
 
 Stop words live in the vocabulary (``Vocab.stop_words``, the header line of
 ``vocab.txt``); every stage normalizes text with its vocabulary's. Only
@@ -64,7 +69,7 @@ from . import ranking, recall as recall_mod, rerank as rerank_mod
 from .corpus import Corpus, Exercise, LabeledPair, SyntheticSpec, SyntheticTruth
 from .evaluate import (EvalReport, annotated_similars, config_hash,
                        evaluate_precision, evaluate_recall)
-from .pairclf import PairFeaturizer, PreparedCorpus, PreparedQuery
+from .pairclf import PairFeaturizer, PreparedCorpus
 from .recall import RecallConfig, Recaller
 from .rerank import RerankConfig, RerankedResult, StudentProfile, VariantClassifier
 from .snapshots import atomic_write, file_digest
@@ -389,7 +394,7 @@ def recall_lists(recaller: Recaller, corpus: Corpus, seed_ids: Sequence[str],
     prepared once; returns id lists."""
     out = {}
     for seed_id in seed_ids:
-        query = PreparedQuery(corpus[seed_id], recaller.view.vocab)
+        query = recaller.view.query(corpus[seed_id])
         out[seed_id] = recaller.recall(query).ids[:k]
     return out
 
@@ -400,7 +405,7 @@ def ranked_lists(recaller: Recaller, ranker: ranking.Ranker, corpus: Corpus,
     ranked id lists."""
     out = {}
     for query_id in query_ids:
-        query = PreparedQuery(corpus[query_id], recaller.view.vocab)
+        query = recaller.view.query(corpus[query_id])
         out[query_id] = ranker.rank(query, recaller.recall(query)).ids
     return out
 
@@ -534,7 +539,7 @@ class Pipeline:
 
     def _compute(self, exercise: Exercise,
                  profile: Optional[StudentProfile]) -> RerankedResult:
-        query = PreparedQuery(exercise, self.vocab)
+        query = self.recaller.view.query(exercise)
         candidates = self.recaller.recall(query)
         ranked = self.ranker.rank(query, candidates)
         return rerank_mod.rerank(query, ranked, profile, self.corpus, self.variant_clf,

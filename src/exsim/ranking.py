@@ -23,7 +23,8 @@ prepared, and computes ``edit_sim`` when the instances are built, once per
 distinct pair of texts. At serving time a stage is built from one view; a
 miss passes one ``PreparedQuery``. :class:`Ranker` is built from the loaded
 ``pairclf.PreparedCorpus`` and embeds every exercise's row once under its
-own backbone, so a query encodes only itself. ``Ranker.rank`` takes the
+own backbone, so a query encodes only itself, and a bank query (see
+``PreparedCorpus.query``) reads its row instead. ``Ranker.rank`` takes the
 miss's ``pairclf.PreparedQuery`` alone and makes no edit-similarity kernel
 call of its own: it reads back the similarities dedup computed over the
 recalled list, and makes the one call of the miss only when no dedup head
@@ -336,18 +337,6 @@ def _expert_backward(d_logit: float, cache, ex_name: str,
     return d_pre1 @ ex["w1"].T  # gradient w.r.t. fbar
 
 
-def moe_coefficients(task_features: dict[str, np.ndarray],
-                     params: RankerParams) -> dict[str, float]:
-    """Softmax-normalized expert logits over the present tasks."""
-    present = [t for t in TASKS if t in task_features]
-    logits = np.array([_expert_forward(task_features[t], params.experts[t])[0]
-                       for t in present])
-    logits -= logits.max()
-    expl = np.exp(logits)
-    alpha = expl / expl.sum()
-    return dict(zip(present, alpha.tolist()))
-
-
 @dataclass
 class MultitaskResult:
     total: float
@@ -518,8 +507,8 @@ class Ranker:
     """Scores exercise pairs with the trained stem-stem head.
 
     Every exercise's row of ``view`` under the ranker's backbone is computed
-    once, here. Candidates are rows of the view, and a query is always
-    prepared from its own text with the view's vocab.
+    once, here. Candidates are rows of the view, and a query is prepared
+    with the view's vocab; a bank query's embedding is its row here.
     """
 
     params: RankerParams

@@ -14,9 +14,14 @@ plain loop and ``sorted(..., key=(-score, id))[:k]`` would, bit for bit:
 
 - BM25 postings are numpy arrays built once with each posting's length
   denominator and each token's ``math.log`` idf (not ``np.log``, whose last
-  bit can differ). A query sums its postings with one ``np.bincount``
-  over them in sorted-token order, so each document's score is the same
-  sequence of float operations as the per-document loop.
+  bit can differ). Each posting's term is computed once per (token, query
+  count) by the loop's float operations and kept, for counts up to
+  ``KEPT_COUNTS`` (a higher count is recomputed per query). A query adds
+  its tokens' terms into one +0.0 vector in sorted-token order, so each
+  document's score is the same sequence of additions from +0.0 as the
+  per-document loop; a frequent token's dense vector adds +0.0 to the
+  other rows, which is exact. Every term is positive, so a document shares
+  a query token exactly when its score is above 0.
 - Top-k finds the k-th best score by partition and keeps every row scoring
   at least that much, so ties at the cut survive; those rows are ordered by
   ``np.lexsort`` on (-score, the row's rank in sorted-id order), so ties
@@ -74,6 +79,13 @@ from .textnorm import normalize_text  # noqa: F401
 
 BM25_K1 = 1.2
 BM25_B = 0.75
+# a token in at least this share of the documents keeps its BM25 terms as a
+# dense vector over every row, which one vector add reads
+DENSE_SHARE = 0.25
+# a token keeps its BM25 terms for query counts up to this; a higher count
+# (under 1% of the lookups of every benchmark stream) is computed per query,
+# so what a token keeps is bounded whatever text the queries hold
+KEPT_COUNTS = 4
 
 # a candidate's source code is its source's position here
 SOURCES = ("exact", "embed", "both")
@@ -166,19 +178,46 @@ def _top_k(rows: np.ndarray, scores: np.ndarray, index: RowIndex, k: int,
 class Postings:
     """One token's postings: the rows holding it (ascending), each row's term
     frequency and BM25 denominator ``tf + k1 * (1 - b + b * len / avg_len)``,
-    and the token's idf. ``len`` is the token's document frequency."""
+    and the token's idf. ``len`` is the token's document frequency.
 
-    __slots__ = ("rows", "tf", "denom", "idf")
+    ``contributions(count)`` is each posting's BM25 term for a query holding
+    the token ``count`` times, computed on first use and kept for counts up
+    to ``KEPT_COUNTS`` (a higher count is computed by the same expression on
+    every use), so a token keeps at most ``KEPT_COUNTS`` arrays. A token in
+    at least ``DENSE_SHARE`` of the ``n_docs`` documents keeps them as dense
+    vectors over every row, +0.0 where the token is absent; ``dense`` says
+    which. A kept array is written once per count and never changed, so two
+    queries racing on one count at worst compute the same bits twice.
+    """
+
+    __slots__ = ("rows", "tf", "denom", "idf", "dense", "n_docs", "_kept")
 
     def __init__(self, rows: np.ndarray, tf: np.ndarray, denom: np.ndarray,
-                 idf: float):
+                 idf: float, n_docs: int):
         self.rows = rows
         self.tf = tf
         self.denom = denom
         self.idf = idf
+        self.n_docs = n_docs
+        self.dense = len(rows) >= DENSE_SHARE * n_docs
+        self._kept: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def contributions(self, count: int) -> np.ndarray:
+        """``count * idf * tf * (k1 + 1) / denom`` per posting, or per row
+        when ``dense``."""
+        kept = self._kept.get(count)
+        if kept is None:
+            kept = count * self.idf * self.tf * (BM25_K1 + 1.0) / self.denom
+            if self.dense:
+                full = np.zeros(self.n_docs)
+                full[self.rows] = kept
+                kept = full
+            if count <= KEPT_COUNTS:
+                self._kept[count] = kept
+        return kept
 
 
 class RowScores:
@@ -206,13 +245,20 @@ class LexicalIndex:
 
     Each token's postings are numpy arrays holding the per-posting BM25
     denominator, and its idf is a ``math.log`` float, both computed once.
-    A query concatenates its tokens' postings in sorted-token order, takes
-    each posting's ``(qtf * idf) * tf * (k1 + 1) / denom`` and sums them
-    per document with one ``np.bincount``, which adds in input order from
-    0.0; then it adds ``boost * shared`` to the touched rows sharing a
-    concept. Every float operation is the one a per-document loop over
-    sorted tokens performs, in the same order, so such a loop reproduces the
-    scores bit for bit.
+    A query reads each of its tokens' ``Postings.contributions`` for its
+    query count, ``(qtf * idf) * tf * (k1 + 1) / denom`` per posting,
+    computed by those float operations on the first query with that count
+    and kept (counts above ``KEPT_COUNTS`` are not kept). It adds them, in
+    sorted-token order, into one vector of +0.0: a sparse token's at its
+    rows, a dense token's (one in at least ``DENSE_SHARE`` of the
+    documents) over every row, whose +0.0 entries leave the other rows'
+    sums exactly as they were. A document is touched
+    exactly when its score is above 0, as every term is positive; then the
+    query adds ``boost * shared`` to the touched rows sharing a concept.
+    Every float operation is the one a per-document loop over sorted tokens
+    performs, in the same order, so such a loop reproduces the scores bit
+    for bit. Kept arrays are written once per (token, count) and never
+    changed, so concurrent queries can at worst compute the same bits twice.
     """
 
     def __init__(self, index: RowIndex, token_lists: list[list[str]],
@@ -243,7 +289,7 @@ class LexicalIndex:
             self.postings[t] = Postings(
                 np.array(rows, dtype=np.intp), np.array(tfs, dtype=np.float64),
                 np.array(denoms, dtype=np.float64),
-                math.log(1.0 + (len(ids) - df + 0.5) / (df + 0.5)))
+                math.log(1.0 + (len(ids) - df + 0.5) / (df + 0.5)), len(ids))
         by_concept: dict[str, list[int]] = {}
         for row, concepts in enumerate(concept_sets):
             for c in concepts:
@@ -267,13 +313,14 @@ class LexicalIndex:
         if not hits:
             return RowScores(np.empty(0, dtype=np.intp), np.empty(0))
         n = len(self.ids)
-        rows = np.concatenate([plist.rows for _, plist in hits])
-        weights = np.repeat([count * plist.idf for count, plist in hits],
-                            [len(plist.rows) for _, plist in hits])
-        contributions = (weights * np.concatenate([plist.tf for _, plist in hits])
-                         * (BM25_K1 + 1.0) / np.concatenate([plist.denom for _, plist in hits]))
-        scores = np.bincount(rows, contributions, minlength=n)
-        touched = np.bincount(rows, minlength=n) > 0
+        scores = np.zeros(n)
+        for count, plist in hits:
+            if plist.dense:
+                scores += plist.contributions(count)
+            else:
+                scores[plist.rows] += plist.contributions(count)
+        # every term is positive, so a row is touched exactly when it scores above 0
+        touched = scores > 0
         if query_concepts and self.concept_boost:
             shared = np.zeros(n, dtype=np.int64)
             for c in query_concepts:
@@ -450,7 +497,7 @@ class Recaller:
 
     def query_embedding(self, query: PreparedQuery) -> np.ndarray:
         """The encoder embedding of ``query``."""
-        return query.embedding(self.view.params)
+        return query.embedding_in(self.view)
 
     def recall(self, query: PreparedQuery) -> Candidates:
         """Merged, deduplicated candidates of ``query``, as rows of the view;

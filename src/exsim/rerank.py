@@ -62,12 +62,6 @@ class StudentProfile:
         if self.stage_mode not in STAGE_MODES:
             raise ValueError(f"unknown stage mode {self.stage_mode!r}")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StudentProfile":
-        stage = data["current_stage"]
-        return cls(ability=data["ability"], stage_mode=data["stage_mode"],
-                   current_stage=(int(stage[0]), int(stage[1])))
-
     def to_dict(self) -> dict:
         return {"ability": self.ability, "stage_mode": self.stage_mode,
                 "current_stage": list(self.current_stage)}

@@ -63,30 +63,30 @@ def test_embed_two_dim_toy_matches_hand_computation():
 
 def test_project_image_unit_norm_and_dim():
     params = toy_params()
-    feat = np.array([0.5, -1.0, 2.0])
-    out = enc.project_image(feat, params)
+    feats = np.array([[0.5, -1.0, 2.0]])
+    out = enc.project_image_batch(feats, params)[0][0]
     assert out.shape == (params.d,)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-6
 
 
 def test_project_image_dimension_mismatch():
     with pytest.raises(ValueError):
-        enc.project_image(np.zeros(7), toy_params(d_img=3))
+        enc.project_image_batch(np.zeros((1, 7)), toy_params(d_img=3))
 
 
 def test_project_image_zero_vector_documented_result():
     params = toy_params()
     params.b_img[...] = 0.0
-    out = enc.project_image(np.zeros(params.d_img), params)
+    out = enc.project_image_batch(np.zeros((1, params.d_img)), params)[0][0]
     assert abs(np.linalg.norm(out) - 1.0) < 1e-6  # arbitrary but unit direction
 
 
 def test_project_image_scale_invariant_with_zero_bias():
     params = toy_params()
     params.b_img[...] = 0.0
-    feat = np.array([0.5, -1.0, 2.0])
-    a = enc.project_image(feat, params)
-    b = enc.project_image(2.0 * feat, params)
+    feats = np.array([[0.5, -1.0, 2.0]])
+    a = enc.project_image_batch(feats, params)[0][0]
+    b = enc.project_image_batch(2.0 * feats, params)[0][0]
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -96,7 +96,7 @@ def test_project_image_scale_invariant_with_zero_bias():
 def test_contrastive_hand_value_batch_of_two():
     # orthonormal pairs: diagonal similarity 1, off-diagonal 0, tau 1
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss, da, dp = enc.contrastive_loss(a, a.copy(), temperature=1.0)
+    loss, da, dp, _ = enc.infonce_inbatch(a, a.copy(), 1.0)
     expected = -math.log(math.e / (math.e + 1.0))
     assert loss == pytest.approx(expected, rel=1e-9)
     assert da.shape == a.shape and dp.shape == a.shape
@@ -106,18 +106,18 @@ def test_contrastive_uniform_similarities_give_log_batch():
     n = 5
     anchors = np.tile([1.0, 0.0], (n, 1))
     positives = np.tile([0.0, 1.0], (n, 1))
-    loss, _, _ = enc.contrastive_loss(anchors, positives, temperature=0.3)
+    loss, *_ = enc.infonce_inbatch(anchors, positives, 0.3)
     assert loss == pytest.approx(math.log(n), rel=1e-9)
 
 
 def test_contrastive_input_validation():
     a = np.eye(2)
     with pytest.raises(ValueError):
-        enc.contrastive_loss(a[:1], a[:1], temperature=1.0)
+        enc.infonce_inbatch(a[:1], a[:1], 1.0)
     with pytest.raises(ValueError):
-        enc.contrastive_loss(a, a, temperature=0.0)
+        enc.infonce_inbatch(a, a, 0.0)
     with pytest.raises(ValueError):
-        enc.contrastive_loss(a, np.eye(3), temperature=1.0)
+        enc.infonce_inbatch(a, np.eye(3), 1.0)
 
 
 def test_contrastive_permutation_equivariance():
@@ -523,7 +523,7 @@ def test_image_alignment_follows_templates(small_trained):
     for ex in exercises:
         if not ex.image_features:
             continue
-        h = enc.project_image(np.asarray(ex.image_features[0]), params)
+        h = enc.project_image_batch(np.asarray(ex.image_features[:1]), params)[0][0]
         own.append(float(matrix[row[ex.id]] @ h))
         other = exercises[(exercises.index(ex) + len(exercises) // 2) % len(exercises)]
         if group_of[other.id] != group_of[ex.id]:

@@ -391,9 +391,39 @@ def test_a_miss_prepares_its_query_once(workspace, monkeypatch, kind, profile):
     counts = count_calls(monkeypatch)
     result, hit = pipe.query_with_cache_info(request_of(pipe, corpus, kind), profile)
     assert not hit and result.variant
-    # one normalization, one kernel call for dedup, ranking and the variant
-    # split, the encoder embedding and the ranker's own
-    assert counts == {"normalize_text": 1, "levenshtein": 1, "embed_text": 2}
+    # one kernel call for dedup, ranking and the variant split; a probe adds
+    # one normalization, the encoder embedding and the ranker's own, while a
+    # bank exercise reads its prepared row and both its embedded rows
+    if kind == "corpus":
+        assert counts == {"levenshtein": 1}
+    else:
+        assert counts == {"normalize_text": 1, "levenshtein": 1, "embed_text": 2}
+
+
+@pytest.mark.parametrize("profile", [None, PROFILE])
+def test_a_bank_exercise_serves_what_its_equal_copy_does(workspace, profile):
+    """A request by id reads the bank exercise's prepared row; an equal but
+    distinct copy is prepared from its own text. Both serve the same bits."""
+    workdir, config, corpus, _ = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+    bank = pipe.corpus[corpus.ids[7]]
+    copy = dataclasses.replace(bank)
+    assert copy == bank and copy is not bank
+    row_query, text_query = pipe.recaller.view.query(bank), pipe.recaller.view.query(copy)
+    assert row_query.tokens is pipe.recaller.view.tokens[7]
+    assert row_query.tokens == text_query.tokens
+    assert row_query.ids.dtype == text_query.ids.dtype
+    assert np.array_equal(row_query.ids, text_query.ids)
+    assert served_items(pipe.query(bank.id, profile)) == \
+        served_items(pipe.query(copy, profile))
+
+
+@pytest.mark.parametrize("profile", [None, PROFILE])
+def test_a_bank_id_with_another_stem_is_prepared_from_its_text(workspace, profile):
+    workdir, config, corpus, _ = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+    other = dataclasses.replace(pipe.corpus[corpus.ids[7]], stem=corpus[corpus.ids[12]].stem)
+    assert served_items(pipe.query(other, profile)) == reference_query(pipe, other, profile)
 
 
 def test_without_dedup_ranking_makes_the_one_kernel_call(workspace, tmp_path,

@@ -129,19 +129,18 @@ def test_moe_equal_logits_give_uniform(tiny_setup):
     for t in rk.TASKS:
         for arr in params.experts[t].values():
             arr[...] = 0.0
-    feats = {t: np.random.default_rng(1).normal(size=params.d) for t in rk.TASKS}
-    alpha = rk.moe_coefficients(feats, params)
+    alpha = rk.multitask_loss(make_batch(tiny_setup), params, moe=True).alpha
     for t in rk.TASKS:
         assert alpha[t] == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_moe_coefficients_sum_to_one(tiny_setup):
     *_, encoder = tiny_setup
-    rng = np.random.default_rng(4)
+    chunk = make_batch(tiny_setup)
     for trial in range(10):
         params = rk.RankerParams.init(encoder, seed=trial)
-        feats = {t: rng.normal(size=params.d) for t in rk.TASKS}
-        alpha = rk.moe_coefficients(feats, params)
+        alpha = rk.multitask_loss(chunk, params, moe=True).alpha
+        assert set(alpha) == set(rk.TASKS)
         assert abs(sum(alpha.values()) - 1.0) < 1e-12
         assert all(a >= 0 for a in alpha.values())
 

@@ -9,7 +9,7 @@ from exsim.corpus import RowIndex, SyntheticSpec, generate_dedup_pairs, generate
 from exsim.encoder import embed_text, init_params
 from exsim.pairclf import PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery
 from exsim.recall import (
-    BM25_B, BM25_K1, SOURCES, Candidate, Candidates, DuplicateDetector,
+    BM25_B, BM25_K1, KEPT_COUNTS, SOURCES, Candidate, Candidates, DuplicateDetector,
     LexicalIndex, RecallConfig, Recaller, VectorIndex, merge_candidates, train_dedup,
 )
 from exsim.textnorm import normalize_text, split_tokens
@@ -87,6 +87,35 @@ def test_lexical_scores_equal_brute_force(medium_synth):
                         key=lambda rs: (-rs[1], index.ids[rs[0]]))[:25]
         assert [(c.ex_id, c.score) for c in ranked] == \
             [(index.ids[r], s) for r, s in oracle]
+
+
+def test_kept_bm25_terms_equal_brute_force(medium_synth):
+    """One index answers every query twice, the second time from the terms
+    the first kept. The queries hold tokens 1 to 20 times, over tokens kept
+    dense and sparse, and one document has no tokens; scores equal the
+    per-document loop bit for bit, ``len`` counts the documents sharing a
+    query token, and no token keeps more than ``KEPT_COUNTS`` arrays."""
+    corpus, _, _ = medium_synth
+    token_lists = corpus_token_lists(corpus) + [[]]
+    concepts = [frozenset(ex.metadata.knowledge_concepts) for ex in corpus] + [frozenset()]
+    index = LexicalIndex(RowIndex(corpus.ids + ["no-tokens"]), token_lists, concepts)
+    dense = sorted(t for t, plist in index.postings.items() if plist.dense)
+    sparse = sorted(t for t, plist in index.postings.items() if not plist.dense)
+    assert dense and sparse
+    own = token_lists[17]
+    queries = [[dense[0]] * count + [sparse[0]] * (5 - count) + own[:count]
+               for count in range(1, 5)]
+    queries += [own, own * 4, [dense[-1], sparse[-1], "zzzznotaword"] * 3]
+    queries += [[dense[0], sparse[0]] * count for count in range(5, 21)]
+    q_concepts = frozenset(corpus[corpus.ids[17]].metadata.knowledge_concepts)
+    for _ in range(2):
+        for query in queries:
+            got = index.score_all(query, q_concepts)
+            assert got == brute_force_bm25(index, token_lists, query, q_concepts)
+            assert len(got) == sum(1 for doc in token_lists if set(doc) & set(query))
+    for token in (dense[0], sparse[0]):
+        assert sorted(index.postings[token]._kept) == list(range(1, KEPT_COUNTS + 1))
+    assert max(len(plist._kept) for plist in index.postings.values()) == KEPT_COUNTS
 
 
 def test_lexical_verbatim_copy_ranks_first(medium_synth):

@@ -51,8 +51,7 @@ def test_profile_validation():
         rr.StudentProfile("brilliant", "synchronous", (8, 1))
     with pytest.raises(ValueError):
         rr.StudentProfile("weak", "cramming", (8, 1))
-    p = rr.StudentProfile.from_dict(
-        {"ability": "weak", "stage_mode": "review", "current_stage": [8, 1]})
+    p = rr.StudentProfile("weak", "review", (8, 1))
     assert p.current_stage == (8, 1)
 
 
