@@ -99,10 +99,10 @@ class Exercise:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Exercise":
-        missing = [k for k in EXERCISE_FIELDS if k not in rec]
-        if missing:
-            raise CorpusError(f"missing fields: {missing}")
         try:
+            missing = [k for k in EXERCISE_FIELDS if k not in rec]
+            if missing:
+                raise CorpusError(f"missing fields: {missing}")
             stage = rec["learning_stage"]
             if len(stage) != 2:
                 raise CorpusError("learning_stage must be [grade, semester]")
@@ -120,7 +120,9 @@ class Exercise:
                 ),
                 learning_stage=(int(stage[0]), int(stage[1])),
             )
-        except (TypeError, KeyError) as exc:
+        except CorpusError:
+            raise
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise CorpusError(f"malformed exercise record: {exc}") from exc
 
 
@@ -357,7 +359,7 @@ def load_pairs(path) -> list[LabeledPair]:
                 pairs.append(LabeledPair(
                     a_id=rec["a_id"], b_id=rec["b_id"], label=rec["label"],
                     variant=rec.get("variant"), votes=tuple(rec.get("votes", ()))))
-            except (json.JSONDecodeError, KeyError, CorpusError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as exc:
                 raise CorpusError(f"line {lineno}: bad pair record: {exc}") from exc
     return pairs
 

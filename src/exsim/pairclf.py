@@ -37,25 +37,25 @@ is organised around three pieces:
   in-vocabulary tokens use their vocabulary id, every out-of-vocabulary
   token gets a code of its own (vocabulary ids alone would collapse all of
   them onto UNK).
-* :class:`PreparedQuery`, the query's side of every pair, prepared once per
-  cache miss and passed through all three stages: its tokens, its codes
-  under the view's code table, its embedding under each backbone, and its
-  edit similarities to view rows. The stages score shrinking subsets of the
-  recalled list, so one kernel call, made by whichever stage asks first,
-  serves all three. :meth:`PreparedCorpus.query` makes one: the very
-  ``Exercise`` object a view holds at row r (checked by identity, never by
-  id) reads that row's tokens, ids, codes and length, and its embedding in
-  any view sharing those codes (the view itself and its ``embedded_with``
-  copies) is that view's row r, the same bits by rule 2 below. Any other
-  exercise, a probe or an equal copy of a bank exercise, is prepared from
-  its own text.
+* :class:`PreparedQuery`, the query's side of every pair, made once per
+  cache miss by ``PreparedQuery(exercise, view)`` over the view the stages
+  are built from and passed through all three: its tokens, its codes under
+  the view's code table, its embedding under each backbone, and its edit
+  similarities to the view's rows. The stages score shrinking subsets of
+  the recalled list, so one kernel call, made by whichever stage asks
+  first, serves all three. The very ``Exercise`` object the view holds at
+  row r (checked by identity, never by id) reads that row's tokens, codes
+  and length, and its embedding in a view sharing those codes (the view
+  itself and its ``embedded_with`` copies) is that view's row r, the same
+  bits by rule 2 below. Any other exercise, a probe or an equal copy of a
+  bank exercise, is prepared from its own text.
 
-A stage is built from one view; a miss passes one ``PreparedQuery``. A
-:class:`PairFeaturizer` is over one view and reads its vocabulary and
-params from it, and :meth:`PairFeaturizer.row_pairs` reads a pair's
-candidate side straight from the view's rows. It refuses rows of another
-``RowIndex`` and a query prepared with another vocabulary; nothing else
-holds a second copy of the view's vocabulary or params to disagree with.
+A stage is built from one view; a miss passes one ``PreparedQuery`` over
+it. A :class:`PairFeaturizer` is over one view and reads its params from
+it, and :meth:`PairFeaturizer.row_pairs` reads a pair's candidate side
+straight from the view's rows. It refuses rows of another ``RowIndex`` and
+a query prepared over a view with other codes; nothing else holds a second
+copy of the view's codes or params to disagree with.
 
 Bit-identity rules. The batched path must give the same bits as scoring one
 pair at a time with :meth:`PairFeaturizer.features` and
@@ -67,7 +67,8 @@ pair at a time with :meth:`PairFeaturizer.features` and
    every row's logit has the bits of the per-row product. A matrix product
    over many rows rounds differently in the last bit.
 2. Every encoder embedding is a single-text ``embed_text`` result: the
-   view's rows (``encoder.embed_corpus`` rows, bit for bit) and the query's
+   view's rows (``encoder.embed_corpus`` rows, bit for bit), which a bank
+   query reads as its own, and any other query's
    :meth:`PreparedQuery.embedding`. One array serves the vector channel,
    dedup and the variant split. Rows of an ``embed_text_batch`` call over
    several texts can differ from it in the last bit; only training makes
@@ -396,65 +397,45 @@ class PreparedCorpus:
         """A fresh table for one query, consistent with the view's codes."""
         return CodeTable(self.vocab, self.oov_codes)
 
-    def query(self, exercise: Exercise) -> "PreparedQuery":
-        """``exercise`` prepared as a query under the view's vocabulary.
-
-        The very object held at row r (an identity check, never the id) reads
-        row r's tokens, ids, codes and length, and its embedding in any view
-        sharing these codes is that view's row r (rule 2). Any other object,
-        a probe or an equal copy, is prepared from its own text."""
-        row = self.index.row_of.get(exercise.id)
-        if row is None or self.exercises[row] is not exercise:
-            return PreparedQuery(exercise, self.vocab)
-        return PreparedQuery(exercise, self.vocab, (self, row))
-
 
 class PreparedQuery:
-    """One query's side of its pairs, prepared once for every stage of a miss.
+    """One query's side of its pairs over one ``view``, prepared once for
+    every stage of a miss.
 
-    ``tokens`` are the query's normalized tokens, ``ids`` their vocabulary
-    ids and ``concepts`` its knowledge concepts. Without ``bank_row`` they
-    come from the exercise's own text; :meth:`PreparedCorpus.query` passes
-    (view, row) for the bank object at that row, whose prepared row they
-    are read from. The rest is computed on first use and kept:
+    The very ``Exercise`` object the view holds at row r (an identity check,
+    never the id) reads row r's tokens, codes and length. Any other
+    exercise, a probe or an equal copy, is prepared here from its own text,
+    with the view's stop words and code table. ``ids`` are the vocabulary
+    ids of ``codes`` and ``concepts`` the knowledge concepts. The rest is
+    computed on first use and kept:
 
-    * :meth:`embedding_in` a view, the single-text ``embed_text`` vector
-      under its backbone: the view's row for a bank query (see
-      :meth:`PreparedCorpus.query`), else :meth:`embedding`, computed from
-      the query's ids. Recall's ``query_embedding``, dedup and the variant
-      split read the encoder's; the ranker reads its own.
-    * :meth:`edit_similarities` to view rows, over ``codes``, the query's
-      codes under the view's code table. Rows not scored yet go through one
-      kernel call; rows scored before are read back, which equals a fresh
-      call bit for bit (rule 3 above).
-
-    Similarities belong to the view's codes; views that share them
-    (``embedded_with`` copies) share the kept values, and another view starts
-    them afresh.
+    * :meth:`embedding_in` a view sharing this view's codes (the view itself
+      or an ``embedded_with`` copy), the single-text ``embed_text`` vector
+      under its backbone: that view's row r for a bank query (the same bits,
+      rule 2), else :meth:`embedding`, computed from the query's ids.
+      Recall's ``query_embedding``, dedup and the variant split read the
+      encoder's; the ranker reads its own.
+    * :meth:`edit_similarities` to view rows. Rows not scored yet go through
+      one kernel call; rows scored before are read back, which equals a
+      fresh call bit for bit (rule 3 above).
     """
 
-    def __init__(self, exercise: Exercise, vocab: Vocab,
-                 bank_row: Optional[tuple[PreparedCorpus, int]] = None):
+    def __init__(self, exercise: Exercise, view: PreparedCorpus):
         self.exercise = exercise
-        self.vocab = vocab
+        self.view = view
         self.concepts = frozenset(exercise.metadata.knowledge_concepts)
         self._embeddings: dict[int, tuple[object, np.ndarray]] = {}
-        self._bank: Optional[tuple[np.ndarray, int]] = None
-        if bank_row is None:
-            self.tokens = text_tokens(exercise.text, vocab.stop_words)
-            self.ids = np.array([vocab.id_of(t) for t in self.tokens], dtype=np.int64)
-            self._view_codes: Optional[np.ndarray] = None
-            self.codes = self.length = None
-            self._sims = np.zeros(0)
-        else:
-            view, row = bank_row
-            self._bank = (view.codes, row)
+        row = view.index.row_of.get(exercise.id)
+        self.row = row if row is not None and view.exercises[row] is exercise else None
+        if self.row is not None:
             self.tokens = view.tokens[row]
-            self._view_codes = view.codes
             self.length = view.lengths[row:row + 1]
             self.codes = view.codes[row:row + 1, :int(self.length[0])]
-            self.ids = view._ids(self.codes, self.length)[0]
-            self._sims = np.full(len(view.lengths), np.nan)
+        else:
+            self.tokens = text_tokens(exercise.text, view.vocab.stop_words)
+            self.codes, self.length = pad_codes([view.code_table().encode(self.tokens)])
+        self.ids = view._ids(self.codes, self.length)[0]
+        self._sims = np.full(len(view.lengths), np.nan)
 
     def embedding(self, params) -> np.ndarray:
         """The query's single-text ``embed_text`` vector under ``params``,
@@ -466,25 +447,19 @@ class PreparedQuery:
 
     def embedding_in(self, view: PreparedCorpus) -> np.ndarray:
         """The embedding under ``view``'s params: the view's own row for a
-        bank query over the codes it was prepared from (the same bits, rule
-        2), else :meth:`embedding`."""
-        if self._bank is not None and self._bank[0] is view.codes:
-            return view.embeddings[self._bank[1]]
+        bank query when ``view`` shares this query's codes (the same bits,
+        rule 2), else :meth:`embedding`."""
+        if self.row is not None and view.codes is self.view.codes:
+            return view.embeddings[self.row]
         return self.embedding(view.params)
 
-    def _bind(self, view: PreparedCorpus) -> None:
-        if self._view_codes is not view.codes:
-            self._view_codes = view.codes
-            self.codes, self.length = pad_codes([view.code_table().encode(self.tokens)])
-            self._sims = np.full(len(view.lengths), np.nan)
-
-    def edit_similarities(self, view: PreparedCorpus, rows: np.ndarray) -> np.ndarray:
-        """Edit similarity of the query to each of ``view``'s ``rows``."""
-        self._bind(view)
+    def edit_similarities(self, rows: np.ndarray) -> np.ndarray:
+        """Edit similarity of the query to each of the view's ``rows``."""
         todo = rows[np.isnan(self._sims[rows])]
         if len(todo):
             self._sims[todo] = edit_similarities(self.codes, self.length,
-                                                 view.codes[todo], view.lengths[todo])
+                                                 self.view.codes[todo],
+                                                 self.view.lengths[todo])
         return self._sims[rows]
 
 
@@ -498,8 +473,7 @@ def pair_features(u: np.ndarray, v: np.ndarray, edit_sim: float) -> np.ndarray:
 def pair_feature_rows(u: np.ndarray, v: np.ndarray, sims: np.ndarray,
                       out: Optional[np.ndarray] = None) -> np.ndarray:
     """``pair_features`` of every row; u or v may be one vector broadcast to all."""
-    u, v = np.broadcast_arrays(np.atleast_2d(u), np.atleast_2d(v))
-    n, d = u.shape
+    n, d = len(sims), np.shape(u)[-1]
     if out is None:
         out = np.empty((n, 4 * d + 1))
     out[:, :d] = u
@@ -513,9 +487,10 @@ def pair_feature_rows(u: np.ndarray, v: np.ndarray, sims: np.ndarray,
 @dataclass
 class PairFeaturizer:
     """Turns (query, candidate) pairs into the classifier's feature rows,
-    over one prepared ``view``: its vocabulary, its ``params`` (the
-    encoder's, or any backbone ``embed_text`` takes; the ranker scores its
-    pairs over an ``embedded_with`` copy) and its rows as candidates."""
+    over one prepared ``view``: its ``params`` (the encoder's, or any
+    backbone ``embed_text`` takes; the ranker scores its pairs over an
+    ``embedded_with`` copy), its rows as candidates, and queries prepared
+    over it or over a view sharing its codes."""
 
     view: PreparedCorpus
 
@@ -532,14 +507,14 @@ class PairFeaturizer:
         """(u, v, edit similarities) of the pairs (query, row) over ``index``'s
         ``rows``: ``u`` is the query's embedding and ``v`` the view's rows.
         Refuses rows of an index other than the view's and a query prepared
-        with another vocabulary, whose tokens and ids the view's codes and
-        params do not read."""
+        over a view with other codes, even one of the same exercises and
+        vocabulary (its out-of-vocabulary codes can differ)."""
         if index is not self.view.index:
             raise ValueError("candidates are not rows of this featurizer's view")
-        if query.vocab is not self.view.vocab:
-            raise ValueError("prepared query was built with another vocab")
+        if query.view.codes is not self.view.codes:
+            raise ValueError("prepared query is over another view")
         return (query.embedding_in(self.view), self.view.embeddings[rows],
-                query.edit_similarities(self.view, rows))
+                query.edit_similarities(rows))
 
     @property
     def n_features(self) -> int:

@@ -21,14 +21,14 @@ view). Stems are normalized when a view is made, answers and analyses only
 when a step reads them, and embeddings only when a step asks for them.
 
 Query flow. A stage is built from one view; a miss passes one
-``PreparedQuery``. ``Pipeline.load`` prepares the corpus once
+``PreparedQuery`` over it. ``Pipeline.load`` prepares the corpus once
 (``pairclf.PreparedCorpus``): each exercise is normalized once and embedded
 once under the encoder. The recall indexes, dedup, the variant split and the
 ranker are built from that one view alone, and the dedup and variant heads
 share one featurizer over it; its embedding matrix is the vector index, and
 the ranker embeds each row once more under its own backbone. A cache miss
-prepares the query once, through ``PreparedCorpus.query``, and passes it,
-and only it, to recall, ranking and re-rank. A bank exercise (the very
+prepares the query once, as ``PreparedQuery(exercise, view)``, and passes
+it, and only it, to recall, ranking and re-rank. A bank exercise (the very
 object the loaded corpus holds, which a request by id resolves to) reads
 its prepared row: it is not normalized again, and its embeddings are its
 rows of the view and of the ranker's copy. Any other exercise is normalized
@@ -40,7 +40,7 @@ the variant split read their subsets back. The stages pass candidates as
 arrays of corpus rows (``recall.Candidates``); ids are looked up once, for
 the served list. ``step_eval`` and ``step_clean``'s P@5 evaluator build
 their recall and ranking stages the same way and prepare their bank queries
-through ``PreparedCorpus.query`` too.
+over the view those stages are built from.
 
 Stop words live in the vocabulary (``Vocab.stop_words``, the header line of
 ``vocab.txt``); every stage normalizes text with its vocabulary's. Only
@@ -69,7 +69,7 @@ from . import ranking, recall as recall_mod, rerank as rerank_mod
 from .corpus import Corpus, Exercise, LabeledPair, SyntheticSpec, SyntheticTruth
 from .evaluate import (EvalReport, annotated_similars, config_hash,
                        evaluate_precision, evaluate_recall)
-from .pairclf import PairFeaturizer, PreparedCorpus
+from .pairclf import PairFeaturizer, PreparedCorpus, PreparedQuery
 from .recall import RecallConfig, Recaller
 from .rerank import RerankConfig, RerankedResult, StudentProfile, VariantClassifier
 from .snapshots import atomic_write, file_digest
@@ -394,7 +394,7 @@ def recall_lists(recaller: Recaller, corpus: Corpus, seed_ids: Sequence[str],
     prepared once; returns id lists."""
     out = {}
     for seed_id in seed_ids:
-        query = recaller.view.query(corpus[seed_id])
+        query = PreparedQuery(corpus[seed_id], recaller.view)
         out[seed_id] = recaller.recall(query).ids[:k]
     return out
 
@@ -405,7 +405,7 @@ def ranked_lists(recaller: Recaller, ranker: ranking.Ranker, corpus: Corpus,
     ranked id lists."""
     out = {}
     for query_id in query_ids:
-        query = recaller.view.query(corpus[query_id])
+        query = PreparedQuery(corpus[query_id], recaller.view)
         out[query_id] = ranker.rank(query, recaller.recall(query)).ids
     return out
 
@@ -539,7 +539,7 @@ class Pipeline:
 
     def _compute(self, exercise: Exercise,
                  profile: Optional[StudentProfile]) -> RerankedResult:
-        query = self.recaller.view.query(exercise)
+        query = PreparedQuery(exercise, self.recaller.view)
         candidates = self.recaller.recall(query)
         ranked = self.ranker.rank(query, candidates)
         return rerank_mod.rerank(query, ranked, profile, self.corpus, self.variant_clf,

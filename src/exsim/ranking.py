@@ -24,7 +24,7 @@ distinct pair of texts. At serving time a stage is built from one view; a
 miss passes one ``PreparedQuery``. :class:`Ranker` is built from the loaded
 ``pairclf.PreparedCorpus`` and embeds every exercise's row once under its
 own backbone, so a query encodes only itself, and a bank query (see
-``PreparedCorpus.query``) reads its row instead. ``Ranker.rank`` takes the
+``pairclf.PreparedQuery``) reads its row instead. ``Ranker.rank`` takes the
 miss's ``pairclf.PreparedQuery`` alone and makes no edit-similarity kernel
 call of its own: it reads back the similarities dedup computed over the
 recalled list, and makes the one call of the miss only when no dedup head
@@ -508,7 +508,7 @@ class Ranker:
 
     Every exercise's row of ``view`` under the ranker's backbone is computed
     once, here. Candidates are rows of the view, and a query is prepared
-    with the view's vocab; a bank query's embedding is its row here.
+    over it; a bank query's embedding is its row here.
     """
 
     params: RankerParams

@@ -47,10 +47,11 @@ whole merged list, which ranking and the variant split then read back for
 their subsets. Its embeddings are the query's ``query_embedding`` vector
 and the view's rows, and the feature rows are scored by ``prob_rows``, so
 the batch is bit-identical to calling ``DuplicateDetector.prob`` per
-candidate (see the rules in ``pairclf``).
+candidate (see the rules in ``pairclf``). A query prepared over another
+view, even one of the same exercises and vocabulary, is refused.
 
-A stage is built from one view; a miss passes one ``PreparedQuery``.
-``Recaller.build`` takes one ``pairclf.PreparedCorpus`` (the one
+A stage is built from one view; a miss passes one ``PreparedQuery`` over
+it. ``Recaller.build`` takes one ``pairclf.PreparedCorpus`` (the one
 ``Pipeline.load`` shares with dedup, the ranker and the variant split) and
 nothing else: BM25 reads the view's token lists and its exercises'
 concepts, the vector index is the view's embedding matrix itself, and a
@@ -441,17 +442,11 @@ class DuplicateDetector:
         return (p_ab + p_ba) / 2.0
 
     def prob_pairs(self, u: np.ndarray, v: np.ndarray, sims: np.ndarray) -> np.ndarray:
-        """``prob`` of the pairs a featurizer gives as (u, v, edit similarities).
-
-        The (v, u) rows are the (u, v) rows with the u and v blocks swapped:
-        |v - u| and v * u have the bits of |u - v| and u * v, since IEEE
-        subtraction is sign-symmetric and multiplication commutes.
-        """
-        ab = pair_feature_rows(u, v, sims)
-        d = np.shape(u)[-1]
-        ba = np.empty_like(ab)
-        ba[:, :d], ba[:, d:2 * d], ba[:, 2 * d:] = ab[:, d:2 * d], ab[:, :d], ab[:, 2 * d:]
-        return (self.classifier.prob_rows(ab) + self.classifier.prob_rows(ba)) / 2.0
+        """``prob`` of the pairs a featurizer gives as (u, v, edit similarities),
+        the (v, u) rows built as ``pairclf.both_orders`` builds its (b, a)
+        rows."""
+        return (self.classifier.prob_rows(pair_feature_rows(u, v, sims))
+                + self.classifier.prob_rows(pair_feature_rows(v, u, sims))) / 2.0
 
     @classmethod
     def load(cls, path, featurizer: PairFeaturizer) -> "DuplicateDetector":

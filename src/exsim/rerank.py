@@ -62,10 +62,6 @@ class StudentProfile:
         if self.stage_mode not in STAGE_MODES:
             raise ValueError(f"unknown stage mode {self.stage_mode!r}")
 
-    def to_dict(self) -> dict:
-        return {"ability": self.ability, "stage_mode": self.stage_mode,
-                "current_stage": list(self.current_stage)}
-
 
 @dataclass(frozen=True)
 class RerankedItem:

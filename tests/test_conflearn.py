@@ -138,9 +138,10 @@ def test_clean_and_retrain_bookkeeping(cl_setup):
 
 
 def reference_prob(params, vocab, a, b):
-    """The stem-stem head on one pair prepared from its own texts, applied
-    to a one-row feature matrix."""
-    a, b = PreparedQuery(a, vocab), PreparedQuery(b, vocab)
+    """The stem-stem head on one pair prepared from its own texts (over a
+    view that holds neither), applied to a one-row feature matrix."""
+    empty = PreparedCorpus([], vocab)
+    a, b = PreparedQuery(a, empty), PreparedQuery(b, empty)
     sim = reference_similarity(a.tokens, b.tokens)
     return float(head_probs(params, pair_features(a.embedding(params), b.embedding(params),
                                                   sim)[None, :])[0])

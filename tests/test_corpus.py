@@ -50,10 +50,28 @@ def test_load_corpus_empty_file(tmp_path):
     assert len(load_corpus(path)) == 0
 
 
-def test_load_corpus_malformed_line_cites_line(tmp_path):
+def with_fields(**fields) -> str:
+    return json.dumps({**make_exercise().to_record(), **fields})
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{not json", "malformed JSON"),
+    (with_fields(difficulty="hard"), "malformed exercise record: invalid literal for int"),
+    (with_fields(difficulty=1e400), "malformed exercise record: cannot convert float inf"),
+    (with_fields(image_features=[["abc"]]),
+     "malformed exercise record: could not convert string to float"),
+    (with_fields(learning_stage=[7, "spring"]),
+     "malformed exercise record: invalid literal for int"),
+    ("5", "malformed exercise record: argument of type 'int'"),
+    # the record checks' own errors are not wrapped again
+    (with_fields(learning_stage=[7]), "learning_stage must be"),
+    (with_fields(knowledge_concepts=[]), "knowledge_concepts must be non-empty"),
+], ids=["json", "difficulty", "inf-difficulty", "image-features", "stage-entry",
+        "not-an-object", "stage-length", "no-concepts"])
+def test_load_corpus_malformed_line_cites_line(tmp_path, line, message):
     path = tmp_path / "c.jsonl"
-    path.write_text(json.dumps(make_exercise().to_record()) + "\n{not json\n")
-    with pytest.raises(CorpusError, match="line 2"):
+    path.write_text(json.dumps(make_exercise().to_record()) + "\n" + line + "\n")
+    with pytest.raises(CorpusError, match=f"^line 2: {message}"):
         load_corpus(path)
 
 
@@ -171,6 +189,16 @@ def test_jsonl_round_trip(tmp_path, small_synth):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [ex.to_record() for ex in corpus])
     assert load_corpus(path, levels=corpus.levels) == corpus
+
+
+@pytest.mark.parametrize("line", [
+    "[1, 2]", '{"a_id": "a", "b_id": "b", "label": "similar", "votes": 5}',
+], ids=["array", "int-votes"])
+def test_load_pairs_bad_record_cites_line(tmp_path, line):
+    path = tmp_path / "p.jsonl"
+    path.write_text('{"a_id": "a", "b_id": "b", "label": "similar"}\n' + line + "\n")
+    with pytest.raises(CorpusError, match="^line 2: bad pair record"):
+        load_pairs(path)
 
 
 def test_pairs_round_trip_and_validation(tmp_path, small_synth):

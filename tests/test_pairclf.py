@@ -43,6 +43,20 @@ def test_edit_similarity_basics():
     assert edit_similarity(["a", "b"], ["a", "b", "c"]) == pytest.approx(2 / 3)
 
 
+@pytest.mark.parametrize("u_rows, v_rows", [(0, 5), (5, 0), (5, 5), (0, 0)])
+def test_pair_feature_rows_equal_pair_features_per_row(u_rows, v_rows):
+    """A 1-D side (0 rows) broadcasts to every pair, in either argument
+    position, with the bits of ``pair_features`` per row."""
+    rng = np.random.default_rng(4)
+    n = max(u_rows, v_rows, 1)
+    u = rng.normal(size=(u_rows, 6) if u_rows else 6)
+    v = rng.normal(size=(v_rows, 6) if v_rows else 6)
+    sims = rng.random(n)
+    expected = np.array([pair_features(a, b, s) for a, b, s in
+                         zip(np.broadcast_to(u, (n, 6)), np.broadcast_to(v, (n, 6)), sims)])
+    assert pair_feature_rows(u, v, sims).tobytes() == expected.tobytes()
+
+
 def test_pair_features_layout():
     u = np.array([1.0, 2.0])
     v = np.array([3.0, 5.0])
@@ -155,7 +169,7 @@ def test_classifier_snapshot_round_trip(tmp_path):
 def test_featurizer_uses_canonical_text(small_trained):
     corpus, _, _, vocab, params = small_trained
     feat = PairFeaturizer(PreparedCorpus(corpus, vocab, params))
-    ex = PreparedQuery(next(iter(corpus)), vocab)
+    ex = PreparedQuery(next(iter(corpus)), feat.view)
     f = feat.features(ex, ex)
     assert f.shape == (feat.n_features,)
     assert f[-1] == 1.0  # identical text, edit similarity 1
@@ -364,7 +378,7 @@ def test_query_pairs_codes_tell_oov_tokens_apart(query_words, corpus_words):
     query = exercise("q", " ".join(query_words))
     expected = [reference_similarity(query_words, w) for w in corpus_words]
     view = PreparedCorpus(corpus, VOCAB, PARAMS)
-    _, _, sims = PairFeaturizer(view).row_pairs(PreparedQuery(query, VOCAB), view.index,
+    _, _, sims = PairFeaturizer(view).row_pairs(PreparedQuery(query, view), view.index,
                                                 np.arange(len(corpus)))
     assert sims.tolist() == expected
 
@@ -373,7 +387,7 @@ def test_unk_tokens_that_differ_as_strings_are_an_edit():
     assert VOCAB.id_of("xy") == VOCAB.id_of("zq") == UNK_ID
     view = PreparedCorpus([exercise("e", "ab zq")], VOCAB, PARAMS)
     feat = PairFeaturizer(view)
-    sims = [feat.row_pairs(PreparedQuery(exercise("q", text), VOCAB), view.index,
+    sims = [feat.row_pairs(PreparedQuery(exercise("q", text), view), view.index,
                            np.array([0]))[2][0]
             for text in ("ab xy", "ab zq")]
     assert sims == [0.5, 1.0]
@@ -430,11 +444,15 @@ def test_own_vocab_normalizes_each_text_once(small_synth, monkeypatch):
 
 
 def test_view_embeddings_equal_single_text_embedding():
+    """Each row equals the embedding of an equal copy of its exercise, which
+    is prepared from its own text."""
     exs = [exercise("a", "ab cd xy"), exercise("b", "ef")]
     view = PreparedCorpus(exs, VOCAB, PARAMS)
     feat = PairFeaturizer(view)
     for row, ex in enumerate(exs):
-        assert np.array_equal(view.embeddings[row], feat.embedding(PreparedQuery(ex, VOCAB)))
+        query = PreparedQuery(dataclasses.replace(ex), view)
+        assert query.row is None
+        assert np.array_equal(view.embeddings[row], feat.embedding(query))
 
 
 def test_both_orders_equal_features_per_pair(small_trained):
@@ -444,8 +462,8 @@ def test_both_orders_equal_features_per_pair(small_trained):
     pairs = [(exs[0], exs[1]), (exs[2], exs[0]), (exs[3], exs[3])]
     rows = both_orders(pairs, vocab, params)
     expected = []
-    for a, b in pairs:
-        a, b = PreparedQuery(a, vocab), PreparedQuery(b, vocab)
+    for a, b in pairs:  # equal copies, each prepared from its own text
+        a, b = (PreparedQuery(dataclasses.replace(ex), feat.view) for ex in (a, b))
         expected += [feat.features(a, b), feat.features(b, a)]
     assert np.array_equal(rows, np.array(expected))
 
@@ -479,25 +497,59 @@ def test_prepared_query_reads_kept_similarities_by_row(query_words, corpus_words
     computed, equal to the reference DP, and views sharing codes share it."""
     corpus = [exercise(f"e{i}", " ".join(w)) for i, w in enumerate(corpus_words)]
     view = PreparedCorpus(corpus, VOCAB, PARAMS)
-    query = PreparedQuery(exercise("q", " ".join(query_words)), VOCAB)
+    query = PreparedQuery(exercise("q", " ".join(query_words)), view)
     expected = [reference_similarity(query_words, w) for w in corpus_words]
     everyone = np.arange(len(corpus))
-    assert query.edit_similarities(view, everyone).tolist() == expected
-    other_backbone = view.embedded_with(PARAMS)
+    assert query.edit_similarities(everyone).tolist() == expected
+    other_backbone = PairFeaturizer(view.embedded_with(PARAMS))
     for _ in range(3):
         rows = np.array(data.draw(st.lists(st.sampled_from(everyone.tolist()),
                                            max_size=len(corpus))), dtype=np.int64)
-        assert query.edit_similarities(other_backbone, rows).tolist() == \
+        assert other_backbone.row_pairs(query, view.index, rows)[2].tolist() == \
             [expected[r] for r in rows]
 
 
-def test_prepared_query_starts_afresh_for_another_view():
+def test_prepared_query_is_refused_by_another_view():
+    """A second view of the same exercises and vocabulary is refused, also
+    one whose codes are equal: another order gives the out-of-vocabulary
+    tokens "xy" and "zq" other codes, which its kept similarities and
+    embeddings would not follow."""
     exs = [exercise("a", "ab xy"), exercise("b", "zq ef")]
     first = PreparedCorpus(exs, VOCAB, PARAMS)
-    second = PreparedCorpus(exs[::-1], VOCAB, PARAMS)
-    query = PreparedQuery(exercise("q", "zq ef"), VOCAB)
-    assert query.edit_similarities(first, np.array([0, 1])).tolist() == [0.0, 1.0]
-    assert query.edit_similarities(second, np.array([0, 1])).tolist() == [1.0, 0.0]
+    reordered = PreparedCorpus(exs[::-1], VOCAB, PARAMS)
+    assert first.oov_codes != reordered.oov_codes
+    rows = np.array([0, 1])
+    for ex in (exercise("q", "zq ef"), exs[0]):
+        query = PreparedQuery(ex, first)
+        for second in (reordered, PreparedCorpus(exs, VOCAB, PARAMS)):
+            with pytest.raises(ValueError, match="prepared query"):
+                PairFeaturizer(second).row_pairs(query, second.index, rows)
+    query = PreparedQuery(exercise("q", "zq ef"), first)
+    assert PairFeaturizer(first).row_pairs(query, first.index, rows)[2].tolist() == [0.0, 1.0]
+    query = PreparedQuery(exercise("q", "zq ef"), reordered)
+    assert PairFeaturizer(reordered).row_pairs(
+        query, reordered.index, rows)[2].tolist() == [1.0, 0.0]
+
+
+def test_prepared_query_is_taken_by_an_embedded_copy_of_its_view():
+    """An ``embedded_with`` copy shares its view's codes: it takes the view's
+    queries, reads a bank query's embedding from its own rows, and any other
+    query's from the query's ids."""
+    exs = [exercise("a", "ab xy"), exercise("b", "zq ef")]
+    view = PreparedCorpus(exs, VOCAB, PARAMS)
+    other = EncoderParams.init(vocab_size=len(VOCAB), d=4, d_img=2, n_types=1,
+                               levels=1, n_concepts=1, seed=1)
+    copy = view.embedded_with(other)
+    rows = np.array([1, 0])
+    for ex in (exs[0], exercise("q", "zq ef cd")):
+        query = PreparedQuery(ex, view)
+        u, v, sims = PairFeaturizer(copy).row_pairs(query, view.index, rows)
+        assert np.array_equal(u, embed_text(query.ids, other))
+        assert np.array_equal(v, copy.embeddings[rows])
+        assert sims.tolist() == [reference_similarity(query.tokens, view.tokens[r])
+                                 for r in rows]
+    assert np.array_equal(PairFeaturizer(copy).embedding(PreparedQuery(exs[1], view)),
+                          copy.embeddings[1])
 
 
 def test_prepared_query_over_rows_longer_than_a_word():
@@ -510,11 +562,11 @@ def test_prepared_query_over_rows_longer_than_a_word():
     texts.append(" ".join(texts[0].split()[:-1] + ["mn"] * 3))
     view = PreparedCorpus([exercise(f"e{i}", t) for i, t in enumerate(texts)], VOCAB, PARAMS)
     assert max(view.lengths) > 128
-    query = PreparedQuery(exercise("q", texts[0] + " zq"), VOCAB)
+    query = PreparedQuery(exercise("q", texts[0] + " zq"), view)
     rows = np.arange(len(texts))
-    assert query.edit_similarities(view, rows).tolist() == \
+    assert query.edit_similarities(rows).tolist() == \
         [edit_similarity(query.tokens, tokens) for tokens in view.tokens]
-    assert query.edit_similarities(view, rows).tolist() == \
+    assert query.edit_similarities(rows).tolist() == \
         [reference_similarity(query.tokens, tokens) for tokens in view.tokens]
 
 
@@ -529,22 +581,25 @@ def test_prepared_query_is_embedded_once_per_backbone(monkeypatch):
     ex = exercise("q", "ab xy cd")
     ids = np.array([VOCAB.id_of(t) for t in ("ab", "xy", "cd")])
     expected = {id(p): embed_text(ids, p) for p in (PARAMS, other)}
+    view = PreparedCorpus([exercise("a", "ab")], VOCAB)
     calls.clear()
-    query = PreparedQuery(ex, VOCAB)
+    query = PreparedQuery(ex, view)
     for params in (PARAMS, other, PARAMS, other):
         assert np.array_equal(query.embedding(params), expected[id(params)])
     assert [id(p) for p in calls] == [id(PARAMS), id(other)]
 
 
 def test_prepared_query_refuses_another_preparation():
-    """A query prepared with another vocabulary, even one of the same
-    tokens, may have other tokens (its stop words differ) and other ids."""
-    view = PreparedCorpus([exercise("a", "ab")], VOCAB, PARAMS)
+    """A query prepared over a view with another vocabulary, even one of the
+    same tokens, may have other tokens (its stop words differ) and other
+    ids."""
+    exs = [exercise("a", "ab")]
+    view = PreparedCorpus(exs, VOCAB, PARAMS)
     for vocab in (Vocab(["ab", "cd", "ef"], ("the",)), Vocab(["ab", "cd", "ef"])):
-        query = PreparedQuery(exercise("q", "ab"), vocab)
+        query = PreparedQuery(exercise("q", "ab"), PreparedCorpus(exs, vocab, PARAMS))
         with pytest.raises(ValueError, match="prepared query"):
             PairFeaturizer(view).row_pairs(query, view.index, np.array([0]))
-    u, v, sims = PairFeaturizer(view).row_pairs(PreparedQuery(exercise("q", "ab"), VOCAB),
+    u, v, sims = PairFeaturizer(view).row_pairs(PreparedQuery(exercise("q", "ab"), view),
                                                 view.index, np.array([0]))
     assert np.array_equal(u, v[0]) and sims.tolist() == [1.0]
 
@@ -554,7 +609,7 @@ def test_featurizer_refuses_rows_of_another_index():
     rows; an ``embedded_with`` copy shares the view's index."""
     exs = [exercise("a", "ab"), exercise("b", "cd")]
     view = PreparedCorpus(exs, VOCAB, PARAMS)
-    query = PreparedQuery(exercise("q", "ab"), VOCAB)
+    query = PreparedQuery(exercise("q", "ab"), view)
     with pytest.raises(ValueError, match="rows of this featurizer's view"):
         PairFeaturizer(view).row_pairs(query, PreparedCorpus(exs, VOCAB).index, np.array([0]))
     _, _, sims = PairFeaturizer(view.embedded_with(PARAMS)).row_pairs(

@@ -207,9 +207,10 @@ def test_query_flow_and_cache(workspace):
     json.dumps(record)
 
     dedup, threshold = pipe.recaller.dedup, pipe.recaller.config.dedup_threshold
-    query = PreparedQuery(corpus[query_id], pipe.vocab)
-    assert dedup.prob(query, PreparedQuery(probe, pipe.vocab)) >= threshold
-    assert dedup.prob(query, PreparedQuery(corpus[corpus.ids[0]], pipe.vocab)) < threshold
+    view = pipe.recaller.view
+    query = PreparedQuery(corpus[query_id], view)
+    assert dedup.prob(query, PreparedQuery(probe, view)) >= threshold
+    assert dedup.prob(query, PreparedQuery(corpus[corpus.ids[0]], view)) < threshold
     with pytest.raises(pl.NotFoundError):
         pipe.query("no-such-id")
     markup_only = dataclasses.replace(probe, id="markup", stem="<p></p>", options=())
@@ -309,7 +310,7 @@ def test_batched_scores_equal_per_pair(workspace, kind):
     rows = np.array([corpus.index.row_of[ex.id] for ex in others])
     u = own_embedding(query, pipe.vocab, rec.view.params)
     v = rec.vector.matrix[rows]
-    prepared = PreparedQuery(query, pipe.vocab)
+    prepared = PreparedQuery(query, rec.view)
     got = rec.dedup.prob_pairs(
         *rec.dedup.featurizer.row_pairs(prepared, rec.view.index, rows)).tolist()
     assert got == [dedup_reference(rec.dedup, query, ex, u, row)
@@ -317,7 +318,7 @@ def test_batched_scores_equal_per_pair(workspace, kind):
     got = pipe.variant_clf.prob_pairs(
         *pipe.variant_clf.featurizer.row_pairs(prepared, rec.view.index, rows)).tolist()
     assert got == [variant_reference(pipe.variant_clf, query, ex) for ex in others]
-    assert got == [pipe.variant_clf.prob(prepared, PreparedQuery(ex, pipe.vocab))
+    assert got == [pipe.variant_clf.prob(prepared, PreparedQuery(ex, rec.view))
                    for ex in others]
 
     result = pipe.query(query if kind == "probe" else query.id)
@@ -409,11 +410,14 @@ def test_a_bank_exercise_serves_what_its_equal_copy_does(workspace, profile):
     bank = pipe.corpus[corpus.ids[7]]
     copy = dataclasses.replace(bank)
     assert copy == bank and copy is not bank
-    row_query, text_query = pipe.recaller.view.query(bank), pipe.recaller.view.query(copy)
-    assert row_query.tokens is pipe.recaller.view.tokens[7]
+    view = pipe.recaller.view
+    row_query, text_query = PreparedQuery(bank, view), PreparedQuery(copy, view)
+    assert row_query.tokens is view.tokens[7] and row_query.row == 7
+    assert text_query.row is None
     assert row_query.tokens == text_query.tokens
     assert row_query.ids.dtype == text_query.ids.dtype
     assert np.array_equal(row_query.ids, text_query.ids)
+    assert text_query.ids.tolist() == [pipe.vocab.id_of(t) for t in text_query.tokens]
     assert served_items(pipe.query(bank.id, profile)) == \
         served_items(pipe.query(copy, profile))
 
@@ -466,7 +470,7 @@ def test_served_list_equals_reference(workspace, kind, profile):
     query = pipe.resolve(request)
     result = pipe.query(request, profile)
     assert served_items(result) == reference_query(pipe, query, profile)
-    assert (len(pipe.recaller.recall(PreparedQuery(query, pipe.vocab))) == 0) == \
+    assert (len(pipe.recaller.recall(PreparedQuery(query, pipe.recaller.view))) == 0) == \
         (kind == "markup")
     assert bool(result.all_ids()) == (kind != "markup")
 
@@ -523,7 +527,7 @@ def test_stop_words_reach_every_stage(stop_workspace, kind, profile):
     request = request_of(pipe, corpus, kind)
     query = pipe.resolve(request)
     assert {"the", "of"} <= set(split_tokens(query.text))
-    assert not {"the", "of"} & set(pairclf.PreparedQuery(query, pipe.vocab).tokens)
+    assert not {"the", "of"} & set(pairclf.PreparedQuery(query, pipe.recaller.view).tokens)
     result = pipe.query(request, profile)
     assert result.variant and result.similar
     assert served_items(result) == reference_query(pipe, query, profile)

@@ -253,7 +253,7 @@ def test_score_pair_untrained_rejected(tiny_setup):
         ranker.pair_probs(np.array([0]), np.array([1]), np.array([0.5]))
     cands = candidates_of(corpus.index, [Candidate(corpus.ids[1], 0.0, "exact")])
     with pytest.raises(UntrainedModelError):
-        ranker.rank(PreparedQuery(corpus[corpus.ids[0]], view.vocab), cands)
+        ranker.rank(PreparedQuery(corpus[corpus.ids[0]], view), cands)
 
 
 def test_rank_is_permutation_sorted_with_id_ties(tiny_setup):
@@ -261,7 +261,7 @@ def test_rank_is_permutation_sorted_with_id_ties(tiny_setup):
     params, _ = rk.train_ranker(pairs, view, rk.RankConfig(epochs=1, seed=0),
                                 encoder=encoder)
     ranker = rk.Ranker(params, view)
-    query = PreparedQuery(corpus[corpus.ids[0]], view.vocab)
+    query = PreparedQuery(corpus[corpus.ids[0]], view)
     cands = candidates_of(corpus.index, [Candidate(ex_id, 0.0, "exact")
                                          for ex_id in corpus.ids[1:10]])
     out = ranker.rank(query, cands)
@@ -319,13 +319,13 @@ def test_score_pairs_equal_from_view_and_from_own_text(tiny_setup):
     ranker = rk.Ranker(params, PreparedCorpus(exs, vocab, encoder))
     rows = [4, 2, 0, 3]  # a reordered subset of the view
     index = ranker.view.index
-    ranked = ranker.rank(PreparedQuery(query, vocab), candidates_of(
+    ranked = ranker.rank(PreparedQuery(query, ranker.view), candidates_of(
         index, [Candidate(index.ids[r], 0.0, "exact") for r in rows]))
 
     def tokens(ex):
         return split_tokens(normalize_text(ex.text)[0])
     expected = [reference_similarity(tokens(query), tokens(exs[r])) for r in rows]
-    assert ranker.featurizer.row_pairs(PreparedQuery(query, vocab), index,
+    assert ranker.featurizer.row_pairs(PreparedQuery(query, ranker.view), index,
                                        np.array(rows))[2].tolist() == expected
 
     # the pair features from each side's own text, scored as one matrix in

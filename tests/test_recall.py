@@ -429,33 +429,34 @@ def small_trained_module():
 
 
 def test_dedup_identical_exercise_is_duplicate(dedup_setup):
-    corpus, _, vocab, _, detector = dedup_setup
-    ex = PreparedQuery(next(iter(corpus)), vocab)
+    corpus, _, _, _, detector = dedup_setup
+    ex = PreparedQuery(next(iter(corpus)), detector.featurizer.view)
     assert detector.prob(ex, ex) > 0.99
 
 
 def test_dedup_symmetric_exactly(dedup_setup):
-    corpus, _, vocab, _, detector = dedup_setup
-    ids = corpus.ids
+    corpus, _, _, _, detector = dedup_setup
+    ids, view = corpus.ids, detector.featurizer.view
     for a_id, b_id in [(ids[0], ids[1]), (ids[3], ids[25]), (ids[10], ids[39])]:
-        a, b = PreparedQuery(corpus[a_id], vocab), PreparedQuery(corpus[b_id], vocab)
+        a, b = PreparedQuery(corpus[a_id], view), PreparedQuery(corpus[b_id], view)
         assert detector.prob(a, b) == detector.prob(b, a)
 
 
 def test_dedup_table_semantics(dedup_setup):
     # year-digit noise is a duplicate; a raised equation degree is not
-    corpus, truth, vocab, _, detector = dedup_setup
+    corpus, truth, _, _, detector = dedup_setup
     from exsim.corpus import _clone, _raise_power
     checked_dup = checked_distinct = 0
+    view = detector.featurizer.view
     for ex_id in corpus.ids[::7]:
         ex = corpus[ex_id]
-        query = PreparedQuery(ex, vocab)
-        year_copy = PreparedQuery(_clone(ex, f"{ex.stem} in 2021", "-y"), vocab)
+        query = PreparedQuery(ex, view)
+        year_copy = PreparedQuery(_clone(ex, f"{ex.stem} in 2021", "-y"), view)
         assert detector.prob(query, year_copy) >= 0.5
         checked_dup += 1
         mutated = _raise_power(ex.stem)
         if mutated is not None and mutated != ex.stem:
-            power_copy = PreparedQuery(_clone(ex, mutated, "-p"), vocab)
+            power_copy = PreparedQuery(_clone(ex, mutated, "-p"), view)
             assert detector.prob(query, power_copy) < 0.5
             checked_distinct += 1
     assert checked_dup >= 3 and checked_distinct >= 3
@@ -470,7 +471,7 @@ def test_recall_excludes_duplicates_of_query(dedup_setup):
     view = PreparedCorpus(bigger, vocab, params)
     recaller = Recaller.build(view, DuplicateDetector(detector.classifier, PairFeaturizer(view)),
                               RecallConfig(k_exact=50, k_embed=50, n=30))
-    out = recaller.recall(PreparedQuery(query, vocab))
+    out = recaller.recall(PreparedQuery(query, view))
     ids = [c.ex_id for c in out]
     assert query.id not in ids
     assert clone.id not in ids
@@ -482,7 +483,7 @@ def test_recall_merges_channels_once(small_trained_module):
     recaller = Recaller.build(PreparedCorpus(corpus, vocab, params),
                               config=RecallConfig(k_exact=30, k_embed=30, n=20))
     query = corpus[corpus.ids[0]]
-    out = recaller.recall(PreparedQuery(query, vocab))
+    out = recaller.recall(PreparedQuery(query, recaller.view))
     ids = [c.ex_id for c in out]
     assert len(ids) == len(set(ids))
     assert len(ids) <= 20

@@ -29,7 +29,7 @@ def fixture_corpus():
     ]
     corpus = Corpus([fixture_exercise(i, d, s) for i, d, s in spec], levels=5)
     cands = ranked_candidates(corpus, [ex_id for ex_id, _, _ in spec[1:]])
-    return corpus, PreparedQuery(corpus["q"], PreparedCorpus.with_own_vocab(corpus).vocab), cands
+    return corpus, PreparedQuery(corpus["q"], PreparedCorpus.with_own_vocab(corpus)), cands
 
 
 def ranked_candidates(corpus, ex_ids):
@@ -168,26 +168,28 @@ def variant_setup():
 
 
 def test_variant_classifier_accuracy(variant_setup):
-    corpus, truth, pairs, vocab, params, clf = variant_setup
+    corpus, truth, pairs, _, params, clf = variant_setup
     flagged = [p for p in pairs if p.variant is not None]
     correct = 0
+    view = clf.featurizer.view
     for p in flagged:
-        a, b = PreparedQuery(corpus[p.a_id], vocab), PreparedQuery(corpus[p.b_id], vocab)
+        a, b = PreparedQuery(corpus[p.a_id], view), PreparedQuery(corpus[p.b_id], view)
         got = clf.prob(a, b) >= rr.RerankConfig().variant_threshold
         correct += got == (p.variant == "variant")
     assert correct / len(flagged) > 0.8
 
 
 def test_variant_verbatim_candidate_is_plain_similar(variant_setup):
-    corpus, _, _, vocab, _, clf = variant_setup
-    ex = PreparedQuery(next(iter(corpus)), vocab)
+    corpus, _, _, _, _, clf = variant_setup
+    ex = PreparedQuery(next(iter(corpus)), clf.featurizer.view)
     assert clf.prob(ex, ex) < 0.2
 
 
 def test_variant_directional_contract(variant_setup):
-    corpus, _, pairs, vocab, _, clf = variant_setup
+    corpus, _, pairs, _, _, clf = variant_setup
     p = next(p for p in pairs if p.variant == "variant")
-    a, b = PreparedQuery(corpus[p.a_id], vocab), PreparedQuery(corpus[p.b_id], vocab)
+    view = clf.featurizer.view
+    a, b = PreparedQuery(corpus[p.a_id], view), PreparedQuery(corpus[p.b_id], view)
     ab, ba = clf.prob(a, b), clf.prob(b, a)
     assert 0.0 <= ab <= 1.0 and 0.0 <= ba <= 1.0
 
@@ -195,7 +197,7 @@ def test_variant_directional_contract(variant_setup):
 def test_rerank_splits_variant_first(variant_setup):
     corpus, truth, pairs, vocab, params, clf = variant_setup
     p = next(p for p in pairs if p.variant == "variant")
-    query = PreparedQuery(corpus[p.a_id], vocab)
+    query = PreparedQuery(corpus[p.a_id], clf.featurizer.view)
     mates = sorted(truth.mates(p.a_id))
     cands = ranked_candidates(corpus, mates)
     # the split reads candidates from the rows of its featurizer's view
