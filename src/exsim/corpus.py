@@ -3,7 +3,11 @@
 An exercise bank is held in memory as a :class:`Corpus`: an ordered,
 immutable collection of :class:`Exercise` records plus the closed
 dictionaries (exercise types, difficulty levels, knowledge concepts)
-that metadata encoding validates against.
+that metadata encoding validates against. An exercise's image feature
+vectors are one read-only float64 array, never a Python float per
+dimension; the corpus snapshot keeps every exercise's vectors as one
+binary (total images, d_img) array, and a loaded exercise holds a view of
+its rows.
 
 The synthetic generator builds a corpus from slot-filling templates with
 known ground-truth similarity groups, so retrieval quality can be measured
@@ -23,7 +27,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .snapshots import atomic_write, load_arrays, save_arrays
+from .snapshots import SnapshotFormatError, atomic_write, load_arrays, save_arrays
 
 SIMILAR = "similar"
 DISSIMILAR = "dissimilar"
@@ -52,16 +56,25 @@ class Metadata:
         object.__setattr__(self, "knowledge_concepts", tuple(sorted(set(self.knowledge_concepts))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exercise:
-    """One multi-modal exercise: text parts, image feature vectors, metadata."""
+    """One multi-modal exercise: text parts, image feature vectors, metadata.
+
+    ``image_features`` is one read-only float64 array of shape (images,
+    d_img), (0, 0) for an exercise without images. The constructor takes
+    any sequence of equal-length number vectors, or such an array: a
+    read-only float64 array is kept as it is (a snapshot's view), anything
+    else is copied once. Equality compares the image values with
+    ``np.array_equal`` and every other field as the dataclass would; the
+    hash reads the image shape, not the values.
+    """
 
     id: str
     stem: str
     options: tuple[str, ...]
     answer: str
     analysis: str
-    image_features: tuple[tuple[float, ...], ...]
+    image_features: np.ndarray
     metadata: Metadata
     learning_stage: tuple[int, int]  # (grade, semester), totally ordered
 
@@ -70,9 +83,38 @@ class Exercise:
             raise CorpusError("exercise id must be non-empty")
         if not self.stem:
             raise CorpusError(f"exercise {self.id!r}: stem must be non-empty")
-        dims = {len(v) for v in self.image_features}
-        if len(dims) > 1:
-            raise CorpusError(f"exercise {self.id!r}: image feature dims differ: {sorted(dims)}")
+        feats = self.image_features
+        if not isinstance(feats, np.ndarray):
+            if any(isinstance(v, (str, bytes)) for v in feats):
+                raise CorpusError(f"exercise {self.id!r}: image feature vectors "
+                                  "must be lists of numbers, not strings")
+            dims = {len(v) for v in feats}
+            if len(dims) > 1:
+                raise CorpusError(
+                    f"exercise {self.id!r}: image feature dims differ: {sorted(dims)}")
+            feats = np.array(feats, dtype=np.float64)
+        elif feats.dtype != np.float64 or feats.flags.writeable:
+            feats = feats.astype(np.float64)
+        feats.flags.writeable = False
+        if feats.shape[:1] == (0,):
+            feats = feats.reshape(0, 0)
+        elif feats.ndim != 2:
+            raise CorpusError(f"exercise {self.id!r}: image features must be "
+                              f"(images, dim), got shape {feats.shape}")
+        object.__setattr__(self, "image_features", feats)
+
+    def _fields(self) -> tuple:
+        return (self.id, self.stem, self.options, self.answer, self.analysis,
+                self.metadata, self.learning_stage)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._fields() == other._fields()
+                and np.array_equal(self.image_features, other.image_features))
+
+    def __hash__(self) -> int:
+        return hash((self._fields(), self.image_features.shape))
 
     @property
     def text(self) -> str:
@@ -84,13 +126,14 @@ class Exercise:
         return " ".join((self.answer, self.analysis)).strip()
 
     def to_record(self) -> dict:
+        """The exercise as JSON values; image vectors are lists of floats."""
         return {
             "id": self.id,
             "stem": self.stem,
             "options": list(self.options),
             "answer": self.answer,
             "analysis": self.analysis,
-            "image_features": [list(v) for v in self.image_features],
+            "image_features": self.image_features.tolist(),
             "exercise_type": self.metadata.exercise_type,
             "difficulty": self.metadata.difficulty,
             "knowledge_concepts": list(self.metadata.knowledge_concepts),
@@ -103,6 +146,9 @@ class Exercise:
             missing = [k for k in EXERCISE_FIELDS if k not in rec]
             if missing:
                 raise CorpusError(f"missing fields: {missing}")
+            for name in ("options", "image_features", "knowledge_concepts", "learning_stage"):
+                if isinstance(rec[name], (str, bytes)):
+                    raise CorpusError(f"{name} must be a list, not a string")
             stage = rec["learning_stage"]
             if len(stage) != 2:
                 raise CorpusError("learning_stage must be [grade, semester]")
@@ -112,7 +158,7 @@ class Exercise:
                 options=tuple(str(o) for o in rec["options"]),
                 answer=str(rec["answer"]),
                 analysis=str(rec["analysis"]),
-                image_features=tuple(tuple(float(x) for x in v) for v in rec["image_features"]),
+                image_features=rec["image_features"],
                 metadata=Metadata(
                     exercise_type=str(rec["exercise_type"]),
                     difficulty=int(rec["difficulty"]),
@@ -166,7 +212,7 @@ class Corpus:
         exs = list(self._by_id.values())
         self.levels = int(levels) if levels is not None else max(
             (ex.metadata.difficulty for ex in exs), default=1)
-        dims = {len(v) for ex in exs for v in ex.image_features}
+        dims = {ex.image_features.shape[1] for ex in exs if len(ex.image_features)}
         if len(dims) > 1:
             raise CorpusError(f"inconsistent image feature dimensions: {sorted(dims)}")
         if d_img is not None:
@@ -320,20 +366,44 @@ def load_corpus(path, levels: Optional[int] = None) -> Corpus:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot persistence: the shared snapshot format, records in its header
+# Snapshot persistence: the shared snapshot format, records in its header and
+# every exercise's image vectors, in record order, as its one array
 
 def save_snapshot(corpus: Corpus, path) -> None:
+    records = []
+    for ex in corpus:
+        rec = ex.to_record()
+        del rec["image_features"]
+        rec["images"] = len(ex.image_features)
+        records.append(rec)
+    images = [ex.image_features for ex in corpus if len(ex.image_features)]
     save_arrays(path, "corpus", {
         "levels": corpus.levels,
         "d_img": corpus.d_img,
-        "exercises": [ex.to_record() for ex in corpus],
-    }, {})
+        "exercises": records,
+    }, {"image_features": np.concatenate([np.empty((0, corpus.d_img))] + images)})
 
 
 def load_snapshot(path) -> Corpus:
-    meta, _ = load_arrays(path, "corpus")
-    return Corpus([Exercise.from_record(rec) for rec in meta["exercises"]],
-                  levels=meta["levels"], d_img=meta["d_img"])
+    """The saved corpus; each exercise's ``image_features`` is a read-only
+    view of its rows of the snapshot's one image array."""
+    meta, arrays = load_arrays(path, "corpus")
+    feats = arrays.get("image_features")
+    if feats is None:
+        raise SnapshotFormatError(
+            f"{path}: corpus snapshot of an older layout, with image vectors in its "
+            "records; rerun step_synth or step_ingest to rewrite it")
+    feats.flags.writeable = False
+    exercises, start = [], 0
+    for rec in meta["exercises"]:
+        end = start + rec["images"]
+        rec["image_features"] = feats[start:end]
+        exercises.append(Exercise.from_record(rec))
+        start = end
+    if start != len(feats):
+        raise SnapshotFormatError(
+            f"{path}: records count {start} images, the image array holds {len(feats)}")
+    return Corpus(exercises, levels=meta["levels"], d_img=meta["d_img"])
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +548,8 @@ def _render_exercise(ex_id: str, tpl: _Template, rng: np.random.Generator,
     else:
         options = ()
     n_images = int(rng.choice([0, 1, 1, 1, 1, 1, 1, 1, 1, 2]))
-    images = tuple(
-        tuple(float(x) for x in tpl.centroid + 0.15 * rng.normal(size=tpl.centroid.shape))
-        for _ in range(n_images))
+    images = tpl.centroid + 0.15 * rng.normal(size=(n_images, len(tpl.centroid)))
+    images.flags.writeable = False
     difficulty = int(np.clip(tpl.base_difficulty + int(rng.integers(-1, 2)), 1, levels))
     return Exercise(
         id=ex_id,

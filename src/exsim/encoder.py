@@ -371,7 +371,7 @@ class EncodedExercise:
     stem_ids: np.ndarray
     analysis_ids: np.ndarray
     meta: MetadataEncoding
-    image_feats: np.ndarray  # (n_images, d_img)
+    image_feats: np.ndarray  # Exercise.image_features itself, (n_images, d_img)
 
 
 def encode_corpus(corpus: Corpus, stem_ids: Sequence[np.ndarray],
@@ -387,9 +387,7 @@ def encode_corpus(corpus: Corpus, stem_ids: Sequence[np.ndarray],
             analysis = stem  # degenerate but total: no answer/analysis text
         meta = encode_metadata(ex.metadata, corpus.exercise_types, corpus.levels,
                                corpus.concepts)
-        feats = (np.asarray(ex.image_features, dtype=np.float64)
-                 if ex.image_features else np.zeros((0, corpus.d_img)))
-        out.append(EncodedExercise(ex.id, stem, analysis, meta, feats))
+        out.append(EncodedExercise(ex.id, stem, analysis, meta, ex.image_features))
     return out
 
 

@@ -527,7 +527,11 @@ def both_orders(pairs: Sequence[tuple[Exercise, Exercise]], vocab: Vocab,
 
     Row 2k equals ``features(a_k, b_k)`` and row 2k + 1 equals
     ``features(b_k, a_k)`` under ``vocab`` and ``params``, bit for bit. Each
-    distinct exercise is prepared once, as a row of a view of its own.
+    distinct exercise is prepared once, as a row of a view of its own. Edit
+    similarities are computed and embeddings gathered one block of
+    ``_BLOCK`` pairs at a time, and the view is dropped before the
+    (2 x pairs, 4d + 1) matrix is allocated, so at the peak the matrix is
+    the only large array alive here.
     """
     index: dict[int, int] = {}
     unique: list[Exercise] = []
@@ -539,13 +543,20 @@ def both_orders(pairs: Sequence[tuple[Exercise, Exercise]], vocab: Vocab,
     view = PreparedCorpus(unique, vocab, params)
     ra = np.array([index[id(a)] for a, _ in pairs], dtype=np.int64)
     rb = np.array([index[id(b)] for _, b in pairs], dtype=np.int64)
-    sims = edit_similarities(view.codes[ra], view.lengths[ra],
-                             view.codes[rb], view.lengths[rb])
-    u, v = view.embeddings[ra], view.embeddings[rb]
+    blocks = [slice(s, s + _BLOCK) for s in range(0, len(pairs), _BLOCK)]
+    sims = np.empty(len(pairs))
+    for block in blocks:
+        a, b = ra[block], rb[block]
+        sims[block] = edit_similarities(view.codes[a], view.lengths[a],
+                                        view.codes[b], view.lengths[b])
+    embeddings = view.embeddings
+    del view
     n_features = 4 * params.d + 1
     rows = np.empty((len(pairs), 2, n_features))
-    pair_feature_rows(u, v, sims, out=rows[:, 0])
-    pair_feature_rows(v, u, sims, out=rows[:, 1])
+    for block in blocks:
+        u, v = embeddings[ra[block]], embeddings[rb[block]]
+        pair_feature_rows(u, v, sims[block], out=rows[block, 0])
+        pair_feature_rows(v, u, sims[block], out=rows[block, 1])
     return rows.reshape(2 * len(pairs), n_features)
 
 

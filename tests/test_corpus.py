@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from exsim.corpus import (
@@ -7,7 +9,7 @@ from exsim.corpus import (
     generate_dedup_pairs, generate_synthetic, load_corpus, load_pairs,
     load_snapshot, save_pairs, save_snapshot, validate_pairs,
 )
-from exsim.snapshots import SnapshotFormatError
+from exsim.snapshots import SnapshotFormatError, save_arrays
 
 
 def make_exercise(ex_id="e1", stem="solve $x+1=2$", difficulty=2):
@@ -66,8 +68,15 @@ def with_fields(**fields) -> str:
     # the record checks' own errors are not wrapped again
     (with_fields(learning_stage=[7]), "learning_stage must be"),
     (with_fields(knowledge_concepts=[]), "knowledge_concepts must be non-empty"),
+    # a string where a list belongs is refused, not split into characters
+    (with_fields(options="AB"), "options must be a list, not a string"),
+    (with_fields(knowledge_concepts="c01"), "knowledge_concepts must be a list, not a string"),
+    (with_fields(learning_stage="79"), "learning_stage must be a list, not a string"),
+    (with_fields(image_features=["12"]),
+     "exercise 'e1': image feature vectors must be lists of numbers, not strings"),
 ], ids=["json", "difficulty", "inf-difficulty", "image-features", "stage-entry",
-        "not-an-object", "stage-length", "no-concepts"])
+        "not-an-object", "stage-length", "no-concepts", "string-options",
+        "string-concepts", "string-stage", "string-image-row"])
 def test_load_corpus_malformed_line_cites_line(tmp_path, line, message):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(make_exercise().to_record()) + "\n" + line + "\n")
@@ -165,6 +174,69 @@ def test_snapshot_round_trip(tmp_path, small_synth):
     path = tmp_path / "c.snap"
     save_snapshot(corpus, path)
     assert load_snapshot(path) == corpus
+
+
+def with_images(ex_id, images):
+    return dataclasses.replace(make_exercise(ex_id), image_features=images)
+
+
+def test_snapshot_round_trip_keeps_image_bytes(tmp_path):
+    rng = np.random.default_rng(0)
+    corpus = Corpus([with_images("e0", ()), with_images("e1", rng.normal(size=(1, 3))),
+                     with_images("e2", rng.normal(size=(2, 3))), with_images("e3", ())])
+    path = tmp_path / "c.snap"
+    save_snapshot(corpus, path)
+    loaded = load_snapshot(path)
+    assert loaded == corpus
+    for ex in corpus:
+        assert loaded[ex.id].image_features.shape == ex.image_features.shape
+        assert loaded[ex.id].image_features.tobytes() == ex.image_features.tobytes()
+
+
+def test_loaded_image_vectors_view_one_read_only_buffer(tmp_path, small_synth):
+    corpus, _, _ = small_synth
+    path = tmp_path / "c.snap"
+    save_snapshot(corpus, path)
+    feats = [ex.image_features for ex in load_snapshot(path) if len(ex.image_features)]
+    assert len(feats) > 1
+
+    def owner(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    assert len({id(owner(f)) for f in feats}) == 1
+    assert not any(f.flags.writeable for f in feats)
+    with pytest.raises(ValueError, match="read-only"):
+        feats[0][0, 0] = 1.0
+
+
+def test_snapshot_refuses_vectors_in_records(tmp_path):
+    # the layout before the image array: every record holds its own vectors
+    path = tmp_path / "c.snap"
+    save_arrays(path, "corpus", {"levels": 5, "d_img": 2,
+                                 "exercises": [make_exercise().to_record()]}, {})
+    with pytest.raises(SnapshotFormatError, match="rerun step_synth or step_ingest"):
+        load_snapshot(path)
+
+
+def test_exercise_equality_and_hash_read_image_values():
+    ex = make_exercise()
+    assert dataclasses.replace(ex) == ex
+    same = dataclasses.replace(ex, image_features=np.array([[0.0, 1.0]]))
+    assert same == ex and hash(same) == hash(ex)
+    assert dataclasses.replace(ex, image_features=((0.0, 1.5),)) != ex
+    assert dataclasses.replace(ex, image_features=()) != ex
+
+
+def test_record_renders_image_vectors_as_float_lists():
+    ex = with_images("e1", ((0.1, -2.5e-300, 1 / 3), (1e16, -0.0, 2.0)))
+    assert json.dumps(ex.to_record(), sort_keys=True) == (
+        '{"analysis": "because $x=1$", "answer": "1", "difficulty": 2, '
+        '"exercise_type": "choice", "id": "e1", "image_features": '
+        '[[0.1, -2.5e-300, 0.3333333333333333], [1e+16, -0.0, 2.0]], '
+        '"knowledge_concepts": ["c01"], "learning_stage": [7, 1], '
+        '"options": ["1", "2"], "stem": "solve $x+1=2$"}')
 
 
 def test_snapshot_bad_magic(tmp_path):

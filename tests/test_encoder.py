@@ -355,7 +355,7 @@ def image_bank():
     spec = SyntheticSpec(n_templates=3, per_template=6, noise_rate=0.0,
                          vocab_size=90, seed=8)
     corpus, _, pairs = generate_synthetic(spec, d_img=4)
-    assert any(ex.image_features for ex in corpus)
+    assert any(len(ex.image_features) for ex in corpus)
     return corpus, pairs, PreparedCorpus.with_own_vocab(corpus)
 
 
@@ -521,7 +521,7 @@ def test_image_alignment_follows_templates(small_trained):
     own, cross = [], []
     exercises = list(corpus)
     for ex in exercises:
-        if not ex.image_features:
+        if not len(ex.image_features):
             continue
         h = enc.project_image_batch(np.asarray(ex.image_features[:1]), params)[0][0]
         own.append(float(matrix[row[ex.id]] @ h))
