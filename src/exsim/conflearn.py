@@ -8,12 +8,12 @@ training pairs is simply wrong. The cleaning cycle:
    model that saw it. Every fold trains and scores over one
    ``pairclf.PreparedCorpus`` of the bank, normalized once: the edit
    similarity of every pair is computed once, and a fold scores its
-   holdout pairs from the rows of the view embedded under its ranker, each
+   holdout pairs from its ranker's own rows of the view's exercises, each
    pair on its own (``Ranker.pair_probs``). The estimator's budget,
-   ``estimator_epochs`` at ``estimator_lr`` (3 epochs at 0.05 by default),
-   must be enough to learn more than the label prior: at 1 epoch and 0.01
-   every probability stays near the share of similar labels and the joint
-   below only reflects noise;
+   ``ESTIMATOR_EPOCHS`` at ``ESTIMATOR_LR`` (3 epochs at 0.05), must be
+   enough to learn more than the label prior: at 1 epoch and 0.01 every
+   probability stays near the share of similar labels and the joint below
+   only reflects noise;
 2. confident joint: per-class thresholds (the mean predicted probability of
    a class over the pairs noisily labeled with it) decide which pairs count
    as confidently belonging to which class, giving a 2x2 count matrix of
@@ -44,13 +44,14 @@ from .ranking import (
 
 log = logging.getLogger(__name__)
 
+ESTIMATOR_EPOCHS = 3  # training budget of each fold's out-of-fold estimator
+ESTIMATOR_LR = 0.05
+
 
 @dataclass
 class CleanConfig:
     folds: int = 5
     seed: int = 0
-    estimator_epochs: int = 3
-    estimator_lr: float = 0.05
     retrain: RankConfig = field(default_factory=RankConfig)
 
 
@@ -94,7 +95,7 @@ def out_of_fold_probs(pairs: Sequence[LabeledPair], view: PreparedCorpus,
         holdout = np.flatnonzero(assignment == fold)
         train_idx = np.flatnonzero(assignment != fold)
         fold_cfg = RankConfig(
-            lr=config.estimator_lr, epochs=config.estimator_epochs,
+            lr=ESTIMATOR_LR, epochs=ESTIMATOR_EPOCHS,
             seed=int(np.random.SeedSequence([config.seed, fold]).generate_state(1)[0]
                      % (2 ** 31)),
             moe=False, alpha=(1.0, 0.0, 0.0), tasks=(TASK_STEM_STEM,))

@@ -367,7 +367,6 @@ def metadata_task_loss(stem_embeddings: np.ndarray, targets: Sequence[MetadataEn
 class EncodedExercise:
     """Token ids and metadata targets of one exercise, ready for training."""
 
-    ex_id: str
     stem_ids: np.ndarray
     analysis_ids: np.ndarray
     meta: MetadataEncoding
@@ -387,7 +386,7 @@ def encode_corpus(corpus: Corpus, stem_ids: Sequence[np.ndarray],
             analysis = stem  # degenerate but total: no answer/analysis text
         meta = encode_metadata(ex.metadata, corpus.exercise_types, corpus.levels,
                                corpus.concepts)
-        out.append(EncodedExercise(ex.id, stem, analysis, meta, ex.image_features))
+        out.append(EncodedExercise(stem, analysis, meta, ex.image_features))
     return out
 
 
@@ -417,8 +416,7 @@ def init_params(corpus: Corpus, vocab: Vocab, d: int, seed: int) -> EncoderParam
 
 
 def pretrain(corpus: Corpus, vocab: Vocab, stem_ids: Sequence[np.ndarray],
-             analysis_ids: Sequence[np.ndarray], config: PretrainConfig = PretrainConfig(),
-             params: Optional[EncoderParams] = None):
+             analysis_ids: Sequence[np.ndarray], config: PretrainConfig = PretrainConfig()):
     """Multi-task pre-training over the corpus, given each exercise's stem
     and analysis ids under ``vocab``; returns (params, history).
 
@@ -428,8 +426,7 @@ def pretrain(corpus: Corpus, vocab: Vocab, stem_ids: Sequence[np.ndarray],
     if len(corpus) < 2:
         raise ValueError("pre-training needs at least 2 exercises")
     encoded = encode_corpus(corpus, stem_ids, analysis_ids)
-    if params is None:
-        params = init_params(corpus, vocab, config.d, config.seed)
+    params = init_params(corpus, vocab, config.d, config.seed)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 11]))
     history: dict[str, list[float]] = {k: [] for k in
                                        ("total", "contrastive", "type", "difficulty",

@@ -163,13 +163,12 @@ def evaluate_precision(ranked_ids: Mapping[str, Sequence[str]],
     return values, per_query
 
 
-def annotated_similars(pairs, seed_ids=None) -> dict[str, set]:
-    """Seed id -> set of annotated similar ids, from labeled pairs."""
+def annotated_similars(pairs) -> dict[str, set]:
+    """Seed id -> set of annotated similar ids, from labeled pairs; every
+    seed has at least one."""
     out: dict[str, set] = {}
     for p in pairs:
         if p.is_similar:
             out.setdefault(p.a_id, set()).add(p.b_id)
             out.setdefault(p.b_id, set()).add(p.a_id)
-    if seed_ids is not None:
-        out = {s: out.get(s, set()) for s in seed_ids}
     return out

@@ -125,11 +125,8 @@ class _Parser:
         self.length = length
         self.depth = 0
 
-    def peek(self, kind: str, text: str = None) -> bool:
-        if self.pos >= len(self.tokens):
-            return False
-        k, t, _ = self.tokens[self.pos]
-        return k == kind and (text is None or t == text)
+    def peek(self, kind: str) -> bool:
+        return self.pos < len(self.tokens) and self.tokens[self.pos][0] == kind
 
     def take(self):
         tok = self.tokens[self.pos]

@@ -40,22 +40,24 @@ is organised around three pieces:
 * :class:`PreparedQuery`, the query's side of every pair, made once per
   cache miss by ``PreparedQuery(exercise, view)`` over the view the stages
   are built from and passed through all three: its tokens, its codes under
-  the view's code table, its embedding under each backbone, and its edit
-  similarities to the view's rows. The stages score shrinking subsets of
-  the recalled list, so one kernel call, made by whichever stage asks
+  the view's code table, its embedding under the view's params, and its
+  edit similarities to the view's rows. The stages score shrinking subsets
+  of the recalled list, so one kernel call, made by whichever stage asks
   first, serves all three. The very ``Exercise`` object the view holds at
   row r (checked by identity, never by id) reads that row's tokens, codes
-  and length, and its embedding in a view sharing those codes (the view
-  itself and its ``embedded_with`` copies) is that view's row r, the same
-  bits by rule 2 below. Any other exercise, a probe or an equal copy of a
-  bank exercise, is prepared from its own text.
+  and length, and its embedding is the view's row r, the same bits by rule
+  2 below. Any other exercise, a probe or an equal copy of a bank exercise,
+  is prepared from its own text.
 
 A stage is built from one view; a miss passes one ``PreparedQuery`` over
-it. A :class:`PairFeaturizer` is over one view and reads its params from
-it, and :meth:`PairFeaturizer.row_pairs` reads a pair's candidate side
-straight from the view's rows. It refuses rows of another ``RowIndex`` and
-a query prepared over a view with other codes; nothing else holds a second
-copy of the view's codes or params to disagree with.
+it. A view embeds under one backbone, the encoder's. A
+:class:`PairFeaturizer` is over one view and reads its params from it, and
+:meth:`PairFeaturizer.row_pairs` reads a pair's candidate side straight
+from the view's rows. It refuses rows of another ``RowIndex`` and a query
+prepared over another view; nothing else holds a second copy of the view's
+codes or params to disagree with. A stage with a backbone of its own (the
+ranker) keeps its own rows and embeds a probe with
+:meth:`PreparedQuery.embedding`.
 
 Bit-identity rules. The batched path must give the same bits as scoring one
 pair at a time with :meth:`PairFeaturizer.features` and
@@ -66,20 +68,18 @@ pair at a time with :meth:`PairFeaturizer.features` and
    through the same 1-D dot kernel as ``row @ weights`` in ``prob``, so
    every row's logit has the bits of the per-row product. A matrix product
    over many rows rounds differently in the last bit.
-2. Every encoder embedding is a single-text ``embed_text`` result: the
-   view's rows (``encoder.embed_corpus`` rows, bit for bit), which a bank
-   query reads as its own, and any other query's
-   :meth:`PreparedQuery.embedding`. One array serves the vector channel,
-   dedup and the variant split. Rows of an ``embed_text_batch`` call over
-   several texts can differ from it in the last bit; only training makes
-   such calls.
+2. Every embedding is a single-text ``embed_text`` result: the view's rows
+   (``encoder.embed_corpus`` rows, bit for bit), which a bank query reads as
+   its own, and any other query's :meth:`PreparedQuery.embedding`. One
+   array serves the vector channel, dedup and the variant split. Rows of an
+   ``embed_text_batch`` call over several texts can differ from it in the
+   last bit; only training makes such calls.
 3. Edit similarities are integer distances divided elementwise, so a kept
    similarity read back for a subset of rows equals a fresh kernel call.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -98,6 +98,7 @@ _NEWTON_STEPS = 50  # iteration cap of PairClassifier.train
 _NEWTON_TOL = 1e-8  # ... and its stopping bound on max |gradient|
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
 _MIN_STEP = 2.0 ** -40  # shortest step the line search tries
+_L2 = 1e-6  # weight penalty of PairClassifier.train
 # multiply-adds per block of the Newton Hessian sum (f^2 per feature row):
 # OpenBLAS runs a product this small on one thread. Threaded products of the
 # whole matrix stalled for tens of ms each on a host with shared cores.
@@ -316,9 +317,9 @@ class PreparedCorpus:
 
     ``embeddings`` holds each row's single-text ``embed_text`` vector under
     ``params`` (row i is bit-identical to the ``PreparedQuery.embedding`` of
-    exercise i), computed on first read; ``params`` is the encoder's or any
-    backbone ``embed_text`` takes, and training views need none. The recall
-    indexes read the same tokens and, under the encoder, the same embeddings.
+    exercise i), computed on first read; ``params`` is the encoder's, and
+    training views need none. The recall indexes read the same tokens and
+    the same embeddings.
     ``index`` gives the rows of the ids; a view of a ``Corpus`` shares the
     corpus's, so candidates recalled from that corpus are rows of the view.
     """
@@ -384,15 +385,6 @@ class PreparedCorpus:
             self._embeddings = embed_corpus(self.stem_ids(), self.params)
         return self._embeddings
 
-    def embedded_with(self, params) -> "PreparedCorpus":
-        """This view with every row embedded under other ``params`` (the
-        ranker's backbone) here, at once; the text, codes and lookups are
-        shared."""
-        out = copy.copy(self)
-        out.params = params
-        out._embeddings = embed_corpus(self.stem_ids(), params)
-        return out
-
     def code_table(self) -> CodeTable:
         """A fresh table for one query, consistent with the view's codes."""
         return CodeTable(self.vocab, self.oov_codes)
@@ -409,12 +401,10 @@ class PreparedQuery:
     ids of ``codes`` and ``concepts`` the knowledge concepts. The rest is
     computed on first use and kept:
 
-    * :meth:`embedding_in` a view sharing this view's codes (the view itself
-      or an ``embedded_with`` copy), the single-text ``embed_text`` vector
-      under its backbone: that view's row r for a bank query (the same bits,
-      rule 2), else :meth:`embedding`, computed from the query's ids.
-      Recall's ``query_embedding``, dedup and the variant split read the
-      encoder's; the ranker reads its own.
+    * :attr:`view_embedding`, the single-text ``embed_text`` vector under the
+      view's params: the view's row r for a bank query (the same bits, rule
+      2), else :meth:`embedding` under ``view.params``, computed once.
+      Recall's ``query_embedding``, dedup and the variant split read it.
     * :meth:`edit_similarities` to view rows. Rows not scored yet go through
       one kernel call; rows scored before are read back, which equals a
       fresh call bit for bit (rule 3 above).
@@ -424,7 +414,6 @@ class PreparedQuery:
         self.exercise = exercise
         self.view = view
         self.concepts = frozenset(exercise.metadata.knowledge_concepts)
-        self._embeddings: dict[int, tuple[object, np.ndarray]] = {}
         row = view.index.row_of.get(exercise.id)
         self.row = row if row is not None and view.exercises[row] is exercise else None
         if self.row is not None:
@@ -437,21 +426,25 @@ class PreparedQuery:
         self.ids = view._ids(self.codes, self.length)[0]
         self._sims = np.full(len(view.lengths), np.nan)
 
+    def require_view(self, view: PreparedCorpus) -> None:
+        """Refuses any ``view`` but the one this query was prepared over, even
+        one of the same exercises and vocabulary: its out-of-vocabulary codes
+        can differ, and the kept similarities and embedding would not follow."""
+        if view is not self.view:
+            raise ValueError("prepared query is over another view")
+
     def embedding(self, params) -> np.ndarray:
         """The query's single-text ``embed_text`` vector under ``params``,
-        from its own ids."""
-        kept = self._embeddings.get(id(params))
-        if kept is None:  # the params are kept too, so their id stays theirs
-            kept = self._embeddings[id(params)] = (params, embed_text(self.ids, params))
-        return kept[1]
+        from its own ids; computed on every call, kept nowhere."""
+        return embed_text(self.ids, params)
 
-    def embedding_in(self, view: PreparedCorpus) -> np.ndarray:
-        """The embedding under ``view``'s params: the view's own row for a
-        bank query when ``view`` shares this query's codes (the same bits,
-        rule 2), else :meth:`embedding`."""
-        if self.row is not None and view.codes is self.view.codes:
-            return view.embeddings[self.row]
-        return self.embedding(view.params)
+    @cached_property
+    def view_embedding(self) -> np.ndarray:
+        """The embedding under the view's params: the view's own row for a
+        bank query (the same bits, rule 2), else :meth:`embedding`."""
+        if self.row is not None:
+            return self.view.embeddings[self.row]
+        return self.embedding(self.view.params)
 
     def edit_similarities(self, rows: np.ndarray) -> np.ndarray:
         """Edit similarity of the query to each of the view's ``rows``."""
@@ -487,16 +480,14 @@ def pair_feature_rows(u: np.ndarray, v: np.ndarray, sims: np.ndarray,
 @dataclass
 class PairFeaturizer:
     """Turns (query, candidate) pairs into the classifier's feature rows,
-    over one prepared ``view``: its ``params`` (the encoder's, or any
-    backbone ``embed_text`` takes; the ranker scores its pairs over an
-    ``embedded_with`` copy), its rows as candidates, and queries prepared
-    over it or over a view sharing its codes."""
+    over one prepared ``view``: its ``params`` (the encoder's), its rows as
+    candidates, and queries prepared over it."""
 
     view: PreparedCorpus
 
     def embedding(self, query: PreparedQuery) -> np.ndarray:
-        """``query``'s single-text embedding under the view's params."""
-        return query.embedding_in(self.view)
+        """``query``'s kept single-text embedding under its view's params."""
+        return query.view_embedding
 
     def features(self, a: PreparedQuery, b: PreparedQuery) -> np.ndarray:
         """The feature row of one pair, each side from its own prepared text."""
@@ -507,14 +498,11 @@ class PairFeaturizer:
         """(u, v, edit similarities) of the pairs (query, row) over ``index``'s
         ``rows``: ``u`` is the query's embedding and ``v`` the view's rows.
         Refuses rows of an index other than the view's and a query prepared
-        over a view with other codes, even one of the same exercises and
-        vocabulary (its out-of-vocabulary codes can differ)."""
+        over another view (``PreparedQuery.require_view``)."""
         if index is not self.view.index:
             raise ValueError("candidates are not rows of this featurizer's view")
-        if query.view.codes is not self.view.codes:
-            raise ValueError("prepared query is over another view")
-        return (query.embedding_in(self.view), self.view.embeddings[rows],
-                query.edit_similarities(rows))
+        query.require_view(self.view)
+        return query.view_embedding, self.view.embeddings[rows], query.edit_similarities(rows)
 
     @property
     def n_features(self) -> int:
@@ -584,35 +572,32 @@ class PairClassifier:
         return _sigmoid(np.vecdot(features, self.weights) + self.bias)
 
     @classmethod
-    def train(cls, features: np.ndarray, labels: np.ndarray,
-              l2: float = 1e-6) -> "PairClassifier":
+    def train(cls, features: np.ndarray, labels: np.ndarray) -> "PairClassifier":
         """Logistic regression fitted by Newton's method; deterministic.
 
-        Minimizes mean binary cross-entropy + ``l2``/2 |w|^2 with the bias
+        Minimizes mean binary cross-entropy + ``_L2``/2 |w|^2 with the bias
         unpenalized, a convex objective. From zero, each step solves the
         Newton system and backtracks until the Armijo condition holds. It
         stops once every gradient entry is below ``_NEWTON_TOL`` in size, or
         after ``_NEWTON_STEPS`` steps, or when float64 can no longer decrease
-        the objective along the step. On separable data the ``l2`` term keeps
+        the objective along the step. On separable data the ``_L2`` term keeps
         the minimum, and so the weights, finite.
         """
         x = np.asarray(features, dtype=np.float64)
         y = np.asarray(labels, dtype=np.float64)
         if x.ndim != 2 or len(x) != len(y):
             raise ValueError("features must be (n, f) aligned with labels")
-        if not l2 > 0:
-            raise ValueError("l2 must be positive, or separable data has no minimum")
         w = np.zeros(x.shape[1])
         b = 0.0
-        loss, gw, gb = bce_loss_and_grads(w, b, x, y, l2)
+        loss, gw, gb = bce_loss_and_grads(w, b, x, y, _L2)
         for _ in range(_NEWTON_STEPS):
             if max(np.abs(gw).max(initial=0.0), abs(gb)) < _NEWTON_TOL:
                 break
-            dw, db = _newton_step(x, w, b, gw, gb, l2)
+            dw, db = _newton_step(x, w, b, gw, gb, _L2)
             slope = float(gw @ dw) + gb * db
             t = 1.0
             while True:
-                trial = bce_loss_and_grads(w + t * dw, b + t * db, x, y, l2)
+                trial = bce_loss_and_grads(w + t * dw, b + t * db, x, y, _L2)
                 if trial[0] <= loss + _ARMIJO * t * slope:
                     break
                 t *= 0.5

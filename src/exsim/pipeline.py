@@ -25,15 +25,17 @@ Query flow. A stage is built from one view; a miss passes one
 (``pairclf.PreparedCorpus``): each exercise is normalized once and embedded
 once under the encoder. The recall indexes, dedup, the variant split and the
 ranker are built from that one view alone, and the dedup and variant heads
-share one featurizer over it; its embedding matrix is the vector index, and
-the ranker embeds each row once more under its own backbone. A cache miss
-prepares the query once, as ``PreparedQuery(exercise, view)``, and passes
-it, and only it, to recall, ranking and re-rank. A bank exercise (the very
-object the loaded corpus holds, which a request by id resolves to) reads
-its prepared row: it is not normalized again, and its embeddings are its
-rows of the view and of the ranker's copy. Any other exercise is normalized
-once and embedded under the encoder and under the ranker's backbone, so a
-miss runs ``embed_text`` twice only for a query that is not a bank object.
+share one featurizer over it; its embedding matrix is the vector index. The
+ranker keeps a matrix of its own, each row embedded once under its own
+backbone at load. A cache miss prepares the query once, as
+``PreparedQuery(exercise, view)``, and passes it, and only it, to recall,
+ranking and re-rank. A bank exercise (the very object the loaded corpus
+holds, which a request by id resolves to) reads its prepared row: it is not
+normalized again, and its embeddings are its rows of the view and of the
+ranker's matrix. Any other exercise is normalized once and embedded once
+under the encoder and, when it has candidates to rank, once under the
+ranker's backbone, so a miss runs ``embed_text`` twice only for a query
+that is not a bank object.
 The first stage to score pairs, dedup when its head is loaded, makes the
 miss's one edit-distance kernel call over the recalled list; ranking and
 the variant split read their subsets back. The stages pass candidates as
@@ -49,8 +51,9 @@ later step and ``Pipeline.load`` refuse a key that differs from it.
 
 Configuration is a flat key = value file; see DEFAULTS for the full key
 list with defaults. A value no query could be served with (``recall.n``
-below 1, a negative ``recall.k_exact``, ``recall.k_embed`` or
-``cache.size``) is refused where it is read, naming the key.
+below 1, a ``recall.dedup_threshold`` not above 0) or no training could run
+with (``encoder.batch`` below 2, an empty ``rank.tasks``) is refused where
+it is read, naming the key; each ``get_int`` names its key's minimum.
 """
 
 from __future__ import annotations
@@ -76,6 +79,8 @@ from .snapshots import atomic_write, file_digest
 from .textnorm import Vocab, canonical_stop_words
 
 log = logging.getLogger(__name__)
+
+EVAL_QUERIES = 60  # bank queries the ground-truth P@k evaluation samples
 
 FILES = {
     "corpus": "corpus.snap",
@@ -246,13 +251,15 @@ def step_synth(workdir, spec: SyntheticSpec) -> tuple[Corpus, SyntheticTruth,
 
 
 def step_pretrain(workdir, config: Config):
+    pre_cfg = encoder_mod.PretrainConfig(
+        d=config.get_int("encoder.d", minimum=1),
+        epochs=config.get_int("encoder.epochs", minimum=0),
+        lr=config.get_float("encoder.lr"),
+        batch_size=config.get_int("encoder.batch", minimum=2),
+        tau=config.get_float("encoder.tau"), seed=config.get_int("encoder.seed"))
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
     view = PreparedCorpus.with_own_vocab(corpus, config.stop_words())
     view.vocab.save(_path(workdir, "vocab"))
-    pre_cfg = encoder_mod.PretrainConfig(
-        d=config.get_int("encoder.d"), epochs=config.get_int("encoder.epochs"),
-        lr=config.get_float("encoder.lr"), batch_size=config.get_int("encoder.batch"),
-        tau=config.get_float("encoder.tau"), seed=config.get_int("encoder.seed"))
     params, history = encoder_mod.pretrain(corpus, view.vocab, view.stem_ids(),
                                            view.analysis_ids(), pre_cfg)
     encoder_mod.save_encoder(params, _path(workdir, "encoder"))
@@ -263,8 +270,9 @@ def step_finetune(workdir, config: Config):
     corpus, vocab, params = _load_trained(workdir, config)
     pairs = _load_pairs(workdir, corpus)
     ft_cfg = encoder_mod.FinetuneConfig(
-        epochs=config.get_int("finetune.epochs"), lr=config.get_float("finetune.lr"),
-        n_negatives=config.get_int("finetune.negatives"),
+        epochs=config.get_int("finetune.epochs", minimum=0),
+        lr=config.get_float("finetune.lr"),
+        n_negatives=config.get_int("finetune.negatives", minimum=1),
         seed=config.get_int("encoder.seed"))
     params, history = encoder_mod.fine_tune(params, pairs, corpus,
                                             PreparedCorpus(corpus, vocab).stem_ids(), ft_cfg)
@@ -299,12 +307,15 @@ def _rank_config(config: Config) -> ranking.RankConfig:
     if len(alpha) != 3:
         raise ValueError(f"config rank.alpha = {config.get('rank.alpha')!r}: "
                          "expected 3 comma-separated task weights")
+    tasks = config.get_list("rank.tasks")
+    if not tasks:
+        raise ValueError(f"config rank.tasks = {config.get('rank.tasks')!r}: "
+                         "expected at least one task")
     return ranking.RankConfig(
-        lr=config.get_float("rank.lr"), epochs=config.get_int("rank.epochs"),
-        batch_pairs=config.get_int("rank.batch_pairs"),
+        lr=config.get_float("rank.lr"), epochs=config.get_int("rank.epochs", minimum=0),
+        batch_pairs=config.get_int("rank.batch_pairs", minimum=1),
         seed=config.get_int("rank.seed"), moe=config.get_bool("rank.moe"),
-        alpha=alpha,
-        tasks=ranking.resolve_tasks(config.get_list("rank.tasks")))
+        alpha=alpha, tasks=ranking.resolve_tasks(tasks))
 
 
 def step_train_rank(workdir, config: Config):
@@ -322,7 +333,7 @@ def step_clean(workdir, config: Config):
     corpus, vocab, encoder = _load_trained(workdir, config)
     pairs = _load_pairs(workdir, corpus)
     cl_cfg = conflearn.CleanConfig(
-        folds=config.get_int("cl.folds"), seed=config.get_int("cl.seed"),
+        folds=config.get_int("cl.folds", minimum=2), seed=config.get_int("cl.seed"),
         retrain=_rank_config(config))
     view = PreparedCorpus(corpus, vocab, encoder)
     eval_fn = _make_p5_eval(workdir, config, corpus, view, pairs)
@@ -342,7 +353,7 @@ def _relevant(workdir, corpus: Corpus, pairs) -> dict[str, set[str]]:
     if truth_path.exists():
         truth = corpus_mod.load_truth(truth_path)
         return {ex_id: truth.mates(ex_id) for ex_id in _eval_query_ids(corpus)}
-    return {k: v for k, v in annotated_similars(pairs).items() if v}
+    return annotated_similars(pairs)
 
 
 def _make_p5_eval(workdir, config, corpus: Corpus, view: PreparedCorpus, pairs):
@@ -360,20 +371,24 @@ def _make_p5_eval(workdir, config, corpus: Corpus, view: PreparedCorpus, pairs):
     return eval_fn
 
 
-def _eval_query_ids(corpus: Corpus, max_queries: int = 60) -> list[str]:
+def _eval_query_ids(corpus: Corpus) -> list[str]:
     ids = corpus.ids
-    if len(ids) <= max_queries:
+    if len(ids) <= EVAL_QUERIES:
         return ids
-    step = len(ids) / max_queries
-    return [ids[int(i * step)] for i in range(max_queries)]
+    step = len(ids) / EVAL_QUERIES
+    return [ids[int(i * step)] for i in range(EVAL_QUERIES)]
 
 
 def _recall_config(config: Config) -> RecallConfig:
+    threshold = config.get_float("recall.dedup_threshold")
+    if not threshold > 0:  # NaN too: dedup would drop every candidate
+        raise ValueError(f"config recall.dedup_threshold = "
+                         f"{config.get('recall.dedup_threshold')}: expected above 0")
     return RecallConfig(
         k_exact=config.get_int("recall.k_exact", minimum=0),
         k_embed=config.get_int("recall.k_embed", minimum=0),
         n=config.get_int("recall.n", minimum=1),
-        dedup_threshold=config.get_float("recall.dedup_threshold"),
+        dedup_threshold=threshold,
         concept_boost=config.get_float("recall.concept_boost"))
 
 
@@ -420,7 +435,7 @@ def step_eval(workdir, config: Config) -> EvalReport:
     ranker = ranking.Ranker(ranker_params, view)
 
     k_recall = config.get_int("eval.k_recall")
-    annotated = {k: v for k, v in annotated_similars(pairs).items() if v}
+    annotated = annotated_similars(pairs)
     seed_ids = sorted(annotated)
     recall_value, per_seed = evaluate_recall(
         recall_lists(recaller, corpus, seed_ids, k_recall), annotated, k_recall)
@@ -474,7 +489,7 @@ class Pipeline:
         # every exercise's text normalized and embedded once, shared by the
         # recall indexes (the vector index is the view's matrix), the dedup
         # and variant heads and the ranker (which embeds each row once more
-        # under its own backbone, here at load)
+        # into a matrix of its own, under its own backbone, here at load)
         view = PreparedCorpus(corpus, vocab, encoder)
         featurizer = PairFeaturizer(view)
         dedup = None

@@ -21,9 +21,11 @@ uses. Training tokenizes nothing: :class:`TaskBuilder` reads each side's
 vocabulary ids and codes from the ``pairclf.PreparedCorpus`` the caller
 prepared, and computes ``edit_sim`` when the instances are built, once per
 distinct pair of texts. At serving time a stage is built from one view; a
-miss passes one ``PreparedQuery``. :class:`Ranker` is built from the loaded
-``pairclf.PreparedCorpus`` and embeds every exercise's row once under its
-own backbone, so a query encodes only itself, and a bank query (see
+miss passes one ``PreparedQuery``. The view embeds under the encoder alone;
+the ranker's backbone lives here. :class:`Ranker` is built from the loaded
+``pairclf.PreparedCorpus`` and keeps its own matrix, every exercise's row
+embedded once under its backbone, so a probe encodes only itself
+(``PreparedQuery.embedding``) and a bank query (see
 ``pairclf.PreparedQuery``) reads its row instead. ``Ranker.rank`` takes the
 miss's ``pairclf.PreparedQuery`` alone and makes no edit-similarity kernel
 call of its own: it reads back the similarities dedup computed over the
@@ -34,8 +36,9 @@ The combined loss is a convex combination of the per-task cross-entropies.
 The coefficients come from one small expert network per task (three layers:
 d -> d -> 1) fed with the batch mean of the task's ``u * v`` block; their
 three logits softmax into the coefficients, so they always form a
-probability vector. With the gate disabled the coefficients are fixed
-constants instead, which gives the single-task and equal-weight ablations.
+probability vector. With the gate disabled the coefficients are the fixed
+constants of ``RankConfig.alpha`` instead, which gives the single-task and
+equal-weight ablations.
 
 All gradients are hand-derived, including the path through the gate and the
 batch means, and are finite-difference checked in the tests.
@@ -51,10 +54,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .corpus import Exercise, LabeledPair
-from .encoder import (EncoderParams, TrainingDivergedError, embed_text_batch,
+from .encoder import (EncoderParams, TrainingDivergedError, embed_corpus, embed_text_batch,
                       embed_text_batch_backward, softmax_cross_entropy)
-from .pairclf import (PAD_CODE, PairFeaturizer, PreparedCorpus, PreparedQuery,
-                      UntrainedModelError, edit_similarities, pair_feature_rows)
+from .pairclf import (PAD_CODE, PreparedCorpus, PreparedQuery, UntrainedModelError,
+                      edit_similarities, pair_feature_rows)
 from .recall import Candidates
 from .snapshots import SnapshotFormatError, load_arrays, save_arrays
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
@@ -142,13 +145,6 @@ class RankerParams:
         live = self.arrays()
         for k, g in grads.items():
             live[k][...] -= lr * g
-
-    def copy(self) -> "RankerParams":
-        return RankerParams(
-            emb=self.emb.copy(), W=self.W.copy(), b=self.b.copy(),
-            heads={t: {k: v.copy() for k, v in h.items()} for t, h in self.heads.items()},
-            experts={t: {k: v.copy() for k, v in e.items()} for t, e in self.experts.items()},
-            seed=self.seed, trained=self.trained)
 
 
 def save_ranker(params: RankerParams, path) -> None:
@@ -346,14 +342,14 @@ class MultitaskResult:
 
 
 def multitask_loss(instances: Sequence[TaskInstance], params: RankerParams,
-                   moe: bool = True,
-                   fixed_alpha: Optional[dict[str, float]] = None) -> MultitaskResult:
+                   alpha: Optional[dict[str, float]] = None) -> MultitaskResult:
     """Coefficient-weighted sum of per-task cross-entropies, with gradients.
 
-    With ``moe`` the coefficients come from the gate (and gradients flow
-    through it, including into the shared features via the batch means);
-    otherwise ``fixed_alpha`` supplies constants. A task with no instances
-    in the batch contributes zero loss and is masked out of the softmax.
+    With ``alpha`` None the coefficients come from the gate (and gradients
+    flow through it, including into the shared features via the batch
+    means); otherwise ``alpha`` supplies constants, 0 for a task it lacks. A
+    task with no instances in the batch contributes zero loss and is masked
+    out of the softmax.
     """
     by_task: dict[str, list[TaskInstance]] = {}
     for inst in instances:
@@ -380,6 +376,7 @@ def multitask_loss(instances: Sequence[TaskInstance], params: RankerParams,
         logits = feats[t] @ params.heads[t]["w"] + params.heads[t]["b"]
         losses[t], d_logits_unit[t] = softmax_cross_entropy(logits, targets)
 
+    moe = alpha is None
     expert_caches = {}
     if moe:
         fbars = {t: _gate_input(feats[t], params.d) for t in present}
@@ -394,9 +391,7 @@ def multitask_loss(instances: Sequence[TaskInstance], params: RankerParams,
         alpha_vec = expl / expl.sum()
         alpha = dict(zip(present, alpha_vec.tolist()))
     else:
-        if fixed_alpha is None:
-            fixed_alpha = {t: 1.0 / len(TASKS) for t in TASKS}
-        alpha = {t: float(fixed_alpha.get(t, 0.0)) for t in present}
+        alpha = {t: float(alpha.get(t, 0.0)) for t in present}
 
     total = sum(alpha[t] * losses[t] for t in present)
 
@@ -440,13 +435,11 @@ class RankConfig:
 
 
 def train_ranker(pairs: Sequence[LabeledPair], view: PreparedCorpus,
-                 config: RankConfig = RankConfig(),
-                 encoder: Optional[EncoderParams] = None,
-                 init: Optional[RankerParams] = None):
+                 config: RankConfig = RankConfig(), *, encoder: EncoderParams):
     """Train the multi-task ranker over ``view``'s texts; returns (params,
     history).
 
-    The shared backbone starts from the pre-trained encoder when given.
+    The shared backbone starts from the pre-trained ``encoder``.
     Task instances are built once, deterministically from the seed, before
     the epoch loop. history carries per-epoch means of the total and
     per-task losses plus the coefficient trajectory.
@@ -454,13 +447,8 @@ def train_ranker(pairs: Sequence[LabeledPair], view: PreparedCorpus,
     if not pairs:
         raise ValueError("no training pairs")
     tasks = resolve_tasks(config.tasks)
-    if init is not None:
-        params = init.copy()
-    else:
-        if encoder is None:
-            raise ValueError("train_ranker needs encoder params or an init ranker")
-        params = RankerParams.init(encoder, seed=config.seed)
-    fixed_alpha = dict(zip(TASKS, config.alpha))
+    params = RankerParams.init(encoder, seed=config.seed)
+    alpha = None if config.moe else dict(zip(TASKS, config.alpha))
 
     builder = TaskBuilder(view)
     build_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 5]))
@@ -476,8 +464,7 @@ def train_ranker(pairs: Sequence[LabeledPair], view: PreparedCorpus,
                      for inst in per_pair[i]]
             if not chunk:
                 continue
-            result = multitask_loss(chunk, params, moe=config.moe,
-                                    fixed_alpha=fixed_alpha)
+            result = multitask_loss(chunk, params, alpha)
             if not math.isfinite(result.total):
                 raise TrainingDivergedError("non-finite ranking loss")
             params.apply_grads(result.grads, config.lr)
@@ -506,16 +493,18 @@ def _mean_dicts(dicts: list[dict[str, float]]) -> dict[str, float]:
 class Ranker:
     """Scores exercise pairs with the trained stem-stem head.
 
-    Every exercise's row of ``view`` under the ranker's backbone is computed
-    once, here. Candidates are rows of the view, and a query is prepared
-    over it; a bank query's embedding is its row here.
+    Every exercise's row of ``view`` under the ranker's own backbone is
+    computed once, here, into ``embeddings`` (``encoder.embed_corpus`` rows,
+    single-text results bit for bit). Candidates are rows of the view, and a
+    query is prepared over it; a bank query's embedding is its row here, a
+    probe's is ``PreparedQuery.embedding`` under the ranker's params.
     """
 
     params: RankerParams
     view: PreparedCorpus
 
     def __post_init__(self):
-        self.featurizer = PairFeaturizer(self.view.embedded_with(self.params))
+        self.embeddings = embed_corpus(self.view.stem_ids(), self.params)
 
     def _check_trained(self):
         if not self.params.trained:
@@ -537,17 +526,24 @@ class Ranker:
         other pairs are scored with it (a product over many rows rounds
         differently in the last bit)."""
         self._check_trained()
-        emb = self.featurizer.view.embeddings
+        emb = self.embeddings
         return np.array([self._probs(*pair)[0]
                          for pair in zip(emb[rows_a], emb[rows_b], sims[:, None])])
 
     def rank(self, query: PreparedQuery, candidates: Candidates) -> Candidates:
         """Re-score candidates, rows of this ranker's view, and sort
-        descending, ties broken by id."""
+        descending, ties broken by id. Refuses candidates of another index
+        and a query prepared over another view."""
         self._check_trained()
+        if candidates.index is not self.view.index:
+            raise ValueError("candidates are not rows of this ranker's view")
+        query.require_view(self.view)
         rows = candidates.rows
-        scores = (self._probs(*self.featurizer.row_pairs(query, candidates.index, rows))
-                  if len(rows) else np.zeros(0))
+        scores = np.zeros(0)
+        if len(rows):  # a markup-only probe has no tokens to embed, and no rows
+            u = (self.embeddings[query.row] if query.row is not None
+                 else query.embedding(self.params))
+            scores = self._probs(u, self.embeddings[rows], query.edit_similarities(rows))
         order = np.lexsort((candidates.index.id_rank[rows], -scores))
         return Candidates(candidates.index, rows[order], scores[order],
                           candidates.sources[order])

@@ -491,12 +491,14 @@ class Recaller:
                    vector=VectorIndex.build(view), dedup=dedup, config=config)
 
     def query_embedding(self, query: PreparedQuery) -> np.ndarray:
-        """The encoder embedding of ``query``."""
-        return query.embedding_in(self.view)
+        """The encoder embedding of ``query``, the one it keeps."""
+        return query.view_embedding
 
     def recall(self, query: PreparedQuery) -> Candidates:
         """Merged, deduplicated candidates of ``query``, as rows of the view;
-        the query keeps the dedup edit similarities for the later stages."""
+        the query keeps the dedup edit similarities for the later stages.
+        Refuses a query prepared over another view."""
+        query.require_view(self.view)
         cfg = self.config
         query_id = query.exercise.id
         exact = self.lexical.search(query.tokens, query.concepts, cfg.k_exact,

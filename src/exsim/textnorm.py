@@ -114,16 +114,14 @@ class Vocab:
         self.stop_words = canonical_stop_words(stop_words)
 
     @classmethod
-    def build(cls, token_lists: Iterable[Sequence[str]], min_count: int = 1,
+    def build(cls, token_lists: Iterable[Sequence[str]],
               stop_words: Iterable[str] = ()) -> "Vocab":
         """Count the tokens of texts normalized with ``stop_words``; order by
         count desc, then token."""
         counts = Counter()
         for tokens in token_lists:
             counts.update(tokens)
-        kept = sorted((t for t, c in counts.items() if c >= min_count),
-                      key=lambda t: (-counts[t], t))
-        return cls(kept, stop_words)
+        return cls(sorted(counts, key=lambda t: (-counts[t], t)), stop_words)
 
     def __len__(self) -> int:
         return len(self._id_to_token)

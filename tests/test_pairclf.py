@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from exsim import pairclf
 from exsim.corpus import Exercise, Metadata
-from exsim.encoder import EncoderParams, embed_text
+from exsim.encoder import EncoderParams
 from exsim.pairclf import (
     PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery, bce_loss_and_grads,
     both_orders, edit_similarities, edit_similarity, levenshtein, pair_feature_rows,
@@ -396,8 +396,8 @@ def test_unk_tokens_that_differ_as_strings_are_an_edit():
 
 def test_analysis_side_shares_the_stem_codes(monkeypatch):
     """Equal tokens get equal codes on both sides, out-of-vocabulary ones
-    too; the analysis side is prepared on first use and kept by copies made
-    after it, and a view's embeddings are computed when read."""
+    too; the analysis side is prepared on first use and kept, and a view's
+    embeddings are computed when read."""
     exs = [dataclasses.replace(exercise("a", "ab xy"), analysis="xy zq ab"),
            dataclasses.replace(exercise("b", "zq ef"), analysis="mn")]
     calls = []
@@ -408,7 +408,7 @@ def test_analysis_side_shares_the_stem_codes(monkeypatch):
     assert calls == [ex.text for ex in exs]
     analysis = view.analysis
     assert analysis.tokens == [["xy", "zq", "ab"], ["mn"]]
-    assert view.embedded_with(PARAMS).analysis is analysis
+    assert view.analysis is analysis
     assert len(calls) == 4
     coded = {(t, c) for tokens, codes in ((view.tokens, view.codes),
                                           (analysis.tokens, analysis.codes))
@@ -419,8 +419,6 @@ def test_analysis_side_shares_the_stem_codes(monkeypatch):
     assert view.analysis_ids()[0].tolist() == [UNK_ID, UNK_ID, VOCAB.id_of("ab")]
     with pytest.raises(ValueError, match="no params"):
         view.embeddings
-    assert np.array_equal(view.embedded_with(PARAMS).embeddings,
-                          PreparedCorpus(exs, VOCAB, PARAMS).embeddings)
 
 
 def test_own_vocab_normalizes_each_text_once(small_synth, monkeypatch):
@@ -494,18 +492,18 @@ def test_prob_rows_equal_prob_per_row(n, width, decades, strided, seed):
 @given(words, st.lists(words, min_size=2, max_size=8), st.data())
 def test_prepared_query_reads_kept_similarities_by_row(query_words, corpus_words, data):
     """Later, smaller and reordered row sets read back what the first call
-    computed, equal to the reference DP, and views sharing codes share it."""
+    computed, equal to the reference DP, also through the featurizer."""
     corpus = [exercise(f"e{i}", " ".join(w)) for i, w in enumerate(corpus_words)]
     view = PreparedCorpus(corpus, VOCAB, PARAMS)
     query = PreparedQuery(exercise("q", " ".join(query_words)), view)
     expected = [reference_similarity(query_words, w) for w in corpus_words]
     everyone = np.arange(len(corpus))
     assert query.edit_similarities(everyone).tolist() == expected
-    other_backbone = PairFeaturizer(view.embedded_with(PARAMS))
+    featurizer = PairFeaturizer(view)
     for _ in range(3):
         rows = np.array(data.draw(st.lists(st.sampled_from(everyone.tolist()),
                                            max_size=len(corpus))), dtype=np.int64)
-        assert other_backbone.row_pairs(query, view.index, rows)[2].tolist() == \
+        assert featurizer.row_pairs(query, view.index, rows)[2].tolist() == \
             [expected[r] for r in rows]
 
 
@@ -531,27 +529,6 @@ def test_prepared_query_is_refused_by_another_view():
         query, reordered.index, rows)[2].tolist() == [1.0, 0.0]
 
 
-def test_prepared_query_is_taken_by_an_embedded_copy_of_its_view():
-    """An ``embedded_with`` copy shares its view's codes: it takes the view's
-    queries, reads a bank query's embedding from its own rows, and any other
-    query's from the query's ids."""
-    exs = [exercise("a", "ab xy"), exercise("b", "zq ef")]
-    view = PreparedCorpus(exs, VOCAB, PARAMS)
-    other = EncoderParams.init(vocab_size=len(VOCAB), d=4, d_img=2, n_types=1,
-                               levels=1, n_concepts=1, seed=1)
-    copy = view.embedded_with(other)
-    rows = np.array([1, 0])
-    for ex in (exs[0], exercise("q", "zq ef cd")):
-        query = PreparedQuery(ex, view)
-        u, v, sims = PairFeaturizer(copy).row_pairs(query, view.index, rows)
-        assert np.array_equal(u, embed_text(query.ids, other))
-        assert np.array_equal(v, copy.embeddings[rows])
-        assert sims.tolist() == [reference_similarity(query.tokens, view.tokens[r])
-                                 for r in rows]
-    assert np.array_equal(PairFeaturizer(copy).embedding(PreparedQuery(exs[1], view)),
-                          copy.embeddings[1])
-
-
 def test_prepared_query_over_rows_longer_than_a_word():
     """The serving path over rows of 60 to 150 tokens, most of them longer
     than 64 tokens, equals the per-pair ``edit_similarity``."""
@@ -570,23 +547,35 @@ def test_prepared_query_over_rows_longer_than_a_word():
         [reference_similarity(query.tokens, tokens) for tokens in view.tokens]
 
 
-def test_prepared_query_is_embedded_once_per_backbone(monkeypatch):
-    import exsim.pairclf as pairclf
+def test_prepared_query_keeps_one_view_embedding(monkeypatch):
+    """A probe is embedded under its view's params once, however many stages
+    read it; a bank query reads its view row and embeds nothing. Under other
+    params (the ranker's backbone) every call embeds the query's own ids and
+    keeps nothing."""
     calls = []
     real = pairclf.embed_text
     monkeypatch.setattr(pairclf, "embed_text",
                         lambda seq, params: calls.append(params) or real(seq, params))
     other = EncoderParams.init(vocab_size=len(VOCAB), d=4, d_img=2, n_types=1,
                                levels=1, n_concepts=1, seed=1)
-    ex = exercise("q", "ab xy cd")
     ids = np.array([VOCAB.id_of(t) for t in ("ab", "xy", "cd")])
-    expected = {id(p): embed_text(ids, p) for p in (PARAMS, other)}
-    view = PreparedCorpus([exercise("a", "ab")], VOCAB)
+    expected = {id(p): real(ids, p) for p in (PARAMS, other)}
+    exs = [exercise("a", "ab"), exercise("b", "cd ef")]
+    view = PreparedCorpus(exs, VOCAB, PARAMS)
+    featurizer = PairFeaturizer(view)
+    query = PreparedQuery(exercise("q", "ab xy cd"), view)
+    for _ in range(2):
+        assert np.array_equal(featurizer.embedding(query), expected[id(PARAMS)])
+        assert featurizer.row_pairs(query, view.index, np.array([1, 0]))[0] is \
+            query.view_embedding
+    assert [id(p) for p in calls] == [id(PARAMS)]
     calls.clear()
-    query = PreparedQuery(ex, view)
-    for params in (PARAMS, other, PARAMS, other):
-        assert np.array_equal(query.embedding(params), expected[id(params)])
-    assert [id(p) for p in calls] == [id(PARAMS), id(other)]
+    bank = PreparedQuery(exs[1], view)
+    assert np.array_equal(featurizer.embedding(bank), view.embeddings[1])
+    assert calls == []
+    for _ in range(2):
+        assert np.array_equal(query.embedding(other), expected[id(other)])
+    assert [id(p) for p in calls] == [id(other), id(other)]
 
 
 def test_prepared_query_refuses_another_preparation():
@@ -606,12 +595,11 @@ def test_prepared_query_refuses_another_preparation():
 
 def test_featurizer_refuses_rows_of_another_index():
     """Rows of another index, even one over the same ids, are not the view's
-    rows; an ``embedded_with`` copy shares the view's index."""
+    rows."""
     exs = [exercise("a", "ab"), exercise("b", "cd")]
     view = PreparedCorpus(exs, VOCAB, PARAMS)
     query = PreparedQuery(exercise("q", "ab"), view)
     with pytest.raises(ValueError, match="rows of this featurizer's view"):
         PairFeaturizer(view).row_pairs(query, PreparedCorpus(exs, VOCAB).index, np.array([0]))
-    _, _, sims = PairFeaturizer(view.embedded_with(PARAMS)).row_pairs(
-        query, view.index, np.array([1, 0]))
+    _, _, sims = PairFeaturizer(view).row_pairs(query, view.index, np.array([1, 0]))
     assert sims.tolist() == [0.0, 1.0]

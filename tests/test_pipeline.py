@@ -91,14 +91,45 @@ def test_load_refuses_a_bad_rerank_key(workspace):
 
 
 @pytest.mark.parametrize("key, value", [("recall.n", "0"), ("recall.k_exact", "-1"),
-                                        ("recall.k_embed", "-1"), ("cache.size", "-1")])
+                                        ("recall.k_embed", "-1"), ("cache.size", "-1"),
+                                        ("recall.dedup_threshold", "0"),
+                                        ("recall.dedup_threshold", "-1"),
+                                        ("recall.dedup_threshold", "nan")])
 def test_load_refuses_a_value_no_query_can_be_served_with(workspace, key, value):
     """Such a value used to load and then fail every query: recall.n = 0 in
-    the merge, cache.size = -1 evicting from an empty cache."""
+    the merge, cache.size = -1 evicting from an empty cache; a dedup
+    threshold of 0 or less, or NaN, served every query an empty list."""
     workdir, config, _, _ = workspace
     bad = pl.Config({**config.values, key: value})
-    with pytest.raises(ValueError, match=f"config {key} = {value}: expected at least"):
+    with pytest.raises(ValueError,
+                       match=f"config {key} = {value}: expected (at least|above)"):
         pl.Pipeline.load(workdir, bad)
+
+
+@pytest.mark.parametrize("step, key, value", [
+    (pl.step_pretrain, "encoder.d", "0"),
+    (pl.step_pretrain, "encoder.epochs", "-1"),
+    (pl.step_pretrain, "encoder.batch", "0"),
+    (pl.step_pretrain, "encoder.batch", "1"),
+    (pl.step_finetune, "finetune.epochs", "-1"),
+    (pl.step_finetune, "finetune.negatives", "0"),
+    (pl.step_train_rank, "rank.epochs", "-1"),
+    (pl.step_train_rank, "rank.batch_pairs", "0"),
+    (pl.step_train_rank, "rank.tasks", ""),
+    (pl.step_clean, "cl.folds", "1"),
+])
+def test_build_steps_refuse_a_value_no_training_can_run_with(workspace, tmp_path,
+                                                             step, key, value):
+    """Such a value used to train nothing and save the untouched model as
+    trained (an empty rank.tasks, encoder.batch = 1, no negatives), or to
+    fail deep inside training; the step now refuses it and writes nothing."""
+    workdir, config, _, _ = workspace
+    copy = tmp_path / "ws"
+    shutil.copytree(workdir, copy)
+    before = {f.name: f.read_bytes() for f in copy.iterdir()}
+    with pytest.raises(ValueError, match=f"config {key} = '?{value}'?: expected at least"):
+        step(copy, pl.Config({**config.values, key: value}))
+    assert {f.name: f.read_bytes() for f in copy.iterdir()} == before
 
 
 def test_load_accepts_the_smallest_serving_values(workspace):

@@ -129,7 +129,7 @@ def test_moe_equal_logits_give_uniform(tiny_setup):
     for t in rk.TASKS:
         for arr in params.experts[t].values():
             arr[...] = 0.0
-    alpha = rk.multitask_loss(make_batch(tiny_setup), params, moe=True).alpha
+    alpha = rk.multitask_loss(make_batch(tiny_setup), params).alpha
     for t in rk.TASKS:
         assert alpha[t] == pytest.approx(1 / 3, abs=1e-15)
 
@@ -139,7 +139,7 @@ def test_moe_coefficients_sum_to_one(tiny_setup):
     chunk = make_batch(tiny_setup)
     for trial in range(10):
         params = rk.RankerParams.init(encoder, seed=trial)
-        alpha = rk.multitask_loss(chunk, params, moe=True).alpha
+        alpha = rk.multitask_loss(chunk, params).alpha
         assert set(alpha) == set(rk.TASKS)
         assert abs(sum(alpha.values()) - 1.0) < 1e-12
         assert all(a >= 0 for a in alpha.values())
@@ -158,8 +158,7 @@ def test_multitask_frozen_one_hot_equals_single_task_loss(tiny_setup):
     *_, encoder = tiny_setup
     params = rk.RankerParams.init(encoder, seed=2)
     chunk = make_batch(tiny_setup)
-    result = rk.multitask_loss(chunk, params, moe=False,
-                               fixed_alpha={rk.TASK_STEM_STEM: 1.0})
+    result = rk.multitask_loss(chunk, params, {rk.TASK_STEM_STEM: 1.0})
     assert result.total == result.task_losses[rk.TASK_STEM_STEM]
     assert result.alpha[rk.TASK_ANALYSIS_ANALYSIS] == 0.0
 
@@ -169,7 +168,7 @@ def test_multitask_total_is_weighted_sum(tiny_setup):
     params = rk.RankerParams.init(encoder, seed=2)
     chunk = make_batch(tiny_setup)
     third = {t: 1 / 3 for t in rk.TASKS}
-    result = rk.multitask_loss(chunk, params, moe=False, fixed_alpha=third)
+    result = rk.multitask_loss(chunk, params, third)
     expected = sum(result.alpha[t] * result.task_losses[t] for t in rk.TASKS)
     assert result.total == pytest.approx(expected, rel=1e-15)
     # the rule itself on the documented example values
@@ -180,7 +179,7 @@ def test_multitask_masks_absent_task(tiny_setup):
     *_, encoder = tiny_setup
     params = rk.RankerParams.init(encoder, seed=2)
     chunk = make_batch(tiny_setup, tasks=(rk.TASK_STEM_STEM, rk.TASK_ANALYSIS_ANALYSIS))
-    result = rk.multitask_loss(chunk, params, moe=True)
+    result = rk.multitask_loss(chunk, params)
     assert rk.TASK_STEM_ANALYSIS not in result.alpha
     assert abs(sum(result.alpha.values()) - 1.0) < 1e-12
     assert rk.TASK_STEM_ANALYSIS not in result.task_losses
@@ -190,9 +189,9 @@ def test_multitask_gradients_with_gate(tiny_setup):
     *_, encoder = tiny_setup
     params = rk.RankerParams.init(encoder, seed=6)
     chunk = make_batch(tiny_setup, n_pairs=2)
-    result = rk.multitask_loss(chunk, params, moe=True)
+    result = rk.multitask_loss(chunk, params)
     numeric = finite_difference(
-        lambda: rk.multitask_loss(chunk, params, moe=True).total,
+        lambda: rk.multitask_loss(chunk, params).total,
         params.arrays())
     assert_grads_match(result.grads, numeric)
 
@@ -202,9 +201,9 @@ def test_multitask_gradients_fixed_alpha(tiny_setup):
     params = rk.RankerParams.init(encoder, seed=6)
     chunk = make_batch(tiny_setup, n_pairs=2)
     third = {t: 1 / 3 for t in rk.TASKS}
-    result = rk.multitask_loss(chunk, params, moe=False, fixed_alpha=third)
+    result = rk.multitask_loss(chunk, params, third)
     numeric = finite_difference(
-        lambda: rk.multitask_loss(chunk, params, moe=False, fixed_alpha=third).total,
+        lambda: rk.multitask_loss(chunk, params, third).total,
         params.arrays())
     assert_grads_match(result.grads, numeric)
 
@@ -275,8 +274,46 @@ def test_rank_is_permutation_sorted_with_id_ties(tiny_setup):
     # candidates must be rows of the ranker's view
     other = candidates_of(PreparedCorpus(list(corpus), view.vocab).index,
                           [Candidate(corpus.ids[1], 0.0, "exact")])
-    with pytest.raises(ValueError, match="rows of this featurizer's view"):
+    with pytest.raises(ValueError, match="rows of this ranker's view"):
         ranker.rank(query, other)
+
+
+def test_ranker_keeps_its_own_rows(tiny_setup):
+    """The ranker embeds every row of its view once under its own backbone,
+    ``embed_corpus`` bit for bit; a bank query reads its row there, and an
+    equal copy, embedded from its own text under the ranker's params, is
+    scored with the same bits."""
+    corpus, _, _, view, encoder = tiny_setup
+    params = rk.RankerParams.init(encoder, seed=4)
+    params.trained = True
+    params.emb += 0.01  # a backbone of its own, not the encoder's
+    ranker = rk.Ranker(params, view)
+    assert ranker.embeddings.tobytes() == \
+        enc.embed_corpus(view.stem_ids(), params).tobytes()
+    assert ranker.embeddings.tobytes() != \
+        enc.embed_corpus(view.stem_ids(), encoder).tobytes()
+    cands = candidates_of(corpus.index, [Candidate(ex_id, 0.0, "exact")
+                                         for ex_id in corpus.ids[1:9]])
+    bank = ranker.rank(PreparedQuery(corpus[corpus.ids[0]], view), cands)
+    copy = ranker.rank(PreparedQuery(dataclasses.replace(corpus[corpus.ids[0]]), view),
+                       cands)
+    assert [(c.ex_id, c.score) for c in bank] == [(c.ex_id, c.score) for c in copy]
+
+
+def test_rank_refuses_a_query_over_another_view(tiny_setup):
+    """A second view of the same exercises and vocabulary shares the
+    corpus's row index, so only the query's own view tells them apart."""
+    corpus, _, _, view, encoder = tiny_setup
+    params = rk.RankerParams.init(encoder, seed=0)
+    params.trained = True
+    ranker = rk.Ranker(params, view)
+    second = PreparedCorpus(corpus, view.vocab)
+    assert second.index is view.index
+    cands = candidates_of(corpus.index, [Candidate(corpus.ids[1], 0.0, "exact")])
+    for ex in (corpus[corpus.ids[0]], dataclasses.replace(corpus[corpus.ids[0]], id="probe")):
+        with pytest.raises(ValueError, match="prepared query is over another view"):
+            ranker.rank(PreparedQuery(ex, second), cands)
+        assert len(ranker.rank(PreparedQuery(ex, view), cands)) == 1
 
 
 def test_ranker_snapshot_round_trip(tmp_path, tiny_setup):
@@ -325,8 +362,8 @@ def test_score_pairs_equal_from_view_and_from_own_text(tiny_setup):
     def tokens(ex):
         return split_tokens(normalize_text(ex.text)[0])
     expected = [reference_similarity(tokens(query), tokens(exs[r])) for r in rows]
-    assert ranker.featurizer.row_pairs(PreparedQuery(query, ranker.view), index,
-                                       np.array(rows))[2].tolist() == expected
+    assert PreparedQuery(query, ranker.view).edit_similarities(
+        np.array(rows)).tolist() == expected
 
     # the pair features from each side's own text, scored as one matrix in
     # candidate order, as ranking scores them

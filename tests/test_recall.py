@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -529,8 +530,24 @@ def test_recaller_refuses_a_dedup_head_over_another_view(medium_synth):
     params = init_params(corpus, vocab, d=12, seed=0)
     view = PreparedCorpus(corpus, vocab, params)
     head = PairClassifier(np.zeros(4 * 12 + 1), 0.0)
-    for other in (PreparedCorpus(corpus, vocab, params), view.embedded_with(params)):
-        with pytest.raises(ValueError, match="not over this view"):
-            Recaller.build(view, DuplicateDetector(head, PairFeaturizer(other)))
+    with pytest.raises(ValueError, match="not over this view"):
+        Recaller.build(view, DuplicateDetector(
+            head, PairFeaturizer(PreparedCorpus(corpus, vocab, params))))
     recaller = Recaller.build(view, DuplicateDetector(head, PairFeaturizer(view)))
     assert recaller.dedup.featurizer.view is view
+
+
+def test_recall_refuses_a_query_over_another_view(medium_synth):
+    """Without a dedup head too: a query's kept embedding is under its own
+    view's params, which a second view of the same exercises and vocabulary
+    need not share."""
+    corpus, _, _ = medium_synth
+    vocab = vocab_of(corpus)
+    params = init_params(corpus, vocab, d=12, seed=0)
+    recaller = Recaller.build(PreparedCorpus(corpus, vocab, params))
+    second = PreparedCorpus(corpus, vocab, init_params(corpus, vocab, d=12, seed=1))
+    ex = corpus[corpus.ids[0]]
+    for query in (ex, dataclasses.replace(ex, id="probe")):
+        with pytest.raises(ValueError, match="prepared query is over another view"):
+            recaller.recall(PreparedQuery(query, second))
+        assert len(recaller.recall(PreparedQuery(query, recaller.view)))
