@@ -141,7 +141,10 @@ class Exercise:
         }
 
     @classmethod
-    def from_record(cls, rec: dict) -> "Exercise":
+    def from_record(cls, rec: dict, strings: dict[str, str]) -> "Exercise":
+        """The exercise of one record. Its ``exercise_type`` and knowledge
+        concepts are the entries of ``strings``, the caller's table for one
+        load, so equal values of a load are one object."""
         try:
             missing = [k for k in EXERCISE_FIELDS if k not in rec]
             if missing:
@@ -160,9 +163,10 @@ class Exercise:
                 analysis=str(rec["analysis"]),
                 image_features=rec["image_features"],
                 metadata=Metadata(
-                    exercise_type=str(rec["exercise_type"]),
+                    exercise_type=_shared(strings, str(rec["exercise_type"])),
                     difficulty=int(rec["difficulty"]),
-                    knowledge_concepts=tuple(str(c) for c in rec["knowledge_concepts"]),
+                    knowledge_concepts=tuple(_shared(strings, str(c))
+                                             for c in rec["knowledge_concepts"]),
                 ),
                 learning_stage=(int(stage[0]), int(stage[1])),
             )
@@ -267,9 +271,12 @@ class Corpus:
                 and self.d_img == other.d_img)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledPair:
-    """An annotated exercise pair, the unit of supervision and evaluation."""
+    """An annotated exercise pair, the unit of supervision and evaluation.
+
+    Slotted, with no ``__dict__``: a bank's pairs are loaded by the tens of
+    thousands. The pairs of one ``load_pairs`` share their strings."""
 
     a_id: str
     b_id: str
@@ -338,6 +345,13 @@ class SyntheticTruth:
 # ---------------------------------------------------------------------------
 # JSONL ingestion
 
+def _shared(strings: dict[str, str], value):
+    """``value``, or the equal string ``strings`` holds: a string enters the
+    table on first sight. Anything else is returned as it is, for the
+    record's own checks to refuse."""
+    return strings.setdefault(value, value) if isinstance(value, str) else value
+
+
 def load_corpus(path, levels: Optional[int] = None) -> Corpus:
     """Read one exercise per JSONL line, validating schema and id uniqueness.
 
@@ -345,6 +359,7 @@ def load_corpus(path, levels: Optional[int] = None) -> Corpus:
     """
     exercises: list[Exercise] = []
     seen: dict[str, int] = {}
+    strings: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -354,7 +369,7 @@ def load_corpus(path, levels: Optional[int] = None) -> Corpus:
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"line {lineno}: malformed JSON: {exc.msg}") from exc
             try:
-                ex = Exercise.from_record(rec)
+                ex = Exercise.from_record(rec, strings)
             except CorpusError as exc:
                 raise CorpusError(f"line {lineno}: {exc}") from exc
             if ex.id in seen:
@@ -394,11 +409,11 @@ def load_snapshot(path) -> Corpus:
             f"{path}: corpus snapshot of an older layout, with image vectors in its "
             "records; rerun step_synth or step_ingest to rewrite it")
     feats.flags.writeable = False
-    exercises, start = [], 0
+    exercises, start, strings = [], 0, {}
     for rec in meta["exercises"]:
         end = start + rec["images"]
         rec["image_features"] = feats[start:end]
-        exercises.append(Exercise.from_record(rec))
+        exercises.append(Exercise.from_record(rec, strings))
         start = end
     if start != len(feats):
         raise SnapshotFormatError(
@@ -419,7 +434,13 @@ def save_pairs(pairs: list[LabeledPair], path) -> None:
 
 
 def load_pairs(path) -> list[LabeledPair]:
+    """One pair per JSONL line; errors carry the 1-based line number.
+
+    Equal strings of one load are one object: labels, variant flags and
+    votes are this module's constants, and each distinct id is one ``str``
+    shared by every record that names it."""
     pairs = []
+    strings = {s: s for s in (SIMILAR, DISSIMILAR, VARIANT, PLAIN_SIMILAR)}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -427,8 +448,10 @@ def load_pairs(path) -> list[LabeledPair]:
             try:
                 rec = json.loads(line)
                 pairs.append(LabeledPair(
-                    a_id=rec["a_id"], b_id=rec["b_id"], label=rec["label"],
-                    variant=rec.get("variant"), votes=tuple(rec.get("votes", ()))))
+                    a_id=_shared(strings, rec["a_id"]), b_id=_shared(strings, rec["b_id"]),
+                    label=_shared(strings, rec["label"]),
+                    variant=_shared(strings, rec.get("variant")),
+                    votes=tuple(_shared(strings, v) for v in rec.get("votes", ()))))
             except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as exc:
                 raise CorpusError(f"line {lineno}: bad pair record: {exc}") from exc
     return pairs

@@ -36,7 +36,11 @@ is organised around three pieces:
   and analysis codes. Token codes are equal exactly when tokens are equal:
   in-vocabulary tokens use their vocabulary id, every out-of-vocabulary
   token gets a code of its own (vocabulary ids alone would collapse all of
-  them onto UNK).
+  them onto UNK). Its token lists hold one ``str`` object per distinct
+  token, not one per occurrence: the vocabulary's own string, or for a
+  token outside the vocabulary the entry of a table the view owns. No
+  process-wide table is used: ``sys.intern``'s strings are never freed on
+  CPython 3.12, so every probe would grow a server.
 * :class:`PreparedQuery`, the query's side of every pair, made once per
   cache miss by ``PreparedQuery(exercise, view)`` over the view the stages
   are built from and passed through all three: its tokens, its codes under
@@ -322,13 +326,22 @@ class PreparedCorpus:
     the same embeddings.
     ``index`` gives the rows of the ids; a view of a ``Corpus`` shares the
     corpus's, so candidates recalled from that corpus are rows of the view.
+
+    Sharing rule: ``tokens`` and ``analysis.tokens`` hold one ``str`` object
+    per distinct token, however often it occurs. An in-vocabulary token is
+    the vocabulary's own string, any other token the entry of
+    ``oov_strings``, a table that lives as long as the view. Each text is
+    shared as it is tokenized (``Vocab.share``), so the occurrences' own
+    strings do not outlive it; :meth:`with_own_vocab` shares once its
+    vocabulary, which needs every text, is built. A query's tokens stay its
+    own: preparing a ``PreparedQuery`` adds nothing to the table.
     """
 
     def __init__(self, exercises: Iterable[Exercise], vocab: Vocab,
                  params: Optional[EncoderParams] = None):
         exercises = exercises if isinstance(exercises, Corpus) else list(exercises)
         self._prepare(exercises, vocab, params,
-                      [text_tokens(ex.text, vocab.stop_words) for ex in exercises])
+                      (text_tokens(ex.text, vocab.stop_words) for ex in exercises))
 
     @classmethod
     def with_own_vocab(cls, corpus: Corpus, stop_words: Iterable[str] = ()) -> "PreparedCorpus":
@@ -340,30 +353,33 @@ class PreparedCorpus:
         analyses = [text_tokens(ex.answer_analysis, stop) for ex in corpus]
         view = cls.__new__(cls)
         view._prepare(corpus, Vocab.build(stems + analyses, stop_words=stop), None, stems)
-        view.analysis = view._column(analyses)
+        view.analysis = view._column(analyses, view.code_table())
         return view
 
-    def _prepare(self, exercises, vocab: Vocab, params, tokens: list[list[str]]) -> None:
+    def _prepare(self, exercises, vocab: Vocab, params, tokens: Iterable[list[str]]) -> None:
         self.exercises = list(exercises)
         self.vocab = vocab
         self.params = params
         self.index = (exercises.index if isinstance(exercises, Corpus)
                       else RowIndex(ex.id for ex in self.exercises))
-        self.tokens = tokens
+        self.oov_strings: dict[str, str] = {}
         table = CodeTable(vocab)
         self.oov_codes = table.extra
-        self.codes, self.lengths = pad_codes([table.encode(t) for t in tokens])
+        self.tokens, self.codes, self.lengths = self._column(tokens, table)
         self._embeddings: Optional[np.ndarray] = None
 
-    def _column(self, tokens: list[list[str]]) -> TextColumn:
-        table = self.code_table()
+    def _column(self, tokens: Iterable[list[str]], table: CodeTable) -> TextColumn:
+        """Each text's ``tokens`` with one ``str`` per distinct token of the
+        view (``Vocab.share`` through ``oov_strings``), and their codes under
+        ``table``."""
+        tokens = [self.vocab.share(t, self.oov_strings) for t in tokens]
         return TextColumn(tokens, *pad_codes([table.encode(t) for t in tokens]))
 
     @cached_property
     def analysis(self) -> TextColumn:
         """Every exercise's answer and analysis, prepared on first use."""
-        return self._column([text_tokens(ex.answer_analysis, self.vocab.stop_words)
-                             for ex in self.exercises])
+        return self._column((text_tokens(ex.answer_analysis, self.vocab.stop_words)
+                             for ex in self.exercises), self.code_table())
 
     def _ids(self, codes: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
         ids = np.where(codes >= len(self.vocab), UNK_ID, codes).astype(np.int64)

@@ -51,9 +51,11 @@ later step and ``Pipeline.load`` refuse a key that differs from it.
 
 Configuration is a flat key = value file; see DEFAULTS for the full key
 list with defaults. A value no query could be served with (``recall.n``
-below 1, a ``recall.dedup_threshold`` not above 0) or no training could run
-with (``encoder.batch`` below 2, an empty ``rank.tasks``) is refused where
-it is read, naming the key; each ``get_int`` names its key's minimum.
+below 1, a ``recall.dedup_threshold`` not above 0), no training could run
+with (``encoder.batch`` below 2, an empty ``rank.tasks``, ``rank.alpha``
+weights that train nothing with ``rank.moe`` off) or no report could be cut
+at (an ``eval.ks`` entry below 1) is refused where it is read, naming the
+key; each ``get_int`` names its key's minimum.
 """
 
 from __future__ import annotations
@@ -303,6 +305,10 @@ def step_index(workdir, config: Config) -> None:
 
 
 def _rank_config(config: Config) -> ranking.RankConfig:
+    """The ranker's training config. With ``rank.moe`` off the weights of
+    ``rank.alpha`` are the loss's coefficients, so they must be at least 0
+    and sum above 0 over ``rank.tasks``: zero weights train nothing and a
+    negative one ascends its loss."""
     alpha = tuple(float(x) for x in config.get_list("rank.alpha"))
     if len(alpha) != 3:
         raise ValueError(f"config rank.alpha = {config.get('rank.alpha')!r}: "
@@ -311,11 +317,17 @@ def _rank_config(config: Config) -> ranking.RankConfig:
     if not tasks:
         raise ValueError(f"config rank.tasks = {config.get('rank.tasks')!r}: "
                          "expected at least one task")
+    tasks = ranking.resolve_tasks(tasks)
+    moe = config.get_bool("rank.moe")
+    if not moe and not (all(w >= 0 for w in alpha)
+                        and sum(alpha[ranking.TASKS.index(t)] for t in tasks) > 0):
+        raise ValueError(f"config rank.alpha = {config.get('rank.alpha')!r}: expected "
+                         "weights of at least 0 that sum above 0 over rank.tasks "
+                         f"{config.get('rank.tasks')!r}")
     return ranking.RankConfig(
         lr=config.get_float("rank.lr"), epochs=config.get_int("rank.epochs", minimum=0),
         batch_pairs=config.get_int("rank.batch_pairs", minimum=1),
-        seed=config.get_int("rank.seed"), moe=config.get_bool("rank.moe"),
-        alpha=alpha, tasks=ranking.resolve_tasks(tasks))
+        seed=config.get_int("rank.seed"), moe=moe, alpha=alpha, tasks=tasks)
 
 
 def step_train_rank(workdir, config: Config):
@@ -426,7 +438,13 @@ def ranked_lists(recaller: Recaller, ranker: ranking.Ranker, corpus: Corpus,
 
 
 def step_eval(workdir, config: Config) -> EvalReport:
-    """Recall@K over annotations plus P@1/3/5 after ranking; writes report.json."""
+    """Recall@K over annotations plus P@1/3/5 after ranking; writes report.json.
+    Refuses an ``eval.k_recall`` or ``eval.ks`` entry below 1, which would
+    report a figure of no cut-off."""
+    k_recall = config.get_int("eval.k_recall", minimum=1)
+    ks = tuple(int(k) for k in config.get_list("eval.ks"))
+    if min(ks, default=1) < 1:
+        raise ValueError(f"config eval.ks = {config.get('eval.ks')!r}: expected at least 1")
     corpus, vocab, encoder = _load_trained(workdir, config)
     pairs = _load_pairs(workdir, corpus)
     ranker_params = ranking.load_ranker(_path(workdir, "ranker"))
@@ -434,14 +452,12 @@ def step_eval(workdir, config: Config) -> EvalReport:
     recaller = Recaller.build(view, config=_recall_config(config))
     ranker = ranking.Ranker(ranker_params, view)
 
-    k_recall = config.get_int("eval.k_recall")
     annotated = annotated_similars(pairs)
     seed_ids = sorted(annotated)
     recall_value, per_seed = evaluate_recall(
         recall_lists(recaller, corpus, seed_ids, k_recall), annotated, k_recall)
 
     relevant = _relevant(workdir, corpus, pairs)
-    ks = tuple(int(k) for k in config.get_list("eval.ks"))
     values, per_query = evaluate_precision(
         ranked_lists(recaller, ranker, corpus, list(relevant)), relevant, ks)
 

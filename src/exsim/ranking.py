@@ -19,9 +19,10 @@ shared pair features of :mod:`pairclf`, ``[u, v, |u - v|, u * v, edit_sim]``
 token-level edit similarity of the two texts over the same token codes dedup
 uses. Training tokenizes nothing: :class:`TaskBuilder` reads each side's
 vocabulary ids and codes from the ``pairclf.PreparedCorpus`` the caller
-prepared, and computes ``edit_sim`` when the instances are built, once per
-distinct pair of texts. At serving time a stage is built from one view; a
-miss passes one ``PreparedQuery``. The view embeds under the encoder alone;
+prepared, and computes ``edit_sim`` before training, once per distinct pair
+of texts; a batch's instances are built only when the batch is drawn. At
+serving time a stage is built from one view; a miss passes one
+``PreparedQuery``. The view embeds under the encoder alone;
 the ranker's backbone lives here. :class:`Ranker` is built from the loaded
 ``pairclf.PreparedCorpus`` and keeps its own matrix, every exercise's row
 embedded once under its backbone, so a probe encodes only itself
@@ -48,6 +49,8 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
+from collections import abc
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -200,17 +203,19 @@ class TaskBuilder:
         self._pools: dict[str, list[str]] = {}
 
     def build_all(self, pairs: Sequence[LabeledPair], rng: np.random.Generator,
-                  tasks: Iterable[str] = TASKS) -> list[list[TaskInstance]]:
-        """Instances of every pair, in order, keeping those of ``tasks``."""
-        wanted = [TASKS.index(t) for t in tasks]
+                  tasks: Iterable[str] = TASKS) -> PairInstances:
+        """Instances of every pair, in order, keeping those of ``tasks``.
+
+        Batch-at-a-time rule: every draw and every edit similarity is made
+        here, once, into two arrays, but no ``TaskInstance`` is; item i of
+        the result builds pair i's instances when it is read. A caller that
+        reads one batch of pairs at a time (``train_ranker``) holds one
+        batch of instances, not every pair's."""
         # (pair, instance, [task, left row, right row, label])
         specs = np.fromiter((x for p in pairs for spec in self._specs(p, rng) for x in spec),
                             dtype=np.int32, count=20 * len(pairs)).reshape(-1, 5, 4)
         sims = self._edit_sims(specs[:, :, 1], specs[:, :, 2])
-        return [[TaskInstance(TASKS[t], self.texts[l], self.texts[r], label, sim)
-                 for (t, l, r, label), sim in zip(rows.tolist(), row_sims.tolist())
-                 if t in wanted]
-                for rows, row_sims in zip(specs, sims)]
+        return PairInstances(self.texts, specs, sims, [TASKS.index(t) for t in tasks])
 
     def _edit_sims(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Edit similarity of the texts in rows (left, right), each distinct
@@ -279,6 +284,27 @@ class TaskBuilder:
                         seen.add(other)
             self._pools[ex.id] = pool
         return pool
+
+
+class PairInstances(abc.Sequence):
+    """The task instances of labeled pairs, item i a new list of pair i's,
+    equal on every read. Only ``specs`` (pairs, 5, 4) int32, each instance's
+    [task, left text, right text, label], and ``sims`` (pairs, 5) float64,
+    its edit similarity, are held; ``texts`` are the builder's id tuples."""
+
+    def __init__(self, texts: list[tuple[int, ...]], specs: np.ndarray, sims: np.ndarray,
+                 wanted: list[int]):
+        self.texts, self.specs, self.sims, self.wanted = texts, specs, sims, wanted
+
+    def __len__(self) -> int:
+        return len(self.specs)
+
+    def __getitem__(self, i) -> list[TaskInstance]:
+        i = operator.index(i)
+        texts = self.texts
+        return [TaskInstance(TASKS[t], texts[l], texts[r], label, sim)
+                for (t, l, r, label), sim in zip(self.specs[i].tolist(), self.sims[i].tolist())
+                if t in self.wanted]
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +466,12 @@ def train_ranker(pairs: Sequence[LabeledPair], view: PreparedCorpus,
     history).
 
     The shared backbone starts from the pre-trained ``encoder``.
-    Task instances are built once, deterministically from the seed, before
-    the epoch loop. history carries per-epoch means of the total and
-    per-task losses plus the coefficient trajectory.
+    Every pair's draws and edit similarities are made once, deterministically
+    from the seed, before the epoch loop (``TaskBuilder.build_all``); a
+    batch's ``TaskInstance`` objects are built when the batch is drawn and
+    dropped with it, so no more than one batch of them is alive at a time.
+    history carries per-epoch means of the total and per-task losses plus
+    the coefficient trajectory.
     """
     if not pairs:
         raise ValueError("no training pairs")

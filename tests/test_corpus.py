@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from exsim.corpus import (
-    Corpus, CorpusError, Exercise, LabeledPair, Metadata, SyntheticSpec,
-    generate_dedup_pairs, generate_synthetic, load_corpus, load_pairs,
-    load_snapshot, save_pairs, save_snapshot, validate_pairs,
+    DISSIMILAR, PLAIN_SIMILAR, SIMILAR, VARIANT, Corpus, CorpusError, Exercise, LabeledPair,
+    Metadata, SyntheticSpec, generate_dedup_pairs, generate_synthetic, load_corpus,
+    load_pairs, load_snapshot, save_pairs, save_snapshot, validate_pairs,
 )
 from exsim.snapshots import SnapshotFormatError, save_arrays
 
@@ -265,7 +265,8 @@ def test_jsonl_round_trip(tmp_path, small_synth):
 
 @pytest.mark.parametrize("line", [
     "[1, 2]", '{"a_id": "a", "b_id": "b", "label": "similar", "votes": 5}',
-], ids=["array", "int-votes"])
+    '"a string"', "null",
+], ids=["array", "int-votes", "string", "null"])
 def test_load_pairs_bad_record_cites_line(tmp_path, line):
     path = tmp_path / "p.jsonl"
     path.write_text('{"a_id": "a", "b_id": "b", "label": "similar"}\n' + line + "\n")
@@ -281,6 +282,39 @@ def test_pairs_round_trip_and_validation(tmp_path, small_synth):
     bad = pairs + [LabeledPair("nope-1", "nope-2", "similar")]
     with pytest.raises(CorpusError, match="unknown id"):
         validate_pairs(corpus, bad)
+
+
+def test_loaded_pairs_share_their_strings(tmp_path, small_synth):
+    """One str per distinct id within a load, the module's constants for
+    labels, variant flags and votes, and no per-pair ``__dict__``."""
+    _, _, pairs = small_synth
+    path = tmp_path / "p.jsonl"
+    save_pairs(pairs, path)
+    loaded = load_pairs(path)
+    assert loaded == pairs
+    ids = [x for p in loaded for x in (p.a_id, p.b_id)]
+    assert len({id(x) for x in ids}) == len(set(ids)) < len(ids)
+    constants = {id(c) for c in (SIMILAR, DISSIMILAR, VARIANT, PLAIN_SIMILAR)}
+    for p in loaded:
+        assert {id(p.label)} | {id(v) for v in p.votes} <= constants
+        assert p.variant is None or id(p.variant) in constants
+    assert not hasattr(loaded[0], "__dict__")
+    assert {"a_id", "b_id", "label", "variant", "votes"} == set(LabeledPair.__slots__)
+
+
+def test_loads_share_metadata_strings(tmp_path, small_synth):
+    """A snapshot or JSONL load holds one str per distinct exercise type and
+    per distinct knowledge concept."""
+    corpus, _, _ = small_synth
+    save_snapshot(corpus, tmp_path / "c.snap")
+    write_jsonl(tmp_path / "c.jsonl", [ex.to_record() for ex in corpus])
+    for loaded in (load_snapshot(tmp_path / "c.snap"),
+                   load_corpus(tmp_path / "c.jsonl", levels=corpus.levels)):
+        assert loaded == corpus
+        types = [ex.metadata.exercise_type for ex in loaded]
+        concepts = [c for ex in loaded for c in ex.metadata.knowledge_concepts]
+        assert len({id(t) for t in types}) == len(corpus.exercise_types) < len(types)
+        assert len({id(c) for c in concepts}) == len(corpus.concepts) < len(concepts)
 
 
 def test_variant_flags_present(small_synth):

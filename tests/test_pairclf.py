@@ -441,6 +441,29 @@ def test_own_vocab_normalizes_each_text_once(small_synth, monkeypatch):
     assert view.tokens == plain[::2] and view.analysis.tokens == plain[1::2]
 
 
+def test_view_holds_one_string_per_distinct_token(small_synth):
+    """Both constructors, both text sides: each distinct token is one str
+    object, the vocabulary's own when it is in the vocabulary and the view's
+    table entry otherwise; preparing a probe adds nothing to the table."""
+    corpus, _, _ = small_synth
+    own = PreparedCorpus.with_own_vocab(corpus)
+    # a vocabulary of a few stems leaves most analysis tokens outside it
+    partial = Vocab.build(own.tokens[:4])
+    for view in (own, PreparedCorpus(corpus, partial)):
+        tokens = [t for column in (view.tokens, view.analysis.tokens)
+                  for row in column for t in row]
+        assert len({id(t) for t in tokens}) == len(set(tokens))
+        for t in tokens:
+            if t in view.vocab:
+                assert t is view.vocab._id_to_token[view.vocab.id_of(t)]
+            else:
+                assert view.oov_strings[t] is t
+        table = dict(view.oov_strings)
+        PreparedQuery(exercise("probe", "qwerty zxcvb " + corpus.ids[0]), view)
+        assert view.oov_strings == table
+    assert not own.oov_strings and PreparedCorpus(corpus, partial).oov_strings
+
+
 def test_view_embeddings_equal_single_text_embedding():
     """Each row equals the embedding of an equal copy of its exercise, which
     is prepared from its own text."""

@@ -117,12 +117,18 @@ def test_load_refuses_a_value_no_query_can_be_served_with(workspace, key, value)
     (pl.step_train_rank, "rank.batch_pairs", "0"),
     (pl.step_train_rank, "rank.tasks", ""),
     (pl.step_clean, "cl.folds", "1"),
+    (pl.step_eval, "eval.k_recall", "-1"),
+    (pl.step_eval, "eval.k_recall", "0"),
+    (pl.step_eval, "eval.ks", "0"),
+    (pl.step_eval, "eval.ks", "1,0,5"),
 ])
 def test_build_steps_refuse_a_value_no_training_can_run_with(workspace, tmp_path,
                                                              step, key, value):
     """Such a value used to train nothing and save the untouched model as
-    trained (an empty rank.tasks, encoder.batch = 1, no negatives), or to
-    fail deep inside training; the step now refuses it and writes nothing."""
+    trained (an empty rank.tasks, encoder.batch = 1, no negatives), to fail
+    deep inside training, or to report a figure of no cut-off (k_recall = -1
+    cut each recall list at [:-1], eval.ks = 0 wrote a P@0); the step now
+    refuses it and writes nothing."""
     workdir, config, _, _ = workspace
     copy = tmp_path / "ws"
     shutil.copytree(workdir, copy)
@@ -148,6 +154,27 @@ def test_rank_alpha_needs_three_weights(alpha):
         pl._rank_config(pl.Config({"rank.alpha": alpha}))
     weighted = pl._rank_config(pl.Config({"rank.alpha": "0.5,0.3,0.2"}))
     assert weighted.alpha == (0.5, 0.3, 0.2)
+
+
+@pytest.mark.parametrize("alpha, tasks", [
+    ("0,0,0", "t1,t2,t3"), ("1,0,0", "t2,t3"), ("-1,0,0", "t1"),
+])
+def test_train_rank_refuses_weights_that_train_nothing(workspace, tmp_path, alpha, tasks):
+    """With the gate off, weights summing to 0 over the trained tasks saved
+    an untouched ranker marked trained, and a negative one ran gradient
+    ascent; the step now refuses them and writes nothing. The gate ignores
+    the weights, so it accepts them."""
+    workdir, config, _, _ = workspace
+    copy = tmp_path / "ws"
+    shutil.copytree(workdir, copy)
+    before = {f.name: f.read_bytes() for f in copy.iterdir()}
+    values = {**config.values, "rank.alpha": alpha, "rank.tasks": tasks}
+    with pytest.raises(ValueError, match=f"config rank.alpha = '{alpha}': expected weights "
+                                         "of at least 0 that sum above 0"):
+        pl.step_train_rank(copy, pl.Config({**values, "rank.moe": "off"}))
+    assert {f.name: f.read_bytes() for f in copy.iterdir()} == before
+    assert pl._rank_config(pl.Config({**values, "rank.moe": "on"})).alpha == \
+        tuple(float(w) for w in alpha.split(","))
 
 
 def copy_workspace(workspace, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -77,6 +78,50 @@ def test_task_instances_deterministic(tiny_setup):
     one = rk.TaskBuilder(view).build_all([pair], np.random.default_rng(9))[0]
     two = rk.TaskBuilder(view).build_all([pair], np.random.default_rng(9))[0]
     assert one == two
+
+
+def test_build_all_items_equal_an_eager_reference(tiny_setup):
+    """Item i builds pair i's instances on each read, equal to instances
+    written out here from the same draws, with reference edit similarities
+    of the two texts' tokens."""
+    _, _, pairs, view, _ = tiny_setup
+    tasks = (rk.TASK_STEM_STEM, rk.TASK_STEM_ANALYSIS)
+    items = rk.TaskBuilder(view).build_all(pairs, np.random.default_rng(4), tasks)
+    texts = [tuple(ids.tolist()) for ids in view.stem_ids() + view.analysis_ids()]
+    tokens = view.tokens + view.analysis.tokens
+    drawer, rng = rk.TaskBuilder(view), np.random.default_rng(4)
+    expected = [[rk.TaskInstance(rk.TASKS[t], texts[l], texts[r], label,
+                                 reference_similarity(tokens[l], tokens[r]))
+                 for t, l, r, label in drawer._specs(p, rng) if rk.TASKS[t] in tasks]
+                for p in pairs]
+    assert len(items) == len(pairs)
+    assert list(items) == [items[i] for i in range(len(items))] == expected
+    assert items[np.int64(3)] == items[-len(pairs) + 3] == expected[3]
+    assert items[0] is not items[0]
+    with pytest.raises(IndexError):
+        items[len(pairs)]
+
+
+def test_train_ranker_holds_one_batch_of_instances(tiny_setup, monkeypatch):
+    """While a batch's loss is computed, the only TaskInstance objects alive
+    beyond those alive before training are that batch's."""
+    _, _, pairs, view, encoder = tiny_setup
+
+    def alive():
+        gc.collect()
+        return sum(isinstance(o, rk.TaskInstance) for o in gc.get_objects())
+
+    loss, seen = rk.multitask_loss, []
+
+    def counted(instances, params, alpha=None):
+        seen.append((alive() - before, len(instances)))
+        return loss(instances, params, alpha)
+
+    monkeypatch.setattr(rk, "multitask_loss", counted)
+    before = alive()
+    rk.train_ranker(pairs, view, rk.RankConfig(epochs=1, batch_pairs=8), encoder=encoder)
+    assert len(seen) == -(-len(pairs) // 8) > 1
+    assert all(n_alive == n_batch for n_alive, n_batch in seen)
 
 
 def rebuilt_pool_draw(builder, ex, exclude, rng):
