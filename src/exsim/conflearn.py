@@ -3,17 +3,14 @@
 Annotated similarity labels disagree between annotators, so a slice of the
 training pairs is simply wrong. The cleaning cycle:
 
-1. out-of-fold probabilities: stratified folds, each scored by a single-task
-   (stem-stem) ranker trained on the other folds, so no pair is scored by a
-   model that saw it. Every fold trains and scores over one
-   ``pairclf.PreparedCorpus`` of the bank, normalized once: the edit
-   similarity of every pair is computed once, and a fold scores its
-   holdout pairs from its ranker's own rows of the view's exercises, each
-   pair on its own (``Ranker.pair_probs``). The estimator's budget,
-   ``ESTIMATOR_EPOCHS`` at ``ESTIMATOR_LR`` (3 epochs at 0.05), must be
-   enough to learn more than the label prior: at 1 epoch and 0.01 every
-   probability stays near the share of similar labels and the joint below
-   only reflects noise;
+1. out-of-fold probabilities: stratified folds, each scored by a frozen
+   pair head (``pairclf.PairClassifier``, fitted by Newton's method) trained
+   on the other folds, so no pair is scored by a model that saw it. The
+   feature rows of every pair are built once, in both orders, from the
+   view's encoder rows and the edit similarities
+   (``pairclf.both_order_rows``), and each fold's head trains on the other
+   folds' rows. A holdout pair scores the mean of its two orders, as dedup
+   scores a pair;
 2. confident joint: per-class thresholds (the mean predicted probability of
    a class over the pairs noisily labeled with it) decide which pairs count
    as confidently belonging to which class, giving a 2x2 count matrix of
@@ -36,16 +33,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .corpus import LabeledPair
-from .encoder import EncoderParams
-from .pairclf import PreparedCorpus, edit_similarities
-from .ranking import (
-    RankConfig, Ranker, RankerParams, TASK_STEM_STEM, train_ranker,
-)
+from .pairclf import PairClassifier, PreparedCorpus, both_order_rows, edit_similarities
+from .ranking import RankConfig, RankerParams, train_ranker
 
 log = logging.getLogger(__name__)
-
-ESTIMATOR_EPOCHS = 3  # training budget of each fold's out-of-fold estimator
-ESTIMATOR_LR = 0.05
 
 
 @dataclass
@@ -78,31 +69,26 @@ def stratified_folds(labels: Sequence[int], folds: int,
 
 
 def out_of_fold_probs(pairs: Sequence[LabeledPair], view: PreparedCorpus,
-                      encoder: EncoderParams,
                       config: CleanConfig = CleanConfig()) -> np.ndarray:
-    """Probability of "similar" for every pair, scored out of fold."""
+    """Probability of "similar" for every pair, scored out of fold by a pair
+    head over ``view``'s embeddings (its encoder's rows)."""
     if len(pairs) < 2 * config.folds:
         raise ValueError("need at least two pairs per fold")
-    labels = [1 if p.is_similar else 0 for p in pairs]
+    labels = np.array([1 if p.is_similar else 0 for p in pairs])
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 41]))
     assignment = stratified_folds(labels, config.folds, rng)
     rows_a = np.array([view.index.row_of[p.a_id] for p in pairs], dtype=np.intp)
     rows_b = np.array([view.index.row_of[p.b_id] for p in pairs], dtype=np.intp)
     sims = edit_similarities(view.codes[rows_a], view.lengths[rows_a],
                              view.codes[rows_b], view.lengths[rows_b])
-    probs = np.zeros(len(pairs))
+    features = both_order_rows(view.embeddings, rows_a, rows_b, sims)
+    row_fold, row_labels = np.repeat(assignment, 2), np.repeat(labels, 2)
+    probs = np.empty(len(pairs))
     for fold in range(config.folds):
-        holdout = np.flatnonzero(assignment == fold)
-        train_idx = np.flatnonzero(assignment != fold)
-        fold_cfg = RankConfig(
-            lr=ESTIMATOR_LR, epochs=ESTIMATOR_EPOCHS,
-            seed=int(np.random.SeedSequence([config.seed, fold]).generate_state(1)[0]
-                     % (2 ** 31)),
-            moe=False, alpha=(1.0, 0.0, 0.0), tasks=(TASK_STEM_STEM,))
-        params, _ = train_ranker([pairs[i] for i in train_idx], view, fold_cfg,
-                                 encoder=encoder)
-        probs[holdout] = Ranker(params, view).pair_probs(
-            rows_a[holdout], rows_b[holdout], sims[holdout])
+        train = row_fold != fold
+        head = PairClassifier.train(features[train], row_labels[train])
+        p = head.prob_rows(features[~train])
+        probs[assignment == fold] = (p[0::2] + p[1::2]) / 2.0
     return probs
 
 
@@ -171,22 +157,34 @@ class CleaningReport:
     pruned: list[dict]
     p5_before: Optional[float] = None
     p5_after: Optional[float] = None
+    flips: Optional[dict] = None
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True, indent=1)
 
+    def score_flips(self, flipped: Sequence[dict]) -> None:
+        """Score the prune against the pairs known to be mislabeled (the
+        generator's ``SyntheticTruth.flipped``, matched by ids) into
+        ``flips``: their count, how many of them were pruned, and the
+        prune's precision and recall, None where nothing divides."""
+        known = {(f["a_id"], f["b_id"]) for f in flipped}
+        hits = sum((p["a_id"], p["b_id"]) in known for p in self.pruned)
+        self.flips = {"flipped": len(known), "pruned_flipped": hits,
+                      "precision": hits / self.n_pruned if self.n_pruned else None,
+                      "recall": hits / len(known) if known else None}
+
 
 def clean_and_retrain(pairs: Sequence[LabeledPair], view: PreparedCorpus,
-                      encoder: EncoderParams,
                       config: CleanConfig = CleanConfig(),
                       eval_fn: Optional[Callable[[RankerParams], float]] = None):
     """Full cycle: out-of-fold probs, joint, prune, retrain the full ranker,
-    every step over ``view``, the bank prepared once.
+    every step over ``view``, whose params are the encoder.
 
-    Returns (params, cleaned_pairs, report). When eval_fn is given it is
-    called on the before/after rankers to record precision at 5.
+    Returns (params, cleaned_pairs, report). When eval_fn is given, the
+    ranker is trained on every pair too, and eval_fn records precision at 5
+    of the before/after rankers; else it trains once, on the cleaned pairs.
     """
-    probs = out_of_fold_probs(pairs, view, encoder, config)
+    probs = out_of_fold_probs(pairs, view, config)
     labels = [1 if p.is_similar else 0 for p in pairs]
     joint = build_confident_joint(probs, labels)
     cleaned, pruned_idx = prune(pairs, joint, probs)
@@ -195,9 +193,9 @@ def clean_and_retrain(pairs: Sequence[LabeledPair], view: PreparedCorpus,
 
     p5_before = p5_after = None
     if eval_fn is not None:
-        before_params, _ = train_ranker(pairs, view, config.retrain, encoder=encoder)
+        before_params, _ = train_ranker(pairs, view, config.retrain, encoder=view.params)
         p5_before = eval_fn(before_params)
-    params, _ = train_ranker(cleaned, view, config.retrain, encoder=encoder)
+    params, _ = train_ranker(cleaned, view, config.retrain, encoder=view.params)
     if eval_fn is not None:
         p5_after = eval_fn(params)
 

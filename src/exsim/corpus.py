@@ -291,6 +291,12 @@ class LabeledPair:
             raise CorpusError(f"bad label {self.label!r}")
         if self.variant not in (None, VARIANT, PLAIN_SIMILAR):
             raise CorpusError(f"bad variant flag {self.variant!r}")
+        if self.variant is not None and self.label != SIMILAR:
+            raise CorpusError(f"pair ({self.a_id}, {self.b_id}): variant flag "
+                              f"{self.variant!r} on a {self.label!r} pair")
+        for vote in self.votes:
+            if vote not in (SIMILAR, DISSIMILAR):
+                raise CorpusError(f"pair ({self.a_id}, {self.b_id}): bad vote {vote!r}")
         if self.votes:
             n_sim = sum(1 for v in self.votes if v == SIMILAR)
             n_dis = len(self.votes) - n_sim

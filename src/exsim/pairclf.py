@@ -532,10 +532,10 @@ def both_orders(pairs: Sequence[tuple[Exercise, Exercise]], vocab: Vocab,
     Row 2k equals ``features(a_k, b_k)`` and row 2k + 1 equals
     ``features(b_k, a_k)`` under ``vocab`` and ``params``, bit for bit. Each
     distinct exercise is prepared once, as a row of a view of its own. Edit
-    similarities are computed and embeddings gathered one block of
-    ``_BLOCK`` pairs at a time, and the view is dropped before the
-    (2 x pairs, 4d + 1) matrix is allocated, so at the peak the matrix is
-    the only large array alive here.
+    similarities are computed one block of ``_BLOCK`` pairs at a time, and
+    the view is dropped before :func:`both_order_rows` allocates the
+    (2 x pairs, 4d + 1) matrix, so at the peak the matrix is the only large
+    array alive here.
     """
     index: dict[int, int] = {}
     unique: list[Exercise] = []
@@ -547,21 +547,29 @@ def both_orders(pairs: Sequence[tuple[Exercise, Exercise]], vocab: Vocab,
     view = PreparedCorpus(unique, vocab, params)
     ra = np.array([index[id(a)] for a, _ in pairs], dtype=np.int64)
     rb = np.array([index[id(b)] for _, b in pairs], dtype=np.int64)
-    blocks = [slice(s, s + _BLOCK) for s in range(0, len(pairs), _BLOCK)]
     sims = np.empty(len(pairs))
-    for block in blocks:
-        a, b = ra[block], rb[block]
-        sims[block] = edit_similarities(view.codes[a], view.lengths[a],
-                                        view.codes[b], view.lengths[b])
+    for s in range(0, len(pairs), _BLOCK):
+        a, b = ra[s:s + _BLOCK], rb[s:s + _BLOCK]
+        sims[s:s + _BLOCK] = edit_similarities(view.codes[a], view.lengths[a],
+                                               view.codes[b], view.lengths[b])
     embeddings = view.embeddings
     del view
-    n_features = 4 * params.d + 1
-    rows = np.empty((len(pairs), 2, n_features))
-    for block in blocks:
-        u, v = embeddings[ra[block]], embeddings[rb[block]]
+    return both_order_rows(embeddings, ra, rb, sims)
+
+
+def both_order_rows(embeddings: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray,
+                    sims: np.ndarray) -> np.ndarray:
+    """Feature rows of the pairs (rows_a[k], rows_b[k]) of ``embeddings``
+    with edit similarities ``sims``, as (a, b) then (b, a), interleaved; the
+    embeddings are gathered one block of ``_BLOCK`` pairs at a time."""
+    n_features = 4 * embeddings.shape[1] + 1
+    rows = np.empty((len(sims), 2, n_features))
+    for s in range(0, len(sims), _BLOCK):
+        block = slice(s, s + _BLOCK)
+        u, v = embeddings[rows_a[block]], embeddings[rows_b[block]]
         pair_feature_rows(u, v, sims[block], out=rows[block, 0])
         pair_feature_rows(v, u, sims[block], out=rows[block, 1])
-    return rows.reshape(2 * len(pairs), n_features)
+    return rows.reshape(2 * len(sims), n_features)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -15,10 +15,10 @@ the corpus lacks.
 Text becomes tokens in one place, ``pairclf.PreparedCorpus``, and each step
 prepares the bank once. ``step_pretrain`` builds the vocabulary from the
 view's token lists and pre-trains on its ids; ``step_finetune`` reads its
-stem ids; ``step_train_rank`` and ``step_clean`` train the ranker over it
-(``step_clean`` every fold, its holdout scoring and its P@5 evaluator on one
-view). Stems are normalized when a view is made, answers and analyses only
-when a step reads them, and embeddings only when a step asks for them.
+stem ids; ``step_train_rank`` trains the ranker over it, and ``step_clean``
+its fold heads and its two ranker trainings (see ``clean_and_retrain``).
+Stems are normalized when a view is made, answers and analyses only when a
+step reads them, and embeddings only when a step asks for them.
 
 Query flow. A stage is built from one view; a miss passes one
 ``PreparedQuery`` over it. ``Pipeline.load`` prepares the corpus once
@@ -340,8 +340,8 @@ def step_train_rank(workdir, config: Config):
 
 
 def step_clean(workdir, config: Config):
-    """Confidence-learning cycle; retrains and saves the ranker on clean pairs.
-    Training, scoring and the P@5 evaluator share one view of the bank."""
+    """Confidence-learning cycle over one view of the bank; retrains and saves
+    the ranker on clean pairs. With ground truth the report scores the prune."""
     corpus, vocab, encoder = _load_trained(workdir, config)
     pairs = _load_pairs(workdir, corpus)
     cl_cfg = conflearn.CleanConfig(
@@ -349,8 +349,10 @@ def step_clean(workdir, config: Config):
         retrain=_rank_config(config))
     view = PreparedCorpus(corpus, vocab, encoder)
     eval_fn = _make_p5_eval(workdir, config, corpus, view, pairs)
-    params, cleaned, report = conflearn.clean_and_retrain(
-        pairs, view, encoder, cl_cfg, eval_fn=eval_fn)
+    params, cleaned, report = conflearn.clean_and_retrain(pairs, view, cl_cfg, eval_fn=eval_fn)
+    truth_path = _path(workdir, "truth")
+    if truth_path.exists():
+        report.score_flips(corpus_mod.load_truth(truth_path).flipped)
     ranking.save_ranker(params, _path(workdir, "ranker"))
     corpus_mod.save_pairs(cleaned, _path(workdir, "pairs_clean"))
     with atomic_write(_path(workdir, "cleaning")) as fh:

@@ -535,35 +535,12 @@ class Ranker:
     def __post_init__(self):
         self.embeddings = embed_corpus(self.view.stem_ids(), self.params)
 
-    def _check_trained(self):
-        if not self.params.trained:
-            raise UntrainedModelError("ranker has not been trained")
-
-    def _probs(self, u: np.ndarray, v: np.ndarray, sims: np.ndarray) -> np.ndarray:
-        f = pair_feature_rows(u, v, sims)
-        logits = f @ self.params.heads[TASK_STEM_STEM]["w"] \
-            + self.params.heads[TASK_STEM_STEM]["b"]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expl = np.exp(shifted)
-        return expl[:, 1] / expl.sum(axis=1)
-
-    def pair_probs(self, rows_a: np.ndarray, rows_b: np.ndarray,
-                   sims: np.ndarray) -> np.ndarray:
-        """Positive-class probability of each pair of view rows (rows_a[i],
-        rows_b[i]) with edit similarity sims[i]. Each pair is scored alone,
-        as a one-row product, so its probability does not depend on which
-        other pairs are scored with it (a product over many rows rounds
-        differently in the last bit)."""
-        self._check_trained()
-        emb = self.embeddings
-        return np.array([self._probs(*pair)[0]
-                         for pair in zip(emb[rows_a], emb[rows_b], sims[:, None])])
-
     def rank(self, query: PreparedQuery, candidates: Candidates) -> Candidates:
         """Re-score candidates, rows of this ranker's view, and sort
-        descending, ties broken by id. Refuses candidates of another index
-        and a query prepared over another view."""
-        self._check_trained()
+        descending, ties broken by id. Refuses an untrained ranker,
+        candidates of another index and a query prepared over another view."""
+        if not self.params.trained:
+            raise UntrainedModelError("ranker has not been trained")
         if candidates.index is not self.view.index:
             raise ValueError("candidates are not rows of this ranker's view")
         query.require_view(self.view)
@@ -572,7 +549,11 @@ class Ranker:
         if len(rows):  # a markup-only probe has no tokens to embed, and no rows
             u = (self.embeddings[query.row] if query.row is not None
                  else query.embedding(self.params))
-            scores = self._probs(u, self.embeddings[rows], query.edit_similarities(rows))
+            f = pair_feature_rows(u, self.embeddings[rows], query.edit_similarities(rows))
+            head = self.params.heads[TASK_STEM_STEM]
+            logits = f @ head["w"] + head["b"]
+            expl = np.exp(logits - logits.max(axis=1, keepdims=True))
+            scores = expl[:, 1] / expl.sum(axis=1)
         order = np.lexsort((candidates.index.id_rank[rows], -scores))
         return Candidates(candidates.index, rows[order], scores[order],
                           candidates.sources[order])

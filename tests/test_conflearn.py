@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from test_pairclf import reference_similarity
-from test_ranking import head_probs
 
 from exsim import conflearn as cl
 from exsim import encoder as enc
+from exsim import ranking
 from exsim.corpus import LabeledPair, SyntheticSpec, generate_synthetic
-from exsim.pairclf import PreparedCorpus, PreparedQuery, pair_features
+from exsim.pairclf import PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery
 
 
 def test_confident_joint_worked_example():
@@ -82,40 +81,50 @@ def cl_setup():
                              enc.PretrainConfig(d=16, epochs=6, seed=2))
     params, _ = enc.fine_tune(params, pairs, corpus, view.stem_ids(),
                               enc.FinetuneConfig(epochs=2, n_negatives=6, seed=2))
-    return corpus, truth, pairs, view, params
+    return corpus, truth, pairs, PreparedCorpus(corpus, view.vocab, params)
+
+
+def fold_assignment(pairs, cfg):
+    labels = [1 if p.is_similar else 0 for p in pairs]
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 41]))
+    return cl.stratified_folds(labels, cfg.folds, rng)
+
+
+def auc(pos, neg):
+    """Probability that a random positive outscores a random negative, ties
+    counting half."""
+    pos, neg = np.asarray(pos)[:, None], np.asarray(neg)[None, :]
+    return float(((pos > neg) + 0.5 * (pos == neg)).mean())
 
 
 def test_out_of_fold_scores_every_pair_once(cl_setup):
-    corpus, truth, pairs, view, params = cl_setup
+    corpus, truth, pairs, view = cl_setup
     cfg = cl.CleanConfig(folds=4, seed=1)
-    probs = cl.out_of_fold_probs(pairs, view, params, cfg)
+    probs = cl.out_of_fold_probs(pairs, view, cfg)
     assert probs.shape == (len(pairs),)
     assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
-    # every slot was written (untouched slots would sit at exactly 0)
-    labels = [1 if p.is_similar else 0 for p in pairs]
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 41]))
-    assignment = cl.stratified_folds(labels, cfg.folds, rng)
-    assert set(assignment.tolist()) == set(range(cfg.folds))
+    assert set(fold_assignment(pairs, cfg).tolist()) == set(range(cfg.folds))
 
 
 def test_out_of_fold_deterministic(cl_setup):
-    corpus, truth, pairs, view, params = cl_setup
+    corpus, truth, pairs, view = cl_setup
     cfg = cl.CleanConfig(folds=3, seed=5)
-    p1 = cl.out_of_fold_probs(pairs, view, params, cfg)
-    p2 = cl.out_of_fold_probs(pairs, view, params, cfg)
+    p1 = cl.out_of_fold_probs(pairs, view, cfg)
+    p2 = cl.out_of_fold_probs(pairs, view, cfg)
     assert np.array_equal(p1, p2)
 
 
 def test_out_of_fold_separates_true_classes(cl_setup):
-    corpus, truth, pairs, view, params = cl_setup
-    probs = cl.out_of_fold_probs(pairs, view, params,
-                                 cl.CleanConfig(folds=4, seed=1))
+    """The out-of-fold probabilities rank true-similar pairs above
+    true-dissimilar ones, whatever their noisy labels say."""
+    corpus, truth, pairs, view = cl_setup
+    probs = cl.out_of_fold_probs(pairs, view, cl.CleanConfig(folds=4, seed=1))
     group_of = {ex_id: g for g, ids in truth.groups.items() for ex_id in ids}
     true_pos = [probs[i] for i, p in enumerate(pairs)
                 if group_of[p.a_id] == group_of[p.b_id]]
     true_neg = [probs[i] for i, p in enumerate(pairs)
                 if group_of[p.a_id] != group_of[p.b_id]]
-    assert np.mean(true_pos) > np.mean(true_neg)
+    assert auc(true_pos, true_neg) >= 0.9
 
 
 def test_stratification_requires_enough_examples():
@@ -125,10 +134,10 @@ def test_stratification_requires_enough_examples():
 
 
 def test_clean_and_retrain_bookkeeping(cl_setup):
-    corpus, truth, pairs, view, params = cl_setup
+    corpus, truth, pairs, view = cl_setup
     cfg = cl.CleanConfig(folds=4, seed=1)
     cfg.retrain.epochs = 1
-    ranker_params, cleaned, report = cl.clean_and_retrain(pairs, view, params, cfg)
+    ranker_params, cleaned, report = cl.clean_and_retrain(pairs, view, cfg)
     assert report.n_pruned == len(pairs) - len(cleaned)
     assert report.n_pairs == len(pairs)
     assert len(report.pruned) == report.n_pruned
@@ -137,36 +146,57 @@ def test_clean_and_retrain_bookkeeping(cl_setup):
     assert parsed["joint"][0][0] >= 0
 
 
-def reference_prob(params, vocab, a, b):
-    """The stem-stem head on one pair prepared from its own texts (over a
-    view that holds neither), applied to a one-row feature matrix."""
-    empty = PreparedCorpus([], vocab)
-    a, b = PreparedQuery(a, empty), PreparedQuery(b, empty)
-    sim = reference_similarity(a.tokens, b.tokens)
-    return float(head_probs(params, pair_features(a.embedding(params), b.embedding(params),
-                                                  sim)[None, :])[0])
-
-
-def test_out_of_fold_probs_equal_per_pair_reference(cl_setup, monkeypatch):
-    """Each fold's holdouts, scored from the shared view's rows, carry the
-    bits of scoring every pair alone from its own text; a fold's holdouts
-    sent through the head as one matrix would round some in the last bit."""
-    corpus, _, pairs, view, params = cl_setup
+def test_out_of_fold_probs_equal_per_pair_reference(cl_setup):
+    """Each holdout pair scores the mean of its two orders under a head
+    fitted on the other folds' pairs, each feature row built alone from the
+    pair's own texts (``PairFeaturizer.features``) and scored alone
+    (``PairClassifier.prob``)."""
+    corpus, _, pairs, view = cl_setup
     cfg = cl.CleanConfig(folds=4, seed=1)
-    trained = []
-    train_ranker = cl.train_ranker
-
-    def recording(*args, **kwargs):
-        out = train_ranker(*args, **kwargs)
-        trained.append(out[0])
-        return out
-
-    monkeypatch.setattr(cl, "train_ranker", recording)
-    probs = cl.out_of_fold_probs(pairs, view, params, cfg)
-    labels = [1 if p.is_similar else 0 for p in pairs]
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 41]))
-    assignment = cl.stratified_folds(labels, cfg.folds, rng)
-    assert len(trained) == cfg.folds
-    expected = [reference_prob(trained[fold], view.vocab, corpus[p.a_id], corpus[p.b_id])
-                for p, fold in zip(pairs, assignment.tolist())]
+    probs = cl.out_of_fold_probs(pairs, view, cfg)
+    own = PairFeaturizer(PreparedCorpus([], view.vocab, view.params))
+    queries = {ex.id: PreparedQuery(ex, own.view) for ex in corpus}
+    orders = [(own.features(queries[p.a_id], queries[p.b_id]),
+               own.features(queries[p.b_id], queries[p.a_id])) for p in pairs]
+    assignment = fold_assignment(pairs, cfg)
+    heads = []
+    for fold in range(cfg.folds):
+        others = [k for k in range(len(pairs)) if assignment[k] != fold]
+        heads.append(PairClassifier.train(
+            np.array([row for k in others for row in orders[k]]),
+            np.repeat([1 if pairs[k].is_similar else 0 for k in others], 2)))
+    expected = [(heads[fold].prob(ab) + heads[fold].prob(ba)) / 2.0
+                for (ab, ba), fold in zip(orders, assignment.tolist())]
     assert probs.tolist() == expected
+
+
+def test_out_of_fold_probs_trains_no_ranker(cl_setup, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("out_of_fold_probs trained a ranker")
+
+    monkeypatch.setattr(cl, "train_ranker", refuse)
+    monkeypatch.setattr(ranking, "train_ranker", refuse)
+    _, _, pairs, view = cl_setup
+    assert len(cl.out_of_fold_probs(pairs, view, cl.CleanConfig(folds=4, seed=1))) == len(pairs)
+
+
+def test_out_of_fold_probs_need_the_view_params(cl_setup):
+    corpus, _, pairs, view = cl_setup
+    with pytest.raises(ValueError, match="no params"):
+        cl.out_of_fold_probs(pairs, PreparedCorpus(corpus, view.vocab), cl.CleanConfig(folds=4))
+
+
+def test_score_flips_counts_the_pruned_flips():
+    report = cl.CleaningReport(joint=[[0, 0], [0, 0]], thresholds=[0.5, 0.5], n_pairs=10,
+                               n_pruned=3, pruned=[{"a_id": "a", "b_id": "b"},
+                                                   {"a_id": "c", "b_id": "d"},
+                                                   {"a_id": "e", "b_id": "f"}])
+    report.score_flips([{"a_id": "a", "b_id": "b"}, {"a_id": "e", "b_id": "f"},
+                        {"a_id": "g", "b_id": "h"}, {"a_id": "i", "b_id": "j"}])
+    assert report.flips == {"flipped": 4, "pruned_flipped": 2,
+                            "precision": 2 / 3, "recall": 2 / 4}
+    report.n_pruned, report.pruned = 0, []
+    report.score_flips([])
+    assert report.flips == {"flipped": 0, "pruned_flipped": 0,
+                            "precision": None, "recall": None}
+    assert '"flips"' in report.to_json()

@@ -126,6 +126,10 @@ def test_labeled_pair_invariants():
     with pytest.raises(CorpusError, match="tied"):
         LabeledPair("a", "b", "similar",
                     votes=("similar", "dissimilar"))
+    with pytest.raises(CorpusError, match="bad vote 'banana'"):
+        LabeledPair("a", "b", "similar", votes=("similar", "similar", "banana"))
+    with pytest.raises(CorpusError, match="variant flag 'variant' on a 'dissimilar' pair"):
+        LabeledPair("a", "b", "dissimilar", variant="variant")
     p = LabeledPair("a", "b", "similar", votes=("similar", "similar", "dissimilar"))
     assert p.is_similar
 
@@ -266,7 +270,15 @@ def test_jsonl_round_trip(tmp_path, small_synth):
 @pytest.mark.parametrize("line", [
     "[1, 2]", '{"a_id": "a", "b_id": "b", "label": "similar", "votes": 5}',
     '"a string"', "null",
-], ids=["array", "int-votes", "string", "null"])
+    '{"a_id": "a", "b_id": "b", "label": "similar", '
+    '"votes": ["similar", "similar", "banana"]}',
+    '{"a_id": "a", "b_id": "b", "label": "similar", '
+    '"votes": [["x"], "similar", "similar"]}',
+    '{"a_id": "a", "b_id": "b", "label": "similar", "votes": "similar"}',
+    '{"a_id": "a", "b_id": "b", "label": "dissimilar", "variant": "variant"}',
+    '{"a_id": "a", "b_id": "b", "label": "dissimilar", "variant": "plain-similar"}',
+], ids=["array", "int-votes", "string", "null", "unknown-vote", "list-vote",
+        "string-votes", "dissimilar-variant", "dissimilar-plain-similar"])
 def test_load_pairs_bad_record_cites_line(tmp_path, line):
     path = tmp_path / "p.jsonl"
     path.write_text('{"a_id": "a", "b_id": "b", "label": "similar"}\n' + line + "\n")

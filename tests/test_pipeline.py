@@ -14,7 +14,7 @@ from test_pairclf import reference_similarity
 from test_ranking import head_probs
 from test_recall import reference_merge
 
-from exsim import encoder, pairclf, ranking, recall, textnorm
+from exsim import conflearn, encoder, pairclf, ranking, recall, textnorm
 from exsim import pipeline as pl
 from exsim.corpus import CorpusError, LabeledPair, SyntheticSpec, load_corpus, save_pairs
 from exsim.encoder import load_encoder
@@ -515,6 +515,35 @@ def test_build_steps_prepare_the_bank_once(workspace, tmp_path, monkeypatch):
     counts.clear()
     pl.Pipeline.load(workdir, config)
     assert counts == {"normalize_text": n, "embed_text": 2 * n}
+
+
+def test_step_clean_trains_the_ranker_twice(workspace, tmp_path, monkeypatch):
+    """Once on every pair for the P@5 evaluator, once on the cleaned pairs;
+    the folds fit pair heads and train no ranker."""
+    workdir, config, _ = copy_workspace(workspace, tmp_path)
+    trained = []
+    train_ranker = ranking.train_ranker
+
+    def counting(pairs, *args, **kwargs):
+        trained.append(len(pairs))
+        return train_ranker(pairs, *args, **kwargs)
+
+    monkeypatch.setattr(conflearn, "train_ranker", counting)
+    monkeypatch.setattr(ranking, "train_ranker", counting)
+    _, cleaned, report = pl.step_clean(workdir, config)
+    assert trained == [report.n_pairs, len(cleaned)]
+
+
+def test_cleaning_report_scores_the_prune_against_the_flips(workspace):
+    workdir, _, _, truth = workspace
+    report = json.loads((workdir / pl.FILES["cleaning"]).read_text())
+    flipped = {(f["a_id"], f["b_id"]) for f in truth.flipped}
+    pruned = {(p["a_id"], p["b_id"]) for p in report["pruned"]}
+    hits = len(pruned & flipped)
+    assert len(pruned) == report["n_pruned"] > 0 and len(flipped) > 0
+    assert report["flips"] == {"flipped": len(flipped), "pruned_flipped": hits,
+                               "precision": hits / report["n_pruned"],
+                               "recall": hits / len(flipped)}
 
 
 @pytest.mark.parametrize("profile", [None, PROFILE])

@@ -11,7 +11,7 @@ from exsim import encoder as enc
 from exsim import ranking as rk
 from exsim.corpus import Corpus, SyntheticSpec, generate_synthetic
 from exsim.pairclf import (PreparedCorpus, PreparedQuery, UntrainedModelError,
-                           edit_similarities, pair_features)
+                           pair_features)
 from exsim.recall import Candidate
 from exsim.snapshots import SnapshotFormatError, save_arrays
 from exsim.textnorm import UNK_ID, normalize_text, split_tokens
@@ -275,26 +275,9 @@ def test_train_ranker_zero_epochs_keeps_init(tiny_setup):
     assert history["total"] == []
 
 
-def test_score_pair_range_and_determinism(tiny_setup):
-    corpus, _, pairs, view, encoder = tiny_setup
-    params, _ = rk.train_ranker(pairs, view, rk.RankConfig(epochs=1, seed=0),
-                                encoder=encoder)
-    ranker = rk.Ranker(params, view)
-    a, b = np.array([0, 2, 1]), np.array([1, 1, 1])
-    sims = edit_similarities(view.codes[a], view.lengths[a], view.codes[b], view.lengths[b])
-    s1 = ranker.pair_probs(a, b, sims)
-    s2 = ranker.pair_probs(a, b, sims)
-    assert s1.tolist() == s2.tolist()
-    assert np.all((0.0 <= s1) & (s1 <= 1.0))
-    # each pair is scored alone: a subset gives the same bits
-    assert ranker.pair_probs(a[1:], b[1:], sims[1:]).tolist() == s1[1:].tolist()
-
-
 def test_score_pair_untrained_rejected(tiny_setup):
     corpus, _, _, view, encoder = tiny_setup
     ranker = rk.Ranker(rk.RankerParams.init(encoder, seed=0), view)
-    with pytest.raises(UntrainedModelError):
-        ranker.pair_probs(np.array([0]), np.array([1]), np.array([0.5]))
     cands = candidates_of(corpus.index, [Candidate(corpus.ids[1], 0.0, "exact")])
     with pytest.raises(UntrainedModelError):
         ranker.rank(PreparedQuery(corpus[corpus.ids[0]], view), cands)
