@@ -5,12 +5,12 @@ training pairs is simply wrong. The cleaning cycle:
 
 1. out-of-fold probabilities: stratified folds, each scored by a frozen
    pair head (``pairclf.PairClassifier``, fitted by Newton's method) trained
-   on the other folds, so no pair is scored by a model that saw it. The
-   feature rows of every pair are built once, in both orders, from the
-   view's encoder rows and the edit similarities
-   (``pairclf.both_order_rows``), and each fold's head trains on the other
-   folds' rows. A holdout pair scores the mean of its two orders, as dedup
-   scores a pair;
+   on the other folds, so no pair is scored by a model that saw it. Every
+   pair's edit similarity is computed once; each fold builds its training
+   rows and its holdout rows, both orders of each pair, from the view's
+   encoder rows (``pairclf.both_order_rows`` over that fold's pairs), so no
+   matrix of every pair's rows is held. A holdout pair scores the mean of
+   its two orders, as dedup scores a pair;
 2. confident joint: per-class thresholds (the mean predicted probability of
    a class over the pairs noisily labeled with it) decide which pairs count
    as confidently belonging to which class, giving a 2x2 count matrix of
@@ -81,14 +81,15 @@ def out_of_fold_probs(pairs: Sequence[LabeledPair], view: PreparedCorpus,
     rows_b = np.array([view.index.row_of[p.b_id] for p in pairs], dtype=np.intp)
     sims = edit_similarities(view.codes[rows_a], view.lengths[rows_a],
                              view.codes[rows_b], view.lengths[rows_b])
-    features = both_order_rows(view.embeddings, rows_a, rows_b, sims)
-    row_fold, row_labels = np.repeat(assignment, 2), np.repeat(labels, 2)
     probs = np.empty(len(pairs))
     for fold in range(config.folds):
-        train = row_fold != fold
-        head = PairClassifier.train(features[train], row_labels[train])
-        p = head.prob_rows(features[~train])
-        probs[assignment == fold] = (p[0::2] + p[1::2]) / 2.0
+        train, held = assignment != fold, assignment == fold
+        head = PairClassifier.train(
+            both_order_rows(view.embeddings, rows_a[train], rows_b[train], sims[train]),
+            np.repeat(labels[train], 2))
+        p = head.prob_rows(
+            both_order_rows(view.embeddings, rows_a[held], rows_b[held], sims[held]))
+        probs[held] = (p[0::2] + p[1::2]) / 2.0
     return probs
 
 

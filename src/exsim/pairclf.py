@@ -14,9 +14,10 @@ the weights, with a backtracking line search. It converges in 10 to 15
 steps on both heads; the Hessian is summed over row blocks of the features,
 so a fit holds no second copy of them.
 
-Hot path. Every uncached query scores about a hundred (query, candidate)
-pairs in three stages: dedup, ranking and the variant split. The pair work
-is organised around three pieces:
+Hot path. Every uncached query scores up to a hundred (query, candidate)
+pairs in three stages: dedup, ranking and the variant split (a profiled
+query only the rows the student can be served, see ``recall``). The pair
+work is organised around three pieces:
 
 * :func:`levenshtein`, one edit-distance kernel over padded integer token
   codes: Myers' bit-vector algorithm (1999) in Hyyrö's formulation (2003).
@@ -26,14 +27,20 @@ is organised around three pieces:
   is a lane of bits in one Python int, so a step is a dozen int operations
   over all pairs at once. Every step is integer arithmetic, so it returns
   the textbook DP's distances exactly. ``edit_similarity`` is a thin
-  wrapper over it; there is no second implementation.
+  wrapper over it, and a query's distances to the view's rows
+  (:meth:`PreparedCorpus.distances`) run the same loop, :func:`_myers`,
+  over lanes prepared with the view; there is no second implementation.
 * :class:`PreparedCorpus`, a view that normalizes each exercise's texts
   once, for serving and for training alike: their tokens, padded token
   codes and lengths, their vocabulary ids, and each exercise's single-text
-  ``embed_text`` embedding. Every build step prepares the bank once and
-  passes the view down: the vocabulary is built from its token lists, the
-  encoder trains on its ids, and the ranker's task instances read its stem
-  and analysis codes. Token codes are equal exactly when tokens are equal:
+  ``embed_text`` embedding. Each row's kernel lane is prepared with it: the
+  code matrix is padded to the lane width of the longest row, and
+  ``lane_masks`` holds each row's packed lane mask, so a query's kernel call
+  gathers rows instead of padding and packing them, and compares each
+  distinct query code with them once. Every build step prepares the bank
+  once and passes the view down: the vocabulary is built from its token
+  lists, the encoder trains on its ids, and the ranker's task instances
+  read its stem and analysis codes. Token codes are equal exactly when tokens are equal:
   in-vocabulary tokens use their vocabulary id, every out-of-vocabulary
   token gets a code of its own (vocabulary ids alone would collapse all of
   them onto UNK). Its token lists hold one ``str`` object per distinct
@@ -44,23 +51,28 @@ is organised around three pieces:
 * :class:`PreparedQuery`, the query's side of every pair, made once per
   cache miss by ``PreparedQuery(exercise, view)`` over the view the stages
   are built from and passed through all three: its tokens, its codes under
-  the view's code table, its embedding under the view's params, and its
-  edit similarities to the view's rows. The stages score shrinking subsets
-  of the recalled list, so one kernel call, made by whichever stage asks
-  first, serves all three. The very ``Exercise`` object the view holds at
-  row r (checked by identity, never by id) reads that row's tokens, codes
-  and length, and its embedding is the view's row r, the same bits by rule
-  2 below. Any other exercise, a probe or an equal copy of a bank exercise,
-  is prepared from its own text.
+  the view's code table, its embedding under the view's params, its edit
+  similarities to the view's rows and its block of feature rows over them.
+  The stages score shrinking subsets of the recalled list, so one kernel
+  call, made by whichever stage asks first, serves all three. Dedup and the
+  variant split share one featurizer over the view, so the block dedup
+  builds, ``[u, v, |u - v|, u * v, sim]`` per candidate, serves both: dedup
+  scores its (candidate, query) order as the block's :func:`swap_sides`
+  copy, and the variant split reads its rows back. With the ranker's own
+  block, a miss builds feature rows twice. The very ``Exercise`` object the
+  view holds at row r (checked by identity, never by id) reads that row's
+  tokens, codes and length, and its embedding is the view's row r, the same
+  bits by rule 2 below. Any other exercise, a probe or an equal copy of a
+  bank exercise, is prepared from its own text.
 
 A stage is built from one view; a miss passes one ``PreparedQuery`` over
 it. A view embeds under one backbone, the encoder's. A
 :class:`PairFeaturizer` is over one view and reads its params from it, and
-:meth:`PairFeaturizer.row_pairs` reads a pair's candidate side straight
-from the view's rows. It refuses rows of another ``RowIndex`` and a query
-prepared over another view; nothing else holds a second copy of the view's
-codes or params to disagree with. A stage with a backbone of its own (the
-ranker) keeps its own rows and embeds a probe with
+:meth:`PairFeaturizer.feature_rows` reads a pair's candidate side straight
+from the view's rows, through the query's block. It refuses rows of another
+``RowIndex`` and a query prepared over another view; nothing else holds a
+second copy of the view's codes or params to disagree with. A stage with a
+backbone of its own (the ranker) keeps its own rows and embeds a probe with
 :meth:`PreparedQuery.embedding`.
 
 Bit-identity rules. The batched path must give the same bits as scoring one
@@ -80,6 +92,12 @@ pair at a time with :meth:`PairFeaturizer.features` and
    last bit; only training makes such calls.
 3. Edit similarities are integer distances divided elementwise, so a kept
    similarity read back for a subset of rows equals a fresh kernel call.
+4. Every entry of a feature row is computed from that pair's inputs alone,
+   so a row read back from the query's block has the bits of building it
+   again. The (v, u) row is the (u, v) row with its u and v columns
+   exchanged, bit for bit: |v - u| = |u - v| and v * u = u * v hold
+   exactly in IEEE arithmetic. Permuting the head's weights instead would
+   change the order of the dot product's sum, and so its last bit.
 """
 
 from __future__ import annotations
@@ -152,7 +170,8 @@ def levenshtein(a: np.ndarray, a_len, b: np.ndarray, b_len) -> np.ndarray:
     A pair whose ``a`` ends before the block's longest keeps its lanes of
     that column. Pairs go through in blocks of ``_BLOCK``, which bounds the
     temporaries. Every step is exact integer arithmetic, so the result
-    equals the textbook DP's.
+    equals the textbook DP's. :meth:`PreparedCorpus.distances` runs the
+    same loop over lanes the view prepared once.
     """
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
@@ -176,32 +195,64 @@ def _pack(flags: np.ndarray) -> np.ndarray:
     return np.packbits(flags.reshape(-1), bitorder="little")
 
 
+def _lane_width(longest: int) -> int:
+    """Bits of the lane of a row of ``longest`` tokens, guard bits included:
+    whole bytes, at least one bit above the row."""
+    return (longest // 8 + 1) * 8
+
+
+def _row_masks(lengths: np.ndarray, width: int) -> np.ndarray:
+    """Each row's lane mask, its first ``lengths`` bits set, packed into
+    ``width // 8`` bytes per row."""
+    return _pack(np.arange(width) < lengths[:, None]).reshape(len(lengths), width // 8)
+
+
 def _levenshtein_block(a, a_len, b, b_len) -> np.ndarray:
-    n = len(a)
-    la, lb = int(a_len.max(initial=0)), int(b_len.max(initial=0))
-    width = (lb // 8 + 1) * 8  # bits of one pair's lane, guard bits included
-    lane_bytes = width // 8
-    # b's tokens to the lane width; what the padding matches lands past
-    # b_len. A one-row a keeps its zero stride, so numpy runs each compare
-    # as one loop over every (pair, position); a chunk of a's columns at a
-    # time bounds the bool temporary, laid out in C order for the packing
-    # (numpy would follow the layout of a's transposed columns otherwise).
-    b_lane = np.full((n, width), PAD_CODE, dtype=b.dtype)
-    b_lane[:, :lb] = b[:, :lb]
-    a_cols = a[:, :la].T[:, :, None]
-    eq = np.empty((la, n * lane_bytes), dtype=np.uint8)
+    """One block of aligned or broadcast pairs: ``b``'s lanes to its longest
+    row's lane width, the matches of each column of ``a``, then
+    :func:`_myers`."""
+    lb = int(b_len.max(initial=0))
+    width = _lane_width(lb)
+    # b's tokens to the lane width; what the padding matches lands past b_len
+    lanes = np.full((len(b), width), PAD_CODE, dtype=b.dtype)
+    lanes[:, :lb] = b[:, :lb]
+    columns = a[:, :int(a_len.max(initial=0))].T[:, :, None]
+    return _myers(_match_words(columns, lanes), _row_masks(b_len, width), a_len)
+
+
+def _match_words(columns: np.ndarray, lanes: np.ndarray) -> list[int]:
+    """For each entry of ``columns`` (k, n or 1, 1), codes of ``a`` one per
+    pair or one for all, the int whose lane p has bit j set where
+    ``lanes[p, j]`` equals pair p's code. A chunk of columns at a time bounds
+    the bool temporary, laid out in C order for the packing (numpy would
+    follow the layout of transposed columns otherwise); a code broadcast
+    over every pair is one loop over every (pair, position)."""
+    n, width = lanes.shape
+    step = n * width // 8
     chunk = max(1, _COMPARE_BOOLS // (n * width))
-    for i in range(0, la, chunk):
-        eq[i:i + chunk] = _pack(np.equal(a_cols[i:i + chunk], b_lane, order="C")).reshape(
-            -1, n * lane_bytes)
-    mask = int.from_bytes(_pack(np.arange(width) < b_len[:, None]), "little")
+    words = []
+    for i in range(0, len(columns), chunk):
+        packed = _pack(np.equal(columns[i:i + chunk], lanes, order="C")).tobytes()
+        words += [int.from_bytes(packed[j:j + step], "little")
+                  for j in range(0, len(packed), step)]
+    return words
+
+
+def _myers(columns: Sequence[int], masks: np.ndarray, a_len: np.ndarray) -> np.ndarray:
+    """The distance of each pair p from ``columns``, the match words of ``a``'s
+    tokens (:func:`_match_words`) up to its longest, ``masks`` (n,
+    width // 8), each lane's packed mask, and each ``a``'s length ``a_len``
+    (see :func:`levenshtein`)."""
+    n, lane_bytes = masks.shape
+    la = len(columns)
+    mask = int.from_bytes(masks.tobytes(), "little")
     vp, vn = mask, 0  # D[j, 0] = j: every delta down the first column is +1
     # the vectors of the pairs whose a ends before the last column are kept
     # there, through the lane masks of every a_len; one a_len needs none
-    ends = _lane_masks(a_len, lane_bytes) if a_len.min() < la else {}
+    ends = _lanes_by_length(a_len, lane_bytes) if a_len.min() < la else {}
     kept_p, kept_n = mask & ends.get(0, 0), 0
-    for i, eq_i in enumerate(eq, start=1):
-        x = int.from_bytes(eq_i, "little") | vn
+    for i, eq_i in enumerate(columns, start=1):
+        x = eq_i | vn
         d0 = ((((x & vp) + vp) ^ vp) | x) & mask
         hn = ((vp & d0) << 1) & mask
         # hp = vn | ~(vp | d0) is the complement of (vp | d0) ^ vn, as vn
@@ -218,10 +269,15 @@ def _levenshtein_block(a, a_len, b, b_len) -> np.ndarray:
             kept_n |= vn & ends[i]
     if ends:
         vp, vn = kept_p, kept_n
-    return a_len + _lane_counts(vp, n, lane_bytes) - _lane_counts(vn, n, lane_bytes)
+    # the set bits of each lane of vp minus those of vn, in one pass
+    size = n * lane_bytes
+    packed = np.frombuffer(vp.to_bytes(size, "little") + vn.to_bytes(size, "little"),
+                           dtype=np.uint8)
+    counts = np.bitwise_count(packed.reshape(2, n, lane_bytes)).sum(axis=2, dtype=np.int64)
+    return a_len + counts[0] - counts[1]
 
 
-def _lane_masks(a_len: np.ndarray, lane_bytes: int) -> dict[int, int]:
+def _lanes_by_length(a_len: np.ndarray, lane_bytes: int) -> dict[int, int]:
     """For each distinct ``a_len``, the int with every bit of the lanes of
     the pairs of that length set, built in one pass. The lengths come from
     ``bincount``: the first ``np.unique`` call of a process maps about
@@ -231,18 +287,15 @@ def _lane_masks(a_len: np.ndarray, lane_bytes: int) -> dict[int, int]:
     return {k: int.from_bytes(row, "little") for k, row in zip(lengths.tolist(), rows)}
 
 
-def _lane_counts(lanes: int, n: int, lane_bytes: int) -> np.ndarray:
-    """The number of set bits in each of the ``n`` lanes of ``lanes``."""
-    packed = np.frombuffer(lanes.to_bytes(n * lane_bytes, "little"), dtype=np.uint8)
-    return np.bitwise_count(packed.reshape(n, lane_bytes)).sum(axis=1, dtype=np.int64)
-
-
 def edit_similarities(a: np.ndarray, a_len, b: np.ndarray, b_len) -> np.ndarray:
     """1 - levenshtein / max(len) per pair; 1.0 for two empty sequences."""
     a_len = np.asarray(a_len, dtype=np.int64)
     b_len = np.asarray(b_len, dtype=np.int64)
+    return _similarities(levenshtein(a, a_len, b, b_len), a_len, b_len)
+
+
+def _similarities(dist: np.ndarray, a_len, b_len) -> np.ndarray:
     longest = np.maximum(a_len, b_len)
-    dist = levenshtein(a, a_len, b, b_len)
     return np.where(longest == 0, 1.0, 1.0 - dist / np.maximum(longest, 1))
 
 
@@ -262,9 +315,12 @@ def text_tokens(text: str, stop_words: Sequence[str]) -> list[str]:
 
 
 def pad_codes(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack code sequences into a PAD_CODE-padded matrix plus their lengths."""
+    """Stack code sequences into a PAD_CODE-padded matrix plus their lengths.
+    The matrix is as wide as the kernel's lane of the longest row, a
+    multiple of 8 above it, so its rows are the kernel's lanes."""
     lengths = np.array([len(r) for r in rows], dtype=np.int64)
-    out = np.full((len(rows), int(lengths.max(initial=0))), PAD_CODE, dtype=np.int32)
+    out = np.full((len(rows), _lane_width(int(lengths.max(initial=0)))), PAD_CODE,
+                  dtype=np.int32)
     for i, r in enumerate(rows):
         out[i, :len(r)] = r
     return out, lengths
@@ -366,6 +422,7 @@ class PreparedCorpus:
         table = CodeTable(vocab)
         self.oov_codes = table.extra
         self.tokens, self.codes, self.lengths = self._column(tokens, table)
+        self.lane_masks = _row_masks(self.lengths, self.codes.shape[1])
         self._embeddings: Optional[np.ndarray] = None
 
     def _column(self, tokens: Iterable[list[str]], table: CodeTable) -> TextColumn:
@@ -405,6 +462,25 @@ class PreparedCorpus:
         """A fresh table for one query, consistent with the view's codes."""
         return CodeTable(self.vocab, self.oov_codes)
 
+    def distances(self, codes: np.ndarray, length: int, rows: np.ndarray) -> np.ndarray:
+        """Levenshtein distance of one code row, the first ``length`` of
+        ``codes`` (1, L) under this view's code table, to each of ``rows``:
+        the kernel of :func:`levenshtein` over the rows' prepared lanes, cut
+        to the lane width of each block's longest row."""
+        # each distinct code of the row is compared once
+        at: dict[int, int] = {}
+        order = [at.setdefault(c, len(at)) for c in codes[0, :length].tolist()]
+        distinct = np.fromiter(at, dtype=self.codes.dtype, count=len(at))[:, None, None]
+        out = np.empty(len(rows), dtype=np.int64)
+        for s in range(0, len(rows), _BLOCK):
+            block = rows[s:s + _BLOCK]
+            lane_bytes = _lane_width(int(self.lengths[block].max(initial=0))) // 8
+            words = _match_words(distinct, self.codes[block, :8 * lane_bytes])
+            out[s:s + _BLOCK] = _myers([words[k] for k in order],
+                                       self.lane_masks[block, :lane_bytes],
+                                       np.full(len(block), length, dtype=np.int64))
+        return out
+
 
 class PreparedQuery:
     """One query's side of its pairs over one ``view``, prepared once for
@@ -441,6 +517,8 @@ class PreparedQuery:
             self.codes, self.length = pad_codes([view.code_table().encode(self.tokens)])
         self.ids = view._ids(self.codes, self.length)[0]
         self._sims = np.full(len(view.lengths), np.nan)
+        self._block_at = np.full(len(view.lengths), -1, dtype=np.intp)
+        self._block: Optional[np.ndarray] = None
 
     def require_view(self, view: PreparedCorpus) -> None:
         """Refuses any ``view`` but the one this query was prepared over, even
@@ -466,10 +544,28 @@ class PreparedQuery:
         """Edit similarity of the query to each of the view's ``rows``."""
         todo = rows[np.isnan(self._sims[rows])]
         if len(todo):
-            self._sims[todo] = edit_similarities(self.codes, self.length,
-                                                 self.view.codes[todo],
-                                                 self.view.lengths[todo])
+            dist = self.view.distances(self.codes, int(self.length[0]), todo)
+            self._sims[todo] = _similarities(dist, self.length, self.view.lengths[todo])
         return self._sims[rows]
+
+    def feature_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The feature rows ``[u, v, |u - v|, u * v, sim]`` of the pairs
+        (query, row) for the view's ``rows``: ``u`` is :attr:`view_embedding`,
+        ``v`` the view's row. Rows not featurized yet go through one
+        :func:`pair_feature_rows` call, kept in the query's block; rows
+        featurized before are read back, the same bits (rule 4)."""
+        at = self._block_at[rows]
+        todo = rows[at < 0]
+        if len(todo) or self._block is None:
+            new = pair_feature_rows(self.view_embedding, self.view.embeddings[todo],
+                                    self.edit_similarities(todo))
+            kept = 0 if self._block is None else len(self._block)
+            self._block_at[todo] = kept + np.arange(len(todo))
+            self._block = new if self._block is None else np.concatenate([self._block, new])
+            if len(todo) == len(rows):
+                return new
+            at = self._block_at[rows]
+        return self._block[at]
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +589,13 @@ def pair_feature_rows(u: np.ndarray, v: np.ndarray, sims: np.ndarray,
     return out
 
 
+def swap_sides(rows: np.ndarray) -> np.ndarray:
+    """The (v, u) feature rows of (u, v) feature rows: a copy with the u and
+    v columns exchanged, the same bits as building them (rule 4)."""
+    d = (rows.shape[1] - 1) // 4
+    return np.concatenate([rows[:, d:2 * d], rows[:, :d], rows[:, 2 * d:]], axis=1)
+
+
 @dataclass
 class PairFeaturizer:
     """Turns (query, candidate) pairs into the classifier's feature rows,
@@ -510,15 +613,16 @@ class PairFeaturizer:
         sim = edit_similarity(a.tokens, b.tokens)
         return pair_features(self.embedding(a), self.embedding(b), sim)
 
-    def row_pairs(self, query: PreparedQuery, index: RowIndex, rows: np.ndarray):
-        """(u, v, edit similarities) of the pairs (query, row) over ``index``'s
-        ``rows``: ``u`` is the query's embedding and ``v`` the view's rows.
+    def feature_rows(self, query: PreparedQuery, index: RowIndex,
+                     rows: np.ndarray) -> np.ndarray:
+        """The feature rows of the pairs (query, row) over ``index``'s
+        ``rows``, read from the query's block (``PreparedQuery.feature_rows``).
         Refuses rows of an index other than the view's and a query prepared
         over another view (``PreparedQuery.require_view``)."""
         if index is not self.view.index:
             raise ValueError("candidates are not rows of this featurizer's view")
         query.require_view(self.view)
-        return query.view_embedding, self.view.embeddings[rows], query.edit_similarities(rows)
+        return query.feature_rows(rows)
 
     @property
     def n_features(self) -> int:

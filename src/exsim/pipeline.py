@@ -36,9 +36,14 @@ ranker's matrix. Any other exercise is normalized once and embedded once
 under the encoder and, when it has candidates to rank, once under the
 ranker's backbone, so a miss runs ``embed_text`` twice only for a query
 that is not a bank object.
-The first stage to score pairs, dedup when its head is loaded, makes the
-miss's one edit-distance kernel call over the recalled list; ranking and
-the variant split read their subsets back. The stages pass candidates as
+A miss with a student profile runs the stage and difficulty filters in
+recall, on the merged list, before any pair is scored: the kernel, dedup,
+ranking and the variant split see only rows the student can be served,
+and the served list has the bits of filtering after ranking. The first
+stage to score pairs, dedup when its head is loaded, makes the miss's one
+edit-distance kernel call over the recalled list and builds its one block
+of feature rows; ranking reads the similarities back and the variant split
+the block's rows. The stages pass candidates as
 arrays of corpus rows (``recall.Candidates``); ids are looked up once, for
 the served list. ``step_eval`` and ``step_clean``'s P@5 evaluator build
 their recall and ranking stages the same way and prepare their bank queries
@@ -573,7 +578,7 @@ class Pipeline:
     def _compute(self, exercise: Exercise,
                  profile: Optional[StudentProfile]) -> RerankedResult:
         query = PreparedQuery(exercise, self.recaller.view)
-        candidates = self.recaller.recall(query)
+        candidates = self.recaller.recall(query, profile, self.corpus)
         ranked = self.ranker.rank(query, candidates)
         return rerank_mod.rerank(query, ranked, profile, self.corpus, self.variant_clf,
                                  self.rerank_config)

@@ -31,7 +31,12 @@ embedded once under its backbone, so a probe encodes only itself
 miss's ``pairclf.PreparedQuery`` alone and makes no edit-similarity kernel
 call of its own: it reads back the similarities dedup computed over the
 recalled list, and makes the one call of the miss only when no dedup head
-ran before it.
+ran before it. Each candidate's two logits are per-pair 1-D dots of its
+feature row with the head's columns (``np.vecdot``, as
+``pairclf.PairClassifier.prob_rows``), so its score has the same bits
+alone, in its whole list or in any part of it; a matrix product over the
+batch rounds some logits differently in the last bit, and recall filters a
+profiled list before ranking it.
 
 The combined loss is a convex combination of the per-task cross-entropies.
 The coefficients come from one small expert network per task (three layers:
@@ -551,7 +556,10 @@ class Ranker:
                  else query.embedding(self.params))
             f = pair_feature_rows(u, self.embeddings[rows], query.edit_similarities(rows))
             head = self.params.heads[TASK_STEM_STEM]
-            logits = f @ head["w"] + head["b"]
+            # each row's two logits are 1-D dots, so a candidate gets the same
+            # bits whatever else is in the batch (a matrix product does not)
+            columns = np.ascontiguousarray(head["w"].T)
+            logits = np.vecdot(f[:, None, :], columns) + head["b"]
             expl = np.exp(logits - logits.max(axis=1, keepdims=True))
             scores = expl[:, 1] / expl.sum(axis=1)
         order = np.lexsort((candidates.index.id_rank[rows], -scores))

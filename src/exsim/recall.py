@@ -38,17 +38,29 @@ Channel results merge by a set rule: candidates found by both channels come
 first (ordered by embedding score), then the remaining slots split between
 the channel-only lists, the lexical side receiving the extra slot on odd
 remainders, backfilling from the other side when one list runs short. The
-rule is applied with boolean masks over the corpus rows. Finally,
-candidates the duplicate classifier flags against the query are dropped so
-near-identical exercises are never recommended. Dedup scores all merged
-candidates at once, both argument orders averaged. Its edit similarities
-come from the query's ``pairclf.PreparedQuery``: one kernel call over the
-whole merged list, which ranking and the variant split then read back for
-their subsets. Its embeddings are the query's ``query_embedding`` vector
-and the view's rows, and the feature rows are scored by ``prob_rows``, so
-the batch is bit-identical to calling ``DuplicateDetector.prob`` per
-candidate (see the rules in ``pairclf``). A query prepared over another
-view, even one of the same exercises and vocabulary, is refused.
+rule is applied with boolean masks over the corpus rows.
+
+Filters before pair work. A miss with a student profile runs the re-rank's
+stage and difficulty filters (``rerank.stage_filter`` and
+``rerank.personalize_filter``) on the merged list, before dedup. Neither
+channel nor the merge reads the profile, and dedup, ranking and the variant
+split each score a candidate from its own pair alone, so the kernel and
+every feature row are spent only on rows the student can be served, and
+the served list has the bits of filtering the whole ranked list in
+``rerank``, which runs the filters again and finds nothing to drop.
+
+Finally, candidates the duplicate classifier flags against the query are
+dropped so near-identical exercises are never recommended. Dedup scores
+all merged candidates at once, both argument orders averaged, from the
+query's ``pairclf.PreparedQuery``: one kernel call over the merged list,
+then one block of feature rows over it (the query's ``query_embedding``
+vector, the view's rows and the edit similarities), whose (candidate,
+query) order is the block's ``pairclf.swap_sides`` copy. Ranking reads the
+similarities back and the variant split the block's rows, for their
+subsets. The rows are scored by ``prob_rows``, so the batch is
+bit-identical to calling ``DuplicateDetector.prob`` per candidate (see the
+rules in ``pairclf``). A query prepared over another view, even one of the
+same exercises and vocabulary, is refused.
 
 A stage is built from one view; a miss passes one ``PreparedQuery`` over
 it. ``Recaller.build`` takes one ``pairclf.PreparedCorpus`` (the one
@@ -69,11 +81,12 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Exercise, RowIndex
+from . import rerank as rerank_mod
+from .corpus import Corpus, Exercise, RowIndex
 # embed_text stays bound, unused: perfbench's tracer wraps it where imported
 from .encoder import EncoderParams, embed_text  # noqa: F401
 from .pairclf import (PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery,
-                      UntrainedModelError, both_orders, pair_feature_rows)
+                      UntrainedModelError, both_orders, swap_sides)
 from .textnorm import Vocab
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
 from .textnorm import normalize_text  # noqa: F401
@@ -441,12 +454,12 @@ class DuplicateDetector:
         p_ba = self.classifier.prob(self.featurizer.features(b, a))
         return (p_ab + p_ba) / 2.0
 
-    def prob_pairs(self, u: np.ndarray, v: np.ndarray, sims: np.ndarray) -> np.ndarray:
-        """``prob`` of the pairs a featurizer gives as (u, v, edit similarities),
-        the (v, u) rows built as ``pairclf.both_orders`` builds its (b, a)
-        rows."""
-        return (self.classifier.prob_rows(pair_feature_rows(u, v, sims))
-                + self.classifier.prob_rows(pair_feature_rows(v, u, sims))) / 2.0
+    def prob_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``prob`` of the pairs whose (query, candidate) feature rows are
+        ``rows``; the (candidate, query) rows are their ``pairclf.swap_sides``
+        copy, the bits ``features(b, a)`` builds."""
+        return (self.classifier.prob_rows(rows)
+                + self.classifier.prob_rows(swap_sides(rows))) / 2.0
 
     @classmethod
     def load(cls, path, featurizer: PairFeaturizer) -> "DuplicateDetector":
@@ -494,9 +507,13 @@ class Recaller:
         """The encoder embedding of ``query``, the one it keeps."""
         return query.view_embedding
 
-    def recall(self, query: PreparedQuery) -> Candidates:
+    def recall(self, query: PreparedQuery,
+               profile: Optional[rerank_mod.StudentProfile] = None,
+               corpus: Optional[Corpus] = None) -> Candidates:
         """Merged, deduplicated candidates of ``query``, as rows of the view;
-        the query keeps the dedup edit similarities for the later stages.
+        the query keeps the dedup feature rows for the later stages. With a
+        ``profile``, the merged list first goes through ``rerank``'s stage
+        and difficulty filters over ``corpus``, whose rows the view's are.
         Refuses a query prepared over another view."""
         query.require_view(self.view)
         cfg = self.config
@@ -507,8 +524,15 @@ class Recaller:
                                     exclude_id=query_id)
                  if query.tokens else Candidates.empty(self.vector.index))
         merged = merge_candidates(exact, embed, cfg.n)
+        if profile is not None:
+            # the student is served no other row, and dedup, ranking and the
+            # variant split score each row on its own, so the pair work
+            # starts from the rows that can be served
+            merged = rerank_mod.personalize_filter(
+                rerank_mod.stage_filter(merged, profile, corpus),
+                query.exercise.metadata.difficulty, profile, corpus)
         if self.dedup is None or not len(merged):
             return merged
-        probs = self.dedup.prob_pairs(
-            *self.dedup.featurizer.row_pairs(query, merged.index, merged.rows))
+        probs = self.dedup.prob_rows(
+            self.dedup.featurizer.feature_rows(query, merged.index, merged.rows))
         return merged.take(probs < cfg.dedup_threshold)

@@ -19,14 +19,18 @@ A stage is built from one view; a miss passes one ``PreparedQuery``.
 :func:`rerank` takes the miss's ``pairclf.PreparedQuery`` and candidates
 as ``recall.Candidates``, rows of the corpus. The two filters are masks
 over the corpus's per-row ``learning_stages`` and ``difficulties`` arrays,
-built with the corpus. The variant head's featurizer is over the loaded
-``PreparedCorpus``, and the split scores every kept row in one batch over
-its rows, the feature rows scored by ``prob_rows``. It makes no
-edit-distance kernel call of its own: the kept candidates are a subset of
-the recalled list, whose similarities the query already holds, and its
-query embedding is the one recall computed. This is bit-identical to
-``VariantClassifier.prob`` per candidate (see the rules in ``pairclf``);
-the split puts a candidate first at ``RerankConfig.variant_threshold``.
+built with the corpus. A profiled miss runs them first in
+``recall.Recaller.recall``, before any pair is scored, so here they keep
+every row; they run again so that ``rerank`` serves any ranked list, and
+``passed`` names them either way. The variant head's featurizer is over
+the loaded ``PreparedCorpus``, the view of dedup's featurizer, and the
+split scores every kept row in one batch, reading its feature rows back
+from the block the query kept for dedup (``PreparedQuery.feature_rows``),
+scored by ``prob_rows``. It makes no edit-distance kernel call and builds
+no feature row of its own: the kept candidates are a subset of the
+recalled list. This is bit-identical to ``VariantClassifier.prob`` per
+candidate (see the rules in ``pairclf``); the split puts a candidate first
+at ``RerankConfig.variant_threshold``.
 
 Results are stored column-wise (:class:`RerankedResult`): a served list is
 kept in the query cache, so per-item objects are only built on access.
@@ -35,16 +39,18 @@ kept in the query cache, so per-item objects are only built on access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, LabeledPair, VARIANT
 from .encoder import EncoderParams
 from .pairclf import (PairClassifier, PairFeaturizer, PreparedQuery,
-                      UntrainedModelError, both_orders, pair_feature_rows)
-from .recall import Candidates
+                      UntrainedModelError, both_orders)
 from .textnorm import Vocab
+
+if TYPE_CHECKING:  # recall imports this module for its filters
+    from .recall import Candidates
 
 ABILITIES = ("weak", "average", "excellent")
 STAGE_MODES = ("synchronous", "review")
@@ -129,7 +135,7 @@ class RerankConfig:
 # Filters
 
 def _corpus_rows(candidates: Candidates, corpus: Corpus) -> np.ndarray:
-    if candidates.index is not corpus.index:
+    if getattr(corpus, "index", None) is not candidates.index:
         raise ValueError("candidates are not rows of this corpus")
     return candidates.rows
 
@@ -143,7 +149,8 @@ def stage_filter(candidates: Candidates, profile: Optional[StudentProfile],
     """
     if profile is None:
         return candidates
-    grade, semester = corpus.learning_stages[_corpus_rows(candidates, corpus)].T
+    rows = _corpus_rows(candidates, corpus)
+    grade, semester = corpus.learning_stages[rows].T
     cur_grade, cur_semester = profile.current_stage
     if profile.stage_mode == "synchronous":
         keep = (grade < cur_grade) | ((grade == cur_grade) & (semester <= cur_semester))
@@ -159,7 +166,8 @@ def personalize_filter(candidates: Candidates, query_difficulty: int,
     similar-or-easy for weak, within one level for average."""
     if profile is None:
         return candidates
-    d = corpus.difficulties[_corpus_rows(candidates, corpus)]
+    rows = _corpus_rows(candidates, corpus)
+    d = corpus.difficulties[rows]
     if profile.ability == "excellent":
         keep = d >= query_difficulty
     elif profile.ability == "weak":
@@ -182,10 +190,6 @@ class VariantClassifier:
 
     def prob(self, query: PreparedQuery, candidate: PreparedQuery) -> float:
         return self.classifier.prob(self.featurizer.features(query, candidate))
-
-    def prob_pairs(self, u: np.ndarray, v: np.ndarray, sims: np.ndarray) -> np.ndarray:
-        """``prob`` of the pairs a featurizer gives as (u, v, edit similarities)."""
-        return self.classifier.prob_rows(pair_feature_rows(u, v, sims))
 
     @classmethod
     def load(cls, path, featurizer: PairFeaturizer) -> "VariantClassifier":
@@ -223,7 +227,7 @@ def rerank(query: PreparedQuery, candidates: Candidates,
     if variant_clf is None or not config.enable_variant:
         return RerankedResult(kept, passed)
     passed.append("variant")
-    probs = (variant_clf.prob_pairs(*variant_clf.featurizer.row_pairs(
+    probs = (variant_clf.classifier.prob_rows(variant_clf.featurizer.feature_rows(
         query, kept.index, kept.rows)) if len(kept) else np.zeros(0))
     # stable partition: variants first, each side in ranking order
     similar = ~(probs >= config.variant_threshold)

@@ -5,7 +5,8 @@ from exsim import conflearn as cl
 from exsim import encoder as enc
 from exsim import ranking
 from exsim.corpus import LabeledPair, SyntheticSpec, generate_synthetic
-from exsim.pairclf import PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery
+from exsim.pairclf import (PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery,
+                           both_order_rows, edit_similarities)
 
 
 def test_confident_joint_worked_example():
@@ -168,6 +169,29 @@ def test_out_of_fold_probs_equal_per_pair_reference(cl_setup):
     expected = [(heads[fold].prob(ab) + heads[fold].prob(ba)) / 2.0
                 for (ab, ba), fold in zip(orders, assignment.tolist())]
     assert probs.tolist() == expected
+
+
+def test_out_of_fold_probs_equal_a_whole_matrix_reference(cl_setup):
+    """Each fold builds its own training and holdout rows; they are the rows
+    and the order of the boolean-indexed slices of one matrix of every
+    pair's rows in both orders, so the probabilities keep their bits."""
+    _, _, pairs, view = cl_setup
+    for cfg in (cl.CleanConfig(folds=4, seed=1), cl.CleanConfig(folds=3, seed=5)):
+        labels = np.array([1 if p.is_similar else 0 for p in pairs])
+        rows_a = np.array([view.index.row_of[p.a_id] for p in pairs])
+        rows_b = np.array([view.index.row_of[p.b_id] for p in pairs])
+        sims = edit_similarities(view.codes[rows_a], view.lengths[rows_a],
+                                 view.codes[rows_b], view.lengths[rows_b])
+        features = both_order_rows(view.embeddings, rows_a, rows_b, sims)
+        assignment = fold_assignment(pairs, cfg)
+        row_fold, row_labels = np.repeat(assignment, 2), np.repeat(labels, 2)
+        expected = np.empty(len(pairs))
+        for fold in range(cfg.folds):
+            head = PairClassifier.train(features[row_fold != fold],
+                                        row_labels[row_fold != fold])
+            p = head.prob_rows(features[row_fold == fold])
+            expected[assignment == fold] = (p[0::2] + p[1::2]) / 2.0
+        assert cl.out_of_fold_probs(pairs, view, cfg).tolist() == expected.tolist()
 
 
 def test_out_of_fold_probs_trains_no_ranker(cl_setup, monkeypatch):

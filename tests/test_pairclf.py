@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from gradcheck import assert_grads_match, finite_difference
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exsim import pairclf
 from exsim.corpus import Exercise, Metadata
@@ -378,17 +378,17 @@ def test_query_pairs_codes_tell_oov_tokens_apart(query_words, corpus_words):
     query = exercise("q", " ".join(query_words))
     expected = [reference_similarity(query_words, w) for w in corpus_words]
     view = PreparedCorpus(corpus, VOCAB, PARAMS)
-    _, _, sims = PairFeaturizer(view).row_pairs(PreparedQuery(query, view), view.index,
-                                                np.arange(len(corpus)))
-    assert sims.tolist() == expected
+    rows = PairFeaturizer(view).feature_rows(PreparedQuery(query, view), view.index,
+                                             np.arange(len(corpus)))
+    assert rows[:, -1].tolist() == expected
 
 
 def test_unk_tokens_that_differ_as_strings_are_an_edit():
     assert VOCAB.id_of("xy") == VOCAB.id_of("zq") == UNK_ID
     view = PreparedCorpus([exercise("e", "ab zq")], VOCAB, PARAMS)
     feat = PairFeaturizer(view)
-    sims = [feat.row_pairs(PreparedQuery(exercise("q", text), view), view.index,
-                           np.array([0]))[2][0]
+    sims = [feat.feature_rows(PreparedQuery(exercise("q", text), view), view.index,
+                              np.array([0]))[0, -1]
             for text in ("ab xy", "ab zq")]
     assert sims == [0.5, 1.0]
     assert view.stem_ids()[0].tolist() == [VOCAB.id_of("ab"), UNK_ID]
@@ -526,7 +526,7 @@ def test_prepared_query_reads_kept_similarities_by_row(query_words, corpus_words
     for _ in range(3):
         rows = np.array(data.draw(st.lists(st.sampled_from(everyone.tolist()),
                                            max_size=len(corpus))), dtype=np.int64)
-        assert featurizer.row_pairs(query, view.index, rows)[2].tolist() == \
+        assert featurizer.feature_rows(query, view.index, rows)[:, -1].tolist() == \
             [expected[r] for r in rows]
 
 
@@ -544,12 +544,69 @@ def test_prepared_query_is_refused_by_another_view():
         query = PreparedQuery(ex, first)
         for second in (reordered, PreparedCorpus(exs, VOCAB, PARAMS)):
             with pytest.raises(ValueError, match="prepared query"):
-                PairFeaturizer(second).row_pairs(query, second.index, rows)
+                PairFeaturizer(second).feature_rows(query, second.index, rows)
     query = PreparedQuery(exercise("q", "zq ef"), first)
-    assert PairFeaturizer(first).row_pairs(query, first.index, rows)[2].tolist() == [0.0, 1.0]
+    assert PairFeaturizer(first).feature_rows(
+        query, first.index, rows)[:, -1].tolist() == [0.0, 1.0]
     query = PreparedQuery(exercise("q", "zq ef"), reordered)
-    assert PairFeaturizer(reordered).row_pairs(
-        query, reordered.index, rows)[2].tolist() == [1.0, 0.0]
+    assert PairFeaturizer(reordered).feature_rows(
+        query, reordered.index, rows)[:, -1].tolist() == [1.0, 0.0]
+
+
+# rows of up to 90 tokens, in and out of the vocabulary
+long_words = st.lists(st.sampled_from(["ab", "cd", "ef", "xy", "zq"]), max_size=90)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_words, st.lists(long_words, min_size=1, max_size=6))
+@example([], [["ab"] * 64, [], ["xy", "cd"] * 4])
+@example(["zq", "ab"] * 40, [["zq"] * 72, ["ab", "zq"] * 40, []])
+@example(["ab", "xy"], [[], []])
+def test_prepared_lanes_equal_reference(query_words, corpus_words):
+    """The view's prepared lanes give the textbook DP's distances: an empty
+    query, empty rows, out-of-vocabulary codes, rows of 64 tokens and more,
+    a longest row that is a multiple of 8, subsets whose longest row is
+    shorter, and blocks of 3 rows with compares of 64 bools."""
+    def text(words):  # markup alone normalizes to no token
+        return " ".join(words) or "<p></p>"
+    view = PreparedCorpus([exercise(f"e{i}", text(w)) for i, w in enumerate(corpus_words)],
+                          VOCAB, PARAMS)
+    assert view.lengths.tolist() == [len(w) for w in corpus_words]
+    assert view.codes.shape[1] % 8 == 0 and view.codes.shape[1] > max(view.lengths)
+    query = PreparedQuery(exercise("q", text(query_words)), view)
+    everyone = np.arange(len(corpus_words))
+    for rows in (everyone, everyone[::-2], np.repeat(everyone[:2], 2)):
+        expected = [reference_levenshtein(query_words, corpus_words[r]) for r in rows]
+        for block, bools in ((pairclf._BLOCK, pairclf._COMPARE_BOOLS), (3, 64)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pairclf, "_BLOCK", block)
+                patch.setattr(pairclf, "_COMPARE_BOOLS", bools)
+                assert view.distances(query.codes, len(query_words), rows).tolist() == expected
+    assert query.edit_similarities(everyone).tolist() == \
+        [reference_similarity(query_words, w) for w in corpus_words]
+
+
+def test_prepared_query_keeps_one_feature_block(monkeypatch):
+    """The feature rows of a later, smaller or reordered set of rows are read
+    back from the block the first call built, the bits of building them
+    again; their ``swap_sides`` copy has the bits of the (v, u) rows."""
+    calls = []
+    real = pairclf.pair_feature_rows
+    monkeypatch.setattr(pairclf, "pair_feature_rows",
+                        lambda *args: calls.append(len(args[2])) or real(*args))
+    exs = [exercise(f"e{i}", text) for i, text in enumerate(
+        ["ab cd", "cd ef xy", "ab", "zq zq ab", "ef"])]
+    view = PreparedCorpus(exs, VOCAB, PARAMS)
+    query = PreparedQuery(exercise("q", "ab cd zq"), view)
+    u, v = query.view_embedding, view.embeddings
+    sims = query.edit_similarities(np.arange(len(exs)))
+    for rows in ([3, 1, 4], [1, 4], [4, 3, 1, 1], [0, 3], [2, 0, 1, 3, 4], []):
+        rows = np.array(rows, dtype=np.intp)
+        block = query.feature_rows(rows)
+        assert block.tobytes() == real(u, v[rows], sims[rows]).tobytes()
+        assert pairclf.swap_sides(block).tobytes() == real(v[rows], u, sims[rows]).tobytes()
+    # rows 0 and 2 were new in the fourth and fifth calls
+    assert calls == [3, 1, 1]
 
 
 def test_prepared_query_over_rows_longer_than_a_word():
@@ -589,8 +646,9 @@ def test_prepared_query_keeps_one_view_embedding(monkeypatch):
     query = PreparedQuery(exercise("q", "ab xy cd"), view)
     for _ in range(2):
         assert np.array_equal(featurizer.embedding(query), expected[id(PARAMS)])
-        assert featurizer.row_pairs(query, view.index, np.array([1, 0]))[0] is \
-            query.view_embedding
+        assert np.array_equal(featurizer.feature_rows(query, view.index,
+                                                      np.array([1, 0]))[:, :4],
+                              [query.view_embedding] * 2)
     assert [id(p) for p in calls] == [id(PARAMS)]
     calls.clear()
     bank = PreparedQuery(exs[1], view)
@@ -610,10 +668,10 @@ def test_prepared_query_refuses_another_preparation():
     for vocab in (Vocab(["ab", "cd", "ef"], ("the",)), Vocab(["ab", "cd", "ef"])):
         query = PreparedQuery(exercise("q", "ab"), PreparedCorpus(exs, vocab, PARAMS))
         with pytest.raises(ValueError, match="prepared query"):
-            PairFeaturizer(view).row_pairs(query, view.index, np.array([0]))
-    u, v, sims = PairFeaturizer(view).row_pairs(PreparedQuery(exercise("q", "ab"), view),
-                                                view.index, np.array([0]))
-    assert np.array_equal(u, v[0]) and sims.tolist() == [1.0]
+            PairFeaturizer(view).feature_rows(query, view.index, np.array([0]))
+    rows = PairFeaturizer(view).feature_rows(PreparedQuery(exercise("q", "ab"), view),
+                                             view.index, np.array([0]))
+    assert np.array_equal(rows[0, :4], rows[0, 4:8]) and rows[:, -1].tolist() == [1.0]
 
 
 def test_featurizer_refuses_rows_of_another_index():
@@ -623,6 +681,7 @@ def test_featurizer_refuses_rows_of_another_index():
     view = PreparedCorpus(exs, VOCAB, PARAMS)
     query = PreparedQuery(exercise("q", "ab"), view)
     with pytest.raises(ValueError, match="rows of this featurizer's view"):
-        PairFeaturizer(view).row_pairs(query, PreparedCorpus(exs, VOCAB).index, np.array([0]))
-    _, _, sims = PairFeaturizer(view).row_pairs(query, view.index, np.array([1, 0]))
-    assert sims.tolist() == [0.0, 1.0]
+        PairFeaturizer(view).feature_rows(query, PreparedCorpus(exs, VOCAB).index,
+                                          np.array([0]))
+    rows = PairFeaturizer(view).feature_rows(query, view.index, np.array([1, 0]))
+    assert rows[:, -1].tolist() == [0.0, 1.0]

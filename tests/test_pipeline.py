@@ -14,13 +14,13 @@ from test_pairclf import reference_similarity
 from test_ranking import head_probs
 from test_recall import reference_merge
 
-from exsim import conflearn, encoder, pairclf, ranking, recall, textnorm
+from exsim import conflearn, encoder, pairclf, ranking, recall, rerank, textnorm
 from exsim import pipeline as pl
-from exsim.corpus import CorpusError, LabeledPair, SyntheticSpec, load_corpus, save_pairs
+from exsim.corpus import Corpus, CorpusError, LabeledPair, SyntheticSpec, load_corpus, save_pairs
 from exsim.encoder import load_encoder
 from exsim.pairclf import PreparedCorpus, PreparedQuery, pair_features
 from exsim.recall import VectorIndex
-from exsim.rerank import StudentProfile
+from exsim.rerank import ABILITIES, STAGE_MODES, StudentProfile
 from exsim.snapshots import SnapshotFormatError
 from exsim.textnorm import normalize_text, split_tokens
 
@@ -307,7 +307,7 @@ def variant_reference(variant_clf, query, candidate):
 def ranker_reference(pipe, query, candidates):
     """The stem-stem head over the pair features of each (query, candidate),
     each side prepared from its own text under the ranker's backbone, scored
-    as one matrix in candidate order, as ranking scores them."""
+    row by row."""
     if not candidates:
         return []
     params, vocab = pipe.ranker.params, pipe.vocab
@@ -369,12 +369,14 @@ def test_batched_scores_equal_per_pair(workspace, kind):
     u = own_embedding(query, pipe.vocab, rec.view.params)
     v = rec.vector.matrix[rows]
     prepared = PreparedQuery(query, rec.view)
-    got = rec.dedup.prob_pairs(
-        *rec.dedup.featurizer.row_pairs(prepared, rec.view.index, rows)).tolist()
+    block = rec.dedup.featurizer.feature_rows(prepared, rec.view.index, rows)
+    got = rec.dedup.prob_rows(block).tolist()
     assert got == [dedup_reference(rec.dedup, query, ex, u, row)
                    for ex, row in zip(others, v)]
-    got = pipe.variant_clf.prob_pairs(
-        *pipe.variant_clf.featurizer.row_pairs(prepared, rec.view.index, rows)).tolist()
+    # the variant split reads the rows of the block dedup built
+    assert pipe.variant_clf.featurizer.view is rec.view
+    got = pipe.variant_clf.classifier.prob_rows(
+        pipe.variant_clf.featurizer.feature_rows(prepared, rec.view.index, rows)).tolist()
     assert got == [variant_reference(pipe.variant_clf, query, ex) for ex in others]
     assert got == [pipe.variant_clf.prob(prepared, PreparedQuery(ex, rec.view))
                    for ex in others]
@@ -424,8 +426,9 @@ def load_without_dedup(workspace, tmp_path):
 
 
 def count_calls(monkeypatch) -> Counter:
-    """Count calls of normalize_text, embed_text and the edit-distance
-    kernel through every module binding of them."""
+    """Count calls of normalize_text, embed_text and pair_feature_rows
+    through every module binding of them, and of the edit-distance kernel's
+    Myers loop (as "kernel"), which every distance goes through."""
     counts = Counter()
 
     def counted(name, fn):
@@ -435,10 +438,10 @@ def count_calls(monkeypatch) -> Counter:
         return wrapper
 
     for module in (textnorm, encoder, pairclf, recall, ranking):
-        for name in ("normalize_text", "embed_text"):
+        for name in ("normalize_text", "embed_text", "pair_feature_rows"):
             if name in vars(module):
                 monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
-    monkeypatch.setattr(pairclf, "levenshtein", counted("levenshtein", pairclf.levenshtein))
+    monkeypatch.setattr(pairclf, "_myers", counted("kernel", pairclf._myers))
     return counts
 
 
@@ -450,13 +453,16 @@ def test_a_miss_prepares_its_query_once(workspace, monkeypatch, kind, profile):
     counts = count_calls(monkeypatch)
     result, hit = pipe.query_with_cache_info(request_of(pipe, corpus, kind), profile)
     assert not hit and result.variant
-    # one kernel call for dedup, ranking and the variant split; a probe adds
-    # one normalization, the encoder embedding and the ranker's own, while a
-    # bank exercise reads its prepared row and both its embedded rows
+    # one kernel call for dedup, ranking and the variant split, and two
+    # feature blocks: dedup's, which the variant split reads back, and the
+    # ranker's; a probe adds one normalization, the encoder embedding and the
+    # ranker's own, while a bank exercise reads its prepared row and both its
+    # embedded rows
     if kind == "corpus":
-        assert counts == {"levenshtein": 1}
+        assert counts == {"kernel": 1, "pair_feature_rows": 2}
     else:
-        assert counts == {"normalize_text": 1, "levenshtein": 1, "embed_text": 2}
+        assert counts == {"normalize_text": 1, "kernel": 1, "embed_text": 2,
+                          "pair_feature_rows": 2}
 
 
 @pytest.mark.parametrize("profile", [None, PROFILE])
@@ -494,7 +500,8 @@ def test_without_dedup_ranking_makes_the_one_kernel_call(workspace, tmp_path,
     counts = count_calls(monkeypatch)
     result = pipe.query(request_of(pipe, corpus, "probe"), PROFILE)
     assert result.variant
-    assert counts == {"normalize_text": 1, "levenshtein": 1, "embed_text": 2}
+    assert counts == {"normalize_text": 1, "kernel": 1, "embed_text": 2,
+                      "pair_feature_rows": 2}
 
 
 def test_build_steps_prepare_the_bank_once(workspace, tmp_path, monkeypatch):
@@ -575,6 +582,47 @@ def test_profiled_scores_equal_per_pair(workspace, kind):
     assert 0 < len(result.all_ids()) < len(everyone.all_ids())
     assert served_items(result) == reference_query(pipe, query, PROFILE)
     assert served_items(everyone) == reference_query(pipe, query)
+
+
+# every ability and stage mode, at a stage below, inside and above the bank's
+PROFILES = [PROFILE] + [StudentProfile(ability, mode, stage) for ability in ABILITIES
+                        for mode in STAGE_MODES for stage in ((7, 1), (8, 1), (9, 2))]
+
+
+@pytest.mark.parametrize("kind", ["corpus", "probe", "oov-probe", "markup"])
+def test_a_profiled_query_equals_rerank_of_the_whole_ranking(workspace, kind):
+    """Recall filters a profiled miss's merged list before any pair work.
+    That serves the bits of ranking the whole recalled list and filtering
+    it in ``rerank``: ids, scores, variant probabilities and ``passed``."""
+    workdir, config, corpus, _ = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+    request = request_of(pipe, corpus, kind)
+    everyone = pipe.query(request).all_ids()
+    sizes = set()
+    for profile in PROFILES:
+        served = pipe.query(request, profile)
+        query = PreparedQuery(pipe.resolve(request), pipe.recaller.view)
+        late = rerank.rerank(query, pipe.ranker.rank(query, pipe.recaller.recall(query)),
+                             profile, pipe.corpus, pipe.variant_clf, pipe.rerank_config)
+        assert served.ids == late.ids
+        assert served.scores.tobytes() == late.scores.tobytes()
+        assert served.n_variant == late.n_variant
+        assert served.variant_probs.tobytes() == late.variant_probs.tobytes()
+        assert served.passed == late.passed == ("stage", "difficulty", "variant")
+        sizes.add(len(served.ids))
+    assert (sizes == {0}) == (kind == "markup")
+    assert kind == "markup" or min(sizes) < len(everyone)
+
+
+def test_recall_filters_need_the_corpus(workspace):
+    workdir, config, corpus, _ = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+    query = PreparedQuery(pipe.corpus[corpus.ids[7]], pipe.recaller.view)
+    for other in (None, Corpus(pipe.corpus)):
+        with pytest.raises(ValueError, match="not rows of this corpus"):
+            pipe.recaller.recall(query, PROFILE, other)
+    assert len(pipe.recaller.recall(query, PROFILE, pipe.corpus)) < \
+        len(pipe.recaller.recall(query))
 
 
 @pytest.mark.parametrize("profile", [None, PROFILE])

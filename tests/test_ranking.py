@@ -12,7 +12,7 @@ from exsim import ranking as rk
 from exsim.corpus import Corpus, SyntheticSpec, generate_synthetic
 from exsim.pairclf import (PreparedCorpus, PreparedQuery, UntrainedModelError,
                            pair_features)
-from exsim.recall import Candidate
+from exsim.recall import Candidate, Candidates
 from exsim.snapshots import SnapshotFormatError, save_arrays
 from exsim.textnorm import UNK_ID, normalize_text, split_tokens
 
@@ -34,9 +34,12 @@ def ids_of(text, vocab):
 
 def head_probs(params, features):
     """The stem-stem head's positive-class probability of each feature row,
-    written out: one matrix product, then a softmax over the two logits."""
+    written out: each row's two logits as 1-D dots with the head's columns,
+    then a softmax over them."""
     head = params.heads[rk.TASK_STEM_STEM]
-    logits = features @ head["w"] + head["b"]
+    columns = np.ascontiguousarray(head["w"].T)
+    logits = np.array([[row @ w for w in columns] for row in features],
+                      dtype=np.float64).reshape(len(features), 2) + head["b"]
     expl = np.exp(logits - logits.max(axis=1, keepdims=True))
     return expl[:, 1] / expl.sum(axis=1)
 
@@ -344,6 +347,34 @@ def test_rank_refuses_a_query_over_another_view(tiny_setup):
         assert len(ranker.rank(PreparedQuery(ex, view), cands)) == 1
 
 
+def test_a_candidate_scores_the_same_alone_and_in_its_list():
+    """Each candidate's score is its own pair's: ranked alone, in its whole
+    list or in any part of it, it gets the same bits. A matrix product over
+    the batch rounds some logits differently in the last bit."""
+    spec = SyntheticSpec(n_templates=4, per_template=30, noise_rate=0.0,
+                         vocab_size=200, seed=5)
+    corpus, _, _ = generate_synthetic(spec, d_img=4)
+    view = PreparedCorpus.with_own_vocab(corpus)
+    params = rk.RankerParams.init(enc.init_params(corpus, view.vocab, d=24, seed=2), seed=3)
+    params.trained = True
+    ranker = rk.Ranker(params, view)
+    rng = np.random.default_rng(8)
+
+    def scores(query, rows):
+        ranked = ranker.rank(query, Candidates(corpus.index, rows, np.zeros(len(rows)),
+                                               np.zeros(len(rows), dtype=np.int8)))
+        return dict(zip(ranked.ids, ranked.scores.tolist()))
+
+    for q in range(0, len(corpus), 10):
+        query = PreparedQuery(corpus[corpus.ids[q]], view)
+        rows = np.delete(np.arange(len(corpus)), q)
+        everyone = scores(query, rows)
+        part = rng.choice(rows, size=len(rows) // 3, replace=False)
+        for subset in [part] + [part[i:i + 1] for i in range(8)]:
+            got = scores(query, subset)
+            assert got == {ex_id: everyone[ex_id] for ex_id in got}
+
+
 def test_ranker_snapshot_round_trip(tmp_path, tiny_setup):
     corpus, _, pairs, view, encoder = tiny_setup
     params, _ = rk.train_ranker(pairs, view,
@@ -393,8 +424,7 @@ def test_score_pairs_equal_from_view_and_from_own_text(tiny_setup):
     assert PreparedQuery(query, ranker.view).edit_similarities(
         np.array(rows)).tolist() == expected
 
-    # the pair features from each side's own text, scored as one matrix in
-    # candidate order, as ranking scores them
+    # the pair features from each side's own text, scored row by row
     def own_embedding(ex):
         return enc.embed_text(np.array(ids_of(ex.text, vocab), dtype=np.int64), params)
     f = np.array([pair_features(own_embedding(query), own_embedding(exs[r]), sim)
