@@ -56,11 +56,13 @@ later step and ``Pipeline.load`` refuse a key that differs from it.
 
 Configuration is a flat key = value file; see DEFAULTS for the full key
 list with defaults. A value no query could be served with (``recall.n``
-below 1, a ``recall.dedup_threshold`` not above 0), no training could run
-with (``encoder.batch`` below 2, an empty ``rank.tasks``, ``rank.alpha``
-weights that train nothing with ``rank.moe`` off) or no report could be cut
-at (an ``eval.ks`` entry below 1) is refused where it is read, naming the
-key; each ``get_int`` names its key's minimum.
+below 1, a ``recall.dedup_threshold`` not above 0, a
+``recall.concept_boost`` that is not finite), no training could run with
+(``encoder.batch`` below 2, an empty ``rank.tasks``, ``rank.alpha`` weights
+that train nothing with ``rank.moe`` off) or no report could be cut at (an
+``eval.ks`` entry below 1) is refused where it is read, naming the key, and
+so is one that does not parse as its key's type; each ``get_int`` names its
+key's minimum.
 """
 
 from __future__ import annotations
@@ -68,11 +70,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from . import conflearn, corpus as corpus_mod, encoder as encoder_mod
 from . import ranking, recall as recall_mod, rerank as rerank_mod
@@ -181,13 +184,13 @@ class Config:
         return self.values[key]
 
     def get_int(self, key: str, minimum: Optional[int] = None) -> int:
-        value = int(self.values[key])
+        value = self._parse(key, int, self.values[key], "an integer")
         if minimum is not None and value < minimum:
             raise ValueError(f"config {key} = {value}: expected at least {minimum}")
         return value
 
     def get_float(self, key: str) -> float:
-        return float(self.values[key])
+        return self._parse(key, float, self.values[key], "a number")
 
     def get_bool(self, key: str) -> bool:
         value = self.values[key]
@@ -198,9 +201,20 @@ class Config:
         raise ValueError(f"config {key} = {value!r}: expected one of "
                          + ", ".join(_TRUE + _FALSE))
 
-    def get_list(self, key: str) -> list[str]:
+    def get_list(self, key: str, kind: Callable[[str], Any] = str) -> list:
+        """The comma-separated items of ``key``, each converted by ``kind``."""
         raw = self.values[key].strip()
-        return [item.strip() for item in raw.split(",") if item.strip()] if raw else []
+        items = [item.strip() for item in raw.split(",") if item.strip()] if raw else []
+        return [self._parse(key, kind, item, f"comma-separated {kind.__name__} values")
+                for item in items]
+
+    def _parse(self, key: str, kind: Callable[[str], Any], text: str, expected: str):
+        """``kind(text)``; a text that does not convert is refused naming the key."""
+        try:
+            return kind(text)
+        except ValueError:
+            raise ValueError(f"config {key} = {self.values[key]!r}: expected {expected}") \
+                from None
 
     def stop_words(self) -> tuple[str, ...]:
         return tuple(self.get_list("stopwords"))
@@ -314,7 +328,7 @@ def _rank_config(config: Config) -> ranking.RankConfig:
     ``rank.alpha`` are the loss's coefficients, so they must be at least 0
     and sum above 0 over ``rank.tasks``: zero weights train nothing and a
     negative one ascends its loss."""
-    alpha = tuple(float(x) for x in config.get_list("rank.alpha"))
+    alpha = tuple(config.get_list("rank.alpha", float))
     if len(alpha) != 3:
         raise ValueError(f"config rank.alpha = {config.get('rank.alpha')!r}: "
                          "expected 3 comma-separated task weights")
@@ -403,12 +417,15 @@ def _recall_config(config: Config) -> RecallConfig:
     if not threshold > 0:  # NaN too: dedup would drop every candidate
         raise ValueError(f"config recall.dedup_threshold = "
                          f"{config.get('recall.dedup_threshold')}: expected above 0")
+    boost = config.get_float("recall.concept_boost")
+    if not math.isfinite(boost):  # NaN scores drop every BM25 candidate
+        raise ValueError(f"config recall.concept_boost = "
+                         f"{config.get('recall.concept_boost')}: expected a finite number")
     return RecallConfig(
         k_exact=config.get_int("recall.k_exact", minimum=0),
         k_embed=config.get_int("recall.k_embed", minimum=0),
         n=config.get_int("recall.n", minimum=1),
-        dedup_threshold=threshold,
-        concept_boost=config.get_float("recall.concept_boost"))
+        dedup_threshold=threshold, concept_boost=boost)
 
 
 def step_export_embeddings(workdir, config: Config, out_path=None) -> Path:
@@ -449,7 +466,7 @@ def step_eval(workdir, config: Config) -> EvalReport:
     Refuses an ``eval.k_recall`` or ``eval.ks`` entry below 1, which would
     report a figure of no cut-off."""
     k_recall = config.get_int("eval.k_recall", minimum=1)
-    ks = tuple(int(k) for k in config.get_list("eval.ks"))
+    ks = tuple(config.get_list("eval.ks", int))
     if min(ks, default=1) < 1:
         raise ValueError(f"config eval.ks = {config.get('eval.ks')!r}: expected at least 1")
     corpus, vocab, encoder = _load_trained(workdir, config)

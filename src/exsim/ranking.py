@@ -20,7 +20,9 @@ token-level edit similarity of the two texts over the same token codes dedup
 uses. Training tokenizes nothing: :class:`TaskBuilder` reads each side's
 vocabulary ids and codes from the ``pairclf.PreparedCorpus`` the caller
 prepared, and computes ``edit_sim`` before training, once per distinct pair
-of texts; a batch's instances are built only when the batch is drawn. At
+of texts. Instances stay rows of two arrays: (task, left text, right text,
+label) in ``specs`` and ``edit_sim`` in ``sims``; a batch's loss reads its
+rows of them, and the texts' ids from the view. At
 serving time a stage is built from one view; a miss passes one
 ``PreparedQuery``. The view embeds under the encoder alone;
 the ranker's backbone lives here. :class:`Ranker` is built from the loaded
@@ -54,8 +56,6 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
-from collections import abc
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -94,15 +94,6 @@ def resolve_tasks(names: Iterable[str]) -> tuple[str, ...]:
         if canonical not in out:
             out.append(canonical)
     return tuple(sorted(out, key=TASKS.index))
-
-
-@dataclass(frozen=True, slots=True)
-class TaskInstance:
-    task: str
-    left: tuple[int, ...]    # vocabulary ids of each side
-    right: tuple[int, ...]
-    label: int
-    edit_sim: float          # edit similarity of the two sides' token codes
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +183,6 @@ class TaskBuilder:
     def __init__(self, view: PreparedCorpus):
         self.view = view
         n = len(view.exercises)
-        self.texts = [tuple(ids.tolist()) for ids in view.stem_ids() + view.analysis_ids()]
         analysis = view.analysis
         self.lengths = np.concatenate([view.lengths, analysis.lengths])
         self.codes = np.full((2 * n, max(view.codes.shape[1], analysis.codes.shape[1])),
@@ -207,27 +197,23 @@ class TaskBuilder:
                 self.by_concept.setdefault(c, []).append(ex.id)
         self._pools: dict[str, list[str]] = {}
 
-    def build_all(self, pairs: Sequence[LabeledPair], rng: np.random.Generator,
-                  tasks: Iterable[str] = TASKS) -> PairInstances:
-        """Instances of every pair, in order, keeping those of ``tasks``.
-
-        Batch-at-a-time rule: every draw and every edit similarity is made
-        here, once, into two arrays, but no ``TaskInstance`` is; item i of
-        the result builds pair i's instances when it is read. A caller that
-        reads one batch of pairs at a time (``train_ranker``) holds one
-        batch of instances, not every pair's."""
-        # (pair, instance, [task, left row, right row, label])
+    def build_all(self, pairs: Sequence[LabeledPair],
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """The five instances of every pair, in order, as ``(specs, sims)``:
+        ``specs`` (pairs, 5, 4) int32 holds each instance's [task index, left
+        text row, right text row, label] and ``sims`` (pairs, 5) float64 its
+        edit similarity. Every draw and every edit similarity is made here,
+        once."""
         specs = np.fromiter((x for p in pairs for spec in self._specs(p, rng) for x in spec),
                             dtype=np.int32, count=20 * len(pairs)).reshape(-1, 5, 4)
-        sims = self._edit_sims(specs[:, :, 1], specs[:, :, 2])
-        return PairInstances(self.texts, specs, sims, [TASKS.index(t) for t in tasks])
+        return specs, self._edit_sims(specs[:, :, 1], specs[:, :, 2])
 
     def _edit_sims(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Edit similarity of the texts in rows (left, right), each distinct
         pair computed once, ``_SIM_BLOCK`` pairs per kernel call."""
-        keys = left.astype(np.int64) * len(self.texts) + right
+        keys = left.astype(np.int64) * len(self.codes) + right
         unique, inverse = np.unique(keys, return_inverse=True)
-        l_rows, r_rows = np.divmod(unique, len(self.texts))
+        l_rows, r_rows = np.divmod(unique, len(self.codes))
         sims = np.empty(len(unique))
         for start in range(0, len(unique), _SIM_BLOCK):
             l, r = l_rows[start:start + _SIM_BLOCK], r_rows[start:start + _SIM_BLOCK]
@@ -291,37 +277,16 @@ class TaskBuilder:
         return pool
 
 
-class PairInstances(abc.Sequence):
-    """The task instances of labeled pairs, item i a new list of pair i's,
-    equal on every read. Only ``specs`` (pairs, 5, 4) int32, each instance's
-    [task, left text, right text, label], and ``sims`` (pairs, 5) float64,
-    its edit similarity, are held; ``texts`` are the builder's id tuples."""
-
-    def __init__(self, texts: list[tuple[int, ...]], specs: np.ndarray, sims: np.ndarray,
-                 wanted: list[int]):
-        self.texts, self.specs, self.sims, self.wanted = texts, specs, sims, wanted
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __getitem__(self, i) -> list[TaskInstance]:
-        i = operator.index(i)
-        texts = self.texts
-        return [TaskInstance(TASKS[t], texts[l], texts[r], label, sim)
-                for (t, l, r, label), sim in zip(self.specs[i].tolist(), self.sims[i].tolist())
-                if t in self.wanted]
-
-
 # ---------------------------------------------------------------------------
 # Forward / backward
 
-def _pair_features(instances: Sequence[TaskInstance], params: RankerParams):
-    """Pair feature rows: both sides through the encoder's text function."""
-    n = len(instances)
-    embedded, cache = embed_text_batch(
-        [inst.left for inst in instances] + [inst.right for inst in instances], params)
-    u, v = embedded[:n], embedded[n:]
-    sims = np.array([inst.edit_sim for inst in instances])
+def _pair_features(texts: Sequence[np.ndarray], specs: np.ndarray, sims: np.ndarray,
+                   params: RankerParams):
+    """Pair feature rows of spec rows: both sides through the encoder's text
+    function."""
+    sides = np.concatenate([specs[:, 1], specs[:, 2]]).tolist()
+    embedded, cache = embed_text_batch([texts[r] for r in sides], params)
+    u, v = embedded[:len(specs)], embedded[len(specs):]
     return pair_feature_rows(u, v, sims), (u, v, cache)
 
 
@@ -372,35 +337,38 @@ class MultitaskResult:
     grads: dict[str, np.ndarray]
 
 
-def multitask_loss(instances: Sequence[TaskInstance], params: RankerParams,
+def multitask_loss(texts: Sequence[np.ndarray], specs: np.ndarray, sims: np.ndarray,
+                   params: RankerParams,
                    alpha: Optional[dict[str, float]] = None) -> MultitaskResult:
     """Coefficient-weighted sum of per-task cross-entropies, with gradients.
 
-    With ``alpha`` None the coefficients come from the gate (and gradients
-    flow through it, including into the shared features via the batch
-    means); otherwise ``alpha`` supplies constants, 0 for a task it lacks. A
+    ``specs`` (instances, 4) and ``sims`` (instances,) are instance rows as
+    ``TaskBuilder.build_all`` makes them; ``texts[r]`` holds text row r's
+    vocabulary ids. With ``alpha`` None the coefficients come from the gate
+    (and gradients flow through it, including into the shared features via
+    the batch means); otherwise ``alpha`` supplies constants, 0 for a task it lacks. A
     task with no instances in the batch contributes zero loss and is masked
     out of the softmax.
     """
-    by_task: dict[str, list[TaskInstance]] = {}
-    for inst in instances:
-        by_task.setdefault(inst.task, []).append(inst)
-    present = [t for t in TASKS if t in by_task]
+    # rows grouped by task, in batch order within each; task t owns spans[t]
+    counts = np.bincount(specs[:, 0], minlength=len(TASKS)).tolist()
+    ends = np.cumsum(counts).tolist()
+    spans = {t: slice(end - count, end) for t, count, end in zip(TASKS, counts, ends) if count}
+    present = list(spans)
     if not present:
         raise ValueError("batch contains no task instances")
-    missing = [t for t in TASKS if t not in by_task]
+    missing = [t for t in TASKS if t not in spans]
     if missing:
         log.debug("tasks absent from batch, masked: %s", missing)
 
     grads = params.zero_grads()
-    # one encoder pass over every task's instances; task t owns rows spans[t]
-    f_all, pair_cache = _pair_features([inst for t in present for inst in by_task[t]],
-                                       params)
-    ends = np.cumsum([len(by_task[t]) for t in present])
-    spans = {t: slice(end - len(by_task[t]), end) for t, end in zip(present, ends)}
+    grouped = np.argsort(specs[:, 0], kind="stable")
+    specs, sims = specs[grouped], sims[grouped]
+    # one encoder pass over every task's instances
+    f_all, pair_cache = _pair_features(texts, specs, sims, params)
     feats, losses, d_logits_unit = {}, {}, {}
     for t in present:
-        labels = np.array([inst.label for inst in by_task[t]])
+        labels = specs[spans[t], 3]
         feats[t] = f_all[spans[t]]
         targets = np.zeros((len(labels), 2))
         targets[np.arange(len(labels)), labels] = 1.0
@@ -437,7 +405,7 @@ def multitask_loss(instances: Sequence[TaskInstance], params: RankerParams,
         for i, t in enumerate(present):
             d_fbar = _expert_backward(float(d_gate_logits[i]), expert_caches[t],
                                       t, params.experts[t], grads)
-            d_f_all[spans[t], 3 * params.d:4 * params.d] += d_fbar / len(by_task[t])
+            d_f_all[spans[t], 3 * params.d:4 * params.d] += d_fbar / len(feats[t])
     _pair_features_backward(d_f_all, pair_cache, params, grads)
     return MultitaskResult(total=float(total), task_losses=losses, alpha=alpha,
                            grads=grads)
@@ -472,9 +440,10 @@ def train_ranker(pairs: Sequence[LabeledPair], view: PreparedCorpus,
 
     The shared backbone starts from the pre-trained ``encoder``.
     Every pair's draws and edit similarities are made once, deterministically
-    from the seed, before the epoch loop (``TaskBuilder.build_all``); a
-    batch's ``TaskInstance`` objects are built when the batch is drawn and
-    dropped with it, so no more than one batch of them is alive at a time.
+    from the seed, before the epoch loop (``TaskBuilder.build_all``), and the
+    builder is dropped with its concept pools and codes. Each batch passes
+    its pairs' rows of ``config.tasks``, in pair order, to
+    ``multitask_loss``; the texts are the view's stem then analysis ids.
     history carries per-epoch means of the total and per-task losses plus
     the coefficient trajectory.
     """
@@ -484,21 +453,23 @@ def train_ranker(pairs: Sequence[LabeledPair], view: PreparedCorpus,
     params = RankerParams.init(encoder, seed=config.seed)
     alpha = None if config.moe else dict(zip(TASKS, config.alpha))
 
-    builder = TaskBuilder(view)
     build_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 5]))
-    per_pair = builder.build_all(pairs, build_rng, tasks)
+    specs, sims = TaskBuilder(view).build_all(pairs, build_rng)
+    wanted = np.isin(specs[:, :, 0], [TASKS.index(t) for t in tasks])
+    texts = view.stem_ids() + view.analysis_ids()
 
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 7]))
     history = {"total": [], "alpha": [], "tasks": []}
     for _ in range(config.epochs):
-        order = rng.permutation(len(per_pair))
+        order = rng.permutation(len(specs))
         epoch_total, epoch_alpha, epoch_tasks, n_batches = 0.0, [], [], 0
         for start in range(0, len(order), config.batch_pairs):
-            chunk = [inst for i in order[start:start + config.batch_pairs]
-                     for inst in per_pair[i]]
-            if not chunk:
+            batch = order[start:start + config.batch_pairs]
+            keep = wanted[batch]
+            if not keep.any():
                 continue
-            result = multitask_loss(chunk, params, alpha)
+            result = multitask_loss(texts, specs[batch][keep], sims[batch][keep],
+                                    params, alpha)
             if not math.isfinite(result.total):
                 raise TrainingDivergedError("non-finite ranking loss")
             params.apply_grads(result.grads, config.lr)

@@ -106,6 +106,18 @@ def test_load_refuses_a_value_no_query_can_be_served_with(workspace, key, value)
         pl.Pipeline.load(workdir, bad)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_refuses_a_concept_boost_that_is_not_finite(workspace, value):
+    """A NaN boost used to load and then make the BM25 channel return no
+    candidate for any query; an infinite one ties every concept-sharing
+    document at the top."""
+    workdir, config, _, _ = workspace
+    bad = pl.Config({**config.values, "recall.concept_boost": value})
+    with pytest.raises(ValueError,
+                       match=f"config recall.concept_boost = {value}: expected a finite"):
+        pl.Pipeline.load(workdir, bad)
+
+
 @pytest.mark.parametrize("step, key, value", [
     (pl.step_pretrain, "encoder.d", "0"),
     (pl.step_pretrain, "encoder.epochs", "-1"),
@@ -134,6 +146,28 @@ def test_build_steps_refuse_a_value_no_training_can_run_with(workspace, tmp_path
     shutil.copytree(workdir, copy)
     before = {f.name: f.read_bytes() for f in copy.iterdir()}
     with pytest.raises(ValueError, match=f"config {key} = '?{value}'?: expected at least"):
+        step(copy, pl.Config({**config.values, key: value}))
+    assert {f.name: f.read_bytes() for f in copy.iterdir()} == before
+
+
+@pytest.mark.parametrize("step, key, value", [
+    (pl.step_train_rank, "rank.lr", "fast"),
+    (pl.step_train_rank, "rank.epochs", "1.5"),
+    (pl.step_train_rank, "rank.alpha", "a,b,c"),
+    (pl.step_eval, "eval.ks", "1,x"),
+    (pl.Pipeline.load, "recall.n", "ten"),
+    (pl.Pipeline.load, "cache.size", "1.5"),
+    (pl.Pipeline.load, "rerank.variant_threshold", ""),
+])
+def test_a_value_that_does_not_parse_is_refused_naming_its_key(workspace, tmp_path,
+                                                               step, key, value):
+    """Such a value used to fail with the bare conversion error, naming no
+    key; the step now refuses it by key and writes nothing."""
+    workdir, config, _, _ = workspace
+    copy = tmp_path / "ws"
+    shutil.copytree(workdir, copy)
+    before = {f.name: f.read_bytes() for f in copy.iterdir()}
+    with pytest.raises(ValueError, match=f"^config {key} = '{value}': expected "):
         step(copy, pl.Config({**config.values, key: value}))
     assert {f.name: f.read_bytes() for f in copy.iterdir()} == before
 

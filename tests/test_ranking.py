@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 
 import numpy as np
 import pytest
@@ -32,6 +31,20 @@ def ids_of(text, vocab):
     return tuple(vocab.id_of(t) for t in split_tokens(normalize_text(text)[0]))
 
 
+def texts_of(view):
+    """Each text row's vocabulary ids: stems, then analyses."""
+    return view.stem_ids() + view.analysis_ids()
+
+
+def instances_by_task(view, specs):
+    """Spec rows grouped by task name, each as (left ids, right ids, label)."""
+    texts, by_task = texts_of(view), {}
+    for t, l, r, label in specs.tolist():
+        by_task.setdefault(rk.TASKS[t], []).append(
+            (tuple(texts[l].tolist()), tuple(texts[r].tolist()), label))
+    return by_task
+
+
 def head_probs(params, features):
     """The stem-stem head's positive-class probability of each feature row,
     written out: each row's two logits as 1-D dots with the head's columns,
@@ -47,26 +60,25 @@ def head_probs(params, features):
 def test_task_instances_dissimilar_pair(tiny_setup):
     corpus, truth, pairs, view, _ = tiny_setup
     pair = next(p for p in pairs if not p.is_similar)
-    out = rk.TaskBuilder(view).build_all([pair], np.random.default_rng(1))[0]
-    by_task = {}
-    for inst in out:
-        by_task.setdefault(inst.task, []).append(inst)
+    specs, _ = rk.TaskBuilder(view).build_all([pair], np.random.default_rng(1))
+    by_task = instances_by_task(view, specs[0])
     assert len(by_task[rk.TASK_STEM_STEM]) == 1
     assert len(by_task[rk.TASK_ANALYSIS_ANALYSIS]) == 1
     t3 = by_task[rk.TASK_STEM_ANALYSIS]
-    assert [i.label for i in t3] == [1, 1, 0]
+    assert [label for *_, label in t3] == [1, 1, 0]
     # the negative pairs stem A with analysis B directly
-    assert t3[2].left == ids_of(corpus[pair.a_id].text, view.vocab)
-    assert t3[2].right == ids_of(corpus[pair.b_id].answer_analysis, view.vocab)
+    assert t3[2][0] == ids_of(corpus[pair.a_id].text, view.vocab)
+    assert t3[2][1] == ids_of(corpus[pair.b_id].answer_analysis, view.vocab)
 
 
 def test_task_instances_similar_pair_draws_concept_neighbor(tiny_setup):
     corpus, truth, pairs, view, _ = tiny_setup
     pair = next(p for p in pairs if p.is_similar)
-    out = rk.TaskBuilder(view).build_all([pair], np.random.default_rng(1))[0]
-    t3_neg = [i for i in out if i.task == rk.TASK_STEM_ANALYSIS and i.label == 0]
+    specs, _ = rk.TaskBuilder(view).build_all([pair], np.random.default_rng(1))
+    t3_neg = [i for i in instances_by_task(view, specs[0])[rk.TASK_STEM_ANALYSIS]
+              if i[2] == 0]
     assert len(t3_neg) == 1
-    neg_analysis = t3_neg[0].right
+    neg_analysis = t3_neg[0][1]
     donors = [ex.id for ex in corpus
               if ids_of(ex.answer_analysis, view.vocab) == neg_analysis
               and ex.id not in (pair.a_id, pair.b_id)]
@@ -78,53 +90,63 @@ def test_task_instances_similar_pair_draws_concept_neighbor(tiny_setup):
 def test_task_instances_deterministic(tiny_setup):
     _, _, pairs, view, _ = tiny_setup
     pair = next(p for p in pairs if p.is_similar)
-    one = rk.TaskBuilder(view).build_all([pair], np.random.default_rng(9))[0]
-    two = rk.TaskBuilder(view).build_all([pair], np.random.default_rng(9))[0]
-    assert one == two
+    one = rk.TaskBuilder(view).build_all([pair], np.random.default_rng(9))
+    two = rk.TaskBuilder(view).build_all([pair], np.random.default_rng(9))
+    assert [a.tobytes() for a in one] == [a.tobytes() for a in two]
 
 
 def test_build_all_items_equal_an_eager_reference(tiny_setup):
-    """Item i builds pair i's instances on each read, equal to instances
-    written out here from the same draws, with reference edit similarities
-    of the two texts' tokens."""
+    """Row i of ``specs`` holds pair i's five instances, equal to instances
+    written out here from the same draws, and ``sims`` their reference edit
+    similarities of the two texts' tokens."""
     _, _, pairs, view, _ = tiny_setup
-    tasks = (rk.TASK_STEM_STEM, rk.TASK_STEM_ANALYSIS)
-    items = rk.TaskBuilder(view).build_all(pairs, np.random.default_rng(4), tasks)
-    texts = [tuple(ids.tolist()) for ids in view.stem_ids() + view.analysis_ids()]
+    specs, sims = rk.TaskBuilder(view).build_all(pairs, np.random.default_rng(4))
     tokens = view.tokens + view.analysis.tokens
     drawer, rng = rk.TaskBuilder(view), np.random.default_rng(4)
-    expected = [[rk.TaskInstance(rk.TASKS[t], texts[l], texts[r], label,
-                                 reference_similarity(tokens[l], tokens[r]))
-                 for t, l, r, label in drawer._specs(p, rng) if rk.TASKS[t] in tasks]
-                for p in pairs]
-    assert len(items) == len(pairs)
-    assert list(items) == [items[i] for i in range(len(items))] == expected
-    assert items[np.int64(3)] == items[-len(pairs) + 3] == expected[3]
-    assert items[0] is not items[0]
-    with pytest.raises(IndexError):
-        items[len(pairs)]
+    expected = [list(drawer._specs(p, rng)) for p in pairs]
+    assert specs.shape == (len(pairs), 5, 4) and specs.dtype == np.int32
+    assert sims.shape == (len(pairs), 5) and sims.dtype == np.float64
+    assert [[tuple(row) for row in rows] for rows in specs.tolist()] == expected
+    assert sims.tolist() == [[reference_similarity(tokens[l], tokens[r])
+                              for _, l, r, _ in rows] for rows in expected]
 
 
-def test_train_ranker_holds_one_batch_of_instances(tiny_setup, monkeypatch):
-    """While a batch's loss is computed, the only TaskInstance objects alive
-    beyond those alive before training are that batch's."""
+def test_train_ranker_feeds_each_batch_its_wanted_rows(tiny_setup, monkeypatch):
+    """With a ``rank.tasks`` subset each loss call receives exactly its
+    batch's rows of those tasks, pair by pair in batch order, and the other
+    task's head and expert keep their initial values."""
     _, _, pairs, view, encoder = tiny_setup
-
-    def alive():
-        gc.collect()
-        return sum(isinstance(o, rk.TaskInstance) for o in gc.get_objects())
-
+    cfg = rk.RankConfig(epochs=2, batch_pairs=8, seed=3,
+                        tasks=(rk.TASK_STEM_STEM, rk.TASK_STEM_ANALYSIS))
     loss, seen = rk.multitask_loss, []
 
-    def counted(instances, params, alpha=None):
-        seen.append((alive() - before, len(instances)))
-        return loss(instances, params, alpha)
+    def recorded(texts, specs, sims, params, alpha=None):
+        seen.append((specs.tolist(), sims.tolist()))
+        assert [t.tolist() for t in texts] == [t.tolist() for t in texts_of(view)]
+        return loss(texts, specs, sims, params, alpha)
 
-    monkeypatch.setattr(rk, "multitask_loss", counted)
-    before = alive()
-    rk.train_ranker(pairs, view, rk.RankConfig(epochs=1, batch_pairs=8), encoder=encoder)
-    assert len(seen) == -(-len(pairs) // 8) > 1
-    assert all(n_alive == n_batch for n_alive, n_batch in seen)
+    monkeypatch.setattr(rk, "multitask_loss", recorded)
+    params, _ = rk.train_ranker(pairs, view, cfg, encoder=encoder)
+
+    specs, sims = rk.TaskBuilder(view).build_all(
+        pairs, np.random.default_rng(np.random.SeedSequence([cfg.seed, 5])))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
+    expected = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(pairs)).tolist()
+        for start in range(0, len(order), cfg.batch_pairs):
+            rows = [(spec, sim) for i in order[start:start + cfg.batch_pairs]
+                    for spec, sim in zip(specs[i].tolist(), sims[i].tolist())
+                    if rk.TASKS[spec[0]] in cfg.tasks]
+            expected.append(([spec for spec, _ in rows], [sim for _, sim in rows]))
+    assert len(seen) == 2 * -(-len(pairs) // 8) > 2
+    assert seen == expected
+
+    init = rk.RankerParams.init(encoder, seed=cfg.seed)
+    for t in rk.TASKS:
+        same = [np.array_equal(getattr(params, part)[t][k], v)
+                for part in ("heads", "experts") for k, v in getattr(init, part)[t].items()]
+        assert all(same) == (t == rk.TASK_ANALYSIS_ANALYSIS)
 
 
 def rebuilt_pool_draw(builder, ex, exclude, rng):
@@ -177,7 +199,7 @@ def test_moe_equal_logits_give_uniform(tiny_setup):
     for t in rk.TASKS:
         for arr in params.experts[t].values():
             arr[...] = 0.0
-    alpha = rk.multitask_loss(make_batch(tiny_setup), params).alpha
+    alpha = rk.multitask_loss(*make_batch(tiny_setup), params).alpha
     for t in rk.TASKS:
         assert alpha[t] == pytest.approx(1 / 3, abs=1e-15)
 
@@ -187,26 +209,25 @@ def test_moe_coefficients_sum_to_one(tiny_setup):
     chunk = make_batch(tiny_setup)
     for trial in range(10):
         params = rk.RankerParams.init(encoder, seed=trial)
-        alpha = rk.multitask_loss(chunk, params).alpha
+        alpha = rk.multitask_loss(*chunk, params).alpha
         assert set(alpha) == set(rk.TASKS)
         assert abs(sum(alpha.values()) - 1.0) < 1e-12
         assert all(a >= 0 for a in alpha.values())
 
 
 def make_batch(tiny_setup, n_pairs=3, tasks=rk.TASKS):
+    """(texts, specs, sims) of the first pairs' instances of ``tasks``."""
     _, _, pairs, view, encoder = tiny_setup
-    builder = rk.TaskBuilder(view)
-    rng = np.random.default_rng(5)
-    chunk = [inst for insts in builder.build_all(pairs[:n_pairs], rng, tasks)
-             for inst in insts]
-    return chunk
+    specs, sims = rk.TaskBuilder(view).build_all(pairs[:n_pairs], np.random.default_rng(5))
+    keep = np.isin(specs[:, :, 0], [rk.TASKS.index(t) for t in tasks])
+    return texts_of(view), specs[keep], sims[keep]
 
 
 def test_multitask_frozen_one_hot_equals_single_task_loss(tiny_setup):
     *_, encoder = tiny_setup
     params = rk.RankerParams.init(encoder, seed=2)
     chunk = make_batch(tiny_setup)
-    result = rk.multitask_loss(chunk, params, {rk.TASK_STEM_STEM: 1.0})
+    result = rk.multitask_loss(*chunk, params, {rk.TASK_STEM_STEM: 1.0})
     assert result.total == result.task_losses[rk.TASK_STEM_STEM]
     assert result.alpha[rk.TASK_ANALYSIS_ANALYSIS] == 0.0
 
@@ -216,7 +237,7 @@ def test_multitask_total_is_weighted_sum(tiny_setup):
     params = rk.RankerParams.init(encoder, seed=2)
     chunk = make_batch(tiny_setup)
     third = {t: 1 / 3 for t in rk.TASKS}
-    result = rk.multitask_loss(chunk, params, third)
+    result = rk.multitask_loss(*chunk, params, third)
     expected = sum(result.alpha[t] * result.task_losses[t] for t in rk.TASKS)
     assert result.total == pytest.approx(expected, rel=1e-15)
     # the rule itself on the documented example values
@@ -227,7 +248,7 @@ def test_multitask_masks_absent_task(tiny_setup):
     *_, encoder = tiny_setup
     params = rk.RankerParams.init(encoder, seed=2)
     chunk = make_batch(tiny_setup, tasks=(rk.TASK_STEM_STEM, rk.TASK_ANALYSIS_ANALYSIS))
-    result = rk.multitask_loss(chunk, params)
+    result = rk.multitask_loss(*chunk, params)
     assert rk.TASK_STEM_ANALYSIS not in result.alpha
     assert abs(sum(result.alpha.values()) - 1.0) < 1e-12
     assert rk.TASK_STEM_ANALYSIS not in result.task_losses
@@ -237,9 +258,9 @@ def test_multitask_gradients_with_gate(tiny_setup):
     *_, encoder = tiny_setup
     params = rk.RankerParams.init(encoder, seed=6)
     chunk = make_batch(tiny_setup, n_pairs=2)
-    result = rk.multitask_loss(chunk, params)
+    result = rk.multitask_loss(*chunk, params)
     numeric = finite_difference(
-        lambda: rk.multitask_loss(chunk, params).total,
+        lambda: rk.multitask_loss(*chunk, params).total,
         params.arrays())
     assert_grads_match(result.grads, numeric)
 
@@ -249,9 +270,9 @@ def test_multitask_gradients_fixed_alpha(tiny_setup):
     params = rk.RankerParams.init(encoder, seed=6)
     chunk = make_batch(tiny_setup, n_pairs=2)
     third = {t: 1 / 3 for t in rk.TASKS}
-    result = rk.multitask_loss(chunk, params, third)
+    result = rk.multitask_loss(*chunk, params, third)
     numeric = finite_difference(
-        lambda: rk.multitask_loss(chunk, params, third).total,
+        lambda: rk.multitask_loss(*chunk, params, third).total,
         params.arrays())
     assert_grads_match(result.grads, numeric)
 
