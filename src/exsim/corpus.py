@@ -351,11 +351,14 @@ class SyntheticTruth:
 # ---------------------------------------------------------------------------
 # JSONL ingestion
 
-def _shared(strings: dict[str, str], value):
-    """``value``, or the equal string ``strings`` holds: a string enters the
-    table on first sight. Anything else is returned as it is, for the
-    record's own checks to refuse."""
-    return strings.setdefault(value, value) if isinstance(value, str) else value
+def _shared(strings: dict, value):
+    """``value``, or the equal value ``strings`` holds: a string, or a tuple
+    of strings, enters the table on first sight. Anything else is returned
+    as it is, for the record's own checks to refuse."""
+    if isinstance(value, str) or (isinstance(value, tuple)
+                                  and all(isinstance(v, str) for v in value)):
+        return strings.setdefault(value, value)
+    return value
 
 
 def load_corpus(path, levels: Optional[int] = None) -> Corpus:
@@ -442,9 +445,10 @@ def save_pairs(pairs: list[LabeledPair], path) -> None:
 def load_pairs(path) -> list[LabeledPair]:
     """One pair per JSONL line; errors carry the 1-based line number.
 
-    Equal strings of one load are one object: labels, variant flags and
-    votes are this module's constants, and each distinct id is one ``str``
-    shared by every record that names it."""
+    Equal values of one load are one object: labels, variant flags and
+    votes are this module's constants, each distinct id is one ``str``
+    shared by every record that names it, and so is each distinct ``votes``
+    tuple."""
     pairs = []
     strings = {s: s for s in (SIMILAR, DISSIMILAR, VARIANT, PLAIN_SIMILAR)}
     with open(path, "r", encoding="utf-8") as fh:
@@ -457,7 +461,8 @@ def load_pairs(path) -> list[LabeledPair]:
                     a_id=_shared(strings, rec["a_id"]), b_id=_shared(strings, rec["b_id"]),
                     label=_shared(strings, rec["label"]),
                     variant=_shared(strings, rec.get("variant")),
-                    votes=tuple(_shared(strings, v) for v in rec.get("votes", ()))))
+                    votes=_shared(strings, tuple(_shared(strings, v)
+                                                 for v in rec.get("votes", ())))))
             except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as exc:
                 raise CorpusError(f"line {lineno}: bad pair record: {exc}") from exc
     return pairs

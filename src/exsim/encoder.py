@@ -43,15 +43,19 @@ keep a fixed order:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, CorpusError, LabeledPair
+from .evaluate import annotated_similars
 from .snapshots import atomic_write, load_arrays, save_arrays
-from .textnorm import MetadataEncoding, Vocab, encode_metadata
+from .textnorm import Vocab
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
 from .textnorm import normalize_text  # noqa: F401
+
+if TYPE_CHECKING:  # pairclf imports this module for its embeddings
+    from .pairclf import PreparedCorpus
 
 _EPS = 1e-12
 
@@ -330,15 +334,14 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     return loss, d_logits
 
 
-# metadata task -> (its head in EncoderParams, its MetadataEncoding target)
-_META_TASKS = {"type": ("W_type", "type_onehot"),
-               "difficulty": ("W_diff", "difficulty_onehot"),
-               "concept": ("W_concept", "concept_vector")}
+# metadata task -> its head in EncoderParams
+_META_HEADS = {"type": "W_type", "difficulty": "W_diff", "concept": "W_concept"}
 
 
-def metadata_task_loss(stem_embeddings: np.ndarray, targets: Sequence[MetadataEncoding],
+def metadata_task_loss(stem_embeddings: np.ndarray, targets: dict[str, np.ndarray],
                        params: EncoderParams):
-    """Cross-entropy of the three metadata heads stacked on the stem embedding.
+    """Cross-entropy of the three metadata heads stacked on the stem embedding,
+    against ``targets``' rows (see ``metadata_targets``).
 
     Returns (parts, d_embeddings, head_grads), each keyed by task name
     ("type", "difficulty", "concept", in that order). The gradients are
@@ -346,10 +349,9 @@ def metadata_task_loss(stem_embeddings: np.ndarray, targets: Sequence[MetadataEn
     """
     e = np.asarray(stem_embeddings, dtype=np.float64)
     parts, d_e, head_grads = {}, {}, {}
-    for name, (head, target) in _META_TASKS.items():
+    for name, head in _META_HEADS.items():
         w = getattr(params, head)
-        parts[name], d_logits = softmax_cross_entropy(
-            e @ w, np.stack([getattr(t, target) for t in targets]))
+        parts[name], d_logits = softmax_cross_entropy(e @ w, targets[name])
         head_grads[name] = e.T @ d_logits
         d_e[name] = d_logits @ w.T
     return parts, d_e, head_grads
@@ -358,36 +360,26 @@ def metadata_task_loss(stem_embeddings: np.ndarray, targets: Sequence[MetadataEn
 # ---------------------------------------------------------------------------
 # Corpus-level preparation
 #
-# Text never becomes tokens here. ``pairclf.PreparedCorpus`` normalizes each
-# exercise's texts once and hands this module their vocabulary ids, one
-# array per exercise aligned with the corpus (``stem_ids``, the stem and
-# options, and ``analysis_ids``, the answer and analysis).
+# Text never becomes tokens here. Training reads a ``pairclf.PreparedCorpus``
+# of the corpus (one whose ``index`` is the corpus's), which normalized each
+# exercise's texts once: its ``stem_ids`` (stem and options) and
+# ``analysis_ids`` (answer and analysis), row for row with the corpus. The
+# metadata targets are one array per task over the same rows, and a batch
+# reads its rows of each.
 
-@dataclass
-class EncodedExercise:
-    """Token ids and metadata targets of one exercise, ready for training."""
-
-    stem_ids: np.ndarray
-    analysis_ids: np.ndarray
-    meta: MetadataEncoding
-    image_feats: np.ndarray  # Exercise.image_features itself, (n_images, d_img)
-
-
-def encode_corpus(corpus: Corpus, stem_ids: Sequence[np.ndarray],
-                  analysis_ids: Sequence[np.ndarray]) -> list[EncodedExercise]:
-    """Every exercise's training inputs; CorpusError names an exercise whose
-    stem and options normalize to no tokens, which nothing can embed."""
-    out = []
-    for ex, stem, analysis in zip(corpus, stem_ids, analysis_ids):
-        if len(stem) == 0:
-            raise CorpusError(f"exercise {ex.id!r}: stem and options normalize to "
-                              "no tokens, so it cannot be embedded")
-        if len(analysis) == 0:
-            analysis = stem  # degenerate but total: no answer/analysis text
-        meta = encode_metadata(ex.metadata, corpus.exercise_types, corpus.levels,
-                               corpus.concepts)
-        out.append(EncodedExercise(stem, analysis, meta, ex.image_features))
-    return out
+def metadata_targets(corpus: Corpus) -> dict[str, np.ndarray]:
+    """Each exercise's target distribution per metadata task, one row each:
+    one-hot type and difficulty, and 1/n at each of an exercise's n
+    knowledge concepts, so every row sums to one."""
+    types = {t: i for i, t in enumerate(corpus.exercise_types)}
+    concepts = {c: i for i, c in enumerate(corpus.concepts)}
+    concept = np.zeros((len(corpus), len(concepts)))
+    for row, ex in enumerate(corpus):
+        held = ex.metadata.knowledge_concepts
+        concept[row, [concepts[c] for c in held]] = 1.0 / len(held)
+    return {"type": np.eye(len(types))[[types[ex.metadata.exercise_type] for ex in corpus]],
+            "difficulty": np.eye(corpus.levels)[corpus.difficulties - 1],
+            "concept": concept}
 
 
 # ---------------------------------------------------------------------------
@@ -415,31 +407,43 @@ def init_params(corpus: Corpus, vocab: Vocab, d: int, seed: int) -> EncoderParam
         n_concepts=len(corpus.concepts), seed=seed)
 
 
-def pretrain(corpus: Corpus, vocab: Vocab, stem_ids: Sequence[np.ndarray],
-             analysis_ids: Sequence[np.ndarray], config: PretrainConfig = PretrainConfig()):
-    """Multi-task pre-training over the corpus, given each exercise's stem
-    and analysis ids under ``vocab``; returns (params, history).
+def pretrain(corpus: Corpus, view: PreparedCorpus,
+             config: PretrainConfig = PretrainConfig()):
+    """Multi-task pre-training over the corpus, given its ``view`` (whose
+    vocabulary the params are sized by); returns (params, history).
 
     history maps loss names to per-epoch means. Aborts with
     TrainingDivergedError if any loss stops being finite.
     """
     if len(corpus) < 2:
         raise ValueError("pre-training needs at least 2 exercises")
-    encoded = encode_corpus(corpus, stem_ids, analysis_ids)
-    params = init_params(corpus, vocab, config.d, config.seed)
+    if view.index is not corpus.index:
+        raise ValueError("pretrain: the view was not prepared from this corpus")
+    stems = view.stem_ids()
+    for ex, stem in zip(corpus, stems):
+        if len(stem) == 0:
+            raise CorpusError(f"exercise {ex.id!r}: stem and options normalize to "
+                              "no tokens, so it cannot be embedded")
+    # degenerate but total: an exercise without answer/analysis text
+    analyses = [a if len(a) else s for s, a in zip(stems, view.analysis_ids())]
+    targets = metadata_targets(corpus)
+    params = init_params(corpus, view.vocab, config.d, config.seed)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 11]))
     history: dict[str, list[float]] = {k: [] for k in
                                        ("total", "contrastive", "type", "difficulty",
                                         "concept", "image")}
     for _ in range(config.epochs):
-        order = rng.permutation(len(encoded))
+        order = rng.permutation(len(corpus))
         sums = {k: 0.0 for k in history}
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
-            batch = [encoded[i] for i in order[start:start + config.batch_size]]
-            if len(batch) < 2:
+            rows = order[start:start + config.batch_size]
+            if len(rows) < 2:
                 continue
-            losses = _pretrain_step(batch, params, config)
+            losses = _pretrain_step(
+                [stems[r] for r in rows], [analyses[r] for r in rows],
+                {name: t[rows] for name, t in targets.items()},
+                [view.exercises[r].image_features for r in rows], params, config)
             if not all(np.isfinite(v) for v in losses.values()):
                 raise TrainingDivergedError(f"non-finite loss: {losses}")
             for k, v in losses.items():
@@ -450,11 +454,14 @@ def pretrain(corpus: Corpus, vocab: Vocab, stem_ids: Sequence[np.ndarray],
     return params, history
 
 
-def _pretrain_step(batch: list[EncodedExercise], params: EncoderParams,
-                   config: PretrainConfig) -> dict[str, float]:
+def _pretrain_step(stems: Sequence[np.ndarray], analyses: Sequence[np.ndarray],
+                   targets: dict[str, np.ndarray], images: Sequence[np.ndarray],
+                   params: EncoderParams, config: PretrainConfig) -> dict[str, float]:
+    """One update on a batch: each exercise's stem and analysis ids, its
+    rows of the metadata targets and its (images, d_img) image features."""
     grads = params.zero_grads()
-    stem_out, stem_cache = embed_text_batch([e.stem_ids for e in batch], params)
-    ana_out, ana_cache = embed_text_batch([e.analysis_ids for e in batch], params)
+    stem_out, stem_cache = embed_text_batch(stems, params)
+    ana_out, ana_cache = embed_text_batch(analyses, params)
     d_stem = np.zeros_like(stem_out)
     d_ana = np.zeros_like(ana_out)
 
@@ -464,27 +471,23 @@ def _pretrain_step(batch: list[EncodedExercise], params: EncoderParams,
 
     weights = {"type": config.w_type, "difficulty": config.w_difficulty,
                "concept": config.w_concept}
-    parts, d_meta, head_grads = metadata_task_loss(stem_out, [e.meta for e in batch],
-                                                   params)
-    for name, (head, _) in _META_TASKS.items():
+    parts, d_meta, head_grads = metadata_task_loss(stem_out, targets, params)
+    for name, head in _META_HEADS.items():
         grads[head] += weights[name] * head_grads[name]
         d_stem += weights[name] * d_meta[name]
 
     # image alignment: anchor is the owner's stem embedding, candidates are all
     # image projections in the batch, same-owner columns masked
     img_loss = 0.0
-    owners, feats = [], []
-    for row, e in enumerate(batch):
-        for k in range(e.image_feats.shape[0]):
-            owners.append(row)
-            feats.append(e.image_feats[k])
-    if feats and len(set(owners)) >= 2:
-        owners_arr = np.asarray(owners)
-        img_out, img_cache = project_image_batch(np.asarray(feats), params)
+    counts = [len(f) for f in images]
+    if np.count_nonzero(counts) >= 2:
+        owners = np.repeat(np.arange(len(images)), counts)
+        img_out, img_cache = project_image_batch(
+            np.concatenate([f for f in images if len(f)]), params)
         img_loss, da_img, dp_img, _ = infonce_inbatch(
-            stem_out[owners_arr], img_out, config.tau,
-            anchor_owner=owners_arr, positive_owner=owners_arr)
-        np.add.at(d_stem, owners_arr, config.w_image * da_img)
+            stem_out[owners], img_out, config.tau,
+            anchor_owner=owners, positive_owner=owners)
+        np.add.at(d_stem, owners, config.w_image * da_img)
         project_image_batch_backward(config.w_image * dp_img, img_cache, params, grads)
 
     embed_text_batch_backward([(d_stem, stem_cache), (d_ana, ana_cache)], params, grads)
@@ -509,49 +512,46 @@ class FinetuneConfig:
     seed: int = 0
 
 
-def similar_sets(pairs: Iterable[LabeledPair]) -> dict[str, set[str]]:
-    """Each exercise's annotated similars (for negative-sampling exclusion)."""
-    sims: dict[str, set[str]] = {}
-    for p in pairs:
-        if p.is_similar:
-            sims.setdefault(p.a_id, set()).add(p.b_id)
-            sims.setdefault(p.b_id, set()).add(p.a_id)
-    return sims
+def fine_tune(params: EncoderParams, pairs: Sequence[LabeledPair], view: PreparedCorpus,
+              config: FinetuneConfig = FinetuneConfig()):
+    """Contrastive fine-tuning on similar pairs over the stem ids of
+    ``view``, which holds the params' vocabulary; returns (params, history).
 
-
-def fine_tune(params: EncoderParams, pairs: Sequence[LabeledPair], corpus: Corpus,
-              stem_ids: Sequence[np.ndarray], config: FinetuneConfig = FinetuneConfig()):
-    """Contrastive fine-tuning on similar pairs, given each exercise's stem
-    ids; returns (params, history).
-
-    history["batch"] records every batch loss (the first entry is evaluated
-    before any update), history["epoch"] the per-epoch means.
+    Anchors, positives and negatives are rows of the view. history["batch"]
+    records every batch loss (the first entry is evaluated before any
+    update), history["epoch"] the per-epoch means.
     """
-    positives = [(p.a_id, p.b_id) for p in pairs if p.is_similar]
-    if not positives:
+    if len(view.vocab) != len(params.emb):
+        raise ValueError(f"fine_tune: the view's vocabulary has {len(view.vocab)} ids, "
+                         f"the encoder's {len(params.emb)}")
+    row_of = view.index.row_of
+    similar = {row_of[a]: {row_of[b] for b in bs}
+               for a, bs in annotated_similars(pairs).items()}
+    if not similar:
         raise ValueError("fine_tune needs at least one pair labeled similar")
-    sims = similar_sets(pairs)
-    ids = corpus.ids
-    for anchor in sorted(sims):
-        eligible = len(ids) - sum(1 for x in sims[anchor] | {anchor} if x in corpus)
-        if eligible < config.n_negatives:
+    n = len(view.exercises)
+    for anchor, others in sorted(similar.items()):
+        if n - 1 - len(others) < config.n_negatives:
             raise ValueError(
-                f"fine_tune: anchor {anchor!r} has {eligible} exercises eligible as "
-                "negatives (not itself or its similars), fewer than "
-                f"finetune.negatives = {config.n_negatives}")
+                f"fine_tune: anchor {view.index.ids[anchor]!r} has {n - 1 - len(others)} "
+                "exercises eligible as negatives (not itself or its similars), fewer "
+                f"than finetune.negatives = {config.n_negatives}")
+    positives = np.array([(row_of[p.a_id], row_of[p.b_id]) for p in pairs if p.is_similar])
+    # each pair in both directions: (anchor, positive) rows
+    anchors_all = np.concatenate([positives, positives[:, ::-1]])
+    stems = view.stem_ids()
     params = params.copy()
-    seqs = dict(zip(ids, stem_ids))
-    anchors_all = [(a, b) for a, b in positives] + [(b, a) for a, b in positives]
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 23]))
     history = {"batch": [], "epoch": []}
     for _ in range(config.epochs):
         order = rng.permutation(len(anchors_all))
         epoch_losses = []
         for start in range(0, len(order), config.batch_size):
-            chosen = [anchors_all[i] for i in order[start:start + config.batch_size]]
-            negatives = [_draw_negatives(a, sims, ids, config.n_negatives, rng)
-                         for a, _ in chosen]
-            loss = _finetune_step(chosen, negatives, seqs, params, config)
+            chosen = anchors_all[order[start:start + config.batch_size]]
+            negatives = [_draw_negatives(a, similar[a], n, config.n_negatives, rng)
+                         for a in chosen[:, 0].tolist()]
+            rows = np.concatenate([chosen, negatives], axis=1)
+            loss = _finetune_step(rows, stems, params, config)
             if not np.isfinite(loss):
                 raise TrainingDivergedError("non-finite fine-tuning loss")
             history["batch"].append(loss)
@@ -560,29 +560,23 @@ def fine_tune(params: EncoderParams, pairs: Sequence[LabeledPair], corpus: Corpu
     return params, history
 
 
-def _draw_negatives(anchor_id: str, sims: dict[str, set[str]], ids: list[str],
-                    n: int, rng: np.random.Generator) -> list[str]:
-    banned = sims.get(anchor_id, set()) | {anchor_id}
-    chosen: list[str] = []
+def _draw_negatives(anchor: int, similar: set[int], n_rows: int, n: int,
+                    rng: np.random.Generator) -> list[int]:
+    chosen: list[int] = []
     while len(chosen) < n:
-        cand = ids[int(rng.integers(0, len(ids)))]
-        if cand not in banned and cand not in chosen:
+        cand = int(rng.integers(0, n_rows))
+        if cand != anchor and cand not in similar and cand not in chosen:
             chosen.append(cand)
     return chosen
 
 
-def _finetune_step(chosen, negatives, seqs, params: EncoderParams,
+def _finetune_step(rows: np.ndarray, stems: Sequence[np.ndarray], params: EncoderParams,
                    config: FinetuneConfig) -> float:
-    n = len(chosen)
-    k = config.n_negatives
-    flat_ids = []
-    for (a, b), negs in zip(chosen, negatives):
-        flat_ids.extend([a, b] + negs)
-    out, cache = embed_text_batch([seqs[i] for i in flat_ids], params)
+    # each row of ``rows``: an anchor, its positive, then its negatives
+    n, k = len(rows), config.n_negatives
+    out, cache = embed_text_batch([stems[r] for r in rows.ravel()], params)
     per = out.reshape(n, 2 + k, -1)
-    anchors = per[:, 0]
-    candidates = per[:, 1:]
-    loss, d_anchors, d_candidates = infonce_sampled(anchors, candidates, config.tau)
+    loss, d_anchors, d_candidates = infonce_sampled(per[:, 0], per[:, 1:], config.tau)
     d_out = np.concatenate([d_anchors[:, None, :], d_candidates], axis=1)
     grads = params.zero_grads()
     embed_text_batch_backward([(d_out.reshape(n * (2 + k), -1), cache)], params, grads)

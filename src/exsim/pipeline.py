@@ -14,9 +14,12 @@ the corpus lacks.
 
 Text becomes tokens in one place, ``pairclf.PreparedCorpus``, and each step
 prepares the bank once. ``step_pretrain`` builds the vocabulary from the
-view's token lists and pre-trains on its ids; ``step_finetune`` reads its
-stem ids; ``step_train_rank`` trains the ranker over it, and ``step_clean``
-its fold heads and its two ranker trainings (see ``clean_and_retrain``).
+view's token lists and pre-trains on the view (``encoder.pretrain``); it
+writes ``vocab.txt`` and the encoder only after training succeeds, so a
+failed run leaves both as they were. ``step_finetune`` passes its view to
+``encoder.fine_tune``, which trains on the view's stem ids;
+``step_train_rank`` trains the ranker over it, and ``step_clean`` its fold
+heads and its two ranker trainings (see ``clean_and_retrain``).
 Stems are normalized when a view is made, answers and analyses only when a
 step reads them, and embeddings only when a step asks for them.
 
@@ -58,9 +61,10 @@ Configuration is a flat key = value file; see DEFAULTS for the full key
 list with defaults. A value no query could be served with (``recall.n``
 below 1, a ``recall.dedup_threshold`` not above 0, a
 ``recall.concept_boost`` that is not finite), no training could run with
-(``encoder.batch`` below 2, an empty ``rank.tasks``, ``rank.alpha`` weights
-that train nothing with ``rank.moe`` off) or no report could be cut at (an
-``eval.ks`` entry below 1) is refused where it is read, naming the key, and
+(``encoder.batch`` below 2, an ``encoder.tau`` not above 0, an empty
+``rank.tasks``, ``rank.alpha`` weights that train nothing with ``rank.moe``
+off) or no report could be cut at (an empty ``eval.ks`` or an entry below
+1) is refused where it is read, naming the key, and
 so is one that does not parse as its key's type; each ``get_int`` names its
 key's minimum.
 """
@@ -251,6 +255,15 @@ def _load_pairs(workdir, corpus: Corpus) -> list[LabeledPair]:
     return pairs
 
 
+def _positive_float(config: Config, key: str) -> float:
+    """``key``'s number; ValueError naming the key unless it is above 0 (so
+    NaN is refused too)."""
+    value = config.get_float(key)
+    if not value > 0:
+        raise ValueError(f"config {key} = {config.get(key)}: expected above 0")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Build steps (each reads earlier artifacts, writes its own)
 
@@ -272,17 +285,18 @@ def step_synth(workdir, spec: SyntheticSpec) -> tuple[Corpus, SyntheticTruth,
 
 
 def step_pretrain(workdir, config: Config):
+    """Build the vocabulary and pre-train the encoder over it; both are
+    written only once training has succeeded."""
     pre_cfg = encoder_mod.PretrainConfig(
         d=config.get_int("encoder.d", minimum=1),
         epochs=config.get_int("encoder.epochs", minimum=0),
         lr=config.get_float("encoder.lr"),
         batch_size=config.get_int("encoder.batch", minimum=2),
-        tau=config.get_float("encoder.tau"), seed=config.get_int("encoder.seed"))
+        tau=_positive_float(config, "encoder.tau"), seed=config.get_int("encoder.seed"))
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
     view = PreparedCorpus.with_own_vocab(corpus, config.stop_words())
+    params, history = encoder_mod.pretrain(corpus, view, pre_cfg)
     view.vocab.save(_path(workdir, "vocab"))
-    params, history = encoder_mod.pretrain(corpus, view.vocab, view.stem_ids(),
-                                           view.analysis_ids(), pre_cfg)
     encoder_mod.save_encoder(params, _path(workdir, "encoder"))
     return params, history
 
@@ -295,8 +309,8 @@ def step_finetune(workdir, config: Config):
         lr=config.get_float("finetune.lr"),
         n_negatives=config.get_int("finetune.negatives", minimum=1),
         seed=config.get_int("encoder.seed"))
-    params, history = encoder_mod.fine_tune(params, pairs, corpus,
-                                            PreparedCorpus(corpus, vocab).stem_ids(), ft_cfg)
+    params, history = encoder_mod.fine_tune(params, pairs, PreparedCorpus(corpus, vocab),
+                                            ft_cfg)
     encoder_mod.save_encoder(params, _path(workdir, "encoder"))
     return params, history
 
@@ -413,10 +427,8 @@ def _eval_query_ids(corpus: Corpus) -> list[str]:
 
 
 def _recall_config(config: Config) -> RecallConfig:
-    threshold = config.get_float("recall.dedup_threshold")
-    if not threshold > 0:  # NaN too: dedup would drop every candidate
-        raise ValueError(f"config recall.dedup_threshold = "
-                         f"{config.get('recall.dedup_threshold')}: expected above 0")
+    # a threshold not above 0 (NaN too) would make dedup drop every candidate
+    threshold = _positive_float(config, "recall.dedup_threshold")
     boost = config.get_float("recall.concept_boost")
     if not math.isfinite(boost):  # NaN scores drop every BM25 candidate
         raise ValueError(f"config recall.concept_boost = "
@@ -464,11 +476,12 @@ def ranked_lists(recaller: Recaller, ranker: ranking.Ranker, corpus: Corpus,
 def step_eval(workdir, config: Config) -> EvalReport:
     """Recall@K over annotations plus P@1/3/5 after ranking; writes report.json.
     Refuses an ``eval.k_recall`` or ``eval.ks`` entry below 1, which would
-    report a figure of no cut-off."""
+    report a figure of no cut-off, and an empty ``eval.ks``."""
     k_recall = config.get_int("eval.k_recall", minimum=1)
     ks = tuple(config.get_list("eval.ks", int))
-    if min(ks, default=1) < 1:
-        raise ValueError(f"config eval.ks = {config.get('eval.ks')!r}: expected at least 1")
+    if min(ks, default=0) < 1:
+        raise ValueError(f"config eval.ks = {config.get('eval.ks')!r}: "
+                         "expected at least one cut-off, each at least 1")
     corpus, vocab, encoder = _load_trained(workdir, config)
     pairs = _load_pairs(workdir, corpus)
     ranker_params = ranking.load_ranker(_path(workdir, "ranker"))

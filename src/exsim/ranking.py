@@ -1,15 +1,17 @@
 """Pairwise multi-task ranking with a mixture-of-experts gated loss.
 
-Every labeled exercise pair expands into three task instances sharing one
-encoder backbone:
+Every labeled exercise pair expands into five instances of three tasks
+sharing one encoder backbone:
 
-* stem-stem: do the two stems ask a similar thing (the ranking task itself);
-* analysis-analysis: do the two solution analyses match;
-* stem-analysis: does an analysis actually solve a stem. Positives pair each
-  exercise with its own analysis; the negative pairs the first stem with the
-  other's analysis when the pair is dissimilar, otherwise with the analysis
-  of a random exercise sharing a knowledge concept (a direct cross pair
-  would often be a false negative for genuinely similar exercises).
+* stem-stem, one instance: do the two stems ask a similar thing (the
+  ranking task itself);
+* analysis-analysis, one instance: do the two solution analyses match;
+* stem-analysis, three instances: does an analysis actually solve a stem.
+  Two positives pair each exercise with its own analysis; the negative pairs
+  the first stem with the other's analysis when the pair is dissimilar,
+  otherwise with the analysis of a random exercise sharing a knowledge
+  concept (a direct cross pair would often be a false negative for
+  genuinely similar exercises).
 
 Pair representation. Each side is encoded on its own with the encoder's
 text function over the ranker's trainable copy of the backbone (sum the

@@ -1,4 +1,4 @@
-"""Text cleaning, tokenization, vocabulary, and metadata encoding.
+"""Text cleaning, tokenization and vocabulary.
 
 The normalization pipeline applied before any matching or embedding:
 
@@ -8,7 +8,9 @@ The normalization pipeline applied before any matching or embedding:
 3. lowercase and split into word / number / single-character tokens.
 
 All functions here are pure; a built :class:`Vocab` is immutable and owns
-the stop words every text mapped through it is normalized with.
+the stop words every text mapped through it is normalized with. Metadata
+never passes through here: pre-training builds its targets from a
+``Corpus``'s own dictionaries (``encoder.metadata_targets``).
 """
 
 from __future__ import annotations
@@ -16,10 +18,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .formula import normalize_formula
 from .snapshots import atomic_write
@@ -165,45 +164,3 @@ def split_tokens(text: str) -> list[str]:
     """Lowercase and split into words, numbers and single symbol characters."""
     return _TOKEN_RE.findall(text.lower())
 
-
-# ---------------------------------------------------------------------------
-# Metadata encoding
-
-class MetadataError(ValueError):
-    """Metadata references something outside the corpus dictionaries."""
-
-
-@dataclass(frozen=True)
-class MetadataEncoding:
-    type_onehot: np.ndarray
-    difficulty_onehot: np.ndarray
-    concept_vector: np.ndarray  # 1/n at each of the n concept indices
-
-
-def encode_metadata(metadata, exercise_types: Sequence[str], levels: int,
-                    concepts: Sequence[str]) -> MetadataEncoding:
-    """One-hot type and difficulty; concepts as a normalized multi-hot.
-
-    An exercise with n concepts gets value 1/n at each concept index, so the
-    concept vector always sums to one and doubles as a target distribution.
-    """
-    try:
-        type_idx = exercise_types.index(metadata.exercise_type)
-    except ValueError:
-        raise MetadataError(f"unknown exercise type {metadata.exercise_type!r}") from None
-    if not 1 <= metadata.difficulty <= levels:
-        raise MetadataError(f"difficulty {metadata.difficulty} outside [1, {levels}]")
-    concept_idx = []
-    for c in metadata.knowledge_concepts:
-        try:
-            concept_idx.append(concepts.index(c))
-        except ValueError:
-            raise MetadataError(f"unknown concept id {c!r}") from None
-
-    type_vec = np.zeros(len(exercise_types))
-    type_vec[type_idx] = 1.0
-    diff_vec = np.zeros(levels)
-    diff_vec[metadata.difficulty - 1] = 1.0
-    concept_vec = np.zeros(len(concepts))
-    concept_vec[concept_idx] = 1.0 / len(concept_idx)
-    return MetadataEncoding(type_vec, diff_vec, concept_vec)

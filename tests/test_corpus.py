@@ -314,6 +314,20 @@ def test_loaded_pairs_share_their_strings(tmp_path, small_synth):
     assert {"a_id", "b_id", "label", "variant", "votes"} == set(LabeledPair.__slots__)
 
 
+def test_loaded_pairs_share_equal_votes(tmp_path):
+    """Records with equal votes hold one tuple object; the bank's pairs used
+    to hold one 3-tuple each."""
+    votes = '"votes": ["similar", "dissimilar", "similar"]'
+    path = tmp_path / "p.jsonl"
+    path.write_text(f'{{"a_id": "a", "b_id": "b", "label": "similar", {votes}}}\n'
+                    f'{{"a_id": "c", "b_id": "d", "label": "similar", {votes}}}\n'
+                    '{"a_id": "a", "b_id": "c", "label": "dissimilar", '
+                    '"votes": ["dissimilar", "dissimilar", "similar"]}\n')
+    first, second, third = load_pairs(path)
+    assert first.votes == second.votes == (SIMILAR, DISSIMILAR, SIMILAR)
+    assert first.votes is second.votes and third.votes is not first.votes
+
+
 def test_loads_share_metadata_strings(tmp_path, small_synth):
     """A snapshot or JSONL load holds one str per distinct exercise type and
     per distinct knowledge concept."""

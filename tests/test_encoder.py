@@ -10,11 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from exsim import encoder as enc
 from exsim import ranking as rk
-from exsim.corpus import (SIMILAR, Corpus, CorpusError, LabeledPair, SyntheticSpec,
-                          generate_synthetic)
+from exsim.corpus import (SIMILAR, Corpus, CorpusError, Exercise, LabeledPair, Metadata,
+                          SyntheticSpec, generate_synthetic)
+from exsim.evaluate import annotated_similars
 from exsim.pairclf import PreparedCorpus
 from exsim.snapshots import SnapshotFormatError
-from exsim.textnorm import normalize_text, split_tokens
+from exsim.textnorm import Vocab, normalize_text, split_tokens
 
 
 def toy_params(vocab_size=12, d=4, d_img=3, n_types=3, levels=4, n_concepts=5, seed=0):
@@ -136,8 +137,8 @@ def test_metadata_loss_uniform_prediction_is_log_classes():
     params.W_diff[...] = 0.0
     params.W_concept[...] = 0.0
     e = rand_unit(np.random.default_rng(1), 3, params.d)
-    from exsim.textnorm import MetadataEncoding
-    targets = [MetadataEncoding(np.eye(4)[0], np.eye(4)[1], np.full(5, 0.2))]
+    targets = {"type": np.eye(4)[:1], "difficulty": np.eye(4)[1:2],
+               "concept": np.full((1, 5), 0.2)}
     parts, _, _ = enc.metadata_task_loss(e[:1], targets, params)
     assert parts["type"] == pytest.approx(math.log(4), rel=1e-9)
     assert parts["difficulty"] == pytest.approx(math.log(4), rel=1e-9)
@@ -151,10 +152,52 @@ def test_metadata_loss_minimum_is_target_entropy():
     params.W_type[...] = 0.0
     params.W_type[0, 0] = 60.0
     e = np.array([[1.0, 0.0]])
-    from exsim.textnorm import MetadataEncoding
-    targets = [MetadataEncoding(np.eye(3)[0], np.eye(4)[0], np.full(5, 0.2))]
+    targets = {"type": np.eye(3)[:1], "difficulty": np.eye(4)[:1],
+               "concept": np.full((1, 5), 0.2)}
     parts, _, _ = enc.metadata_task_loss(e, targets, params)
     assert parts["type"] == pytest.approx(0.0, abs=1e-9)
+
+
+CONCEPTS = tuple(f"c{i:02d}" for i in range(10))
+
+
+def targets_of(meta, *others):
+    """The ``metadata_targets`` row of an exercise with ``meta``, in a corpus
+    whose other exercises carry ``others`` and all of CONCEPTS, so its
+    concept dictionary is CONCEPTS; difficulty has 5 levels."""
+    metas = [meta, *others, Metadata(meta.exercise_type, 1, CONCEPTS)]
+    corpus = Corpus([Exercise(id=f"e{i}", stem="s", options=(), answer="", analysis="",
+                              image_features=(), metadata=m, learning_stage=(7, 1))
+                     for i, m in enumerate(metas)], levels=5)
+    return {task: rows[0] for task, rows in enc.metadata_targets(corpus).items()}
+
+
+def test_metadata_targets_two_concepts():
+    target = targets_of(Metadata("choice", 2, ("c03", "c07")), Metadata("fill", 1, ("c00",)))
+    assert target["concept"][3] == pytest.approx(0.5)
+    assert target["concept"][7] == pytest.approx(0.5)
+    assert np.count_nonzero(target["concept"]) == 2
+    assert list(target["type"]) == [1.0, 0.0]
+
+
+def test_metadata_targets_single_concept_is_onehot():
+    target = targets_of(Metadata("fill", 1, ("c00",)), Metadata("choice", 1, ("c00",)))
+    assert target["concept"][0] == 1.0
+    assert target["concept"].sum() == 1.0
+    assert list(target["type"]) == [0.0, 1.0]
+
+
+def test_metadata_targets_difficulty_onehot():
+    target = targets_of(Metadata("choice", 2, ("c01",)))
+    assert list(target["difficulty"]) == [0.0, 1.0, 0.0, 0.0, 0.0]
+    assert list(target["type"]) == [1.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.sampled_from(CONCEPTS), min_size=1, max_size=8))
+def test_metadata_targets_concept_row_sums_to_one(concepts):
+    target = targets_of(Metadata("choice", 1, tuple(concepts)))
+    assert abs(target["concept"].sum() - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -186,33 +229,33 @@ def test_full_pretrain_step_gradients():
     corpus, _, _ = generate_synthetic(spec, d_img=4)
     view = PreparedCorpus.with_own_vocab(corpus)
     params = enc.init_params(corpus, view.vocab, d=5, seed=1)
-    encoded = enc.encode_corpus(corpus, view.stem_ids(), view.analysis_ids())
-    batch = encoded[:4]
+    rows = np.arange(4)
+    stems = [view.stem_ids()[r] for r in rows]
+    analyses = [view.analysis_ids()[r] for r in rows]
+    targets = {task: t[rows] for task, t in enc.metadata_targets(corpus).items()}
+    images = [view.exercises[r].image_features for r in rows]
+    owners = np.repeat(rows, [len(f) for f in images])
+    assert len(set(owners.tolist())) >= 2  # the image task is in the step
     cfg = enc.PretrainConfig(d=5, tau=0.4)
 
     def loss_fn():
-        stem, _ = enc.embed_text_batch([e.stem_ids for e in batch], params)
-        ana, _ = enc.embed_text_batch([e.analysis_ids for e in batch], params)
+        stem, _ = enc.embed_text_batch(stems, params)
+        ana, _ = enc.embed_text_batch(analyses, params)
         total = cfg.w_contrastive * enc.infonce_inbatch(stem, ana, cfg.tau)[0]
-        parts, _, _ = enc.metadata_task_loss(stem, [e.meta for e in batch], params)
+        parts, _, _ = enc.metadata_task_loss(stem, targets, params)
         total += (cfg.w_type * parts["type"] + cfg.w_difficulty * parts["difficulty"]
                   + cfg.w_concept * parts["concept"])
-        owners, feats = [], []
-        for row, e in enumerate(batch):
-            for k in range(e.image_feats.shape[0]):
-                owners.append(row)
-                feats.append(e.image_feats[k])
-        if feats and len(set(owners)) >= 2:
-            ow = np.asarray(owners)
-            img, _ = enc.project_image_batch(np.asarray(feats), params)
-            total += cfg.w_image * enc.infonce_inbatch(
-                stem[ow], img, cfg.tau, anchor_owner=ow, positive_owner=ow)[0]
+        img, _ = enc.project_image_batch(np.concatenate([f for f in images if len(f)]),
+                                         params)
+        total += cfg.w_image * enc.infonce_inbatch(
+            stem[owners], img, cfg.tau, anchor_owner=owners, positive_owner=owners)[0]
         return total
 
     # analytic gradients via the training step itself (lr encodes g = (p0-p1)/lr)
     before = {k: v.copy() for k, v in params.arrays().items()}
     lr = 1.0
-    enc._pretrain_step(batch, params, enc.PretrainConfig(d=5, tau=0.4, lr=lr))
+    enc._pretrain_step(stems, analyses, targets, images, params,
+                       enc.PretrainConfig(d=5, tau=0.4, lr=lr))
     analytic = {k: (before[k] - params.arrays()[k]) / lr for k in before}
     for k, v in before.items():
         params.arrays()[k][...] = v
@@ -367,9 +410,9 @@ def use_reference_kernels(monkeypatch):
 
 
 def train_all_three(corpus, pairs, view):
-    encoder, _ = enc.pretrain(corpus, view.vocab, view.stem_ids(), view.analysis_ids(),
+    encoder, _ = enc.pretrain(corpus, view,
                               enc.PretrainConfig(d=6, epochs=3, batch_size=8, seed=4))
-    tuned, _ = enc.fine_tune(encoder, pairs, corpus, view.stem_ids(), enc.FinetuneConfig(
+    tuned, _ = enc.fine_tune(encoder, pairs, view, enc.FinetuneConfig(
         epochs=2, batch_size=8, n_negatives=4, seed=4))
     ranker, _ = rk.train_ranker(pairs, view, rk.RankConfig(
         epochs=2, batch_pairs=6, seed=4), encoder=tuned)
@@ -387,12 +430,138 @@ def test_training_trajectories_equal_the_replaced_kernels(image_bank, monkeypatc
 
 
 # ---------------------------------------------------------------------------
+# training from the view's rows, bit for bit against the per-exercise loop it
+# replaced: one record of ids, metadata targets and image rows per exercise,
+# and fine-tuning keyed by id
+
+def reference_targets(ex, corpus):
+    """One exercise's metadata targets, built from the dictionaries' lists."""
+    meta, types, concepts = ex.metadata, list(corpus.exercise_types), list(corpus.concepts)
+    out = {"type": np.zeros(len(types)), "difficulty": np.zeros(corpus.levels),
+           "concept": np.zeros(len(concepts))}
+    out["type"][types.index(meta.exercise_type)] = 1.0
+    out["difficulty"][meta.difficulty - 1] = 1.0
+    out["concept"][[concepts.index(c) for c in meta.knowledge_concepts]] = \
+        1.0 / len(meta.knowledge_concepts)
+    return out
+
+
+def reference_pretrain(corpus, view, config):
+    records = [(stem, analysis if len(analysis) else stem, reference_targets(ex, corpus),
+                ex.image_features)
+               for ex, stem, analysis in zip(corpus, view.stem_ids(), view.analysis_ids())]
+    params = enc.init_params(corpus, view.vocab, config.d, config.seed)
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 11]))
+    for _ in range(config.epochs):
+        order = rng.permutation(len(records))
+        for start in range(0, len(order), config.batch_size):
+            batch = [records[i] for i in order[start:start + config.batch_size]]
+            if len(batch) >= 2:
+                reference_pretrain_step(batch, params, config)
+    return params
+
+
+def reference_pretrain_step(batch, params, config):
+    grads = params.zero_grads()
+    stem_out, stem_cache = enc.embed_text_batch([r[0] for r in batch], params)
+    ana_out, ana_cache = enc.embed_text_batch([r[1] for r in batch], params)
+    d_stem, d_ana = np.zeros_like(stem_out), np.zeros_like(ana_out)
+    _, da, dp, _ = enc.infonce_inbatch(stem_out, ana_out, config.tau)
+    d_stem += config.w_contrastive * da
+    d_ana += config.w_contrastive * dp
+    for task, head, weight in (("type", "W_type", config.w_type),
+                               ("difficulty", "W_diff", config.w_difficulty),
+                               ("concept", "W_concept", config.w_concept)):
+        w = getattr(params, head)
+        _, d_logits = enc.softmax_cross_entropy(stem_out @ w,
+                                                np.stack([r[2][task] for r in batch]))
+        grads[head] += weight * (stem_out.T @ d_logits)
+        d_stem += weight * (d_logits @ w.T)
+    owners, feats = [], []
+    for row, record in enumerate(batch):
+        for k in range(record[3].shape[0]):
+            owners.append(row)
+            feats.append(record[3][k])
+    if feats and len(set(owners)) >= 2:
+        ow = np.asarray(owners)
+        img_out, img_cache = enc.project_image_batch(np.asarray(feats), params)
+        _, da_img, dp_img, _ = enc.infonce_inbatch(stem_out[ow], img_out, config.tau,
+                                                   anchor_owner=ow, positive_owner=ow)
+        np.add.at(d_stem, ow, config.w_image * da_img)
+        enc.project_image_batch_backward(config.w_image * dp_img, img_cache, params, grads)
+    enc.embed_text_batch_backward([(d_stem, stem_cache), (d_ana, ana_cache)], params, grads)
+    params.apply_grads(grads, config.lr)
+
+
+def reference_draw_negatives(anchor_id, sims, ids, n, rng):
+    banned = sims.get(anchor_id, set()) | {anchor_id}
+    chosen = []
+    while len(chosen) < n:
+        cand = ids[int(rng.integers(0, len(ids)))]
+        if cand not in banned and cand not in chosen:
+            chosen.append(cand)
+    return chosen
+
+
+def reference_fine_tune(params, pairs, corpus, view, config):
+    sims = annotated_similars(pairs)
+    seqs = dict(zip(corpus.ids, view.stem_ids()))
+    positives = [(p.a_id, p.b_id) for p in pairs if p.is_similar]
+    anchors_all = positives + [(b, a) for a, b in positives]
+    params = params.copy()
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 23]))
+    for _ in range(config.epochs):
+        order = rng.permutation(len(anchors_all))
+        for start in range(0, len(order), config.batch_size):
+            flat = []
+            for a, b in [anchors_all[i] for i in order[start:start + config.batch_size]]:
+                flat += [a, b] + reference_draw_negatives(a, sims, corpus.ids,
+                                                          config.n_negatives, rng)
+            out, cache = enc.embed_text_batch([seqs[i] for i in flat], params)
+            per = out.reshape(-1, 2 + config.n_negatives, out.shape[1])
+            _, d_anchors, d_cands = enc.infonce_sampled(per[:, 0], per[:, 1:], config.tau)
+            d_out = np.concatenate([d_anchors[:, None, :], d_cands], axis=1)
+            grads = params.zero_grads()
+            enc.embed_text_batch_backward([(d_out.reshape(len(flat), -1), cache)],
+                                          params, grads)
+            params.apply_grads(grads, config.lr)
+    return params
+
+
+def test_training_from_view_rows_equals_the_per_exercise_loop():
+    """A bank with exercises of 0, 1 and 2 images and one without answer or
+    analysis text, whose analysis falls back to its stem."""
+    spec = SyntheticSpec(n_templates=3, per_template=8, noise_rate=0.0,
+                         vocab_size=90, seed=8)
+    corpus, _, pairs = generate_synthetic(spec, d_img=4)
+    exercises = list(corpus)
+    exercises[3] = dataclasses.replace(exercises[3], answer="", analysis="")
+    exercises[5] = dataclasses.replace(exercises[5], image_features=())
+    corpus = Corpus(exercises, levels=corpus.levels, d_img=corpus.d_img)
+    view = PreparedCorpus.with_own_vocab(corpus)
+    assert {len(ex.image_features) for ex in corpus} == {0, 1, 2}
+    assert [len(ids) for ids in view.analysis_ids()].count(0) == 1
+    # rates at which neither stage saturates on this tiny bank, so a wrong
+    # draw or target moves the parameters well beyond the last bit
+    pre = enc.PretrainConfig(d=6, epochs=3, lr=0.01, batch_size=7, seed=4)
+    ft = enc.FinetuneConfig(epochs=2, lr=0.05, batch_size=8, n_negatives=4, seed=4)
+    encoder, _ = enc.pretrain(corpus, view, pre)
+    tuned, _ = enc.fine_tune(encoder, pairs, view, ft)
+    expected = reference_pretrain(corpus, view, pre)
+    expected_tuned = reference_fine_tune(expected, pairs, corpus, view, ft)
+    for stage, new, old in (("pretrain", encoder, expected),
+                            ("fine_tune", tuned, expected_tuned)):
+        for name, array in new.arrays().items():
+            assert (array == old.arrays()[name]).all(), f"{stage}: {name}"
+
+
+# ---------------------------------------------------------------------------
 # training behavior
 
 def test_pretrain_reduces_contrastive_loss(small_synth):
     corpus, _, _ = small_synth
     view = PreparedCorpus.with_own_vocab(corpus)
-    _, history = enc.pretrain(corpus, view.vocab, view.stem_ids(), view.analysis_ids(),
+    _, history = enc.pretrain(corpus, view,
                               enc.PretrainConfig(d=16, epochs=8, seed=3))
     assert history["contrastive"][-1] < history["contrastive"][0]
     assert all(np.isfinite(v) for v in history["total"])
@@ -402,8 +571,8 @@ def test_pretrain_deterministic(small_synth):
     corpus, _, _ = small_synth
     view = PreparedCorpus.with_own_vocab(corpus)
     cfg = enc.PretrainConfig(d=8, epochs=3, seed=4)
-    p1, h1 = enc.pretrain(corpus, view.vocab, view.stem_ids(), view.analysis_ids(), cfg)
-    p2, h2 = enc.pretrain(corpus, view.vocab, view.stem_ids(), view.analysis_ids(), cfg)
+    p1, h1 = enc.pretrain(corpus, view, cfg)
+    p2, h2 = enc.pretrain(corpus, view, cfg)
     assert h1 == h2
     for k in p1.arrays():
         assert np.array_equal(p1.arrays()[k], p2.arrays()[k])
@@ -413,8 +582,7 @@ def test_pretrain_zero_epochs_is_initialization(small_synth):
     corpus, _, _ = small_synth
     view = PreparedCorpus.with_own_vocab(corpus)
     cfg = enc.PretrainConfig(d=8, epochs=0, seed=4)
-    params, history = enc.pretrain(corpus, view.vocab, view.stem_ids(), view.analysis_ids(),
-                                   cfg)
+    params, history = enc.pretrain(corpus, view, cfg)
     init = enc.init_params(corpus, view.vocab, d=8, seed=4)
     for k in params.arrays():
         assert np.array_equal(params.arrays()[k], init.arrays()[k])
@@ -428,10 +596,21 @@ def test_an_exercise_without_tokens_is_refused_by_name(small_synth):
     markup = Corpus(exercises, levels=corpus.levels, d_img=corpus.d_img)
     view = PreparedCorpus.with_own_vocab(markup)
     with pytest.raises(CorpusError, match=rf"'{exercises[2].id}'.*no tokens"):
-        enc.encode_corpus(markup, view.stem_ids(), view.analysis_ids())
-    with pytest.raises(CorpusError, match=rf"'{exercises[2].id}'"):
-        enc.pretrain(markup, view.vocab, view.stem_ids(), view.analysis_ids(),
-                     enc.PretrainConfig(d=4, epochs=1))
+        enc.pretrain(markup, view, enc.PretrainConfig(d=4, epochs=1))
+
+
+def test_training_refuses_a_view_that_does_not_match(small_synth):
+    """A view of an equal but other corpus object has rows of its own, and
+    a view under another vocabulary has ids the encoder was not sized by."""
+    corpus, _, pairs = small_synth
+    view = PreparedCorpus.with_own_vocab(corpus)
+    copy = Corpus(list(corpus), levels=corpus.levels, d_img=corpus.d_img)
+    with pytest.raises(ValueError, match="not prepared from this corpus"):
+        enc.pretrain(copy, view, enc.PretrainConfig(d=4, epochs=1))
+    params = enc.init_params(corpus, view.vocab, d=4, seed=0)
+    smaller = PreparedCorpus(corpus, Vocab(["find", "the"]))
+    with pytest.raises(ValueError, match=f"has 5 ids, the encoder's {len(view.vocab)}"):
+        enc.fine_tune(params, pairs, smaller)
 
 
 def test_finetune_requires_positive_pairs(small_synth):
@@ -440,7 +619,7 @@ def test_finetune_requires_positive_pairs(small_synth):
     params = enc.init_params(corpus, view.vocab, d=8, seed=0)
     negatives_only = [p for p in pairs if not p.is_similar]
     with pytest.raises(ValueError):
-        enc.fine_tune(params, negatives_only, corpus, view.stem_ids())
+        enc.fine_tune(params, negatives_only, view)
 
 
 def test_finetune_refuses_an_anchor_with_too_few_negatives(small_synth):
@@ -454,9 +633,8 @@ def test_finetune_refuses_an_anchor_with_too_few_negatives(small_synth):
     params = enc.init_params(few, view.vocab, d=8, seed=0)
     cfg = enc.FinetuneConfig(epochs=1, n_negatives=2)
     with pytest.raises(ValueError, match=rf"anchor '{a}' has 1 .*finetune.negatives = 2"):
-        enc.fine_tune(params, pairs, few, view.stem_ids(), cfg)
-    _, history = enc.fine_tune(params, pairs, few, view.stem_ids(),
-                               dataclasses.replace(cfg, n_negatives=1))
+        enc.fine_tune(params, pairs, view, cfg)
+    _, history = enc.fine_tune(params, pairs, view, dataclasses.replace(cfg, n_negatives=1))
     assert len(history["batch"]) == 1
 
 
@@ -464,8 +642,7 @@ def test_finetune_zero_epochs_identity(small_synth):
     corpus, _, pairs = small_synth
     view = PreparedCorpus.with_own_vocab(corpus)
     params = enc.init_params(corpus, view.vocab, d=8, seed=0)
-    tuned, history = enc.fine_tune(params, pairs, corpus, view.stem_ids(),
-                                   enc.FinetuneConfig(epochs=0))
+    tuned, history = enc.fine_tune(params, pairs, view, enc.FinetuneConfig(epochs=0))
     for k in params.arrays():
         assert np.array_equal(params.arrays()[k], tuned.arrays()[k])
     assert history["batch"] == []
@@ -476,16 +653,16 @@ def test_finetune_first_batch_loss_matches_direct_evaluation(small_synth):
     view = PreparedCorpus.with_own_vocab(corpus)
     params = enc.init_params(corpus, view.vocab, d=8, seed=0)
     cfg = enc.FinetuneConfig(epochs=1, batch_size=4, n_negatives=3, seed=9)
-    _, history = enc.fine_tune(params, pairs, corpus, view.stem_ids(), cfg)
+    _, history = enc.fine_tune(params, pairs, view, cfg)
 
-    # rebuild the first batch exactly as the trainer does, ids from the text
+    # rebuild the first batch as the id-keyed trainer did, ids from the text
     positives = [(p.a_id, p.b_id) for p in pairs if p.is_similar]
     anchors_all = positives + [(b, a) for a, b in positives]
-    sims = enc.similar_sets(pairs)
+    sims = annotated_similars(pairs)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23]))
     order = rng.permutation(len(anchors_all))
     chosen = [anchors_all[i] for i in order[:cfg.batch_size]]
-    negatives = [enc._draw_negatives(a, sims, corpus.ids, cfg.n_negatives, rng)
+    negatives = [reference_draw_negatives(a, sims, corpus.ids, cfg.n_negatives, rng)
                  for a, _ in chosen]
     seqs = {ex.id: text_ids(ex.text, view.vocab) for ex in corpus}
     flat = []

@@ -1,12 +1,14 @@
-"""No module imports a name it never reads.
+"""No module imports a name it never reads, and the library needs only numpy.
 
 A stdlib stand-in for a linter's unused-import rule (F401) over every module
 of ``src/exsim``, ``tests`` and ``perfbench``. An import line that must stay although
 nothing reads it (a binding another tool looks up by name) says so with
-``# noqa: F401``.
+``# noqa: F401``. Every module of ``src/exsim`` imports only the standard
+library, numpy and ``exsim`` itself.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +68,36 @@ def test_no_unused_imports(path):
     found = unused_imports((ROOT / path).read_text(encoding="utf-8"))
     assert not found, ", ".join(f"{path}:{line} imports {name!r}, never read"
                                 for line, name in found)
+
+
+LIBRARY_IMPORTS = set(sys.stdlib_module_names) | {"numpy", "exsim"}
+
+
+def foreign_imports(source: str) -> list[tuple[int, str]]:
+    """(line, top-level module) of each absolute import outside LIBRARY_IMPORTS."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m.split(".")[0]) for m in modules
+                  if m.split(".")[0] not in LIBRARY_IMPORTS]
+    return found
+
+
+def test_the_check_finds_a_foreign_import():
+    source = ("import os, scipy.sparse\nfrom numpy import linalg\nfrom . import corpus\n"
+              "from __future__ import annotations\nfrom exsim.corpus import Corpus\n"
+              "import pandas as pd\n")
+    assert foreign_imports(source) == [(1, "scipy"), (6, "pandas")]
+
+
+@pytest.mark.parametrize("path", sorted(
+    str(p.relative_to(ROOT)) for p in (ROOT / "src/exsim").glob("*.py")))
+def test_the_library_imports_only_the_standard_library_and_numpy(path):
+    found = foreign_imports((ROOT / path).read_text(encoding="utf-8"))
+    assert not found, ", ".join(f"{path}:{line} imports {module!r}"
+                                for line, module in found)

@@ -15,6 +15,7 @@ from test_ranking import head_probs
 from test_recall import reference_merge
 
 from exsim import conflearn, encoder, pairclf, ranking, recall, rerank, textnorm
+from exsim import corpus as corpus_mod
 from exsim import pipeline as pl
 from exsim.corpus import Corpus, CorpusError, LabeledPair, SyntheticSpec, load_corpus, save_pairs
 from exsim.encoder import load_encoder
@@ -133,20 +134,53 @@ def test_load_refuses_a_concept_boost_that_is_not_finite(workspace, value):
     (pl.step_eval, "eval.k_recall", "0"),
     (pl.step_eval, "eval.ks", "0"),
     (pl.step_eval, "eval.ks", "1,0,5"),
+    (pl.step_eval, "eval.ks", ""),
 ])
 def test_build_steps_refuse_a_value_no_training_can_run_with(workspace, tmp_path,
                                                              step, key, value):
     """Such a value used to train nothing and save the untouched model as
     trained (an empty rank.tasks, encoder.batch = 1, no negatives), to fail
     deep inside training, or to report a figure of no cut-off (k_recall = -1
-    cut each recall list at [:-1], eval.ks = 0 wrote a P@0); the step now
-    refuses it and writes nothing."""
+    cut each recall list at [:-1], eval.ks = 0 wrote a P@0, an empty eval.ks
+    ran the whole evaluation and then failed on an empty max()); the step
+    now refuses it and writes nothing."""
     workdir, config, _, _ = workspace
     copy = tmp_path / "ws"
     shutil.copytree(workdir, copy)
     before = {f.name: f.read_bytes() for f in copy.iterdir()}
     with pytest.raises(ValueError, match=f"config {key} = '?{value}'?: expected at least"):
         step(copy, pl.Config({**config.values, key: value}))
+    assert {f.name: f.read_bytes() for f in copy.iterdir()} == before
+
+
+@pytest.mark.parametrize("value", ["0", "-0.1", "nan"])
+def test_pretrain_refuses_a_temperature_not_above_zero(workspace, tmp_path, value):
+    """encoder.tau = 0 used to fail inside the contrastive loss after the
+    vocabulary was replaced, and NaN to show up only as a diverged loss; the
+    step now refuses it by key and writes nothing."""
+    workdir, config, _, _ = workspace
+    copy = tmp_path / "ws"
+    shutil.copytree(workdir, copy)
+    before = {f.name: f.read_bytes() for f in copy.iterdir()}
+    with pytest.raises(ValueError, match=f"^config encoder.tau = {value}: expected above 0"):
+        pl.step_pretrain(copy, pl.Config({**config.values, "encoder.tau": value}))
+    assert {f.name: f.read_bytes() for f in copy.iterdir()} == before
+
+
+def test_a_failed_pretrain_leaves_the_workspace_as_it_was(workspace, tmp_path):
+    """The vocabulary used to be written before training, so a run that then
+    failed left a new vocabulary beside the old encoder, and a load with the
+    new stop words served from the mismatched pair."""
+    workdir, config, corpus, _ = workspace
+    copy = tmp_path / "ws"
+    shutil.copytree(workdir, copy)
+    exercises = list(corpus)
+    exercises[4] = dataclasses.replace(exercises[4], stem="<p></p>", options=())
+    corpus_mod.save_snapshot(Corpus(exercises, levels=corpus.levels, d_img=corpus.d_img),
+                             copy / pl.FILES["corpus"])
+    before = {f.name: f.read_bytes() for f in copy.iterdir()}
+    with pytest.raises(CorpusError, match=f"'{exercises[4].id}'.*no tokens"):
+        pl.step_pretrain(copy, pl.Config({**config.values, "stopwords": "the,of"}))
     assert {f.name: f.read_bytes() for f in copy.iterdir()} == before
 
 

@@ -158,10 +158,9 @@ def variant_setup():
                          vocab_size=150, seed=37)
     corpus, truth, pairs = generate_synthetic(spec, d_img=8)
     view = PreparedCorpus.with_own_vocab(corpus)
-    params, _ = enc.pretrain(corpus, view.vocab, view.stem_ids(), view.analysis_ids(),
-                             enc.PretrainConfig(d=16, epochs=8, seed=2))
-    params, _ = enc.fine_tune(params, pairs, corpus, view.stem_ids(),
-                              enc.FinetuneConfig(epochs=3, n_negatives=6, seed=2))
+    params, _ = enc.pretrain(corpus, view, enc.PretrainConfig(d=16, epochs=8, seed=2))
+    params, _ = enc.fine_tune(
+        params, pairs, view, enc.FinetuneConfig(epochs=3, n_negatives=6, seed=2))
     head = rr.train_variant(pairs, corpus, view.vocab, params)
     clf = rr.VariantClassifier(head, PairFeaturizer(PreparedCorpus(corpus, view.vocab, params)))
     return corpus, truth, pairs, view.vocab, params, clf

@@ -1,13 +1,8 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exsim.corpus import Metadata
-from exsim.textnorm import (
-    MetadataError, SEP_ID, Vocab, clean_text,
-    encode_metadata, normalize_text, split_tokens,
-)
+from exsim.textnorm import SEP_ID, Vocab, clean_text, normalize_text, split_tokens
 
 
 def test_clean_strips_tags():
@@ -111,41 +106,3 @@ def test_failed_vocab_write_leaves_the_old_file(tmp_path):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
 
-
-CONCEPTS = tuple(f"c{i:02d}" for i in range(10))
-
-
-def test_encode_metadata_two_concepts():
-    meta = Metadata("choice", 2, ("c03", "c07"))
-    enc = encode_metadata(meta, ("choice", "fill"), 5, CONCEPTS)
-    assert enc.concept_vector[3] == pytest.approx(0.5)
-    assert enc.concept_vector[7] == pytest.approx(0.5)
-    assert np.count_nonzero(enc.concept_vector) == 2
-
-
-def test_encode_metadata_single_concept_is_onehot():
-    enc = encode_metadata(Metadata("fill", 1, ("c00",)), ("choice", "fill"), 5, CONCEPTS)
-    assert enc.concept_vector[0] == 1.0
-    assert enc.concept_vector.sum() == 1.0
-
-
-def test_encode_metadata_difficulty_onehot():
-    enc = encode_metadata(Metadata("choice", 2, ("c01",)), ("choice",), 5, CONCEPTS)
-    assert list(enc.difficulty_onehot) == [0.0, 1.0, 0.0, 0.0, 0.0]
-    assert list(enc.type_onehot) == [1.0]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sets(st.sampled_from(CONCEPTS), min_size=1, max_size=8))
-def test_concept_vector_sums_to_one(concepts):
-    enc = encode_metadata(Metadata("choice", 1, tuple(concepts)), ("choice",), 5, CONCEPTS)
-    assert abs(enc.concept_vector.sum() - 1.0) < 1e-12
-
-
-def test_encode_metadata_unknown_concept_rejected():
-    with pytest.raises(MetadataError, match="concept"):
-        encode_metadata(Metadata("choice", 1, ("zzz",)), ("choice",), 5, CONCEPTS)
-    with pytest.raises(MetadataError, match="type"):
-        encode_metadata(Metadata("proof", 1, ("c01",)), ("choice",), 5, CONCEPTS)
-    with pytest.raises(MetadataError, match="difficulty"):
-        encode_metadata(Metadata("choice", 7, ("c01",)), ("choice",), 5, CONCEPTS)
