@@ -64,9 +64,11 @@ class Exercise:
     d_img), (0, 0) for an exercise without images. The constructor takes
     any sequence of equal-length number vectors, or such an array: a
     read-only float64 array is kept as it is (a snapshot's view), anything
-    else is copied once. Equality compares the image values with
-    ``np.array_equal`` and every other field as the dataclass would; the
-    hash reads the image shape, not the values.
+    else is copied once. ``options`` and ``learning_stage`` are kept as
+    tuples, whatever sequence they are given as, so every exercise is
+    hashable. Equality compares the image values with ``np.array_equal``
+    and every other field as the dataclass would; the hash reads the image
+    shape, not the values.
     """
 
     id: str
@@ -83,6 +85,12 @@ class Exercise:
             raise CorpusError("exercise id must be non-empty")
         if not self.stem:
             raise CorpusError(f"exercise {self.id!r}: stem must be non-empty")
+        for name in ("options", "learning_stage"):
+            value = getattr(self, name)
+            if isinstance(value, (str, bytes)):
+                raise CorpusError(f"exercise {self.id!r}: {name} must be a sequence, "
+                                  "not a string")
+            object.__setattr__(self, name, tuple(value))
         feats = self.image_features
         if not isinstance(feats, np.ndarray):
             if any(isinstance(v, (str, bytes)) for v in feats):

@@ -35,9 +35,10 @@ keep a fixed order:
 * the scatter (``embed_text_batch_backward``): a training step makes one call
   over all its ``embed_text_batch`` calls (pre-training: stems, then
   analyses). ``W`` and ``b`` add each call's gradient in turn; the token rows
-  take one scatter into the still-zero ``grads["emb"]``, one ``np.bincount``
-  per column in sequence-then-token order, which equals one ``np.add.at``
-  per call, in call order, bit for bit.
+  take one scatter, stored as ``grads["emb"]`` (``zero_grads`` leaves that
+  key out, so no (vocab, d) block of zeros is made per step): one
+  ``np.bincount`` per column in sequence-then-token order, which equals one
+  ``np.add.at`` per call, in call order, into zeros, bit for bit.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from .corpus import Corpus, CorpusError, LabeledPair
 from .evaluate import annotated_similars
-from .snapshots import atomic_write, load_arrays, save_arrays
+from .snapshots import load_arrays, save_arrays
 from .textnorm import Vocab
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
 from .textnorm import normalize_text  # noqa: F401
@@ -116,7 +117,9 @@ class EncoderParams:
                              seed=self.seed)
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.arrays().items()}
+        """Zero gradients of every array but ``emb``, whose gradient
+        ``embed_text_batch_backward`` stores whole."""
+        return {k: np.zeros_like(v) for k, v in self.arrays().items() if k != "emb"}
 
     def apply_grads(self, grads: dict[str, np.ndarray], lr: float) -> None:
         for name, g in grads.items():
@@ -228,8 +231,10 @@ def embed_text_batch_backward(parts: Sequence[tuple[np.ndarray, tuple]],
     ``parts`` pairs d(loss)/d(output) of each call with its cache. ``W`` and
     ``b`` take each part's gradient in the order given. The token rows take
     one scatter over every part, sequence by sequence and token by token,
-    into ``grads["emb"]``, which must still be zero: a step calls this once.
-    That equals one ``np.add.at`` per part, in order, bit for bit.
+    stored as ``grads["emb"]`` (any value there is replaced): a step calls
+    this once. That equals one ``np.add.at`` per part, in order, into zeros,
+    bit for bit: a ``np.bincount`` bin starts at +0.0 and never becomes
+    -0.0, so adding it to zeros would not change it.
     """
     all_ids, all_lengths, d_pooled = [], [], []
     for d_out, (ids, lengths, pooled, act, norms, out) in parts:
@@ -240,8 +245,8 @@ def embed_text_batch_backward(parts: Sequence[tuple[np.ndarray, tuple]],
         d_pooled.append(d_pre @ params.W.T)
         all_ids.append(ids)
         all_lengths += lengths
-    grads["emb"] += _scatter_pooled(len(params.emb), np.concatenate(all_ids),
-                                    all_lengths, np.concatenate(d_pooled))
+    grads["emb"] = _scatter_pooled(len(params.emb), np.concatenate(all_ids),
+                                   all_lengths, np.concatenate(d_pooled))
 
 
 def embed_text(ids: np.ndarray, params: EncoderParams) -> np.ndarray:
@@ -585,14 +590,7 @@ def _finetune_step(rows: np.ndarray, stems: Sequence[np.ndarray], params: Encode
 
 
 # ---------------------------------------------------------------------------
-# Embedding export
-
-def export_embeddings(ex_ids: Sequence[str], matrix: np.ndarray, path) -> None:
-    """One line per exercise: id then its embedding row, round-trip exact."""
-    with atomic_write(path) as fh:
-        for ex_id, vec in zip(ex_ids, matrix.tolist()):
-            fh.write(" ".join([ex_id] + [repr(x) for x in vec]) + "\n")
-
+# Corpus embedding
 
 def embed_corpus(seqs: Sequence[np.ndarray], params: EncoderParams) -> np.ndarray:
     """Embedding matrix of token-id sequences, one row each.

@@ -9,8 +9,16 @@ corpus, vocabulary and encoder it loads, so they cannot go stale. Each
 loaded snapshot's content digest is kept in ``Pipeline.versions``. The
 query cache belongs to one loaded pipeline, whose artifacts never change: a
 retrain takes effect through a new ``Pipeline.load``, which starts with an
-empty cache. Steps that read the labeled pairs refuse a pair naming an id
-the corpus lacks.
+empty cache. Its key is the request's profile and either the id string or
+the exercise itself, by value: every field, with the image values compared
+by ``np.array_equal``. Equal copies of an exercise, and images that differ
+only in the sign of a zero, share one entry; an exercise with a NaN image
+value is not equal to itself by value, so it hits only as the same object.
+An entry holds a reference to the caller's (frozen) exercise until it is
+evicted, so at most ``cache.size`` of them. A request by id and one by the
+bank's own exercise object are separate entries that serve equal lists.
+Steps that read the labeled pairs refuse a pair naming an id the corpus
+lacks.
 
 Text becomes tokens in one place, ``pairclf.PreparedCorpus``, and each step
 prepares the bank once. ``step_pretrain`` builds the vocabulary from the
@@ -71,8 +79,6 @@ key's minimum.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import math
 import threading
@@ -108,7 +114,6 @@ FILES = {
     "variant": "variant.params",
     "report": "report.json",
     "cleaning": "cleaning.json",
-    "embeddings": "embeddings.txt",
 }
 
 DEFAULTS = {
@@ -440,14 +445,6 @@ def _recall_config(config: Config) -> RecallConfig:
         dedup_threshold=threshold, concept_boost=boost)
 
 
-def step_export_embeddings(workdir, config: Config, out_path=None) -> Path:
-    corpus, vocab, params = _load_trained(workdir, config)
-    out = Path(out_path) if out_path else _path(workdir, "embeddings")
-    encoder_mod.export_embeddings(corpus.ids, PreparedCorpus(corpus, vocab, params).embeddings,
-                                  out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Evaluation harness over built components
 
@@ -555,7 +552,7 @@ class Pipeline:
         versions = {}
         for name in FILES:
             p = _path(workdir, name)
-            if p.exists() and name not in ("report", "cleaning", "embeddings"):
+            if p.exists() and name not in ("report", "cleaning"):
                 versions[name] = file_digest(p)
         return cls(corpus=corpus, vocab=vocab, recaller=recaller,
                    ranker=ranking.Ranker(ranker_params, view),
@@ -575,12 +572,13 @@ class Pipeline:
 
     def _cache_key(self, query: Union[str, Exercise],
                    profile: Optional[StudentProfile]) -> tuple:
-        if isinstance(query, Exercise):
-            digest = hashlib.sha256(
-                json.dumps(query.to_record(), sort_keys=True).encode()).hexdigest()
-            qkey = ("exercise", digest)
-        else:
-            qkey = ("id", query)
+        """``(query key, profile key)``. An id string is keyed as ``("id",
+        id)``; an exercise as ``("exercise", exercise)``, by the value
+        ``Exercise.__eq__`` and ``__hash__`` give it: a hash of its fields
+        and one ``np.array_equal`` of its images, nothing serialized. Tuples
+        compare their items identity first, so an exercise with a NaN image
+        value, unequal to itself by value, still hits as the same object."""
+        qkey = ("exercise", query) if isinstance(query, Exercise) else ("id", query)
         pkey = None if profile is None else (profile.ability, profile.stage_mode,
                                              profile.current_stage)
         return qkey, pkey
@@ -594,9 +592,10 @@ class Pipeline:
                               ) -> tuple[RerankedResult, bool]:
         key = self._cache_key(query, profile)
         with self._lock:
-            if key in self._cache:
+            cached = self._cache.get(key)
+            if cached is not None:
                 self._cache.move_to_end(key)
-                return self._cache[key], True
+                return cached, True
         result = self._compute(self.resolve(query), profile)
         with self._lock:
             self._cache[key] = result

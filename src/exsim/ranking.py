@@ -140,7 +140,9 @@ class RankerParams:
         return out
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.arrays().items()}
+        """Zero gradients of every array but ``emb``, whose gradient
+        ``embed_text_batch_backward`` stores whole."""
+        return {k: np.zeros_like(v) for k, v in self.arrays().items() if k != "emb"}
 
     def apply_grads(self, grads: dict[str, np.ndarray], lr: float) -> None:
         live = self.arrays()

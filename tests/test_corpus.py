@@ -233,6 +233,17 @@ def test_exercise_equality_and_hash_read_image_values():
     assert dataclasses.replace(ex, image_features=()) != ex
 
 
+def test_exercise_keeps_options_and_stage_as_tuples():
+    ex = make_exercise()
+    listed = dataclasses.replace(ex, options=list(ex.options),
+                                 learning_stage=list(ex.learning_stage))
+    assert listed.options == ("1", "2") and listed.learning_stage == (7, 1)
+    assert listed == ex and hash(listed) == hash(ex)
+    for name in ("options", "learning_stage"):
+        with pytest.raises(CorpusError, match=f"{name} must be a sequence"):
+            dataclasses.replace(ex, **{name: "12"})
+
+
 def test_record_renders_image_vectors_as_float_lists():
     ex = with_images("e1", ((0.1, -2.5e-300, 1 / 3), (1e16, -0.0, 2.0)))
     assert json.dumps(ex.to_record(), sort_keys=True) == (

@@ -1,10 +1,15 @@
-"""No module imports a name it never reads, and the library needs only numpy.
+"""No module imports a name it never reads, the library needs only numpy, and
+every module parses as Python 3.10.
 
 A stdlib stand-in for a linter's unused-import rule (F401) over every module
 of ``src/exsim``, ``tests`` and ``perfbench``. An import line that must stay although
 nothing reads it (a binding another tool looks up by name) says so with
 ``# noqa: F401``. Every module of ``src/exsim`` imports only the standard
-library, numpy and ``exsim`` itself.
+library, numpy and ``exsim`` itself. ``pyproject.toml`` requires Python >=
+3.10, so every ``.py`` file under ``src``, ``tests`` and ``perfbench`` must
+parse with ``ast.parse(..., feature_version=(3, 10))``, which refuses syntax
+that came later, such as ``except*``; names the standard library gained later
+are not checked.
 """
 
 import ast
@@ -101,3 +106,21 @@ def test_the_library_imports_only_the_standard_library_and_numpy(path):
     found = foreign_imports((ROOT / path).read_text(encoding="utf-8"))
     assert not found, ", ".join(f"{path}:{line} imports {module!r}"
                                 for line, module in found)
+
+
+OLDEST_PYTHON = (3, 10)  # pyproject.toml: requires-python = ">=3.10"
+
+
+def test_the_check_finds_syntax_newer_than_the_oldest_python():
+    # Python 3.11 syntax, refused under the 3.10 grammar whatever runs the test
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=OLDEST_PYTHON)
+
+
+@pytest.mark.parametrize("path", sorted(
+    str(p.relative_to(ROOT)) for folder in ("src", "tests", "perfbench")
+    for p in (ROOT / folder).rglob("*.py")))
+def test_every_module_parses_as_the_oldest_supported_python(path):
+    ast.parse((ROOT / path).read_text(encoding="utf-8"), filename=path,
+              feature_version=OLDEST_PYTHON)

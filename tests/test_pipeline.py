@@ -44,8 +44,6 @@ def workspace(tmp_path_factory):
     assert report.n_pruned == len(pairs) - len(cleaned)
     eval_report = pl.step_eval(workdir, config)
     assert 0.0 <= eval_report.recall_at_k <= 1.0
-    out = pl.step_export_embeddings(workdir, config)
-    assert len(out.read_text().splitlines()) == len(corpus)
     return workdir, config, corpus, truth
 
 
@@ -57,7 +55,7 @@ def probe_of(ex):
 def test_build_steps_write_every_artifact(workspace):
     workdir, _, _, _ = workspace
     for name in ("corpus", "pairs", "pairs_clean", "truth", "vocab", "encoder",
-                 "ranker", "dedup", "variant", "report", "cleaning", "embeddings"):
+                 "ranker", "dedup", "variant", "report", "cleaning"):
         assert (workdir / pl.FILES[name]).is_file(), name
     json.loads((workdir / pl.FILES["cleaning"]).read_text())
     json.loads((workdir / pl.FILES["report"]).read_text())
@@ -746,3 +744,112 @@ def test_a_stop_word_mismatch_is_refused(stop_workspace):
     # the same words in another order are the same stop words
     reordered = pl.Config({**CONFIG, "stopwords": "of, the"})
     assert pl.Pipeline.load(workdir, reordered).vocab.stop_words == ("of", "the")
+
+
+# ---------------------------------------------------------------------------
+# the query cache keys an exercise by value
+
+def with_image_value(ex, value, at=(0, 0)):
+    feats = ex.image_features.copy()
+    feats[at] = value
+    return dataclasses.replace(ex, image_features=feats)
+
+
+@pytest.mark.parametrize("profile", [None, PROFILE])
+def test_an_equal_copy_of_a_probe_hits_the_entry_of_the_first(workspace, profile):
+    workdir, config, corpus, _ = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+    probe = probe_of(corpus[corpus.ids[5]])
+    first, hit = pipe.query_with_cache_info(probe, profile)
+    assert not hit and first.all_ids()
+    copy = dataclasses.replace(probe)
+    assert copy == probe and copy is not probe
+    again, hit = pipe.query_with_cache_info(copy, profile)
+    assert hit and again is first
+    # images equal under np.array_equal: +0.0 and -0.0 share one entry
+    positive = with_image_value(probe, 0.0)
+    signed, hit = pipe.query_with_cache_info(positive, profile)
+    assert not hit
+    assert pipe.query_with_cache_info(with_image_value(probe, -0.0), profile) == (signed, True)
+
+
+def other_concept(ex, corpus):
+    concepts = ex.metadata.knowledge_concepts
+    spare = next(c for c in corpus.concepts if c not in concepts)
+    return dataclasses.replace(ex.metadata, knowledge_concepts=(spare,) + concepts[1:])
+
+
+ONE_FIELD_CHANGES = {
+    "stem": lambda ex, corpus: dataclasses.replace(ex, stem=ex.stem + " again"),
+    "option": lambda ex, corpus: dataclasses.replace(
+        ex, options=ex.options[:-1] + (ex.options[-1] + "0",)),
+    "answer": lambda ex, corpus: dataclasses.replace(ex, answer=ex.answer + "0"),
+    "analysis": lambda ex, corpus: dataclasses.replace(ex, analysis=ex.analysis + " again"),
+    "concept": lambda ex, corpus: dataclasses.replace(ex, metadata=other_concept(ex, corpus)),
+    "difficulty": lambda ex, corpus: dataclasses.replace(ex, metadata=dataclasses.replace(
+        ex.metadata, difficulty=ex.metadata.difficulty % corpus.levels + 1)),
+    "learning stage": lambda ex, corpus: dataclasses.replace(
+        ex, learning_stage=(ex.learning_stage[0], 3 - ex.learning_stage[1])),
+    "image value": lambda ex, corpus: with_image_value(
+        ex, np.nextafter(ex.image_features[0, 0], np.inf)),
+}
+
+
+@pytest.mark.parametrize("field", list(ONE_FIELD_CHANGES))
+def test_a_probe_that_differs_in_one_field_misses(workspace, field):
+    workdir, config, corpus, _ = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+    probe = probe_of(corpus[corpus.ids[5]])
+    changed = ONE_FIELD_CHANGES[field](probe, corpus)
+    assert changed != probe
+    first, hit = pipe.query_with_cache_info(probe)
+    assert not hit
+    other, hit = pipe.query_with_cache_info(changed)
+    assert not hit and other is not first
+    assert pipe.query_with_cache_info(probe) == (first, True)
+    assert pipe.query_with_cache_info(changed) == (other, True)
+
+
+@pytest.mark.parametrize("profile", [None, PROFILE])
+def test_a_bank_id_and_its_exercise_are_separate_entries(workspace, profile):
+    workdir, config, corpus, _ = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+    query_id = corpus.ids[7]
+    by_id, hit = pipe.query_with_cache_info(query_id, profile)
+    assert not hit
+    by_object, hit = pipe.query_with_cache_info(pipe.corpus[query_id], profile)
+    assert not hit and by_object is not by_id
+    assert served_items(by_object) == served_items(by_id)
+    assert pipe.query_with_cache_info(query_id, profile) == (by_id, True)
+    assert pipe.query_with_cache_info(pipe.corpus[query_id], profile) == (by_object, True)
+
+
+def test_the_query_path_never_serializes_an_exercise(workspace, monkeypatch):
+    workdir, config, corpus, _ = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+
+    def refuse(self):
+        raise AssertionError("Exercise.to_record called on the query path")
+
+    monkeypatch.setattr(corpus_mod.Exercise, "to_record", refuse)
+    probe = probe_of(corpus[corpus.ids[5]])
+    for profile in (None, PROFILE):
+        for query in (probe, dataclasses.replace(probe), corpus.ids[7],
+                      pipe.corpus[corpus.ids[7]]):
+            assert pipe.query(query, profile).all_ids()
+
+
+def test_a_probe_with_a_nan_image_value_hits_only_as_itself(workspace):
+    """Serving never reads image values, so a NaN there is served like any
+    other probe; unequal to itself by value, it hits as the same object."""
+    workdir, config, corpus, _ = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+    probe = probe_of(corpus[corpus.ids[5]])
+    with_nan = with_image_value(probe, np.nan, at=(0, 3))
+    assert with_nan != with_nan
+    served, hit = pipe.query_with_cache_info(with_nan)
+    assert not hit
+    assert served_items(served) == served_items(pipe.query(probe))
+    assert pipe.query_with_cache_info(with_nan) == (served, True)
+    copy, hit = pipe.query_with_cache_info(dataclasses.replace(with_nan))
+    assert not hit and copy is not served
