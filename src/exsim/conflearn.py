@@ -5,19 +5,21 @@ training pairs is simply wrong. The cleaning cycle:
 
 1. out-of-fold probabilities: stratified folds, each scored by a frozen
    pair head (``pairclf.PairClassifier``, fitted by Newton's method) trained
-   on the other folds, so no pair is scored by a model that saw it. Every
-   pair's edit similarity is computed once; each fold builds its training
-   rows and its holdout rows, both orders of each pair, from the view's
-   encoder rows (``pairclf.both_order_rows`` over that fold's pairs), so no
-   matrix of every pair's rows is held. A holdout pair scores the mean of
-   its two orders, as dedup scores a pair;
+   on the other folds, so no pair is scored by a model that saw it. The
+   pairs are row pairs of the view, and every pair's edit similarity is
+   computed once (``pairclf.row_pair_similarities``); each fold fits its
+   head on its training pairs (``pairclf.train_pair_head``, as the dedup
+   and variant heads are fitted) and builds its holdout rows, both orders of
+   each pair, from the view's encoder rows (``pairclf.both_order_rows``), so
+   no matrix of every pair's rows is held. A holdout pair scores the mean
+   of its two orders, as dedup scores a pair;
 2. confident joint: per-class thresholds (the mean predicted probability of
    a class over the pairs noisily labeled with it) decide which pairs count
    as confidently belonging to which class, giving a 2x2 count matrix of
    noisy label vs inferred true label;
 3. pruning: each off-diagonal count removes that many pairs of the
    corresponding noisy label, lowest self-class probability first;
-4. retraining the full ranker on the surviving pairs.
+4. training the full ranker once, on the surviving pairs.
 
 With an oracle probability function (the true 0/1 indicator) the joint is
 exactly diagonal and nothing is pruned.
@@ -28,13 +30,13 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .corpus import LabeledPair
-from .pairclf import PairClassifier, PreparedCorpus, both_order_rows, edit_similarities
-from .ranking import RankConfig, RankerParams, train_ranker
+from .pairclf import PreparedCorpus, both_order_rows, row_pair_similarities, train_pair_head
+from .ranking import RankConfig, train_ranker
 
 log = logging.getLogger(__name__)
 
@@ -79,14 +81,11 @@ def out_of_fold_probs(pairs: Sequence[LabeledPair], view: PreparedCorpus,
     assignment = stratified_folds(labels, config.folds, rng)
     rows_a = np.array([view.index.row_of[p.a_id] for p in pairs], dtype=np.intp)
     rows_b = np.array([view.index.row_of[p.b_id] for p in pairs], dtype=np.intp)
-    sims = edit_similarities(view.codes[rows_a], view.lengths[rows_a],
-                             view.codes[rows_b], view.lengths[rows_b])
+    sims = row_pair_similarities(view.codes, view.lengths, rows_a, rows_b)
     probs = np.empty(len(pairs))
     for fold in range(config.folds):
         train, held = assignment != fold, assignment == fold
-        head = PairClassifier.train(
-            both_order_rows(view.embeddings, rows_a[train], rows_b[train], sims[train]),
-            np.repeat(labels[train], 2))
+        head = train_pair_head(view, rows_a[train], rows_b[train], labels[train], sims[train])
         p = head.prob_rows(
             both_order_rows(view.embeddings, rows_a[held], rows_b[held], sims[held]))
         probs[held] = (p[0::2] + p[1::2]) / 2.0
@@ -156,8 +155,6 @@ class CleaningReport:
     n_pairs: int
     n_pruned: int
     pruned: list[dict]
-    p5_before: Optional[float] = None
-    p5_after: Optional[float] = None
     flips: Optional[dict] = None
 
     def to_json(self) -> str:
@@ -176,29 +173,17 @@ class CleaningReport:
 
 
 def clean_and_retrain(pairs: Sequence[LabeledPair], view: PreparedCorpus,
-                      config: CleanConfig = CleanConfig(),
-                      eval_fn: Optional[Callable[[RankerParams], float]] = None):
-    """Full cycle: out-of-fold probs, joint, prune, retrain the full ranker,
-    every step over ``view``, whose params are the encoder.
-
-    Returns (params, cleaned_pairs, report). When eval_fn is given, the
-    ranker is trained on every pair too, and eval_fn records precision at 5
-    of the before/after rankers; else it trains once, on the cleaned pairs.
-    """
+                      config: CleanConfig = CleanConfig()):
+    """Full cycle: out-of-fold probs, joint, prune, then one ranker trained
+    on the cleaned pairs, every step over ``view``, whose params are the
+    encoder. Returns (params, cleaned_pairs, report)."""
     probs = out_of_fold_probs(pairs, view, config)
     labels = [1 if p.is_similar else 0 for p in pairs]
     joint = build_confident_joint(probs, labels)
     cleaned, pruned_idx = prune(pairs, joint, probs)
     log.info("confident joint %s; pruning %d of %d pairs",
              joint.counts.tolist(), len(pruned_idx), len(pairs))
-
-    p5_before = p5_after = None
-    if eval_fn is not None:
-        before_params, _ = train_ranker(pairs, view, config.retrain, encoder=view.params)
-        p5_before = eval_fn(before_params)
     params, _ = train_ranker(cleaned, view, config.retrain, encoder=view.params)
-    if eval_fn is not None:
-        p5_after = eval_fn(params)
 
     report = CleaningReport(
         joint=joint.counts.tolist(),
@@ -207,7 +192,5 @@ def clean_and_retrain(pairs: Sequence[LabeledPair], view: PreparedCorpus,
         n_pruned=len(pruned_idx),
         pruned=[{"index": i, "a_id": pairs[i].a_id, "b_id": pairs[i].b_id,
                  "label": pairs[i].label} for i in pruned_idx],
-        p5_before=p5_before,
-        p5_after=p5_after,
     )
     return params, cleaned, report

@@ -12,7 +12,12 @@ Training. :meth:`PairClassifier.train` fits a head by Newton's method on
 the convex objective, mean binary cross-entropy plus a small L2 penalty on
 the weights, with a backtracking line search. It converges in 10 to 15
 steps on both heads; the Hessian is summed over row blocks of the features,
-so a fit holds no second copy of them.
+so a fit holds no second copy of them. Training pairs take one form: row
+pairs of a :class:`PreparedCorpus`. :func:`row_pair_similarities` gives
+their edit similarities, each distinct pair once, and it is the one such
+function (the ranker's task instances call it too); :func:`train_pair_head`
+fits a head on their :func:`both_order_rows`, each label repeated. The
+dedup head, the variant head and the cleaning folds all go through it.
 
 Hot path. Every uncached query scores up to a hundred (query, candidate)
 pairs in three stages: dedup, ranking and the variant split (a profiled
@@ -39,8 +44,9 @@ work is organised around three pieces:
   gathers rows instead of padding and packing them, and compares each
   distinct query code with them once. Every build step prepares the bank
   once and passes the view down: the vocabulary is built from its token
-  lists, the encoder trains on its ids, and the ranker's task instances
-  read its stem and analysis codes. Token codes are equal exactly when tokens are equal:
+  lists, the encoder trains on its ids, the ranker's task instances read
+  its stem and analysis codes, and the pair heads train from its rows.
+  Token codes are equal exactly when tokens are equal:
   in-vocabulary tokens use their vocabulary id, every out-of-vocabulary
   token gets a code of its own (vocabulary ids alone would collapse all of
   them onto UNK). Its token lists hold one ``str`` object per distinct
@@ -115,6 +121,7 @@ from .textnorm import UNK_ID, Vocab, canonical_stop_words, normalize_text, split
 
 PAD_CODE = -1
 _BLOCK = 512  # pairs per pass of the edit-distance kernel
+_SIM_BLOCK = 4096  # row pairs per edit-similarity call of row_pair_similarities
 _COMPARE_BOOLS = 2 ** 17  # bool temporary of one compare in the kernel
 _NEWTON_STEPS = 50  # iteration cap of PairClassifier.train
 _NEWTON_TOL = 1e-8  # ... and its stopping bound on max |gradient|
@@ -629,36 +636,33 @@ class PairFeaturizer:
         return 4 * self.view.params.d + 1
 
 
-def both_orders(pairs: Sequence[tuple[Exercise, Exercise]], vocab: Vocab,
-                params: EncoderParams) -> np.ndarray:
-    """Feature rows of every pair as (a, b) then (b, a), interleaved.
+def row_pair_similarities(codes: np.ndarray, lengths: np.ndarray, left: np.ndarray,
+                          right: np.ndarray) -> np.ndarray:
+    """Edit similarity of the rows (left, right) of the code matrix ``codes``
+    with row lengths ``lengths``; ``left`` and ``right`` are aligned arrays
+    of any one shape, which the result takes. Each distinct pair of rows is
+    computed once, ``_SIM_BLOCK`` pairs per kernel call."""
+    keys = np.asarray(left, dtype=np.int64) * len(codes) + right
+    unique, inverse = np.unique(keys, return_inverse=True)
+    l_rows, r_rows = np.divmod(unique, len(codes))
+    sims = np.empty(len(unique))
+    for start in range(0, len(unique), _SIM_BLOCK):
+        l, r = l_rows[start:start + _SIM_BLOCK], r_rows[start:start + _SIM_BLOCK]
+        sims[start:start + _SIM_BLOCK] = edit_similarities(codes[l], lengths[l],
+                                                           codes[r], lengths[r])
+    return sims[inverse].reshape(keys.shape)
 
-    Row 2k equals ``features(a_k, b_k)`` and row 2k + 1 equals
-    ``features(b_k, a_k)`` under ``vocab`` and ``params``, bit for bit. Each
-    distinct exercise is prepared once, as a row of a view of its own. Edit
-    similarities are computed one block of ``_BLOCK`` pairs at a time, and
-    the view is dropped before :func:`both_order_rows` allocates the
-    (2 x pairs, 4d + 1) matrix, so at the peak the matrix is the only large
-    array alive here.
-    """
-    index: dict[int, int] = {}
-    unique: list[Exercise] = []
-    for pair in pairs:
-        for ex in pair:
-            if id(ex) not in index:
-                index[id(ex)] = len(unique)
-                unique.append(ex)
-    view = PreparedCorpus(unique, vocab, params)
-    ra = np.array([index[id(a)] for a, _ in pairs], dtype=np.int64)
-    rb = np.array([index[id(b)] for _, b in pairs], dtype=np.int64)
-    sims = np.empty(len(pairs))
-    for s in range(0, len(pairs), _BLOCK):
-        a, b = ra[s:s + _BLOCK], rb[s:s + _BLOCK]
-        sims[s:s + _BLOCK] = edit_similarities(view.codes[a], view.lengths[a],
-                                               view.codes[b], view.lengths[b])
-    embeddings = view.embeddings
-    del view
-    return both_order_rows(embeddings, ra, rb, sims)
+
+def train_pair_head(view: PreparedCorpus, rows_a: np.ndarray, rows_b: np.ndarray,
+                    labels: np.ndarray, sims: Optional[np.ndarray] = None) -> PairClassifier:
+    """A head fitted on the row pairs (rows_a[k], rows_b[k]) of ``view``, each
+    in both orders (:func:`both_order_rows` over the view's embeddings) with
+    its label repeated. ``sims`` are the pairs' edit similarities, computed
+    here over the view's codes when not given."""
+    if sims is None:
+        sims = row_pair_similarities(view.codes, view.lengths, rows_a, rows_b)
+    return PairClassifier.train(both_order_rows(view.embeddings, rows_a, rows_b, sims),
+                                np.repeat(labels, 2))
 
 
 def both_order_rows(embeddings: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray,

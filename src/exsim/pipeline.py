@@ -27,7 +27,10 @@ writes ``vocab.txt`` and the encoder only after training succeeds, so a
 failed run leaves both as they were. ``step_finetune`` passes its view to
 ``encoder.fine_tune``, which trains on the view's stem ids;
 ``step_train_rank`` trains the ranker over it, and ``step_clean`` its fold
-heads and its two ranker trainings (see ``clean_and_retrain``).
+heads and the one ranker it trains, on the cleaned pairs (see
+``clean_and_retrain``). ``step_index`` prepares one view, the bank's
+exercises followed by the clones its dedup pairs add, and both heads train
+from row pairs of it.
 Stems are normalized when a view is made, answers and analyses only when a
 step reads them, and embeddings only when a step asks for them.
 
@@ -56,9 +59,9 @@ edit-distance kernel call over the recalled list and builds its one block
 of feature rows; ranking reads the similarities back and the variant split
 the block's rows. The stages pass candidates as
 arrays of corpus rows (``recall.Candidates``); ids are looked up once, for
-the served list. ``step_eval`` and ``step_clean``'s P@5 evaluator build
-their recall and ranking stages the same way and prepare their bank queries
-over the view those stages are built from.
+the served list. ``step_eval`` builds its recall and ranking stages the
+same way and prepares its bank queries over the view those stages are built
+from.
 
 Stop words live in the vocabulary (``Vocab.stop_words``, the header line of
 ``vocab.txt``); every stage normalizes text with its vocabulary's. Only
@@ -297,7 +300,8 @@ def step_pretrain(workdir, config: Config):
         epochs=config.get_int("encoder.epochs", minimum=0),
         lr=config.get_float("encoder.lr"),
         batch_size=config.get_int("encoder.batch", minimum=2),
-        tau=_positive_float(config, "encoder.tau"), seed=config.get_int("encoder.seed"))
+        tau=_positive_float(config, "encoder.tau"),
+        seed=config.get_int("encoder.seed", minimum=0))
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
     view = PreparedCorpus.with_own_vocab(corpus, config.stop_words())
     params, history = encoder_mod.pretrain(corpus, view, pre_cfg)
@@ -313,7 +317,7 @@ def step_finetune(workdir, config: Config):
         epochs=config.get_int("finetune.epochs", minimum=0),
         lr=config.get_float("finetune.lr"),
         n_negatives=config.get_int("finetune.negatives", minimum=1),
-        seed=config.get_int("encoder.seed"))
+        seed=config.get_int("encoder.seed", minimum=0))
     params, history = encoder_mod.fine_tune(params, pairs, PreparedCorpus(corpus, vocab),
                                             ft_cfg)
     encoder_mod.save_encoder(params, _path(workdir, "encoder"))
@@ -323,23 +327,28 @@ def step_finetune(workdir, config: Config):
 def step_index(workdir, config: Config) -> None:
     """Fit the dedup head (given ground truth) and the variant head (given
     variant-labeled pairs), each a logistic regression over the pair
-    features solved by Newton's method (``PairClassifier.train``). The heads
-    are as wide as the encoder's pair features, so rerun this step after
-    the encoder changes width. The recall indexes are not artifacts:
-    ``Pipeline.load`` builds them."""
+    features solved by Newton's method (``PairClassifier.train``). Both
+    train from row pairs of one view: the bank's exercises, then the clones
+    ``generate_dedup_pairs`` makes. The heads are as wide as the encoder's
+    pair features, so rerun this step after the encoder changes width. The
+    recall indexes are not artifacts: ``Pipeline.load`` builds them."""
     corpus, vocab, params = _load_trained(workdir, config)
-    truth_path = _path(workdir, "truth")
+    truth_path, pairs_path = _path(workdir, "truth"), _path(workdir, "pairs")
+    clones, dedup = [], None
     if truth_path.exists():
-        truth = corpus_mod.load_truth(truth_path)
-        dedup_pairs = corpus_mod.generate_dedup_pairs(corpus, truth, seed=97)
-        head = recall_mod.train_dedup(dedup_pairs, vocab, params)
-        head.save(_path(workdir, "dedup"), "dedup")
-    pairs_path = _path(workdir, "pairs")
-    if pairs_path.exists():
-        pairs = _load_pairs(workdir, corpus)
-        if any(p.variant is not None for p in pairs):
-            head = rerank_mod.train_variant(pairs, corpus, vocab, params)
-            head.save(_path(workdir, "variant"), "variant")
+        dedup_pairs = corpus_mod.generate_dedup_pairs(
+            corpus, corpus_mod.load_truth(truth_path), seed=97)
+        clones, rows, labels = recall_mod.dedup_rows(dedup_pairs, corpus)
+        dedup = rows, labels
+    pairs = _load_pairs(workdir, corpus) if pairs_path.exists() else []
+    variant = any(p.variant is not None for p in pairs)
+    if dedup is None and not variant:
+        return
+    view = PreparedCorpus([*corpus, *clones], vocab, params)
+    if dedup is not None:
+        recall_mod.train_dedup(view, *dedup).save(_path(workdir, "dedup"), "dedup")
+    if variant:
+        rerank_mod.train_variant(pairs, corpus, view).save(_path(workdir, "variant"), "variant")
 
 
 def _rank_config(config: Config) -> ranking.RankConfig:
@@ -365,7 +374,7 @@ def _rank_config(config: Config) -> ranking.RankConfig:
     return ranking.RankConfig(
         lr=config.get_float("rank.lr"), epochs=config.get_int("rank.epochs", minimum=0),
         batch_pairs=config.get_int("rank.batch_pairs", minimum=1),
-        seed=config.get_int("rank.seed"), moe=moe, alpha=alpha, tasks=tasks)
+        seed=config.get_int("rank.seed", minimum=0), moe=moe, alpha=alpha, tasks=tasks)
 
 
 def step_train_rank(workdir, config: Config):
@@ -378,16 +387,16 @@ def step_train_rank(workdir, config: Config):
 
 
 def step_clean(workdir, config: Config):
-    """Confidence-learning cycle over one view of the bank; retrains and saves
-    the ranker on clean pairs. With ground truth the report scores the prune."""
+    """Confidence-learning cycle over one view of the bank; trains and saves
+    the ranker on the cleaned pairs, once. With ground truth the report
+    scores the prune; ``step_eval`` reports the ranker's precision."""
     corpus, vocab, encoder = _load_trained(workdir, config)
     pairs = _load_pairs(workdir, corpus)
     cl_cfg = conflearn.CleanConfig(
-        folds=config.get_int("cl.folds", minimum=2), seed=config.get_int("cl.seed"),
+        folds=config.get_int("cl.folds", minimum=2), seed=config.get_int("cl.seed", minimum=0),
         retrain=_rank_config(config))
-    view = PreparedCorpus(corpus, vocab, encoder)
-    eval_fn = _make_p5_eval(workdir, config, corpus, view, pairs)
-    params, cleaned, report = conflearn.clean_and_retrain(pairs, view, cl_cfg, eval_fn=eval_fn)
+    params, cleaned, report = conflearn.clean_and_retrain(
+        pairs, PreparedCorpus(corpus, vocab, encoder), cl_cfg)
     truth_path = _path(workdir, "truth")
     if truth_path.exists():
         report.score_flips(corpus_mod.load_truth(truth_path).flipped)
@@ -406,21 +415,6 @@ def _relevant(workdir, corpus: Corpus, pairs) -> dict[str, set[str]]:
         truth = corpus_mod.load_truth(truth_path)
         return {ex_id: truth.mates(ex_id) for ex_id in _eval_query_ids(corpus)}
     return annotated_similars(pairs)
-
-
-def _make_p5_eval(workdir, config, corpus: Corpus, view: PreparedCorpus, pairs):
-    """P@5 evaluator against ground truth when available, else annotations;
-    ``view`` holds ``corpus`` under the workspace vocab and encoder."""
-    relevant = _relevant(workdir, corpus, pairs)
-    recaller = Recaller.build(view, config=_recall_config(config))
-
-    def eval_fn(ranker_params) -> float:
-        ranker = ranking.Ranker(ranker_params, view)
-        ranked = ranked_lists(recaller, ranker, corpus, list(relevant))
-        values, _ = evaluate_precision(ranked, relevant, ks=(5,))
-        return values[5]
-
-    return eval_fn
 
 
 def _eval_query_ids(corpus: Corpus) -> list[str]:

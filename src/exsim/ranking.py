@@ -22,7 +22,7 @@ token-level edit similarity of the two texts over the same token codes dedup
 uses. Training tokenizes nothing: :class:`TaskBuilder` reads each side's
 vocabulary ids and codes from the ``pairclf.PreparedCorpus`` the caller
 prepared, and computes ``edit_sim`` before training, once per distinct pair
-of texts. Instances stay rows of two arrays: (task, left text, right text,
+of texts (``pairclf.row_pair_similarities``). Instances stay rows of two arrays: (task, left text, right text,
 label) in ``specs`` and ``edit_sim`` in ``sims``; a batch's loss reads its
 rows of them, and the texts' ids from the view. At
 serving time a stage is built from one view; a miss passes one
@@ -67,7 +67,7 @@ from .corpus import Exercise, LabeledPair
 from .encoder import (EncoderParams, TrainingDivergedError, embed_corpus, embed_text_batch,
                       embed_text_batch_backward, softmax_cross_entropy)
 from .pairclf import (PAD_CODE, PreparedCorpus, PreparedQuery, UntrainedModelError,
-                      edit_similarities, pair_feature_rows)
+                      pair_feature_rows, row_pair_similarities)
 from .recall import Candidates
 from .snapshots import SnapshotFormatError, load_arrays, save_arrays
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
@@ -79,8 +79,6 @@ TASK_STEM_STEM = "stem-stem"
 TASK_ANALYSIS_ANALYSIS = "analysis-analysis"
 TASK_STEM_ANALYSIS = "stem-analysis"
 TASKS = (TASK_STEM_STEM, TASK_ANALYSIS_ANALYSIS, TASK_STEM_ANALYSIS)
-
-_SIM_BLOCK = 4096  # text pairs per edit-similarity call while building instances
 
 # short aliases accepted in configs
 TASK_ALIASES = {"t1": TASK_STEM_STEM, "t2": TASK_ANALYSIS_ANALYSIS,
@@ -181,7 +179,9 @@ class TaskBuilder:
 
     Texts are rows: row r < n is exercise r's stem and row n + r its
     answer/analysis, n being the number of exercises in the view. Their
-    vocabulary ids and edit-distance codes are the view's.
+    vocabulary ids and edit-distance codes are the view's, and an
+    instance's edit similarity is ``pairclf.row_pair_similarities`` of its
+    two rows of the stacked code matrix.
     """
 
     def __init__(self, view: PreparedCorpus):
@@ -210,20 +210,8 @@ class TaskBuilder:
         once."""
         specs = np.fromiter((x for p in pairs for spec in self._specs(p, rng) for x in spec),
                             dtype=np.int32, count=20 * len(pairs)).reshape(-1, 5, 4)
-        return specs, self._edit_sims(specs[:, :, 1], specs[:, :, 2])
-
-    def _edit_sims(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Edit similarity of the texts in rows (left, right), each distinct
-        pair computed once, ``_SIM_BLOCK`` pairs per kernel call."""
-        keys = left.astype(np.int64) * len(self.codes) + right
-        unique, inverse = np.unique(keys, return_inverse=True)
-        l_rows, r_rows = np.divmod(unique, len(self.codes))
-        sims = np.empty(len(unique))
-        for start in range(0, len(unique), _SIM_BLOCK):
-            l, r = l_rows[start:start + _SIM_BLOCK], r_rows[start:start + _SIM_BLOCK]
-            sims[start:start + _SIM_BLOCK] = edit_similarities(
-                self.codes[l], self.lengths[l], self.codes[r], self.lengths[r])
-        return sims[inverse].reshape(keys.shape)
+        return specs, row_pair_similarities(self.codes, self.lengths,
+                                            specs[:, :, 1], specs[:, :, 2])
 
     def _specs(self, pair: LabeledPair, rng: np.random.Generator):
         """(task index, left row, right row, label) of each instance of one pair."""

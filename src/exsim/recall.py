@@ -84,10 +84,9 @@ import numpy as np
 from . import rerank as rerank_mod
 from .corpus import Corpus, Exercise, RowIndex
 # embed_text stays bound, unused: perfbench's tracer wraps it where imported
-from .encoder import EncoderParams, embed_text  # noqa: F401
+from .encoder import embed_text  # noqa: F401
 from .pairclf import (PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery,
-                      UntrainedModelError, both_orders, swap_sides)
-from .textnorm import Vocab
+                      UntrainedModelError, swap_sides, train_pair_head)
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
 from .textnorm import normalize_text  # noqa: F401
 
@@ -466,15 +465,32 @@ class DuplicateDetector:
         return cls(PairClassifier.load(path, "dedup", featurizer.n_features), featurizer)
 
 
-def train_dedup(dedup_pairs: Sequence[tuple[Exercise, Exercise, int]],
-                vocab: Vocab, params: EncoderParams) -> PairClassifier:
-    """Fit the dedup head (saved as kind ``"dedup"``); each pair is fed in
+def dedup_rows(dedup_pairs: Sequence[tuple[Exercise, Exercise, int]],
+               corpus: Corpus) -> tuple[list[Exercise], np.ndarray, np.ndarray]:
+    """``dedup_pairs`` (made by ``generate_dedup_pairs``) as row pairs of one
+    view: ``corpus``'s exercises, then each exercise of a pair that is not
+    the bank's own object (the generated clones), in pair order. Returns
+    those exercises, each pair's two rows (pairs, 2) and the labels."""
+    extra: list[Exercise] = []
+
+    def row(ex: Exercise) -> int:
+        if corpus.get(ex.id) is ex:
+            return corpus.index.row_of[ex.id]
+        extra.append(ex)
+        return len(corpus) + len(extra) - 1
+
+    rows = np.array([(row(a), row(b)) for a, b, _ in dedup_pairs], dtype=np.intp)
+    labels = np.array([label for _, _, label in dedup_pairs], dtype=np.int64)
+    return extra, rows.reshape(-1, 2), labels
+
+
+def train_dedup(view: PreparedCorpus, rows: np.ndarray, labels: np.ndarray) -> PairClassifier:
+    """Fit the dedup head (saved as kind ``"dedup"``) on the row pairs
+    ``rows`` (pairs, 2) of ``view`` (see :func:`dedup_rows`), each fed in
     both argument orders."""
-    if not dedup_pairs:
+    if not len(labels):
         raise UntrainedModelError("no duplicate-labeled pairs to train on")
-    feats = both_orders([(a, b) for a, b, _ in dedup_pairs], vocab, params)
-    labels = np.repeat([label for _, _, label in dedup_pairs], 2)
-    return PairClassifier.train(feats, labels)
+    return train_pair_head(view, rows[:, 0], rows[:, 1], labels)
 
 
 # ---------------------------------------------------------------------------

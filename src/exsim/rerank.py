@@ -44,10 +44,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .corpus import Corpus, LabeledPair, VARIANT
-from .encoder import EncoderParams
-from .pairclf import (PairClassifier, PairFeaturizer, PreparedQuery,
-                      UntrainedModelError, both_orders)
-from .textnorm import Vocab
+from .pairclf import (PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery,
+                      UntrainedModelError, train_pair_head)
 
 if TYPE_CHECKING:  # recall imports this module for its filters
     from .recall import Candidates
@@ -196,16 +194,20 @@ class VariantClassifier:
         return cls(PairClassifier.load(path, "variant", featurizer.n_features), featurizer)
 
 
-def train_variant(pairs: Sequence[LabeledPair], corpus: Corpus, vocab: Vocab,
-                  params: EncoderParams) -> PairClassifier:
+def train_variant(pairs: Sequence[LabeledPair], corpus: Corpus,
+                  view: PreparedCorpus) -> PairClassifier:
     """Fit the variant head (saved as kind ``"variant"``) on the
-    variant-flagged labeled pairs (variant=1, plain-similar=0)."""
+    variant-flagged labeled pairs (variant=1, plain-similar=0), each fed in
+    both argument orders. A pair's rows of ``view`` are its ids' rows in
+    ``corpus``, whose exercises are the view's first rows."""
     flagged = [p for p in pairs if p.variant is not None]
     if not flagged:
         raise UntrainedModelError("no variant-flagged pairs to train on")
-    feats = both_orders([(corpus[p.a_id], corpus[p.b_id]) for p in flagged], vocab, params)
-    labels = np.repeat([1 if p.variant == VARIANT else 0 for p in flagged], 2)
-    return PairClassifier.train(feats, labels)
+    row_of = corpus.index.row_of
+    rows_a = np.array([row_of[p.a_id] for p in flagged], dtype=np.intp)
+    rows_b = np.array([row_of[p.b_id] for p in flagged], dtype=np.intp)
+    labels = np.array([1 if p.variant == VARIANT else 0 for p in flagged])
+    return train_pair_head(view, rows_a, rows_b, labels)
 
 
 # ---------------------------------------------------------------------------

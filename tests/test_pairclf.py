@@ -10,7 +10,7 @@ from exsim.corpus import Exercise, Metadata
 from exsim.encoder import EncoderParams
 from exsim.pairclf import (
     PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery, bce_loss_and_grads,
-    both_orders, edit_similarities, edit_similarity, levenshtein, pair_feature_rows,
+    edit_similarities, edit_similarity, levenshtein, pair_feature_rows,
     pair_features,
 )
 from exsim.textnorm import UNK_ID, Vocab, normalize_text, split_tokens
@@ -221,6 +221,25 @@ def test_kernel_blocks_match_one_pass():
     b, b_len = padded(rows[650:], -1, 0)
     assert levenshtein(a, a_len, b, b_len).tolist() == \
         [reference_levenshtein(x, y) for x, y in zip(rows[:650], rows[650:])]
+
+
+@given(st.lists(codes, min_size=1, max_size=6), st.sampled_from([(0,), (5,), (3, 4)]),
+       st.data())
+def test_row_pair_similarities_equal_reference(rows, shape, data):
+    """Aligned row pairs of a code matrix, in any one shape and with repeats,
+    equal the reference DP pair by pair, also with blocks of 2 pairs."""
+    matrix, lengths = padded(rows, pairclf.PAD_CODE, 0)
+    row = st.integers(0, len(rows) - 1)
+    size = int(np.prod(shape))
+    pairs = data.draw(st.lists(st.tuples(row, row), min_size=size, max_size=size))
+    left = np.array([a for a, _ in pairs], dtype=np.intp).reshape(shape)
+    right = np.array([b for _, b in pairs], dtype=np.intp).reshape(shape)
+    expected = [reference_similarity(rows[a], rows[b]) for a, b in pairs]
+    for block in (pairclf._SIM_BLOCK, 2):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pairclf, "_SIM_BLOCK", block)
+            sims = pairclf.row_pair_similarities(matrix, lengths, left, right)
+            assert sims.shape == shape and sims.ravel().tolist() == expected
 
 
 # lengths around 64 and 128 tokens
@@ -476,25 +495,12 @@ def test_view_embeddings_equal_single_text_embedding():
         assert np.array_equal(view.embeddings[row], feat.embedding(query))
 
 
-def test_both_orders_equal_features_per_pair(small_trained):
-    corpus, _, _, vocab, params = small_trained
-    feat = PairFeaturizer(PreparedCorpus(corpus, vocab, params))
-    exs = list(corpus)
-    pairs = [(exs[0], exs[1]), (exs[2], exs[0]), (exs[3], exs[3])]
-    rows = both_orders(pairs, vocab, params)
-    expected = []
-    for a, b in pairs:  # equal copies, each prepared from its own text
-        a, b = (PreparedQuery(dataclasses.replace(ex), feat.view) for ex in (a, b))
-        expected += [feat.features(a, b), feat.features(b, a)]
-    assert np.array_equal(rows, np.array(expected))
-
-
 @settings(max_examples=200, deadline=None)
 @given(n=st.sampled_from([0, 1, 2, 7, 100]), width=st.integers(1, 140),
        decades=st.integers(0, 12), strided=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_prob_rows_equal_prob_per_row(n, width, decades, strided, seed):
     """``prob_rows`` gives the bits of a per-row ``row @ w`` loop, also over
-    rows of ``both_orders``'s ``rows[:, 0]`` layout and magnitudes spanning
+    rows of ``both_order_rows``'s ``rows[:, 0]`` layout and magnitudes spanning
     ``decades`` powers of ten."""
     rng = np.random.default_rng(seed)
     clf = PairClassifier(weights=rng.normal(size=width) * 10.0 ** rng.uniform(-3, 3),

@@ -122,12 +122,16 @@ def test_load_refuses_a_concept_boost_that_is_not_finite(workspace, value):
     (pl.step_pretrain, "encoder.epochs", "-1"),
     (pl.step_pretrain, "encoder.batch", "0"),
     (pl.step_pretrain, "encoder.batch", "1"),
+    (pl.step_pretrain, "encoder.seed", "-1"),
     (pl.step_finetune, "finetune.epochs", "-1"),
     (pl.step_finetune, "finetune.negatives", "0"),
+    (pl.step_finetune, "encoder.seed", "-1"),
     (pl.step_train_rank, "rank.epochs", "-1"),
     (pl.step_train_rank, "rank.batch_pairs", "0"),
     (pl.step_train_rank, "rank.tasks", ""),
+    (pl.step_train_rank, "rank.seed", "-1"),
     (pl.step_clean, "cl.folds", "1"),
+    (pl.step_clean, "cl.seed", "-1"),
     (pl.step_eval, "eval.k_recall", "-1"),
     (pl.step_eval, "eval.k_recall", "0"),
     (pl.step_eval, "eval.ks", "0"),
@@ -138,7 +142,8 @@ def test_build_steps_refuse_a_value_no_training_can_run_with(workspace, tmp_path
                                                              step, key, value):
     """Such a value used to train nothing and save the untouched model as
     trained (an empty rank.tasks, encoder.batch = 1, no negatives), to fail
-    deep inside training, or to report a figure of no cut-off (k_recall = -1
+    deep inside training (a negative seed failed inside numpy, naming no
+    key), or to report a figure of no cut-off (k_recall = -1
     cut each recall list at [:-1], eval.ks = 0 wrote a P@0, an empty eval.ks
     ran the whole evaluation and then failed on an empty max()); the step
     now refuses it and writes nothing."""
@@ -572,27 +577,58 @@ def test_without_dedup_ranking_makes_the_one_kernel_call(workspace, tmp_path,
 
 def test_build_steps_prepare_the_bank_once(workspace, tmp_path, monkeypatch):
     """Each build step normalizes an exercise's stem and its analysis at
-    most once; step_clean adds one normalization per query each time its
-    P@5 evaluator runs (before and after cleaning). Pipeline.load normalizes
-    each exercise once and embeds it twice, under the encoder and under the
+    most once; step_index normalizes each bank stem and each clone its dedup
+    pairs add exactly once, in one view. Pipeline.load normalizes each
+    exercise once and embeds it twice, under the encoder and under the
     ranker's backbone."""
     workdir, config, corpus = copy_workspace(workspace, tmp_path)
     n = len(corpus)
-    queries = len(pl._eval_query_ids(corpus))
+    truth = corpus_mod.load_truth(workdir / pl.FILES["truth"])
+    clones = {b.id for _, b, _ in corpus_mod.generate_dedup_pairs(corpus, truth, seed=97)}
+    clones -= set(corpus.ids)
     counts = count_calls(monkeypatch)
     for step, most in ((pl.step_pretrain, 2 * n), (pl.step_train_rank, 2 * n),
-                       (pl.step_clean, 2 * n + 2 * queries)):
+                       (pl.step_clean, 2 * n)):
         counts.clear()
         step(workdir, config)
         assert 0 < counts["normalize_text"] <= most, step.__name__
+    counts.clear()
+    pl.step_index(workdir, config)
+    assert counts["normalize_text"] == n + len(clones) == 92
     counts.clear()
     pl.Pipeline.load(workdir, config)
     assert counts == {"normalize_text": n, "embed_text": 2 * n}
 
 
-def test_step_clean_trains_the_ranker_twice(workspace, tmp_path, monkeypatch):
-    """Once on every pair for the P@5 evaluator, once on the cleaned pairs;
-    the folds fit pair heads and train no ranker."""
+def test_step_index_heads_equal_a_per_pair_fit(workspace):
+    """The dedup and variant heads step_index writes equal ``train`` fitted
+    on per-pair ``features`` rows, (a, b) then (b, a), over a view of the
+    bank alone: a bank exercise reads its row, a clone of the dedup pairs
+    is prepared from its own text."""
+    workdir, config, _, _ = workspace
+    corpus, vocab, params = pl._load_trained(workdir, config)
+    featurizer = pairclf.PairFeaturizer(PreparedCorpus(corpus, vocab, params))
+    truth = corpus_mod.load_truth(workdir / pl.FILES["truth"])
+    flagged = [p for p in corpus_mod.load_pairs(workdir / pl.FILES["pairs"])
+               if p.variant is not None]
+    for head, pairs in (("dedup", corpus_mod.generate_dedup_pairs(corpus, truth, seed=97)),
+                        ("variant", [(corpus[p.a_id], corpus[p.b_id],
+                                      int(p.variant == corpus_mod.VARIANT))
+                                     for p in flagged])):
+        rows, labels = [], []
+        for a, b, label in pairs:
+            a, b = (PreparedQuery(ex, featurizer.view) for ex in (a, b))
+            rows += [featurizer.features(a, b), featurizer.features(b, a)]
+            labels += [label, label]
+        expected = pairclf.PairClassifier.train(np.array(rows), np.array(labels))
+        written = pairclf.PairClassifier.load(workdir / pl.FILES[head], head,
+                                              featurizer.n_features)
+        assert written.weights.tolist() == expected.weights.tolist(), head
+        assert written.bias == expected.bias, head
+
+
+def test_step_clean_trains_the_ranker_once(workspace, tmp_path, monkeypatch):
+    """On the cleaned pairs; the folds fit pair heads and train no ranker."""
     workdir, config, _ = copy_workspace(workspace, tmp_path)
     trained = []
     train_ranker = ranking.train_ranker
@@ -604,7 +640,8 @@ def test_step_clean_trains_the_ranker_twice(workspace, tmp_path, monkeypatch):
     monkeypatch.setattr(conflearn, "train_ranker", counting)
     monkeypatch.setattr(ranking, "train_ranker", counting)
     _, cleaned, report = pl.step_clean(workdir, config)
-    assert trained == [report.n_pairs, len(cleaned)]
+    assert trained == [len(cleaned)] and len(cleaned) < report.n_pairs
+    assert not {"p5_before", "p5_after"} & set(json.loads(report.to_json()))
 
 
 def test_cleaning_report_scores_the_prune_against_the_flips(workspace):

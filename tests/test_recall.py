@@ -11,7 +11,8 @@ from exsim.encoder import embed_text, init_params
 from exsim.pairclf import PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery
 from exsim.recall import (
     BM25_B, BM25_K1, KEPT_COUNTS, SOURCES, Candidate, Candidates, DuplicateDetector,
-    LexicalIndex, RecallConfig, Recaller, VectorIndex, merge_candidates, train_dedup,
+    LexicalIndex, RecallConfig, Recaller, VectorIndex, dedup_rows, merge_candidates,
+    train_dedup,
 )
 from exsim.textnorm import normalize_text, split_tokens
 
@@ -409,9 +410,11 @@ def test_merge_equals_list_reference(ids, data, n):
 @pytest.fixture(scope="module")
 def dedup_setup(small_trained_module):
     corpus, truth, pairs, vocab, params = small_trained_module
-    dedup_pairs = generate_dedup_pairs(corpus, truth, seed=13, n_anchors=40)
-    detector = DuplicateDetector(train_dedup(dedup_pairs, vocab, params),
-                                 PairFeaturizer(PreparedCorpus(corpus, vocab, params)))
+    clones, rows, labels = dedup_rows(
+        generate_dedup_pairs(corpus, truth, seed=13, n_anchors=40), corpus)
+    detector = DuplicateDetector(
+        train_dedup(PreparedCorpus([*corpus, *clones], vocab, params), rows, labels),
+        PairFeaturizer(PreparedCorpus(corpus, vocab, params)))
     return corpus, truth, vocab, params, detector
 
 
@@ -426,6 +429,28 @@ def small_trained_module():
     params, _ = enc.fine_tune(
         params, pairs, view, enc.FinetuneConfig(epochs=3, n_negatives=6, seed=2))
     return corpus, truth, pairs, view.vocab, params
+
+
+def test_dedup_rows_put_every_other_exercise_after_the_bank(small_trained_module):
+    """A bank exercise (the corpus's own object) is its corpus row; anything
+    else, a clone, an equal copy of a bank exercise or a clone named with
+    another bank exercise's id, is a row of its own after the bank, in pair
+    order, so a view of the bank then those rows holds each pair's texts."""
+    corpus, _, _, vocab, _ = small_trained_module
+    exs, n = list(corpus), len(corpus)
+    copy = dataclasses.replace(exs[2])
+    named_as_5 = dataclasses.replace(exs[4], id=exs[5].id)
+    pairs = [(exs[0], exs[1], 0), (exs[2], copy, 1), (exs[3], named_as_5, 0),
+             (exs[5], exs[3], 0)]
+    extra, rows, labels = dedup_rows(pairs, corpus)
+    assert len(extra) == 2 and extra[0] is copy and extra[1] is named_as_5
+    assert rows.tolist() == [[0, 1], [2, n], [3, n + 1], [5, 3]]
+    assert labels.tolist() == [label for _, _, label in pairs]
+    view = PreparedCorpus([*corpus, *extra], vocab)
+    for (a, b, _), (ra, rb) in zip(pairs, rows):
+        assert view.exercises[ra] is a and view.exercises[rb] is b
+    assert view.tokens[n + 1] == view.tokens[4] != view.tokens[5]
+    assert dedup_rows([], corpus)[1].shape == (0, 2)
 
 
 def test_dedup_identical_exercise_is_duplicate(dedup_setup):

@@ -161,8 +161,8 @@ def variant_setup():
     params, _ = enc.pretrain(corpus, view, enc.PretrainConfig(d=16, epochs=8, seed=2))
     params, _ = enc.fine_tune(
         params, pairs, view, enc.FinetuneConfig(epochs=3, n_negatives=6, seed=2))
-    head = rr.train_variant(pairs, corpus, view.vocab, params)
-    clf = rr.VariantClassifier(head, PairFeaturizer(PreparedCorpus(corpus, view.vocab, params)))
+    served = PreparedCorpus(corpus, view.vocab, params)
+    clf = rr.VariantClassifier(rr.train_variant(pairs, corpus, served), PairFeaturizer(served))
     return corpus, truth, pairs, view.vocab, params, clf
 
 
