@@ -27,7 +27,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .snapshots import SnapshotFormatError, atomic_write, load_arrays, save_arrays
+from .snapshots import (SnapshotFormatError, atomic_write, read_arrays, save_arrays,
+                        sha256_hex)
 
 SIMILAR = "similar"
 DISSIMILAR = "dissimilar"
@@ -212,6 +213,11 @@ class Corpus:
     ``index`` is the corpus's :class:`RowIndex`; ``learning_stages`` (n, 2)
     and ``difficulties`` (n,) hold every exercise's metadata in row order,
     for the re-rank filters. Each is built on first use and kept.
+
+    ``digest`` is the sha256 of the snapshot the corpus was loaded from
+    (:func:`load_snapshot`), else None. ``stems`` is the stem column the
+    last ``pairclf.PreparedCorpus`` over the corpus prepared, with the
+    vocabulary it was made under; that module alone reads and sets it.
     """
 
     def __init__(self, exercises: Iterable[Exercise], levels: Optional[int] = None,
@@ -221,6 +227,8 @@ class Corpus:
             if ex.id in self._by_id:
                 raise CorpusError(f"duplicate exercise id {ex.id!r}")
             self._by_id[ex.id] = ex
+        self.digest: Optional[str] = None
+        self.stems = None
         exs = list(self._by_id.values())
         self.levels = int(levels) if levels is not None else max(
             (ex.metadata.difficulty for ex in exs), default=1)
@@ -416,10 +424,31 @@ def save_snapshot(corpus: Corpus, path) -> None:
     }, {"image_features": np.concatenate([np.empty((0, corpus.d_img))] + images)})
 
 
+# the corpus load_snapshot returned last; see there
+_last_snapshot: Optional[Corpus] = None
+
+
 def load_snapshot(path) -> Corpus:
     """The saved corpus; each exercise's ``image_features`` is a read-only
-    view of its rows of the snapshot's one image array."""
-    meta, arrays = load_arrays(path, "corpus")
+    view of its rows of the snapshot's one image array.
+
+    The file is parsed once per content: the corpus loaded last is kept,
+    keyed by the sha256 of the file's bytes (``Corpus.digest``), and a file
+    of the same bytes, under this path or any other, returns that very
+    object, which is immutable. One slot bounds the memory: one corpus, the
+    one a loaded ``Pipeline`` holds anyway, with the stem column its views
+    keep (see ``pairclf.PreparedCorpus``). Two loads at once may each parse
+    the file; either result is the same corpus."""
+    global _last_snapshot
+    with open(path, "rb") as fh:
+        digest = sha256_hex(fh)
+        last = _last_snapshot
+        if last is not None and last.digest == digest:
+            return last
+        # an atomic rewrite of path replaces the file, not this open one,
+        # so what is parsed is what was hashed
+        fh.seek(0)
+        meta, arrays = read_arrays(fh, path, "corpus")
     feats = arrays.get("image_features")
     if feats is None:
         raise SnapshotFormatError(
@@ -435,7 +464,10 @@ def load_snapshot(path) -> Corpus:
     if start != len(feats):
         raise SnapshotFormatError(
             f"{path}: records count {start} images, the image array holds {len(feats)}")
-    return Corpus(exercises, levels=meta["levels"], d_img=meta["d_img"])
+    corpus = Corpus(exercises, levels=meta["levels"], d_img=meta["d_img"])
+    corpus.digest = digest
+    _last_snapshot = corpus
+    return corpus
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,11 @@ work is organised around three pieces:
   code matrix is padded to the lane width of the longest row, and
   ``lane_masks`` holds each row's packed lane mask, so a query's kernel call
   gathers rows instead of padding and packing them, and compares each
-  distinct query code with them once. Every build step prepares the bank
-  once and passes the view down: the vocabulary is built from its token
-  lists, the encoder trains on its ids, the ranker's task instances read
-  its stem and analysis codes, and the pair heads train from its rows.
+  distinct query code with them once. A process prepares the bank's stems
+  once (a corpus keeps the stem column of its views) and every build step
+  passes its view down: the vocabulary is built from its token lists, the
+  encoder trains on its ids, the ranker's task instances read its stem and
+  analysis codes, and the pair heads train from its rows.
   Token codes are equal exactly when tokens are equal:
   in-vocabulary tokens use their vocabulary id, every out-of-vocabulary
   token gets a code of its own (vocabulary ids alone would collapse all of
@@ -370,6 +371,60 @@ class TextColumn(NamedTuple):
     lengths: np.ndarray
 
 
+def _text_column(vocab: Vocab, tokens: Iterable[list[str]], strings: dict[str, str],
+                 table: CodeTable) -> TextColumn:
+    """Each text's ``tokens`` with one ``str`` per distinct token
+    (``Vocab.share`` through ``strings``), and their codes under ``table``."""
+    tokens = [vocab.share(t, strings) for t in tokens]
+    return TextColumn(tokens, *pad_codes([table.encode(t) for t in tokens]))
+
+
+class _Stems(NamedTuple):
+    """A stem column with what it was made under: the vocabulary, and the
+    strings and codes of its out-of-vocabulary tokens."""
+
+    vocab: Vocab
+    column: TextColumn
+    oov_strings: dict[str, str]
+    oov_codes: dict[str, int]
+
+
+def _make_stems(vocab: Vocab, tokens: Iterable[list[str]],
+                after: Optional[_Stems] = None) -> _Stems:
+    """``tokens`` shared and coded under ``vocab``; with ``after``, as rows
+    that follow its rows, with its out-of-vocabulary strings and codes."""
+    strings = dict(after.oov_strings) if after else {}
+    table = CodeTable(vocab, after.oov_codes if after else None)
+    column = _text_column(vocab, tokens, strings, table)
+    if after is None:
+        return _Stems(vocab, column, strings, table.extra)
+    head = after.column
+    # the lane of the longer of the two widest rows, as pad_codes over both
+    codes = np.full((len(head.lengths) + len(column.lengths),
+                     max(head.codes.shape[1], column.codes.shape[1])), PAD_CODE, dtype=np.int32)
+    codes[:len(head.lengths), :head.codes.shape[1]] = head.codes
+    codes[len(head.lengths):, :column.codes.shape[1]] = column.codes
+    return _Stems(vocab, TextColumn(head.tokens + column.tokens, codes,
+                                    np.concatenate([head.lengths, column.lengths])),
+                  strings, {**after.oov_codes, **table.extra})
+
+
+def _corpus_stems(corpus: Corpus, vocab: Vocab,
+                  tokens: Optional[Iterable[list[str]]] = None) -> _Stems:
+    """The stem column ``corpus`` keeps when it was made under a vocabulary
+    equal to ``vocab``; else one made now, from ``tokens`` when given, and
+    kept in its place."""
+    kept = corpus.stems
+    if kept is None or kept.vocab != vocab:
+        if tokens is None:
+            tokens = (text_tokens(ex.text, vocab.stop_words) for ex in corpus)
+        kept = _make_stems(vocab, tokens)
+        kept.column.codes.flags.writeable = False
+        kept.column.lengths.flags.writeable = False
+        corpus.stems = kept
+    return kept
+
+
 class PreparedCorpus:
     """Each exercise's texts normalized once, held column-wise: the one place
     where an exercise's text becomes tokens, vocabulary ids and edit-distance
@@ -390,6 +445,18 @@ class PreparedCorpus:
     ``index`` gives the rows of the ids; a view of a ``Corpus`` shares the
     corpus's, so candidates recalled from that corpus are rows of the view.
 
+    A process prepares a corpus's stems once. A view of a ``Corpus`` keeps
+    its stem column (tokens, codes, lengths, read-only) in the corpus, as
+    ``Corpus.stems``, keyed by the vocabulary's tokens and stop words: a
+    later view of that corpus under an equal vocabulary, a vocabulary file
+    loaded again included, reads the column, normalizes no stem and takes
+    the vocabulary the column was made under as its ``vocab``. A corpus
+    keeps one column, the last one made, which is the column a loaded
+    pipeline's view holds anyway; the analysis column, the embeddings and
+    the lane masks stay the view's own, so training data is not kept.
+    :meth:`with_own_vocab` reads the kept stem tokens under equal stop words
+    and :meth:`extended` the kept column's.
+
     Sharing rule: ``tokens`` and ``analysis.tokens`` hold one ``str`` object
     per distinct token, however often it occurs. An in-vocabulary token is
     the vocabulary's own string, any other token the entry of
@@ -402,42 +469,63 @@ class PreparedCorpus:
 
     def __init__(self, exercises: Iterable[Exercise], vocab: Vocab,
                  params: Optional[EncoderParams] = None):
-        exercises = exercises if isinstance(exercises, Corpus) else list(exercises)
-        self._prepare(exercises, vocab, params,
-                      (text_tokens(ex.text, vocab.stop_words) for ex in exercises))
+        if isinstance(exercises, Corpus):
+            self._prepare(exercises, exercises.index, _corpus_stems(exercises, vocab), params)
+        else:
+            exercises = list(exercises)
+            self._prepare(exercises, RowIndex(ex.id for ex in exercises),
+                          _make_stems(vocab, (text_tokens(ex.text, vocab.stop_words)
+                                              for ex in exercises)), params)
 
     @classmethod
     def with_own_vocab(cls, corpus: Corpus, stop_words: Iterable[str] = ()) -> "PreparedCorpus":
         """``corpus`` prepared under a new vocabulary of its stem and analysis
         tokens, which keeps ``stop_words``; each text is normalized once, for
-        the vocabulary and the view alike."""
+        the vocabulary and the view alike, and a stem not at all when the
+        corpus keeps a column of the same stop words."""
         stop = canonical_stop_words(stop_words)
-        stems = [text_tokens(ex.text, stop) for ex in corpus]
+        kept = corpus.stems
+        stems = (kept.column.tokens if kept is not None and kept.vocab.stop_words == stop
+                 else [text_tokens(ex.text, stop) for ex in corpus])
         analyses = [text_tokens(ex.answer_analysis, stop) for ex in corpus]
         view = cls.__new__(cls)
-        view._prepare(corpus, Vocab.build(stems + analyses, stop_words=stop), None, stems)
+        view._prepare(corpus, corpus.index, _corpus_stems(
+            corpus, Vocab.build(stems + analyses, stop_words=stop), stems), None)
         view.analysis = view._column(analyses, view.code_table())
         return view
 
-    def _prepare(self, exercises, vocab: Vocab, params, tokens: Iterable[list[str]]) -> None:
+    @classmethod
+    def extended(cls, corpus: Corpus, others: Iterable[Exercise], vocab: Vocab,
+                 params: Optional[EncoderParams] = None) -> "PreparedCorpus":
+        """A view of ``corpus``'s exercises followed by ``others``, equal to
+        ``PreparedCorpus([*corpus, *others], vocab, params)``: the corpus's
+        rows are the column it keeps (made and kept here if it has none under
+        ``vocab``), so only ``others`` are normalized."""
+        others = list(others)
+        bank = _corpus_stems(corpus, vocab)
+        exercises = [*corpus, *others]
+        view = cls.__new__(cls)
+        view._prepare(exercises, RowIndex(ex.id for ex in exercises),
+                      _make_stems(bank.vocab, (text_tokens(ex.text, vocab.stop_words)
+                                               for ex in others), after=bank), params)
+        return view
+
+    def _prepare(self, exercises, index: RowIndex, stems: _Stems, params) -> None:
         self.exercises = list(exercises)
-        self.vocab = vocab
+        self.index = index
         self.params = params
-        self.index = (exercises.index if isinstance(exercises, Corpus)
-                      else RowIndex(ex.id for ex in self.exercises))
-        self.oov_strings: dict[str, str] = {}
-        table = CodeTable(vocab)
-        self.oov_codes = table.extra
-        self.tokens, self.codes, self.lengths = self._column(tokens, table)
+        self.vocab = stems.vocab
+        self.tokens, self.codes, self.lengths = stems.column
+        # the analysis side adds its own tokens; the kept table stays the stems'
+        self.oov_strings = dict(stems.oov_strings)
+        self.oov_codes = stems.oov_codes
         self.lane_masks = _row_masks(self.lengths, self.codes.shape[1])
         self._embeddings: Optional[np.ndarray] = None
 
     def _column(self, tokens: Iterable[list[str]], table: CodeTable) -> TextColumn:
-        """Each text's ``tokens`` with one ``str`` per distinct token of the
-        view (``Vocab.share`` through ``oov_strings``), and their codes under
-        ``table``."""
-        tokens = [self.vocab.share(t, self.oov_strings) for t in tokens]
-        return TextColumn(tokens, *pad_codes([table.encode(t) for t in tokens]))
+        """Each text's ``tokens`` shared through the view's ``oov_strings``,
+        and their codes under ``table``."""
+        return _text_column(self.vocab, tokens, self.oov_strings, table)
 
     @cached_property
     def analysis(self) -> TextColumn:

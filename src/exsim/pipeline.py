@@ -6,7 +6,8 @@ classifier heads). Build steps write them, :class:`Pipeline` loads them and
 answers queries by composing recall, ranking and re-rank. The two recall
 indexes are not artifacts: ``Pipeline.load`` builds them in memory from the
 corpus, vocabulary and encoder it loads, so they cannot go stale. Each
-loaded snapshot's content digest is kept in ``Pipeline.versions``. The
+loaded snapshot's content digest is kept in ``Pipeline.versions``; the
+corpus's is the one ``corpus.load_snapshot`` hashed it by. The
 query cache belongs to one loaded pipeline, whose artifacts never change: a
 retrain takes effect through a new ``Pipeline.load``, which starts with an
 empty cache. Its key is the request's profile and either the id string or
@@ -20,24 +21,38 @@ bank's own exercise object are separate entries that serve equal lists.
 Steps that read the labeled pairs refuse a pair naming an id the corpus
 lacks.
 
-Text becomes tokens in one place, ``pairclf.PreparedCorpus``, and each step
-prepares the bank once. ``step_pretrain`` builds the vocabulary from the
-view's token lists and pre-trains on the view (``encoder.pretrain``); it
-writes ``vocab.txt`` and the encoder only after training succeeds, so a
-failed run leaves both as they were. ``step_finetune`` passes its view to
+Per-process contract: a process parses ``corpus.snap`` once and prepares
+the bank once. ``corpus.load_snapshot`` keeps the corpus it loaded last,
+by the sha256 of the file's bytes, so every step and ``Pipeline.load`` of
+one process read one ``Corpus`` object, and that corpus keeps the stem
+column of its views (``pairclf.PreparedCorpus``). Every step that
+prepares the bank under the workspace vocabulary, and ``Pipeline.load``,
+reads that column and normalizes no stem: in a build, ``step_pretrain``
+normalizes each stem and each analysis once, ``step_index`` only its
+clones, ``step_train_rank`` and ``step_clean`` only the analyses they
+read, and ``Pipeline.load`` nothing. Steps run as separate processes
+prepare the bank once each and write the same bytes. Nothing trained is
+kept: the pairs and the analysis column live as long as the step.
+
+Text becomes tokens in one place, ``pairclf.PreparedCorpus``.
+``step_pretrain`` builds the vocabulary from the view's token lists and
+pre-trains on the view (``encoder.pretrain``); it writes ``vocab.txt`` and
+the encoder only after training succeeds, so a failed run leaves both as
+they were. ``step_finetune`` passes its view to
 ``encoder.fine_tune``, which trains on the view's stem ids;
 ``step_train_rank`` trains the ranker over it, and ``step_clean`` its fold
 heads and the one ranker it trains, on the cleaned pairs (see
 ``clean_and_retrain``). ``step_index`` prepares one view, the bank's
-exercises followed by the clones its dedup pairs add, and both heads train
-from row pairs of it.
+exercises followed by the clones its dedup pairs add
+(``PreparedCorpus.extended``), and both heads train from row pairs of it.
 Stems are normalized when a view is made, answers and analyses only when a
 step reads them, and embeddings only when a step asks for them.
 
 Query flow. A stage is built from one view; a miss passes one
 ``PreparedQuery`` over it. ``Pipeline.load`` prepares the corpus once
-(``pairclf.PreparedCorpus``): each exercise is normalized once and embedded
-once under the encoder. The recall indexes, dedup, the variant split and the
+(``pairclf.PreparedCorpus``): each exercise's stem is read from the column
+the corpus keeps, or normalized once in a new process, and embedded once
+under the encoder. The recall indexes, dedup, the variant split and the
 ranker are built from that one view alone, and the dedup and variant heads
 share one featurizer over it; its embedding matrix is the vector index. The
 ranker keeps a matrix of its own, each row embedded once under its own
@@ -71,7 +86,8 @@ later step and ``Pipeline.load`` refuse a key that differs from it.
 Configuration is a flat key = value file; see DEFAULTS for the full key
 list with defaults. A value no query could be served with (``recall.n``
 below 1, a ``recall.dedup_threshold`` not above 0, a
-``recall.concept_boost`` that is not finite), no training could run with
+``recall.concept_boost`` or ``rerank.variant_threshold`` that is not
+finite), no training could run with
 (``encoder.batch`` below 2, an ``encoder.tau`` not above 0, an empty
 ``rank.tasks``, ``rank.alpha`` weights that train nothing with ``rank.moe``
 off) or no report could be cut at (an empty ``eval.ks`` or an entry below
@@ -98,7 +114,7 @@ from .evaluate import (EvalReport, annotated_similars, config_hash,
 from .pairclf import PairFeaturizer, PreparedCorpus, PreparedQuery
 from .recall import RecallConfig, Recaller
 from .rerank import RerankConfig, RerankedResult, StudentProfile, VariantClassifier
-from .snapshots import atomic_write, file_digest
+from .snapshots import atomic_write, file_digest, short_digest
 from .textnorm import Vocab, canonical_stop_words
 
 log = logging.getLogger(__name__)
@@ -344,7 +360,7 @@ def step_index(workdir, config: Config) -> None:
     variant = any(p.variant is not None for p in pairs)
     if dedup is None and not variant:
         return
-    view = PreparedCorpus([*corpus, *clones], vocab, params)
+    view = PreparedCorpus.extended(corpus, clones, vocab, params)
     if dedup is not None:
         recall_mod.train_dedup(view, *dedup).save(_path(workdir, "dedup"), "dedup")
     if variant:
@@ -425,18 +441,24 @@ def _eval_query_ids(corpus: Corpus) -> list[str]:
     return [ids[int(i * step)] for i in range(EVAL_QUERIES)]
 
 
+def _finite_float(config: Config, key: str) -> float:
+    """``key``'s number; ValueError naming the key unless it is finite."""
+    value = config.get_float(key)
+    if not math.isfinite(value):
+        raise ValueError(f"config {key} = {config.get(key)}: expected a finite number")
+    return value
+
+
 def _recall_config(config: Config) -> RecallConfig:
     # a threshold not above 0 (NaN too) would make dedup drop every candidate
     threshold = _positive_float(config, "recall.dedup_threshold")
-    boost = config.get_float("recall.concept_boost")
-    if not math.isfinite(boost):  # NaN scores drop every BM25 candidate
-        raise ValueError(f"config recall.concept_boost = "
-                         f"{config.get('recall.concept_boost')}: expected a finite number")
     return RecallConfig(
         k_exact=config.get_int("recall.k_exact", minimum=0),
         k_embed=config.get_int("recall.k_embed", minimum=0),
         n=config.get_int("recall.n", minimum=1),
-        dedup_threshold=threshold, concept_boost=boost)
+        dedup_threshold=threshold,
+        # NaN scores drop every BM25 candidate
+        concept_boost=_finite_float(config, "recall.concept_boost"))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +541,8 @@ class Pipeline:
         config = config or Config()
         recall_config = _recall_config(config)
         rerank_config = RerankConfig(
-            variant_threshold=config.get_float("rerank.variant_threshold"),
+            # against NaN no probability compares, so nothing would be split
+            variant_threshold=_finite_float(config, "rerank.variant_threshold"),
             enable_variant=config.get_bool("rerank.enable_variant"))
         cache_size = config.get_int("cache.size", minimum=0)
         required = ("corpus", "vocab", "encoder", "ranker")
@@ -543,12 +566,12 @@ class Pipeline:
         if _path(workdir, "variant").exists():
             variant_clf = VariantClassifier.load(_path(workdir, "variant"), featurizer)
         recaller = Recaller.build(view, dedup=dedup, config=recall_config)
-        versions = {}
+        versions = {"corpus": short_digest(corpus.digest)}
         for name in FILES:
             p = _path(workdir, name)
-            if p.exists() and name not in ("report", "cleaning"):
+            if p.exists() and name not in ("corpus", "report", "cleaning"):
                 versions[name] = file_digest(p)
-        return cls(corpus=corpus, vocab=vocab, recaller=recaller,
+        return cls(corpus=corpus, vocab=view.vocab, recaller=recaller,
                    ranker=ranking.Ranker(ranker_params, view),
                    variant_clf=variant_clf, config=config,
                    rerank_config=rerank_config, versions=versions,

@@ -39,6 +39,7 @@ kept in the query cache, so per-item objects are only built on access.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -56,6 +57,10 @@ STAGE_MODES = ("synchronous", "review")
 
 @dataclass(frozen=True)
 class StudentProfile:
+    """A student's ability, stage mode and (grade, semester). The stage is
+    kept as a tuple of two ``int``s, so the profile is hashable and keys the
+    query cache; a list is converted, anything else refused."""
+
     ability: str
     stage_mode: str
     current_stage: tuple[int, int]
@@ -65,6 +70,12 @@ class StudentProfile:
             raise ValueError(f"unknown ability {self.ability!r}")
         if self.stage_mode not in STAGE_MODES:
             raise ValueError(f"unknown stage mode {self.stage_mode!r}")
+        stage = self.current_stage
+        if not (isinstance(stage, (tuple, list)) and len(stage) == 2
+                and all(isinstance(v, Integral) and not isinstance(v, bool) for v in stage)):
+            raise ValueError(f"current_stage {stage!r}: expected (grade, semester), "
+                             "two integers")
+        object.__setattr__(self, "current_stage", (int(stage[0]), int(stage[1])))
 
 
 @dataclass(frozen=True)

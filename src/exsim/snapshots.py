@@ -64,37 +64,55 @@ def save_arrays(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> N
 
 def load_arrays(path, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise SnapshotFormatError(f"{path}: not an exsim snapshot (bad magic)")
-        raw = fh.read(4)
-        if len(raw) != 4:
-            raise SnapshotFormatError(f"{path}: truncated header")
-        header_len = struct.unpack("<I", raw)[0]
-        header_bytes = fh.read(header_len)
-        if len(header_bytes) != header_len:
-            raise SnapshotFormatError(f"{path}: truncated header")
-        header = json.loads(header_bytes)
-        if header.get("kind") != expect_kind:
-            raise SnapshotFormatError(
-                f"{path}: snapshot kind {header.get('kind')!r}, expected {expect_kind!r}")
-        arrays = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise SnapshotFormatError(f"{path}: truncated array {spec['name']!r}")
-            arrays[spec["name"]] = np.frombuffer(buf, dtype="<f8").astype(
-                np.float64).reshape(shape)
-        if fh.read(1):
-            raise SnapshotFormatError(f"{path}: trailing bytes")
+        return read_arrays(fh, path, expect_kind)
+
+
+def read_arrays(fh, path, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The metadata and arrays of the snapshot ``fh``, a binary file read
+    from its current position to its end; ``path`` names it in errors."""
+    if fh.read(len(_MAGIC)) != _MAGIC:
+        raise SnapshotFormatError(f"{path}: not an exsim snapshot (bad magic)")
+    raw = fh.read(4)
+    if len(raw) != 4:
+        raise SnapshotFormatError(f"{path}: truncated header")
+    header_len = struct.unpack("<I", raw)[0]
+    header_bytes = fh.read(header_len)
+    if len(header_bytes) != header_len:
+        raise SnapshotFormatError(f"{path}: truncated header")
+    header = json.loads(header_bytes)
+    if header.get("kind") != expect_kind:
+        raise SnapshotFormatError(
+            f"{path}: snapshot kind {header.get('kind')!r}, expected {expect_kind!r}")
+    arrays = {}
+    for spec in header["arrays"]:
+        shape = tuple(spec["shape"])
+        count = int(np.prod(shape)) if shape else 1
+        buf = fh.read(count * 8)
+        if len(buf) != count * 8:
+            raise SnapshotFormatError(f"{path}: truncated array {spec['name']!r}")
+        arrays[spec["name"]] = np.frombuffer(buf, dtype="<f8").astype(
+            np.float64).reshape(shape)
+    if fh.read(1):
+        raise SnapshotFormatError(f"{path}: trailing bytes")
     return header["meta"], arrays
+
+
+def sha256_hex(fh) -> str:
+    """The hex sha256 of the binary file ``fh``, read from its current
+    position to its end."""
+    h = hashlib.sha256()
+    for chunk in iter(lambda: fh.read(65536), b""):
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def short_digest(sha256: str) -> str:
+    """The short form of a hex sha256, the version of a snapshot in caches
+    and reports."""
+    return sha256[:12]
 
 
 def file_digest(path) -> str:
     """Short content hash used as the snapshot version in caches and reports."""
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()[:12]
+        return short_digest(sha256_hex(fh))

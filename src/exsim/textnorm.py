@@ -116,11 +116,27 @@ class Vocab:
     def build(cls, token_lists: Iterable[Sequence[str]],
               stop_words: Iterable[str] = ()) -> "Vocab":
         """Count the tokens of texts normalized with ``stop_words``; order by
-        count desc, then token."""
+        count desc, then token.
+
+        The vocabulary holds strings of its own, made in one pass as
+        :meth:`load` makes them, not the texts' token strings: a vocabulary
+        kept after its texts are freed does not pin the memory they were
+        allocated in."""
         counts = Counter()
         for tokens in token_lists:
             counts.update(tokens)
-        return cls(sorted(counts, key=lambda t: (-counts[t], t)), stop_words)
+        order = sorted(counts, key=lambda t: (-counts[t], t))
+        fresh = "\n".join(order).split("\n") if order else []
+        # a token holding a newline splits: the check in __init__ refuses it
+        return cls(fresh if len(fresh) == len(order) else order, stop_words)
+
+    def __eq__(self, other) -> bool:
+        """The same tokens under the same ids and the same stop words: equal
+        vocabularies map every text alike."""
+        if not isinstance(other, Vocab):
+            return NotImplemented
+        return (self._id_to_token == other._id_to_token
+                and self.stop_words == other.stop_words)
 
     def __len__(self) -> int:
         return len(self._id_to_token)

@@ -1,9 +1,12 @@
 import dataclasses
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from exsim import corpus as corpus_mod
 from exsim.corpus import (
     DISSIMILAR, PLAIN_SIMILAR, SIMILAR, VARIANT, Corpus, CorpusError, Exercise, LabeledPair,
     Metadata, SyntheticSpec, generate_dedup_pairs, generate_synthetic, load_corpus,
@@ -178,6 +181,27 @@ def test_snapshot_round_trip(tmp_path, small_synth):
     path = tmp_path / "c.snap"
     save_snapshot(corpus, path)
     assert load_snapshot(path) == corpus
+
+
+def test_snapshot_is_parsed_once_per_content(tmp_path, monkeypatch, small_synth):
+    """The corpus loaded last is kept by the sha256 of the file's bytes: a
+    byte-equal copy anywhere gives that very object, a file rewritten with
+    other bytes a new corpus, which then takes the one slot."""
+    monkeypatch.setattr(corpus_mod, "_last_snapshot", None)
+    corpus, _, _ = small_synth
+    path, copy = tmp_path / "c.snap", tmp_path / "other" / "c.snap"
+    save_snapshot(corpus, path)
+    first = load_snapshot(path)
+    assert first.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    copy.parent.mkdir()
+    shutil.copyfile(path, copy)
+    assert load_snapshot(path) is first and load_snapshot(copy) is first
+    fewer = Corpus(list(corpus)[1:], levels=corpus.levels, d_img=corpus.d_img)
+    save_snapshot(fewer, path)
+    rewritten = load_snapshot(path)
+    assert rewritten is not first and rewritten == fewer and rewritten.digest != first.digest
+    again = load_snapshot(copy)
+    assert again is not first and again == first and again.digest == first.digest
 
 
 def with_images(ex_id, images):

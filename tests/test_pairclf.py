@@ -6,7 +6,7 @@ from gradcheck import assert_grads_match, finite_difference
 from hypothesis import example, given, settings, strategies as st
 
 from exsim import pairclf
-from exsim.corpus import Exercise, Metadata
+from exsim.corpus import Corpus, Exercise, Metadata
 from exsim.encoder import EncoderParams
 from exsim.pairclf import (
     PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery, bce_loss_and_grads,
@@ -440,8 +440,13 @@ def test_analysis_side_shares_the_stem_codes(monkeypatch):
         view.embeddings
 
 
+def fresh(corpus: Corpus) -> Corpus:
+    """A corpus of the same exercises that keeps no stem column yet."""
+    return Corpus(corpus, levels=corpus.levels, d_img=corpus.d_img)
+
+
 def test_own_vocab_normalizes_each_text_once(small_synth, monkeypatch):
-    corpus, _, _ = small_synth
+    corpus = fresh(small_synth[0])
     calls = []
     normalize = pairclf.normalize_text
     monkeypatch.setattr(pairclf, "normalize_text",
@@ -481,6 +486,56 @@ def test_view_holds_one_string_per_distinct_token(small_synth):
         PreparedQuery(exercise("probe", "qwerty zxcvb " + corpus.ids[0]), view)
         assert view.oov_strings == table
     assert not own.oov_strings and PreparedCorpus(corpus, partial).oov_strings
+
+
+def test_views_of_a_corpus_share_its_stem_column(small_synth, tmp_path, monkeypatch):
+    """A view under a vocabulary equal to the one the corpus's column was
+    made under, a saved copy included, reads that column and normalizes no
+    stem; another vocabulary makes a column of its own. The analysis side
+    stays the view's: its tokens do not enter what the corpus keeps."""
+    corpus = fresh(small_synth[0])
+    own = PreparedCorpus.with_own_vocab(corpus)
+    own.vocab.save(tmp_path / "vocab.txt")
+    calls = []
+    normalize = pairclf.normalize_text
+    monkeypatch.setattr(pairclf, "normalize_text",
+                        lambda *args: calls.append(args[0]) or normalize(*args))
+    again = PreparedCorpus(corpus, Vocab.load(tmp_path / "vocab.txt"))
+    assert calls == [] and again.vocab is own.vocab
+    assert again.tokens is own.tokens and again.codes is own.codes
+    assert not again.codes.flags.writeable and not again.lengths.flags.writeable
+    partial = Vocab.build(own.tokens[:4])
+    first = PreparedCorpus(corpus, partial)
+    assert calls == [ex.text for ex in corpus] and first.tokens is not own.tokens
+    stem_oov = dict(first.oov_strings)
+    first.analysis_ids()
+    assert len(first.oov_strings) > len(stem_oov)
+    assert PreparedCorpus(corpus, partial).oov_strings == stem_oov
+    assert len(calls) == 2 * len(corpus)
+
+
+def test_extended_view_equals_a_view_of_the_list(small_synth, monkeypatch):
+    """Rows, codes, lanes and tables equal those of one view of the list,
+    with out-of-vocabulary tokens and a row longer than any of the bank's
+    among the others; only the others are normalized."""
+    corpus = fresh(small_synth[0])
+    vocab = Vocab.build(PreparedCorpus.with_own_vocab(corpus).tokens[:4])
+    others = [exercise("o1", "qwerty " + corpus.ids[0]), exercise("o2", " ".join(["zz"] * 70)),
+              dataclasses.replace(corpus[corpus.ids[1]])]
+    PreparedCorpus(corpus, vocab)
+    calls = []
+    normalize = pairclf.normalize_text
+    monkeypatch.setattr(pairclf, "normalize_text",
+                        lambda *args: calls.append(args[0]) or normalize(*args))
+    extended = PreparedCorpus.extended(corpus, others, vocab, PARAMS)
+    assert calls == [ex.text for ex in others]
+    whole = PreparedCorpus([*corpus, *others], vocab, PARAMS)
+    assert extended.tokens == whole.tokens and extended.index.ids == whole.index.ids
+    assert extended.codes.shape == whole.codes.shape
+    for name in ("codes", "lengths", "lane_masks"):
+        assert np.array_equal(getattr(extended, name), getattr(whole, name)), name
+    assert extended.oov_codes == whole.oov_codes and extended.oov_strings == whole.oov_strings
+    assert extended.exercises == whole.exercises and extended.params is PARAMS
 
 
 def test_view_embeddings_equal_single_text_embedding():

@@ -3,9 +3,11 @@ Pipeline.load and queries, plus bit-identity of the batched pair scoring
 against a per-pair computation written out here."""
 
 import dataclasses
+import functools
 import json
 import shutil
 from collections import Counter
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -83,10 +85,18 @@ def test_config_refuses_an_unknown_bool_spelling():
 
 
 def test_load_refuses_a_bad_rerank_key(workspace):
+    """A threshold that is not finite used to load: against NaN no
+    probability compares, so the variant step ran and split nothing."""
     workdir, config, _, _ = workspace
-    bad = pl.Config({**config.values, "rerank.enable_variant": "enabled"})
-    with pytest.raises(ValueError, match="rerank.enable_variant = 'enabled'"):
-        pl.Pipeline.load(workdir, bad)
+    for key, value, message in (
+            ("rerank.enable_variant", "enabled", "rerank.enable_variant = 'enabled'"),
+            ("rerank.variant_threshold", "nan", "rerank.variant_threshold = nan: "
+                                                "expected a finite number"),
+            ("rerank.variant_threshold", "inf", "rerank.variant_threshold = inf: "),
+            ("rerank.variant_threshold", "-inf", "rerank.variant_threshold = -inf: ")):
+        bad = pl.Config({**config.values, key: value})
+        with pytest.raises(ValueError, match=message):
+            pl.Pipeline.load(workdir, bad)
 
 
 @pytest.mark.parametrize("key, value", [("recall.n", "0"), ("recall.k_exact", "-1"),
@@ -496,23 +506,24 @@ def load_without_dedup(workspace, tmp_path):
     return pipe, corpus
 
 
+def counted(counts: Counter, name: str, fn):
+    """``fn``, counting its calls in ``counts[name]``."""
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def count_calls(monkeypatch) -> Counter:
     """Count calls of normalize_text, embed_text and pair_feature_rows
     through every module binding of them, and of the edit-distance kernel's
     Myers loop (as "kernel"), which every distance goes through."""
     counts = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     for module in (textnorm, encoder, pairclf, recall, ranking):
         for name in ("normalize_text", "embed_text", "pair_feature_rows"):
             if name in vars(module):
-                monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
-    monkeypatch.setattr(pairclf, "_myers", counted("kernel", pairclf._myers))
+                monkeypatch.setattr(module, name, counted(counts, name, vars(module)[name]))
+    monkeypatch.setattr(pairclf, "_myers", counted(counts, "kernel", pairclf._myers))
     return counts
 
 
@@ -575,12 +586,53 @@ def test_without_dedup_ranking_makes_the_one_kernel_call(workspace, tmp_path,
                       "pair_feature_rows": 2}
 
 
-def test_build_steps_prepare_the_bank_once(workspace, tmp_path, monkeypatch):
-    """Each build step normalizes an exercise's stem and its analysis at
-    most once; step_index normalizes each bank stem and each clone its dedup
-    pairs add exactly once, in one view. Pipeline.load normalizes each
-    exercise once and embeds it twice, under the encoder and under the
-    ranker's backbone."""
+@pytest.fixture
+def new_process(monkeypatch):
+    """A function that forgets the corpus ``load_snapshot`` keeps, and with
+    it the stem column its views keep, as a new process starts without
+    them; called once here, so the test starts as a new process."""
+    def forget():
+        monkeypatch.setattr(corpus_mod, "_last_snapshot", None)
+    forget()
+    return forget
+
+
+def build(workdir, config, before_step: Callable[[], None] = lambda: None) -> dict:
+    """Every build step over the tiny bank, then ``Pipeline.load``; by step
+    name, the step's snapshot parses and the texts it normalized (every
+    text is normalized through ``pairclf``'s binding)."""
+    steps = [("step_synth", lambda: pl.step_synth(workdir, TINY))]
+    steps += [(step.__name__, functools.partial(step, workdir, config))
+              for step in (pl.step_pretrain, pl.step_finetune, pl.step_index,
+                           pl.step_train_rank, pl.step_clean, pl.step_eval)]
+    steps.append(("load", lambda: pl.Pipeline.load(workdir, config)))
+    parses, texts = Counter(), Counter()
+    normalize = pairclf.normalize_text
+
+    def recording(text, *args, **kwargs):
+        texts[text] += 1
+        return normalize(text, *args, **kwargs)
+
+    per_step = {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(corpus_mod, "read_arrays",
+                            counted(parses, "parse", corpus_mod.read_arrays))
+        monkeypatch.setattr(pairclf, "normalize_text", recording)
+        for name, step in steps:
+            before_step()
+            parses.clear()
+            texts.clear()
+            step()
+            per_step[name] = parses["parse"], Counter(texts)
+    return per_step
+
+
+def test_build_steps_prepare_the_bank_once(workspace, tmp_path, monkeypatch, new_process):
+    """Each build step, run as a process of its own, normalizes an
+    exercise's stem and its analysis at most once; step_index normalizes
+    each bank stem and each clone its dedup pairs add exactly once, in one
+    view. Pipeline.load normalizes each exercise once and embeds it twice,
+    under the encoder and under the ranker's backbone."""
     workdir, config, corpus = copy_workspace(workspace, tmp_path)
     n = len(corpus)
     truth = corpus_mod.load_truth(workdir / pl.FILES["truth"])
@@ -589,15 +641,54 @@ def test_build_steps_prepare_the_bank_once(workspace, tmp_path, monkeypatch):
     counts = count_calls(monkeypatch)
     for step, most in ((pl.step_pretrain, 2 * n), (pl.step_train_rank, 2 * n),
                        (pl.step_clean, 2 * n)):
+        new_process()
         counts.clear()
         step(workdir, config)
         assert 0 < counts["normalize_text"] <= most, step.__name__
+    new_process()
     counts.clear()
     pl.step_index(workdir, config)
     assert counts["normalize_text"] == n + len(clones) == 92
+    new_process()
     counts.clear()
     pl.Pipeline.load(workdir, config)
     assert counts == {"normalize_text": n, "embed_text": 2 * n}
+
+
+def test_a_process_parses_and_prepares_the_bank_once(tmp_path, new_process):
+    """A build in one process parses corpus.snap once and normalizes each
+    bank stem once, in step_pretrain; later steps read the column the corpus
+    keeps and normalize only analyses and step_index's dedup clones, and
+    Pipeline.load normalizes nothing."""
+    workdir = tmp_path / "ws"
+    steps = build(workdir, pl.Config(CONFIG))
+    corpus = corpus_mod.load_snapshot(workdir / pl.FILES["corpus"])
+    truth = corpus_mod.load_truth(workdir / pl.FILES["truth"])
+    clones, _, _ = recall.dedup_rows(corpus_mod.generate_dedup_pairs(corpus, truth, seed=97),
+                                     corpus)
+    stems = Counter(ex.text for ex in corpus)
+    analyses = Counter(ex.answer_analysis for ex in corpus)
+    assert steps == {
+        "step_synth": (0, Counter()),
+        "step_pretrain": (1, stems + analyses),
+        "step_finetune": (0, Counter()),
+        "step_index": (0, Counter(ex.text for ex in clones)),
+        "step_train_rank": (0, analyses),
+        "step_clean": (0, analyses),
+        "step_eval": (0, Counter()),
+        "load": (0, Counter()),
+    }
+
+
+def test_a_build_in_one_process_writes_what_separate_processes_write(tmp_path, new_process):
+    """Byte for byte, every artifact of a build in one process and of one
+    whose steps each start as a new process would."""
+    config = pl.Config(CONFIG)
+    build(tmp_path / "one", config)
+    build(tmp_path / "many", config, before_step=new_process)
+    for name in pl.FILES:
+        one, many = (tmp_path / ws / pl.FILES[name] for ws in ("one", "many"))
+        assert one.read_bytes() == many.read_bytes(), name
 
 
 def test_step_index_heads_equal_a_per_pair_fit(workspace):

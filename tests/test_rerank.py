@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from test_recall import candidates_of
 
@@ -53,6 +54,23 @@ def test_profile_validation():
         rr.StudentProfile("weak", "cramming", (8, 1))
     p = rr.StudentProfile("weak", "review", (8, 1))
     assert p.current_stage == (8, 1)
+
+
+def test_profile_converts_a_stage_list_to_a_tuple():
+    """A list stage used to fail hashing the query cache's key."""
+    p = rr.StudentProfile("weak", "review", [8, np.int64(1)])
+    assert p.current_stage == (8, 1) and type(p.current_stage) is tuple
+    assert all(type(v) is int for v in p.current_stage)
+    assert hash(p) == hash(rr.StudentProfile("weak", "review", (8, 1)))
+
+
+@pytest.mark.parametrize("stage", [(8,), ("8", "1"), (8, 1, 2), "81", 8, (8.0, 1),
+                                   (True, 1)])
+def test_profile_refuses_a_stage_not_two_integers(stage):
+    """(8,) used to fail unpacking in stage_filter, ("8", "1") comparing
+    strings with the corpus's integer stages there."""
+    with pytest.raises(ValueError, match="current_stage"):
+        rr.StudentProfile("weak", "review", stage)
 
 
 def test_personalize_excellent_keeps_similar_or_harder(fixture_corpus):

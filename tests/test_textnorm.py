@@ -91,9 +91,22 @@ def test_vocab_save_load(tmp_path):
 
 
 def test_vocab_refuses_a_token_with_whitespace():
-    for token in ("", "find the", "x\n"):
+    for token in ("", "find the", "x\n", "a\nb"):
         with pytest.raises(ValueError, match="whitespace"):
             Vocab([token])
+        with pytest.raises(ValueError, match="whitespace"):
+            Vocab.build([["alpha", token]])
+
+
+def test_built_vocab_holds_strings_of_its_own():
+    """Not the counted texts' strings, which it would keep alive."""
+    texts = [["alpha", "beta"], ["beta"]]
+    vocab = Vocab.build(texts)
+    own = vocab._id_to_token[3:]
+    assert own == ["beta", "alpha"]
+    assert not any(t is s for t in own for text in texts for s in text)
+    assert vocab == Vocab(["beta", "alpha"]) and vocab != Vocab(["alpha", "beta"])
+    assert vocab != Vocab(["beta", "alpha"], stop_words=("the",))
 
 
 def test_failed_vocab_write_leaves_the_old_file(tmp_path):
