@@ -50,7 +50,7 @@ import numpy as np
 
 from .corpus import Corpus, CorpusError, LabeledPair
 from .evaluate import annotated_similars
-from .snapshots import load_arrays, save_arrays
+from .snapshots import SnapshotFormatError, load_arrays, save_arrays
 from .textnorm import Vocab
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
 from .textnorm import normalize_text  # noqa: F401
@@ -126,13 +126,23 @@ class EncoderParams:
             getattr(self, name)[...] -= lr * g
 
 
-def save_encoder(params: EncoderParams, path) -> None:
-    save_arrays(path, "encoder", {"seed": params.seed}, params.arrays())
+def save_encoder(params: EncoderParams, vocab: Vocab, path) -> None:
+    """One snapshot of the params and the vocabulary their ``emb`` rows are
+    ids of: its tokens in id order and its stop words, in the metadata."""
+    save_arrays(path, "encoder", {"seed": params.seed, "tokens": vocab.tokens,
+                                  "stop_words": list(vocab.stop_words)}, params.arrays())
 
 
-def load_encoder(path) -> EncoderParams:
+def load_encoder(path) -> tuple[EncoderParams, Vocab]:
+    """The params and their vocabulary, as ``save_encoder`` wrote them. A
+    snapshot without a vocabulary, of the older layout that kept it in a
+    file of its own, is refused."""
     meta, arrays = load_arrays(path, "encoder")
-    return EncoderParams(**arrays, seed=meta["seed"])
+    if "tokens" not in meta:
+        raise SnapshotFormatError(
+            f"{path}: encoder snapshot without its vocabulary, of an older layout; "
+            "rerun step_pretrain to rewrite it")
+    return EncoderParams(**arrays, seed=meta["seed"]), Vocab(meta["tokens"], meta["stop_words"])
 
 
 # ---------------------------------------------------------------------------

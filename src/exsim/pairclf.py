@@ -448,7 +448,7 @@ class PreparedCorpus:
     A process prepares a corpus's stems once. A view of a ``Corpus`` keeps
     its stem column (tokens, codes, lengths, read-only) in the corpus, as
     ``Corpus.stems``, keyed by the vocabulary's tokens and stop words: a
-    later view of that corpus under an equal vocabulary, a vocabulary file
+    later view of that corpus under an equal vocabulary, a vocabulary
     loaded again included, reads the column, normalizes no stem and takes
     the vocabulary the column was made under as its ``vocab``. A corpus
     keeps one column, the last one made, which is the column a loaded

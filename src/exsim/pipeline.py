@@ -1,11 +1,11 @@
 """End-to-end pipeline: workspace artifacts, configuration, query flow.
 
 A workspace directory holds every trained artifact under fixed names
-(corpus snapshot, labeled pairs, vocabulary, encoder and ranker parameters,
-classifier heads). Build steps write them, :class:`Pipeline` loads them and
-answers queries by composing recall, ranking and re-rank. The two recall
-indexes are not artifacts: ``Pipeline.load`` builds them in memory from the
-corpus, vocabulary and encoder it loads, so they cannot go stale. Each
+(corpus snapshot, labeled pairs, the encoder with its vocabulary, ranker
+parameters, classifier heads). Build steps write them, :class:`Pipeline`
+loads them and answers queries by composing recall, ranking and re-rank.
+The two recall indexes are not artifacts: ``Pipeline.load`` builds them in
+memory from the corpus and encoder it loads, so they cannot go stale. Each
 loaded snapshot's content digest is kept in ``Pipeline.versions``; the
 corpus's is the one ``corpus.load_snapshot`` hashed it by. The
 query cache belongs to one loaded pipeline, whose artifacts never change: a
@@ -18,8 +18,9 @@ value is not equal to itself by value, so it hits only as the same object.
 An entry holds a reference to the caller's (frozen) exercise until it is
 evicted, so at most ``cache.size`` of them. A request by id and one by the
 bank's own exercise object are separate entries that serve equal lists.
-Steps that read the labeled pairs refuse a pair naming an id the corpus
-lacks.
+Steps that read the labeled pairs or ``truth.json`` refuse one naming an id
+the corpus lacks; a ranker untrained or trained under another vocabulary
+than the encoder's is refused at load and by ``step_eval``.
 
 Per-process contract: a process parses ``corpus.snap`` once and prepares
 the bank once. ``corpus.load_snapshot`` keeps the corpus it loaded last,
@@ -36,9 +37,10 @@ kept: the pairs and the analysis column live as long as the step.
 
 Text becomes tokens in one place, ``pairclf.PreparedCorpus``.
 ``step_pretrain`` builds the vocabulary from the view's token lists and
-pre-trains on the view (``encoder.pretrain``); it writes ``vocab.txt`` and
-the encoder only after training succeeds, so a failed run leaves both as
-they were. ``step_finetune`` passes its view to
+pre-trains on the view (``encoder.pretrain``); it writes one snapshot, the
+encoder with its vocabulary, and only after training succeeds, so a failed
+run, or a failed write, leaves the workspace as it was. ``step_finetune``
+rewrites that snapshot in one write too. It passes its view to
 ``encoder.fine_tune``, which trains on the view's stem ids;
 ``step_train_rank`` trains the ranker over it, and ``step_clean`` its fold
 heads and the one ranker it trains, on the cleaned pairs (see
@@ -78,22 +80,22 @@ the served list. ``step_eval`` builds its recall and ranking stages the
 same way and prepares its bank queries over the view those stages are built
 from.
 
-Stop words live in the vocabulary (``Vocab.stop_words``, the header line of
-``vocab.txt``); every stage normalizes text with its vocabulary's. Only
+Stop words live in the vocabulary (``Vocab.stop_words``), which the encoder
+snapshot keeps; every stage normalizes text with its vocabulary's. Only
 ``step_pretrain`` reads the ``stopwords`` key, to build the vocabulary; every
 later step and ``Pipeline.load`` refuse a key that differs from it.
 
 Configuration is a flat key = value file; see DEFAULTS for the full key
-list with defaults. A value no query could be served with (``recall.n``
-below 1, a ``recall.dedup_threshold`` not above 0, a
+list with defaults. ``Config.load`` refuses an unknown key, naming its line,
+and a key given twice, naming both lines. A value no query could be served
+with (``recall.n`` below 1, a ``recall.dedup_threshold`` not above 0, a
 ``recall.concept_boost`` or ``rerank.variant_threshold`` that is not
-finite), no training could run with
-(``encoder.batch`` below 2, an ``encoder.tau`` not above 0, an empty
-``rank.tasks``, ``rank.alpha`` weights that train nothing with ``rank.moe``
-off) or no report could be cut at (an empty ``eval.ks`` or an entry below
-1) is refused where it is read, naming the key, and
-so is one that does not parse as its key's type; each ``get_int`` names its
-key's minimum.
+finite), no training could run with (``encoder.batch`` below 2, an
+``encoder.tau`` not above 0, an empty ``rank.tasks``, ``rank.alpha`` weights
+that train nothing with ``rank.moe`` off) or no report could be cut at (an
+empty ``eval.ks`` or an entry below 1) is refused where it is read, naming
+the key, and so is one that does not parse as its key's type; each
+``get_int`` names its key's minimum.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 from . import conflearn, corpus as corpus_mod, encoder as encoder_mod
 from . import ranking, recall as recall_mod, rerank as rerank_mod
-from .corpus import Corpus, Exercise, LabeledPair, SyntheticSpec, SyntheticTruth
+from .corpus import (Corpus, CorpusError, Exercise, LabeledPair, SyntheticSpec,
+                     SyntheticTruth)
 from .evaluate import (EvalReport, annotated_similars, config_hash,
                        evaluate_precision, evaluate_recall)
 from .pairclf import PairFeaturizer, PreparedCorpus, PreparedQuery
@@ -126,7 +129,6 @@ FILES = {
     "pairs": "pairs.jsonl",
     "pairs_clean": "pairs_clean.jsonl",
     "truth": "truth.json",
-    "vocab": "vocab.txt",
     "encoder": "encoder.params",
     "ranker": "ranker.params",
     "dedup": "dedup.params",
@@ -196,7 +198,7 @@ class Config:
 
     @classmethod
     def load(cls, path) -> "Config":
-        values = {}
+        values, line_of = {}, {}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
@@ -204,8 +206,13 @@ class Config:
                     continue
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key = value")
-                key, value = line.split("=", 1)
-                values[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key not in DEFAULTS:
+                    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                if key in line_of:
+                    raise ValueError(f"{path}:{lineno}: config key {key!r} given again, "
+                                     f"first at line {line_of[key]}")
+                values[key], line_of[key] = value, lineno
         return cls(values)
 
     def get(self, key: str) -> str:
@@ -255,21 +262,46 @@ def _path(workdir, name: str) -> Path:
     return Path(workdir) / FILES[name]
 
 
-def _load_vocab(workdir, config: Config) -> Vocab:
-    """The workspace vocabulary; ConfigurationError when the configured stop
-    words are not the ones it was built with."""
-    vocab = Vocab.load(_path(workdir, "vocab"))
+def _load_trained(workdir, config: Config):
+    """The corpus, vocabulary and encoder every step after step_pretrain
+    reads; ConfigurationError when the configured stop words are not the
+    ones the vocabulary was built with."""
+    corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
+    params, vocab = encoder_mod.load_encoder(_path(workdir, "encoder"))
     configured = canonical_stop_words(config.stop_words())
     if configured != vocab.stop_words:
-        raise ConfigurationError([f"{FILES['vocab']} (stop words {list(vocab.stop_words)}, "
+        raise ConfigurationError([f"{FILES['encoder']} (stop words {list(vocab.stop_words)}, "
                                   f"not {list(configured)}: rerun step_pretrain)"])
-    return vocab
+    return corpus, vocab, params
 
 
-def _load_trained(workdir, config: Config):
-    """The corpus, vocabulary and encoder every step after step_pretrain reads."""
-    return (corpus_mod.load_snapshot(_path(workdir, "corpus")), _load_vocab(workdir, config),
-            encoder_mod.load_encoder(_path(workdir, "encoder")))
+def _load_ranker(workdir, vocab: Vocab) -> ranking.RankerParams:
+    """The trained ranker; ConfigurationError when it is untrained or was
+    trained under another vocabulary than ``vocab``, the encoder's."""
+    params = ranking.load_ranker(_path(workdir, "ranker"))
+    if not params.trained:
+        raise ConfigurationError([FILES["ranker"] + " (untrained)"])
+    if len(params.emb) != len(vocab):
+        raise ConfigurationError([f"{FILES['ranker']} ({len(params.emb)} backbone rows, "
+                                  f"the vocabulary {len(vocab)} ids: rerun step_train_rank)"])
+    return params
+
+
+def _load_truth(workdir, corpus: Corpus) -> Optional[SyntheticTruth]:
+    """The ground truth, None without a truth file; CorpusError when a
+    group names an id ``corpus`` lacks, as the truth of another bank does
+    (its groups hold every id of its bank, the flipped pairs' included)."""
+    path = _path(workdir, "truth")
+    if not path.exists():
+        return None
+    truth = corpus_mod.load_truth(path)
+    unknown = next((ex_id for members in truth.groups.values() for ex_id in members
+                    if ex_id not in corpus), None)
+    if unknown is not None:
+        raise CorpusError(f"{path.name} names id {unknown!r}, which the corpus lacks: it is "
+                          "another bank's truth; rerun step_synth, or delete it if the "
+                          "bank was ingested")
+    return truth
 
 
 def _load_pairs(workdir, corpus: Corpus) -> list[LabeledPair]:
@@ -309,8 +341,9 @@ def step_synth(workdir, spec: SyntheticSpec) -> tuple[Corpus, SyntheticTruth,
 
 
 def step_pretrain(workdir, config: Config):
-    """Build the vocabulary and pre-train the encoder over it; both are
-    written only once training has succeeded."""
+    """Build the vocabulary and pre-train the encoder over it; the encoder
+    snapshot, which keeps the vocabulary, is written once training has
+    succeeded, in one atomic write."""
     pre_cfg = encoder_mod.PretrainConfig(
         d=config.get_int("encoder.d", minimum=1),
         epochs=config.get_int("encoder.epochs", minimum=0),
@@ -321,8 +354,7 @@ def step_pretrain(workdir, config: Config):
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
     view = PreparedCorpus.with_own_vocab(corpus, config.stop_words())
     params, history = encoder_mod.pretrain(corpus, view, pre_cfg)
-    view.vocab.save(_path(workdir, "vocab"))
-    encoder_mod.save_encoder(params, _path(workdir, "encoder"))
+    encoder_mod.save_encoder(params, view.vocab, _path(workdir, "encoder"))
     return params, history
 
 
@@ -336,7 +368,7 @@ def step_finetune(workdir, config: Config):
         seed=config.get_int("encoder.seed", minimum=0))
     params, history = encoder_mod.fine_tune(params, pairs, PreparedCorpus(corpus, vocab),
                                             ft_cfg)
-    encoder_mod.save_encoder(params, _path(workdir, "encoder"))
+    encoder_mod.save_encoder(params, vocab, _path(workdir, "encoder"))
     return params, history
 
 
@@ -349,14 +381,13 @@ def step_index(workdir, config: Config) -> None:
     pair features, so rerun this step after the encoder changes width. The
     recall indexes are not artifacts: ``Pipeline.load`` builds them."""
     corpus, vocab, params = _load_trained(workdir, config)
-    truth_path, pairs_path = _path(workdir, "truth"), _path(workdir, "pairs")
+    truth = _load_truth(workdir, corpus)
     clones, dedup = [], None
-    if truth_path.exists():
-        dedup_pairs = corpus_mod.generate_dedup_pairs(
-            corpus, corpus_mod.load_truth(truth_path), seed=97)
+    if truth is not None:
+        dedup_pairs = corpus_mod.generate_dedup_pairs(corpus, truth, seed=97)
         clones, rows, labels = recall_mod.dedup_rows(dedup_pairs, corpus)
         dedup = rows, labels
-    pairs = _load_pairs(workdir, corpus) if pairs_path.exists() else []
+    pairs = _load_pairs(workdir, corpus) if _path(workdir, "pairs").exists() else []
     variant = any(p.variant is not None for p in pairs)
     if dedup is None and not variant:
         return
@@ -413,9 +444,9 @@ def step_clean(workdir, config: Config):
         retrain=_rank_config(config))
     params, cleaned, report = conflearn.clean_and_retrain(
         pairs, PreparedCorpus(corpus, vocab, encoder), cl_cfg)
-    truth_path = _path(workdir, "truth")
-    if truth_path.exists():
-        report.score_flips(corpus_mod.load_truth(truth_path).flipped)
+    truth = _load_truth(workdir, corpus)
+    if truth is not None:
+        report.score_flips(truth.flipped)
     ranking.save_ranker(params, _path(workdir, "ranker"))
     corpus_mod.save_pairs(cleaned, _path(workdir, "pairs_clean"))
     with atomic_write(_path(workdir, "cleaning")) as fh:
@@ -426,9 +457,8 @@ def step_clean(workdir, config: Config):
 def _relevant(workdir, corpus: Corpus, pairs) -> dict[str, set[str]]:
     """Evaluation queries and their relevant ids: template mates against
     ground truth when available, else annotated similars."""
-    truth_path = _path(workdir, "truth")
-    if truth_path.exists():
-        truth = corpus_mod.load_truth(truth_path)
+    truth = _load_truth(workdir, corpus)
+    if truth is not None:
         return {ex_id: truth.mates(ex_id) for ex_id in _eval_query_ids(corpus)}
     return annotated_similars(pairs)
 
@@ -497,7 +527,7 @@ def step_eval(workdir, config: Config) -> EvalReport:
                          "expected at least one cut-off, each at least 1")
     corpus, vocab, encoder = _load_trained(workdir, config)
     pairs = _load_pairs(workdir, corpus)
-    ranker_params = ranking.load_ranker(_path(workdir, "ranker"))
+    ranker_params = _load_ranker(workdir, vocab)
     view = PreparedCorpus(corpus, vocab, encoder)
     recaller = Recaller.build(view, config=_recall_config(config))
     ranker = ranking.Ranker(ranker_params, view)
@@ -545,14 +575,12 @@ class Pipeline:
             variant_threshold=_finite_float(config, "rerank.variant_threshold"),
             enable_variant=config.get_bool("rerank.enable_variant"))
         cache_size = config.get_int("cache.size", minimum=0)
-        required = ("corpus", "vocab", "encoder", "ranker")
+        required = ("corpus", "encoder", "ranker")
         missing = [name for name in required if not _path(workdir, name).exists()]
         if missing:
             raise ConfigurationError([FILES[m] for m in missing])
         corpus, vocab, encoder = _load_trained(workdir, config)
-        ranker_params = ranking.load_ranker(_path(workdir, "ranker"))
-        if not ranker_params.trained:
-            raise ConfigurationError([FILES["ranker"] + " (untrained)"])
+        ranker_params = _load_ranker(workdir, vocab)
         # every exercise's text normalized and embedded once, shared by the
         # recall indexes (the vector index is the view's matrix), the dedup
         # and variant heads and the ranker (which embeds each row once more

@@ -6,8 +6,9 @@ metadata, array names and shapes), then each array as raw little-endian
 float64 bytes in header order. The corpus snapshot keeps its records, each
 with its image count, in the metadata and every exercise's image vectors as
 one ``image_features`` array of shape (total images, d_img), in record
-order. Loading verifies the magic, the kind and the exact byte count, so
-truncation and format drift fail loudly.
+order. The encoder snapshot keeps its vocabulary in the metadata. Loading
+verifies the magic, the kind and the exact byte count, so truncation and
+format drift fail loudly.
 
 Every workspace artifact, snapshot or not, is written through
 :func:`atomic_write`: a write that fails leaves the previous file as it was.

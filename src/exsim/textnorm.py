@@ -8,20 +8,20 @@ The normalization pipeline applied before any matching or embedding:
 3. lowercase and split into word / number / single-character tokens.
 
 All functions here are pure; a built :class:`Vocab` is immutable and owns
-the stop words every text mapped through it is normalized with. Metadata
-never passes through here: pre-training builds its targets from a
-``Corpus``'s own dictionaries (``encoder.metadata_targets``).
+the stop words every text mapped through it is normalized with. It is not
+saved on its own: the encoder snapshot, whose ``emb`` rows are its ids,
+keeps its tokens and stop words (``encoder.save_encoder``). Metadata never
+passes through here: pre-training builds its targets from a ``Corpus``'s own
+dictionaries (``encoder.metadata_targets``).
 """
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from typing import Iterable, Sequence
 
 from .formula import normalize_formula
-from .snapshots import atomic_write
 
 PAD_ID = 0
 UNK_ID = 1
@@ -31,8 +31,6 @@ RESERVED_TOKENS = ("<pad>", "<unk>", "<sep>")
 _SCRIPT_STYLE_RE = re.compile(r"<(script|style)\b[^>]*>.*?</\1\s*>", re.I | re.S)
 _TAG_RE = re.compile(r"<[^>]*>")
 _TOKEN_RE = re.compile(r"[a-z]+|\d+(?:\.\d+)?|\S")
-# first line of a saved vocabulary; it holds a space, which no token does
-_STOP_WORDS_HEADER = "<stop words> "
 
 
 def _formula_segments(text: str):
@@ -118,10 +116,10 @@ class Vocab:
         """Count the tokens of texts normalized with ``stop_words``; order by
         count desc, then token.
 
-        The vocabulary holds strings of its own, made in one pass as
-        :meth:`load` makes them, not the texts' token strings: a vocabulary
-        kept after its texts are freed does not pin the memory they were
-        allocated in."""
+        The vocabulary holds strings of its own, made in one pass as a
+        loaded encoder snapshot's are, not the texts' token strings: a
+        vocabulary kept after its texts are freed does not pin the memory
+        they were allocated in."""
         counts = Counter()
         for tokens in token_lists:
             counts.update(tokens)
@@ -141,6 +139,12 @@ class Vocab:
     def __len__(self) -> int:
         return len(self._id_to_token)
 
+    @property
+    def tokens(self) -> list[str]:
+        """The non-reserved tokens in id order: ``Vocab(vocab.tokens,
+        vocab.stop_words) == vocab``."""
+        return self._id_to_token[len(RESERVED_TOKENS):]
+
     def __contains__(self, token: str) -> bool:
         return token in self._token_to_id
 
@@ -155,25 +159,6 @@ class Vocab:
         ids, words = self._token_to_id, self._id_to_token
         return [words[i] if (i := ids.get(t)) is not None else strings.setdefault(t, t)
                 for t in tokens]
-
-    def save(self, path) -> None:
-        """A header line with the stop words, then one non-reserved token per
-        line: line number after the header + reserved count = id."""
-        with atomic_write(path) as fh:
-            fh.write(_STOP_WORDS_HEADER + json.dumps(list(self.stop_words)) + "\n")
-            for token in self._id_to_token[len(RESERVED_TOKENS):]:
-                fh.write(token + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocab":
-        """Read a saved vocabulary; one without the header line has no stop
-        words."""
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-        stop_words = []
-        if lines and lines[0].startswith(_STOP_WORDS_HEADER):
-            stop_words = json.loads(lines.pop(0)[len(_STOP_WORDS_HEADER):])
-        return cls([line for line in lines if line], stop_words)
 
 
 def split_tokens(text: str) -> list[str]:

@@ -713,14 +713,45 @@ def test_image_alignment_follows_templates(small_trained):
 # ---------------------------------------------------------------------------
 # persistence
 
+def toy_vocab(stop_words=()):
+    """A vocabulary as long as ``toy_params``'s ``emb``."""
+    return Vocab([f"w{i}" for i in range(9)], stop_words)
+
+
 def test_params_snapshot_round_trip(tmp_path):
     params = toy_params(seed=5)
     path = tmp_path / "enc.params"
-    enc.save_encoder(params, path)
-    loaded = enc.load_encoder(path)
+    enc.save_encoder(params, toy_vocab(), path)
+    loaded, _ = enc.load_encoder(path)
     assert loaded.seed == 5
     for k in params.arrays():
         assert np.array_equal(params.arrays()[k], loaded.arrays()[k])
+
+
+def test_encoder_snapshot_round_trips_its_vocabulary(tmp_path):
+    """Its tokens in id order and its stop words travel in the one snapshot;
+    a lone surrogate, which UTF-8 cannot encode but the JSON header escapes,
+    round-trips too."""
+    tokens = ["beta", "alpha", "\ud800", "x²"] + [f"w{i}" for i in range(5)]
+    path = tmp_path / "enc.params"
+    for stop_words in ((), ("the", "find the", "the")):
+        vocab = Vocab(tokens, stop_words)
+        enc.save_encoder(toy_params(), vocab, path)
+        _, loaded = enc.load_encoder(path)
+        assert loaded == vocab
+        assert loaded.tokens == tokens
+        assert loaded.stop_words == tuple(sorted(set(stop_words)))
+        assert loaded.id_of("beta") == 3 and loaded.id_of("\ud800") == 5
+
+
+def test_an_encoder_snapshot_without_its_vocabulary_is_refused(tmp_path):
+    """A snapshot written when the vocabulary was a file of its own holds
+    only the seed; loading it names the step that rewrites it."""
+    from exsim.snapshots import save_arrays
+    path = tmp_path / "enc.params"
+    save_arrays(path, "encoder", {"seed": 0}, toy_params().arrays())
+    with pytest.raises(SnapshotFormatError, match="without its vocabulary.*step_pretrain"):
+        enc.load_encoder(path)
 
 
 def test_params_snapshot_wrong_kind(tmp_path):
@@ -734,7 +765,7 @@ def test_params_snapshot_wrong_kind(tmp_path):
 def test_failed_snapshot_write_leaves_the_old_file(tmp_path):
     from exsim.snapshots import save_arrays
     path = tmp_path / "enc.params"
-    enc.save_encoder(toy_params(seed=5), path)
+    enc.save_encoder(toy_params(seed=5), toy_vocab(), path)
     before = path.read_bytes()
     # the first array is written, then the second cannot be made float64
     with pytest.raises(ValueError):

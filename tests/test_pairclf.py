@@ -5,6 +5,7 @@ import pytest
 from gradcheck import assert_grads_match, finite_difference
 from hypothesis import example, given, settings, strategies as st
 
+from exsim import encoder as enc
 from exsim import pairclf
 from exsim.corpus import Corpus, Exercise, Metadata
 from exsim.encoder import EncoderParams
@@ -490,17 +491,19 @@ def test_view_holds_one_string_per_distinct_token(small_synth):
 
 def test_views_of_a_corpus_share_its_stem_column(small_synth, tmp_path, monkeypatch):
     """A view under a vocabulary equal to the one the corpus's column was
-    made under, a saved copy included, reads that column and normalizes no
-    stem; another vocabulary makes a column of its own. The analysis side
-    stays the view's: its tokens do not enter what the corpus keeps."""
+    made under, one loaded back from an encoder snapshot included, reads that
+    column and normalizes no stem; another vocabulary makes a column of its
+    own. The analysis side stays the view's: its tokens do not enter what
+    the corpus keeps."""
     corpus = fresh(small_synth[0])
     own = PreparedCorpus.with_own_vocab(corpus)
-    own.vocab.save(tmp_path / "vocab.txt")
+    path = tmp_path / "encoder.params"
+    enc.save_encoder(enc.init_params(corpus, own.vocab, 4, 0), own.vocab, path)
     calls = []
     normalize = pairclf.normalize_text
     monkeypatch.setattr(pairclf, "normalize_text",
                         lambda *args: calls.append(args[0]) or normalize(*args))
-    again = PreparedCorpus(corpus, Vocab.load(tmp_path / "vocab.txt"))
+    again = PreparedCorpus(corpus, enc.load_encoder(path)[1])
     assert calls == [] and again.vocab is own.vocab
     assert again.tokens is own.tokens and again.codes is own.codes
     assert not again.codes.flags.writeable and not again.lengths.flags.writeable

@@ -2,7 +2,9 @@
 Pipeline.load and queries, plus bit-identity of the batched pair scoring
 against a per-pair computation written out here."""
 
+import contextlib
 import dataclasses
+import errno
 import functools
 import json
 import shutil
@@ -16,7 +18,7 @@ from test_pairclf import reference_similarity
 from test_ranking import head_probs
 from test_recall import reference_merge
 
-from exsim import conflearn, encoder, pairclf, ranking, recall, rerank, textnorm
+from exsim import conflearn, encoder, pairclf, ranking, recall, rerank, snapshots, textnorm
 from exsim import corpus as corpus_mod
 from exsim import pipeline as pl
 from exsim.corpus import Corpus, CorpusError, LabeledPair, SyntheticSpec, load_corpus, save_pairs
@@ -55,10 +57,10 @@ def probe_of(ex):
 
 
 def test_build_steps_write_every_artifact(workspace):
+    """Each artifact once, under its name, and nothing else: no vocabulary
+    file beside the encoder snapshot that keeps it, no temporary file."""
     workdir, _, _, _ = workspace
-    for name in ("corpus", "pairs", "pairs_clean", "truth", "vocab", "encoder",
-                 "ranker", "dedup", "variant", "report", "cleaning"):
-        assert (workdir / pl.FILES[name]).is_file(), name
+    assert sorted(p.name for p in workdir.iterdir()) == sorted(pl.FILES.values())
     json.loads((workdir / pl.FILES["cleaning"]).read_text())
     json.loads((workdir / pl.FILES["report"]).read_text())
 
@@ -82,6 +84,23 @@ def test_config_refuses_an_unknown_bool_spelling():
         config.get_bool("rank.moe")
     assert config.get_bool("rerank.enable_variant") is False
     assert pl.Config({"rank.moe": "YES"}).get_bool("rank.moe") is True
+
+
+def test_config_load_reads_a_file_and_refuses_an_unknown_or_repeated_key(tmp_path):
+    """A key given twice used to let its last value win in silence."""
+    path = tmp_path / "exsim.conf"
+    path.write_text("# budget\nencoder.epochs = 3\n\nrank.moe = off  # no gate\n")
+    config = pl.Config.load(path)
+    assert config.get_int("encoder.epochs") == 3 and config.get_bool("rank.moe") is False
+    assert config.values == {**pl.DEFAULTS, "encoder.epochs": "3", "rank.moe": "off"}
+    for text, message in (
+            ("encoder.epochs = 3\nrank.moe = off\nencoder.epochs = 4\n",
+             ":3: config key 'encoder.epochs' given again, first at line 1$"),
+            ("rank.moe = off\n\n encoder.epoch = 4\n", ":3: unknown config key 'encoder.epoch'$"),
+            ("rank.moe = off\nrank.epochs 4\n", ":2: expected key = value$")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            pl.Config.load(path)
 
 
 def test_load_refuses_a_bad_rerank_key(workspace):
@@ -265,6 +284,98 @@ def copy_workspace(workspace, tmp_path):
     return copy, config, corpus
 
 
+class DiskFull:
+    """A file that takes its first write, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+
+def test_a_failed_encoder_write_leaves_the_workspace_serving_as_before(workspace, tmp_path,
+                                                                       monkeypatch):
+    """The vocabulary used to be a file of its own, replaced before the
+    encoder was written: a write that then failed left other stop words and
+    ids beside the old encoder, and a load served from the mismatched pair.
+    step_pretrain now makes one write, of the snapshot that keeps both."""
+    workdir, config, corpus = copy_workspace(workspace, tmp_path)
+    served = pl.Pipeline.load(workdir, config).query(corpus.ids[5]).all_ids()
+    before = {f.name: f.read_bytes() for f in workdir.iterdir()}
+    real = snapshots.atomic_write
+
+    @contextlib.contextmanager
+    def full_disk(path, mode="w"):
+        with real(path, mode) as fh:
+            yield DiskFull(fh)
+
+    monkeypatch.setattr(snapshots, "atomic_write", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        pl.step_pretrain(workdir, pl.Config({**config.values, "stopwords": "the,of"}))
+    monkeypatch.undo()
+    assert {f.name: f.read_bytes() for f in workdir.iterdir()} == before
+    assert pl.Pipeline.load(workdir, config).query(corpus.ids[5]).all_ids() == served
+
+
+def test_a_bank_with_a_lone_surrogate_builds_and_serves(workspace, tmp_path):
+    """A JSON bank can hold a lone surrogate (``"\\ud800"``), which becomes a
+    token. The vocabulary file could not encode it (UnicodeEncodeError); the
+    encoder snapshot's JSON header escapes it."""
+    workdir, config, corpus = copy_workspace(workspace, tmp_path)
+    exercises = list(corpus)
+    exercises[5] = dataclasses.replace(exercises[5], stem=exercises[5].stem + " \ud800")
+    corpus_mod.save_snapshot(Corpus(exercises, levels=corpus.levels, d_img=corpus.d_img),
+                             workdir / pl.FILES["corpus"])
+    for step in (pl.step_pretrain, pl.step_finetune, pl.step_index, pl.step_train_rank):
+        step(workdir, config)
+    pipe = pl.Pipeline.load(workdir, config)
+    assert "\ud800" in pipe.vocab
+    assert "\ud800" in PreparedQuery(exercises[5], pipe.recaller.view).tokens
+    assert pipe.query(exercises[5].id).all_ids()
+
+
+def test_a_ranker_of_another_vocabulary_is_refused(workspace, tmp_path):
+    """Rerunning step_pretrain alone with stop words used to leave the old
+    ranker, one backbone row per old id, and queries were still served."""
+    workdir, config, corpus = copy_workspace(workspace, tmp_path)
+    stop = pl.Config({**config.values, "stopwords": "the,of"})
+    pl.step_pretrain(workdir, stop)
+    rows = len(ranking.load_ranker(workdir / pl.FILES["ranker"]).emb)
+    ids = len(load_encoder(workdir / pl.FILES["encoder"])[1])
+    assert rows != ids
+    for load in (pl.Pipeline.load, pl.step_eval):
+        with pytest.raises(pl.ConfigurationError,
+                           match=rf"ranker.params \({rows} backbone rows, the vocabulary "
+                                 rf"{ids} ids: rerun step_train_rank\)"):
+            load(workdir, stop)
+    pl.step_train_rank(workdir, stop)
+    assert pl.Pipeline.load(workdir, stop).query(corpus.ids[5]).all_ids()
+
+
+def test_a_truth_of_another_bank_is_refused(workspace, tmp_path):
+    """The same bank ingested under new ids into a workspace that held a
+    synthetic bank: step_eval used to score it against the old truth.json
+    and report P@k = 0."""
+    workdir, config, corpus = copy_workspace(workspace, tmp_path)
+    write_jsonl(tmp_path / "bank.jsonl",
+                [{**ex.to_record(), "id": "new-" + ex.id} for ex in corpus])
+    pl.step_ingest(workdir, tmp_path / "bank.jsonl", levels=corpus.levels)
+    pairs = corpus_mod.load_pairs(workdir / pl.FILES["pairs"])
+    save_pairs([dataclasses.replace(p, a_id="new-" + p.a_id, b_id="new-" + p.b_id)
+                for p in pairs], workdir / pl.FILES["pairs"])
+    pl.step_pretrain(workdir, config)
+    for step in (pl.step_index, pl.step_clean, pl.step_eval):
+        with pytest.raises(CorpusError, match=r"truth.json names id '[^n]\S*', which the "
+                                              "corpus lacks.*rerun step_synth"):
+            step(workdir, config)
+    (workdir / pl.FILES["truth"]).unlink()
+    assert pl.step_eval(workdir, config).per_seed
+
+
 def test_pairs_naming_an_unknown_id_are_refused(workspace, tmp_path):
     workdir, config, corpus = copy_workspace(workspace, tmp_path)
     save_pairs([LabeledPair(corpus.ids[0], "no-such-id", "similar")],
@@ -278,7 +389,7 @@ def test_load_refuses_a_head_of_another_width(workspace, tmp_path, head):
     """A head fitted before the encoder changed width is refused at load,
     not at the first query."""
     workdir, config, _ = copy_workspace(workspace, tmp_path)
-    width = 4 * load_encoder(workdir / pl.FILES["encoder"]).d + 1
+    width = 4 * load_encoder(workdir / pl.FILES["encoder"])[0].d + 1
     pairclf.PairClassifier(np.zeros(width - 4), 0.0).save(workdir / pl.FILES[head], head)
     with pytest.raises(SnapshotFormatError, match="step_index"):
         pl.Pipeline.load(workdir, config)
@@ -291,7 +402,7 @@ def test_load_indexes_the_current_encoder(workspace, tmp_path):
     pl.step_finetune(workdir, retrain)
     pipe = pl.Pipeline.load(workdir, retrain)
     current = VectorIndex.build(PreparedCorpus(corpus, pipe.vocab,
-                                               load_encoder(workdir / pl.FILES["encoder"])))
+                                               load_encoder(workdir / pl.FILES["encoder"])[0]))
     assert not np.array_equal(current.matrix, before)
     assert np.array_equal(pipe.recaller.vector.matrix, current.matrix)
     assert pipe.recaller.vector.matrix is pipe.recaller.view.embeddings

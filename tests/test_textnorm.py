@@ -67,29 +67,6 @@ def test_vocab_reserved_ids():
     assert vocab.id_of("w") == 3
 
 
-def test_vocab_save_load(tmp_path):
-    for stop_words in ((), ("the", "find the", "the")):
-        vocab = Vocab.build([["alpha", "beta", "beta"], ["gamma"]], stop_words=stop_words)
-        assert vocab.stop_words == tuple(sorted(set(stop_words)))
-        path = tmp_path / "vocab.txt"
-        vocab.save(path)
-        loaded = Vocab.load(path)
-        assert len(loaded) == len(vocab)
-        assert loaded.stop_words == vocab.stop_words
-        for tok in ("alpha", "beta", "gamma"):
-            assert loaded.id_of(tok) == vocab.id_of(tok)
-        # a header line that is no token, then line number = id offset by
-        # the reserved count
-        lines = path.read_text().splitlines()
-        assert lines[0] not in vocab
-        assert vocab.id_of(lines[1]) == 3
-    # a file written before the header existed loads with no stop words
-    path.write_text("beta\nalpha\n", encoding="utf-8")
-    loaded = Vocab.load(path)
-    assert loaded.stop_words == ()
-    assert loaded.id_of("beta") == 3 and loaded.id_of("alpha") == 4
-
-
 def test_vocab_refuses_a_token_with_whitespace():
     for token in ("", "find the", "x\n", "a\nb"):
         with pytest.raises(ValueError, match="whitespace"):
@@ -102,20 +79,8 @@ def test_built_vocab_holds_strings_of_its_own():
     """Not the counted texts' strings, which it would keep alive."""
     texts = [["alpha", "beta"], ["beta"]]
     vocab = Vocab.build(texts)
-    own = vocab._id_to_token[3:]
+    own = vocab.tokens
     assert own == ["beta", "alpha"]
     assert not any(t is s for t in own for text in texts for s in text)
     assert vocab == Vocab(["beta", "alpha"]) and vocab != Vocab(["alpha", "beta"])
     assert vocab != Vocab(["beta", "alpha"], stop_words=("the",))
-
-
-def test_failed_vocab_write_leaves_the_old_file(tmp_path):
-    path = tmp_path / "vocab.txt"
-    Vocab(["alpha"], ("the",)).save(path)
-    before = path.read_bytes()
-    # the first token is written, then a lone surrogate cannot be encoded
-    with pytest.raises(UnicodeEncodeError):
-        Vocab(["beta", "\ud800"]).save(path)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
-
