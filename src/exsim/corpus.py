@@ -449,11 +449,7 @@ def load_snapshot(path) -> Corpus:
         # so what is parsed is what was hashed
         fh.seek(0)
         meta, arrays = read_arrays(fh, path, "corpus")
-    feats = arrays.get("image_features")
-    if feats is None:
-        raise SnapshotFormatError(
-            f"{path}: corpus snapshot of an older layout, with image vectors in its "
-            "records; rerun step_synth or step_ingest to rewrite it")
+    feats = arrays["image_features"]
     feats.flags.writeable = False
     exercises, start, strings = [], 0, {}
     for rec in meta["exercises"]:

@@ -43,14 +43,14 @@ keep a fixed order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, CorpusError, LabeledPair
 from .evaluate import annotated_similars
-from .snapshots import SnapshotFormatError, load_arrays, save_arrays
+from .snapshots import load_arrays, save_arrays
 from .textnorm import Vocab
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
 from .textnorm import normalize_text  # noqa: F401
@@ -67,6 +67,14 @@ class TrainingDivergedError(RuntimeError):
     pass
 
 
+def require_finite(arrays: dict[str, np.ndarray], what: str) -> None:
+    """TrainingDivergedError naming the ``arrays`` holding a non-finite value:
+    a trainer's loss check runs before each update, this after the last."""
+    bad = [name for name, value in arrays.items() if not np.isfinite(value).all()]
+    if bad:
+        raise TrainingDivergedError(f"{what}: non-finite parameters {bad} after training")
+
+
 @dataclass
 class EncoderParams:
     """All trainable arrays. Initialization is uniform in [-0.05, 0.05]."""
@@ -80,6 +88,8 @@ class EncoderParams:
     W_diff: np.ndarray    # (d, levels)
     W_concept: np.ndarray # (d, n_concepts)
     seed: int = 0
+    # the digests of the files the loaded snapshot was trained from
+    made_from: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def init(cls, vocab_size: int, d: int, d_img: int, n_types: int,
@@ -126,23 +136,21 @@ class EncoderParams:
             getattr(self, name)[...] -= lr * g
 
 
-def save_encoder(params: EncoderParams, vocab: Vocab, path) -> None:
+def save_encoder(params: EncoderParams, vocab: Vocab, path, made_from: dict[str, str]) -> None:
     """One snapshot of the params and the vocabulary their ``emb`` rows are
-    ids of: its tokens in id order and its stop words, in the metadata."""
+    ids of: its tokens in id order and its stop words, in the metadata, with
+    ``made_from``, the digests of the files the params were trained from."""
     save_arrays(path, "encoder", {"seed": params.seed, "tokens": vocab.tokens,
-                                  "stop_words": list(vocab.stop_words)}, params.arrays())
+                                  "stop_words": list(vocab.stop_words),
+                                  "made_from": made_from}, params.arrays())
 
 
 def load_encoder(path) -> tuple[EncoderParams, Vocab]:
-    """The params and their vocabulary, as ``save_encoder`` wrote them. A
-    snapshot without a vocabulary, of the older layout that kept it in a
-    file of its own, is refused."""
+    """The params, carrying the snapshot's ``made_from``, and their
+    vocabulary, as ``save_encoder`` wrote them."""
     meta, arrays = load_arrays(path, "encoder")
-    if "tokens" not in meta:
-        raise SnapshotFormatError(
-            f"{path}: encoder snapshot without its vocabulary, of an older layout; "
-            "rerun step_pretrain to rewrite it")
-    return EncoderParams(**arrays, seed=meta["seed"]), Vocab(meta["tokens"], meta["stop_words"])
+    return (EncoderParams(**arrays, seed=meta["seed"], made_from=meta["made_from"]),
+            Vocab(meta["tokens"], meta["stop_words"]))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +436,8 @@ def pretrain(corpus: Corpus, view: PreparedCorpus,
     vocabulary the params are sized by); returns (params, history).
 
     history maps loss names to per-epoch means. Aborts with
-    TrainingDivergedError if any loss stops being finite.
+    TrainingDivergedError if any loss, or any param after the last update,
+    stops being finite.
     """
     if len(corpus) < 2:
         raise ValueError("pre-training needs at least 2 exercises")
@@ -466,6 +475,7 @@ def pretrain(corpus: Corpus, view: PreparedCorpus,
             n_batches += 1
         for k in history:
             history[k].append(sums[k] / max(n_batches, 1))
+    require_finite(params.arrays(), "pretrain")
     return params, history
 
 
@@ -572,6 +582,7 @@ def fine_tune(params: EncoderParams, pairs: Sequence[LabeledPair], view: Prepare
             history["batch"].append(loss)
             epoch_losses.append(loss)
         history["epoch"].append(float(np.mean(epoch_losses)))
+    require_finite(params.arrays(), "fine_tune")
     return params, history
 
 

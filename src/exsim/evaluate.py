@@ -70,21 +70,6 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
-    def table(self) -> str:
-        """Aligned text summary."""
-        rows = []
-        if self.recall_at_k is not None:
-            rows.append((f"Recall@{self.k_recall}", self.recall_at_k,
-                         f"{len(self.per_seed)} seeds"))
-        for k in sorted(self.precision_at_k):
-            rows.append((f"Precision@{k}", self.precision_at_k[k],
-                         f"{len(self.per_query)} queries"))
-        if not rows:
-            return "(empty report)"
-        width = max(len(r[0]) for r in rows)
-        return "\n".join(f"{name:<{width}}  {value:7.4f}  ({note})"
-                         for name, value, note in rows)
-
 
 def config_hash(config: Mapping) -> str:
     canon = json.dumps({str(k): str(v) for k, v in sorted(config.items())},

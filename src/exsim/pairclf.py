@@ -109,7 +109,7 @@ pair at a time with :meth:`PairFeaturizer.features` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -117,7 +117,7 @@ import numpy as np
 
 from .corpus import Corpus, Exercise, RowIndex
 from .encoder import EncoderParams, embed_corpus, embed_text
-from .snapshots import SnapshotFormatError, load_arrays, save_arrays
+from .snapshots import load_arrays, save_arrays
 from .textnorm import UNK_ID, Vocab, canonical_stop_words, normalize_text, split_tokens
 
 PAD_CODE = -1
@@ -719,10 +719,6 @@ class PairFeaturizer:
         query.require_view(self.view)
         return query.feature_rows(rows)
 
-    @property
-    def n_features(self) -> int:
-        return 4 * self.view.params.d + 1
-
 
 def row_pair_similarities(codes: np.ndarray, lengths: np.ndarray, left: np.ndarray,
                           right: np.ndarray) -> np.ndarray:
@@ -781,6 +777,8 @@ def _expit(z: np.ndarray) -> np.ndarray:
 class PairClassifier:
     weights: np.ndarray
     bias: float
+    # the digests of the files the loaded snapshot was fitted from
+    made_from: dict[str, str] = field(default_factory=dict)
 
     def prob(self, features: np.ndarray) -> float:
         return float(_sigmoid(features @ self.weights + self.bias))
@@ -827,20 +825,16 @@ class PairClassifier:
             loss, gw, gb = trial
         return cls(weights=w, bias=b)
 
-    def save(self, path, kind: str) -> None:
-        save_arrays(path, kind, {"bias": self.bias}, {"weights": self.weights})
+    def save(self, path, kind: str, made_from: dict[str, str]) -> None:
+        save_arrays(path, kind, {"bias": self.bias, "made_from": made_from},
+                    {"weights": self.weights})
 
     @classmethod
-    def load(cls, path, kind: str, n_features: int) -> "PairClassifier":
-        """Read a head snapshot; refuses one that is not ``n_features`` wide."""
+    def load(cls, path, kind: str) -> "PairClassifier":
+        """Read a head snapshot; the head carries its ``made_from``."""
         meta, arrays = load_arrays(path, kind)
-        weights = arrays["weights"]
-        if weights.shape != (n_features,):
-            raise SnapshotFormatError(
-                f"{path}: {kind} head has shape {weights.shape}, expected "
-                f"({n_features},) over the pair features of the current encoder; "
-                "the head is stale, rerun step_index")
-        return cls(weights=weights, bias=float(meta["bias"]))
+        return cls(weights=arrays["weights"], bias=float(meta["bias"]),
+                   made_from=meta["made_from"])
 
 
 def bce_loss_and_grads(weights: np.ndarray, bias: float, features: np.ndarray,

@@ -19,8 +19,21 @@ An entry holds a reference to the caller's (frozen) exercise until it is
 evicted, so at most ``cache.size`` of them. A request by id and one by the
 bank's own exercise object are separate entries that serve equal lists.
 Steps that read the labeled pairs or ``truth.json`` refuse one naming an id
-the corpus lacks; a ranker untrained or trained under another vocabulary
-than the encoder's is refused at load and by ``step_eval``.
+the corpus lacks; an untrained ranker is refused at load and by
+``step_eval``.
+
+Lineage. Every trained snapshot records ``made_from``, the short digests
+of the workspace files its step read: the encoder its corpus, and once
+fine-tuned the labeled pairs too; the dedup head the encoder and
+``truth.json``; the variant head and the ranker (from ``step_train_rank``
+or ``step_clean``) the encoder and the labeled pairs. One helper,
+``_refuse_stale``, refuses an artifact whose recorded digest is not that
+of the file in the workspace now, raising ``ConfigurationError`` that
+names the artifact, the file and the step to rerun. Every step after
+``step_pretrain`` checks the encoder (``step_finetune`` only its corpus:
+it is the step that reads new pairs); ``Pipeline.load`` and ``step_eval``
+check the ranker, and ``Pipeline.load`` the heads too, in one error. So
+heads or a ranker fitted under another encoder are never served.
 
 Per-process contract: a process parses ``corpus.snap`` once and prepares
 the bank once. ``corpus.load_snapshot`` keeps the corpus it loaded last,
@@ -88,14 +101,15 @@ later step and ``Pipeline.load`` refuse a key that differs from it.
 Configuration is a flat key = value file; see DEFAULTS for the full key
 list with defaults. ``Config.load`` refuses an unknown key, naming its line,
 and a key given twice, naming both lines. A value no query could be served
-with (``recall.n`` below 1, a ``recall.dedup_threshold`` not above 0, a
-``recall.concept_boost`` or ``rerank.variant_threshold`` that is not
-finite), no training could run with (``encoder.batch`` below 2, an
-``encoder.tau`` not above 0, an empty ``rank.tasks``, ``rank.alpha`` weights
-that train nothing with ``rank.moe`` off) or no report could be cut at (an
-empty ``eval.ks`` or an entry below 1) is refused where it is read, naming
-the key, and so is one that does not parse as its key's type; each
-``get_int`` names its key's minimum.
+with (``recall.n`` below 1, a ``recall.dedup_threshold`` not finite and
+above 0, a ``recall.concept_boost`` or ``rerank.variant_threshold`` that
+is not finite), no training could run with (``encoder.batch`` below 2, an
+``encoder.tau`` or a learning rate (``encoder.lr``, ``finetune.lr``,
+``rank.lr``) not finite and above 0, an empty ``rank.tasks``,
+``rank.alpha`` weights that train nothing with ``rank.moe`` off) or no
+report could be cut at (an empty ``eval.ks`` or an entry below 1) is
+refused where it is read, naming the key, and so is one that does not
+parse as its key's type; each ``get_int`` names its key's minimum.
 """
 
 from __future__ import annotations
@@ -114,10 +128,10 @@ from .corpus import (Corpus, CorpusError, Exercise, LabeledPair, SyntheticSpec,
                      SyntheticTruth)
 from .evaluate import (EvalReport, annotated_similars, config_hash,
                        evaluate_precision, evaluate_recall)
-from .pairclf import PairFeaturizer, PreparedCorpus, PreparedQuery
+from .pairclf import PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery
 from .recall import RecallConfig, Recaller
 from .rerank import RerankConfig, RerankedResult, StudentProfile, VariantClassifier
-from .snapshots import atomic_write, file_digest, short_digest
+from .snapshots import WRITTEN_BY, atomic_write, file_digest, short_digest
 from .textnorm import Vocab, canonical_stop_words
 
 log = logging.getLogger(__name__)
@@ -262,28 +276,62 @@ def _path(workdir, name: str) -> Path:
     return Path(workdir) / FILES[name]
 
 
-def _load_trained(workdir, config: Config):
-    """The corpus, vocabulary and encoder every step after step_pretrain
-    reads; ConfigurationError when the configured stop words are not the
-    ones the vocabulary was built with."""
+def _versions(workdir, corpus: Corpus) -> dict[str, str]:
+    """The short digest of each workspace snapshot and input file, by
+    ``FILES`` name; the corpus's is the one ``load_snapshot`` hashed."""
+    versions = {"corpus": short_digest(corpus.digest)}
+    for name in FILES:
+        p = _path(workdir, name)
+        if p.exists() and name not in ("corpus", "report", "cleaning"):
+            versions[name] = file_digest(p)
+    return versions
+
+
+def _refuse_stale(made_from: dict[str, dict[str, str]], versions: dict[str, str]) -> None:
+    """The lineage check: ConfigurationError naming each artifact of
+    ``made_from`` (``FILES`` name -> the digests its snapshot records) that
+    was made from another version of a file than ``versions`` holds now,
+    with the files that changed and the step to rerun."""
+    stale = []
+    for name, sources in made_from.items():
+        changed = [source for source, digest in sources.items()
+                   if versions.get(source) != digest]
+        if changed:
+            step = ("step_finetune" if name == "encoder" and "corpus" not in changed
+                    else WRITTEN_BY[name])
+            stale.append(f"{FILES[name]} (made from another "
+                         f"{', '.join(FILES[c] for c in changed)}: rerun {step})")
+    if stale:
+        raise ConfigurationError(stale)
+
+
+def _load_trained(workdir, config: Config, lineage=("corpus", "pairs")):
+    """The corpus, vocabulary, encoder and workspace ``_versions`` every
+    step after step_pretrain reads; ConfigurationError when the configured
+    stop words are not the ones the vocabulary was built with, or when the
+    encoder was made from another version of a ``lineage`` file."""
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
     params, vocab = encoder_mod.load_encoder(_path(workdir, "encoder"))
     configured = canonical_stop_words(config.stop_words())
     if configured != vocab.stop_words:
         raise ConfigurationError([f"{FILES['encoder']} (stop words {list(vocab.stop_words)}, "
                                   f"not {list(configured)}: rerun step_pretrain)"])
-    return corpus, vocab, params
+    versions = _versions(workdir, corpus)
+    _refuse_stale({"encoder": {source: digest for source, digest in params.made_from.items()
+                               if source in lineage}}, versions)
+    return corpus, vocab, params, versions
 
 
-def _load_ranker(workdir, vocab: Vocab) -> ranking.RankerParams:
-    """The trained ranker; ConfigurationError when it is untrained or was
-    trained under another vocabulary than ``vocab``, the encoder's."""
+def _load_ranker(workdir, versions: dict[str, str],
+                 **heads: PairClassifier) -> ranking.RankerParams:
+    """The trained ranker; ConfigurationError when it is untrained, or when
+    it or one of ``heads`` (``FILES`` name -> loaded head) was made from
+    files other than the workspace's ``versions``, all named in one error."""
     params = ranking.load_ranker(_path(workdir, "ranker"))
     if not params.trained:
         raise ConfigurationError([FILES["ranker"] + " (untrained)"])
-    if len(params.emb) != len(vocab):
-        raise ConfigurationError([f"{FILES['ranker']} ({len(params.emb)} backbone rows, "
-                                  f"the vocabulary {len(vocab)} ids: rerun step_train_rank)"])
+    _refuse_stale({"ranker": params.made_from,
+                   **{name: head.made_from for name, head in heads.items()}}, versions)
     return params
 
 
@@ -312,11 +360,11 @@ def _load_pairs(workdir, corpus: Corpus) -> list[LabeledPair]:
 
 
 def _positive_float(config: Config, key: str) -> float:
-    """``key``'s number; ValueError naming the key unless it is above 0 (so
-    NaN is refused too)."""
+    """``key``'s number; ValueError naming the key unless it is finite and
+    above 0 (so NaN is refused too)."""
     value = config.get_float(key)
-    if not value > 0:
-        raise ValueError(f"config {key} = {config.get(key)}: expected above 0")
+    if not 0 < value < math.inf:
+        raise ValueError(f"config {key} = {config.get(key)}: expected above 0 and finite")
     return value
 
 
@@ -347,28 +395,32 @@ def step_pretrain(workdir, config: Config):
     pre_cfg = encoder_mod.PretrainConfig(
         d=config.get_int("encoder.d", minimum=1),
         epochs=config.get_int("encoder.epochs", minimum=0),
-        lr=config.get_float("encoder.lr"),
+        lr=_positive_float(config, "encoder.lr"),
         batch_size=config.get_int("encoder.batch", minimum=2),
         tau=_positive_float(config, "encoder.tau"),
         seed=config.get_int("encoder.seed", minimum=0))
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
     view = PreparedCorpus.with_own_vocab(corpus, config.stop_words())
     params, history = encoder_mod.pretrain(corpus, view, pre_cfg)
-    encoder_mod.save_encoder(params, view.vocab, _path(workdir, "encoder"))
+    encoder_mod.save_encoder(params, view.vocab, _path(workdir, "encoder"),
+                             {"corpus": short_digest(corpus.digest)})
     return params, history
 
 
 def step_finetune(workdir, config: Config):
-    corpus, vocab, params = _load_trained(workdir, config)
+    """Fine-tune the encoder on the labeled pairs. Of the encoder's lineage
+    only the corpus is checked: this is the step that reads new pairs."""
+    corpus, vocab, params, versions = _load_trained(workdir, config, lineage=("corpus",))
     pairs = _load_pairs(workdir, corpus)
     ft_cfg = encoder_mod.FinetuneConfig(
         epochs=config.get_int("finetune.epochs", minimum=0),
-        lr=config.get_float("finetune.lr"),
+        lr=_positive_float(config, "finetune.lr"),
         n_negatives=config.get_int("finetune.negatives", minimum=1),
         seed=config.get_int("encoder.seed", minimum=0))
     params, history = encoder_mod.fine_tune(params, pairs, PreparedCorpus(corpus, vocab),
                                             ft_cfg)
-    encoder_mod.save_encoder(params, vocab, _path(workdir, "encoder"))
+    encoder_mod.save_encoder(params, vocab, _path(workdir, "encoder"),
+                             {name: versions[name] for name in ("corpus", "pairs")})
     return params, history
 
 
@@ -377,10 +429,12 @@ def step_index(workdir, config: Config) -> None:
     variant-labeled pairs), each a logistic regression over the pair
     features solved by Newton's method (``PairClassifier.train``). Both
     train from row pairs of one view: the bank's exercises, then the clones
-    ``generate_dedup_pairs`` makes. The heads are as wide as the encoder's
-    pair features, so rerun this step after the encoder changes width. The
-    recall indexes are not artifacts: ``Pipeline.load`` builds them."""
-    corpus, vocab, params = _load_trained(workdir, config)
+    ``generate_dedup_pairs`` makes. Each head records the encoder and the
+    file it was fitted from: rerun this step after either changes. A head
+    it cannot fit is removed, so the load serves without it rather than
+    refusing one fitted from files since removed. The recall indexes are
+    not artifacts: ``Pipeline.load`` builds them."""
+    corpus, vocab, params, versions = _load_trained(workdir, config)
     truth = _load_truth(workdir, corpus)
     clones, dedup = [], None
     if truth is not None:
@@ -389,13 +443,21 @@ def step_index(workdir, config: Config) -> None:
         dedup = rows, labels
     pairs = _load_pairs(workdir, corpus) if _path(workdir, "pairs").exists() else []
     variant = any(p.variant is not None for p in pairs)
+    if dedup is None:
+        _path(workdir, "dedup").unlink(missing_ok=True)
+    if not variant:
+        _path(workdir, "variant").unlink(missing_ok=True)
     if dedup is None and not variant:
         return
     view = PreparedCorpus.extended(corpus, clones, vocab, params)
     if dedup is not None:
-        recall_mod.train_dedup(view, *dedup).save(_path(workdir, "dedup"), "dedup")
+        recall_mod.train_dedup(view, *dedup).save(
+            _path(workdir, "dedup"), "dedup",
+            {name: versions[name] for name in ("encoder", "truth")})
     if variant:
-        rerank_mod.train_variant(pairs, corpus, view).save(_path(workdir, "variant"), "variant")
+        rerank_mod.train_variant(pairs, corpus, view).save(
+            _path(workdir, "variant"), "variant",
+            {name: versions[name] for name in ("encoder", "pairs")})
 
 
 def _rank_config(config: Config) -> ranking.RankConfig:
@@ -419,17 +481,18 @@ def _rank_config(config: Config) -> ranking.RankConfig:
                          "weights of at least 0 that sum above 0 over rank.tasks "
                          f"{config.get('rank.tasks')!r}")
     return ranking.RankConfig(
-        lr=config.get_float("rank.lr"), epochs=config.get_int("rank.epochs", minimum=0),
+        lr=_positive_float(config, "rank.lr"), epochs=config.get_int("rank.epochs", minimum=0),
         batch_pairs=config.get_int("rank.batch_pairs", minimum=1),
         seed=config.get_int("rank.seed", minimum=0), moe=moe, alpha=alpha, tasks=tasks)
 
 
 def step_train_rank(workdir, config: Config):
-    corpus, vocab, encoder = _load_trained(workdir, config)
+    corpus, vocab, encoder, versions = _load_trained(workdir, config)
     pairs = _load_pairs(workdir, corpus)
     params, history = ranking.train_ranker(pairs, PreparedCorpus(corpus, vocab),
                                            _rank_config(config), encoder=encoder)
-    ranking.save_ranker(params, _path(workdir, "ranker"))
+    ranking.save_ranker(params, _path(workdir, "ranker"),
+                        {name: versions[name] for name in ("encoder", "pairs")})
     return params, history
 
 
@@ -437,7 +500,7 @@ def step_clean(workdir, config: Config):
     """Confidence-learning cycle over one view of the bank; trains and saves
     the ranker on the cleaned pairs, once. With ground truth the report
     scores the prune; ``step_eval`` reports the ranker's precision."""
-    corpus, vocab, encoder = _load_trained(workdir, config)
+    corpus, vocab, encoder, versions = _load_trained(workdir, config)
     pairs = _load_pairs(workdir, corpus)
     cl_cfg = conflearn.CleanConfig(
         folds=config.get_int("cl.folds", minimum=2), seed=config.get_int("cl.seed", minimum=0),
@@ -447,7 +510,8 @@ def step_clean(workdir, config: Config):
     truth = _load_truth(workdir, corpus)
     if truth is not None:
         report.score_flips(truth.flipped)
-    ranking.save_ranker(params, _path(workdir, "ranker"))
+    ranking.save_ranker(params, _path(workdir, "ranker"),
+                        {name: versions[name] for name in ("encoder", "pairs")})
     corpus_mod.save_pairs(cleaned, _path(workdir, "pairs_clean"))
     with atomic_write(_path(workdir, "cleaning")) as fh:
         fh.write(report.to_json())
@@ -525,9 +589,9 @@ def step_eval(workdir, config: Config) -> EvalReport:
     if min(ks, default=0) < 1:
         raise ValueError(f"config eval.ks = {config.get('eval.ks')!r}: "
                          "expected at least one cut-off, each at least 1")
-    corpus, vocab, encoder = _load_trained(workdir, config)
+    corpus, vocab, encoder, versions = _load_trained(workdir, config)
     pairs = _load_pairs(workdir, corpus)
-    ranker_params = _load_ranker(workdir, vocab)
+    ranker_params = _load_ranker(workdir, versions)
     view = PreparedCorpus(corpus, vocab, encoder)
     recaller = Recaller.build(view, config=_recall_config(config))
     ranker = ranking.Ranker(ranker_params, view)
@@ -579,26 +643,22 @@ class Pipeline:
         missing = [name for name in required if not _path(workdir, name).exists()]
         if missing:
             raise ConfigurationError([FILES[m] for m in missing])
-        corpus, vocab, encoder = _load_trained(workdir, config)
-        ranker_params = _load_ranker(workdir, vocab)
+        corpus, vocab, encoder, versions = _load_trained(workdir, config)
+        heads = {name: PairClassifier.load(_path(workdir, name), name)
+                 for name in ("dedup", "variant") if _path(workdir, name).exists()}
+        ranker_params = _load_ranker(workdir, versions, **heads)
         # every exercise's text normalized and embedded once, shared by the
         # recall indexes (the vector index is the view's matrix), the dedup
         # and variant heads and the ranker (which embeds each row once more
         # into a matrix of its own, under its own backbone, here at load)
         view = PreparedCorpus(corpus, vocab, encoder)
         featurizer = PairFeaturizer(view)
-        dedup = None
-        if _path(workdir, "dedup").exists():
-            dedup = recall_mod.DuplicateDetector.load(_path(workdir, "dedup"), featurizer)
-        variant_clf = None
-        if _path(workdir, "variant").exists():
-            variant_clf = VariantClassifier.load(_path(workdir, "variant"), featurizer)
+        dedup = variant_clf = None
+        if "dedup" in heads:
+            dedup = recall_mod.DuplicateDetector(heads["dedup"], featurizer)
+        if "variant" in heads:
+            variant_clf = VariantClassifier(heads["variant"], featurizer)
         recaller = Recaller.build(view, dedup=dedup, config=recall_config)
-        versions = {"corpus": short_digest(corpus.digest)}
-        for name in FILES:
-            p = _path(workdir, name)
-            if p.exists() and name not in ("corpus", "report", "cleaning"):
-                versions[name] = file_digest(p)
         return cls(corpus=corpus, vocab=view.vocab, recaller=recaller,
                    ranker=ranking.Ranker(ranker_params, view),
                    variant_clf=variant_clf, config=config,

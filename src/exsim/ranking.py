@@ -58,18 +58,18 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .corpus import Exercise, LabeledPair
 from .encoder import (EncoderParams, TrainingDivergedError, embed_corpus, embed_text_batch,
-                      embed_text_batch_backward, softmax_cross_entropy)
+                      embed_text_batch_backward, require_finite, softmax_cross_entropy)
 from .pairclf import (PAD_CODE, PreparedCorpus, PreparedQuery, UntrainedModelError,
                       pair_feature_rows, row_pair_similarities)
 from .recall import Candidates
-from .snapshots import SnapshotFormatError, load_arrays, save_arrays
+from .snapshots import load_arrays, save_arrays
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
 from .textnorm import normalize_text  # noqa: F401
 
@@ -108,6 +108,8 @@ class RankerParams:
     experts: dict[str, dict[str, np.ndarray]]  # task -> 3-layer gate expert
     seed: int = 0
     trained: bool = False
+    # the digests of the files the loaded snapshot was trained from
+    made_from: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def init(cls, encoder: EncoderParams, seed: int = 0) -> "RankerParams":
@@ -148,27 +150,20 @@ class RankerParams:
             live[k][...] -= lr * g
 
 
-def save_ranker(params: RankerParams, path) -> None:
-    save_arrays(path, "ranker", {"seed": params.seed, "trained": params.trained},
-                params.arrays())
+def save_ranker(params: RankerParams, path, made_from: dict[str, str]) -> None:
+    save_arrays(path, "ranker", {"seed": params.seed, "trained": params.trained,
+                                 "made_from": made_from}, params.arrays())
 
 
 def load_ranker(path) -> RankerParams:
-    """Read a ranker snapshot; refuses one whose heads are not ``4d + 1`` wide."""
+    """Read a ranker snapshot; the params carry its ``made_from``."""
     meta, arrays = load_arrays(path, "ranker")
-    width = 4 * arrays["W"].shape[0] + 1
-    for t in TASKS:
-        if arrays[f"head.{t}.w"].shape != (width, 2):
-            raise SnapshotFormatError(
-                f"{path}: head {t!r} has shape {arrays[f'head.{t}.w'].shape}, "
-                f"expected ({width}, 2) over the pair features; the snapshot "
-                "predates the pair head, rerun step_train_rank")
     heads = {t: {"w": arrays[f"head.{t}.w"], "b": arrays[f"head.{t}.b"]} for t in TASKS}
     experts = {t: {k: arrays[f"expert.{t}.{k}"]
                    for k in ("w1", "b1", "w2", "b2", "w3", "b3")} for t in TASKS}
     return RankerParams(emb=arrays["emb"], W=arrays["W"], b=arrays["b"],
                         heads=heads, experts=experts, seed=meta["seed"],
-                        trained=bool(meta["trained"]))
+                        trained=bool(meta["trained"]), made_from=meta["made_from"])
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +467,7 @@ def train_ranker(pairs: Sequence[LabeledPair], view: PreparedCorpus,
         history["total"].append(epoch_total / max(n_batches, 1))
         history["alpha"].append(_mean_dicts(epoch_alpha))
         history["tasks"].append(_mean_dicts(epoch_tasks))
+    require_finite(params.arrays(), "train_ranker")
     params.trained = True
     return params, history
 

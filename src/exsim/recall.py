@@ -460,10 +460,6 @@ class DuplicateDetector:
         return (self.classifier.prob_rows(rows)
                 + self.classifier.prob_rows(swap_sides(rows))) / 2.0
 
-    @classmethod
-    def load(cls, path, featurizer: PairFeaturizer) -> "DuplicateDetector":
-        return cls(PairClassifier.load(path, "dedup", featurizer.n_features), featurizer)
-
 
 def dedup_rows(dedup_pairs: Sequence[tuple[Exercise, Exercise, int]],
                corpus: Corpus) -> tuple[list[Exercise], np.ndarray, np.ndarray]:

@@ -200,10 +200,6 @@ class VariantClassifier:
     def prob(self, query: PreparedQuery, candidate: PreparedQuery) -> float:
         return self.classifier.prob(self.featurizer.features(query, candidate))
 
-    @classmethod
-    def load(cls, path, featurizer: PairFeaturizer) -> "VariantClassifier":
-        return cls(PairClassifier.load(path, "variant", featurizer.n_features), featurizer)
-
 
 def train_variant(pairs: Sequence[LabeledPair], corpus: Corpus,
                   view: PreparedCorpus) -> PairClassifier:

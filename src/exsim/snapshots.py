@@ -1,14 +1,22 @@
 """Versioned binary snapshot format shared by the corpus snapshot and all
 trained-parameter files.
 
-Layout: magic line, little-endian uint32 header length, JSON header (kind,
-metadata, array names and shapes), then each array as raw little-endian
-float64 bytes in header order. The corpus snapshot keeps its records, each
-with its image count, in the metadata and every exercise's image vectors as
-one ``image_features`` array of shape (total images, d_img), in record
-order. The encoder snapshot keeps its vocabulary in the metadata. Loading
-verifies the magic, the kind and the exact byte count, so truncation and
-format drift fail loudly.
+Layout: magic line, little-endian uint32 header length, JSON header (format
+version, kind, metadata, array names and shapes), then each array as raw
+little-endian float64 bytes in header order. The corpus snapshot keeps its
+records, each with its image count, in the metadata and every exercise's
+image vectors as one ``image_features`` array of shape (total images,
+d_img), in record order. The encoder snapshot keeps its vocabulary in the
+metadata. Loading verifies the magic, the kind, the format version and the
+exact byte count, so truncation and format drift fail loudly.
+
+Format version. Every header records ``_FORMAT``, and a snapshot of any
+other version is refused (``SnapshotFormatError``) naming its path, its
+kind and the build step that writes it again: a layout change raises the
+version instead of adding a branch per older layout to a loader. Every
+trained snapshot (encoder, dedup and variant heads, ranker) also records
+``made_from`` in its metadata, the short digests of the workspace files
+its step read; ``pipeline`` refuses one whose inputs have since changed.
 
 Every workspace artifact, snapshot or not, is written through
 :func:`atomic_write`: a write that fails leaves the previous file as it was.
@@ -26,6 +34,11 @@ from pathlib import Path
 import numpy as np
 
 _MAGIC = b"EXSIMBIN1\n"
+_FORMAT = 2
+
+# the build step that writes each kind of snapshot
+WRITTEN_BY = {"corpus": "step_synth or step_ingest", "encoder": "step_pretrain",
+              "dedup": "step_index", "variant": "step_index", "ranker": "step_train_rank"}
 
 
 class SnapshotFormatError(ValueError):
@@ -50,7 +63,7 @@ def atomic_write(path, mode: str = "w"):
 
 def save_arrays(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     header = json.dumps({
-        "version": 1,
+        "version": _FORMAT,
         "kind": kind,
         "meta": meta,
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
@@ -84,6 +97,10 @@ def read_arrays(fh, path, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]
     if header.get("kind") != expect_kind:
         raise SnapshotFormatError(
             f"{path}: snapshot kind {header.get('kind')!r}, expected {expect_kind!r}")
+    if header.get("version") != _FORMAT:
+        raise SnapshotFormatError(
+            f"{path}: {expect_kind} snapshot of format version {header.get('version')!r}, "
+            f"expected {_FORMAT}; rerun {WRITTEN_BY[expect_kind]} to rewrite it")
     arrays = {}
     for spec in header["arrays"]:
         shape = tuple(spec["shape"])

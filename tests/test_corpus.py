@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from exsim import corpus as corpus_mod
+from exsim import snapshots
 from exsim.corpus import (
     DISSIMILAR, PLAIN_SIMILAR, SIMILAR, VARIANT, Corpus, CorpusError, Exercise, LabeledPair,
     Metadata, SyntheticSpec, generate_dedup_pairs, generate_synthetic, load_corpus,
@@ -239,12 +240,16 @@ def test_loaded_image_vectors_view_one_read_only_buffer(tmp_path, small_synth):
         feats[0][0, 0] = 1.0
 
 
-def test_snapshot_refuses_vectors_in_records(tmp_path):
-    # the layout before the image array: every record holds its own vectors
+def test_snapshot_refuses_vectors_in_records(tmp_path, monkeypatch):
+    # the layout before the image array, format version 1: every record
+    # holds its own vectors
     path = tmp_path / "c.snap"
+    monkeypatch.setattr(snapshots, "_FORMAT", 1)
     save_arrays(path, "corpus", {"levels": 5, "d_img": 2,
                                  "exercises": [make_exercise().to_record()]}, {})
-    with pytest.raises(SnapshotFormatError, match="rerun step_synth or step_ingest"):
+    monkeypatch.undo()
+    with pytest.raises(SnapshotFormatError, match="format version 1.*rerun step_synth or "
+                                                  "step_ingest"):
         load_snapshot(path)
 
 

@@ -591,6 +591,36 @@ def test_pretrain_zero_epochs_is_initialization(small_synth):
     assert history["total"] == []
 
 
+TINY = SyntheticSpec(n_templates=3, per_template=8, seed=3)  # 24 exercises
+
+
+@pytest.mark.parametrize("epochs, message", [
+    (1, r"^pretrain: non-finite parameters \['emb', 'W', .*\] after training$"),
+    (2, "^non-finite loss: ")])
+def test_pretrain_refuses_parameters_that_are_not_finite(epochs, message):
+    """With one batch per epoch the only update is the last one, whose
+    result no loss check sees: a NaN learning rate used to return an
+    encoder of NaN arrays. A second epoch's loss catches it first."""
+    corpus, _, _ = generate_synthetic(TINY)
+    view = PreparedCorpus.with_own_vocab(corpus)
+    with pytest.raises(enc.TrainingDivergedError, match=message):
+        enc.pretrain(corpus, view, enc.PretrainConfig(d=8, epochs=epochs, lr=math.nan))
+
+
+@pytest.mark.parametrize("batch_size, message", [
+    (1000, r"^fine_tune: non-finite parameters \['emb', 'W', .*\] after training$"),
+    (4, "^non-finite fine-tuning loss$")])
+def test_fine_tune_refuses_parameters_that_are_not_finite(batch_size, message):
+    """One batch: only the check after the last update sees the NaN; more
+    batches: the second batch's loss does, and no RuntimeWarning comes first."""
+    corpus, _, pairs = generate_synthetic(TINY)
+    view = PreparedCorpus.with_own_vocab(corpus)
+    params = enc.init_params(corpus, view.vocab, d=8, seed=0)
+    cfg = enc.FinetuneConfig(epochs=1, lr=math.nan, batch_size=batch_size, n_negatives=4)
+    with pytest.raises(enc.TrainingDivergedError, match=message):
+        enc.fine_tune(params, pairs, view, cfg)
+
+
 def test_an_exercise_without_tokens_is_refused_by_name(small_synth):
     corpus, _, _ = small_synth
     exercises = list(corpus)[:4]
@@ -721,9 +751,10 @@ def toy_vocab(stop_words=()):
 def test_params_snapshot_round_trip(tmp_path):
     params = toy_params(seed=5)
     path = tmp_path / "enc.params"
-    enc.save_encoder(params, toy_vocab(), path)
+    enc.save_encoder(params, toy_vocab(), path, {"corpus": "0123456789ab"})
     loaded, _ = enc.load_encoder(path)
     assert loaded.seed == 5
+    assert loaded.made_from == {"corpus": "0123456789ab"}
     for k in params.arrays():
         assert np.array_equal(params.arrays()[k], loaded.arrays()[k])
 
@@ -736,7 +767,7 @@ def test_encoder_snapshot_round_trips_its_vocabulary(tmp_path):
     path = tmp_path / "enc.params"
     for stop_words in ((), ("the", "find the", "the")):
         vocab = Vocab(tokens, stop_words)
-        enc.save_encoder(toy_params(), vocab, path)
+        enc.save_encoder(toy_params(), vocab, path, {})
         _, loaded = enc.load_encoder(path)
         assert loaded == vocab
         assert loaded.tokens == tokens
@@ -744,13 +775,17 @@ def test_encoder_snapshot_round_trips_its_vocabulary(tmp_path):
         assert loaded.id_of("beta") == 3 and loaded.id_of("\ud800") == 5
 
 
-def test_an_encoder_snapshot_without_its_vocabulary_is_refused(tmp_path):
+def test_an_encoder_snapshot_without_its_vocabulary_is_refused(tmp_path, monkeypatch):
     """A snapshot written when the vocabulary was a file of its own holds
-    only the seed; loading it names the step that rewrites it."""
-    from exsim.snapshots import save_arrays
+    only the seed, under format version 1; loading it names the step that
+    rewrites it."""
+    from exsim import snapshots
     path = tmp_path / "enc.params"
-    save_arrays(path, "encoder", {"seed": 0}, toy_params().arrays())
-    with pytest.raises(SnapshotFormatError, match="without its vocabulary.*step_pretrain"):
+    monkeypatch.setattr(snapshots, "_FORMAT", 1)
+    snapshots.save_arrays(path, "encoder", {"seed": 0}, toy_params().arrays())
+    monkeypatch.undo()
+    with pytest.raises(SnapshotFormatError,
+                       match="encoder snapshot of format version 1.*rerun step_pretrain"):
         enc.load_encoder(path)
 
 
@@ -765,7 +800,7 @@ def test_params_snapshot_wrong_kind(tmp_path):
 def test_failed_snapshot_write_leaves_the_old_file(tmp_path):
     from exsim.snapshots import save_arrays
     path = tmp_path / "enc.params"
-    enc.save_encoder(toy_params(seed=5), toy_vocab(), path)
+    enc.save_encoder(toy_params(seed=5), toy_vocab(), path, {})
     before = path.read_bytes()
     # the first array is written, then the second cannot be made float64
     with pytest.raises(ValueError):

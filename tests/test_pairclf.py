@@ -161,10 +161,11 @@ def test_bce_gradients_match_finite_differences():
 
 def test_classifier_snapshot_round_trip(tmp_path):
     clf = PairClassifier(weights=np.array([0.5, -1.5]), bias=0.25)
-    clf.save(tmp_path / "clf.params", "dedup")
-    loaded = PairClassifier.load(tmp_path / "clf.params", "dedup", 2)
+    clf.save(tmp_path / "clf.params", "dedup", {"encoder": "e", "truth": "t"})
+    loaded = PairClassifier.load(tmp_path / "clf.params", "dedup")
     assert np.array_equal(loaded.weights, clf.weights)
     assert loaded.bias == clf.bias
+    assert loaded.made_from == {"encoder": "e", "truth": "t"}
 
 
 def test_featurizer_uses_canonical_text(small_trained):
@@ -172,7 +173,7 @@ def test_featurizer_uses_canonical_text(small_trained):
     feat = PairFeaturizer(PreparedCorpus(corpus, vocab, params))
     ex = PreparedQuery(next(iter(corpus)), feat.view)
     f = feat.features(ex, ex)
-    assert f.shape == (feat.n_features,)
+    assert f.shape == (4 * params.d + 1,)
     assert f[-1] == 1.0  # identical text, edit similarity 1
 
 
@@ -498,7 +499,7 @@ def test_views_of_a_corpus_share_its_stem_column(small_synth, tmp_path, monkeypa
     corpus = fresh(small_synth[0])
     own = PreparedCorpus.with_own_vocab(corpus)
     path = tmp_path / "encoder.params"
-    enc.save_encoder(enc.init_params(corpus, own.vocab, 4, 0), own.vocab, path)
+    enc.save_encoder(enc.init_params(corpus, own.vocab, 4, 0), own.vocab, path, {})
     calls = []
     normalize = pairclf.normalize_text
     monkeypatch.setattr(pairclf, "normalize_text",

@@ -7,6 +7,7 @@ import dataclasses
 import errno
 import functools
 import json
+import re
 import shutil
 from collections import Counter
 from typing import Callable
@@ -122,11 +123,13 @@ def test_load_refuses_a_bad_rerank_key(workspace):
                                         ("recall.k_embed", "-1"), ("cache.size", "-1"),
                                         ("recall.dedup_threshold", "0"),
                                         ("recall.dedup_threshold", "-1"),
-                                        ("recall.dedup_threshold", "nan")])
+                                        ("recall.dedup_threshold", "nan"),
+                                        ("recall.dedup_threshold", "inf")])
 def test_load_refuses_a_value_no_query_can_be_served_with(workspace, key, value):
     """Such a value used to load and then fail every query: recall.n = 0 in
     the merge, cache.size = -1 evicting from an empty cache; a dedup
-    threshold of 0 or less, or NaN, served every query an empty list."""
+    threshold of 0 or less, or NaN, served every query an empty list; an
+    infinite one turned dedup off without saying so."""
     workdir, config, _, _ = workspace
     bad = pl.Config({**config.values, key: value})
     with pytest.raises(ValueError,
@@ -152,6 +155,14 @@ def test_load_refuses_a_concept_boost_that_is_not_finite(workspace, value):
     (pl.step_pretrain, "encoder.batch", "0"),
     (pl.step_pretrain, "encoder.batch", "1"),
     (pl.step_pretrain, "encoder.seed", "-1"),
+    (pl.step_pretrain, "encoder.lr", "0"),
+    (pl.step_pretrain, "encoder.lr", "-0.5"),
+    (pl.step_pretrain, "encoder.lr", "nan"),
+    (pl.step_pretrain, "encoder.lr", "inf"),
+    (pl.step_finetune, "finetune.lr", "0"),
+    (pl.step_finetune, "finetune.lr", "-0.5"),
+    (pl.step_finetune, "finetune.lr", "nan"),
+    (pl.step_finetune, "finetune.lr", "inf"),
     (pl.step_finetune, "finetune.epochs", "-1"),
     (pl.step_finetune, "finetune.negatives", "0"),
     (pl.step_finetune, "encoder.seed", "-1"),
@@ -159,6 +170,10 @@ def test_load_refuses_a_concept_boost_that_is_not_finite(workspace, value):
     (pl.step_train_rank, "rank.batch_pairs", "0"),
     (pl.step_train_rank, "rank.tasks", ""),
     (pl.step_train_rank, "rank.seed", "-1"),
+    (pl.step_train_rank, "rank.lr", "0"),
+    (pl.step_train_rank, "rank.lr", "-0.5"),
+    (pl.step_train_rank, "rank.lr", "nan"),
+    (pl.step_train_rank, "rank.lr", "-inf"),
     (pl.step_clean, "cl.folds", "1"),
     (pl.step_clean, "cl.seed", "-1"),
     (pl.step_eval, "eval.k_recall", "-1"),
@@ -170,9 +185,10 @@ def test_load_refuses_a_concept_boost_that_is_not_finite(workspace, value):
 def test_build_steps_refuse_a_value_no_training_can_run_with(workspace, tmp_path,
                                                              step, key, value):
     """Such a value used to train nothing and save the untouched model as
-    trained (an empty rank.tasks, encoder.batch = 1, no negatives), to fail
-    deep inside training (a negative seed failed inside numpy, naming no
-    key), or to report a figure of no cut-off (k_recall = -1
+    trained (an empty rank.tasks, encoder.batch = 1, no negatives, a
+    learning rate of 0), to run gradient ascent (a negative learning rate),
+    to fail deep inside training (a negative seed failed inside numpy,
+    naming no key), or to report a figure of no cut-off (k_recall = -1
     cut each recall list at [:-1], eval.ks = 0 wrote a P@0, an empty eval.ks
     ran the whole evaluation and then failed on an empty max()); the step
     now refuses it and writes nothing."""
@@ -180,12 +196,13 @@ def test_build_steps_refuse_a_value_no_training_can_run_with(workspace, tmp_path
     copy = tmp_path / "ws"
     shutil.copytree(workdir, copy)
     before = {f.name: f.read_bytes() for f in copy.iterdir()}
-    with pytest.raises(ValueError, match=f"config {key} = '?{value}'?: expected at least"):
+    with pytest.raises(ValueError,
+                       match=f"config {key} = '?{value}'?: expected (at least|above 0)"):
         step(copy, pl.Config({**config.values, key: value}))
     assert {f.name: f.read_bytes() for f in copy.iterdir()} == before
 
 
-@pytest.mark.parametrize("value", ["0", "-0.1", "nan"])
+@pytest.mark.parametrize("value", ["0", "-0.1", "nan", "inf"])
 def test_pretrain_refuses_a_temperature_not_above_zero(workspace, tmp_path, value):
     """encoder.tau = 0 used to fail inside the contrastive loss after the
     vocabulary was replaced, and NaN to show up only as a diverged loss; the
@@ -340,18 +357,20 @@ def test_a_bank_with_a_lone_surrogate_builds_and_serves(workspace, tmp_path):
 
 def test_a_ranker_of_another_vocabulary_is_refused(workspace, tmp_path):
     """Rerunning step_pretrain alone with stop words used to leave the old
-    ranker, one backbone row per old id, and queries were still served."""
+    ranker, one backbone row per old id, and queries were still served. The
+    ranker records the encoder it was trained from, so the load and
+    step_eval refuse it by lineage."""
     workdir, config, corpus = copy_workspace(workspace, tmp_path)
     stop = pl.Config({**config.values, "stopwords": "the,of"})
     pl.step_pretrain(workdir, stop)
     rows = len(ranking.load_ranker(workdir / pl.FILES["ranker"]).emb)
-    ids = len(load_encoder(workdir / pl.FILES["encoder"])[1])
-    assert rows != ids
+    assert rows != len(load_encoder(workdir / pl.FILES["encoder"])[1])
     for load in (pl.Pipeline.load, pl.step_eval):
         with pytest.raises(pl.ConfigurationError,
-                           match=rf"ranker.params \({rows} backbone rows, the vocabulary "
-                                 rf"{ids} ids: rerun step_train_rank\)"):
+                           match=r"ranker.params \(made from another encoder.params: "
+                                 r"rerun step_train_rank\)"):
             load(workdir, stop)
+    pl.step_index(workdir, stop)
     pl.step_train_rank(workdir, stop)
     assert pl.Pipeline.load(workdir, stop).query(corpus.ids[5]).all_ids()
 
@@ -368,6 +387,8 @@ def test_a_truth_of_another_bank_is_refused(workspace, tmp_path):
     save_pairs([dataclasses.replace(p, a_id="new-" + p.a_id, b_id="new-" + p.b_id)
                 for p in pairs], workdir / pl.FILES["pairs"])
     pl.step_pretrain(workdir, config)
+    # step_eval refuses a ranker of the old encoder before it reads the truth
+    pl.step_train_rank(workdir, config)
     for step in (pl.step_index, pl.step_clean, pl.step_eval):
         with pytest.raises(CorpusError, match=r"truth.json names id '[^n]\S*', which the "
                                               "corpus lacks.*rerun step_synth"):
@@ -387,12 +408,17 @@ def test_pairs_naming_an_unknown_id_are_refused(workspace, tmp_path):
 @pytest.mark.parametrize("head", ["dedup", "variant"])
 def test_load_refuses_a_head_of_another_width(workspace, tmp_path, head):
     """A head fitted before the encoder changed width is refused at load,
-    not at the first query."""
+    not at the first query: it records the encoder it was fitted from."""
     workdir, config, _ = copy_workspace(workspace, tmp_path)
-    width = 4 * load_encoder(workdir / pl.FILES["encoder"])[0].d + 1
-    pairclf.PairClassifier(np.zeros(width - 4), 0.0).save(workdir / pl.FILES[head], head)
-    with pytest.raises(SnapshotFormatError, match="step_index"):
-        pl.Pipeline.load(workdir, config)
+    narrow = pl.Config({**config.values, "encoder.d": "8"})
+    pl.step_pretrain(workdir, narrow)
+    pl.step_finetune(workdir, narrow)
+    stale = pairclf.PairClassifier.load(workdir / pl.FILES[head], head)
+    assert len(stale.weights) != 4 * 8 + 1
+    with pytest.raises(pl.ConfigurationError,
+                       match=rf"{head}.params \(made from another encoder.params: "
+                             r"rerun step_index\)"):
+        pl.Pipeline.load(workdir, narrow)
 
 
 def test_load_indexes_the_current_encoder(workspace, tmp_path):
@@ -400,6 +426,11 @@ def test_load_indexes_the_current_encoder(workspace, tmp_path):
     before = pl.Pipeline.load(workdir, config).recaller.vector.matrix
     retrain = pl.Config({**CONFIG, "finetune.epochs": "2"})
     pl.step_finetune(workdir, retrain)
+    # the heads and the ranker fitted under the old encoder are refused
+    with pytest.raises(pl.ConfigurationError, match="rerun step_index"):
+        pl.Pipeline.load(workdir, retrain)
+    pl.step_index(workdir, retrain)
+    pl.step_train_rank(workdir, retrain)
     pipe = pl.Pipeline.load(workdir, retrain)
     current = VectorIndex.build(PreparedCorpus(corpus, pipe.vocab,
                                                load_encoder(workdir / pl.FILES["encoder"])[0]))
@@ -407,6 +438,137 @@ def test_load_indexes_the_current_encoder(workspace, tmp_path):
     assert np.array_equal(pipe.recaller.vector.matrix, current.matrix)
     assert pipe.recaller.vector.matrix is pipe.recaller.view.embeddings
     assert pipe.query(corpus.ids[5]).all_ids()
+
+
+def made_from(workdir, name):
+    """The ``made_from`` the workspace's snapshot ``name`` records."""
+    path = workdir / pl.FILES[name]
+    if name == "encoder":
+        return load_encoder(path)[0].made_from
+    if name == "ranker":
+        return ranking.load_ranker(path).made_from
+    return pairclf.PairClassifier.load(path, name).made_from
+
+
+def test_each_trained_snapshot_records_the_files_its_step_read(workspace, tmp_path):
+    workdir, config, _, _ = workspace
+    versions = pl.Pipeline.load(workdir, config).versions
+    for name, sources in (("encoder", ("corpus", "pairs")), ("dedup", ("encoder", "truth")),
+                          ("variant", ("encoder", "pairs")), ("ranker", ("encoder", "pairs"))):
+        assert made_from(workdir, name) == {s: versions[s] for s in sources}, name
+    copy, config, _ = copy_workspace(workspace, tmp_path)
+    pl.step_pretrain(copy, config)
+    assert made_from(copy, "encoder") == {"corpus": versions["corpus"]}
+
+
+def test_a_reseeded_encoder_refuses_the_heads_and_ranker_fitted_before(workspace, tmp_path):
+    """Rerunning step_pretrain and step_finetune under another encoder.seed
+    keeps every width, so the heads and the ranker of the old encoder used
+    to load and serve another top 5 in silence."""
+    workdir, config, corpus = copy_workspace(workspace, tmp_path)
+    before = pl.Pipeline.load(workdir, config).versions
+    reseeded = pl.Config({**config.values, "encoder.seed": "7"})
+    pl.step_pretrain(workdir, reseeded)
+    pl.step_finetune(workdir, reseeded)
+    with pytest.raises(pl.ConfigurationError) as refused:
+        pl.Pipeline.load(workdir, reseeded)
+    assert refused.value.missing == [
+        "ranker.params (made from another encoder.params: rerun step_train_rank)",
+        "dedup.params (made from another encoder.params: rerun step_index)",
+        "variant.params (made from another encoder.params: rerun step_index)"]
+    with pytest.raises(pl.ConfigurationError) as refused:
+        pl.step_eval(workdir, reseeded)
+    assert refused.value.missing == [
+        "ranker.params (made from another encoder.params: rerun step_train_rank)"]
+    pl.step_index(workdir, reseeded)
+    pl.step_train_rank(workdir, reseeded)
+    pipe = pl.Pipeline.load(workdir, reseeded)
+    for name in ("encoder", "dedup", "variant", "ranker"):
+        assert pipe.versions[name] != before[name], name
+    assert pipe.query(corpus.ids[5]).all_ids()
+
+
+def test_changed_pairs_refuse_what_was_made_from_them(workspace, tmp_path):
+    """The fine-tuned encoder, the variant head and the ranker read
+    pairs.jsonl. step_finetune reads the new pairs itself, so it checks only
+    the encoder's corpus, and the steps after it follow."""
+    workdir, config, corpus = copy_workspace(workspace, tmp_path)
+    pairs = corpus_mod.load_pairs(workdir / pl.FILES["pairs"])
+    save_pairs(pairs[1:], workdir / pl.FILES["pairs"])
+    for step in (pl.Pipeline.load, pl.step_index, pl.step_train_rank, pl.step_eval):
+        with pytest.raises(pl.ConfigurationError) as refused:
+            step(workdir, config)
+        assert refused.value.missing == [
+            "encoder.params (made from another pairs.jsonl: rerun step_finetune)"]
+    pl.step_finetune(workdir, config)
+    with pytest.raises(pl.ConfigurationError, match=r"ranker.params \(made from another "
+                                                    r"encoder.params, pairs.jsonl: "):
+        pl.Pipeline.load(workdir, config)
+    pl.step_index(workdir, config)
+    pl.step_train_rank(workdir, config)
+    assert pl.Pipeline.load(workdir, config).query(corpus.ids[5]).all_ids()
+
+
+def test_an_encoder_of_another_corpus_is_refused_by_every_later_step(workspace, tmp_path):
+    workdir, config, corpus = copy_workspace(workspace, tmp_path)
+    exercises = list(corpus)
+    exercises[5] = dataclasses.replace(exercises[5], stem=exercises[5].stem + " again")
+    corpus_mod.save_snapshot(Corpus(exercises, levels=corpus.levels, d_img=corpus.d_img),
+                             workdir / pl.FILES["corpus"])
+    for step in (pl.step_finetune, pl.step_index, pl.step_train_rank, pl.step_clean,
+                 pl.step_eval, pl.Pipeline.load):
+        with pytest.raises(pl.ConfigurationError) as refused:
+            step(workdir, config)
+        assert refused.value.missing == [
+            "encoder.params (made from another corpus.snap: rerun step_pretrain)"]
+
+
+def test_step_index_removes_a_head_it_cannot_fit(workspace, tmp_path):
+    """Without truth.json the dedup head left from an earlier run was
+    refused by lineage, and rerunning step_index, which fits no dedup head
+    then, left it in place, so the refusal had no remedy."""
+    workdir, config, corpus = copy_workspace(workspace, tmp_path)
+    (workdir / pl.FILES["truth"]).unlink()
+    with pytest.raises(pl.ConfigurationError) as refused:
+        pl.Pipeline.load(workdir, config)
+    assert refused.value.missing == [
+        "dedup.params (made from another truth.json: rerun step_index)"]
+    pl.step_index(workdir, config)
+    assert not (workdir / pl.FILES["dedup"]).exists()
+    assert (workdir / pl.FILES["variant"]).exists()
+    pipe = pl.Pipeline.load(workdir, config)
+    assert pipe.recaller.dedup is None and pipe.query(corpus.ids[5]).all_ids()
+
+
+def with_format_version(path, version):
+    """Rewrite the snapshot at ``path`` with ``version`` in its header."""
+    data = path.read_bytes()
+    start = len(snapshots._MAGIC) + 4
+    end = start + int.from_bytes(data[len(snapshots._MAGIC):start], "little")
+    header = json.loads(data[start:end])
+    header["version"] = version
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(data[:len(snapshots._MAGIC)] + len(raw).to_bytes(4, "little") + raw
+                     + data[end:])
+
+
+@pytest.mark.parametrize("name, step", [
+    ("corpus", "step_synth or step_ingest"), ("encoder", "step_pretrain"),
+    ("dedup", "step_index"), ("variant", "step_index"), ("ranker", "step_train_rank")])
+@pytest.mark.parametrize("version", [1, 3, None])
+def test_a_snapshot_of_another_format_version_is_refused(workspace, tmp_path, name, step,
+                                                         version):
+    """Every header records the format version, and a loader refuses any
+    other, naming the file, its kind and the step that writes it again."""
+    workdir, config, corpus = copy_workspace(workspace, tmp_path)
+    path = workdir / pl.FILES[name]
+    with_format_version(path, version)
+    with pytest.raises(SnapshotFormatError,
+                       match=rf"^{re.escape(str(path))}: {name} snapshot of format version "
+                             rf"{version}, expected 2; rerun {step} to rewrite it$"):
+        pl.Pipeline.load(workdir, config)
+    with_format_version(path, 2)
+    assert pl.Pipeline.load(workdir, config).query(corpus.ids[5]).all_ids()
 
 
 def test_a_retrained_ranker_is_served_after_load(workspace, tmp_path):
@@ -808,7 +970,7 @@ def test_step_index_heads_equal_a_per_pair_fit(workspace):
     bank alone: a bank exercise reads its row, a clone of the dedup pairs
     is prepared from its own text."""
     workdir, config, _, _ = workspace
-    corpus, vocab, params = pl._load_trained(workdir, config)
+    corpus, vocab, params, _ = pl._load_trained(workdir, config)
     featurizer = pairclf.PairFeaturizer(PreparedCorpus(corpus, vocab, params))
     truth = corpus_mod.load_truth(workdir / pl.FILES["truth"])
     flagged = [p for p in corpus_mod.load_pairs(workdir / pl.FILES["pairs"])
@@ -823,8 +985,7 @@ def test_step_index_heads_equal_a_per_pair_fit(workspace):
             rows += [featurizer.features(a, b), featurizer.features(b, a)]
             labels += [label, label]
         expected = pairclf.PairClassifier.train(np.array(rows), np.array(labels))
-        written = pairclf.PairClassifier.load(workdir / pl.FILES[head], head,
-                                              featurizer.n_features)
+        written = pairclf.PairClassifier.load(workdir / pl.FILES[head], head)
         assert written.weights.tolist() == expected.weights.tolist(), head
         assert written.bias == expected.bias, head
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from test_recall import candidates_of
 
 from exsim import encoder as enc
 from exsim import ranking as rk
+from exsim import snapshots
 from exsim.corpus import Corpus, SyntheticSpec, generate_synthetic
 from exsim.pairclf import (PreparedCorpus, PreparedQuery, UntrainedModelError,
                            pair_features)
@@ -289,6 +291,20 @@ def test_train_ranker_smoke_and_determinism(tiny_setup):
     assert p1.trained
 
 
+@pytest.mark.parametrize("batch_pairs, message", [
+    (1000, r"^train_ranker: non-finite parameters \['emb', 'W', .*\] after training$"),
+    (4, "^non-finite ranking loss$")])
+def test_train_ranker_refuses_parameters_that_are_not_finite(tiny_setup, batch_pairs,
+                                                             message):
+    """One batch: a NaN learning rate used to save a ranker of NaN arrays
+    marked trained; more batches: the second batch's loss catches it, and no
+    RuntimeWarning comes first."""
+    corpus, _, pairs, view, encoder = tiny_setup
+    cfg = rk.RankConfig(lr=math.nan, epochs=1, batch_pairs=batch_pairs)
+    with pytest.raises(enc.TrainingDivergedError, match=message):
+        rk.train_ranker(pairs, view, cfg, encoder=encoder)
+
+
 def test_train_ranker_zero_epochs_keeps_init(tiny_setup):
     corpus, _, pairs, view, encoder = tiny_setup
     cfg = rk.RankConfig(epochs=0, seed=1)
@@ -400,21 +416,23 @@ def test_ranker_snapshot_round_trip(tmp_path, tiny_setup):
     corpus, _, pairs, view, encoder = tiny_setup
     params, _ = rk.train_ranker(pairs, view,
                                 rk.RankConfig(epochs=1, seed=0), encoder=encoder)
-    rk.save_ranker(params, tmp_path / "r.params")
+    rk.save_ranker(params, tmp_path / "r.params", {"encoder": "e", "pairs": "p"})
     loaded = rk.load_ranker(tmp_path / "r.params")
-    assert loaded.trained
+    assert loaded.trained and loaded.made_from == {"encoder": "e", "pairs": "p"}
     for k, v in params.arrays().items():
         assert np.array_equal(loaded.arrays()[k], v)
 
 
-def test_load_ranker_refuses_the_old_head_layout(tmp_path, tiny_setup):
+def test_load_ranker_refuses_the_old_head_layout(tmp_path, tiny_setup, monkeypatch):
     *_, encoder = tiny_setup
     params = rk.RankerParams.init(encoder, seed=0)
     arrays = params.arrays()
-    for t in rk.TASKS:  # heads over a d-wide pooled vector, as written before
+    for t in rk.TASKS:  # heads over a d-wide pooled vector, as format 1 wrote them
         arrays[f"head.{t}.w"] = np.zeros((params.d, 2))
+    monkeypatch.setattr(snapshots, "_FORMAT", 1)
     save_arrays(tmp_path / "r.params", "ranker", {"seed": 0, "trained": True}, arrays)
-    with pytest.raises(SnapshotFormatError, match="step_train_rank"):
+    monkeypatch.undo()
+    with pytest.raises(SnapshotFormatError, match="format version 1.*step_train_rank"):
         rk.load_ranker(tmp_path / "r.params")
 
 
