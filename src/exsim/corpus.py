@@ -6,7 +6,7 @@ dictionaries (exercise types, difficulty levels, knowledge concepts)
 that metadata encoding validates against. An exercise's image feature
 vectors are one read-only float64 array, never a Python float per
 dimension; the corpus snapshot keeps every exercise's vectors as one
-binary (total images, d_img) array, and a loaded exercise holds a view of
+binary (total images, d_img) array, and a parsed exercise holds a view of
 its rows.
 
 The synthetic generator builds a corpus from slot-filling templates with
@@ -19,11 +19,13 @@ label-cleaning stage can be scored against the truth.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -214,10 +216,11 @@ class Corpus:
     and ``difficulties`` (n,) hold every exercise's metadata in row order,
     for the re-rank filters. Each is built on first use and kept.
 
-    ``digest`` is the sha256 of the snapshot the corpus was loaded from
-    (:func:`load_snapshot`), else None. ``stems`` is the stem column the
-    last ``pairclf.PreparedCorpus`` over the corpus prepared, with the
-    vocabulary it was made under; that module alone reads and sets it.
+    ``digest`` is the sha256 of the snapshot the corpus was saved to or
+    loaded from (:func:`save_snapshot`, :func:`load_snapshot`), else None.
+    ``stems`` is the stem column the last ``pairclf.PreparedCorpus`` over
+    the corpus prepared, with the vocabulary it was made under; that module
+    alone reads and sets it.
     """
 
     def __init__(self, exercises: Iterable[Exercise], levels: Optional[int] = None,
@@ -292,7 +295,7 @@ class LabeledPair:
     """An annotated exercise pair, the unit of supervision and evaluation.
 
     Slotted, with no ``__dict__``: a bank's pairs are loaded by the tens of
-    thousands. The pairs of one ``load_pairs`` share their strings."""
+    thousands. The pairs of one ``load_pairs`` parse share their strings."""
 
     a_id: str
     b_id: str
@@ -406,10 +409,36 @@ def load_corpus(path, levels: Optional[int] = None) -> Corpus:
 
 
 # ---------------------------------------------------------------------------
+# Workspace files are parsed once per content. load_snapshot and load_pairs
+# keep what they parsed last, one object per kind, under the sha256 of the
+# file's bytes; a file of those bytes, under any path, is not parsed again,
+# and any other file is, its parse taking the slot. save_snapshot puts the
+# corpus it wrote in the slot, so a process never parses a snapshot it wrote
+# and holds one corpus, with the stem column its views keep (see
+# ``pairclf.PreparedCorpus``). Kept objects are immutable. Two loads at once
+# may each parse a file; either result is the same.
+
+_slots: dict[str, tuple[str, object]] = {}
+
+
+def _kept(kind: str, digest: str):
+    """The object kept for ``kind`` if it was keyed by ``digest``, else None."""
+    slot = _slots.get(kind)
+    return slot[1] if slot is not None and slot[0] == digest else None
+
+
+def _keep(kind: str, digest: str, value):
+    _slots[kind] = digest, value
+    return value
+
+
+# ---------------------------------------------------------------------------
 # Snapshot persistence: the shared snapshot format, records in its header and
 # every exercise's image vectors, in record order, as its one array
 
-def save_snapshot(corpus: Corpus, path) -> None:
+def save_snapshot(corpus: Corpus, path) -> str:
+    """Write the corpus snapshot; the sha256 of the bytes written, which
+    becomes ``corpus.digest``. The corpus is kept as if loaded (see above)."""
     records = []
     for ex in corpus:
         rec = ex.to_record()
@@ -417,34 +446,25 @@ def save_snapshot(corpus: Corpus, path) -> None:
         rec["images"] = len(ex.image_features)
         records.append(rec)
     images = [ex.image_features for ex in corpus if len(ex.image_features)]
-    save_arrays(path, "corpus", {
+    digest = save_arrays(path, "corpus", {
         "levels": corpus.levels,
         "d_img": corpus.d_img,
         "exercises": records,
     }, {"image_features": np.concatenate([np.empty((0, corpus.d_img))] + images)})
-
-
-# the corpus load_snapshot returned last; see there
-_last_snapshot: Optional[Corpus] = None
+    corpus.digest = digest
+    _keep("corpus", digest, corpus)
+    return digest
 
 
 def load_snapshot(path) -> Corpus:
-    """The saved corpus; each exercise's ``image_features`` is a read-only
-    view of its rows of the snapshot's one image array.
-
-    The file is parsed once per content: the corpus loaded last is kept,
-    keyed by the sha256 of the file's bytes (``Corpus.digest``), and a file
-    of the same bytes, under this path or any other, returns that very
-    object, which is immutable. One slot bounds the memory: one corpus, the
-    one a loaded ``Pipeline`` holds anyway, with the stem column its views
-    keep (see ``pairclf.PreparedCorpus``). Two loads at once may each parse
-    the file; either result is the same corpus."""
-    global _last_snapshot
+    """The saved corpus, parsed once per content (see above). In a parsed
+    corpus each exercise's ``image_features`` is a read-only view of its
+    rows of the snapshot's one image array."""
     with open(path, "rb") as fh:
         digest = sha256_hex(fh)
-        last = _last_snapshot
-        if last is not None and last.digest == digest:
-            return last
+        kept = _kept("corpus", digest)
+        if kept is not None:
+            return kept
         # an atomic rewrite of path replaces the file, not this open one,
         # so what is parsed is what was hashed
         fh.seek(0)
@@ -462,45 +482,58 @@ def load_snapshot(path) -> Corpus:
             f"{path}: records count {start} images, the image array holds {len(feats)}")
     corpus = Corpus(exercises, levels=meta["levels"], d_img=meta["d_img"])
     corpus.digest = digest
-    _last_snapshot = corpus
-    return corpus
+    return _keep("corpus", digest, corpus)
 
 
 # ---------------------------------------------------------------------------
 # Labeled pair and truth persistence
 
-def save_pairs(pairs: list[LabeledPair], path) -> None:
-    with atomic_write(path) as fh:
-        for p in pairs:
-            fh.write(json.dumps({
-                "a_id": p.a_id, "b_id": p.b_id, "label": p.label,
-                "variant": p.variant, "votes": list(p.votes),
-            }) + "\n")
+def save_pairs(pairs: Sequence[LabeledPair], path) -> str:
+    """Write one pair per JSONL line; the sha256 of the bytes written."""
+    data = "".join(json.dumps({
+        "a_id": p.a_id, "b_id": p.b_id, "label": p.label,
+        "variant": p.variant, "votes": list(p.votes),
+    }) + "\n" for p in pairs).encode("utf-8")
+    with atomic_write(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def load_pairs(path) -> list[LabeledPair]:
-    """One pair per JSONL line; errors carry the 1-based line number.
+def load_pairs(path) -> tuple[list[LabeledPair], str]:
+    """The pairs of a JSONL file, one per line, parsed once per content (see
+    above), as a new list each call, and the sha256 of the file's bytes;
+    errors carry the 1-based line number.
 
-    Equal values of one load are one object: labels, variant flags and
+    Equal values of one parse are one object: labels, variant flags and
     votes are this module's constants, each distinct id is one ``str``
     shared by every record that names it, and so is each distinct ``votes``
     tuple."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
+    pairs = _kept("pairs", digest)
+    if pairs is None:
+        pairs = _keep("pairs", digest, tuple(_parse_pairs(data)))
+    return list(pairs), digest
+
+
+def _parse_pairs(data: bytes) -> list[LabeledPair]:
     pairs = []
     strings = {s: s for s in (SIMILAR, DISSIMILAR, VARIANT, PLAIN_SIMILAR)}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                pairs.append(LabeledPair(
-                    a_id=_shared(strings, rec["a_id"]), b_id=_shared(strings, rec["b_id"]),
-                    label=_shared(strings, rec["label"]),
-                    variant=_shared(strings, rec.get("variant")),
-                    votes=_shared(strings, tuple(_shared(strings, v)
-                                                 for v in rec.get("votes", ())))))
-            except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as exc:
-                raise CorpusError(f"line {lineno}: bad pair record: {exc}") from exc
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            pairs.append(LabeledPair(
+                a_id=_shared(strings, rec["a_id"]), b_id=_shared(strings, rec["b_id"]),
+                label=_shared(strings, rec["label"]),
+                variant=_shared(strings, rec.get("variant")),
+                votes=_shared(strings, tuple(_shared(strings, v)
+                                             for v in rec.get("votes", ())))))
+        except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as exc:
+            raise CorpusError(f"line {lineno}: bad pair record: {exc}") from exc
     return pairs
 
 
@@ -509,10 +542,27 @@ def save_truth(truth: SyntheticTruth, path) -> None:
         json.dump({"groups": truth.groups, "flipped": truth.flipped}, fh, indent=1, sort_keys=True)
 
 
-def load_truth(path) -> SyntheticTruth:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return SyntheticTruth(groups=data["groups"], flipped=data["flipped"])
+def load_truth(path) -> tuple[SyntheticTruth, str]:
+    """The saved ground truth and the sha256 of the bytes it was parsed
+    from; CorpusError naming the file when it is not JSON, or not an object
+    whose "groups" map each name to a list of id strings and whose
+    "flipped" is a list of objects."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"{path}: malformed JSON: {exc}") from exc
+    groups = data.get("groups") if isinstance(data, dict) else None
+    flipped = data.get("flipped") if isinstance(data, dict) else None
+    if not isinstance(groups, dict) or not isinstance(flipped, list):
+        raise CorpusError(f"{path}: expected an object with \"groups\" and \"flipped\"")
+    for name, members in groups.items():
+        if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+            raise CorpusError(f"{path}: group {name!r} is not a list of exercise ids")
+    if not all(isinstance(f, dict) for f in flipped):
+        raise CorpusError(f"{path}: \"flipped\" is not a list of objects")
+    return SyntheticTruth(groups=groups, flipped=flipped), hashlib.sha256(raw).hexdigest()
 
 
 def validate_pairs(corpus: Corpus, pairs: Iterable[LabeledPair]) -> None:

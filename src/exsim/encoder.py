@@ -573,8 +573,8 @@ def fine_tune(params: EncoderParams, pairs: Sequence[LabeledPair], view: Prepare
         epoch_losses = []
         for start in range(0, len(order), config.batch_size):
             chosen = anchors_all[order[start:start + config.batch_size]]
-            negatives = [_draw_negatives(a, similar[a], n, config.n_negatives, rng)
-                         for a in chosen[:, 0].tolist()]
+            negatives = _draw_negatives(chosen[:, 0].tolist(), similar, n,
+                                        config.n_negatives, rng)
             rows = np.concatenate([chosen, negatives], axis=1)
             loss = _finetune_step(rows, stems, params, config)
             if not np.isfinite(loss):
@@ -586,14 +586,28 @@ def fine_tune(params: EncoderParams, pairs: Sequence[LabeledPair], view: Prepare
     return params, history
 
 
-def _draw_negatives(anchor: int, similar: set[int], n_rows: int, n: int,
-                    rng: np.random.Generator) -> list[int]:
-    chosen: list[int] = []
-    while len(chosen) < n:
-        cand = int(rng.integers(0, n_rows))
-        if cand != anchor and cand not in similar and cand not in chosen:
-            chosen.append(cand)
-    return chosen
+def _draw_negatives(anchors: Sequence[int], similar: dict[int, set[int]], n_rows: int,
+                    n: int, rng: np.random.Generator) -> np.ndarray:
+    """(anchors, n) negative rows: for each anchor in turn, uniform draws
+    from ``n_rows`` rows, each kept unless it is the anchor, one of its
+    ``similar`` rows or one already kept for it, until it has ``n``. The
+    draws come in blocks of exactly the count still missing, which a row
+    refused makes short: one ``rng.integers`` call per block takes the
+    values one scalar call per draw would, and none past the last one kept.
+    With ``n`` below 1 no value is drawn."""
+    out = np.empty((len(anchors), max(n, 0)), dtype=np.int64)
+    if n < 1:
+        return out
+    done, kept = 0, []
+    while done < len(anchors):
+        missing = (len(anchors) - done) * n - len(kept)
+        for cand in rng.integers(0, n_rows, size=missing).tolist():
+            anchor = anchors[done]
+            if cand != anchor and cand not in similar[anchor] and cand not in kept:
+                kept.append(cand)
+                if len(kept) == n:
+                    out[done], done, kept = kept, done + 1, []
+    return out
 
 
 def _finetune_step(rows: np.ndarray, stems: Sequence[np.ndarray], params: EncoderParams,

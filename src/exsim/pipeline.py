@@ -35,18 +35,17 @@ it is the step that reads new pairs); ``Pipeline.load`` and ``step_eval``
 check the ranker, and ``Pipeline.load`` the heads too, in one error. So
 heads or a ranker fitted under another encoder are never served.
 
-Per-process contract: a process parses ``corpus.snap`` once and prepares
-the bank once. ``corpus.load_snapshot`` keeps the corpus it loaded last,
-by the sha256 of the file's bytes, so every step and ``Pipeline.load`` of
-one process read one ``Corpus`` object, and that corpus keeps the stem
-column of its views (``pairclf.PreparedCorpus``). Every step that
-prepares the bank under the workspace vocabulary, and ``Pipeline.load``,
-reads that column and normalizes no stem: in a build, ``step_pretrain``
-normalizes each stem and each analysis once, ``step_index`` only its
-clones, ``step_train_rank`` and ``step_clean`` only the analyses they
-read, and ``Pipeline.load`` nothing. Steps run as separate processes
-prepare the bank once each and write the same bytes. Nothing trained is
-kept: the pairs and the analysis column live as long as the step.
+Per-process contract: a process parses ``corpus.snap`` and
+``pairs.jsonl`` once per content, and never a corpus it saved (see
+``corpus``'s persistence section). A step reads ``pairs.jsonl`` once;
+what it records as made from ``pairs.jsonl`` or ``truth.json`` carries the
+digest of the bytes it parsed. The corpus keeps the stem column of its views
+(``pairclf.PreparedCorpus``), so in a build in one process no step after
+``step_pretrain`` and no ``Pipeline.load`` normalizes a stem:
+``step_index`` normalizes only its clones, ``step_train_rank`` and
+``step_clean`` only the analyses they read. Steps run as processes of
+their own prepare the bank once each and write the same bytes. Nothing
+trained is kept.
 
 Text becomes tokens in one place, ``pairclf.PreparedCorpus``.
 ``step_pretrain`` builds the vocabulary from the view's token lists and
@@ -276,13 +275,17 @@ def _path(workdir, name: str) -> Path:
     return Path(workdir) / FILES[name]
 
 
-def _versions(workdir, corpus: Corpus) -> dict[str, str]:
+def _versions(workdir, corpus: Corpus, pairs_digest: Optional[str]) -> dict[str, str]:
     """The short digest of each workspace snapshot and input file, by
-    ``FILES`` name; the corpus's is the one ``load_snapshot`` hashed."""
+    ``FILES`` name: the corpus's is the one ``load_snapshot`` hashed, the
+    pairs' the one ``load_pairs`` hashed when the step read them
+    (``pairs_digest``), and every other file is hashed here."""
     versions = {"corpus": short_digest(corpus.digest)}
+    if pairs_digest is not None:
+        versions["pairs"] = short_digest(pairs_digest)
     for name in FILES:
         p = _path(workdir, name)
-        if p.exists() and name not in ("corpus", "report", "cleaning"):
+        if name not in versions and name not in ("report", "cleaning") and p.exists():
             versions[name] = file_digest(p)
     return versions
 
@@ -305,21 +308,29 @@ def _refuse_stale(made_from: dict[str, dict[str, str]], versions: dict[str, str]
         raise ConfigurationError(stale)
 
 
-def _load_trained(workdir, config: Config, lineage=("corpus", "pairs")):
-    """The corpus, vocabulary, encoder and workspace ``_versions`` every
-    step after step_pretrain reads; ConfigurationError when the configured
-    stop words are not the ones the vocabulary was built with, or when the
-    encoder was made from another version of a ``lineage`` file."""
+def _load_trained(workdir, config: Config, lineage=("corpus", "pairs"),
+                  read_pairs: bool = False):
+    """The corpus, vocabulary, encoder, workspace ``_versions`` and, with
+    ``read_pairs``, the labeled pairs (else None) every step after
+    step_pretrain reads; the pairs are read once, and their version is the
+    digest of the bytes ``load_pairs`` read. ConfigurationError when the
+    configured stop words are not the ones the vocabulary was built with, or
+    when the encoder was made from another version of a ``lineage`` file;
+    CorpusError when a pair names an id the corpus lacks."""
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
     params, vocab = encoder_mod.load_encoder(_path(workdir, "encoder"))
     configured = canonical_stop_words(config.stop_words())
     if configured != vocab.stop_words:
         raise ConfigurationError([f"{FILES['encoder']} (stop words {list(vocab.stop_words)}, "
                                   f"not {list(configured)}: rerun step_pretrain)"])
-    versions = _versions(workdir, corpus)
+    pairs, pairs_digest = (corpus_mod.load_pairs(_path(workdir, "pairs")) if read_pairs
+                           else (None, None))
+    versions = _versions(workdir, corpus, pairs_digest)
     _refuse_stale({"encoder": {source: digest for source, digest in params.made_from.items()
                                if source in lineage}}, versions)
-    return corpus, vocab, params, versions
+    if pairs is not None:
+        corpus_mod.validate_pairs(corpus, pairs)
+    return corpus, vocab, params, versions, pairs
 
 
 def _load_ranker(workdir, versions: dict[str, str],
@@ -335,28 +346,22 @@ def _load_ranker(workdir, versions: dict[str, str],
     return params
 
 
-def _load_truth(workdir, corpus: Corpus) -> Optional[SyntheticTruth]:
-    """The ground truth, None without a truth file; CorpusError when a
-    group names an id ``corpus`` lacks, as the truth of another bank does
-    (its groups hold every id of its bank, the flipped pairs' included)."""
+def _load_truth(workdir, corpus: Corpus) -> tuple[Optional[SyntheticTruth], Optional[str]]:
+    """The ground truth and the short digest of the bytes it was parsed
+    from, (None, None) without a truth file; CorpusError when a group names
+    an id ``corpus`` lacks, as the truth of another bank does (its groups
+    hold every id of its bank, the flipped pairs' included)."""
     path = _path(workdir, "truth")
     if not path.exists():
-        return None
-    truth = corpus_mod.load_truth(path)
+        return None, None
+    truth, digest = corpus_mod.load_truth(path)
     unknown = next((ex_id for members in truth.groups.values() for ex_id in members
                     if ex_id not in corpus), None)
     if unknown is not None:
         raise CorpusError(f"{path.name} names id {unknown!r}, which the corpus lacks: it is "
                           "another bank's truth; rerun step_synth, or delete it if the "
                           "bank was ingested")
-    return truth
-
-
-def _load_pairs(workdir, corpus: Corpus) -> list[LabeledPair]:
-    """The labeled pairs file; CorpusError when a pair names an id not in corpus."""
-    pairs = corpus_mod.load_pairs(_path(workdir, "pairs"))
-    corpus_mod.validate_pairs(corpus, pairs)
-    return pairs
+    return truth, short_digest(digest)
 
 
 def _positive_float(config: Config, key: str) -> float:
@@ -410,8 +415,8 @@ def step_pretrain(workdir, config: Config):
 def step_finetune(workdir, config: Config):
     """Fine-tune the encoder on the labeled pairs. Of the encoder's lineage
     only the corpus is checked: this is the step that reads new pairs."""
-    corpus, vocab, params, versions = _load_trained(workdir, config, lineage=("corpus",))
-    pairs = _load_pairs(workdir, corpus)
+    corpus, vocab, params, versions, pairs = _load_trained(
+        workdir, config, lineage=("corpus",), read_pairs=True)
     ft_cfg = encoder_mod.FinetuneConfig(
         epochs=config.get_int("finetune.epochs", minimum=0),
         lr=_positive_float(config, "finetune.lr"),
@@ -434,15 +439,15 @@ def step_index(workdir, config: Config) -> None:
     it cannot fit is removed, so the load serves without it rather than
     refusing one fitted from files since removed. The recall indexes are
     not artifacts: ``Pipeline.load`` builds them."""
-    corpus, vocab, params, versions = _load_trained(workdir, config)
-    truth = _load_truth(workdir, corpus)
+    corpus, vocab, params, versions, pairs = _load_trained(
+        workdir, config, read_pairs=_path(workdir, "pairs").exists())
+    truth, truth_version = _load_truth(workdir, corpus)
     clones, dedup = [], None
     if truth is not None:
         dedup_pairs = corpus_mod.generate_dedup_pairs(corpus, truth, seed=97)
         clones, rows, labels = recall_mod.dedup_rows(dedup_pairs, corpus)
         dedup = rows, labels
-    pairs = _load_pairs(workdir, corpus) if _path(workdir, "pairs").exists() else []
-    variant = any(p.variant is not None for p in pairs)
+    variant = any(p.variant is not None for p in pairs or ())
     if dedup is None:
         _path(workdir, "dedup").unlink(missing_ok=True)
     if not variant:
@@ -453,7 +458,7 @@ def step_index(workdir, config: Config) -> None:
     if dedup is not None:
         recall_mod.train_dedup(view, *dedup).save(
             _path(workdir, "dedup"), "dedup",
-            {name: versions[name] for name in ("encoder", "truth")})
+            {"encoder": versions["encoder"], "truth": truth_version})
     if variant:
         rerank_mod.train_variant(pairs, corpus, view).save(
             _path(workdir, "variant"), "variant",
@@ -487,8 +492,7 @@ def _rank_config(config: Config) -> ranking.RankConfig:
 
 
 def step_train_rank(workdir, config: Config):
-    corpus, vocab, encoder, versions = _load_trained(workdir, config)
-    pairs = _load_pairs(workdir, corpus)
+    corpus, vocab, encoder, versions, pairs = _load_trained(workdir, config, read_pairs=True)
     params, history = ranking.train_ranker(pairs, PreparedCorpus(corpus, vocab),
                                            _rank_config(config), encoder=encoder)
     ranking.save_ranker(params, _path(workdir, "ranker"),
@@ -500,14 +504,13 @@ def step_clean(workdir, config: Config):
     """Confidence-learning cycle over one view of the bank; trains and saves
     the ranker on the cleaned pairs, once. With ground truth the report
     scores the prune; ``step_eval`` reports the ranker's precision."""
-    corpus, vocab, encoder, versions = _load_trained(workdir, config)
-    pairs = _load_pairs(workdir, corpus)
+    corpus, vocab, encoder, versions, pairs = _load_trained(workdir, config, read_pairs=True)
     cl_cfg = conflearn.CleanConfig(
         folds=config.get_int("cl.folds", minimum=2), seed=config.get_int("cl.seed", minimum=0),
         retrain=_rank_config(config))
     params, cleaned, report = conflearn.clean_and_retrain(
         pairs, PreparedCorpus(corpus, vocab, encoder), cl_cfg)
-    truth = _load_truth(workdir, corpus)
+    truth, _ = _load_truth(workdir, corpus)
     if truth is not None:
         report.score_flips(truth.flipped)
     ranking.save_ranker(params, _path(workdir, "ranker"),
@@ -521,7 +524,7 @@ def step_clean(workdir, config: Config):
 def _relevant(workdir, corpus: Corpus, pairs) -> dict[str, set[str]]:
     """Evaluation queries and their relevant ids: template mates against
     ground truth when available, else annotated similars."""
-    truth = _load_truth(workdir, corpus)
+    truth, _ = _load_truth(workdir, corpus)
     if truth is not None:
         return {ex_id: truth.mates(ex_id) for ex_id in _eval_query_ids(corpus)}
     return annotated_similars(pairs)
@@ -589,8 +592,7 @@ def step_eval(workdir, config: Config) -> EvalReport:
     if min(ks, default=0) < 1:
         raise ValueError(f"config eval.ks = {config.get('eval.ks')!r}: "
                          "expected at least one cut-off, each at least 1")
-    corpus, vocab, encoder, versions = _load_trained(workdir, config)
-    pairs = _load_pairs(workdir, corpus)
+    corpus, vocab, encoder, versions, pairs = _load_trained(workdir, config, read_pairs=True)
     ranker_params = _load_ranker(workdir, versions)
     view = PreparedCorpus(corpus, vocab, encoder)
     recaller = Recaller.build(view, config=_recall_config(config))
@@ -643,7 +645,7 @@ class Pipeline:
         missing = [name for name in required if not _path(workdir, name).exists()]
         if missing:
             raise ConfigurationError([FILES[m] for m in missing])
-        corpus, vocab, encoder, versions = _load_trained(workdir, config)
+        corpus, vocab, encoder, versions, _ = _load_trained(workdir, config)
         heads = {name: PairClassifier.load(_path(workdir, name), name)
                  for name in ("dedup", "variant") if _path(workdir, name).exists()}
         ranker_params = _load_ranker(workdir, versions, **heads)

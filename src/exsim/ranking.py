@@ -63,7 +63,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Exercise, LabeledPair
+from .corpus import LabeledPair
 from .encoder import (EncoderParams, TrainingDivergedError, embed_corpus, embed_text_batch,
                       embed_text_batch_backward, require_finite, softmax_cross_entropy)
 from .pairclf import (PAD_CODE, PreparedCorpus, PreparedQuery, UntrainedModelError,
@@ -189,12 +189,11 @@ class TaskBuilder:
         self.codes[:n, :view.codes.shape[1]] = view.codes
         self.codes[n:, :analysis.codes.shape[1]] = analysis.codes
         self.row_of = view.index.row_of
-        self.ids = view.index.ids
-        self.by_concept: dict[str, list[str]] = {}
-        for ex in view.exercises:
+        self.by_concept: dict[str, list[int]] = {}
+        for row, ex in enumerate(view.exercises):
             for c in ex.metadata.knowledge_concepts:
-                self.by_concept.setdefault(c, []).append(ex.id)
-        self._pools: dict[str, list[str]] = {}
+                self.by_concept.setdefault(c, []).append(row)
+        self._pools: dict[tuple[str, ...], tuple[list[int], dict[int, int]]] = {}
 
     def build_all(self, pairs: Sequence[LabeledPair],
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -203,64 +202,71 @@ class TaskBuilder:
         text row, right text row, label] and ``sims`` (pairs, 5) float64 its
         edit similarity. Every draw and every edit similarity is made here,
         once."""
-        specs = np.fromiter((x for p in pairs for spec in self._specs(p, rng) for x in spec),
-                            dtype=np.int32, count=20 * len(pairs)).reshape(-1, 5, 4)
+        n = len(self.view.exercises)
+        a = np.array([self.row_of[p.a_id] for p in pairs], dtype=np.intp)
+        b = np.array([self.row_of[p.b_id] for p in pairs], dtype=np.intp)
+        empty = ((self.lengths[a] == 0) | (self.lengths[n + a] == 0)
+                 | (self.lengths[b] == 0) | (self.lengths[n + b] == 0))
+        if empty.any():
+            pair = pairs[int(np.argmax(empty))]
+            raise ValueError(f"pair ({pair.a_id}, {pair.b_id}): both exercises need "
+                             "stem and analysis text")
+        label = np.array([p.is_similar for p in pairs], dtype=bool)
+        negative = b.copy()
+        negative[label] = self._concept_sharing_draws(a[label], b[label], rng)
+        specs = np.empty((len(pairs), 5, 4), dtype=np.int32)
+        ss, aa, sa = range(len(TASKS))
+        specs[:, :, 0] = (ss, aa, sa, sa, sa)
+        for k, (left, right, y) in enumerate(((a, b, label), (n + a, n + b, label),
+                                              (a, n + a, 1), (b, n + b, 1),
+                                              (a, n + negative, 0))):
+            specs[:, k, 1], specs[:, k, 2], specs[:, k, 3] = left, right, y
         return specs, row_pair_similarities(self.codes, self.lengths,
                                             specs[:, :, 1], specs[:, :, 2])
 
-    def _specs(self, pair: LabeledPair, rng: np.random.Generator):
-        """(task index, left row, right row, label) of each instance of one pair."""
+    def _concept_sharing_draws(self, anchors: np.ndarray, partners: np.ndarray,
+                               rng: np.random.Generator) -> np.ndarray:
+        """One row per (anchor, partner) row pair: a uniform draw from the
+        rows sharing a concept with the anchor, other than it and the
+        partner; from every row but those two when none does. All the draws
+        are one ``rng.integers`` call over the pool sizes, which takes the
+        values one scalar call per pair would, in order."""
         n = len(self.view.exercises)
-        stem_a, stem_b = self.row_of[pair.a_id], self.row_of[pair.b_id]
-        for row in (stem_a, stem_b):
-            if not self.lengths[row] or not self.lengths[n + row]:
-                raise ValueError(f"pair ({pair.a_id}, {pair.b_id}): both exercises need "
-                                 "stem and analysis text")
-        label = 1 if pair.is_similar else 0
-        if pair.is_similar:
-            neg_id = self._concept_sharing_draw(self.view.exercises[stem_a], pair.b_id, rng)
-        else:
-            neg_id = pair.b_id
-        ss, aa, sa = range(len(TASKS))
-        return [
-            (ss, stem_a, stem_b, label),
-            (aa, n + stem_a, n + stem_b, label),
-            (sa, stem_a, n + stem_a, 1),
-            (sa, stem_b, n + stem_b, 1),
-            (sa, stem_a, n + self.row_of[neg_id], 0),
-        ]
+        pools, skips, highs = [], [], np.empty(len(anchors), dtype=np.int64)
+        for i, (anchor, partner) in enumerate(zip(anchors.tolist(), partners.tolist())):
+            pool, position = self._concept_pool(
+                self.view.exercises[anchor].metadata.knowledge_concepts)
+            highs[i] = len(pool) - 1 - (partner in position)
+            skip = sorted((position[anchor], position.get(partner, len(pool))))
+            if not highs[i]:
+                log.debug("no concept-sharing negative for %s; drawing uniformly",
+                          self.view.index.ids[anchor])
+                pool, skip, highs[i] = None, sorted((anchor, partner)), n - 2
+            pools.append(pool)
+            skips.append(skip)
+        picks = rng.integers(0, highs).tolist() if len(highs) else []
+        out = np.empty(len(anchors), dtype=np.intp)
+        for i, (pick, pool, (low, high)) in enumerate(zip(picks, pools, skips)):
+            # the pick-th entry of the pool (the bank when None) without the
+            # anchor's and the partner's positions
+            pick += pick >= low
+            pick += pick >= high
+            out[i] = pick if pool is None else pool[pick]
+        return out
 
-    def _concept_sharing_draw(self, ex: Exercise, partner_id: str,
-                              rng: np.random.Generator) -> str:
-        """A uniform draw from the exercises sharing a concept with ``ex``,
-        other than ``ex`` and ``partner_id``; from the whole bank minus those
-        two when none shares one."""
-        pool = self._concept_pool(ex)
-        try:
-            skip = pool.index(partner_id)
-        except ValueError:
-            skip = len(pool)
-        size = len(pool) - (skip < len(pool))
-        if not size:
-            log.debug("no concept-sharing negative for %s; drawing uniformly", ex.id)
-            pool = [i for i in self.ids if i not in (ex.id, partner_id)]
-            return pool[int(rng.integers(0, len(pool)))]
-        pick = int(rng.integers(0, size))
-        return pool[pick + (pick >= skip)]
-
-    def _concept_pool(self, ex: Exercise) -> list[str]:
-        """The exercises sharing a concept with ``ex``, other than ``ex``, in
-        concept order then bank order, each once; built on first use."""
-        pool = self._pools.get(ex.id)
+    def _concept_pool(self, concepts: tuple[str, ...]) -> tuple[list[int], dict[int, int]]:
+        """The rows of the exercises with any of ``concepts``, in concept
+        order then bank order, each once, and each one's position in that
+        list; built once per concept set."""
+        pool = self._pools.get(concepts)
         if pool is None:
-            pool = []
-            seen = {ex.id}
-            for c in ex.metadata.knowledge_concepts:
-                for other in self.by_concept.get(c, ()):
-                    if other not in seen:
-                        pool.append(other)
-                        seen.add(other)
-            self._pools[ex.id] = pool
+            rows, position = [], {}
+            for c in concepts:
+                for row in self.by_concept.get(c, ()):
+                    if row not in position:
+                        position[row] = len(rows)
+                        rows.append(row)
+            pool = self._pools[concepts] = rows, position
         return pool
 
 

@@ -61,19 +61,24 @@ def atomic_write(path, mode: str = "w"):
         raise
 
 
-def save_arrays(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+def save_arrays(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> str:
+    """Write the snapshot; the hex sha256 of the bytes written."""
     header = json.dumps({
         "version": _FORMAT,
         "kind": kind,
         "meta": meta,
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
     }, sort_keys=True).encode("utf-8")
+    h = hashlib.sha256()
     with atomic_write(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
+        for part in (_MAGIC, struct.pack("<I", len(header)), header):
+            fh.write(part)
+            h.update(part)
         for v in arrays.values():
-            fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+            data = np.ascontiguousarray(v, dtype="<f8").tobytes()
+            fh.write(data)
+            h.update(data)
+    return h.hexdigest()
 
 
 def load_arrays(path, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]]:

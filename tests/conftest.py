@@ -23,3 +23,15 @@ def small_trained(small_synth):
     params, _ = encoder_mod.fine_tune(
         params, pairs, view, encoder_mod.FinetuneConfig(epochs=3, n_negatives=6, seed=2))
     return corpus, truth, pairs, view.vocab, params
+
+
+@pytest.fixture
+def new_process(monkeypatch):
+    """A function that forgets the corpus and the pairs ``corpus`` keeps in
+    its slots (and with the corpus the stem column its views keep), as a
+    new process starts without them; called once here, so the test starts
+    as a new process."""
+    def forget():
+        monkeypatch.setattr(corpus_mod, "_slots", {})
+    forget()
+    return forget

@@ -1,17 +1,18 @@
 import dataclasses
 import hashlib
 import json
+import re
 import shutil
 
 import numpy as np
 import pytest
 
-from exsim import corpus as corpus_mod
 from exsim import snapshots
 from exsim.corpus import (
     DISSIMILAR, PLAIN_SIMILAR, SIMILAR, VARIANT, Corpus, CorpusError, Exercise, LabeledPair,
     Metadata, SyntheticSpec, generate_dedup_pairs, generate_synthetic, load_corpus,
-    load_pairs, load_snapshot, save_pairs, save_snapshot, validate_pairs,
+    load_pairs, load_snapshot, load_truth, save_pairs, save_snapshot, save_truth,
+    validate_pairs,
 )
 from exsim.snapshots import SnapshotFormatError, save_arrays
 
@@ -177,44 +178,68 @@ def test_generate_deterministic(tmp_path):
     assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
 
 
-def test_snapshot_round_trip(tmp_path, small_synth):
+def test_snapshot_round_trip(tmp_path, small_synth, new_process):
     corpus, _, _ = small_synth
     path = tmp_path / "c.snap"
     save_snapshot(corpus, path)
+    new_process()
     assert load_snapshot(path) == corpus
 
 
-def test_snapshot_is_parsed_once_per_content(tmp_path, monkeypatch, small_synth):
-    """The corpus loaded last is kept by the sha256 of the file's bytes: a
-    byte-equal copy anywhere gives that very object, a file rewritten with
-    other bytes a new corpus, which then takes the one slot."""
-    monkeypatch.setattr(corpus_mod, "_last_snapshot", None)
+def test_snapshot_is_parsed_once_per_content(tmp_path, small_synth, new_process):
+    """The corpus saved or loaded last is kept by the sha256 of its file's
+    bytes: a save keeps the saved corpus itself, a byte-equal copy anywhere
+    gives the kept object, a file rewritten with other bytes a new corpus,
+    which then takes the one slot."""
     corpus, _, _ = small_synth
     path, copy = tmp_path / "c.snap", tmp_path / "other" / "c.snap"
-    save_snapshot(corpus, path)
+    digest = save_snapshot(corpus, path)
+    assert digest == corpus.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert load_snapshot(path) is corpus
+    new_process()
     first = load_snapshot(path)
-    assert first.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert first is not corpus and first == corpus and first.digest == digest
     copy.parent.mkdir()
     shutil.copyfile(path, copy)
     assert load_snapshot(path) is first and load_snapshot(copy) is first
     fewer = Corpus(list(corpus)[1:], levels=corpus.levels, d_img=corpus.d_img)
     save_snapshot(fewer, path)
-    rewritten = load_snapshot(path)
-    assert rewritten is not first and rewritten == fewer and rewritten.digest != first.digest
+    assert load_snapshot(path) is fewer and fewer.digest != first.digest
     again = load_snapshot(copy)
     assert again is not first and again == first and again.digest == first.digest
+
+
+def test_pairs_are_parsed_once_per_content(tmp_path, small_synth, new_process):
+    """A save keeps nothing: the first load parses the file, a byte-equal
+    copy is then served from the slot, and every load returns a new list;
+    another file's save leaves the slot as it was."""
+    _, _, pairs = small_synth
+    path, copy = tmp_path / "p.jsonl", tmp_path / "q.jsonl"
+    digest = save_pairs(pairs, path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    shutil.copyfile(path, copy)
+    parsed, parsed_digest = load_pairs(path)
+    assert parsed == pairs and parsed_digest == digest and parsed[0] is not pairs[0]
+    kept, kept_digest = load_pairs(copy)
+    assert kept_digest == digest and kept is not parsed
+    assert all(a is b for a, b in zip(kept, parsed)) and len(kept) == len(parsed)
+    save_pairs(pairs[1:], tmp_path / "other.jsonl")
+    assert load_pairs(path)[0][0] is parsed[0]
+    new_process()
+    assert load_pairs(copy)[0][0] is not parsed[0]
 
 
 def with_images(ex_id, images):
     return dataclasses.replace(make_exercise(ex_id), image_features=images)
 
 
-def test_snapshot_round_trip_keeps_image_bytes(tmp_path):
+def test_snapshot_round_trip_keeps_image_bytes(tmp_path, new_process):
     rng = np.random.default_rng(0)
     corpus = Corpus([with_images("e0", ()), with_images("e1", rng.normal(size=(1, 3))),
                      with_images("e2", rng.normal(size=(2, 3))), with_images("e3", ())])
     path = tmp_path / "c.snap"
     save_snapshot(corpus, path)
+    new_process()
     loaded = load_snapshot(path)
     assert loaded == corpus
     for ex in corpus:
@@ -222,10 +247,11 @@ def test_snapshot_round_trip_keeps_image_bytes(tmp_path):
         assert loaded[ex.id].image_features.tobytes() == ex.image_features.tobytes()
 
 
-def test_loaded_image_vectors_view_one_read_only_buffer(tmp_path, small_synth):
+def test_loaded_image_vectors_view_one_read_only_buffer(tmp_path, small_synth, new_process):
     corpus, _, _ = small_synth
     path = tmp_path / "c.snap"
     save_snapshot(corpus, path)
+    new_process()
     feats = [ex.image_features for ex in load_snapshot(path) if len(ex.image_features)]
     assert len(feats) > 1
 
@@ -326,23 +352,49 @@ def test_load_pairs_bad_record_cites_line(tmp_path, line):
         load_pairs(path)
 
 
-def test_pairs_round_trip_and_validation(tmp_path, small_synth):
+@pytest.mark.parametrize("text, message", [
+    ('{"flipped": []}', 'expected an object with "groups" and "flipped"'),
+    ('[["e0001", "e0002"]]', 'expected an object with "groups" and "flipped"'),
+    ('{"groups": {"g": ["e0001"]}, "flipped": [', "malformed JSON"),
+    ('{"groups": {"g": "e0001"}, "flipped": []}', "group 'g' is not a list of exercise ids"),
+], ids=["no-groups", "list", "bad-json", "string-group"])
+def test_load_truth_refuses_a_malformed_file_naming_it(tmp_path, text, message):
+    """Each used to fail with a raw KeyError, TypeError or JSONDecodeError,
+    or, for a group given as a string, to load."""
+    path = tmp_path / "truth.json"
+    path.write_text(text)
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: {message}")):
+        load_truth(path)
+
+
+def test_truth_round_trip_names_the_bytes_it_parsed(tmp_path):
+    _, truth, _ = generate_synthetic(SyntheticSpec(3, 4, noise_rate=0.3, seed=5))
+    path = tmp_path / "truth.json"
+    save_truth(truth, path)
+    loaded, digest = load_truth(path)
+    assert (loaded.groups, loaded.flipped) == (truth.groups, truth.flipped)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_pairs_round_trip_and_validation(tmp_path, small_synth, new_process):
     corpus, _, pairs = small_synth
     path = tmp_path / "p.jsonl"
     save_pairs(pairs, path)
-    assert load_pairs(path) == pairs
+    new_process()
+    assert load_pairs(path) == (pairs, hashlib.sha256(path.read_bytes()).hexdigest())
     bad = pairs + [LabeledPair("nope-1", "nope-2", "similar")]
     with pytest.raises(CorpusError, match="unknown id"):
         validate_pairs(corpus, bad)
 
 
-def test_loaded_pairs_share_their_strings(tmp_path, small_synth):
-    """One str per distinct id within a load, the module's constants for
+def test_loaded_pairs_share_their_strings(tmp_path, small_synth, new_process):
+    """One str per distinct id within a parse, the module's constants for
     labels, variant flags and votes, and no per-pair ``__dict__``."""
     _, _, pairs = small_synth
     path = tmp_path / "p.jsonl"
     save_pairs(pairs, path)
-    loaded = load_pairs(path)
+    new_process()
+    loaded, _ = load_pairs(path)
     assert loaded == pairs
     ids = [x for p in loaded for x in (p.a_id, p.b_id)]
     assert len({id(x) for x in ids}) == len(set(ids)) < len(ids)
@@ -363,17 +415,18 @@ def test_loaded_pairs_share_equal_votes(tmp_path):
                     f'{{"a_id": "c", "b_id": "d", "label": "similar", {votes}}}\n'
                     '{"a_id": "a", "b_id": "c", "label": "dissimilar", '
                     '"votes": ["dissimilar", "dissimilar", "similar"]}\n')
-    first, second, third = load_pairs(path)
+    (first, second, third), _ = load_pairs(path)
     assert first.votes == second.votes == (SIMILAR, DISSIMILAR, SIMILAR)
     assert first.votes is second.votes and third.votes is not first.votes
 
 
-def test_loads_share_metadata_strings(tmp_path, small_synth):
+def test_loads_share_metadata_strings(tmp_path, small_synth, new_process):
     """A snapshot or JSONL load holds one str per distinct exercise type and
     per distinct knowledge concept."""
     corpus, _, _ = small_synth
     save_snapshot(corpus, tmp_path / "c.snap")
     write_jsonl(tmp_path / "c.jsonl", [ex.to_record() for ex in corpus])
+    new_process()
     for loaded in (load_snapshot(tmp_path / "c.snap"),
                    load_corpus(tmp_path / "c.jsonl", levels=corpus.levels)):
         assert loaded == corpus

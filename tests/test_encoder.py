@@ -670,6 +670,82 @@ def test_finetune_refuses_an_anchor_with_too_few_negatives(small_synth):
     assert len(history["batch"]) == 1
 
 
+def test_finetune_without_negatives_trains_on_the_positive_alone(small_synth):
+    """n_negatives = 0 ends: each batch scores the positive against nothing."""
+    corpus, _, pairs = small_synth
+    view = PreparedCorpus.with_own_vocab(corpus)
+    params = enc.init_params(corpus, view.vocab, d=8, seed=0)
+    _, history = enc.fine_tune(params, pairs, view,
+                               enc.FinetuneConfig(epochs=1, n_negatives=0))
+    assert history["batch"] and all(loss == 0.0 for loss in history["batch"])
+
+
+def scalar_draw_negatives(anchor, similar, n_rows, n, rng):
+    """One anchor's negatives, one scalar draw per candidate row."""
+    chosen = []
+    while len(chosen) < n:
+        cand = int(rng.integers(0, n_rows))
+        if cand != anchor and cand not in similar and cand not in chosen:
+            chosen.append(cand)
+    return chosen
+
+
+@st.composite
+def negative_batches(draw):
+    """(rows, negatives per anchor, anchors, similar rows by anchor, seed);
+    an anchor's similars leave at least ``n`` rows eligible, and the
+    largest similar sets leave exactly ``n``."""
+    n_rows = draw(st.integers(2, 24))
+    n = draw(st.integers(0, n_rows - 1))
+    anchors = draw(st.lists(st.integers(0, n_rows - 1), max_size=12))
+    similar = {}
+    for anchor in set(anchors):
+        others = [r for r in range(n_rows) if r != anchor]
+        similar[anchor] = set(draw(st.lists(st.sampled_from(others), unique=True,
+                                            max_size=n_rows - 1 - n)))
+    return n_rows, n, anchors, similar, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(negative_batches())
+@example((5, 2, [0, 1, 0], {0: {2, 3}, 1: {0, 4}}, 3))
+@example((30, 10, [4] * 8, {4: set(range(5, 24))}, 11))
+@example((6, 0, [0, 3], {0: {1}, 3: set()}, 5))
+def test_block_negative_draws_equal_one_scalar_draw_per_candidate(batch):
+    """The batch's negatives and the generator's end state are those of
+    scalar draws, anchor by anchor; the first two examples give anchors
+    exactly ``n`` eligible rows, where most draws are refused, and the
+    last asks for no negatives, which draws nothing."""
+    n_rows, n, anchors, similar, seed = batch
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = enc._draw_negatives(anchors, similar, n_rows, n, rng)
+    assert drawn.shape == (len(anchors), n)
+    assert drawn.tolist() == [scalar_draw_negatives(a, similar[a], n_rows, n, reference_rng)
+                              for a in anchors]
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 64])
+def test_array_draws_take_the_values_of_scalar_draws(size):
+    """The numpy stream property the block draws rest on: ``integers(0,
+    high, size=k)`` and ``integers(0, highs)`` return the values of one
+    scalar ``integers`` call per element, in order, and leave the generator
+    in the same state, after an odd count of 32-bit draws too."""
+    for seed in range(20):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(seed % 3):
+            assert rng.integers(0, 7) == reference_rng.integers(0, 7)
+        high = 3 + 97 * seed
+        assert rng.integers(0, high, size=size).tolist() == [
+            int(reference_rng.integers(0, high)) for _ in range(size)]
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        highs = np.random.default_rng(1000 + seed).integers(1, 5000, size=size)
+        highs[::3] = 1
+        assert rng.integers(0, highs).tolist() == [
+            int(reference_rng.integers(0, h)) for h in highs.tolist()]
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 def test_finetune_zero_epochs_identity(small_synth):
     corpus, _, pairs = small_synth
     view = PreparedCorpus.with_own_vocab(corpus)

@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import errno
 import functools
+import hashlib
 import json
 import re
 import shutil
@@ -72,6 +73,60 @@ def test_ingest_reads_back_the_bank(workspace, tmp_path):
     ingested = pl.step_ingest(tmp_path / "ws", tmp_path / "bank.jsonl")
     assert ingested.ids == corpus.ids
     assert ingested.ids == load_corpus(tmp_path / "bank.jsonl").ids
+
+
+def exercise_fields(ex):
+    """Every field of an exercise but its images, as text that tells the
+    types apart (``3`` from ``3.0``, a tuple from a list)."""
+    return repr((ex.id, ex.stem, ex.options, ex.answer, ex.analysis, ex.metadata,
+                 ex.learning_stage))
+
+
+@pytest.mark.parametrize("step", ["step_synth", "step_ingest"])
+def test_what_a_save_keeps_equals_a_parse_of_its_file(tmp_path, new_process, step):
+    """The corpus a build step saves is what a later load in the process
+    returns unparsed; it equals a parse of the written file in every field,
+    image bits and read-only images included, and its digest is the file's
+    sha256."""
+    workdir = tmp_path / "ws"
+    if step == "step_synth":
+        kept, _, _ = pl.step_synth(workdir, TINY)
+    else:
+        bank, _, _ = corpus_mod.generate_synthetic(TINY)
+        write_jsonl(tmp_path / "bank.jsonl", [ex.to_record() for ex in bank])
+        kept = pl.step_ingest(workdir, tmp_path / "bank.jsonl")
+    corpus_path = workdir / pl.FILES["corpus"]
+    assert kept.digest == hashlib.sha256(corpus_path.read_bytes()).hexdigest()
+    assert corpus_mod.load_snapshot(corpus_path) is kept
+    new_process()
+    parsed = corpus_mod.load_snapshot(corpus_path)
+    assert parsed is not kept and parsed.digest == kept.digest
+    assert (parsed.ids, parsed.levels, parsed.d_img, parsed.exercise_types,
+            parsed.concepts) == (kept.ids, kept.levels, kept.d_img, kept.exercise_types,
+                                 kept.concepts)
+    for ours, theirs in zip(kept, parsed):
+        assert exercise_fields(ours) == exercise_fields(theirs)
+        for images in (ours.image_features, theirs.image_features):
+            assert images.dtype == np.float64 and not images.flags.writeable
+        assert ours.image_features.shape == theirs.image_features.shape
+        assert ours.image_features.tobytes() == theirs.image_features.tobytes()
+
+
+def test_a_file_rewritten_after_its_save_is_parsed(tmp_path):
+    """Bytes copied over the saved files, not through a save, are parsed:
+    the slots are keyed by content, not by path."""
+    other, _, other_pairs = corpus_mod.generate_synthetic(dataclasses.replace(TINY, seed=4))
+    corpus_mod.save_snapshot(other, tmp_path / "other.snap")
+    corpus_mod.save_pairs(other_pairs, tmp_path / "other.jsonl")
+    workdir = tmp_path / "ws"
+    kept, _, pairs = pl.step_synth(workdir, TINY)
+    shutil.copyfile(tmp_path / "other.snap", workdir / pl.FILES["corpus"])
+    shutil.copyfile(tmp_path / "other.jsonl", workdir / pl.FILES["pairs"])
+    parsed = corpus_mod.load_snapshot(workdir / pl.FILES["corpus"])
+    assert parsed is not kept and parsed is not other and parsed == other != kept
+    loaded, digest = corpus_mod.load_pairs(workdir / pl.FILES["pairs"])
+    assert loaded == other_pairs != pairs
+    assert digest == hashlib.sha256((tmp_path / "other.jsonl").read_bytes()).hexdigest()
 
 
 def test_load_refuses_an_empty_workspace(tmp_path):
@@ -383,7 +438,7 @@ def test_a_truth_of_another_bank_is_refused(workspace, tmp_path):
     write_jsonl(tmp_path / "bank.jsonl",
                 [{**ex.to_record(), "id": "new-" + ex.id} for ex in corpus])
     pl.step_ingest(workdir, tmp_path / "bank.jsonl", levels=corpus.levels)
-    pairs = corpus_mod.load_pairs(workdir / pl.FILES["pairs"])
+    pairs, _ = corpus_mod.load_pairs(workdir / pl.FILES["pairs"])
     save_pairs([dataclasses.replace(p, a_id="new-" + p.a_id, b_id="new-" + p.b_id)
                 for p in pairs], workdir / pl.FILES["pairs"])
     pl.step_pretrain(workdir, config)
@@ -395,6 +450,16 @@ def test_a_truth_of_another_bank_is_refused(workspace, tmp_path):
             step(workdir, config)
     (workdir / pl.FILES["truth"]).unlink()
     assert pl.step_eval(workdir, config).per_seed
+
+
+def test_a_truth_group_given_as_a_string_is_refused(workspace, tmp_path):
+    """It used to load, ``mates`` returned its characters, and the steps
+    blamed another bank's truth."""
+    workdir, config, corpus = copy_workspace(workspace, tmp_path)
+    (workdir / pl.FILES["truth"]).write_text(
+        json.dumps({"groups": {"t00": corpus.ids[0]}, "flipped": []}))
+    with pytest.raises(CorpusError, match=r"truth.json: group 't00' is not a list"):
+        pl.step_eval(workdir, config)
 
 
 def test_pairs_naming_an_unknown_id_are_refused(workspace, tmp_path):
@@ -493,7 +558,7 @@ def test_changed_pairs_refuse_what_was_made_from_them(workspace, tmp_path):
     pairs.jsonl. step_finetune reads the new pairs itself, so it checks only
     the encoder's corpus, and the steps after it follow."""
     workdir, config, corpus = copy_workspace(workspace, tmp_path)
-    pairs = corpus_mod.load_pairs(workdir / pl.FILES["pairs"])
+    pairs, _ = corpus_mod.load_pairs(workdir / pl.FILES["pairs"])
     save_pairs(pairs[1:], workdir / pl.FILES["pairs"])
     for step in (pl.Pipeline.load, pl.step_index, pl.step_train_rank, pl.step_eval):
         with pytest.raises(pl.ConfigurationError) as refused:
@@ -507,6 +572,83 @@ def test_changed_pairs_refuse_what_was_made_from_them(workspace, tmp_path):
     pl.step_index(workdir, config)
     pl.step_train_rank(workdir, config)
     assert pl.Pipeline.load(workdir, config).query(corpus.ids[5]).all_ids()
+
+
+@pytest.mark.parametrize("step, artifact", [
+    (pl.step_finetune, "encoder"), (pl.step_index, "variant"),
+    (pl.step_train_rank, "ranker"), (pl.step_clean, "ranker")])
+def test_lineage_names_the_pairs_a_step_trained_on(workspace, tmp_path, monkeypatch,
+                                                   new_process, step, artifact):
+    """pairs.jsonl is replaced by other pairs the moment after the step
+    first reads it. The step trains on the pairs of that read and records
+    their digest; it used to hash the file first and parse it later, so it
+    recorded the first file's digest and trained on the second's pairs."""
+    workdir, config, _ = copy_workspace(workspace, tmp_path)
+    path = workdir / pl.FILES["pairs"]
+    original = path.read_bytes()
+    pairs, _ = corpus_mod.load_pairs(path)
+    save_pairs(pairs[1:], tmp_path / "other.jsonl")
+    new_process()
+
+    def swapping(read):
+        def wrapper(p, *args, **kwargs):
+            out = read(p, *args, **kwargs)
+            if p == path and path.read_bytes() == original:
+                shutil.copyfile(tmp_path / "other.jsonl", path)
+            return out
+        return wrapper
+
+    trained_on, validate = [], corpus_mod.validate_pairs
+
+    def recording(corpus, step_pairs):
+        trained_on.append(list(step_pairs))
+        return validate(corpus, step_pairs)
+
+    monkeypatch.setattr(pl, "file_digest", swapping(pl.file_digest))
+    monkeypatch.setattr(corpus_mod, "load_pairs", swapping(corpus_mod.load_pairs))
+    monkeypatch.setattr(corpus_mod, "validate_pairs", recording)
+    step(workdir, config)
+    assert path.read_bytes() != original
+    assert trained_on == [pairs]
+    assert made_from(workdir, artifact)["pairs"] == \
+        snapshots.short_digest(hashlib.sha256(original).hexdigest())
+
+
+def test_lineage_names_the_truth_the_dedup_head_was_fitted_from(workspace, tmp_path,
+                                                               monkeypatch):
+    """truth.json is replaced by a truth of fewer mates the moment after
+    step_index first reads it, to hash it for the workspace versions. The
+    dedup head records the digest of the truth it was fitted from, the
+    second; it used to record the hash of the first."""
+    workdir, config, _ = copy_workspace(workspace, tmp_path)
+    path = workdir / pl.FILES["truth"]
+    original = path.read_bytes()
+    truth = json.loads(original)
+    truth["groups"] = {name: members[:2] for name, members in truth["groups"].items()}
+    other = json.dumps(truth).encode("utf-8")
+
+    def swapping(read):
+        def wrapper(p, *args, **kwargs):
+            out = read(p, *args, **kwargs)
+            if p == path and path.read_bytes() == original:
+                path.write_bytes(other)
+            return out
+        return wrapper
+
+    fitted_from, generate = [], corpus_mod.generate_dedup_pairs
+
+    def recording(corpus, step_truth, *args, **kwargs):
+        fitted_from.append(step_truth.groups)
+        return generate(corpus, step_truth, *args, **kwargs)
+
+    monkeypatch.setattr(pl, "file_digest", swapping(pl.file_digest))
+    monkeypatch.setattr(corpus_mod, "load_truth", swapping(corpus_mod.load_truth))
+    monkeypatch.setattr(corpus_mod, "generate_dedup_pairs", recording)
+    pl.step_index(workdir, config)
+    assert path.read_bytes() == other
+    assert fitted_from == [truth["groups"]]
+    assert made_from(workdir, "dedup")["truth"] == \
+        snapshots.short_digest(hashlib.sha256(other).hexdigest())
 
 
 def test_an_encoder_of_another_corpus_is_refused_by_every_later_step(workspace, tmp_path):
@@ -859,21 +1001,11 @@ def test_without_dedup_ranking_makes_the_one_kernel_call(workspace, tmp_path,
                       "pair_feature_rows": 2}
 
 
-@pytest.fixture
-def new_process(monkeypatch):
-    """A function that forgets the corpus ``load_snapshot`` keeps, and with
-    it the stem column its views keep, as a new process starts without
-    them; called once here, so the test starts as a new process."""
-    def forget():
-        monkeypatch.setattr(corpus_mod, "_last_snapshot", None)
-    forget()
-    return forget
-
-
 def build(workdir, config, before_step: Callable[[], None] = lambda: None) -> dict:
     """Every build step over the tiny bank, then ``Pipeline.load``; by step
-    name, the step's snapshot parses and the texts it normalized (every
-    text is normalized through ``pairclf``'s binding)."""
+    name, the step's parses of corpus.snap and of pairs.jsonl and the texts
+    it normalized (every text is normalized through ``pairclf``'s
+    binding)."""
     steps = [("step_synth", lambda: pl.step_synth(workdir, TINY))]
     steps += [(step.__name__, functools.partial(step, workdir, config))
               for step in (pl.step_pretrain, pl.step_finetune, pl.step_index,
@@ -889,14 +1021,16 @@ def build(workdir, config, before_step: Callable[[], None] = lambda: None) -> di
     per_step = {}
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(corpus_mod, "read_arrays",
-                            counted(parses, "parse", corpus_mod.read_arrays))
+                            counted(parses, "corpus", corpus_mod.read_arrays))
+        monkeypatch.setattr(corpus_mod, "_parse_pairs",
+                            counted(parses, "pairs", corpus_mod._parse_pairs))
         monkeypatch.setattr(pairclf, "normalize_text", recording)
         for name, step in steps:
             before_step()
             parses.clear()
             texts.clear()
             step()
-            per_step[name] = parses["parse"], Counter(texts)
+            per_step[name] = parses["corpus"], parses["pairs"], Counter(texts)
     return per_step
 
 
@@ -908,7 +1042,7 @@ def test_build_steps_prepare_the_bank_once(workspace, tmp_path, monkeypatch, new
     under the encoder and under the ranker's backbone."""
     workdir, config, corpus = copy_workspace(workspace, tmp_path)
     n = len(corpus)
-    truth = corpus_mod.load_truth(workdir / pl.FILES["truth"])
+    truth, _ = corpus_mod.load_truth(workdir / pl.FILES["truth"])
     clones = {b.id for _, b, _ in corpus_mod.generate_dedup_pairs(corpus, truth, seed=97)}
     clones -= set(corpus.ids)
     counts = count_calls(monkeypatch)
@@ -929,28 +1063,36 @@ def test_build_steps_prepare_the_bank_once(workspace, tmp_path, monkeypatch, new
 
 
 def test_a_process_parses_and_prepares_the_bank_once(tmp_path, new_process):
-    """A build in one process parses corpus.snap once and normalizes each
-    bank stem once, in step_pretrain; later steps read the column the corpus
-    keeps and normalize only analyses and step_index's dedup clones, and
-    Pipeline.load normalizes nothing."""
+    """A build in one process parses corpus.snap never, since step_synth
+    keeps the corpus it wrote, and pairs.jsonl once, in step_finetune, the
+    first step that reads it. It normalizes each bank stem once, in
+    step_pretrain; later steps read the column the corpus keeps and
+    normalize only analyses and step_index's dedup clones, and
+    Pipeline.load normalizes nothing. Run as a new process each, a step
+    parses each file at most once."""
     workdir = tmp_path / "ws"
     steps = build(workdir, pl.Config(CONFIG))
     corpus = corpus_mod.load_snapshot(workdir / pl.FILES["corpus"])
-    truth = corpus_mod.load_truth(workdir / pl.FILES["truth"])
+    truth, _ = corpus_mod.load_truth(workdir / pl.FILES["truth"])
     clones, _, _ = recall.dedup_rows(corpus_mod.generate_dedup_pairs(corpus, truth, seed=97),
                                      corpus)
     stems = Counter(ex.text for ex in corpus)
     analyses = Counter(ex.answer_analysis for ex in corpus)
     assert steps == {
-        "step_synth": (0, Counter()),
-        "step_pretrain": (1, stems + analyses),
-        "step_finetune": (0, Counter()),
-        "step_index": (0, Counter(ex.text for ex in clones)),
-        "step_train_rank": (0, analyses),
-        "step_clean": (0, analyses),
-        "step_eval": (0, Counter()),
-        "load": (0, Counter()),
+        "step_synth": (0, 0, Counter()),
+        "step_pretrain": (0, 0, stems + analyses),
+        "step_finetune": (0, 1, Counter()),
+        "step_index": (0, 0, Counter(ex.text for ex in clones)),
+        "step_train_rank": (0, 0, analyses),
+        "step_clean": (0, 0, analyses),
+        "step_eval": (0, 0, Counter()),
+        "load": (0, 0, Counter()),
     }
+    separate = build(tmp_path / "many", pl.Config(CONFIG), before_step=new_process)
+    assert {name: parsed[:2] for name, parsed in separate.items()} == {
+        "step_synth": (0, 0), "step_pretrain": (1, 0), "step_finetune": (1, 1),
+        "step_index": (1, 1), "step_train_rank": (1, 1), "step_clean": (1, 1),
+        "step_eval": (1, 1), "load": (1, 0)}
 
 
 def test_a_build_in_one_process_writes_what_separate_processes_write(tmp_path, new_process):
@@ -970,10 +1112,10 @@ def test_step_index_heads_equal_a_per_pair_fit(workspace):
     bank alone: a bank exercise reads its row, a clone of the dedup pairs
     is prepared from its own text."""
     workdir, config, _, _ = workspace
-    corpus, vocab, params, _ = pl._load_trained(workdir, config)
+    corpus, vocab, params, _, _ = pl._load_trained(workdir, config)
     featurizer = pairclf.PairFeaturizer(PreparedCorpus(corpus, vocab, params))
-    truth = corpus_mod.load_truth(workdir / pl.FILES["truth"])
-    flagged = [p for p in corpus_mod.load_pairs(workdir / pl.FILES["pairs"])
+    truth, _ = corpus_mod.load_truth(workdir / pl.FILES["truth"])
+    flagged = [p for p in corpus_mod.load_pairs(workdir / pl.FILES["pairs"])[0]
                if p.variant is not None]
     for head, pairs in (("dedup", corpus_mod.generate_dedup_pairs(corpus, truth, seed=97)),
                         ("variant", [(corpus[p.a_id], corpus[p.b_id],

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from gradcheck import assert_grads_match, finite_difference
+from hypothesis import example, given, settings, strategies as st
 from test_pairclf import reference_similarity
 from test_recall import candidates_of
 
@@ -97,15 +98,55 @@ def test_task_instances_deterministic(tiny_setup):
     assert [a.tobytes() for a in one] == [a.tobytes() for a in two]
 
 
+def reference_pool(view, ex, exclude):
+    """The ids sharing a concept with ``ex``, in concept order then bank
+    order, each once, other than those of ``exclude``."""
+    pool, seen = [], set(exclude)
+    for c in ex.metadata.knowledge_concepts:
+        for other in view.exercises:
+            if c in other.metadata.knowledge_concepts and other.id not in seen:
+                pool.append(other.id)
+                seen.add(other.id)
+    return pool
+
+
+def reference_concept_sharing_draw(view, ex, partner_id, rng):
+    """One scalar draw from the exercises sharing a concept with ``ex``,
+    other than it and ``partner_id``, with its pool rebuilt for this pair;
+    from the whole bank minus those two when none shares one."""
+    pool = reference_pool(view, ex, {ex.id, partner_id})
+    if not pool:
+        pool = [i for i in view.index.ids if i not in (ex.id, partner_id)]
+    return pool[int(rng.integers(0, len(pool)))]
+
+
+def reference_specs(view, pairs, rng):
+    """Each pair's five instances, (task index, left row, right row,
+    label), built one pair and one draw at a time."""
+    n, row_of = len(view.exercises), view.index.row_of
+    ss, aa, sa = range(len(rk.TASKS))
+    out = []
+    for pair in pairs:
+        stem_a, stem_b = row_of[pair.a_id], row_of[pair.b_id]
+        label = 1 if pair.is_similar else 0
+        neg_id = (reference_concept_sharing_draw(view, view.exercises[stem_a], pair.b_id, rng)
+                  if pair.is_similar else pair.b_id)
+        out.append([(ss, stem_a, stem_b, label), (aa, n + stem_a, n + stem_b, label),
+                    (sa, stem_a, n + stem_a, 1), (sa, stem_b, n + stem_b, 1),
+                    (sa, stem_a, n + row_of[neg_id], 0)])
+    return out
+
+
 def test_build_all_items_equal_an_eager_reference(tiny_setup):
     """Row i of ``specs`` holds pair i's five instances, equal to instances
-    written out here from the same draws, and ``sims`` their reference edit
-    similarities of the two texts' tokens."""
+    written out here one pair and one scalar draw at a time, and ``sims``
+    their reference edit similarities of the two texts' tokens."""
     _, _, pairs, view, _ = tiny_setup
-    specs, sims = rk.TaskBuilder(view).build_all(pairs, np.random.default_rng(4))
+    rng, reference_rng = np.random.default_rng(4), np.random.default_rng(4)
+    specs, sims = rk.TaskBuilder(view).build_all(pairs, rng)
     tokens = view.tokens + view.analysis.tokens
-    drawer, rng = rk.TaskBuilder(view), np.random.default_rng(4)
-    expected = [list(drawer._specs(p, rng)) for p in pairs]
+    expected = reference_specs(view, pairs, reference_rng)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
     assert specs.shape == (len(pairs), 5, 4) and specs.dtype == np.int32
     assert sims.shape == (len(pairs), 5) and sims.dtype == np.float64
     assert [[tuple(row) for row in rows] for rows in specs.tolist()] == expected
@@ -151,20 +192,11 @@ def test_train_ranker_feeds_each_batch_its_wanted_rows(tiny_setup, monkeypatch):
         assert all(same) == (t == rk.TASK_ANALYSIS_ANALYSIS)
 
 
-def rebuilt_pool_draw(builder, ex, exclude, rng):
-    """The negative draw with its concept pool rebuilt for every pair."""
-    pool, seen = [], set(exclude)
-    for c in ex.metadata.knowledge_concepts:
-        for other in builder.by_concept.get(c, ()):
-            if other not in seen:
-                pool.append(other)
-                seen.add(other)
-    if not pool:
-        pool = [i for i in builder.ids if i not in exclude]
-    return pool[int(rng.integers(0, len(pool)))]
-
-
-def test_concept_sharing_draw_equals_pool_rebuilt_per_pair(tiny_setup):
+@pytest.fixture(scope="module")
+def pool_bank(tiny_setup):
+    """The tiny bank plus an exercise with a concept of its own (an empty
+    pool) and two sharing a concept (an empty pool once the partner is
+    skipped): both take the uniform fallback."""
     corpus, _, _, view, _ = tiny_setup
     base = corpus[corpus.ids[0]]
 
@@ -172,20 +204,38 @@ def test_concept_sharing_draw_equals_pool_rebuilt_per_pair(tiny_setup):
         return dataclasses.replace(base, id=base.id + suffix, metadata=dataclasses.replace(
             base.metadata, knowledge_concepts=concepts))
 
-    # a concept of its own (empty pool) and a concept two exercises share
-    # (empty once the partner is skipped): both take the uniform fallback
     extra = [with_concepts("-solo", ("solo",)), with_concepts("-duo1", ("duo",)),
              with_concepts("-duo2", ("duo",))]
     bank = Corpus(list(corpus) + extra, levels=corpus.levels, d_img=corpus.d_img)
-    builder = rk.TaskBuilder(PreparedCorpus(bank, view.vocab))
-    rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in range(2):  # the second pass reads the cached pools
-        for a_id in bank.ids:
-            for b_id in bank.ids:
-                ex = bank[a_id]
-                assert builder._concept_sharing_draw(ex, b_id, rng) == \
-                    rebuilt_pool_draw(builder, ex, {a_id, b_id}, reference_rng)
-    assert rng.random() == reference_rng.random()
+    return PreparedCorpus(bank, view.vocab)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_concept_sharing_draws_equal_one_scalar_draw_per_pair(pool_bank, data):
+    """One ``rng.integers`` call over every pair's pool size takes the
+    values, and leaves the generator in the state, of one scalar draw per
+    pair over its pool rebuilt for that pair; the explicit example is every
+    ordered pair of the bank, twice."""
+    n = len(pool_bank.exercises)
+    if data is None:
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b] * 2
+        seed = 5
+    else:
+        rows = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(rows, rows).filter(lambda p: p[0] != p[1]),
+                                   max_size=40))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    builder = rk.TaskBuilder(pool_bank)
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    anchors, partners = (np.array([p[k] for p in pairs], dtype=np.intp) for k in (0, 1))
+    drawn = builder._concept_sharing_draws(anchors, partners, rng)
+    ids = pool_bank.index.ids
+    assert [ids[r] for r in drawn.tolist()] == [
+        reference_concept_sharing_draw(pool_bank, pool_bank.exercises[a], ids[b],
+                                       reference_rng) for a, b in pairs]
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_resolve_tasks_accepts_aliases():
