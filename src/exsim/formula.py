@@ -2,8 +2,9 @@ r"""Math formula normalization via a hand-written recursive-descent parser.
 
 Exercise text carries formulas delimited by ``$...$``. Surface forms of the
 same expression differ in whitespace, brace style and LaTeX sugar, which
-breaks exact text matching, so each formula is parsed and re-emitted in a
-single canonical spelling.
+breaks exact text matching, so each formula is rewritten in a single
+canonical spelling. Each production of the parser returns the canonical
+text of what it read; no tree is built.
 
 Grammar (precedence low to high: relational, additive, multiplicative,
 power; implicit multiplication binds like ``*``)::
@@ -20,27 +21,29 @@ power; implicit multiplication binds like ``*``)::
 ``\cdot`` and ``\times`` are accepted as ``*``. Symbols are single letters,
 so ``2m`` parses as ``2 * m``.
 
-Canonicalization rules (the contract):
+Canonical spelling (the contract):
 
-* every binary operation is fully parenthesized and space-separated,
-  e.g. ``x-2m=0`` and ``x - 2m  = 0`` both emit ``( ( x - ( 2 * m ) ) = 0 )``;
-* ``\frac{a}{b}`` folds to division: ``( a / b )``;
-* powers fold to the ``^`` operator, groups are transparent;
-* numbers print without trailing zeros (``2.0`` prints ``2``).
+* every binary operation is fully parenthesized and space-separated as
+  ``( l op r )``, e.g. ``x-2m=0`` and ``x - 2m  = 0`` both spell
+  ``( ( x - ( 2 * m ) ) = 0 )``; negation spells ``( - x )`` and a function
+  ``f ( x )``;
+* ``\frac{a}{b}`` folds to division: ``( a / b )``; groups are transparent;
+* a number is spelled from its digits, never through a float: leading
+  zeros of the whole part go (one ``0`` stays), trailing zeros of the
+  fraction go, and an empty fraction goes with its point, so ``2.0``
+  spells ``2``, ``00.50`` spells ``0.5`` and every digit of
+  ``12345678901234567`` or ``0.00001`` is kept.
 
 No algebraic rewriting happens: ``x+1`` and ``1+x`` stay distinct, and so do
-``x-2m=0`` and ``x^2-2m=0``. Unparseable input falls back to character-level
-tokens and is flagged; the fallback is total and idempotent, so no exercise
-is ever lost to a parse error.
+``x-2m=0`` and ``x^2-2m=0``. :func:`normalize_formula` never raises and is
+idempotent in every branch: a formula that does not parse is spelled by its
+non-space characters, one per token (that spelling is canonicalized in turn
+when it parses), so no exercise is ever lost to a parse error.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
-
-_FUNCS = ("sqrt", "sin", "cos", "log")
 
 _TOKEN_RE = re.compile(
     r"""(?P<WS>\s+)
@@ -56,6 +59,10 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# tokens that start a factor, so one right after a factor multiplies it
+_FACTOR_START = ("NUMBER", "SYM", "FUNC", "FRAC", "LPAREN", "LBRACE")
+_CLOSER = {"LPAREN": "RPAREN", "LBRACE": "RBRACE"}
+
 # each nesting level spans several mutually recursive frames, so the guard
 # must trip well before the interpreter stack limit does
 _MAX_DEPTH = 60
@@ -67,36 +74,12 @@ class FormulaParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Sym:
-    name: str
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    child: "Node"
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Func:
-    name: str
-    arg: "Node"
-
-
-Node = Union[Num, Sym, Unary, Binary, Func]
+def _spell_number(digits: str) -> str:
+    """The canonical spelling of a NUMBER token, made from its digits."""
+    whole, _, fraction = digits.partition(".")
+    whole = whole.lstrip("0") or "0"
+    fraction = fraction.rstrip("0")
+    return f"{whole}.{fraction}" if fraction else whole
 
 
 def _lex(src: str) -> list[tuple[str, str, int]]:
@@ -119,6 +102,9 @@ def _lex(src: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """One method per grammar rule; each returns the canonical spelling of
+    what it read."""
+
     def __init__(self, tokens: list[tuple[str, str, int]], length: int):
         self.tokens = tokens
         self.pos = 0
@@ -140,142 +126,109 @@ class _Parser:
         return self.take()
 
     def at_op(self, *ops: str) -> bool:
-        return self.pos < len(self.tokens) and self.tokens[self.pos][0] == "OP" \
-            and self.tokens[self.pos][1] in ops
+        return self.peek("OP") and self.tokens[self.pos][1] in ops
 
-    def relation(self) -> Node:
-        node = self.additive()
-        while self.at_op("=", "<", ">"):
+    def chain(self, ops: tuple[str, ...], operand) -> str:
+        """``operand (op operand)*`` for ``op`` in ``ops``, left-associative."""
+        text = operand()
+        while self.at_op(*ops):
             op = self.take()[1]
-            node = Binary(op, node, self.additive())
-        return node
+            text = f"( {text} {op} {operand()} )"
+        return text
 
-    def additive(self) -> Node:
-        node = self.term()
-        while self.at_op("+", "-"):
-            op = self.take()[1]
-            node = Binary(op, node, self.term())
-        return node
+    def relation(self) -> str:
+        return self.chain(("=", "<", ">"), self.additive)
 
-    def term(self) -> Node:
-        node = self.factor()
+    def additive(self) -> str:
+        return self.chain(("+", "-"), self.term)
+
+    def term(self) -> str:
+        text = self.factor()
         while True:
             if self.at_op("*", "/"):
                 op = self.take()[1]
-                node = Binary(op, node, self.factor())
-            elif self.pos < len(self.tokens) and self.tokens[self.pos][0] in (
-                    "NUMBER", "SYM", "FUNC", "FRAC", "LPAREN", "LBRACE"):
-                node = Binary("*", node, self.factor())
+            elif self.pos < len(self.tokens) and self.tokens[self.pos][0] in _FACTOR_START:
+                op = "*"
             else:
-                return node
+                return text
+            text = f"( {text} {op} {self.factor()} )"
 
-    def factor(self) -> Node:
+    def factor(self) -> str:
         self.depth += 1
         if self.depth > _MAX_DEPTH:
             raise FormulaParseError("formula too deeply nested", 0)
         try:
             if self.at_op("-"):
                 self.take()
-                return Unary("-", self.factor())
+                return f"( - {self.factor()} )"
             return self.power()
         finally:
             self.depth -= 1
 
-    def power(self) -> Node:
-        node = self.primary()
+    def power(self) -> str:
+        text = self.primary()
         if self.at_op("^"):
             self.take()
-            node = Binary("^", node, self.factor())
-        return node
+            text = f"( {text} ^ {self.factor()} )"
+        return text
 
-    def primary(self) -> Node:
+    def primary(self) -> str:
         if self.pos >= len(self.tokens):
             raise FormulaParseError("unexpected end of formula", self.length)
-        kind, text, where = self.tokens[self.pos]
+        kind, text, where = self.take()
         if kind == "NUMBER":
-            self.take()
-            return Num(float(text))
+            return _spell_number(text)
         if kind == "SYM":
-            self.take()
-            return Sym(text)
+            return text
         if kind == "FUNC":
-            self.take()
-            return Func(text, self.primary())
+            return f"{text} ( {self.primary()} )"
         if kind == "FRAC":
-            self.take()
             self.expect("LBRACE")
-            numer = self.relation()
-            self.expect("RBRACE")
+            numer = self.group("RBRACE")
             self.expect("LBRACE")
-            denom = self.relation()
-            self.expect("RBRACE")
-            return Binary("/", numer, denom)
-        if kind == "LPAREN":
-            self.take()
-            node = self.relation()
-            self.expect("RPAREN")
-            return node
-        if kind == "LBRACE":
-            self.take()
-            node = self.relation()
-            self.expect("RBRACE")
-            return node
+            return f"( {numer} / {self.group('RBRACE')} )"
+        if kind in _CLOSER:
+            return self.group(_CLOSER[kind])
         raise FormulaParseError(f"unexpected token {text!r}", where)
 
+    def group(self, close: str) -> str:
+        """A relation up to its closing bracket, which it takes."""
+        text = self.relation()
+        self.expect(close)
+        return text
 
-def parse_formula(src: str) -> Node:
-    """Parse formula source to an AST, raising FormulaParseError on failure."""
+
+def parse_formula(src: str) -> str:
+    """The canonical spelling of formula source, raising FormulaParseError
+    on input the grammar does not read."""
     tokens = _lex(src)
     if not tokens:
         raise FormulaParseError("empty formula", 0)
     parser = _Parser(tokens, len(src))
     try:
-        node = parser.relation()
+        text = parser.relation()
     except RecursionError:
         raise FormulaParseError("formula too deeply nested", 0) from None
     if parser.pos < len(parser.tokens):
-        _, text, where = parser.tokens[parser.pos]
-        raise FormulaParseError(f"trailing input {text!r}", where)
-    return node
+        _, rest, where = parser.tokens[parser.pos]
+        raise FormulaParseError(f"trailing input {rest!r}", where)
+    return text
 
 
-def canonical(node: Node) -> str:
-    """Serialize an AST to its unique canonical spelling."""
-    if isinstance(node, Num):
-        v = node.value
-        return str(int(v)) if v == int(v) else repr(v)
-    if isinstance(node, Sym):
-        return node.name
-    if isinstance(node, Unary):
-        return f"( {node.op} {canonical(node.child)} )"
-    if isinstance(node, Binary):
-        return f"( {canonical(node.left)} {node.op} {canonical(node.right)} )"
-    if isinstance(node, Func):
-        return f"{node.name} ( {canonical(node.arg)} )"
-    raise TypeError(f"not an AST node: {node!r}")
+def normalize_formula(src: str) -> str:
+    """The canonical spelling of formula source, never raising.
 
-
-@dataclass(frozen=True)
-class NormalizedFormula:
-    text: str
-    parsed: bool  # False means the character-level fallback was used
-
-
-def normalize_formula(src: str) -> NormalizedFormula:
-    """Normalize formula source to canonical text, never failing.
-
-    Parseable input emits the canonical AST spelling. Anything else falls
-    back to space-separated characters, flagged as a parse failure. The
-    fallback text is itself normalized when it happens to parse (single
-    characters recombine through implicit multiplication), which makes the
-    whole function idempotent in every branch.
+    Input that does not parse is spelled by its non-space characters, one
+    per token; that spelling is canonicalized in turn when it parses
+    (single characters recombine through implicit multiplication), which
+    keeps the function idempotent in every branch.
     """
     try:
-        return NormalizedFormula(canonical(parse_formula(src)), True)
+        return parse_formula(src)
     except FormulaParseError:
         pass
     fallback = " ".join(ch for ch in src if not ch.isspace())
     try:
-        return NormalizedFormula(canonical(parse_formula(fallback)), False)
+        return parse_formula(fallback)
     except FormulaParseError:
-        return NormalizedFormula(fallback, False)
+        return fallback

@@ -319,7 +319,7 @@ def edit_similarity(a: Sequence[str], b: Sequence[str]) -> float:
 def text_tokens(text: str, stop_words: Sequence[str]) -> list[str]:
     """The tokens of one text normalized with ``stop_words``; every prepared
     view and query goes through here."""
-    return split_tokens(normalize_text(text, stop_words)[0])
+    return split_tokens(normalize_text(text, stop_words))
 
 
 def pad_codes(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:

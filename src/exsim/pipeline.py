@@ -265,7 +265,12 @@ class Config:
                 from None
 
     def stop_words(self) -> tuple[str, ...]:
-        return tuple(self.get_list("stopwords"))
+        """The configured stop words, canonical (``canonical_stop_words``)."""
+        try:
+            return canonical_stop_words(self.get_list("stopwords"))
+        except ValueError as exc:
+            raise ValueError(f"config stopwords = {self.values['stopwords']!r}: {exc}") \
+                from None
 
     def hash(self) -> str:
         return config_hash(self.values)
@@ -319,7 +324,7 @@ def _load_trained(workdir, config: Config, lineage=("corpus", "pairs"),
     CorpusError when a pair names an id the corpus lacks."""
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
     params, vocab = encoder_mod.load_encoder(_path(workdir, "encoder"))
-    configured = canonical_stop_words(config.stop_words())
+    configured = config.stop_words()
     if configured != vocab.stop_words:
         raise ConfigurationError([f"{FILES['encoder']} (stop words {list(vocab.stop_words)}, "
                                   f"not {list(configured)}: rerun step_pretrain)"])
@@ -404,8 +409,9 @@ def step_pretrain(workdir, config: Config):
         batch_size=config.get_int("encoder.batch", minimum=2),
         tau=_positive_float(config, "encoder.tau"),
         seed=config.get_int("encoder.seed", minimum=0))
+    stop_words = config.stop_words()
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
-    view = PreparedCorpus.with_own_vocab(corpus, config.stop_words())
+    view = PreparedCorpus.with_own_vocab(corpus, stop_words)
     params, history = encoder_mod.pretrain(corpus, view, pre_cfg)
     encoder_mod.save_encoder(params, view.vocab, _path(workdir, "encoder"),
                              {"corpus": short_digest(corpus.digest)})

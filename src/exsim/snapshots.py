@@ -7,8 +7,9 @@ little-endian float64 bytes in header order. The corpus snapshot keeps its
 records, each with its image count, in the metadata and every exercise's
 image vectors as one ``image_features`` array of shape (total images,
 d_img), in record order. The encoder snapshot keeps its vocabulary in the
-metadata. Loading verifies the magic, the kind, the format version and the
-exact byte count, so truncation and format drift fail loudly.
+metadata. Loading verifies the magic, the header's form, the kind, the
+format version and the exact byte count, so corruption, truncation and
+format drift fail loudly, naming the file.
 
 Format version. Every header records ``_FORMAT``, and a snapshot of any
 other version is refused (``SnapshotFormatError``) naming its path, its
@@ -98,7 +99,12 @@ def read_arrays(fh, path, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]
     header_bytes = fh.read(header_len)
     if len(header_bytes) != header_len:
         raise SnapshotFormatError(f"{path}: truncated header")
-    header = json.loads(header_bytes)
+    try:
+        header = json.loads(header_bytes.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise SnapshotFormatError(f"{path}: header is not UTF-8 JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise SnapshotFormatError(f"{path}: header is not a JSON object")
     if header.get("kind") != expect_kind:
         raise SnapshotFormatError(
             f"{path}: snapshot kind {header.get('kind')!r}, expected {expect_kind!r}")
@@ -106,8 +112,15 @@ def read_arrays(fh, path, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]
         raise SnapshotFormatError(
             f"{path}: {expect_kind} snapshot of format version {header.get('version')!r}, "
             f"expected {_FORMAT}; rerun {WRITTEN_BY[expect_kind]} to rewrite it")
+    specs = header.get("arrays")
+    if "meta" not in header or not isinstance(specs, list) or not all(
+            isinstance(spec, dict) and isinstance(spec.get("name"), str)
+            and isinstance(spec.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in spec["shape"]) for spec in specs):
+        raise SnapshotFormatError(f"{path}: header needs 'meta' and 'arrays', a list of "
+                                  f"entries each with a name and a list of sizes as shape")
     arrays = {}
-    for spec in header["arrays"]:
+    for spec in specs:
         shape = tuple(spec["shape"])
         count = int(np.prod(shape)) if shape else 1
         buf = fh.read(count * 8)

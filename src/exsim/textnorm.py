@@ -2,9 +2,14 @@
 
 The normalization pipeline applied before any matching or embedding:
 
-1. strip HTML/CSS markup and configured stop words (``clean_text``),
+1. strip HTML/CSS markup and configured stop words (``clean_text``); a stop
+   word is removed as a whole word, so one that does not begin and end with
+   a word character is refused (``canonical_stop_words``),
 2. replace each ``$...$`` formula with its canonical spelling
-   (:mod:`exsim.formula`),
+   (:mod:`exsim.formula`): fully parenthesized, numbers spelled from their
+   digits, and a formula that does not parse spelled by its non-space
+   characters. ``normalize_text`` never raises on any text and returns a
+   ``str``; its formula spellings are idempotent,
 3. lowercase and split into word / number / single-character tokens.
 
 All functions here are pure; a built :class:`Vocab` is immutable and owns
@@ -31,6 +36,7 @@ RESERVED_TOKENS = ("<pad>", "<unk>", "<sep>")
 _SCRIPT_STYLE_RE = re.compile(r"<(script|style)\b[^>]*>.*?</\1\s*>", re.I | re.S)
 _TAG_RE = re.compile(r"<[^>]*>")
 _TOKEN_RE = re.compile(r"[a-z]+|\d+(?:\.\d+)?|\S")
+_STOP_WORD_RE = re.compile(r"\w(?:.*\w)?", re.S)
 
 
 def _formula_segments(text: str):
@@ -72,29 +78,26 @@ def clean_text(raw: str, stop_words: Iterable[str] = ()) -> str:
 
 
 def canonical_stop_words(stop_words: Iterable[str]) -> tuple[str, ...]:
-    """Distinct non-empty stop words, sorted: equal exactly when they act alike."""
-    return tuple(sorted({w for w in stop_words if w}))
+    """Distinct non-empty stop words, sorted: equal exactly when they act alike.
+
+    ValueError names a word that does not begin and end with a word
+    character: ``clean_text`` removes whole words only, so it could never
+    match."""
+    words = tuple(sorted({w for w in stop_words if w}))
+    for w in words:
+        if not _STOP_WORD_RE.fullmatch(w):
+            raise ValueError(f"stop word {w!r} never matches: a stop word must begin "
+                             f"and end with a letter, digit or underscore")
+    return words
 
 
-def normalize_text(raw: str, stop_words: Iterable[str] = ()) -> tuple[str, int]:
-    """Clean text and canonicalize every ``$...$`` formula.
-
-    Returns the normalized text (formula fences dropped, canonical tokens
-    inlined) and the number of formulas that needed the character-level
-    fallback.
-    """
+def normalize_text(raw: str, stop_words: Iterable[str] = ()) -> str:
+    """Clean text and put every ``$...$`` formula in its canonical spelling
+    (formula fences dropped, canonical tokens inlined)."""
     cleaned = clean_text(raw, stop_words)
-    parts = []
-    fallbacks = 0
-    for is_formula, seg in _formula_segments(cleaned):
-        if is_formula:
-            norm = normalize_formula(seg[1:-1])
-            if not norm.parsed:
-                fallbacks += 1
-            parts.append(norm.text)
-        else:
-            parts.append(seg)
-    return " ".join(" ".join(parts).split()), fallbacks
+    parts = [normalize_formula(seg[1:-1]) if is_formula else seg
+             for is_formula, seg in _formula_segments(cleaned)]
+    return " ".join(" ".join(parts).split())
 
 
 class Vocab:

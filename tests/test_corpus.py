@@ -326,6 +326,29 @@ def test_snapshot_truncated(tmp_path, small_synth):
         load_snapshot(path)
 
 
+_RANKER_HEADER = {"version": snapshots._FORMAT, "kind": "ranker", "meta": {},
+                  "arrays": [{"name": "w", "shape": [2]}]}
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"{not json", "not UTF-8 JSON"),
+    (b'{"kind": "ranker\xff"}', "not UTF-8 JSON"),
+    (b"[1, 2]", "not a JSON object"),
+    ({k: v for k, v in _RANKER_HEADER.items() if k != "meta"}, "needs 'meta'"),
+    ({k: v for k, v in _RANKER_HEADER.items() if k != "arrays"}, "needs 'meta'"),
+    ({**_RANKER_HEADER, "arrays": [{"shape": [2]}]}, "with a name"),
+    ({**_RANKER_HEADER, "arrays": [{"name": "w", "shape": 2}]}, "list of sizes"),
+    ({**_RANKER_HEADER, "arrays": [{"name": "w", "shape": [-2]}]}, "list of sizes"),
+], ids=["not-json", "not-utf8", "json-list", "no-meta", "no-arrays", "entry-no-name",
+        "shape-not-list", "shape-negative"])
+def test_a_corrupt_snapshot_header_is_refused_naming_the_file(tmp_path, header, message):
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    path = tmp_path / "ranker.params"
+    path.write_bytes(snapshots._MAGIC + len(raw).to_bytes(4, "little") + raw + bytes(16))
+    with pytest.raises(SnapshotFormatError, match=f"^{re.escape(str(path))}: .*{message}"):
+        snapshots.load_arrays(path, "ranker")
+
+
 def test_jsonl_round_trip(tmp_path, small_synth):
     corpus, _, _ = small_synth
     path = tmp_path / "c.jsonl"

@@ -24,7 +24,7 @@ def toy_params(vocab_size=12, d=4, d_img=3, n_types=3, levels=4, n_concepts=5, s
 
 def text_ids(text, vocab):
     """The vocabulary ids of one text, normalized from scratch."""
-    return np.array([vocab.id_of(t) for t in split_tokens(normalize_text(text)[0])],
+    return np.array([vocab.id_of(t) for t in split_tokens(normalize_text(text))],
                     dtype=np.int64)
 
 

@@ -8,8 +8,10 @@ nothing reads it (a binding another tool looks up by name) says so with
 library, numpy and ``exsim`` itself. ``pyproject.toml`` requires Python >=
 3.10, so every ``.py`` file under ``src``, ``tests`` and ``perfbench`` must
 parse with ``ast.parse(..., feature_version=(3, 10))``, which refuses syntax
-that came later, such as ``except*``; names the standard library gained later
-are not checked.
+that came later, such as ``except*``, and must not use a standard-library name
+of the deny-list ``NEWER_NAMES`` (names added after 3.10), neither imported
+(``from itertools import batched``) nor read off an imported module
+(``itertools.batched``).
 """
 
 import ast
@@ -124,3 +126,72 @@ def test_the_check_finds_syntax_newer_than_the_oldest_python():
 def test_every_module_parses_as_the_oldest_supported_python(path):
     ast.parse((ROOT / path).read_text(encoding="utf-8"), filename=path,
               feature_version=OLDEST_PYTHON)
+
+
+# standard-library names added after Python 3.10, by module; None: the module
+NEWER_NAMES = {
+    "tomllib": None,
+    "typing": {"Self", "Never", "LiteralString", "assert_never", "assert_type",
+               "reveal_type", "override", "Required", "NotRequired", "Unpack",
+               "TypeVarTuple", "dataclass_transform", "TypeAliasType", "ReadOnly", "TypeIs"},
+    "enum": {"StrEnum", "ReprEnum", "verify", "member", "nonmember", "global_enum"},
+    "datetime": {"UTC"},
+    "itertools": {"batched"},
+    "hashlib": {"file_digest"},
+    "contextlib": {"chdir"},
+    "math": {"cbrt", "exp2", "sumprod", "fma"},
+    "operator": {"call"},
+    "asyncio": {"TaskGroup", "Runner", "timeout", "timeout_at", "Barrier"},
+    "logging": {"getLevelNamesMapping", "getHandlerByName", "getHandlerNames"},
+    "re": {"NOFLAG"},
+    "sys": {"exception", "monitoring"},
+    "warnings": {"deprecated"},
+    "copy": {"replace"},
+}
+
+
+def newer_names(source: str) -> list[tuple[int, str]]:
+    """(line, ``module.name``) of each use of a ``NEWER_NAMES`` entry: an
+    import of it, or an attribute read off a module bound by ``import``."""
+    tree = ast.parse(source)
+    modules = {}  # name bound by an ``import`` -> the module it names
+    found = []
+
+    def newer(module: str, name: str) -> bool:
+        return module in NEWER_NAMES and (NEWER_NAMES[module] is None
+                                          or name in NEWER_NAMES[module])
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if newer(alias.name, ""):
+                    found.append((node.lineno, alias.name))
+                if alias.asname or "." not in alias.name:
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [(node.lineno, f"{node.module}.{alias.name}") for alias in node.names
+                      if newer(node.module, alias.name)]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and newer(modules[node.value.id], node.attr)):
+            found.append((node.lineno, f"{modules[node.value.id]}.{node.attr}"))
+    return sorted(found)
+
+
+def test_the_check_finds_names_newer_than_the_oldest_python():
+    source = ("from typing import Optional, Self\nimport itertools\nimport math as m\n"
+              "import tomllib\nfrom datetime import datetime\n"
+              "pairs = itertools.batched(x, 2)\nroot = m.cbrt(8) + m.sqrt(4)\n"
+              "now = datetime.UTC\nfirst = itertools.islice(x, 1)\n")
+    assert newer_names(source) == [(1, "typing.Self"), (4, "tomllib"),
+                                   (6, "itertools.batched"), (7, "math.cbrt")]
+
+
+@pytest.mark.parametrize("path", sorted(
+    str(p.relative_to(ROOT)) for folder in ("src", "tests", "perfbench")
+    for p in (ROOT / folder).rglob("*.py")))
+def test_no_module_uses_a_name_newer_than_the_oldest_python(path):
+    found = newer_names((ROOT / path).read_text(encoding="utf-8"))
+    assert not found, ", ".join(f"{path}:{line} uses {name}, which Python "
+                                f"{'.'.join(map(str, OLDEST_PYTHON))} lacks"
+                                for line, name in found)

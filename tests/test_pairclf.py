@@ -457,7 +457,7 @@ def test_own_vocab_normalizes_each_text_once(small_synth, monkeypatch):
     view.analysis_ids()
     assert sorted(calls) == sorted(t for ex in corpus for t in (ex.text, ex.answer_analysis))
     monkeypatch.undo()
-    plain = [split_tokens(normalize_text(t, ("the",))[0])
+    plain = [split_tokens(normalize_text(t, ("the",)))
              for ex in corpus for t in (ex.text, ex.answer_analysis)]
     expected = Vocab.build(plain, stop_words=("the",))
     assert view.vocab.stop_words == expected.stop_words == ("the",)

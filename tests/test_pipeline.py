@@ -288,6 +288,17 @@ def test_a_failed_pretrain_leaves_the_workspace_as_it_was(workspace, tmp_path):
     assert {f.name: f.read_bytes() for f in copy.iterdir()} == before
 
 
+def test_pretrain_refuses_a_stop_word_that_can_never_match(workspace, tmp_path):
+    """Stop words are removed as whole words, so "?" was a silent no-op."""
+    workdir, config, _, _ = workspace
+    copy = tmp_path / "ws"
+    shutil.copytree(workdir, copy)
+    before = {f.name: f.read_bytes() for f in copy.iterdir()}
+    with pytest.raises(ValueError, match=r"^config stopwords = 'the,\?': stop word '\?'"):
+        pl.step_pretrain(copy, pl.Config({**config.values, "stopwords": "the,?"}))
+    assert {f.name: f.read_bytes() for f in copy.iterdir()} == before
+
+
 @pytest.mark.parametrize("step, key, value", [
     (pl.step_train_rank, "rank.lr", "fast"),
     (pl.step_train_rank, "rank.epochs", "1.5"),
@@ -776,7 +787,7 @@ def test_query_flow_and_cache(workspace):
 
 def own_tokens(ex, vocab):
     """The tokens of one exercise, normalized from scratch."""
-    return split_tokens(normalize_text(ex.text, vocab.stop_words)[0])
+    return split_tokens(normalize_text(ex.text, vocab.stop_words))
 
 
 def own_embedding(ex, vocab, params):

@@ -31,7 +31,7 @@ def tiny_setup():
 
 def ids_of(text, vocab):
     """The vocabulary ids of one text, normalized from scratch."""
-    return tuple(vocab.id_of(t) for t in split_tokens(normalize_text(text)[0]))
+    return tuple(vocab.id_of(t) for t in split_tokens(normalize_text(text)))
 
 
 def texts_of(view):
@@ -508,7 +508,7 @@ def test_score_pairs_equal_from_view_and_from_own_text(tiny_setup):
         index, [Candidate(index.ids[r], 0.0, "exact") for r in rows]))
 
     def tokens(ex):
-        return split_tokens(normalize_text(ex.text)[0])
+        return split_tokens(normalize_text(ex.text))
     expected = [reference_similarity(tokens(query), tokens(exs[r])) for r in rows]
     assert PreparedQuery(query, ranker.view).edit_similarities(
         np.array(rows)).tolist() == expected

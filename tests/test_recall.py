@@ -24,7 +24,7 @@ def vocab_of(corpus, stop_words=()):
 def embedded_from_text(corpus, vocab, params):
     """Every exercise embedded alone from its own text, row by row."""
     return np.stack([embed_text(np.array([vocab.id_of(t) for t in split_tokens(
-        normalize_text(ex.text, vocab.stop_words)[0])], dtype=np.int64), params)
+        normalize_text(ex.text, vocab.stop_words))], dtype=np.int64), params)
         for ex in corpus])
 
 
@@ -62,7 +62,7 @@ def brute_force_bm25(index: LexicalIndex, token_lists, query_tokens, query_conce
 
 
 def corpus_token_lists(corpus):
-    return [split_tokens(normalize_text(ex.text)[0]) for ex in corpus]
+    return [split_tokens(normalize_text(ex.text)) for ex in corpus]
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,7 @@ def test_lexical_scores_equal_brute_force(medium_synth):
     token_lists = corpus_token_lists(corpus)
     for qi in (0, 17, 44, 101):
         query = corpus[corpus.ids[qi]]
-        q_tokens = split_tokens(normalize_text(query.text)[0])
+        q_tokens = split_tokens(normalize_text(query.text))
         q_concepts = frozenset(query.metadata.knowledge_concepts)
         expected = brute_force_bm25(index, token_lists, q_tokens, q_concepts)
         got = index.score_all(q_tokens, q_concepts)
@@ -124,7 +124,7 @@ def test_lexical_verbatim_copy_ranks_first(medium_synth):
     corpus, _, _ = medium_synth
     index = LexicalIndex.build(PreparedCorpus.with_own_vocab(corpus))
     target = corpus[corpus.ids[7]]
-    q_tokens = split_tokens(normalize_text(target.text)[0])
+    q_tokens = split_tokens(normalize_text(target.text))
     ranked = index.search(q_tokens, frozenset(target.metadata.knowledge_concepts), k=5)
     assert ranked.ids[0] == target.id
 
@@ -529,7 +529,7 @@ def test_indexes_built_from_a_view_equal_those_built_from_text(medium_synth):
     assert vector.ids == corpus.ids
     lexical = LexicalIndex.build(view, 0.7)
     plain = LexicalIndex(corpus.index,
-                         [split_tokens(normalize_text(ex.text, stop)[0]) for ex in corpus],
+                         [split_tokens(normalize_text(ex.text, stop)) for ex in corpus],
                          [frozenset(ex.metadata.knowledge_concepts) for ex in corpus], 0.7)
     assert lexical.avg_len == plain.avg_len and lexical.ids == plain.ids
     assert lexical.concepts == plain.concepts and lexical.concept_boost == 0.7

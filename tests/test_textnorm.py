@@ -1,8 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exsim.textnorm import SEP_ID, Vocab, clean_text, normalize_text, split_tokens
+from exsim.textnorm import (
+    SEP_ID, Vocab, canonical_stop_words, clean_text, normalize_text, split_tokens,
+)
 
 
 def test_clean_strips_tags():
@@ -35,14 +39,22 @@ def test_clean_never_increases_length(raw, stops):
 
 
 def test_normalize_text_canonicalizes_formulas():
-    text, fallbacks = normalize_text("solve $x -2m= 0$ now")
-    assert text == "solve ( ( x - ( 2 * m ) ) = 0 ) now"
-    assert fallbacks == 0
+    assert normalize_text("solve $x -2m= 0$ now") == "solve ( ( x - ( 2 * m ) ) = 0 ) now"
 
 
-def test_normalize_text_counts_fallbacks():
-    _, fallbacks = normalize_text(r"odd $\weird{x}$ thing")
-    assert fallbacks == 1
+def test_normalize_text_spells_an_unparseable_formula_by_its_characters():
+    assert normalize_text(r"odd $\weird{x}$ thing") == r"odd \ w e i r d { x } thing"
+
+
+def test_a_stop_word_that_can_never_match_is_refused():
+    for word in ("?", ",", "x?", "?x", " the"):
+        with pytest.raises(ValueError, match=re.escape(repr(word))):
+            canonical_stop_words(["the", word])
+        with pytest.raises(ValueError, match=re.escape(repr(word))):
+            clean_text("what ? now", {word})
+    assert canonical_stop_words(["the", "find the", "c++x", "", "the"]) == \
+        ("c++x", "find the", "the")
+    assert clean_text("to find the c++x now", {"find the", "c++x"}) == "to now"
 
 
 def test_split_tokens_lowercases_and_splits_symbols():
