@@ -9,10 +9,9 @@ training pairs is simply wrong. The cleaning cycle:
    pairs are row pairs of the view, and every pair's edit similarity is
    computed once (``pairclf.row_pair_similarities``); each fold fits its
    head on its training pairs (``pairclf.train_pair_head``, as the dedup
-   and variant heads are fitted) and builds its holdout rows, both orders of
-   each pair, from the view's encoder rows (``pairclf.both_order_rows``), so
-   no matrix of every pair's rows is held. A holdout pair scores the mean
-   of its two orders, as dedup scores a pair;
+   and variant heads are fitted) and builds the feature rows of its holdout
+   pairs from the view's encoder rows, so no matrix of every pair's rows is
+   held;
 2. confident joint: per-class thresholds (the mean predicted probability of
    a class over the pairs noisily labeled with it) decide which pairs count
    as confidently belonging to which class, giving a 2x2 count matrix of
@@ -35,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import LabeledPair
-from .pairclf import PreparedCorpus, both_order_rows, row_pair_similarities, train_pair_head
+from .pairclf import PreparedCorpus, pair_feature_rows, row_pair_similarities, train_pair_head
 from .ranking import RankConfig, train_ranker
 
 log = logging.getLogger(__name__)
@@ -86,9 +85,8 @@ def out_of_fold_probs(pairs: Sequence[LabeledPair], view: PreparedCorpus,
     for fold in range(config.folds):
         train, held = assignment != fold, assignment == fold
         head = train_pair_head(view, rows_a[train], rows_b[train], labels[train], sims[train])
-        p = head.prob_rows(
-            both_order_rows(view.embeddings, rows_a[held], rows_b[held], sims[held]))
-        probs[held] = (p[0::2] + p[1::2]) / 2.0
+        probs[held] = head.prob_rows(pair_feature_rows(
+            view.embeddings[rows_a[held]], view.embeddings[rows_b[held]], sims[held]))
     return probs
 
 

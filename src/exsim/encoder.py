@@ -411,7 +411,7 @@ def metadata_targets(corpus: Corpus) -> dict[str, np.ndarray]:
 @dataclass
 class PretrainConfig:
     d: int = 32
-    epochs: int = 20
+    epochs: int = 12
     lr: float = 0.05
     batch_size: int = 32
     tau: float = 0.1

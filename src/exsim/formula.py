@@ -75,7 +75,11 @@ class FormulaParseError(ValueError):
 
 
 def _spell_number(digits: str) -> str:
-    """The canonical spelling of a NUMBER token, made from its digits."""
+    """The canonical spelling of a NUMBER token, made from its digits' values:
+    every decimal digit, of any script, is written as its ASCII digit
+    (``int`` reads any decimal digit ``\\d`` matches)."""
+    if not digits.isascii():
+        digits = "".join(c if c == "." else str(int(c)) for c in digits)
     whole, _, fraction = digits.partition(".")
     whole = whole.lstrip("0") or "0"
     fraction = fraction.rstrip("0")

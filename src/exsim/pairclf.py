@@ -1,12 +1,15 @@
 """Binary classifier over exercise-pair features.
 
-Both duplicate detection (recall stage) and variant classification (re-rank
-stage) stack the same head on the encoder: a logistic regression over
-[u, v, |u - v|, u * v, edit_similarity] where u and v are the two
-exercises' embeddings and the last scalar is a normalized token-level
-Levenshtein similarity of the normalized texts. Canonical formula spelling
-matters here: structural edits such as a raised power inflate into several
-canonical tokens, while cosmetic digit noise stays small.
+Duplicate detection (recall stage), variant classification (re-rank stage)
+and the cleaning folds stack the same head on the encoder: a logistic
+regression over the symmetric pair features
+[(u + v) / sqrt(2), |u - v|, u * v, edit_similarity], where u and v are the
+two exercises' embeddings and the last scalar is a normalized token-level
+Levenshtein similarity of the normalized texts. Every entry is the same
+whichever side is u, so every head scores (a, b) and (b, a) alike.
+Canonical formula spelling matters here: structural edits such as a raised
+power inflate into several canonical tokens, while cosmetic digit noise
+stays small.
 
 Training. :meth:`PairClassifier.train` fits a head by Newton's method on
 the convex objective, mean binary cross-entropy plus a small L2 penalty on
@@ -16,8 +19,12 @@ so a fit holds no second copy of them. Training pairs take one form: row
 pairs of a :class:`PreparedCorpus`. :func:`row_pair_similarities` gives
 their edit similarities, each distinct pair once, and it is the one such
 function (the ranker's task instances call it too); :func:`train_pair_head`
-fits a head on their :func:`both_order_rows`, each label repeated. The
-dedup head, the variant head and the cleaning folds all go through it.
+fits a head on one feature row per pair. The dedup head, the variant head
+and the cleaning folds all go through it. The 1/sqrt(2) makes the first
+block the symmetric half of an orthonormal rotation of [u, v], which keeps
+both the logits and the L2 penalty: a head here is a head over
+[u, v, |u - v|, u * v, sim] with equal weights on u and v, where a fit on
+both orders of every pair ends anyway.
 
 Hot path. Every uncached query scores up to a hundred (query, candidate)
 pairs in three stages: dedup, ranking and the variant split (a profiled
@@ -63,14 +70,13 @@ work is organised around three pieces:
   The stages score shrinking subsets of the recalled list, so one kernel
   call, made by whichever stage asks first, serves all three. Dedup and the
   variant split share one featurizer over the view, so the block dedup
-  builds, ``[u, v, |u - v|, u * v, sim]`` per candidate, serves both: dedup
-  scores its (candidate, query) order as the block's :func:`swap_sides`
-  copy, and the variant split reads its rows back. With the ranker's own
-  block, a miss builds feature rows twice. The very ``Exercise`` object the
-  view holds at row r (checked by identity, never by id) reads that row's
-  tokens, codes and length, and its embedding is the view's row r, the same
-  bits by rule 2 below. Any other exercise, a probe or an equal copy of a
-  bank exercise, is prepared from its own text.
+  builds, one feature row per candidate, serves both: the variant split
+  reads its rows back. With the ranker's own block, a miss builds feature
+  rows twice. The very ``Exercise`` object the view holds at row r (checked
+  by identity, never by id) reads that row's tokens, codes and length, and
+  its embedding is the view's row r, the same bits by rule 2 below. Any
+  other exercise, a probe or an equal copy of a bank exercise, is prepared
+  from its own text.
 
 A stage is built from one view; a miss passes one ``PreparedQuery`` over
 it. A view embeds under one backbone, the encoder's. A
@@ -101,14 +107,14 @@ pair at a time with :meth:`PairFeaturizer.features` and
    similarity read back for a subset of rows equals a fresh kernel call.
 4. Every entry of a feature row is computed from that pair's inputs alone,
    so a row read back from the query's block has the bits of building it
-   again. The (v, u) row is the (u, v) row with its u and v columns
-   exchanged, bit for bit: |v - u| = |u - v| and v * u = u * v hold
-   exactly in IEEE arithmetic. Permuting the head's weights instead would
-   change the order of the dot product's sum, and so its last bit.
+   again. The (v, u) row equals the (u, v) row bit for bit: v + u = u + v,
+   |v - u| = |u - v| and v * u = u * v hold exactly in IEEE arithmetic, and
+   the edit distance is symmetric.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -122,6 +128,7 @@ from .textnorm import UNK_ID, Vocab, canonical_stop_words, normalize_text, split
 
 PAD_CODE = -1
 _BLOCK = 512  # pairs per pass of the edit-distance kernel
+_SQRT2 = math.sqrt(2.0)  # scales the u + v block (see Training above)
 _SIM_BLOCK = 4096  # row pairs per edit-similarity call of row_pair_similarities
 _COMPARE_BOOLS = 2 ** 17  # bool temporary of one compare in the kernel
 _NEWTON_STEPS = 50  # iteration cap of PairClassifier.train
@@ -644,9 +651,9 @@ class PreparedQuery:
         return self._sims[rows]
 
     def feature_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The feature rows ``[u, v, |u - v|, u * v, sim]`` of the pairs
-        (query, row) for the view's ``rows``: ``u`` is :attr:`view_embedding`,
-        ``v`` the view's row. Rows not featurized yet go through one
+        """The feature rows of the pairs (query, row) for the view's ``rows``
+        (:func:`pair_feature_rows`): ``u`` is :attr:`view_embedding`, ``v``
+        the view's row. Rows not featurized yet go through one
         :func:`pair_feature_rows` call, kept in the query's block; rows
         featurized before are read back, the same bits (rule 4)."""
         at = self._block_at[rows]
@@ -667,28 +674,16 @@ class PreparedQuery:
 # Pair features
 
 def pair_features(u: np.ndarray, v: np.ndarray, edit_sim: float) -> np.ndarray:
-    return np.concatenate([u, v, np.abs(u - v), u * v, [edit_sim]])
+    """The feature row ``[(u + v) / sqrt(2), |u - v|, u * v, edit_sim]``
+    (3d + 1 wide) of one pair."""
+    return np.concatenate([(u + v) / _SQRT2, np.abs(u - v), u * v, [edit_sim]])
 
 
-def pair_feature_rows(u: np.ndarray, v: np.ndarray, sims: np.ndarray,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
+def pair_feature_rows(u: np.ndarray, v: np.ndarray, sims: np.ndarray) -> np.ndarray:
     """``pair_features`` of every row; u or v may be one vector broadcast to all."""
-    n, d = len(sims), np.shape(u)[-1]
-    if out is None:
-        out = np.empty((n, 4 * d + 1))
-    out[:, :d] = u
-    out[:, d:2 * d] = v
-    np.abs(np.subtract(u, v, out=out[:, 2 * d:3 * d]), out=out[:, 2 * d:3 * d])
-    np.multiply(u, v, out=out[:, 3 * d:4 * d])
-    out[:, 4 * d] = sims
-    return out
-
-
-def swap_sides(rows: np.ndarray) -> np.ndarray:
-    """The (v, u) feature rows of (u, v) feature rows: a copy with the u and
-    v columns exchanged, the same bits as building them (rule 4)."""
-    d = (rows.shape[1] - 1) // 4
-    return np.concatenate([rows[:, d:2 * d], rows[:, :d], rows[:, 2 * d:]], axis=1)
+    u, v = np.atleast_2d(u, v)
+    return np.concatenate([(u + v) / _SQRT2, np.abs(u - v), u * v,
+                           np.reshape(sims, (-1, 1))], axis=1)
 
 
 @dataclass
@@ -739,29 +734,13 @@ def row_pair_similarities(codes: np.ndarray, lengths: np.ndarray, left: np.ndarr
 
 def train_pair_head(view: PreparedCorpus, rows_a: np.ndarray, rows_b: np.ndarray,
                     labels: np.ndarray, sims: Optional[np.ndarray] = None) -> PairClassifier:
-    """A head fitted on the row pairs (rows_a[k], rows_b[k]) of ``view``, each
-    in both orders (:func:`both_order_rows` over the view's embeddings) with
-    its label repeated. ``sims`` are the pairs' edit similarities, computed
-    here over the view's codes when not given."""
+    """A head fitted on the feature rows of the row pairs (rows_a[k],
+    rows_b[k]) of ``view``, one per pair. ``sims`` are the pairs' edit
+    similarities, computed here over the view's codes when not given."""
     if sims is None:
         sims = row_pair_similarities(view.codes, view.lengths, rows_a, rows_b)
-    return PairClassifier.train(both_order_rows(view.embeddings, rows_a, rows_b, sims),
-                                np.repeat(labels, 2))
-
-
-def both_order_rows(embeddings: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray,
-                    sims: np.ndarray) -> np.ndarray:
-    """Feature rows of the pairs (rows_a[k], rows_b[k]) of ``embeddings``
-    with edit similarities ``sims``, as (a, b) then (b, a), interleaved; the
-    embeddings are gathered one block of ``_BLOCK`` pairs at a time."""
-    n_features = 4 * embeddings.shape[1] + 1
-    rows = np.empty((len(sims), 2, n_features))
-    for s in range(0, len(sims), _BLOCK):
-        block = slice(s, s + _BLOCK)
-        u, v = embeddings[rows_a[block]], embeddings[rows_b[block]]
-        pair_feature_rows(u, v, sims[block], out=rows[block, 0])
-        pair_feature_rows(v, u, sims[block], out=rows[block, 1])
-    return rows.reshape(2 * len(sims), n_features)
+    return PairClassifier.train(
+        pair_feature_rows(view.embeddings[rows_a], view.embeddings[rows_b], sims), labels)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -880,7 +859,7 @@ def _cholesky_solve(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Solve ``h d = g`` for a symmetric positive definite ``h``.
 
     A column-by-column Cholesky factorization and the two triangular solves
-    in numpy, on one thread. The systems are small (4d + 2 square); LAPACK's
+    in numpy, on one thread. The systems are small (3d + 2 square); LAPACK's
     threaded solver took ~0.13 s per call on them in the first calls of a
     process on a host with shared cores, against ~0.3 ms afterwards.
     """

@@ -480,11 +480,12 @@ def _rank_config(config: Config) -> ranking.RankConfig:
     if len(alpha) != 3:
         raise ValueError(f"config rank.alpha = {config.get('rank.alpha')!r}: "
                          "expected 3 comma-separated task weights")
-    tasks = config.get_list("rank.tasks")
-    if not tasks:
-        raise ValueError(f"config rank.tasks = {config.get('rank.tasks')!r}: "
-                         "expected at least one task")
-    tasks = ranking.resolve_tasks(tasks)
+    try:
+        tasks = ranking.resolve_tasks(config.get_list("rank.tasks"))
+        if not tasks:
+            raise ValueError("expected at least one task")
+    except ValueError as exc:
+        raise ValueError(f"config rank.tasks = {config.get('rank.tasks')!r}: {exc}") from None
     moe = config.get_bool("rank.moe")
     if not moe and not (all(w >= 0 for w in alpha)
                         and sum(alpha[ranking.TASKS.index(t)] for t in tasks) > 0):

@@ -16,17 +16,19 @@ sharing one encoder backbone:
 Pair representation. Each side is encoded on its own with the encoder's
 text function over the ranker's trainable copy of the backbone (sum the
 token rows, tanh transform, L2 normalize), and a task head classifies the
-shared pair features of :mod:`pairclf`, ``[u, v, |u - v|, u * v, edit_sim]``
-(the Sentence-BERT pair head, arXiv:1908.10084). ``edit_sim`` is the
-token-level edit similarity of the two texts over the same token codes dedup
-uses. Training tokenizes nothing: :class:`TaskBuilder` reads each side's
-vocabulary ids and codes from the ``pairclf.PreparedCorpus`` the caller
-prepared, and computes ``edit_sim`` before training, once per distinct pair
-of texts (``pairclf.row_pair_similarities``). Instances stay rows of two arrays: (task, left text, right text,
-label) in ``specs`` and ``edit_sim`` in ``sims``; a batch's loss reads its
-rows of them, and the texts' ids from the view. At
-serving time a stage is built from one view; a miss passes one
-``PreparedQuery``. The view embeds under the encoder alone;
+directional pair rows ``[u, v, |u - v|, u * v, edit_sim]`` of
+:func:`_directional_rows` (the Sentence-BERT pair head, arXiv:1908.10084).
+They keep u and v apart, unlike the symmetric rows of :mod:`pairclf`'s
+heads: the stem-analysis task pairs a stem with an analysis. ``edit_sim``
+is the token-level edit similarity of the two texts over the same token
+codes dedup uses. Training tokenizes nothing: :class:`TaskBuilder` reads
+each side's vocabulary ids and codes from the ``pairclf.PreparedCorpus``
+the caller prepared, and computes ``edit_sim`` before training, once per
+distinct pair of texts (``pairclf.row_pair_similarities``). Instances stay
+rows of two arrays: (task, left text, right text, label) in ``specs`` and
+``edit_sim`` in ``sims``; a batch's loss reads its rows of them, and the
+texts' ids from the view. At serving time a stage is built from one view; a
+miss passes one ``PreparedQuery``. The view embeds under the encoder alone;
 the ranker's backbone lives here. :class:`Ranker` is built from the loaded
 ``pairclf.PreparedCorpus`` and keeps its own matrix, every exercise's row
 embedded once under its backbone, so a probe encodes only itself
@@ -67,7 +69,7 @@ from .corpus import LabeledPair
 from .encoder import (EncoderParams, TrainingDivergedError, embed_corpus, embed_text_batch,
                       embed_text_batch_backward, require_finite, softmax_cross_entropy)
 from .pairclf import (PAD_CODE, PreparedCorpus, PreparedQuery, UntrainedModelError,
-                      pair_feature_rows, row_pair_similarities)
+                      row_pair_similarities)
 from .recall import Candidates
 from .snapshots import load_arrays, save_arrays
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
@@ -273,14 +275,21 @@ class TaskBuilder:
 # ---------------------------------------------------------------------------
 # Forward / backward
 
+def _directional_rows(u: np.ndarray, v: np.ndarray, sims: np.ndarray) -> np.ndarray:
+    """The rows ``[u, v, |u - v|, u * v, sim]`` (4d + 1 wide) of every pair;
+    ``u`` may be one vector broadcast to every row of ``v``."""
+    return np.concatenate([np.broadcast_to(u, v.shape), v, np.abs(u - v), u * v,
+                           np.reshape(sims, (-1, 1))], axis=1)
+
+
 def _pair_features(texts: Sequence[np.ndarray], specs: np.ndarray, sims: np.ndarray,
                    params: RankerParams):
-    """Pair feature rows of spec rows: both sides through the encoder's text
-    function."""
+    """Directional pair rows of spec rows: both sides through the encoder's
+    text function."""
     sides = np.concatenate([specs[:, 1], specs[:, 2]]).tolist()
     embedded, cache = embed_text_batch([texts[r] for r in sides], params)
     u, v = embedded[:len(specs)], embedded[len(specs):]
-    return pair_feature_rows(u, v, sims), (u, v, cache)
+    return _directional_rows(u, v, sims), (u, v, cache)
 
 
 def _pair_features_backward(d_f: np.ndarray, cache, params: RankerParams,
@@ -519,7 +528,7 @@ class Ranker:
         if len(rows):  # a markup-only probe has no tokens to embed, and no rows
             u = (self.embeddings[query.row] if query.row is not None
                  else query.embedding(self.params))
-            f = pair_feature_rows(u, self.embeddings[rows], query.edit_similarities(rows))
+            f = _directional_rows(u, self.embeddings[rows], query.edit_similarities(rows))
             head = self.params.heads[TASK_STEM_STEM]
             # each row's two logits are 1-D dots, so a candidate gets the same
             # bits whatever else is in the batch (a matrix product does not)

@@ -51,16 +51,14 @@ the served list has the bits of filtering the whole ranked list in
 
 Finally, candidates the duplicate classifier flags against the query are
 dropped so near-identical exercises are never recommended. Dedup scores
-all merged candidates at once, both argument orders averaged, from the
-query's ``pairclf.PreparedQuery``: one kernel call over the merged list,
-then one block of feature rows over it (the query's ``query_embedding``
-vector, the view's rows and the edit similarities), whose (candidate,
-query) order is the block's ``pairclf.swap_sides`` copy. Ranking reads the
-similarities back and the variant split the block's rows, for their
-subsets. The rows are scored by ``prob_rows``, so the batch is
-bit-identical to calling ``DuplicateDetector.prob`` per candidate (see the
-rules in ``pairclf``). A query prepared over another view, even one of the
-same exercises and vocabulary, is refused.
+all merged candidates at once from the query's ``pairclf.PreparedQuery``:
+one kernel call over the merged list, then one block of feature rows over
+it (the query's ``query_embedding`` vector, the view's rows and the edit
+similarities). Ranking reads the similarities back and the variant split
+the block's rows, for their subsets. The rows are scored by ``prob_rows``,
+so the batch is bit-identical to calling ``DuplicateDetector.prob`` per
+candidate (see the rules in ``pairclf``). A query prepared over another
+view, even one of the same exercises and vocabulary, is refused.
 
 A stage is built from one view; a miss passes one ``PreparedQuery`` over
 it. ``Recaller.build`` takes one ``pairclf.PreparedCorpus`` (the one
@@ -86,7 +84,7 @@ from .corpus import Corpus, Exercise, RowIndex
 # embed_text stays bound, unused: perfbench's tracer wraps it where imported
 from .encoder import embed_text  # noqa: F401
 from .pairclf import (PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery,
-                      UntrainedModelError, swap_sides, train_pair_head)
+                      UntrainedModelError, train_pair_head)
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
 from .textnorm import normalize_text  # noqa: F401
 
@@ -438,27 +436,15 @@ def merge_candidates(exact: Candidates, embed: Candidates, n: int) -> Candidates
 
 @dataclass
 class DuplicateDetector:
-    """Symmetric duplicate probability over pair features.
-
-    The classifier is evaluated in both argument orders and averaged, which
-    makes detect(a, b) == detect(b, a) hold exactly. Recall drops a
-    candidate at ``RecallConfig.dedup_threshold``.
-    """
+    """Duplicate probability over the symmetric pair features, so
+    prob(a, b) == prob(b, a) holds exactly. Recall drops a candidate at
+    ``RecallConfig.dedup_threshold``."""
 
     classifier: PairClassifier
     featurizer: PairFeaturizer
 
     def prob(self, a: PreparedQuery, b: PreparedQuery) -> float:
-        p_ab = self.classifier.prob(self.featurizer.features(a, b))
-        p_ba = self.classifier.prob(self.featurizer.features(b, a))
-        return (p_ab + p_ba) / 2.0
-
-    def prob_rows(self, rows: np.ndarray) -> np.ndarray:
-        """``prob`` of the pairs whose (query, candidate) feature rows are
-        ``rows``; the (candidate, query) rows are their ``pairclf.swap_sides``
-        copy, the bits ``features(b, a)`` builds."""
-        return (self.classifier.prob_rows(rows)
-                + self.classifier.prob_rows(swap_sides(rows))) / 2.0
+        return self.classifier.prob(self.featurizer.features(a, b))
 
 
 def dedup_rows(dedup_pairs: Sequence[tuple[Exercise, Exercise, int]],
@@ -482,8 +468,7 @@ def dedup_rows(dedup_pairs: Sequence[tuple[Exercise, Exercise, int]],
 
 def train_dedup(view: PreparedCorpus, rows: np.ndarray, labels: np.ndarray) -> PairClassifier:
     """Fit the dedup head (saved as kind ``"dedup"``) on the row pairs
-    ``rows`` (pairs, 2) of ``view`` (see :func:`dedup_rows`), each fed in
-    both argument orders."""
+    ``rows`` (pairs, 2) of ``view`` (see :func:`dedup_rows`)."""
     if not len(labels):
         raise UntrainedModelError("no duplicate-labeled pairs to train on")
     return train_pair_head(view, rows[:, 0], rows[:, 1], labels)
@@ -545,6 +530,6 @@ class Recaller:
                 query.exercise.metadata.difficulty, profile, corpus)
         if self.dedup is None or not len(merged):
             return merged
-        probs = self.dedup.prob_rows(
+        probs = self.dedup.classifier.prob_rows(
             self.dedup.featurizer.feature_rows(query, merged.index, merged.rows))
         return merged.take(probs < cfg.dedup_threshold)

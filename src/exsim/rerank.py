@@ -7,9 +7,9 @@ Three opt-in steps, cheapest and most absolute first:
    is on the semester component;
 2. difficulty filter: excellent students get candidates at or above the
    query's difficulty, weak students at or below, average within one level;
-3. variant split: a directional classifier separates genuine variants
-   (changed condition, conclusion or solving method) from plain similars,
-   and the variant list is presented first.
+3. variant split: a pair classifier separates genuine variants (changed
+   condition, conclusion or solving method) from plain similars, and the
+   variant list is presented first.
 
 Every step preserves the incoming ranking order and is idempotent. With no
 profile and no classifier the whole stage is a pass-through, so the
@@ -191,8 +191,12 @@ def personalize_filter(candidates: Candidates, query_difficulty: int,
 
 @dataclass
 class VariantClassifier:
-    """Directional variant-vs-plain-similar probability: the query comes
-    first and is the reference whose condition may have been changed."""
+    """Variant-vs-plain-similar probability of a (query, candidate) pair.
+
+    Like every pair head it is symmetric: its features do not depend on
+    which side is which, so prob(q, c) == prob(c, q) bit for bit. The label
+    is symmetric too: the generator flags a pair a variant when exactly one
+    side is in variant form (``variant_form[a] != variant_form[b]``)."""
 
     classifier: PairClassifier
     featurizer: PairFeaturizer
@@ -204,9 +208,9 @@ class VariantClassifier:
 def train_variant(pairs: Sequence[LabeledPair], corpus: Corpus,
                   view: PreparedCorpus) -> PairClassifier:
     """Fit the variant head (saved as kind ``"variant"``) on the
-    variant-flagged labeled pairs (variant=1, plain-similar=0), each fed in
-    both argument orders. A pair's rows of ``view`` are its ids' rows in
-    ``corpus``, whose exercises are the view's first rows."""
+    variant-flagged labeled pairs (variant=1, plain-similar=0). A pair's
+    rows of ``view`` are its ids' rows in ``corpus``, whose exercises are
+    the view's first rows."""
     flagged = [p for p in pairs if p.variant is not None]
     if not flagged:
         raise UntrainedModelError("no variant-flagged pairs to train on")

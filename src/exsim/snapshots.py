@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 _MAGIC = b"EXSIMBIN1\n"
-_FORMAT = 2
+_FORMAT = 3
 
 # the build step that writes each kind of snapshot
 WRITTEN_BY = {"corpus": "step_synth or step_ingest", "encoder": "step_pretrain",

@@ -78,12 +78,15 @@ def clean_text(raw: str, stop_words: Iterable[str] = ()) -> str:
 
 
 def canonical_stop_words(stop_words: Iterable[str]) -> tuple[str, ...]:
-    """Distinct non-empty stop words, sorted: equal exactly when they act alike.
+    """Distinct non-empty stop words, lowercased and sorted: equal exactly
+    when they act alike, as ``clean_text`` removes them ignoring case.
 
     ValueError names a word that does not begin and end with a word
     character: ``clean_text`` removes whole words only, so it could never
     match."""
-    words = tuple(sorted({w for w in stop_words if w}))
+    # str.lower spells "\u0130" (dotted capital I) as two characters, but
+    # the regex's case folding, which clean_text matches by, reads it as "i"
+    words = tuple(sorted({w.replace("\u0130", "i").lower() for w in stop_words if w}))
     for w in words:
         if not _STOP_WORD_RE.fullmatch(w):
             raise ValueError(f"stop word {w!r} never matches: a stop word must begin "

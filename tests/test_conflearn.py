@@ -6,7 +6,8 @@ from exsim import encoder as enc
 from exsim import ranking
 from exsim.corpus import LabeledPair, SyntheticSpec, generate_synthetic
 from exsim.pairclf import (PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery,
-                           both_order_rows, edit_similarities)
+                           edit_similarities, pair_feature_rows)
+from test_pairclf import both_order_fit, both_order_probs
 
 
 def test_confident_joint_worked_example():
@@ -147,50 +148,68 @@ def test_clean_and_retrain_bookkeeping(cl_setup):
 
 
 def test_out_of_fold_probs_equal_per_pair_reference(cl_setup):
-    """Each holdout pair scores the mean of its two orders under a head
-    fitted on the other folds' pairs, each feature row built alone from the
-    pair's own texts (``PairFeaturizer.features``) and scored alone
-    (``PairClassifier.prob``)."""
+    """Each holdout pair is scored by a head fitted on the other folds'
+    pairs, each feature row built alone from the pair's own texts
+    (``PairFeaturizer.features``) and scored alone (``PairClassifier.prob``)."""
     corpus, _, pairs, view = cl_setup
     cfg = cl.CleanConfig(folds=4, seed=1)
     probs = cl.out_of_fold_probs(pairs, view, cfg)
     own = PairFeaturizer(PreparedCorpus([], view.vocab, view.params))
     queries = {ex.id: PreparedQuery(ex, own.view) for ex in corpus}
-    orders = [(own.features(queries[p.a_id], queries[p.b_id]),
-               own.features(queries[p.b_id], queries[p.a_id])) for p in pairs]
+    rows = [own.features(queries[p.a_id], queries[p.b_id]) for p in pairs]
     assignment = fold_assignment(pairs, cfg)
     heads = []
     for fold in range(cfg.folds):
         others = [k for k in range(len(pairs)) if assignment[k] != fold]
         heads.append(PairClassifier.train(
-            np.array([row for k in others for row in orders[k]]),
-            np.repeat([1 if pairs[k].is_similar else 0 for k in others], 2)))
-    expected = [(heads[fold].prob(ab) + heads[fold].prob(ba)) / 2.0
-                for (ab, ba), fold in zip(orders, assignment.tolist())]
+            np.array([rows[k] for k in others]),
+            np.array([1 if pairs[k].is_similar else 0 for k in others])))
+    expected = [heads[fold].prob(row) for row, fold in zip(rows, assignment.tolist())]
     assert probs.tolist() == expected
+
+
+def pair_rows(pairs, view):
+    """Each pair's rows of ``view``, its edit similarity and its label."""
+    rows_a = np.array([view.index.row_of[p.a_id] for p in pairs])
+    rows_b = np.array([view.index.row_of[p.b_id] for p in pairs])
+    sims = edit_similarities(view.codes[rows_a], view.lengths[rows_a],
+                             view.codes[rows_b], view.lengths[rows_b])
+    return rows_a, rows_b, sims, np.array([1 if p.is_similar else 0 for p in pairs])
 
 
 def test_out_of_fold_probs_equal_a_whole_matrix_reference(cl_setup):
     """Each fold builds its own training and holdout rows; they are the rows
     and the order of the boolean-indexed slices of one matrix of every
-    pair's rows in both orders, so the probabilities keep their bits."""
+    pair's rows, so the probabilities keep their bits."""
     _, _, pairs, view = cl_setup
     for cfg in (cl.CleanConfig(folds=4, seed=1), cl.CleanConfig(folds=3, seed=5)):
-        labels = np.array([1 if p.is_similar else 0 for p in pairs])
-        rows_a = np.array([view.index.row_of[p.a_id] for p in pairs])
-        rows_b = np.array([view.index.row_of[p.b_id] for p in pairs])
-        sims = edit_similarities(view.codes[rows_a], view.lengths[rows_a],
-                                 view.codes[rows_b], view.lengths[rows_b])
-        features = both_order_rows(view.embeddings, rows_a, rows_b, sims)
+        rows_a, rows_b, sims, labels = pair_rows(pairs, view)
+        features = pair_feature_rows(view.embeddings[rows_a], view.embeddings[rows_b], sims)
         assignment = fold_assignment(pairs, cfg)
-        row_fold, row_labels = np.repeat(assignment, 2), np.repeat(labels, 2)
         expected = np.empty(len(pairs))
         for fold in range(cfg.folds):
-            head = PairClassifier.train(features[row_fold != fold],
-                                        row_labels[row_fold != fold])
-            p = head.prob_rows(features[row_fold == fold])
-            expected[assignment == fold] = (p[0::2] + p[1::2]) / 2.0
+            head = PairClassifier.train(features[assignment != fold],
+                                        labels[assignment != fold])
+            expected[assignment == fold] = head.prob_rows(features[assignment == fold])
         assert cl.out_of_fold_probs(pairs, view, cfg).tolist() == expected.tolist()
+
+
+def test_out_of_fold_probs_equal_the_both_order_fit(cl_setup):
+    """The fold heads score every holdout pair as heads fitted on both
+    orders of every training pair over [u, v, |u - v|, u * v, sim], scoring
+    the mean of both orders, do: within 1e-12."""
+    _, _, pairs, view = cl_setup
+    cfg = cl.CleanConfig(folds=4, seed=1)
+    rows_a, rows_b, sims, labels = pair_rows(pairs, view)
+    u, v = view.embeddings[rows_a], view.embeddings[rows_b]
+    assignment = fold_assignment(pairs, cfg)
+    expected = np.empty(len(pairs))
+    for fold in range(cfg.folds):
+        train, held = assignment != fold, assignment == fold
+        head = both_order_fit(u[train], v[train], sims[train], labels[train])
+        expected[held] = both_order_probs(head, u[held], v[held], sims[held])
+    np.testing.assert_allclose(cl.out_of_fold_probs(pairs, view, cfg), expected,
+                               rtol=0, atol=1e-12)
 
 
 def test_out_of_fold_probs_trains_no_ranker(cl_setup, monkeypatch):

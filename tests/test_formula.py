@@ -53,7 +53,11 @@ def test_an_unparseable_formula_is_spelled_by_its_characters():
     ("007.50", "7.5"),
     ("00.50", "0.5"),
     ("000", "0"),
-], ids=["400-digits", "17-digits", "1e-5", "007.50", "00.50", "000"])
+    ("\u0661\u0660.\u0665\u0660", "10.5"),
+    ("\uff11\uff10.\uff15\uff10", "10.5"),
+    ("\u0660\u0667.\uff150", "7.5"),
+], ids=["400-digits", "17-digits", "1e-5", "007.50", "00.50", "000", "arabic-indic",
+        "fullwidth", "mixed-scripts"])
 def test_numbers_keep_their_digits(src, expected):
     assert normalize_formula(src) == expected
     assert normalize_formula(f"x+{src}") == f"( x + {expected} )"
@@ -70,7 +74,8 @@ def test_idempotent_on_fixed_inputs(src):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="xy0123456789+-*/^=<>(){}\\ .abqrtsinco", max_size=25))
+@given(st.text(alphabet="xy0123456789+-*/^=<>(){}\\ .abqrtsinco"
+                       "\u0660\u0661\u0665\u0669\uff10\uff11\uff15\uff19", max_size=25))
 def test_idempotent_on_random_inputs(src):
     once = normalize_formula(src)
     assert normalize_formula(once) == once

@@ -62,7 +62,63 @@ def test_pair_features_layout():
     u = np.array([1.0, 2.0])
     v = np.array([3.0, 5.0])
     f = pair_features(u, v, 0.75)
-    np.testing.assert_allclose(f, [1, 2, 3, 5, 2, 3, 3, 10, 0.75])
+    np.testing.assert_allclose(f, [4 / np.sqrt(2), 7 / np.sqrt(2), 2, 3, 3, 10, 0.75])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_pair_features_are_symmetric(d, seed):
+    """The (v, u) row has the bits of the (u, v) row, per pair and in rows,
+    at magnitudes far apart."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(3, d)) * 10.0 ** rng.uniform(-8, 8, size=(3, d))
+    v = rng.normal(size=(3, d)) * 10.0 ** rng.uniform(-8, 8, size=(3, d))
+    sims = rng.random(3)
+    assert pair_feature_rows(u, v, sims).tobytes() == pair_feature_rows(v, u, sims).tobytes()
+    for a, b, sim in zip(u, v, sims):
+        assert pair_features(a, b, sim).tobytes() == pair_features(b, a, sim).tobytes()
+
+
+def both_order_rows(u, v, sims):
+    """The rows the pair heads were fitted on before their features were
+    made symmetric: ``[u, v, |u - v|, u * v, sim]`` of every pair as (u, v),
+    then the same pairs as (v, u)."""
+    def rows(a, b):
+        return np.concatenate([a, b, np.abs(a - b), a * b, sims[:, None]], axis=1)
+    return np.concatenate([rows(u, v), rows(v, u)])
+
+
+def both_order_fit(u, v, sims, labels):
+    """A head fitted on ``both_order_rows`` with each label repeated."""
+    return PairClassifier.train(both_order_rows(u, v, sims), np.concatenate([labels, labels]))
+
+
+def both_order_probs(head, u, v, sims):
+    """A both-order head's probability of each pair: the mean of its two
+    orders."""
+    p = head.prob_rows(both_order_rows(u, v, sims))
+    return (p[:len(sims)] + p[len(sims):]) / 2.0
+
+
+def test_a_one_order_fit_equals_the_both_order_fit():
+    """Fitted on one symmetric row per pair, a head scores every pair, seen
+    in training or not, as the both-order fit over [u, v, |u - v|, u * v,
+    sim] does, within 1e-12."""
+    rng = np.random.default_rng(8)
+    n, d = 300, 8
+    u = rng.normal(size=(2 * n, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = u + rng.normal(size=(2 * n, d)) * np.where(rng.random(2 * n) < 0.5, 0.2, 2.0)[:, None]
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    sims = rng.random(2 * n)
+    labels = (np.einsum("ij,ij->i", u, v) + 0.3 * rng.normal(size=2 * n) > 0.6).astype(float)
+    train = slice(0, n)
+    old = both_order_fit(u[train], v[train], sims[train], labels[train])
+    new = PairClassifier.train(pair_feature_rows(u[train], v[train], sims[train]),
+                               labels[train])
+    assert new.weights.shape == (3 * d + 1,) and old.weights.shape == (4 * d + 1,)
+    np.testing.assert_allclose(new.prob_rows(pair_feature_rows(u, v, sims)),
+                               both_order_probs(old, u, v, sims), rtol=0, atol=1e-12)
 
 
 def test_classifier_learns_separable_data():
@@ -173,7 +229,7 @@ def test_featurizer_uses_canonical_text(small_trained):
     feat = PairFeaturizer(PreparedCorpus(corpus, vocab, params))
     ex = PreparedQuery(next(iter(corpus)), feat.view)
     f = feat.features(ex, ex)
-    assert f.shape == (4 * params.d + 1,)
+    assert f.shape == (3 * params.d + 1,)
     assert f[-1] == 1.0  # identical text, edit similarity 1
 
 
@@ -559,8 +615,7 @@ def test_view_embeddings_equal_single_text_embedding():
        decades=st.integers(0, 12), strided=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_prob_rows_equal_prob_per_row(n, width, decades, strided, seed):
     """``prob_rows`` gives the bits of a per-row ``row @ w`` loop, also over
-    rows of ``both_order_rows``'s ``rows[:, 0]`` layout and magnitudes spanning
-    ``decades`` powers of ten."""
+    strided rows and magnitudes spanning ``decades`` powers of ten."""
     rng = np.random.default_rng(seed)
     clf = PairClassifier(weights=rng.normal(size=width) * 10.0 ** rng.uniform(-3, 3),
                          bias=float(rng.normal()))
@@ -654,7 +709,7 @@ def test_prepared_lanes_equal_reference(query_words, corpus_words):
 def test_prepared_query_keeps_one_feature_block(monkeypatch):
     """The feature rows of a later, smaller or reordered set of rows are read
     back from the block the first call built, the bits of building them
-    again; their ``swap_sides`` copy has the bits of the (v, u) rows."""
+    again, and of building the (v, u) rows."""
     calls = []
     real = pairclf.pair_feature_rows
     monkeypatch.setattr(pairclf, "pair_feature_rows",
@@ -669,7 +724,7 @@ def test_prepared_query_keeps_one_feature_block(monkeypatch):
         rows = np.array(rows, dtype=np.intp)
         block = query.feature_rows(rows)
         assert block.tobytes() == real(u, v[rows], sims[rows]).tobytes()
-        assert pairclf.swap_sides(block).tobytes() == real(v[rows], u, sims[rows]).tobytes()
+        assert block.tobytes() == real(v[rows], u, sims[rows]).tobytes()
     # rows 0 and 2 were new in the fourth and fifth calls
     assert calls == [3, 1, 1]
 
@@ -712,8 +767,8 @@ def test_prepared_query_keeps_one_view_embedding(monkeypatch):
     for _ in range(2):
         assert np.array_equal(featurizer.embedding(query), expected[id(PARAMS)])
         assert np.array_equal(featurizer.feature_rows(query, view.index,
-                                                      np.array([1, 0]))[:, :4],
-                              [query.view_embedding] * 2)
+                                                      np.array([1, 0]))[:, 8:12],
+                              query.view_embedding * view.embeddings[[1, 0]])
     assert [id(p) for p in calls] == [id(PARAMS)]
     calls.clear()
     bank = PreparedQuery(exs[1], view)
@@ -736,7 +791,9 @@ def test_prepared_query_refuses_another_preparation():
             PairFeaturizer(view).feature_rows(query, view.index, np.array([0]))
     rows = PairFeaturizer(view).feature_rows(PreparedQuery(exercise("q", "ab"), view),
                                              view.index, np.array([0]))
-    assert np.array_equal(rows[0, :4], rows[0, 4:8]) and rows[:, -1].tolist() == [1.0]
+    # the same text on both sides: |u - v| is 0 and u * v is u * u
+    assert not rows[0, 4:8].any() and rows[:, -1].tolist() == [1.0]
+    assert np.array_equal(rows[0, 8:12], view.embeddings[0] * view.embeddings[0])
 
 
 def test_featurizer_refuses_rows_of_another_index():

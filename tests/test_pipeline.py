@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 import pytest
 from test_corpus import write_jsonl
-from test_pairclf import reference_similarity
-from test_ranking import head_probs
+from test_pairclf import both_order_fit, both_order_probs, reference_similarity
+from test_ranking import directional_features, head_probs
 from test_recall import reference_merge
 
 from exsim import conflearn, encoder, pairclf, ranking, recall, rerank, snapshots, textnorm
@@ -142,6 +142,58 @@ def test_config_refuses_an_unknown_bool_spelling():
     assert pl.Config({"rank.moe": "YES"}).get_bool("rank.moe") is True
 
 
+# the step-config field each config key sets; the other keys set no field
+KEYED_FIELDS = {
+    "encoder.d": (encoder.PretrainConfig, "d"),
+    "encoder.epochs": (encoder.PretrainConfig, "epochs"),
+    "encoder.lr": (encoder.PretrainConfig, "lr"),
+    "encoder.batch": (encoder.PretrainConfig, "batch_size"),
+    "encoder.tau": (encoder.PretrainConfig, "tau"),
+    "encoder.seed": (encoder.PretrainConfig, "seed"),
+    "finetune.epochs": (encoder.FinetuneConfig, "epochs"),
+    "finetune.lr": (encoder.FinetuneConfig, "lr"),
+    "finetune.negatives": (encoder.FinetuneConfig, "n_negatives"),
+    "recall.k_exact": (recall.RecallConfig, "k_exact"),
+    "recall.k_embed": (recall.RecallConfig, "k_embed"),
+    "recall.n": (recall.RecallConfig, "n"),
+    "recall.dedup_threshold": (recall.RecallConfig, "dedup_threshold"),
+    "recall.concept_boost": (recall.RecallConfig, "concept_boost"),
+    "rank.lr": (ranking.RankConfig, "lr"),
+    "rank.epochs": (ranking.RankConfig, "epochs"),
+    "rank.batch_pairs": (ranking.RankConfig, "batch_pairs"),
+    "rank.seed": (ranking.RankConfig, "seed"),
+    "rank.moe": (ranking.RankConfig, "moe"),
+    "rank.alpha": (ranking.RankConfig, "alpha"),
+    "rank.tasks": (ranking.RankConfig, "tasks"),
+    "cl.folds": (conflearn.CleanConfig, "folds"),
+    "cl.seed": (conflearn.CleanConfig, "seed"),
+    "rerank.variant_threshold": (rerank.RerankConfig, "variant_threshold"),
+    "rerank.enable_variant": (rerank.RerankConfig, "enable_variant"),
+}
+
+
+def test_every_keyed_field_defaults_to_its_key():
+    """A step config built by the library alone trains as the default
+    config file does: each field a config key sets has that key's default
+    (``encoder.epochs`` was 12 while ``PretrainConfig.epochs`` was 20)."""
+    config = pl.Config()
+    assert set(KEYED_FIELDS) | {"stopwords", "cache.size", "eval.k_recall", "eval.ks"} == \
+        set(pl.DEFAULTS)
+    for key, (cls, name) in KEYED_FIELDS.items():
+        default = getattr(cls(), name)
+        if key == "rank.tasks":
+            value = ranking.resolve_tasks(config.get_list(key))
+        elif key == "rank.alpha":
+            value = tuple(config.get_list(key, float))
+        elif isinstance(default, bool):
+            value = config.get_bool(key)
+        else:
+            value = type(default)(config.get(key))
+        assert default == value, key
+    assert conflearn.CleanConfig().retrain == pl._rank_config(config)
+    assert encoder.FinetuneConfig().seed == encoder.PretrainConfig().seed
+
+
 def test_config_load_reads_a_file_and_refuses_an_unknown_or_repeated_key(tmp_path):
     """A key given twice used to let its last value win in silence."""
     path = tmp_path / "exsim.conf"
@@ -254,6 +306,20 @@ def test_build_steps_refuse_a_value_no_training_can_run_with(workspace, tmp_path
     with pytest.raises(ValueError,
                        match=f"config {key} = '?{value}'?: expected (at least|above 0)"):
         step(copy, pl.Config({**config.values, key: value}))
+    assert {f.name: f.read_bytes() for f in copy.iterdir()} == before
+
+
+@pytest.mark.parametrize("value", ["t4", "t1,stem-stems"])
+def test_train_rank_refuses_an_unknown_task_naming_its_key(workspace, tmp_path, value):
+    """An unknown task used to fail naming the task alone, not the key."""
+    workdir, config, _, _ = workspace
+    copy = tmp_path / "ws"
+    shutil.copytree(workdir, copy)
+    before = {f.name: f.read_bytes() for f in copy.iterdir()}
+    unknown = value.split(",")[-1]
+    with pytest.raises(ValueError, match=rf"^config rank.tasks = '{value}': "
+                                         rf"unknown task '{unknown}'$"):
+        pl.step_train_rank(copy, pl.Config({**config.values, "rank.tasks": value}))
     assert {f.name: f.read_bytes() for f in copy.iterdir()} == before
 
 
@@ -708,7 +774,7 @@ def with_format_version(path, version):
 @pytest.mark.parametrize("name, step", [
     ("corpus", "step_synth or step_ingest"), ("encoder", "step_pretrain"),
     ("dedup", "step_index"), ("variant", "step_index"), ("ranker", "step_train_rank")])
-@pytest.mark.parametrize("version", [1, 3, None])
+@pytest.mark.parametrize("version", [1, 2, None])
 def test_a_snapshot_of_another_format_version_is_refused(workspace, tmp_path, name, step,
                                                          version):
     """Every header records the format version, and a loader refuses any
@@ -718,9 +784,9 @@ def test_a_snapshot_of_another_format_version_is_refused(workspace, tmp_path, na
     with_format_version(path, version)
     with pytest.raises(SnapshotFormatError,
                        match=rf"^{re.escape(str(path))}: {name} snapshot of format version "
-                             rf"{version}, expected 2; rerun {step} to rewrite it$"):
+                             rf"{version}, expected 3; rerun {step} to rewrite it$"):
         pl.Pipeline.load(workdir, config)
-    with_format_version(path, 2)
+    with_format_version(path, 3)
     assert pl.Pipeline.load(workdir, config).query(corpus.ids[5]).all_ids()
 
 
@@ -799,8 +865,7 @@ def own_embedding(ex, vocab, params):
 def dedup_reference(detector, a, b, u, v):
     vocab = detector.featurizer.view.vocab
     sim = reference_similarity(own_tokens(a, vocab), own_tokens(b, vocab))
-    clf = detector.classifier
-    return (clf.prob(pair_features(u, v, sim)) + clf.prob(pair_features(v, u, sim))) / 2.0
+    return detector.classifier.prob(pair_features(u, v, sim))
 
 
 def variant_reference(variant_clf, query, candidate):
@@ -812,13 +877,13 @@ def variant_reference(variant_clf, query, candidate):
 
 
 def ranker_reference(pipe, query, candidates):
-    """The stem-stem head over the pair features of each (query, candidate),
-    each side prepared from its own text under the ranker's backbone, scored
-    row by row."""
+    """The stem-stem head over the directional rows of each (query,
+    candidate), each side prepared from its own text under the ranker's
+    backbone, scored row by row."""
     if not candidates:
         return []
     params, vocab = pipe.ranker.params, pipe.vocab
-    f = np.array([pair_features(
+    f = np.array([directional_features(
         own_embedding(query, vocab, params), own_embedding(ex, vocab, params),
         reference_similarity(own_tokens(query, vocab), own_tokens(ex, vocab)))
         for ex in candidates])
@@ -877,7 +942,7 @@ def test_batched_scores_equal_per_pair(workspace, kind):
     v = rec.vector.matrix[rows]
     prepared = PreparedQuery(query, rec.view)
     block = rec.dedup.featurizer.feature_rows(prepared, rec.view.index, rows)
-    got = rec.dedup.prob_rows(block).tolist()
+    got = rec.dedup.classifier.prob_rows(block).tolist()
     assert got == [dedup_reference(rec.dedup, query, ex, u, row)
                    for ex, row in zip(others, v)]
     # the variant split reads the rows of the block dedup built
@@ -941,12 +1006,13 @@ def counted(counts: Counter, name: str, fn):
 
 
 def count_calls(monkeypatch) -> Counter:
-    """Count calls of normalize_text, embed_text and pair_feature_rows
-    through every module binding of them, and of the edit-distance kernel's
-    Myers loop (as "kernel"), which every distance goes through."""
+    """Count calls of normalize_text, embed_text and the feature-row builders
+    (``pair_feature_rows`` and the ranker's ``_directional_rows``) through
+    every module binding of them, and of the edit-distance kernel's Myers
+    loop (as "kernel"), which every distance goes through."""
     counts = Counter()
     for module in (textnorm, encoder, pairclf, recall, ranking):
-        for name in ("normalize_text", "embed_text", "pair_feature_rows"):
+        for name in ("normalize_text", "embed_text", "pair_feature_rows", "_directional_rows"):
             if name in vars(module):
                 monkeypatch.setattr(module, name, counted(counts, name, vars(module)[name]))
     monkeypatch.setattr(pairclf, "_myers", counted(counts, "kernel", pairclf._myers))
@@ -967,10 +1033,11 @@ def test_a_miss_prepares_its_query_once(workspace, monkeypatch, kind, profile):
     # ranker's own, while a bank exercise reads its prepared row and both its
     # embedded rows
     if kind == "corpus":
-        assert counts == {"kernel": 1, "pair_feature_rows": 2}
+        assert counts == {"kernel": 1, "pair_feature_rows": 1,
+                          "_directional_rows": 1}
     else:
         assert counts == {"normalize_text": 1, "kernel": 1, "embed_text": 2,
-                          "pair_feature_rows": 2}
+                          "pair_feature_rows": 1, "_directional_rows": 1}
 
 
 @pytest.mark.parametrize("profile", [None, PROFILE])
@@ -1009,7 +1076,7 @@ def test_without_dedup_ranking_makes_the_one_kernel_call(workspace, tmp_path,
     result = pipe.query(request_of(pipe, corpus, "probe"), PROFILE)
     assert result.variant
     assert counts == {"normalize_text": 1, "kernel": 1, "embed_text": 2,
-                      "pair_feature_rows": 2}
+                      "pair_feature_rows": 1, "_directional_rows": 1}
 
 
 def build(workdir, config, before_step: Callable[[], None] = lambda: None) -> dict:
@@ -1119,9 +1186,9 @@ def test_a_build_in_one_process_writes_what_separate_processes_write(tmp_path, n
 
 def test_step_index_heads_equal_a_per_pair_fit(workspace):
     """The dedup and variant heads step_index writes equal ``train`` fitted
-    on per-pair ``features`` rows, (a, b) then (b, a), over a view of the
-    bank alone: a bank exercise reads its row, a clone of the dedup pairs
-    is prepared from its own text."""
+    on per-pair ``features`` rows, one per pair, over a view of the bank
+    alone: a bank exercise reads its row, a clone of the dedup pairs is
+    prepared from its own text."""
     workdir, config, _, _ = workspace
     corpus, vocab, params, _, _ = pl._load_trained(workdir, config)
     featurizer = pairclf.PairFeaturizer(PreparedCorpus(corpus, vocab, params))
@@ -1135,12 +1202,72 @@ def test_step_index_heads_equal_a_per_pair_fit(workspace):
         rows, labels = [], []
         for a, b, label in pairs:
             a, b = (PreparedQuery(ex, featurizer.view) for ex in (a, b))
-            rows += [featurizer.features(a, b), featurizer.features(b, a)]
-            labels += [label, label]
+            rows.append(featurizer.features(a, b))
+            labels.append(label)
         expected = pairclf.PairClassifier.train(np.array(rows), np.array(labels))
         written = pairclf.PairClassifier.load(workdir / pl.FILES[head], head)
         assert written.weights.tolist() == expected.weights.tolist(), head
         assert written.bias == expected.bias, head
+
+
+def step_index_pairs(workdir, config):
+    """The view step_index fits its heads over, and by head name the row
+    pairs and labels it fits them on."""
+    corpus, vocab, params, _, pairs = pl._load_trained(workdir, config, read_pairs=True)
+    truth, _ = corpus_mod.load_truth(workdir / pl.FILES["truth"])
+    clones, rows, labels = recall.dedup_rows(
+        corpus_mod.generate_dedup_pairs(corpus, truth, seed=97), corpus)
+    flagged = [p for p in pairs if p.variant is not None]
+    variant_rows = np.array([[corpus.index.row_of[p.a_id], corpus.index.row_of[p.b_id]]
+                             for p in flagged])
+    variant_labels = np.array([int(p.variant == corpus_mod.VARIANT) for p in flagged])
+    view = PreparedCorpus.extended(corpus, clones, vocab, params)
+    return view, {"dedup": (rows, labels), "variant": (variant_rows, variant_labels)}
+
+
+def test_step_index_heads_equal_the_both_order_fit(workspace):
+    """The dedup and variant heads score every pair of the view, the pairs
+    they were fitted on and all others, as heads fitted on both orders of
+    each pair over [u, v, |u - v|, u * v, sim] score the mean of both
+    orders: within 1e-12."""
+    workdir, config, _, _ = workspace
+    view, fitted = step_index_pairs(workdir, config)
+    every = np.array(np.triu_indices(len(view.exercises), 1))
+    for head, (rows, labels) in fitted.items():
+        written = pairclf.PairClassifier.load(workdir / pl.FILES[head], head)
+        assert written.weights.shape == (3 * view.params.d + 1,)
+        sims = pairclf.row_pair_similarities(view.codes, view.lengths, rows[:, 0], rows[:, 1])
+        old = both_order_fit(view.embeddings[rows[:, 0]], view.embeddings[rows[:, 1]],
+                             sims, labels)
+        a, b = every
+        sims = pairclf.row_pair_similarities(view.codes, view.lengths, a, b)
+        u, v = view.embeddings[a], view.embeddings[b]
+        np.testing.assert_allclose(written.prob_rows(pairclf.pair_feature_rows(u, v, sims)),
+                                   both_order_probs(old, u, v, sims), rtol=0, atol=1e-12,
+                                   err_msg=head)
+
+
+@pytest.mark.parametrize("kind", ["corpus", "probe"])
+def test_pair_heads_are_symmetric(workspace, kind):
+    """Dedup and the variant head score (a, b) and (b, a) alike, bit for
+    bit, and the query's batched rows have the bits of the per-pair rows."""
+    workdir, config, corpus, _ = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+    view = pipe.recaller.view
+    query = corpus[corpus.ids[7]]
+    if kind == "probe":
+        query = probe_of(query)
+    query = PreparedQuery(query, view)
+    others = [PreparedQuery(ex, view) for ex in pipe.corpus if ex.id != query.exercise.id]
+    rows = np.array([c.row for c in others])
+    dedup, variant = pipe.recaller.dedup, pipe.variant_clf
+    featurizer = dedup.featurizer
+    assert featurizer.feature_rows(query, view.index, rows).tobytes() == np.array(
+        [featurizer.features(query, c) for c in others]).tobytes()
+    for c in others:
+        assert featurizer.features(query, c).tobytes() == featurizer.features(c, query).tobytes()
+        assert dedup.prob(query, c) == dedup.prob(c, query)
+        assert variant.prob(query, c) == variant.prob(c, query)
 
 
 def test_step_clean_trains_the_ranker_once(workspace, tmp_path, monkeypatch):
@@ -1294,9 +1421,23 @@ def test_a_stop_word_mismatch_is_refused(stop_workspace):
         pl.Pipeline.load(workdir, plain)
     with pytest.raises(pl.ConfigurationError, match="step_pretrain"):
         pl.step_train_rank(workdir, plain)
-    # the same words in another order are the same stop words
-    reordered = pl.Config({**CONFIG, "stopwords": "of, the"})
-    assert pl.Pipeline.load(workdir, reordered).vocab.stop_words == ("of", "the")
+    # the same words in another order, or in another case, are the same
+    # stop words
+    for words in ("of, the", "The,OF"):
+        same = pl.Config({**CONFIG, "stopwords": words})
+        assert pl.Pipeline.load(workdir, same).vocab.stop_words == ("of", "the")
+
+
+def test_an_encoder_built_with_capitals_loads_under_lowercase(tmp_path):
+    """Stop words configured as "The" build the vocabulary "the" does, and
+    its encoder loads under either spelling."""
+    workdir = tmp_path / "ws"
+    pl.step_synth(workdir, TINY)
+    pl.step_pretrain(workdir, pl.Config({**CONFIG, "stopwords": "The,Of"}))
+    _, vocab = load_encoder(workdir / pl.FILES["encoder"])
+    assert vocab.stop_words == ("of", "the")
+    for words in ("the,of", "THE,of", "The,Of"):
+        pl.step_finetune(workdir, pl.Config({**CONFIG, "stopwords": words}))
 
 
 # ---------------------------------------------------------------------------

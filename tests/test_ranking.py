@@ -12,8 +12,7 @@ from exsim import encoder as enc
 from exsim import ranking as rk
 from exsim import snapshots
 from exsim.corpus import Corpus, SyntheticSpec, generate_synthetic
-from exsim.pairclf import (PreparedCorpus, PreparedQuery, UntrainedModelError,
-                           pair_features)
+from exsim.pairclf import PreparedCorpus, PreparedQuery, UntrainedModelError
 from exsim.recall import Candidate, Candidates
 from exsim.snapshots import SnapshotFormatError, save_arrays
 from exsim.textnorm import UNK_ID, normalize_text, split_tokens
@@ -46,6 +45,12 @@ def instances_by_task(view, specs):
         by_task.setdefault(rk.TASKS[t], []).append(
             (tuple(texts[l].tolist()), tuple(texts[r].tolist()), label))
     return by_task
+
+
+def directional_features(u, v, sim):
+    """The ranker's feature row of one pair, written out: [u, v, |u - v|,
+    u * v, sim]."""
+    return np.concatenate([u, v, np.abs(u - v), u * v, [sim]])
 
 
 def head_probs(params, features):
@@ -516,7 +521,7 @@ def test_score_pairs_equal_from_view_and_from_own_text(tiny_setup):
     # the pair features from each side's own text, scored row by row
     def own_embedding(ex):
         return enc.embed_text(np.array(ids_of(ex.text, vocab), dtype=np.int64), params)
-    f = np.array([pair_features(own_embedding(query), own_embedding(exs[r]), sim)
+    f = np.array([directional_features(own_embedding(query), own_embedding(exs[r]), sim)
                   for r, sim in zip(rows, expected)])
     scores = head_probs(params, f).tolist()
     assert [(c.ex_id, c.score) for c in ranked] == sorted(

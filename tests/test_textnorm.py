@@ -57,6 +57,19 @@ def test_a_stop_word_that_can_never_match_is_refused():
     assert clean_text("to find the c++x now", {"find the", "c++x"}) == "to now"
 
 
+def test_stop_words_fold_case():
+    """``clean_text`` removes a stop word in any case, so its spellings in
+    any case are the same stop word."""
+    assert canonical_stop_words(["The"]) == canonical_stop_words(["the"]) == ("the",)
+    assert canonical_stop_words(["THE", "the", "Find The"]) == ("find the", "the")
+    for stop in (["The"], ["the"]):
+        assert clean_text("The sum the end", stop) == "sum end"
+    assert Vocab(["a"], ["The"]) == Vocab(["a"], ["the"])
+    # the one character whose lowercase is two characters
+    assert canonical_stop_words(["B\u0130R"]) == canonical_stop_words(["bir"]) == ("bir",)
+    assert clean_text("x B\u0130R bir y", ["B\u0130R"]) == "x y"
+
+
 def test_split_tokens_lowercases_and_splits_symbols():
     assert split_tokens("Solve X^2") == ["solve", "x", "^", "2"]
 
