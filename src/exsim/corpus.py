@@ -409,26 +409,29 @@ def load_corpus(path, levels: Optional[int] = None) -> Corpus:
 
 
 # ---------------------------------------------------------------------------
-# Workspace files are parsed once per content. load_snapshot and load_pairs
-# keep what they parsed last, one object per kind, under the sha256 of the
+# Workspace files are parsed once per content. Each save and each parse of a
+# snapshot or of a pairs file keeps its object under the sha256 of the
 # file's bytes; a file of those bytes, under any path, is not parsed again,
-# and any other file is, its parse taking the slot. save_snapshot puts the
-# corpus it wrote in the slot, so a process never parses a snapshot it wrote
-# and holds one corpus, with the stem column its views keep (see
-# ``pairclf.PreparedCorpus``). Kept objects are immutable. Two loads at once
-# may each parse a file; either result is the same.
+# so a process never parses a file it wrote. A kind keeps the objects of
+# its last ``_SLOTS`` contents, the oldest giving way: one corpus, with the
+# stem column its views keep (see ``pairclf.PreparedCorpus``), and two pair
+# lists, as a build writes pairs.jsonl and then step_clean a cut of the same
+# pair objects, so the second costs a list of references. Kept objects are
+# immutable. Two loads at once may each parse a file; either result is the
+# same.
 
-_slots: dict[str, tuple[str, object]] = {}
+_SLOTS = {"corpus": 1, "pairs": 2}
+_slots: dict[str, list[tuple[str, object]]] = {}
 
 
 def _kept(kind: str, digest: str):
-    """The object kept for ``kind`` if it was keyed by ``digest``, else None."""
-    slot = _slots.get(kind)
-    return slot[1] if slot is not None and slot[0] == digest else None
+    """The object kept for ``kind`` under ``digest``, else None."""
+    return next((value for key, value in _slots.get(kind, ()) if key == digest), None)
 
 
 def _keep(kind: str, digest: str, value):
-    _slots[kind] = digest, value
+    others = [slot for slot in _slots.get(kind, ()) if slot[0] != digest]
+    _slots[kind] = [(digest, value)] + others[:_SLOTS[kind] - 1]
     return value
 
 
@@ -489,25 +492,29 @@ def load_snapshot(path) -> Corpus:
 # Labeled pair and truth persistence
 
 def save_pairs(pairs: Sequence[LabeledPair], path) -> str:
-    """Write one pair per JSONL line; the sha256 of the bytes written."""
+    """Write one pair per JSONL line; the sha256 of the bytes written. The
+    pairs are kept as if loaded (see above)."""
     data = "".join(json.dumps({
         "a_id": p.a_id, "b_id": p.b_id, "label": p.label,
         "variant": p.variant, "votes": list(p.votes),
     }) + "\n" for p in pairs).encode("utf-8")
     with atomic_write(path, "wb") as fh:
         fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+    digest = hashlib.sha256(data).hexdigest()
+    _keep("pairs", digest, tuple(pairs))
+    return digest
 
 
 def load_pairs(path) -> tuple[list[LabeledPair], str]:
-    """The pairs of a JSONL file, one per line, parsed once per content (see
-    above), as a new list each call, and the sha256 of the file's bytes;
-    errors carry the 1-based line number.
+    """The pairs of a JSONL file, one per line, parsed once per content and
+    never after ``save_pairs`` wrote them (see above), as a new list each
+    call, and the sha256 of the file's bytes; errors carry the 1-based line
+    number.
 
     Equal values of one parse are one object: labels, variant flags and
     votes are this module's constants, each distinct id is one ``str``
     shared by every record that names it, and so is each distinct ``votes``
-    tuple."""
+    tuple. Pairs kept from a save are the saved objects."""
     with open(path, "rb") as fh:
         data = fh.read()
     digest = hashlib.sha256(data).hexdigest()

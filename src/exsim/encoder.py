@@ -25,13 +25,17 @@ and differentiable everywhere. Temperature defaults to 0.1.
 Everything is float64, single-threaded and seeded: a fixed seed gives a
 bit-identical parameter trajectory.
 
+Token ids come in one format: rows of a padded id matrix
+(``pairclf.PreparedCorpus.token_ids``) with each row's length, a padded
+slot holding the vocabulary size, one past the last row of ``emb``.
 Pooling and its gradient run without a per-sequence loop, and their sums
 keep a fixed order:
 
-* pooling (``embed_text_batch``) gathers a batch's token rows into one block
-  padded with zeros, tokens leading, and sums it: each sequence's rows are
-  added in token order, its padding last, which for d >= 2 equals the
-  per-sequence ``emb[ids].sum(axis=0)`` bit for bit (see ``_pool``);
+* pooling (``embed_text_batch``) cuts a batch's rows to its longest and
+  gathers them, tokens leading, from ``emb`` with a zero row appended at
+  the pad id, and sums the block: each row's tokens are added in token
+  order, its padding last, which for d >= 2 equals the per-sequence
+  ``emb[ids].sum(axis=0)`` bit for bit (see ``_pool``);
 * the scatter (``embed_text_batch_backward``): a training step makes one call
   over all its ``embed_text_batch`` calls (pre-training: stems, then
   analyses). ``W`` and ``b`` add each call's gradient in turn; the token rows
@@ -180,61 +184,55 @@ def _normalize_rows_backward(d_out: np.ndarray, raw: np.ndarray,
     return d_raw
 
 
-def _pool(emb: np.ndarray, seqs: Sequence[Sequence[int]]):
-    """Each sequence's ``emb`` rows summed; returns (pooled, ids, lengths).
+def _pool(emb: np.ndarray, ids: np.ndarray, lengths: np.ndarray):
+    """Each row's first ``lengths`` ids' ``emb`` rows summed; returns
+    (pooled, ids cut to the longest row).
 
-    ``ids`` holds every token id, sequence by sequence. The rows are gathered
-    into one (longest, n, d) block, tokens leading, and the slots after a
-    shorter sequence's real tokens are zeroed in place (no copy of the
-    table). Numpy starts a sum from +0.0 and sums pairwise only along the
-    axis it walks innermost, here the n * d one, so it adds the block one
-    token slot at a time: row i is 0.0 plus sequence i's rows in token order,
-    plus 0.0 per padded slot, which changes nothing. For d >= 2 that equals
-    ``emb[seqs[i]].sum(axis=0)`` bit for bit. At d = 1 that per-row sum walks
-    the tokens innermost and adds them pairwise from 8 tokens on; so does
-    this block for a single sequence (n * d = 1), and no other.
+    ``ids`` is a batch's rows of a padded id matrix (see the module
+    docstring). The cut matrix gathers one (longest, n, d) block, tokens
+    leading, from the table plus a zero row at the pad id when the batch
+    holds padding. Numpy starts a sum from +0.0 and sums pairwise only
+    along the axis it walks innermost, here the n * d one, so it adds the
+    block one token slot at a time: row i is 0.0 plus its rows in token
+    order, plus 0.0 per padded slot, which changes nothing. For d >= 2 that
+    equals ``emb[ids[i, :lengths[i]]].sum(axis=0)`` bit for bit. At d = 1
+    that per-row sum walks the tokens innermost and adds them pairwise from
+    8 tokens on; so does this block for a single row (n * d = 1), and no
+    other.
     """
-    lengths = list(map(len, seqs))
-    shortest = min(lengths, default=0)
+    shortest, longest = int(lengths.min()), int(lengths.max())
     if shortest == 0:
         raise ValueError("cannot embed an empty token sequence")
-    n, longest = len(seqs), max(lengths)
-    ids = np.concatenate(seqs)
-    if shortest == longest:
-        block = emb.take(ids.reshape(n, longest).T, axis=0)
-    else:
-        real = np.arange(longest)[:, None] < np.array(lengths)
-        slots = np.zeros((longest, n), dtype=np.intp)
-        slots.T[real.T] = ids
-        block = emb.take(slots, axis=0)
-        block[~real] = 0.0
-    return np.add.reduce(block, axis=0), ids, lengths
+    ids = ids[:, :longest]
+    table = emb if shortest == longest else np.vstack([emb, np.zeros((1, emb.shape[1]))])
+    return np.add.reduce(table.take(ids.T, axis=0), axis=0), ids
 
 
-def _scatter_pooled(vocab_size: int, ids: np.ndarray, lengths: Sequence[int],
+def _scatter_pooled(vocab_size: int, ids: np.ndarray, lengths: np.ndarray,
                     d_pooled: np.ndarray) -> np.ndarray:
-    """The token-row gradient: ``d_pooled[i]`` added at every token of sequence i.
+    """The token-row gradient: ``d_pooled[i]`` added at every token of row i.
 
-    Each column is one ``np.bincount``, which adds its weights in input order
-    starting from 0.0, so the result equals ``np.add.at`` on a zero array bit
-    for bit: per row, sequence by sequence, token by token.
+    ``ids`` holds every token id, row by row, with no padding. Each column
+    is one ``np.bincount``, which adds its weights in input order starting
+    from 0.0, so the result equals ``np.add.at`` on a zero array bit for
+    bit: per row, sequence by sequence, token by token.
     """
-    rows = np.repeat(np.arange(len(lengths)), lengths)
-    per_token = np.ascontiguousarray(d_pooled.T).take(rows, axis=1)
+    per_token = np.repeat(d_pooled.T, lengths, axis=1)
     out = np.empty((len(per_token), vocab_size))
     for column, weights in zip(out, per_token):
         column[...] = np.bincount(ids, weights=weights, minlength=vocab_size)
     return out.T
 
 
-def embed_text_batch(seqs: Sequence[Sequence[int]], params: EncoderParams):
-    """Embed token-id sequences: sum rows, tanh transform, L2 normalize.
+def embed_text_batch(ids: np.ndarray, lengths: np.ndarray, params: EncoderParams):
+    """Embed rows of a padded id matrix, each ``lengths`` ids long: sum
+    rows, tanh transform, L2 normalize.
 
-    Pooling adds each sequence's embedding rows in token order, padding last
+    Pooling adds each row's embedding rows in token order, padding last
     (see ``_pool``), so for d >= 2 a row is ``emb[ids].sum(axis=0)`` bit for
     bit whatever else is in the batch.
     """
-    pooled, ids, lengths = _pool(params.emb, seqs)
+    pooled, ids = _pool(params.emb, ids, lengths)
     pre = pooled @ params.W + params.b
     act = np.tanh(pre)
     out, norms = _normalize_rows(act)
@@ -248,12 +246,13 @@ def embed_text_batch_backward(parts: Sequence[tuple[np.ndarray, tuple]],
 
     ``parts`` pairs d(loss)/d(output) of each call with its cache. ``W`` and
     ``b`` take each part's gradient in the order given. The token rows take
-    one scatter over every part, sequence by sequence and token by token,
-    stored as ``grads["emb"]`` (any value there is replaced): a step calls
-    this once. That equals one ``np.add.at`` per part, in order, into zeros,
-    bit for bit: a ``np.bincount`` bin starts at +0.0 and never becomes
-    -0.0, so adding it to zeros would not change it.
+    one scatter over every part, row by row and token by token, stored as
+    ``grads["emb"]`` (any value there is replaced): a step calls this once.
+    That equals one ``np.add.at`` per part, in order, into zeros, bit for
+    bit: a ``np.bincount`` bin starts at +0.0 and never becomes -0.0, so
+    adding it to zeros would not change it.
     """
+    vocab_size = len(params.emb)
     all_ids, all_lengths, d_pooled = [], [], []
     for d_out, (ids, lengths, pooled, act, norms, out) in parts:
         d_act = _normalize_rows_backward(d_out, act, out, norms)
@@ -261,15 +260,15 @@ def embed_text_batch_backward(parts: Sequence[tuple[np.ndarray, tuple]],
         grads["W"] += pooled.T @ d_pre
         grads["b"] += d_pre.sum(axis=0)
         d_pooled.append(d_pre @ params.W.T)
-        all_ids.append(ids)
-        all_lengths += lengths
-    grads["emb"] = _scatter_pooled(len(params.emb), np.concatenate(all_ids),
-                                   all_lengths, np.concatenate(d_pooled))
+        all_ids.append(ids[ids < vocab_size])
+        all_lengths.append(lengths)
+    grads["emb"] = _scatter_pooled(vocab_size, np.concatenate(all_ids),
+                                   np.concatenate(all_lengths), np.concatenate(d_pooled))
 
 
 def embed_text(ids: np.ndarray, params: EncoderParams) -> np.ndarray:
     """Unit-norm embedding of one sequence of vocabulary ids (int64)."""
-    out, _ = embed_text_batch([ids], params)
+    out, _ = embed_text_batch(ids[None, :], np.array([len(ids)]), params)
     return out[0]
 
 
@@ -385,10 +384,10 @@ def metadata_task_loss(stem_embeddings: np.ndarray, targets: dict[str, np.ndarra
 #
 # Text never becomes tokens here. Training reads a ``pairclf.PreparedCorpus``
 # of the corpus (one whose ``index`` is the corpus's), which normalized each
-# exercise's texts once: its ``stem_ids`` (stem and options) and
-# ``analysis_ids`` (answer and analysis), row for row with the corpus. The
-# metadata targets are one array per task over the same rows, and a batch
-# reads its rows of each.
+# exercise's texts once: the ids of its stem codes (stem and options) and of
+# its ``texts``, every stem then every answer and analysis, row for row with
+# the corpus. The metadata targets are one array per task over the same
+# rows, and a batch reads its rows of each.
 
 def metadata_targets(corpus: Corpus) -> dict[str, np.ndarray]:
     """Each exercise's target distribution per metadata task, one row each:
@@ -443,13 +442,16 @@ def pretrain(corpus: Corpus, view: PreparedCorpus,
         raise ValueError("pre-training needs at least 2 exercises")
     if view.index is not corpus.index:
         raise ValueError("pretrain: the view was not prepared from this corpus")
-    stems = view.stem_ids()
-    for ex, stem in zip(corpus, stems):
-        if len(stem) == 0:
+    codes, lengths = view.texts()
+    n = len(corpus)
+    for ex, length in zip(corpus, lengths[:n].tolist()):
+        if length == 0:
             raise CorpusError(f"exercise {ex.id!r}: stem and options normalize to "
                               "no tokens, so it cannot be embedded")
-    # degenerate but total: an exercise without answer/analysis text
-    analyses = [a if len(a) else s for s, a in zip(stems, view.analysis_ids())]
+    texts = view.token_ids(codes)
+    # each exercise's analysis row; degenerate but total: an exercise without
+    # answer/analysis text reads its stem
+    analyses = np.where(lengths[n:] > 0, np.arange(n, 2 * n), np.arange(n))
     targets = metadata_targets(corpus)
     params = init_params(corpus, view.vocab, config.d, config.seed)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 11]))
@@ -465,7 +467,8 @@ def pretrain(corpus: Corpus, view: PreparedCorpus,
             if len(rows) < 2:
                 continue
             losses = _pretrain_step(
-                [stems[r] for r in rows], [analyses[r] for r in rows],
+                (texts[rows], lengths[rows]),
+                (texts[analyses[rows]], lengths[analyses[rows]]),
                 {name: t[rows] for name, t in targets.items()},
                 [view.exercises[r].image_features for r in rows], params, config)
             if not all(np.isfinite(v) for v in losses.values()):
@@ -479,14 +482,15 @@ def pretrain(corpus: Corpus, view: PreparedCorpus,
     return params, history
 
 
-def _pretrain_step(stems: Sequence[np.ndarray], analyses: Sequence[np.ndarray],
+def _pretrain_step(stems: tuple[np.ndarray, np.ndarray], analyses: tuple[np.ndarray, np.ndarray],
                    targets: dict[str, np.ndarray], images: Sequence[np.ndarray],
                    params: EncoderParams, config: PretrainConfig) -> dict[str, float]:
-    """One update on a batch: each exercise's stem and analysis ids, its
-    rows of the metadata targets and its (images, d_img) image features."""
+    """One update on a batch: each exercise's stem and analysis as rows of
+    padded ids with their lengths, its rows of the metadata targets and its
+    (images, d_img) image features."""
     grads = params.zero_grads()
-    stem_out, stem_cache = embed_text_batch(stems, params)
-    ana_out, ana_cache = embed_text_batch(analyses, params)
+    stem_out, stem_cache = embed_text_batch(*stems, params)
+    ana_out, ana_cache = embed_text_batch(*analyses, params)
     d_stem = np.zeros_like(stem_out)
     d_ana = np.zeros_like(ana_out)
 
@@ -564,7 +568,7 @@ def fine_tune(params: EncoderParams, pairs: Sequence[LabeledPair], view: Prepare
     positives = np.array([(row_of[p.a_id], row_of[p.b_id]) for p in pairs if p.is_similar])
     # each pair in both directions: (anchor, positive) rows
     anchors_all = np.concatenate([positives, positives[:, ::-1]])
-    stems = view.stem_ids()
+    stems = view.token_ids(view.codes)
     params = params.copy()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 23]))
     history = {"batch": [], "epoch": []}
@@ -576,7 +580,7 @@ def fine_tune(params: EncoderParams, pairs: Sequence[LabeledPair], view: Prepare
             negatives = _draw_negatives(chosen[:, 0].tolist(), similar, n,
                                         config.n_negatives, rng)
             rows = np.concatenate([chosen, negatives], axis=1)
-            loss = _finetune_step(rows, stems, params, config)
+            loss = _finetune_step(rows, stems, view.lengths, params, config)
             if not np.isfinite(loss):
                 raise TrainingDivergedError("non-finite fine-tuning loss")
             history["batch"].append(loss)
@@ -610,11 +614,12 @@ def _draw_negatives(anchors: Sequence[int], similar: dict[int, set[int]], n_rows
     return out
 
 
-def _finetune_step(rows: np.ndarray, stems: Sequence[np.ndarray], params: EncoderParams,
-                   config: FinetuneConfig) -> float:
+def _finetune_step(rows: np.ndarray, stems: np.ndarray, lengths: np.ndarray,
+                   params: EncoderParams, config: FinetuneConfig) -> float:
     # each row of ``rows``: an anchor, its positive, then its negatives
     n, k = len(rows), config.n_negatives
-    out, cache = embed_text_batch([stems[r] for r in rows.ravel()], params)
+    flat = rows.ravel()
+    out, cache = embed_text_batch(stems[flat], lengths[flat], params)
     per = out.reshape(n, 2 + k, -1)
     loss, d_anchors, d_candidates = infonce_sampled(per[:, 0], per[:, 1:], config.tau)
     d_out = np.concatenate([d_anchors[:, None, :], d_candidates], axis=1)
@@ -627,12 +632,13 @@ def _finetune_step(rows: np.ndarray, stems: Sequence[np.ndarray], params: Encode
 # ---------------------------------------------------------------------------
 # Corpus embedding
 
-def embed_corpus(seqs: Sequence[np.ndarray], params: EncoderParams) -> np.ndarray:
-    """Embedding matrix of token-id sequences, one row each.
+def embed_corpus(view: PreparedCorpus, params: EncoderParams) -> np.ndarray:
+    """Embedding matrix of ``view``'s stems, one row each.
 
-    Row i is ``embed_text`` of sequence i alone, bit for bit: the one
+    Row i is ``embed_text`` of row i's ids alone, bit for bit: the one
     encoder embedding of an exercise that every stage reads (rows of a
     batched ``embed_text_batch`` call can differ from it in the last bit).
     """
-    rows = [embed_text(ids, params) for ids in seqs]
+    ids = view.token_ids(view.codes)
+    rows = [embed_text(row[:n], params) for row, n in zip(ids, view.lengths.tolist())]
     return np.stack(rows) if rows else np.zeros((0, params.d))

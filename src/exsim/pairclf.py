@@ -44,16 +44,16 @@ work is organised around three pieces:
   over lanes prepared with the view; there is no second implementation.
 * :class:`PreparedCorpus`, a view that normalizes each exercise's texts
   once, for serving and for training alike: their tokens, padded token
-  codes and lengths, their vocabulary ids, and each exercise's single-text
-  ``embed_text`` embedding. Each row's kernel lane is prepared with it: the
-  code matrix is padded to the lane width of the longest row, and
-  ``lane_masks`` holds each row's packed lane mask, so a query's kernel call
-  gathers rows instead of padding and packing them, and compares each
-  distinct query code with them once. A process prepares the bank's stems
-  once (a corpus keeps the stem column of its views) and every build step
-  passes its view down: the vocabulary is built from its token lists, the
-  encoder trains on its ids, the ranker's task instances read its stem and
-  analysis codes, and the pair heads train from its rows.
+  codes and lengths, from which it maps their padded vocabulary ids, and
+  each exercise's single-text ``embed_text`` embedding. Each row's kernel
+  lane is prepared with it: the code matrix is padded to the lane width of
+  the longest row, and ``lane_masks`` holds each row's packed lane mask, so
+  a query's kernel call gathers rows instead of padding and packing them,
+  and compares each distinct query code with them once. A process prepares
+  the bank's stems once (a corpus keeps the stem column of its views) and
+  every build step passes its view down: the vocabulary is built from its
+  token lists, the encoder trains on its ids, the ranker's task instances
+  read its stem and analysis codes, and the pair heads train from its rows.
   Token codes are equal exactly when tokens are equal:
   in-vocabulary tokens use their vocabulary id, every out-of-vocabulary
   token gets a code of its own (vocabulary ids alone would collapse all of
@@ -406,14 +406,18 @@ def _make_stems(vocab: Vocab, tokens: Iterable[list[str]],
     if after is None:
         return _Stems(vocab, column, strings, table.extra)
     head = after.column
-    # the lane of the longer of the two widest rows, as pad_codes over both
-    codes = np.full((len(head.lengths) + len(column.lengths),
-                     max(head.codes.shape[1], column.codes.shape[1])), PAD_CODE, dtype=np.int32)
-    codes[:len(head.lengths), :head.codes.shape[1]] = head.codes
-    codes[len(head.lengths):, :column.codes.shape[1]] = column.codes
-    return _Stems(vocab, TextColumn(head.tokens + column.tokens, codes,
-                                    np.concatenate([head.lengths, column.lengths])),
+    return _Stems(vocab, TextColumn(head.tokens + column.tokens, *_stacked(head, column)),
                   strings, {**after.oov_codes, **table.extra})
+
+
+def _stacked(top: TextColumn, bottom: TextColumn) -> tuple[np.ndarray, np.ndarray]:
+    """The codes of ``top``'s rows then ``bottom``'s, in the lane of the
+    longer of the two widest rows, as ``pad_codes`` over both; and their
+    lengths."""
+    width = max(top.codes.shape[1], bottom.codes.shape[1])
+    codes = [np.pad(c.codes, ((0, 0), (0, width - c.codes.shape[1])), constant_values=PAD_CODE)
+             for c in (top, bottom)]
+    return np.concatenate(codes), np.concatenate([top.lengths, bottom.lengths])
 
 
 def _corpus_stems(corpus: Corpus, vocab: Vocab,
@@ -438,11 +442,17 @@ class PreparedCorpus:
     codes, for training and for serving.
 
     The stem side (``Exercise.text``, stem and options) is prepared at
-    construction: ``tokens`` holds every exercise's normalized tokens,
-    ``codes``/``lengths`` their padded token codes and :meth:`stem_ids` their
-    vocabulary ids. The answer/analysis side, ``analysis`` and
-    :meth:`analysis_ids`, is prepared on first use, with codes consistent
-    with the stem side's; serving never reads it.
+    construction: ``tokens`` holds every exercise's normalized tokens and
+    ``codes``/``lengths`` their padded token codes. The answer/analysis
+    side, ``analysis``, is prepared on first use, with codes consistent with
+    the stem side's; serving never reads it. :meth:`texts` stacks the two.
+
+    Token ids have one format, a padded matrix with the rows' lengths:
+    :meth:`token_ids` maps a code matrix (``codes``, ``analysis.codes``,
+    ``texts``' or a query's) on each call. An in-vocabulary code is its id,
+    an out-of-vocabulary code UNK, and ``PAD_CODE`` the vocabulary size,
+    the id of the zero row ``encoder._pool`` appends to the table. The view
+    keeps no id matrix.
 
     ``embeddings`` holds each row's single-text ``embed_text`` vector under
     ``params`` (row i is bit-identical to the ``PreparedQuery.embedding`` of
@@ -540,24 +550,26 @@ class PreparedCorpus:
         return self._column((text_tokens(ex.answer_analysis, self.vocab.stop_words)
                              for ex in self.exercises), self.code_table())
 
-    def _ids(self, codes: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+    def texts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every stem, then every answer/analysis, as one padded code matrix
+        and its lengths: row r < n is exercise r's stem and row n + r its
+        answer/analysis, n being the number of exercises."""
+        return _stacked(TextColumn(self.tokens, self.codes, self.lengths), self.analysis)
+
+    def token_ids(self, codes: np.ndarray) -> np.ndarray:
+        """The vocabulary ids of a code matrix under this view's table: an
+        out-of-vocabulary code becomes UNK and ``PAD_CODE`` the vocabulary
+        size, the id of the zero row pooling appends (``encoder._pool``)."""
         ids = np.where(codes >= len(self.vocab), UNK_ID, codes).astype(np.int64)
-        return [row[:n] for row, n in zip(ids, lengths.tolist())]
-
-    def stem_ids(self) -> list[np.ndarray]:
-        """Each row's stem vocabulary ids; out-of-vocabulary tokens are UNK."""
-        return self._ids(self.codes, self.lengths)
-
-    def analysis_ids(self) -> list[np.ndarray]:
-        """Each row's answer/analysis vocabulary ids."""
-        return self._ids(self.analysis.codes, self.analysis.lengths)
+        ids[codes == PAD_CODE] = len(self.vocab)
+        return ids
 
     @property
     def embeddings(self) -> np.ndarray:
         if self._embeddings is None:
             if self.params is None:
                 raise ValueError("prepared corpus has no params to embed under")
-            self._embeddings = embed_corpus(self.stem_ids(), self.params)
+            self._embeddings = embed_corpus(self, self.params)
         return self._embeddings
 
     def code_table(self) -> CodeTable:
@@ -617,7 +629,7 @@ class PreparedQuery:
         else:
             self.tokens = text_tokens(exercise.text, view.vocab.stop_words)
             self.codes, self.length = pad_codes([view.code_table().encode(self.tokens)])
-        self.ids = view._ids(self.codes, self.length)[0]
+        self.ids = view.token_ids(self.codes)[0, :int(self.length[0])]
         self._sims = np.full(len(view.lengths), np.nan)
         self._block_at = np.full(len(view.lengths), -1, dtype=np.intp)
         self._block: Optional[np.ndarray] = None

@@ -36,8 +36,9 @@ check the ranker, and ``Pipeline.load`` the heads too, in one error. So
 heads or a ranker fitted under another encoder are never served.
 
 Per-process contract: a process parses ``corpus.snap`` and
-``pairs.jsonl`` once per content, and never a corpus it saved (see
-``corpus``'s persistence section). A step reads ``pairs.jsonl`` once;
+``pairs.jsonl`` once per content, and never a file it saved (see
+``corpus``'s persistence section), so a build in one process parses
+neither. A step reads ``pairs.jsonl`` once;
 what it records as made from ``pairs.jsonl`` or ``truth.json`` carries the
 digest of the bytes it parsed. The corpus keeps the stem column of its views
 (``pairclf.PreparedCorpus``), so in a build in one process no step after

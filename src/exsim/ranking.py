@@ -21,18 +21,18 @@ directional pair rows ``[u, v, |u - v|, u * v, edit_sim]`` of
 They keep u and v apart, unlike the symmetric rows of :mod:`pairclf`'s
 heads: the stem-analysis task pairs a stem with an analysis. ``edit_sim``
 is the token-level edit similarity of the two texts over the same token
-codes dedup uses. Training tokenizes nothing: :class:`TaskBuilder` reads
-each side's vocabulary ids and codes from the ``pairclf.PreparedCorpus``
-the caller prepared, and computes ``edit_sim`` before training, once per
-distinct pair of texts (``pairclf.row_pair_similarities``). Instances stay
-rows of two arrays: (task, left text, right text, label) in ``specs`` and
-``edit_sim`` in ``sims``; a batch's loss reads its rows of them, and the
-texts' ids from the view. At serving time a stage is built from one view; a
-miss passes one ``PreparedQuery``. The view embeds under the encoder alone;
-the ranker's backbone lives here. :class:`Ranker` is built from the loaded
-``pairclf.PreparedCorpus`` and keeps its own matrix, every exercise's row
-embedded once under its backbone, so a probe encodes only itself
-(``PreparedQuery.embedding``) and a bank query (see
+codes dedup uses. Training tokenizes nothing: :class:`TaskBuilder` stacks
+the stem and analysis codes of the ``pairclf.PreparedCorpus`` the caller
+prepared, and computes ``edit_sim`` before training, once per distinct
+pair of texts (``pairclf.row_pair_similarities``). Instances stay rows of
+two arrays: (task, left text, right text, label) in ``specs`` and
+``edit_sim`` in ``sims``; a batch's loss reads its rows of them, and of
+the padded ids of the stacked codes. At serving time a stage is built from
+one view; a miss passes one ``PreparedQuery``. The view embeds under the
+encoder alone; the ranker's backbone lives here. :class:`Ranker` is built
+from the loaded ``pairclf.PreparedCorpus`` and keeps its own matrix, every
+exercise's row embedded once under its backbone, so a probe encodes only
+itself (``PreparedQuery.embedding``) and a bank query (see
 ``pairclf.PreparedQuery``) reads its row instead. ``Ranker.rank`` takes the
 miss's ``pairclf.PreparedQuery`` alone and makes no edit-similarity kernel
 call of its own: it reads back the similarities dedup computed over the
@@ -68,8 +68,7 @@ import numpy as np
 from .corpus import LabeledPair
 from .encoder import (EncoderParams, TrainingDivergedError, embed_corpus, embed_text_batch,
                       embed_text_batch_backward, require_finite, softmax_cross_entropy)
-from .pairclf import (PAD_CODE, PreparedCorpus, PreparedQuery, UntrainedModelError,
-                      row_pair_similarities)
+from .pairclf import PreparedCorpus, PreparedQuery, UntrainedModelError, row_pair_similarities
 from .recall import Candidates
 from .snapshots import load_arrays, save_arrays
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
@@ -175,21 +174,15 @@ class TaskBuilder:
     """Expands labeled pairs into task instances over a prepared corpus.
 
     Texts are rows: row r < n is exercise r's stem and row n + r its
-    answer/analysis, n being the number of exercises in the view. Their
-    vocabulary ids and edit-distance codes are the view's, and an
+    answer/analysis, n being the number of exercises in the view: the rows
+    of the view's stacked code matrix (``PreparedCorpus.texts``). An
     instance's edit similarity is ``pairclf.row_pair_similarities`` of its
-    two rows of the stacked code matrix.
+    two rows of it.
     """
 
     def __init__(self, view: PreparedCorpus):
         self.view = view
-        n = len(view.exercises)
-        analysis = view.analysis
-        self.lengths = np.concatenate([view.lengths, analysis.lengths])
-        self.codes = np.full((2 * n, max(view.codes.shape[1], analysis.codes.shape[1])),
-                             PAD_CODE, dtype=np.int32)
-        self.codes[:n, :view.codes.shape[1]] = view.codes
-        self.codes[n:, :analysis.codes.shape[1]] = analysis.codes
+        self.codes, self.lengths = view.texts()
         self.row_of = view.index.row_of
         self.by_concept: dict[str, list[int]] = {}
         for row, ex in enumerate(view.exercises):
@@ -282,12 +275,13 @@ def _directional_rows(u: np.ndarray, v: np.ndarray, sims: np.ndarray) -> np.ndar
                            np.reshape(sims, (-1, 1))], axis=1)
 
 
-def _pair_features(texts: Sequence[np.ndarray], specs: np.ndarray, sims: np.ndarray,
-                   params: RankerParams):
+def _pair_features(texts: tuple[np.ndarray, np.ndarray], specs: np.ndarray,
+                   sims: np.ndarray, params: RankerParams):
     """Directional pair rows of spec rows: both sides through the encoder's
     text function."""
-    sides = np.concatenate([specs[:, 1], specs[:, 2]]).tolist()
-    embedded, cache = embed_text_batch([texts[r] for r in sides], params)
+    ids, lengths = texts
+    sides = np.concatenate([specs[:, 1], specs[:, 2]])
+    embedded, cache = embed_text_batch(ids[sides], lengths[sides], params)
     u, v = embedded[:len(specs)], embedded[len(specs):]
     return _directional_rows(u, v, sims), (u, v, cache)
 
@@ -339,18 +333,19 @@ class MultitaskResult:
     grads: dict[str, np.ndarray]
 
 
-def multitask_loss(texts: Sequence[np.ndarray], specs: np.ndarray, sims: np.ndarray,
+def multitask_loss(texts: tuple[np.ndarray, np.ndarray], specs: np.ndarray, sims: np.ndarray,
                    params: RankerParams,
                    alpha: Optional[dict[str, float]] = None) -> MultitaskResult:
     """Coefficient-weighted sum of per-task cross-entropies, with gradients.
 
     ``specs`` (instances, 4) and ``sims`` (instances,) are instance rows as
-    ``TaskBuilder.build_all`` makes them; ``texts[r]`` holds text row r's
-    vocabulary ids. With ``alpha`` None the coefficients come from the gate
-    (and gradients flow through it, including into the shared features via
-    the batch means); otherwise ``alpha`` supplies constants, 0 for a task it lacks. A
-    task with no instances in the batch contributes zero loss and is masked
-    out of the softmax.
+    ``TaskBuilder.build_all`` makes them; ``texts`` holds the text rows'
+    padded vocabulary ids and their lengths. With ``alpha`` None the
+    coefficients come from the gate (and gradients flow through it,
+    including into the shared features via the batch means); otherwise
+    ``alpha`` supplies constants, 0 for a task it lacks. A task with no
+    instances in the batch contributes zero loss and is masked out of the
+    softmax.
     """
     # rows grouped by task, in batch order within each; task t owns spans[t]
     counts = np.bincount(specs[:, 0], minlength=len(TASKS)).tolist()
@@ -442,10 +437,11 @@ def train_ranker(pairs: Sequence[LabeledPair], view: PreparedCorpus,
 
     The shared backbone starts from the pre-trained ``encoder``.
     Every pair's draws and edit similarities are made once, deterministically
-    from the seed, before the epoch loop (``TaskBuilder.build_all``), and the
-    builder is dropped with its concept pools and codes. Each batch passes
-    its pairs' rows of ``config.tasks``, in pair order, to
-    ``multitask_loss``; the texts are the view's stem then analysis ids.
+    from the seed, before the epoch loop (``TaskBuilder.build_all``). The
+    texts are the ids of the builder's stacked stem and analysis codes, and
+    the builder is dropped with its concept pools and codes. Each batch
+    passes its pairs' rows of ``config.tasks``, in pair order, to
+    ``multitask_loss``.
     history carries per-epoch means of the total and per-task losses plus
     the coefficient trajectory.
     """
@@ -456,9 +452,11 @@ def train_ranker(pairs: Sequence[LabeledPair], view: PreparedCorpus,
     alpha = None if config.moe else dict(zip(TASKS, config.alpha))
 
     build_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 5]))
-    specs, sims = TaskBuilder(view).build_all(pairs, build_rng)
+    builder = TaskBuilder(view)
+    specs, sims = builder.build_all(pairs, build_rng)
     wanted = np.isin(specs[:, :, 0], [TASKS.index(t) for t in tasks])
-    texts = view.stem_ids() + view.analysis_ids()
+    texts = view.token_ids(builder.codes), builder.lengths
+    del builder
 
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 7]))
     history = {"total": [], "alpha": [], "tasks": []}
@@ -512,7 +510,7 @@ class Ranker:
     view: PreparedCorpus
 
     def __post_init__(self):
-        self.embeddings = embed_corpus(self.view.stem_ids(), self.params)
+        self.embeddings = embed_corpus(self.view, self.params)
 
     def rank(self, query: PreparedQuery, candidates: Candidates) -> Candidates:
         """Re-score candidates, rows of this ranker's view, and sort

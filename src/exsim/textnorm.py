@@ -85,8 +85,11 @@ def canonical_stop_words(stop_words: Iterable[str]) -> tuple[str, ...]:
     character: ``clean_text`` removes whole words only, so it could never
     match."""
     # str.lower spells "\u0130" (dotted capital I) as two characters, but
-    # the regex's case folding, which clean_text matches by, reads it as "i"
-    words = tuple(sorted({w.replace("\u0130", "i").lower() for w in stop_words if w}))
+    # the regex's case folding, which clean_text matches by, reads it as "i";
+    # it also matches the final sigma as any sigma, which str.lower keeps
+    # apart (str.casefold would merge them, but spell "\u00df" as "ss")
+    words = tuple(sorted({w.replace("\u0130", "i").lower().replace("\u03c2", "\u03c3")
+                          for w in stop_words if w}))
     for w in words:
         if not _STOP_WORD_RE.fullmatch(w):
             raise ValueError(f"stop word {w!r} never matches: a stop word must begin "

@@ -210,14 +210,19 @@ def test_snapshot_is_parsed_once_per_content(tmp_path, small_synth, new_process)
 
 
 def test_pairs_are_parsed_once_per_content(tmp_path, small_synth, new_process):
-    """A save keeps nothing: the first load parses the file, a byte-equal
-    copy is then served from the slot, and every load returns a new list;
-    another file's save leaves the slot as it was."""
+    """A save keeps the pairs it wrote: a load of the file, or of a
+    byte-equal copy, returns them unparsed, as a new list each call. A new
+    process parses the file once; the slot holds the last two contents, so
+    a third one saved evicts the oldest."""
     _, _, pairs = small_synth
     path, copy = tmp_path / "p.jsonl", tmp_path / "q.jsonl"
     digest = save_pairs(pairs, path)
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     shutil.copyfile(path, copy)
+    saved, saved_digest = load_pairs(copy)
+    assert saved == pairs and saved is not pairs and saved_digest == digest
+    assert all(a is b for a, b in zip(saved, pairs))
+    new_process()
     parsed, parsed_digest = load_pairs(path)
     assert parsed == pairs and parsed_digest == digest and parsed[0] is not pairs[0]
     kept, kept_digest = load_pairs(copy)
@@ -225,8 +230,9 @@ def test_pairs_are_parsed_once_per_content(tmp_path, small_synth, new_process):
     assert all(a is b for a, b in zip(kept, parsed)) and len(kept) == len(parsed)
     save_pairs(pairs[1:], tmp_path / "other.jsonl")
     assert load_pairs(path)[0][0] is parsed[0]
-    new_process()
-    assert load_pairs(copy)[0][0] is not parsed[0]
+    assert load_pairs(tmp_path / "other.jsonl")[0][0] is pairs[1]
+    save_pairs(pairs[2:], tmp_path / "third.jsonl")
+    assert load_pairs(path)[0][0] is not parsed[0]
 
 
 def with_images(ex_id, images):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from gradcheck import assert_grads_match, finite_difference
 from hypothesis import example, given, settings, strategies as st
+from test_pairclf import exercise
 
 from exsim import encoder as enc
 from exsim import ranking as rk
@@ -230,8 +231,8 @@ def test_full_pretrain_step_gradients():
     view = PreparedCorpus.with_own_vocab(corpus)
     params = enc.init_params(corpus, view.vocab, d=5, seed=1)
     rows = np.arange(4)
-    stems = [view.stem_ids()[r] for r in rows]
-    analyses = [view.analysis_ids()[r] for r in rows]
+    stems = view.token_ids(view.codes)[rows], view.lengths[rows]
+    analyses = view.token_ids(view.analysis.codes)[rows], view.analysis.lengths[rows]
     targets = {task: t[rows] for task, t in enc.metadata_targets(corpus).items()}
     images = [view.exercises[r].image_features for r in rows]
     owners = np.repeat(rows, [len(f) for f in images])
@@ -239,8 +240,8 @@ def test_full_pretrain_step_gradients():
     cfg = enc.PretrainConfig(d=5, tau=0.4)
 
     def loss_fn():
-        stem, _ = enc.embed_text_batch(stems, params)
-        ana, _ = enc.embed_text_batch(analyses, params)
+        stem, _ = enc.embed_text_batch(*stems, params)
+        ana, _ = enc.embed_text_batch(*analyses, params)
         total = cfg.w_contrastive * enc.infonce_inbatch(stem, ana, cfg.tau)[0]
         parts, _, _ = enc.metadata_task_loss(stem, targets, params)
         total += (cfg.w_type * parts["type"] + cfg.w_difficulty * parts["difficulty"]
@@ -269,11 +270,22 @@ def test_full_pretrain_step_gradients():
 FORWARD_CALLS = itertools.count()
 
 
-def reference_embed_text_batch(seqs, params):
+def padded(seqs, pad):
+    """Id sequences as rows of an id matrix padded with ``pad`` to two slots
+    past the longest, as a view's lanes are, and their lengths."""
+    lengths = np.array([len(s) for s in seqs])
+    ids = np.full((len(seqs), lengths.max() + 2), pad, dtype=np.int64)
+    for row, s in zip(ids, seqs):
+        row[:len(s)] = s
+    return ids, lengths
+
+
+def reference_embed_text_batch(ids, lengths, params):
     """Pooling one sequence at a time, ``emb[ids].sum(axis=0)`` per row."""
+    seqs = [row[:n] for row, n in zip(ids, lengths.tolist())]
     pooled = np.zeros((len(seqs), params.d))
-    for i, ids in enumerate(seqs):
-        pooled[i] = params.emb[np.asarray(ids, dtype=np.int64)].sum(axis=0)
+    for i, row in enumerate(seqs):
+        pooled[i] = params.emb[np.asarray(row, dtype=np.int64)].sum(axis=0)
     act = np.tanh(pooled @ params.W + params.b)
     out, norms = enc._normalize_rows(act)
     return out, (next(FORWARD_CALLS), seqs, pooled, act, norms, out)
@@ -333,26 +345,44 @@ def with_examples(cases):
     return wrap
 
 
+def view_ids(seqs, vocab):
+    """``seqs``, lists of word numbers below ``vocab``, as the stems of a
+    real view whose vocabulary holds every word: the view's padded id
+    matrix and its lengths, with the vocabulary's size."""
+    words = [f"t{chr(ord('a') + i)}" for i in range(vocab)]
+    vocabulary = Vocab(words)
+    view = PreparedCorpus([exercise(f"e{i}", " ".join(words[t] for t in s))
+                           for i, s in enumerate(seqs)], vocabulary)
+    ids = view.token_ids(view.codes)
+    assert [row[:n].tolist() for row, n in zip(ids, view.lengths.tolist())] == \
+        [[vocabulary.id_of(words[t]) for t in s] for s in seqs]
+    return ids, view.lengths, len(vocabulary)
+
+
 @settings(max_examples=200, deadline=None)
 @given(token_batches())
 @with_examples(KERNEL_EXAMPLES)
 def test_pooling_adds_each_sequence_in_token_order(case):
+    """Over a real view's padded id matrix: its rows' unequal lengths leave
+    padding in the batch, and a single row's lane pads it too."""
     vocab, d, seqs, seed = case
-    emb = wide_floats(np.random.default_rng(seed), (vocab, d))
-    pooled, ids, lengths = enc._pool(emb, seqs)
-    assert bits(ids) == bits(np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs]))
-    assert lengths == [len(s) for s in seqs]
+    ids, lengths, size = view_ids(seqs, vocab)
+    assert (ids[:, -1] == size).all()  # every row ends in padding
+    emb = wide_floats(np.random.default_rng(seed), (size, d))
+    pooled, cut = enc._pool(emb, ids, lengths)
+    assert bits(cut) == bits(ids[:, :max(map(len, seqs))])
+    rows = [row[:n] for row, n in zip(ids, lengths.tolist())]
     if d >= 2 or len(seqs) == 1:
         # the replaced loop; at d = 1 numpy sums an (L, 1) column pairwise
-        assert bits(pooled) == bits(np.stack([emb[s].sum(axis=0) for s in seqs]))
+        assert bits(pooled) == bits(np.stack([emb[r].sum(axis=0) for r in rows]))
     if len(seqs) * d >= 2:
-        token_order = [functools.reduce(np.add, emb[s], np.zeros(d)) for s in seqs]
+        token_order = [functools.reduce(np.add, emb[r], np.zeros(d)) for r in rows]
         assert bits(pooled) == bits(np.stack(token_order))
     if d >= 2:
-        params = toy_params(vocab_size=vocab, d=d, seed=seed % 1000)
+        params = toy_params(vocab_size=size, d=d, seed=seed % 1000)
         params.emb[...] = emb
-        assert bits(enc.embed_text_batch(seqs, params)[0]) == bits(
-            reference_embed_text_batch(seqs, params)[0])
+        assert bits(enc.embed_text_batch(ids, lengths, params)[0]) == bits(
+            reference_embed_text_batch(ids, lengths, params)[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -365,7 +395,7 @@ def test_scatter_equals_add_at_on_zeros(case):
     rows = np.repeat(np.arange(len(seqs)), [len(s) for s in seqs])
     expected = np.zeros((vocab, d))
     np.add.at(expected, ids, d_pooled[rows])
-    got = enc._scatter_pooled(vocab, ids, [len(s) for s in seqs], d_pooled)
+    got = enc._scatter_pooled(vocab, ids, np.array([len(s) for s in seqs]), d_pooled)
     assert bits(got) == bits(expected)
 
 
@@ -385,12 +415,13 @@ def test_one_backward_over_two_calls_equals_two_add_at(first, second):
     d_b = wide_floats(rng, (len(seqs_b), d))
     grads = params.zero_grads()
     enc.embed_text_batch_backward(
-        [(d_a, enc.embed_text_batch(seqs_a, params)[1]),
-         (d_b, enc.embed_text_batch(seqs_b, params)[1])], params, grads)
+        [(d_a, enc.embed_text_batch(*padded(seqs_a, vocab), params)[1]),
+         (d_b, enc.embed_text_batch(*padded(seqs_b, vocab), params)[1])], params, grads)
     expected = params.zero_grads()
     reference_embed_text_batch_backward(
-        [(d_a, reference_embed_text_batch(seqs_a, params)[1]),
-         (d_b, reference_embed_text_batch(seqs_b, params)[1])], params, expected)
+        [(d_a, reference_embed_text_batch(*padded(seqs_a, vocab), params)[1]),
+         (d_b, reference_embed_text_batch(*padded(seqs_b, vocab), params)[1])],
+        params, expected)
     for name in ("emb", "W", "b"):
         assert bits(grads[name]) == bits(expected[name]), name
 
@@ -449,9 +480,11 @@ def reference_targets(ex, corpus):
 
 
 def reference_pretrain(corpus, view, config):
-    records = [(stem, analysis if len(analysis) else stem, reference_targets(ex, corpus),
-                ex.image_features)
-               for ex, stem, analysis in zip(corpus, view.stem_ids(), view.analysis_ids())]
+    records = []
+    for ex in corpus:
+        stem, analysis = (text_ids(text, view.vocab) for text in (ex.text, ex.answer_analysis))
+        records.append((stem, analysis if len(analysis) else stem,
+                        reference_targets(ex, corpus), ex.image_features))
     params = enc.init_params(corpus, view.vocab, config.d, config.seed)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 11]))
     for _ in range(config.epochs):
@@ -465,8 +498,9 @@ def reference_pretrain(corpus, view, config):
 
 def reference_pretrain_step(batch, params, config):
     grads = params.zero_grads()
-    stem_out, stem_cache = enc.embed_text_batch([r[0] for r in batch], params)
-    ana_out, ana_cache = enc.embed_text_batch([r[1] for r in batch], params)
+    pad = len(params.emb)
+    stem_out, stem_cache = enc.embed_text_batch(*padded([r[0] for r in batch], pad), params)
+    ana_out, ana_cache = enc.embed_text_batch(*padded([r[1] for r in batch], pad), params)
     d_stem, d_ana = np.zeros_like(stem_out), np.zeros_like(ana_out)
     _, da, dp, _ = enc.infonce_inbatch(stem_out, ana_out, config.tau)
     d_stem += config.w_contrastive * da
@@ -507,7 +541,7 @@ def reference_draw_negatives(anchor_id, sims, ids, n, rng):
 
 def reference_fine_tune(params, pairs, corpus, view, config):
     sims = annotated_similars(pairs)
-    seqs = dict(zip(corpus.ids, view.stem_ids()))
+    seqs = {ex.id: text_ids(ex.text, view.vocab) for ex in corpus}
     positives = [(p.a_id, p.b_id) for p in pairs if p.is_similar]
     anchors_all = positives + [(b, a) for a, b in positives]
     params = params.copy()
@@ -519,7 +553,8 @@ def reference_fine_tune(params, pairs, corpus, view, config):
             for a, b in [anchors_all[i] for i in order[start:start + config.batch_size]]:
                 flat += [a, b] + reference_draw_negatives(a, sims, corpus.ids,
                                                           config.n_negatives, rng)
-            out, cache = enc.embed_text_batch([seqs[i] for i in flat], params)
+            out, cache = enc.embed_text_batch(
+                *padded([seqs[i] for i in flat], len(params.emb)), params)
             per = out.reshape(-1, 2 + config.n_negatives, out.shape[1])
             _, d_anchors, d_cands = enc.infonce_sampled(per[:, 0], per[:, 1:], config.tau)
             d_out = np.concatenate([d_anchors[:, None, :], d_cands], axis=1)
@@ -542,7 +577,7 @@ def test_training_from_view_rows_equals_the_per_exercise_loop():
     corpus = Corpus(exercises, levels=corpus.levels, d_img=corpus.d_img)
     view = PreparedCorpus.with_own_vocab(corpus)
     assert {len(ex.image_features) for ex in corpus} == {0, 1, 2}
-    assert [len(ids) for ids in view.analysis_ids()].count(0) == 1
+    assert view.analysis.lengths.tolist().count(0) == 1
     # rates at which neither stage saturates on this tiny bank, so a wrong
     # draw or target moves the parameters well beyond the last bit
     pre = enc.PretrainConfig(d=6, epochs=3, lr=0.01, batch_size=7, seed=4)
@@ -776,7 +811,7 @@ def test_finetune_first_batch_loss_matches_direct_evaluation(small_synth):
     flat = []
     for (a, b), negs in zip(chosen, negatives):
         flat.extend([a, b] + negs)
-    out, _ = enc.embed_text_batch([seqs[i] for i in flat], params)
+    out, _ = enc.embed_text_batch(*padded([seqs[i] for i in flat], len(params.emb)), params)
     per = out.reshape(len(chosen), 2 + cfg.n_negatives, -1)
     expected, _, _ = enc.infonce_sampled(per[:, 0], per[:, 1:], cfg.tau)
     assert history["batch"][0] == pytest.approx(expected, rel=1e-12)

@@ -468,7 +468,9 @@ def test_unk_tokens_that_differ_as_strings_are_an_edit():
                               np.array([0]))[0, -1]
             for text in ("ab xy", "ab zq")]
     assert sims == [0.5, 1.0]
-    assert view.stem_ids()[0].tolist() == [VOCAB.id_of("ab"), UNK_ID]
+    ids = view.token_ids(view.codes)
+    assert ids[0, :2].tolist() == [VOCAB.id_of("ab"), UNK_ID]
+    assert (ids[0, 2:] == len(VOCAB)).all() and ids.shape == view.codes.shape
 
 
 def test_analysis_side_shares_the_stem_codes(monkeypatch):
@@ -493,7 +495,12 @@ def test_analysis_side_shares_the_stem_codes(monkeypatch):
     # one code per token and one token per code: "xy", "zq" and "mn" differ
     assert len(coded) == len({t for t, _ in coded}) == len({c for _, c in coded}) == 5
     assert analysis.lengths.tolist() == [3, 1]
-    assert view.analysis_ids()[0].tolist() == [UNK_ID, UNK_ID, VOCAB.id_of("ab")]
+    codes, lengths = view.texts()
+    assert lengths.tolist() == [2, 2, 3, 1]
+    assert view.token_ids(codes)[:, :3].tolist() == [
+        [VOCAB.id_of("ab"), UNK_ID, len(VOCAB)], [UNK_ID, VOCAB.id_of("ef"), len(VOCAB)],
+        [UNK_ID, UNK_ID, VOCAB.id_of("ab")], [UNK_ID, len(VOCAB), len(VOCAB)]]
+    assert codes[2:, :3].tolist() == [row[:3] for row in analysis.codes.tolist()]
     with pytest.raises(ValueError, match="no params"):
         view.embeddings
 
@@ -510,7 +517,7 @@ def test_own_vocab_normalizes_each_text_once(small_synth, monkeypatch):
     monkeypatch.setattr(pairclf, "normalize_text",
                         lambda *args: calls.append(args[0]) or normalize(*args))
     view = PreparedCorpus.with_own_vocab(corpus, ("the",))
-    view.analysis_ids()
+    view.analysis
     assert sorted(calls) == sorted(t for ex in corpus for t in (ex.text, ex.answer_analysis))
     monkeypatch.undo()
     plain = [split_tokens(normalize_text(t, ("the",)))
@@ -568,7 +575,7 @@ def test_views_of_a_corpus_share_its_stem_column(small_synth, tmp_path, monkeypa
     first = PreparedCorpus(corpus, partial)
     assert calls == [ex.text for ex in corpus] and first.tokens is not own.tokens
     stem_oov = dict(first.oov_strings)
-    first.analysis_ids()
+    first.analysis
     assert len(first.oov_strings) > len(stem_oov)
     assert PreparedCorpus(corpus, partial).oov_strings == stem_oov
     assert len(calls) == 2 * len(corpus)

@@ -8,9 +8,13 @@ import errno
 import functools
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -112,9 +116,26 @@ def test_what_a_save_keeps_equals_a_parse_of_its_file(tmp_path, new_process, ste
         assert ours.image_features.tobytes() == theirs.image_features.tobytes()
 
 
-def test_a_file_rewritten_after_its_save_is_parsed(tmp_path):
-    """Bytes copied over the saved files, not through a save, are parsed:
-    the slots are keyed by content, not by path."""
+def test_the_pairs_a_save_keeps_equal_a_parse_of_its_file(tmp_path, new_process):
+    """The pairs step_synth saves are what a later load in the process
+    returns unparsed, and they equal a parse of the written file."""
+    workdir = tmp_path / "ws"
+    _, _, pairs = pl.step_synth(workdir, TINY)
+    path = workdir / pl.FILES["pairs"]
+    kept, digest = corpus_mod.load_pairs(path)
+    assert all(a is b for a, b in zip(kept, pairs)) and len(kept) == len(pairs)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    new_process()
+    parsed, parsed_digest = corpus_mod.load_pairs(path)
+    assert parsed_digest == digest and parsed[0] is not pairs[0]
+    assert [repr(p) for p in parsed] == [repr(p) for p in kept]
+
+
+def test_a_file_rewritten_after_its_save_is_read_by_content(tmp_path):
+    """Bytes copied over the saved files, not through a save, are read for
+    what they hold: the slots are keyed by content, not by path. The corpus
+    slot holds the last corpus saved, so the copy is parsed; the pairs slot
+    still holds the other pairs saved, which are served."""
     other, _, other_pairs = corpus_mod.generate_synthetic(dataclasses.replace(TINY, seed=4))
     corpus_mod.save_snapshot(other, tmp_path / "other.snap")
     corpus_mod.save_pairs(other_pairs, tmp_path / "other.jsonl")
@@ -125,7 +146,7 @@ def test_a_file_rewritten_after_its_save_is_parsed(tmp_path):
     parsed = corpus_mod.load_snapshot(workdir / pl.FILES["corpus"])
     assert parsed is not kept and parsed is not other and parsed == other != kept
     loaded, digest = corpus_mod.load_pairs(workdir / pl.FILES["pairs"])
-    assert loaded == other_pairs != pairs
+    assert loaded == other_pairs != pairs and loaded[0] is other_pairs[0]
     assert digest == hashlib.sha256((tmp_path / "other.jsonl").read_bytes()).hexdigest()
 
 
@@ -1141,9 +1162,10 @@ def test_build_steps_prepare_the_bank_once(workspace, tmp_path, monkeypatch, new
 
 
 def test_a_process_parses_and_prepares_the_bank_once(tmp_path, new_process):
-    """A build in one process parses corpus.snap never, since step_synth
-    keeps the corpus it wrote, and pairs.jsonl once, in step_finetune, the
-    first step that reads it. It normalizes each bank stem once, in
+    """A build in one process parses neither corpus.snap nor pairs.jsonl,
+    since step_synth keeps the corpus and the pairs it wrote, and
+    step_clean's save of the cleaned pairs does not evict them. It
+    normalizes each bank stem once, in
     step_pretrain; later steps read the column the corpus keeps and
     normalize only analyses and step_index's dedup clones, and
     Pipeline.load normalizes nothing. Run as a new process each, a step
@@ -1159,7 +1181,7 @@ def test_a_process_parses_and_prepares_the_bank_once(tmp_path, new_process):
     assert steps == {
         "step_synth": (0, 0, Counter()),
         "step_pretrain": (0, 0, stems + analyses),
-        "step_finetune": (0, 1, Counter()),
+        "step_finetune": (0, 0, Counter()),
         "step_index": (0, 0, Counter(ex.text for ex in clones)),
         "step_train_rank": (0, 0, analyses),
         "step_clean": (0, 0, analyses),
@@ -1182,6 +1204,47 @@ def test_a_build_in_one_process_writes_what_separate_processes_write(tmp_path, n
     for name in pl.FILES:
         one, many = (tmp_path / ws / pl.FILES[name] for ws in ("one", "many"))
         assert one.read_bytes() == many.read_bytes(), name
+
+
+# Runs the named build steps over the tiny bank in this order; argv: the
+# workspace, the config as JSON, then the step names.
+BUILD_SCRIPT = f"""
+import json, sys
+from exsim import pipeline as pl
+from exsim.corpus import SyntheticSpec
+workdir, config = sys.argv[1], pl.Config(json.loads(sys.argv[2]))
+for name in sys.argv[3:]:
+    if name == "step_synth":
+        pl.step_synth(workdir, {TINY!r})
+    else:
+        getattr(pl, name)(workdir, config)
+"""
+BUILD_STEPS = ("step_synth", "step_pretrain", "step_finetune", "step_index",
+               "step_train_rank", "step_clean", "step_eval")
+
+
+def run_build(workdir, steps, hash_seed: str) -> None:
+    """``steps`` in one new Python process, under ``hash_seed``."""
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(
+        [str(Path(pl.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", BUILD_SCRIPT, str(workdir), json.dumps(CONFIG),
+                           *steps], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def test_steps_run_as_processes_of_their_own_write_what_one_process_writes(tmp_path):
+    """Byte for byte, every workspace file of the tiny bank built step by
+    step, each step a Python process of its own under one string hash seed,
+    and built in one process under another."""
+    for step in BUILD_STEPS:
+        run_build(tmp_path / "many", [step], hash_seed="7")
+    run_build(tmp_path / "one", BUILD_STEPS, hash_seed="3")
+    names = sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "many").iterdir())
+    assert set(names) == set(pl.FILES.values())
+    for name in names:
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "many" / name).read_bytes(), name
 
 
 def test_step_index_heads_equal_a_per_pair_fit(workspace):

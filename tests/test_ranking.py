@@ -34,16 +34,18 @@ def ids_of(text, vocab):
 
 
 def texts_of(view):
-    """Each text row's vocabulary ids: stems, then analyses."""
-    return view.stem_ids() + view.analysis_ids()
+    """The text rows' padded vocabulary ids and their lengths: stems, then
+    analyses."""
+    codes, lengths = view.texts()
+    return view.token_ids(codes), lengths
 
 
 def instances_by_task(view, specs):
     """Spec rows grouped by task name, each as (left ids, right ids, label)."""
-    texts, by_task = texts_of(view), {}
+    (ids, lengths), by_task = texts_of(view), {}
+    texts = [tuple(row[:n].tolist()) for row, n in zip(ids, lengths.tolist())]
     for t, l, r, label in specs.tolist():
-        by_task.setdefault(rk.TASKS[t], []).append(
-            (tuple(texts[l].tolist()), tuple(texts[r].tolist()), label))
+        by_task.setdefault(rk.TASKS[t], []).append((texts[l], texts[r], label))
     return by_task
 
 
@@ -170,7 +172,7 @@ def test_train_ranker_feeds_each_batch_its_wanted_rows(tiny_setup, monkeypatch):
 
     def recorded(texts, specs, sims, params, alpha=None):
         seen.append((specs.tolist(), sims.tolist()))
-        assert [t.tolist() for t in texts] == [t.tolist() for t in texts_of(view)]
+        assert all(np.array_equal(a, b) for a, b in zip(texts, texts_of(view)))
         return loss(texts, specs, sims, params, alpha)
 
     monkeypatch.setattr(rk, "multitask_loss", recorded)
@@ -412,9 +414,8 @@ def test_ranker_keeps_its_own_rows(tiny_setup):
     params.emb += 0.01  # a backbone of its own, not the encoder's
     ranker = rk.Ranker(params, view)
     assert ranker.embeddings.tobytes() == \
-        enc.embed_corpus(view.stem_ids(), params).tobytes()
-    assert ranker.embeddings.tobytes() != \
-        enc.embed_corpus(view.stem_ids(), encoder).tobytes()
+        enc.embed_corpus(view, params).tobytes()
+    assert ranker.embeddings.tobytes() != enc.embed_corpus(view, encoder).tobytes()
     cands = candidates_of(corpus.index, [Candidate(ex_id, 0.0, "exact")
                                          for ex_id in corpus.ids[1:9]])
     bank = ranker.rank(PreparedQuery(corpus[corpus.ids[0]], view), cands)

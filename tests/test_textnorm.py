@@ -70,6 +70,27 @@ def test_stop_words_fold_case():
     assert clean_text("x B\u0130R bir y", ["B\u0130R"]) == "x y"
 
 
+SPELLINGS = ["\u03a3\u0391\u03a3", "\u03c3\u03b1\u03c2", "\u03c3\u03b1\u03c3",
+             "\u00df", "\u1e9e", "ss", "\u0130", "i"]
+
+
+def test_stop_words_are_equal_exactly_when_clean_text_removes_them_alike():
+    """Over the Greek sigma in all three forms, the sharp s and the dotted
+    capital I: two stop words canonicalize alike exactly when each removes
+    the same spellings. The final sigma is a sigma, and the sharp s stays
+    one character (``str.casefold`` would spell it "ss", which
+    ``clean_text`` does not remove)."""
+    assert canonical_stop_words(SPELLINGS[:3]) == ("\u03c3\u03b1\u03c3",)
+    assert canonical_stop_words(["\u00df", "\u1e9e"]) == ("\u00df",)
+    assert canonical_stop_words(["\u0130"]) == ("i",)
+    removes = {w: frozenset(t for t in SPELLINGS if clean_text(f"a {t} b", [w]) == "a b")
+               for w in SPELLINGS}
+    for a in SPELLINGS:
+        for b in SPELLINGS:
+            assert ((canonical_stop_words([a]) == canonical_stop_words([b]))
+                    == (removes[a] == removes[b])), (a, b)
+
+
 def test_split_tokens_lowercases_and_splits_symbols():
     assert split_tokens("Solve X^2") == ["solve", "x", "^", "2"]
 
