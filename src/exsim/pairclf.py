@@ -43,29 +43,25 @@ work is organised around three pieces:
   (:meth:`PreparedCorpus.distances`) run the same loop, :func:`_myers`,
   over lanes prepared with the view; there is no second implementation.
 * :class:`PreparedCorpus`, a view that normalizes each exercise's texts
-  once, for serving and for training alike: their tokens, padded token
-  codes and lengths, from which it maps their padded vocabulary ids, and
-  each exercise's single-text ``embed_text`` embedding. Each row's kernel
-  lane is prepared with it: the code matrix is padded to the lane width of
-  the longest row, and ``lane_masks`` holds each row's packed lane mask, so
-  a query's kernel call gathers rows instead of padding and packing them,
-  and compares each distinct query code with them once. A process prepares
-  the bank's stems once (a corpus keeps the stem column of its views) and
-  every build step passes its view down: the vocabulary is built from its
-  token lists, the encoder trains on its ids, the ranker's task instances
-  read its stem and analysis codes, and the pair heads train from its rows.
-  Token codes are equal exactly when tokens are equal:
+  once, for serving and for training alike, and keeps them only as padded
+  token codes with their lengths, from which it maps their padded
+  vocabulary ids, and each exercise's single-text ``embed_text``
+  embedding. Token codes are equal exactly when tokens are equal:
   in-vocabulary tokens use their vocabulary id, every out-of-vocabulary
   token gets a code of its own (vocabulary ids alone would collapse all of
-  them onto UNK). Its token lists hold one ``str`` object per distinct
-  token, not one per occurrence: the vocabulary's own string, or for a
-  token outside the vocabulary the entry of a table the view owns. No
-  process-wide table is used: ``sys.intern``'s strings are never freed on
-  CPython 3.12, so every probe would grow a server.
+  them onto UNK). Each row's kernel lane is prepared with it: the code
+  matrix is padded to the lane width of the longest row, and
+  ``lane_masks`` holds each row's packed lane mask, so a query's kernel
+  call gathers rows instead of padding and packing them, and compares each
+  distinct query code with them once. A process codes the bank's stems
+  once (a corpus keeps the stem column of its views) and every build step
+  passes its view down: the encoder trains on its ids, the ranker's task
+  instances read its stem and analysis codes, BM25 indexes its stem codes,
+  and the pair heads train from its rows.
 * :class:`PreparedQuery`, the query's side of every pair, made once per
   cache miss by ``PreparedQuery(exercise, view)`` over the view the stages
-  are built from and passed through all three: its tokens, its codes under
-  the view's code table, its embedding under the view's params, its edit
+  are built from and passed through all three: its codes under the view's
+  code table, its embedding under the view's params, its edit
   similarities to the view's rows and its block of feature rows over them.
   The stages score shrinking subsets of the recalled list, so one kernel
   call, made by whichever stage asks first, serves all three. Dedup and the
@@ -73,10 +69,16 @@ work is organised around three pieces:
   builds, one feature row per candidate, serves both: the variant split
   reads its rows back. With the ranker's own block, a miss builds feature
   rows twice. The very ``Exercise`` object the view holds at row r (checked
-  by identity, never by id) reads that row's tokens, codes and length, and
-  its embedding is the view's row r, the same bits by rule 2 below. Any
-  other exercise, a probe or an equal copy of a bank exercise, is prepared
-  from its own text.
+  by identity, never by id) reads that row's codes and length, and its
+  embedding is the view's row r, the same bits by rule 2 below. Any other
+  exercise, a probe or an equal copy of a bank exercise, is coded from its
+  own text.
+
+Text becomes tokens in this module alone (:func:`text_tokens`), and token
+strings live only while a text is coded, or while
+:meth:`PreparedCorpus.with_own_vocab` builds its vocabulary. The per-pair
+reference :meth:`PairFeaturizer.features` normalizes both texts again, so
+it stays independent of the view's codes.
 
 A stage is built from one view; a miss passes one ``PreparedQuery`` over
 it. A view embeds under one backbone, the encoder's. A
@@ -325,7 +327,7 @@ def edit_similarity(a: Sequence[str], b: Sequence[str]) -> float:
 
 def text_tokens(text: str, stop_words: Sequence[str]) -> list[str]:
     """The tokens of one text normalized with ``stop_words``; every prepared
-    view and query goes through here."""
+    view and query, and the per-pair reference, goes through here."""
     return split_tokens(normalize_text(text, stop_words))
 
 
@@ -371,43 +373,36 @@ class CodeTable:
 # Prepared corpus view
 
 class TextColumn(NamedTuple):
-    """One text of every exercise: normalized tokens, padded codes, lengths."""
+    """One text of every exercise: padded token codes and lengths."""
 
-    tokens: list[list[str]]
     codes: np.ndarray
     lengths: np.ndarray
 
 
-def _text_column(vocab: Vocab, tokens: Iterable[list[str]], strings: dict[str, str],
-                 table: CodeTable) -> TextColumn:
-    """Each text's ``tokens`` with one ``str`` per distinct token
-    (``Vocab.share`` through ``strings``), and their codes under ``table``."""
-    tokens = [vocab.share(t, strings) for t in tokens]
-    return TextColumn(tokens, *pad_codes([table.encode(t) for t in tokens]))
+def _text_column(tokens: Iterable[list[str]], table: CodeTable) -> TextColumn:
+    """Each text's ``tokens`` coded under ``table``."""
+    return TextColumn(*pad_codes([table.encode(t) for t in tokens]))
 
 
 class _Stems(NamedTuple):
     """A stem column with what it was made under: the vocabulary, and the
-    strings and codes of its out-of-vocabulary tokens."""
+    codes of its out-of-vocabulary tokens."""
 
     vocab: Vocab
     column: TextColumn
-    oov_strings: dict[str, str]
     oov_codes: dict[str, int]
 
 
 def _make_stems(vocab: Vocab, tokens: Iterable[list[str]],
                 after: Optional[_Stems] = None) -> _Stems:
-    """``tokens`` shared and coded under ``vocab``; with ``after``, as rows
-    that follow its rows, with its out-of-vocabulary strings and codes."""
-    strings = dict(after.oov_strings) if after else {}
+    """``tokens`` coded under ``vocab``; with ``after``, as rows that follow
+    its rows, with its out-of-vocabulary codes."""
     table = CodeTable(vocab, after.oov_codes if after else None)
-    column = _text_column(vocab, tokens, strings, table)
+    column = _text_column(tokens, table)
     if after is None:
-        return _Stems(vocab, column, strings, table.extra)
-    head = after.column
-    return _Stems(vocab, TextColumn(head.tokens + column.tokens, *_stacked(head, column)),
-                  strings, {**after.oov_codes, **table.extra})
+        return _Stems(vocab, column, table.extra)
+    return _Stems(vocab, TextColumn(*_stacked(after.column, column)),
+                  {**after.oov_codes, **table.extra})
 
 
 def _stacked(top: TextColumn, bottom: TextColumn) -> tuple[np.ndarray, np.ndarray]:
@@ -437,33 +432,36 @@ def _corpus_stems(corpus: Corpus, vocab: Vocab,
 
 
 class PreparedCorpus:
-    """Each exercise's texts normalized once, held column-wise: the one place
-    where an exercise's text becomes tokens, vocabulary ids and edit-distance
-    codes, for training and for serving.
+    """Each exercise's texts normalized once and held as padded token codes
+    with their lengths, column-wise: the one place where an exercise's text
+    becomes codes and vocabulary ids, for training and for serving.
 
-    The stem side (``Exercise.text``, stem and options) is prepared at
-    construction: ``tokens`` holds every exercise's normalized tokens and
-    ``codes``/``lengths`` their padded token codes. The answer/analysis
-    side, ``analysis``, is prepared on first use, with codes consistent with
-    the stem side's; serving never reads it. :meth:`texts` stacks the two.
+    The stem side (``Exercise.text``, stem and options) is coded at
+    construction into ``codes``/``lengths``. The answer/analysis side,
+    ``analysis``, is coded on first use under the same table; serving never
+    reads it. :meth:`texts` stacks the two. No token string outlives the
+    coding of its text.
 
-    Token ids have one format, a padded matrix with the rows' lengths:
-    :meth:`token_ids` maps a code matrix (``codes``, ``analysis.codes``,
-    ``texts``' or a query's) on each call. An in-vocabulary code is its id,
-    an out-of-vocabulary code UNK, and ``PAD_CODE`` the vocabulary size,
-    the id of the zero row ``encoder._pool`` appends to the table. The view
-    keeps no id matrix.
+    Codes are equal exactly when tokens are equal: an in-vocabulary token's
+    code is its vocabulary id, and every out-of-vocabulary token has a code
+    of its own past the vocabulary, which ``oov_codes`` maps it to (the stem
+    side's; the analysis side's extra codes are not kept). Token ids have
+    one format, a padded matrix with the rows' lengths: :meth:`token_ids`
+    maps a code matrix (``codes``, ``analysis.codes``, ``texts``' or a
+    query's) on each call. An in-vocabulary code is its id, an
+    out-of-vocabulary code UNK, and ``PAD_CODE`` the vocabulary size, the id
+    of the zero row ``encoder._pool`` appends to the table.
 
     ``embeddings`` holds each row's single-text ``embed_text`` vector under
     ``params`` (row i is bit-identical to the ``PreparedQuery.embedding`` of
     exercise i), computed on first read; ``params`` is the encoder's, and
-    training views need none. The recall indexes read the same tokens and
-    the same embeddings.
-    ``index`` gives the rows of the ids; a view of a ``Corpus`` shares the
-    corpus's, so candidates recalled from that corpus are rows of the view.
+    training views need none. The recall indexes read the same codes and
+    the same embeddings. ``index`` gives the rows; a view of a ``Corpus``
+    shares the corpus's, so candidates recalled from that corpus are rows
+    of the view.
 
-    A process prepares a corpus's stems once. A view of a ``Corpus`` keeps
-    its stem column (tokens, codes, lengths, read-only) in the corpus, as
+    A process codes a corpus's stems once. A view of a ``Corpus`` keeps its
+    stem column (codes and lengths, read-only) in the corpus, as
     ``Corpus.stems``, keyed by the vocabulary's tokens and stop words: a
     later view of that corpus under an equal vocabulary, a vocabulary
     loaded again included, reads the column, normalizes no stem and takes
@@ -471,17 +469,7 @@ class PreparedCorpus:
     keeps one column, the last one made, which is the column a loaded
     pipeline's view holds anyway; the analysis column, the embeddings and
     the lane masks stay the view's own, so training data is not kept.
-    :meth:`with_own_vocab` reads the kept stem tokens under equal stop words
-    and :meth:`extended` the kept column's.
-
-    Sharing rule: ``tokens`` and ``analysis.tokens`` hold one ``str`` object
-    per distinct token, however often it occurs. An in-vocabulary token is
-    the vocabulary's own string, any other token the entry of
-    ``oov_strings``, a table that lives as long as the view. Each text is
-    shared as it is tokenized (``Vocab.share``), so the occurrences' own
-    strings do not outlive it; :meth:`with_own_vocab` shares once its
-    vocabulary, which needs every text, is built. A query's tokens stay its
-    own: preparing a ``PreparedQuery`` adds nothing to the table.
+    :meth:`extended` reads the kept column.
     """
 
     def __init__(self, exercises: Iterable[Exercise], vocab: Vocab,
@@ -498,17 +486,14 @@ class PreparedCorpus:
     def with_own_vocab(cls, corpus: Corpus, stop_words: Iterable[str] = ()) -> "PreparedCorpus":
         """``corpus`` prepared under a new vocabulary of its stem and analysis
         tokens, which keeps ``stop_words``; each text is normalized once, for
-        the vocabulary and the view alike, and a stem not at all when the
-        corpus keeps a column of the same stop words."""
+        the vocabulary and the view alike."""
         stop = canonical_stop_words(stop_words)
-        kept = corpus.stems
-        stems = (kept.column.tokens if kept is not None and kept.vocab.stop_words == stop
-                 else [text_tokens(ex.text, stop) for ex in corpus])
+        stems = [text_tokens(ex.text, stop) for ex in corpus]
         analyses = [text_tokens(ex.answer_analysis, stop) for ex in corpus]
         view = cls.__new__(cls)
         view._prepare(corpus, corpus.index, _corpus_stems(
             corpus, Vocab.build(stems + analyses, stop_words=stop), stems), None)
-        view.analysis = view._column(analyses, view.code_table())
+        view.analysis = _text_column(analyses, view.code_table())
         return view
 
     @classmethod
@@ -532,29 +517,22 @@ class PreparedCorpus:
         self.index = index
         self.params = params
         self.vocab = stems.vocab
-        self.tokens, self.codes, self.lengths = stems.column
-        # the analysis side adds its own tokens; the kept table stays the stems'
-        self.oov_strings = dict(stems.oov_strings)
+        self.codes, self.lengths = stems.column
         self.oov_codes = stems.oov_codes
         self.lane_masks = _row_masks(self.lengths, self.codes.shape[1])
         self._embeddings: Optional[np.ndarray] = None
 
-    def _column(self, tokens: Iterable[list[str]], table: CodeTable) -> TextColumn:
-        """Each text's ``tokens`` shared through the view's ``oov_strings``,
-        and their codes under ``table``."""
-        return _text_column(self.vocab, tokens, self.oov_strings, table)
-
     @cached_property
     def analysis(self) -> TextColumn:
-        """Every exercise's answer and analysis, prepared on first use."""
-        return self._column((text_tokens(ex.answer_analysis, self.vocab.stop_words)
+        """Every exercise's answer and analysis, coded on first use."""
+        return _text_column((text_tokens(ex.answer_analysis, self.vocab.stop_words)
                              for ex in self.exercises), self.code_table())
 
     def texts(self) -> tuple[np.ndarray, np.ndarray]:
         """Every stem, then every answer/analysis, as one padded code matrix
         and its lengths: row r < n is exercise r's stem and row n + r its
         answer/analysis, n being the number of exercises."""
-        return _stacked(TextColumn(self.tokens, self.codes, self.lengths), self.analysis)
+        return _stacked(TextColumn(self.codes, self.lengths), self.analysis)
 
     def token_ids(self, codes: np.ndarray) -> np.ndarray:
         """The vocabulary ids of a code matrix under this view's table: an
@@ -601,9 +579,9 @@ class PreparedQuery:
     every stage of a miss.
 
     The very ``Exercise`` object the view holds at row r (an identity check,
-    never the id) reads row r's tokens, codes and length. Any other
-    exercise, a probe or an equal copy, is prepared here from its own text,
-    with the view's stop words and code table. ``ids`` are the vocabulary
+    never the id) reads row r's codes and length. Any other exercise, a
+    probe or an equal copy, is coded here from its own text, with the
+    view's stop words and code table. ``ids`` are the vocabulary
     ids of ``codes`` and ``concepts`` the knowledge concepts. The rest is
     computed on first use and kept:
 
@@ -623,12 +601,11 @@ class PreparedQuery:
         row = view.index.row_of.get(exercise.id)
         self.row = row if row is not None and view.exercises[row] is exercise else None
         if self.row is not None:
-            self.tokens = view.tokens[row]
             self.length = view.lengths[row:row + 1]
             self.codes = view.codes[row:row + 1, :int(self.length[0])]
         else:
-            self.tokens = text_tokens(exercise.text, view.vocab.stop_words)
-            self.codes, self.length = pad_codes([view.code_table().encode(self.tokens)])
+            self.codes, self.length = pad_codes([view.code_table().encode(
+                text_tokens(exercise.text, view.vocab.stop_words))])
         self.ids = view.token_ids(self.codes)[0, :int(self.length[0])]
         self._sims = np.full(len(view.lengths), np.nan)
         self._block_at = np.full(len(view.lengths), -1, dtype=np.intp)
@@ -711,8 +688,11 @@ class PairFeaturizer:
         return query.view_embedding
 
     def features(self, a: PreparedQuery, b: PreparedQuery) -> np.ndarray:
-        """The feature row of one pair, each side from its own prepared text."""
-        sim = edit_similarity(a.tokens, b.tokens)
+        """The feature row of one pair, its edit similarity over each side's
+        own normalized text, not the view's codes: the per-pair reference
+        the batched path is checked against."""
+        sim = edit_similarity(*(text_tokens(q.exercise.text, q.view.vocab.stop_words)
+                                for q in (a, b)))
         return pair_features(self.embedding(a), self.embedding(b), sim)
 
     def feature_rows(self, query: PreparedQuery, index: RowIndex,

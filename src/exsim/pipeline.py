@@ -48,8 +48,8 @@ digest of the bytes it parsed. The corpus keeps the stem column of its views
 their own prepare the bank once each and write the same bytes. Nothing
 trained is kept.
 
-Text becomes tokens in one place, ``pairclf.PreparedCorpus``.
-``step_pretrain`` builds the vocabulary from the view's token lists and
+Text becomes tokens in one place, ``pairclf``, and is kept as codes.
+``step_pretrain`` builds the vocabulary while it prepares the view and
 pre-trains on the view (``encoder.pretrain``); it writes one snapshot, the
 encoder with its vocabulary, and only after training succeeds, so a failed
 run, or a failed write, leaves the workspace as it was. ``step_finetune``

@@ -12,16 +12,20 @@ match the artifacts they serve.
 No per-document Python loop runs per query, and both channels return what a
 plain loop and ``sorted(..., key=(-score, id))[:k]`` would, bit for bit:
 
-- BM25 postings are numpy arrays built once with each posting's length
-  denominator and each token's ``math.log`` idf (not ``np.log``, whose last
-  bit can differ). Each posting's term is computed once per (token, query
-  count) by the loop's float operations and kept, for counts up to
-  ``KEPT_COUNTS`` (a higher count is recomputed per query). A query adds
-  its tokens' terms into one +0.0 vector in sorted-token order, so each
-  document's score is the same sequence of additions from +0.0 as the
-  per-document loop; a frequent token's dense vector adds +0.0 to the
-  other rows, which is exact. Every term is positive, so a document shares
-  a query token exactly when its score is above 0.
+- BM25 indexes the view's stem code matrix: the postings of every code
+  come from one ``np.unique`` over (code, row) keys, with each posting's
+  length denominator computed by the loop's float operations and each
+  code's ``math.log`` idf (not ``np.log``, whose last bit can differ).
+  Each posting's term is computed once per (code, query count) and kept,
+  for counts up to ``KEPT_COUNTS`` (a higher count is recomputed per
+  query). A query adds its terms into one +0.0 vector in the sorted order
+  of their token strings, through a rank per code the index computes once
+  from the view's vocabulary and out-of-vocabulary table, so each
+  document's score is the same sequence of additions from +0.0 as a
+  per-document loop over sorted tokens (in code order the last bits
+  differ); a frequent code's dense vector adds +0.0 to the other rows,
+  which is exact. Every term is positive, so a document shares a query
+  token exactly when its score is above 0.
 - Top-k finds the k-th best score by partition and keeps every row scoring
   at least that much, so ties at the cut survive; those rows are ordered by
   ``np.lexsort`` on (-score, the row's rank in sorted-id order), so ties
@@ -63,7 +67,7 @@ view, even one of the same exercises and vocabulary, is refused.
 A stage is built from one view; a miss passes one ``PreparedQuery`` over
 it. ``Recaller.build`` takes one ``pairclf.PreparedCorpus`` (the one
 ``Pipeline.load`` shares with dedup, the ranker and the variant split) and
-nothing else: BM25 reads the view's token lists and its exercises'
+nothing else: BM25 reads the view's stem codes and its exercises'
 concepts, the vector index is the view's embedding matrix itself, and a
 dedup head must be over the same view. So the corpus is normalized and
 embedded once; the rows equal ``embed_corpus``'s bit for bit, and dedup and
@@ -85,6 +89,7 @@ from .corpus import Corpus, Exercise, RowIndex
 from .encoder import embed_text  # noqa: F401
 from .pairclf import (PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery,
                       UntrainedModelError, train_pair_head)
+from .textnorm import RESERVED_TOKENS, Vocab
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
 from .textnorm import normalize_text  # noqa: F401
 
@@ -187,16 +192,16 @@ def _top_k(rows: np.ndarray, scores: np.ndarray, index: RowIndex, k: int,
 # Lexical channel
 
 class Postings:
-    """One token's postings: the rows holding it (ascending), each row's term
+    """One code's postings: the rows holding it (ascending), each row's term
     frequency and BM25 denominator ``tf + k1 * (1 - b + b * len / avg_len)``,
-    and the token's idf. ``len`` is the token's document frequency.
+    and the code's idf. ``len`` is the code's document frequency.
 
     ``contributions(count)`` is each posting's BM25 term for a query holding
-    the token ``count`` times, computed on first use and kept for counts up
+    the code ``count`` times, computed on first use and kept for counts up
     to ``KEPT_COUNTS`` (a higher count is computed by the same expression on
-    every use), so a token keeps at most ``KEPT_COUNTS`` arrays. A token in
+    every use), so a code keeps at most ``KEPT_COUNTS`` arrays. A code in
     at least ``DENSE_SHARE`` of the ``n_docs`` documents keeps them as dense
-    vectors over every row, +0.0 where the token is absent; ``dense`` says
+    vectors over every row, +0.0 where the code is absent; ``dense`` says
     which. A kept array is written once per count and never changed, so two
     queries racing on one count at worst compute the same bits twice.
     """
@@ -233,8 +238,7 @@ class Postings:
 
 class RowScores:
     """Scores of the documents sharing a query token: ``rows`` ascending and
-    ``scores`` aligned with them. Equal to the ``{row: score}`` dict it
-    stands for; ``len`` is the number of such documents."""
+    ``scores`` aligned with them; ``len`` is the number of such documents."""
 
     __slots__ = ("rows", "scores")
 
@@ -245,62 +249,63 @@ class RowScores:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, dict):
-            return NotImplemented
-        return dict(zip(self.rows.tolist(), self.scores.tolist())) == other
-
 
 class LexicalIndex:
-    """Inverted index with BM25 scoring and a concept-overlap bonus.
+    """Inverted index over a padded code matrix, with BM25 scoring and a
+    concept-overlap bonus.
 
-    Each token's postings are numpy arrays holding the per-posting BM25
-    denominator, and its idf is a ``math.log`` float, both computed once.
-    A query reads each of its tokens' ``Postings.contributions`` for its
-    query count, ``(qtf * idf) * tf * (k1 + 1) / denom`` per posting,
-    computed by those float operations on the first query with that count
-    and kept (counts above ``KEPT_COUNTS`` are not kept). It adds them, in
-    sorted-token order, into one vector of +0.0: a sparse token's at its
-    rows, a dense token's (one in at least ``DENSE_SHARE`` of the
-    documents) over every row, whose +0.0 entries leave the other rows'
-    sums exactly as they were. A document is touched
+    ``codes`` (n, width) holds each document's token codes, the first
+    ``lengths`` of each row, with codes equal exactly when tokens are
+    equal; ``vocab`` and ``oov_codes`` spell them (``oov_codes`` maps each
+    out-of-vocabulary token to its code, numbered on from ``len(vocab)``).
+    Each code's postings are numpy arrays holding the per-posting BM25
+    denominator, and its idf is a ``math.log`` float, both computed once,
+    as is ``rank``, each indexed code's place in the sorted order of the
+    token strings. A query reads each of its codes'
+    ``Postings.contributions`` for its query count, ``(qtf * idf) * tf *
+    (k1 + 1) / denom`` per posting, computed by those float operations on
+    the first query with that count and kept (counts above ``KEPT_COUNTS``
+    are not kept). It adds them, in ``rank`` order, into one vector of +0.0:
+    a sparse code's at its rows, a dense code's (one in at least
+    ``DENSE_SHARE`` of the documents) over every row, whose +0.0 entries
+    leave the other rows' sums exactly as they were. A document is touched
     exactly when its score is above 0, as every term is positive; then the
     query adds ``boost * shared`` to the touched rows sharing a concept.
-    Every float operation is the one a per-document loop over sorted tokens
-    performs, in the same order, so such a loop reproduces the scores bit
-    for bit. Kept arrays are written once per (token, count) and never
-    changed, so concurrent queries can at worst compute the same bits twice.
+    Every float operation is the one a per-document loop over sorted token
+    strings performs, in the same order, so such a loop reproduces the
+    scores bit for bit. Kept arrays are written once per (code, count) and
+    never changed, so concurrent queries can at worst compute the same bits
+    twice.
     """
 
-    def __init__(self, index: RowIndex, token_lists: list[list[str]],
+    def __init__(self, index: RowIndex, codes: np.ndarray, lengths: np.ndarray,
+                 vocab: Vocab, oov_codes: dict[str, int],
                  concept_sets: list[frozenset[str]], concept_boost: float = 0.5):
         self.index = index
         self.ids = ids = index.ids
-        n_tokens = sum(len(t) for t in token_lists)
-        self.avg_len = (n_tokens / len(ids)) if ids else 0.0
+        n = len(ids)
+        self.avg_len = int(lengths.sum()) / n if n else 0.0
         self.concepts = concept_sets
         self.concept_boost = concept_boost
-        raw: dict[str, tuple[list[int], list[int], list[float]]] = {}
-        for row, tokens in enumerate(token_lists):
-            counts: dict[str, int] = {}
-            for t in tokens:
-                counts[t] = counts.get(t, 0) + 1
-            if not counts:
-                continue
-            norm = len(tokens) / self.avg_len
-            length_term = BM25_K1 * (1.0 - BM25_B + BM25_B * norm)
-            for t, tf in counts.items():
-                rows, tfs, denoms = raw.setdefault(t, ([], [], []))
-                rows.append(row)
-                tfs.append(tf)
-                denoms.append(tf + length_term)
-        self.postings: dict[str, Postings] = {}
-        for t, (rows, tfs, denoms) in raw.items():
-            df = len(rows)
-            self.postings[t] = Postings(
-                np.array(rows, dtype=np.intp), np.array(tfs, dtype=np.float64),
-                np.array(denoms, dtype=np.float64),
-                math.log(1.0 + (len(ids) - df + 0.5) / (df + 0.5)), len(ids))
+        # one key per token occurrence, row by row; unique sorts them by code,
+        # then row, and counts each (code, row)'s term frequency
+        occurrences = codes[np.arange(codes.shape[1]) < lengths[:, None]].astype(np.int64)
+        keys, tf = np.unique(occurrences * n + np.repeat(np.arange(n), lengths),
+                             return_counts=True)
+        posting_codes, rows = np.divmod(keys, max(n, 1))
+        tf = tf.astype(np.float64)
+        denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * (lengths[rows] / self.avg_len))
+        distinct, starts, dfs = np.unique(posting_codes, return_index=True, return_counts=True)
+        self.postings: dict[int, Postings] = {}
+        for code, start, df in zip(distinct.tolist(), starts.tolist(), dfs.tolist()):
+            at = slice(start, start + df)
+            self.postings[code] = Postings(rows[at], tf[at], denom[at],
+                                           math.log(1.0 + (n - df + 0.5) / (df + 0.5)), n)
+        # each code's token: the vocabulary's ids, then the out-of-vocabulary
+        # codes, which a code table numbers on from len(vocab)
+        spelled = [*RESERVED_TOKENS, *vocab.tokens, *sorted(oov_codes, key=oov_codes.get)]
+        self.rank = {code: r for r, code in
+                     enumerate(sorted(self.postings, key=spelled.__getitem__))}
         by_concept: dict[str, list[int]] = {}
         for row, concepts in enumerate(concept_sets):
             for c in concepts:
@@ -310,26 +315,30 @@ class LexicalIndex:
 
     @classmethod
     def build(cls, view: PreparedCorpus, concept_boost: float = 0.5) -> "LexicalIndex":
-        """Index the view's token lists and its exercises' concepts."""
+        """Index the view's stem codes and its exercises' concepts."""
         concept_sets = [frozenset(ex.metadata.knowledge_concepts) for ex in view.exercises]
-        return cls(view.index, view.tokens, concept_sets, concept_boost)
+        return cls(view.index, view.codes, view.lengths, view.vocab, view.oov_codes,
+                   concept_sets, concept_boost)
 
-    def score_all(self, query_tokens: Sequence[str],
+    def score_all(self, query_codes: np.ndarray,
                   query_concepts: frozenset[str]) -> RowScores:
-        """BM25 over documents sharing a token, plus the concept bonus."""
-        counts: dict[str, int] = {}
-        for t in query_tokens:
-            counts[t] = counts.get(t, 0) + 1
-        hits = [(counts[t], self.postings[t]) for t in sorted(counts) if t in self.postings]
+        """BM25 over documents sharing a code of ``query_codes`` (the query's
+        codes under the index's table, unpadded), plus the concept bonus."""
+        counts: dict[int, int] = {}
+        for c in query_codes.tolist():
+            counts[c] = counts.get(c, 0) + 1
+        rank = self.rank
+        hits = sorted((c for c in counts if c in rank), key=rank.__getitem__)
         if not hits:
             return RowScores(np.empty(0, dtype=np.intp), np.empty(0))
         n = len(self.ids)
         scores = np.zeros(n)
-        for count, plist in hits:
+        for c in hits:
+            plist = self.postings[c]
             if plist.dense:
-                scores += plist.contributions(count)
+                scores += plist.contributions(counts[c])
             else:
-                scores[plist.rows] += plist.contributions(count)
+                scores[plist.rows] += plist.contributions(counts[c])
         # every term is positive, so a row is touched exactly when it scores above 0
         touched = scores > 0
         if query_concepts and self.concept_boost:
@@ -343,11 +352,11 @@ class LexicalIndex:
         rows = np.flatnonzero(touched)
         return RowScores(rows, scores[rows])
 
-    def search(self, query_tokens: Sequence[str], query_concepts: frozenset[str],
+    def search(self, query_codes: np.ndarray, query_concepts: frozenset[str],
                k: int, exclude_id: Optional[str] = None) -> Candidates:
         """The k best-scoring documents other than ``exclude_id``, ordered by
         (-score, id)."""
-        scored = self.score_all(query_tokens, query_concepts)
+        scored = self.score_all(query_codes, query_concepts)
         return _top_k(scored.rows, scored.scores, self.index, k,
                       self.index.row_of.get(exclude_id, -1), EXACT)
 
@@ -515,11 +524,12 @@ class Recaller:
         query.require_view(self.view)
         cfg = self.config
         query_id = query.exercise.id
-        exact = self.lexical.search(query.tokens, query.concepts, cfg.k_exact,
+        length = int(query.length[0])
+        exact = self.lexical.search(query.codes[0, :length], query.concepts, cfg.k_exact,
                                     exclude_id=query_id)
         embed = (self.vector.search(self.query_embedding(query), cfg.k_embed,
                                     exclude_id=query_id)
-                 if query.tokens else Candidates.empty(self.vector.index))
+                 if length else Candidates.empty(self.vector.index))
         merged = merge_candidates(exact, embed, cfg.n)
         if profile is not None:
             # the student is served no other row, and dedup, ranking and the

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -120,14 +121,22 @@ def read_arrays(fh, path, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]
         raise SnapshotFormatError(f"{path}: header needs 'meta' and 'arrays', a list of "
                                   f"entries each with a name and a list of sizes as shape")
     arrays = {}
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
     for spec in specs:
         shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        buf = fh.read(count * 8)
-        if len(buf) != count * 8:
+        # math.prod, unlike np.prod, cannot wrap; no byte is read that the
+        # file does not hold
+        size = math.prod(shape) * 8
+        if size > left:
             raise SnapshotFormatError(f"{path}: truncated array {spec['name']!r}")
-        arrays[spec["name"]] = np.frombuffer(buf, dtype="<f8").astype(
-            np.float64).reshape(shape)
+        left -= size
+        values = np.frombuffer(fh.read(size), dtype="<f8").astype(np.float64)
+        try:
+            arrays[spec["name"]] = values.reshape(shape)
+        except ValueError as exc:
+            raise SnapshotFormatError(
+                f"{path}: array {spec['name']!r} of shape {list(shape)} cannot be "
+                f"built ({exc})") from None
     if fh.read(1):
         raise SnapshotFormatError(f"{path}: trailing bytes")
     return header["meta"], arrays

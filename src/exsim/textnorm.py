@@ -160,15 +160,6 @@ class Vocab:
     def id_of(self, token: str) -> int:
         return self._token_to_id.get(token, UNK_ID)
 
-    def share(self, tokens: Sequence[str], strings: dict[str, str]) -> list[str]:
-        """``tokens`` with one ``str`` object per distinct token: the
-        vocabulary's own string for an in-vocabulary token, else the entry of
-        ``strings``, the caller's table, which the token enters on first
-        sight."""
-        ids, words = self._token_to_id, self._id_to_token
-        return [words[i] if (i := ids.get(t)) is not None else strings.setdefault(t, t)
-                for t in tokens]
-
 
 def split_tokens(text: str) -> list[str]:
     """Lowercase and split into words, numbers and single symbol characters."""

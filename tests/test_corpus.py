@@ -345,8 +345,16 @@ _RANKER_HEADER = {"version": snapshots._FORMAT, "kind": "ranker", "meta": {},
     ({**_RANKER_HEADER, "arrays": [{"shape": [2]}]}, "with a name"),
     ({**_RANKER_HEADER, "arrays": [{"name": "w", "shape": 2}]}, "list of sizes"),
     ({**_RANKER_HEADER, "arrays": [{"name": "w", "shape": [-2]}]}, "list of sizes"),
+    # sizes np.prod wraps in int64, and one past what a read can take
+    ({**_RANKER_HEADER, "arrays": [{"name": "w", "shape": [2 ** 32, 2 ** 32]}]},
+     "truncated array 'w'"),
+    ({**_RANKER_HEADER, "arrays": [{"name": "w", "shape": [2 ** 64]}]},
+     "truncated array 'w'"),
+    ({**_RANKER_HEADER, "arrays": [{"name": "w", "shape": [0, 2 ** 64]}]},
+     r"array 'w' of shape \[0, 18446744073709551616\] cannot be built"),
 ], ids=["not-json", "not-utf8", "json-list", "no-meta", "no-arrays", "entry-no-name",
-        "shape-not-list", "shape-negative"])
+        "shape-not-list", "shape-negative", "shape-wraps", "shape-unreadable",
+        "shape-unbuildable"])
 def test_a_corrupt_snapshot_header_is_refused_naming_the_file(tmp_path, header, message):
     raw = header if isinstance(header, bytes) else json.dumps(header).encode()
     path = tmp_path / "ranker.params"

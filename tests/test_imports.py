@@ -12,6 +12,10 @@ that came later, such as ``except*``, and must not use a standard-library name
 of the deny-list ``NEWER_NAMES`` (names added after 3.10), neither imported
 (``from itertools import batched``) nor read off an imported module
 (``itertools.batched``).
+
+Text becomes tokens in one module: under ``src/exsim`` only ``pairclf``
+reads a function of ``TEXT_TO_TOKENS`` (``textnorm`` defines them). The
+``# noqa: F401`` imports that perfbench's tracer looks up are not reads.
 """
 
 import ast
@@ -194,4 +198,43 @@ def test_no_module_uses_a_name_newer_than_the_oldest_python(path):
     found = newer_names((ROOT / path).read_text(encoding="utf-8"))
     assert not found, ", ".join(f"{path}:{line} uses {name}, which Python "
                                 f"{'.'.join(map(str, OLDEST_PYTHON))} lacks"
+                                for line, name in found)
+
+
+# the functions that turn text into tokens, and the modules that may read them
+TEXT_TO_TOKENS = {"text_tokens", "normalize_text", "clean_text", "split_tokens"}
+TOKENIZING_MODULES = {"src/exsim/pairclf.py", "src/exsim/textnorm.py"}
+
+
+def text_to_token_reads(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each read of a ``TEXT_TO_TOKENS`` function, a call or
+    any other use, by name or as an attribute; an import is not a read."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name in TEXT_TO_TOKENS:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_the_check_finds_text_turned_into_tokens():
+    source = ("from .textnorm import normalize_text  # noqa: F401\n"
+              "from . import pairclf\nfrom .textnorm import split_tokens\n"
+              "a = pairclf.text_tokens(t, ())\nb = list(map(split_tokens, texts))\n"
+              "c = clean_text\n")
+    assert text_to_token_reads(source) == [(4, "text_tokens"), (5, "split_tokens"),
+                                           (6, "clean_text")]
+
+
+@pytest.mark.parametrize("path", sorted(
+    path for path in (str(p.relative_to(ROOT)) for p in (ROOT / "src/exsim").glob("*.py"))
+    if path not in TOKENIZING_MODULES))
+def test_only_pairclf_turns_text_into_tokens(path):
+    found = text_to_token_reads((ROOT / path).read_text(encoding="utf-8"))
+    assert not found, ", ".join(f"{path}:{line} reads {name}, which only pairclf may"
                                 for line, name in found)

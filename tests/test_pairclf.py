@@ -486,16 +486,14 @@ def test_analysis_side_shares_the_stem_codes(monkeypatch):
     view = PreparedCorpus(exs, VOCAB)
     assert calls == [ex.text for ex in exs]
     analysis = view.analysis
-    assert analysis.tokens == [["xy", "zq", "ab"], ["mn"]]
     assert view.analysis is analysis
     assert len(calls) == 4
-    coded = {(t, c) for tokens, codes in ((view.tokens, view.codes),
-                                          (analysis.tokens, analysis.codes))
-             for row, c_row in zip(tokens, codes) for t, c in zip(row, c_row.tolist())}
-    # one code per token and one token per code: "xy", "zq" and "mn" differ
-    assert len(coded) == len({t for t, _ in coded}) == len({c for _, c in coded}) == 5
     assert analysis.lengths.tolist() == [3, 1]
     codes, lengths = view.texts()
+    texts = [["ab", "xy"], ["zq", "ef"], ["xy", "zq", "ab"], ["mn"]]
+    coded = {(t, c) for row, c_row in zip(texts, codes) for t, c in zip(row, c_row.tolist())}
+    # one code per token and one token per code: "xy", "zq" and "mn" differ
+    assert len(coded) == len({t for t, _ in coded}) == len({c for _, c in coded}) == 5
     assert lengths.tolist() == [2, 2, 3, 1]
     assert view.token_ids(codes)[:, :3].tolist() == [
         [VOCAB.id_of("ab"), UNK_ID, len(VOCAB)], [UNK_ID, VOCAB.id_of("ef"), len(VOCAB)],
@@ -508,6 +506,11 @@ def test_analysis_side_shares_the_stem_codes(monkeypatch):
 def fresh(corpus: Corpus) -> Corpus:
     """A corpus of the same exercises that keeps no stem column yet."""
     return Corpus(corpus, levels=corpus.levels, d_img=corpus.d_img)
+
+
+def stem_tokens(exercises):
+    """Each exercise's stem tokens, normalized from scratch."""
+    return [split_tokens(normalize_text(ex.text)) for ex in exercises]
 
 
 def test_own_vocab_normalizes_each_text_once(small_synth, monkeypatch):
@@ -527,40 +530,20 @@ def test_own_vocab_normalizes_each_text_once(small_synth, monkeypatch):
     assert [view.vocab.id_of(t) for tokens in plain for t in tokens] == \
         [expected.id_of(t) for tokens in plain for t in tokens]
     assert len(view.vocab) == len(expected)
-    assert view.tokens == plain[::2] and view.analysis.tokens == plain[1::2]
-
-
-def test_view_holds_one_string_per_distinct_token(small_synth):
-    """Both constructors, both text sides: each distinct token is one str
-    object, the vocabulary's own when it is in the vocabulary and the view's
-    table entry otherwise; preparing a probe adds nothing to the table."""
-    corpus, _, _ = small_synth
-    own = PreparedCorpus.with_own_vocab(corpus)
-    # a vocabulary of a few stems leaves most analysis tokens outside it
-    partial = Vocab.build(own.tokens[:4])
-    for view in (own, PreparedCorpus(corpus, partial)):
-        tokens = [t for column in (view.tokens, view.analysis.tokens)
-                  for row in column for t in row]
-        assert len({id(t) for t in tokens}) == len(set(tokens))
-        for t in tokens:
-            if t in view.vocab:
-                assert t is view.vocab._id_to_token[view.vocab.id_of(t)]
-            else:
-                assert view.oov_strings[t] is t
-        table = dict(view.oov_strings)
-        PreparedQuery(exercise("probe", "qwerty zxcvb " + corpus.ids[0]), view)
-        assert view.oov_strings == table
-    assert not own.oov_strings and PreparedCorpus(corpus, partial).oov_strings
+    codes, lengths = view.texts()
+    assert [row[:n] for row, n in zip(codes.tolist(), lengths.tolist())] == \
+        [[view.vocab.id_of(t) for t in tokens] for tokens in plain[::2] + plain[1::2]]
 
 
 def test_views_of_a_corpus_share_its_stem_column(small_synth, tmp_path, monkeypatch):
     """A view under a vocabulary equal to the one the corpus's column was
     made under, one loaded back from an encoder snapshot included, reads that
     column and normalizes no stem; another vocabulary makes a column of its
-    own. The analysis side stays the view's: its tokens do not enter what
+    own. The analysis side stays the view's: its codes do not enter what
     the corpus keeps."""
     corpus = fresh(small_synth[0])
     own = PreparedCorpus.with_own_vocab(corpus)
+    partial = Vocab.build(stem_tokens(corpus)[:4])
     path = tmp_path / "encoder.params"
     enc.save_encoder(enc.init_params(corpus, own.vocab, 4, 0), own.vocab, path, {})
     calls = []
@@ -569,15 +552,15 @@ def test_views_of_a_corpus_share_its_stem_column(small_synth, tmp_path, monkeypa
                         lambda *args: calls.append(args[0]) or normalize(*args))
     again = PreparedCorpus(corpus, enc.load_encoder(path)[1])
     assert calls == [] and again.vocab is own.vocab
-    assert again.tokens is own.tokens and again.codes is own.codes
+    assert again.codes is own.codes and again.lengths is own.lengths
     assert not again.codes.flags.writeable and not again.lengths.flags.writeable
-    partial = Vocab.build(own.tokens[:4])
     first = PreparedCorpus(corpus, partial)
-    assert calls == [ex.text for ex in corpus] and first.tokens is not own.tokens
-    stem_oov = dict(first.oov_strings)
-    first.analysis
-    assert len(first.oov_strings) > len(stem_oov)
-    assert PreparedCorpus(corpus, partial).oov_strings == stem_oov
+    assert calls == [ex.text for ex in corpus] and first.codes is not own.codes
+    stem_oov = dict(first.oov_codes)
+    # the analysis side codes tokens past the stems' table, and keeps them
+    assert first.analysis.codes.max() >= len(partial) + len(stem_oov)
+    assert first.oov_codes == stem_oov
+    assert PreparedCorpus(corpus, partial).oov_codes == stem_oov
     assert len(calls) == 2 * len(corpus)
 
 
@@ -586,7 +569,7 @@ def test_extended_view_equals_a_view_of_the_list(small_synth, monkeypatch):
     with out-of-vocabulary tokens and a row longer than any of the bank's
     among the others; only the others are normalized."""
     corpus = fresh(small_synth[0])
-    vocab = Vocab.build(PreparedCorpus.with_own_vocab(corpus).tokens[:4])
+    vocab = Vocab.build(stem_tokens(corpus)[:4])
     others = [exercise("o1", "qwerty " + corpus.ids[0]), exercise("o2", " ".join(["zz"] * 70)),
               dataclasses.replace(corpus[corpus.ids[1]])]
     PreparedCorpus(corpus, vocab)
@@ -597,11 +580,11 @@ def test_extended_view_equals_a_view_of_the_list(small_synth, monkeypatch):
     extended = PreparedCorpus.extended(corpus, others, vocab, PARAMS)
     assert calls == [ex.text for ex in others]
     whole = PreparedCorpus([*corpus, *others], vocab, PARAMS)
-    assert extended.tokens == whole.tokens and extended.index.ids == whole.index.ids
+    assert extended.index.ids == whole.index.ids
     assert extended.codes.shape == whole.codes.shape
     for name in ("codes", "lengths", "lane_masks"):
         assert np.array_equal(getattr(extended, name), getattr(whole, name)), name
-    assert extended.oov_codes == whole.oov_codes and extended.oov_strings == whole.oov_strings
+    assert extended.oov_codes == whole.oov_codes
     assert extended.exercises == whole.exercises and extended.params is PARAMS
 
 
@@ -748,10 +731,11 @@ def test_prepared_query_over_rows_longer_than_a_word():
     assert max(view.lengths) > 128
     query = PreparedQuery(exercise("q", texts[0] + " zq"), view)
     rows = np.arange(len(texts))
+    q_tokens, tokens = (texts[0] + " zq").split(), [t.split() for t in texts]
     assert query.edit_similarities(rows).tolist() == \
-        [edit_similarity(query.tokens, tokens) for tokens in view.tokens]
+        [edit_similarity(q_tokens, t) for t in tokens]
     assert query.edit_similarities(rows).tolist() == \
-        [reference_similarity(query.tokens, tokens) for tokens in view.tokens]
+        [reference_similarity(q_tokens, t) for t in tokens]
 
 
 def test_prepared_query_keeps_one_view_embedding(monkeypatch):

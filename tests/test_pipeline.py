@@ -504,7 +504,7 @@ def test_a_bank_with_a_lone_surrogate_builds_and_serves(workspace, tmp_path):
         step(workdir, config)
     pipe = pl.Pipeline.load(workdir, config)
     assert "\ud800" in pipe.vocab
-    assert "\ud800" in PreparedQuery(exercises[5], pipe.recaller.view).tokens
+    assert pipe.vocab.id_of("\ud800") in PreparedQuery(exercises[5], pipe.recaller.view).ids
     assert pipe.query(exercises[5].id).all_ids()
 
 
@@ -927,7 +927,8 @@ def reference_query(pipe, query, profile=None):
     rec = pipe.recaller
     corpus = pipe.corpus
     tokens = own_tokens(query, pipe.vocab)
-    exact = list(rec.lexical.search(tokens, frozenset(query.metadata.knowledge_concepts),
+    codes = np.array(rec.view.code_table().encode(tokens), dtype=np.int64)
+    exact = list(rec.lexical.search(codes, frozenset(query.metadata.knowledge_concepts),
                                     rec.config.k_exact, exclude_id=query.id))
     embed = []
     if tokens:
@@ -1072,12 +1073,13 @@ def test_a_bank_exercise_serves_what_its_equal_copy_does(workspace, profile):
     assert copy == bank and copy is not bank
     view = pipe.recaller.view
     row_query, text_query = PreparedQuery(bank, view), PreparedQuery(copy, view)
-    assert row_query.tokens is view.tokens[7] and row_query.row == 7
+    assert np.shares_memory(row_query.codes, view.codes) and row_query.row == 7
     assert text_query.row is None
-    assert row_query.tokens == text_query.tokens
+    assert row_query.length.tolist() == text_query.length.tolist()
+    assert np.array_equal(row_query.codes[0], text_query.codes[0, :int(text_query.length[0])])
     assert row_query.ids.dtype == text_query.ids.dtype
     assert np.array_equal(row_query.ids, text_query.ids)
-    assert text_query.ids.tolist() == [pipe.vocab.id_of(t) for t in text_query.tokens]
+    assert text_query.ids.tolist() == [pipe.vocab.id_of(t) for t in own_tokens(copy, pipe.vocab)]
     assert served_items(pipe.query(bank.id, profile)) == \
         served_items(pipe.query(copy, profile))
 
@@ -1471,7 +1473,11 @@ def test_stop_words_reach_every_stage(stop_workspace, kind, profile):
     request = request_of(pipe, corpus, kind)
     query = pipe.resolve(request)
     assert {"the", "of"} <= set(split_tokens(query.text))
-    assert not {"the", "of"} & set(pairclf.PreparedQuery(query, pipe.recaller.view).tokens)
+    tokens = own_tokens(query, pipe.vocab)
+    prepared = pairclf.PreparedQuery(query, pipe.recaller.view)
+    assert not {"the", "of"} & set(tokens)
+    assert prepared.codes[0, :int(prepared.length[0])].tolist() == \
+        pipe.recaller.view.code_table().encode(tokens)
     result = pipe.query(request, profile)
     assert result.variant and result.similar
     assert served_items(result) == reference_query(pipe, query, profile)

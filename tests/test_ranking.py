@@ -151,7 +151,9 @@ def test_build_all_items_equal_an_eager_reference(tiny_setup):
     _, _, pairs, view, _ = tiny_setup
     rng, reference_rng = np.random.default_rng(4), np.random.default_rng(4)
     specs, sims = rk.TaskBuilder(view).build_all(pairs, rng)
-    tokens = view.tokens + view.analysis.tokens
+    tokens = [split_tokens(normalize_text(text, view.vocab.stop_words))
+              for text in [ex.text for ex in view.exercises]
+              + [ex.answer_analysis for ex in view.exercises]]
     expected = reference_specs(view, pairs, reference_rng)
     assert rng.bit_generator.state == reference_rng.bit_generator.state
     assert specs.shape == (len(pairs), 5, 4) and specs.dtype == np.int32

@@ -1,20 +1,23 @@
 import dataclasses
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from exsim.corpus import RowIndex, SyntheticSpec, generate_dedup_pairs, generate_synthetic
+from exsim.corpus import (RowIndex, SyntheticSpec, _clone, generate_dedup_pairs,
+                          generate_synthetic)
 from exsim.encoder import embed_text, init_params
-from exsim.pairclf import PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery
+from exsim.pairclf import (CodeTable, PairClassifier, PairFeaturizer, PreparedCorpus,
+                           PreparedQuery, pad_codes)
 from exsim.recall import (
     BM25_B, BM25_K1, KEPT_COUNTS, SOURCES, Candidate, Candidates, DuplicateDetector,
     LexicalIndex, RecallConfig, Recaller, VectorIndex, dedup_rows, merge_candidates,
     train_dedup,
 )
-from exsim.textnorm import normalize_text, split_tokens
+from exsim.textnorm import Vocab, normalize_text, split_tokens
 
 
 def vocab_of(corpus, stop_words=()):
@@ -28,18 +31,17 @@ def embedded_from_text(corpus, vocab, params):
         for ex in corpus])
 
 
-def brute_force_bm25(index: LexicalIndex, token_lists, query_tokens, query_concepts):
-    """Independent per-document BM25 plus concept bonus, matching the
-    documented scoring rule term for term (same float op order)."""
-    counts = {}
-    for t in query_tokens:
-        counts[t] = counts.get(t, 0) + 1
-    n_docs = len(index.ids)
+def brute_force_bm25(docs, query_tokens, query_concepts, concepts, boost):
+    """Independent per-document BM25 plus concept bonus over token strings,
+    adding a document's terms in sorted-token order: the documented scoring
+    rule term for term (same float op order)."""
+    n_docs = len(docs)
+    avg_len = sum(len(doc) for doc in docs) / n_docs if n_docs else 0.0
+    df = Counter(t for doc in docs for t in set(doc))
+    counts = Counter(query_tokens)
     results = {}
-    for row, doc_tokens in enumerate(token_lists):
-        doc_counts = {}
-        for t in doc_tokens:
-            doc_counts[t] = doc_counts.get(t, 0) + 1
+    for row, doc_tokens in enumerate(docs):
+        doc_counts = Counter(doc_tokens)
         score = 0.0
         matched = False
         for t in sorted(counts):
@@ -47,22 +49,47 @@ def brute_force_bm25(index: LexicalIndex, token_lists, query_tokens, query_conce
             if tf == 0:
                 continue
             matched = True
-            df = len(index.postings.get(t, ()))
-            idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-            norm = len(doc_tokens) / index.avg_len
+            idf = math.log(1.0 + (n_docs - df[t] + 0.5) / (df[t] + 0.5))
+            norm = len(doc_tokens) / avg_len
             score += counts[t] * idf * tf * (BM25_K1 + 1.0) / (
                 tf + BM25_K1 * (1.0 - BM25_B + BM25_B * norm))
         if not matched:
             continue
-        shared = len(query_concepts & index.concepts[row])
+        shared = len(query_concepts & concepts[row])
         if shared:
-            score = score + index.concept_boost * shared
+            score = score + boost * shared
         results[row] = score
     return results
 
 
-def corpus_token_lists(corpus):
-    return [split_tokens(normalize_text(ex.text)) for ex in corpus]
+def as_dict(scored):
+    """A ``RowScores`` as the ``{row: score}`` dict it stands for."""
+    return dict(zip(scored.rows.tolist(), scored.scores.tolist()))
+
+
+def coded_index(ids, docs, concepts, boost=0.5, vocab=None):
+    """A ``LexicalIndex`` over the token lists ``docs`` coded under ``vocab``,
+    by default ``Vocab.build``'s, whose ids go by count first, so code order
+    is not token order; and the coding of a query's tokens under its table."""
+    vocab = Vocab.build(docs) if vocab is None else vocab
+    table = CodeTable(vocab)
+    codes, lengths = pad_codes([table.encode(doc) for doc in docs])
+    index = LexicalIndex(RowIndex(ids), codes, lengths, vocab, table.extra, concepts, boost)
+    return index, lambda tokens: np.array(CodeTable(vocab, table.extra).encode(tokens),
+                                          dtype=np.int64)
+
+
+def view_codes(view, tokens):
+    """``tokens`` coded under ``view``'s table, as a query's are."""
+    return np.array(view.code_table().encode(tokens), dtype=np.int64)
+
+
+def concepts_of(exercises):
+    return [frozenset(ex.metadata.knowledge_concepts) for ex in exercises]
+
+
+def corpus_token_lists(corpus, stop_words=()):
+    return [split_tokens(normalize_text(ex.text, stop_words)) for ex in corpus]
 
 
 @pytest.fixture(scope="module")
@@ -73,17 +100,22 @@ def medium_synth():
 
 
 def test_lexical_scores_equal_brute_force(medium_synth):
+    """Over the view's codes, whose vocabulary ids go by count first."""
     corpus, _, _ = medium_synth
-    index = LexicalIndex.build(PreparedCorpus.with_own_vocab(corpus))
+    view = PreparedCorpus.with_own_vocab(corpus)
+    assert view.vocab.tokens != sorted(view.vocab.tokens)
+    index = LexicalIndex.build(view)
     token_lists = corpus_token_lists(corpus)
+    concepts = concepts_of(corpus)
     for qi in (0, 17, 44, 101):
         query = corpus[corpus.ids[qi]]
         q_tokens = split_tokens(normalize_text(query.text))
+        q_codes = view_codes(view, q_tokens)
         q_concepts = frozenset(query.metadata.knowledge_concepts)
-        expected = brute_force_bm25(index, token_lists, q_tokens, q_concepts)
-        got = index.score_all(q_tokens, q_concepts)
-        assert got == expected  # bitwise: same op order by construction
-        ranked = index.search(q_tokens, q_concepts, k=25, exclude_id=query.id)
+        expected = brute_force_bm25(token_lists, q_tokens, q_concepts, concepts, 0.5)
+        got = index.score_all(q_codes, q_concepts)
+        assert as_dict(got) == expected  # bitwise: same op order by construction
+        ranked = index.search(q_codes, q_concepts, k=25, exclude_id=query.id)
         oracle = sorted(((r, s) for r, s in expected.items()
                          if index.ids[r] != query.id),
                         key=lambda rs: (-rs[1], index.ids[rs[0]]))[:25]
@@ -96,13 +128,16 @@ def test_kept_bm25_terms_equal_brute_force(medium_synth):
     the first kept. The queries hold tokens 1 to 20 times, over tokens kept
     dense and sparse, and one document has no tokens; scores equal the
     per-document loop bit for bit, ``len`` counts the documents sharing a
-    query token, and no token keeps more than ``KEPT_COUNTS`` arrays."""
+    query token, and no code keeps more than ``KEPT_COUNTS`` arrays."""
     corpus, _, _ = medium_synth
     token_lists = corpus_token_lists(corpus) + [[]]
-    concepts = [frozenset(ex.metadata.knowledge_concepts) for ex in corpus] + [frozenset()]
-    index = LexicalIndex(RowIndex(corpus.ids + ["no-tokens"]), token_lists, concepts)
-    dense = sorted(t for t, plist in index.postings.items() if plist.dense)
-    sparse = sorted(t for t, plist in index.postings.items() if not plist.dense)
+    concepts = concepts_of(corpus) + [frozenset()]
+    index, code = coded_index(corpus.ids + ["no-tokens"], token_lists, concepts)
+    tokens = sorted({t for doc in token_lists for t in doc})
+    postings = {t: index.postings[int(code([t])[0])] for t in tokens}
+    assert len(postings) == len(index.postings)
+    dense = [t for t in tokens if postings[t].dense]
+    sparse = [t for t in tokens if not postings[t].dense]
     assert dense and sparse
     own = token_lists[17]
     queries = [[dense[0]] * count + [sparse[0]] * (5 - count) + own[:count]
@@ -112,28 +147,31 @@ def test_kept_bm25_terms_equal_brute_force(medium_synth):
     q_concepts = frozenset(corpus[corpus.ids[17]].metadata.knowledge_concepts)
     for _ in range(2):
         for query in queries:
-            got = index.score_all(query, q_concepts)
-            assert got == brute_force_bm25(index, token_lists, query, q_concepts)
+            got = index.score_all(code(query), q_concepts)
+            assert as_dict(got) == brute_force_bm25(token_lists, query, q_concepts,
+                                                    concepts, 0.5)
             assert len(got) == sum(1 for doc in token_lists if set(doc) & set(query))
     for token in (dense[0], sparse[0]):
-        assert sorted(index.postings[token]._kept) == list(range(1, KEPT_COUNTS + 1))
+        assert sorted(postings[token]._kept) == list(range(1, KEPT_COUNTS + 1))
     assert max(len(plist._kept) for plist in index.postings.values()) == KEPT_COUNTS
 
 
 def test_lexical_verbatim_copy_ranks_first(medium_synth):
     corpus, _, _ = medium_synth
-    index = LexicalIndex.build(PreparedCorpus.with_own_vocab(corpus))
+    view = PreparedCorpus.with_own_vocab(corpus)
+    index = LexicalIndex.build(view)
     target = corpus[corpus.ids[7]]
-    q_tokens = split_tokens(normalize_text(target.text))
-    ranked = index.search(q_tokens, frozenset(target.metadata.knowledge_concepts), k=5)
+    q_codes = view_codes(view, split_tokens(normalize_text(target.text)))
+    ranked = index.search(q_codes, frozenset(target.metadata.knowledge_concepts), k=5)
     assert ranked.ids[0] == target.id
 
 
 def test_lexical_zero_overlap_returns_empty(medium_synth):
     corpus, _, _ = medium_synth
-    index = LexicalIndex.build(PreparedCorpus.with_own_vocab(corpus))
-    assert len(index.search(["zzzznotaword"], frozenset(), k=10)) == 0
-    assert len(index.search([], frozenset(), k=10)) == 0
+    view = PreparedCorpus.with_own_vocab(corpus)
+    index = LexicalIndex.build(view)
+    assert len(index.search(view_codes(view, ["zzzznotaword"]), frozenset(), k=10)) == 0
+    assert len(index.search(view_codes(view, []), frozenset(), k=10)) == 0
 
 
 def test_vector_search_exact_matches_reembedded_oracle(medium_synth):
@@ -212,24 +250,31 @@ def exclude_of(ids, pick):
     return ids[pick % len(ids)]
 
 
+# (id, document, concepts) rows of the index, ids as in ids_st
+rows_st = st.lists(st.tuples(st.text(alphabet="pqrs", min_size=1, max_size=3), doc_st,
+                             concepts_st), max_size=12, unique_by=lambda row: row[0])
+
+
 @settings(max_examples=300, deadline=None)
-@given(ids=ids_st, data=st.data(),
-       query=st.lists(st.sampled_from(["a", "b", "c", "d", "zz"]), max_size=6),
+@given(rows=rows_st, query=st.lists(st.sampled_from(["a", "b", "c", "d", "zz"]), max_size=6),
        q_concepts=concepts_st, boost=st.sampled_from([0.0, 0.5, 1.0]),
        k=st.integers(0, 14), pick=st.integers(0, 5))
-@example(ids=[], data=None, query=["a"], q_concepts=frozenset(), boost=0.5, k=3, pick=1)
-def test_lexical_search_equals_sorted_oracle(ids, data, query, q_concepts, boost,
-                                             k, pick):
-    n = len(ids)
-    docs = data.draw(st.lists(doc_st, min_size=n, max_size=n)) if n else []
-    concepts = data.draw(st.lists(concepts_st, min_size=n, max_size=n)) if n else []
-    index = LexicalIndex(RowIndex(ids), docs, concepts, concept_boost=boost)
-    expected = brute_force_bm25(index, docs, query, q_concepts)
-    got = index.score_all(query, q_concepts)
-    assert got == expected
+@example(rows=[], query=["a"], q_concepts=frozenset(), boost=0.5, k=3, pick=1)
+# summed in code order (d, b, a), not token order, the score differs in its last bit
+@example(rows=[("p", ["d", "a", "d", "b"], frozenset())], query=["b", "d", "b", "a"],
+         q_concepts=frozenset(), boost=0.5, k=3, pick=0)
+def test_lexical_search_equals_sorted_oracle(rows, query, q_concepts, boost, k, pick):
+    ids = [row[0] for row in rows]
+    docs = [row[1] for row in rows]
+    concepts = [row[2] for row in rows]
+    # ids against token order, with "c" outside the vocabulary
+    index, code = coded_index(ids, docs, concepts, boost, vocab=Vocab(["d", "b", "a"]))
+    expected = brute_force_bm25(docs, query, q_concepts, concepts, boost)
+    got = index.score_all(code(query), q_concepts)
+    assert as_dict(got) == expected
     assert len(got) == len(expected)
     exclude = exclude_of(ids, pick)
-    ranked = index.search(query, q_concepts, k, exclude_id=exclude)
+    ranked = index.search(code(query), q_concepts, k, exclude_id=exclude)
     assert [(c.ex_id, c.score) for c in ranked] == \
         sorted_oracle(ids, expected, k, exclude)
 
@@ -449,7 +494,8 @@ def test_dedup_rows_put_every_other_exercise_after_the_bank(small_trained_module
     view = PreparedCorpus([*corpus, *extra], vocab)
     for (a, b, _), (ra, rb) in zip(pairs, rows):
         assert view.exercises[ra] is a and view.exercises[rb] is b
-    assert view.tokens[n + 1] == view.tokens[4] != view.tokens[5]
+    assert np.array_equal(view.codes[n + 1], view.codes[4])
+    assert not np.array_equal(view.codes[n + 1], view.codes[5])
     assert dedup_rows([], corpus)[1].shape == (0, 2)
 
 
@@ -470,7 +516,7 @@ def test_dedup_symmetric_exactly(dedup_setup):
 def test_dedup_table_semantics(dedup_setup):
     # year-digit noise is a duplicate; a raised equation degree is not
     corpus, truth, _, _, detector = dedup_setup
-    from exsim.corpus import _clone, _raise_power
+    from exsim.corpus import _raise_power
     checked_dup = checked_distinct = 0
     view = detector.featurizer.view
     for ex_id in corpus.ids[::7]:
@@ -489,7 +535,7 @@ def test_dedup_table_semantics(dedup_setup):
 
 def test_recall_excludes_duplicates_of_query(dedup_setup):
     corpus, truth, vocab, params, detector = dedup_setup
-    from exsim.corpus import Corpus, _clone
+    from exsim.corpus import Corpus
     query = corpus[corpus.ids[5]]
     clone = _clone(query, query.stem, "-twin")
     bigger = Corpus(list(corpus) + [clone], levels=corpus.levels, d_img=corpus.d_img)
@@ -516,8 +562,11 @@ def test_recall_merges_channels_once(small_trained_module):
 
 
 def test_indexes_built_from_a_view_equal_those_built_from_text(medium_synth):
-    """The view's rows and token lists equal every exercise embedded and
-    normalized afresh from its own text."""
+    """The view's rows equal every exercise embedded afresh from its own
+    text, and BM25 over its codes scores every bank exercise and a probe as
+    the per-document loop over each exercise's own tokens does: over the
+    bank's view, and over an extended view whose clones add codes past the
+    vocabulary."""
     corpus, _, _ = medium_synth
     stop = ("the", "of")
     vocab = vocab_of(corpus, stop)
@@ -527,18 +576,24 @@ def test_indexes_built_from_a_view_equal_those_built_from_text(medium_synth):
     assert np.array_equal(vector.matrix, embedded_from_text(corpus, vocab, params))
     assert np.array_equal(vector.matrix, view.embeddings)
     assert vector.ids == corpus.ids
-    lexical = LexicalIndex.build(view, 0.7)
-    plain = LexicalIndex(corpus.index,
-                         [split_tokens(normalize_text(ex.text, stop)) for ex in corpus],
-                         [frozenset(ex.metadata.knowledge_concepts) for ex in corpus], 0.7)
-    assert lexical.avg_len == plain.avg_len and lexical.ids == plain.ids
-    assert lexical.concepts == plain.concepts and lexical.concept_boost == 0.7
-    assert set(lexical.postings) == set(plain.postings)
-    for t, got in lexical.postings.items():
-        want = plain.postings[t]
-        assert got.idf == want.idf
-        for field in ("rows", "tf", "denom"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), (t, field)
+    clones = [_clone(corpus[ex_id], f"{corpus[ex_id].stem} in 2019", "-y")
+              for ex_id in corpus.ids[::10]]
+    extended = PreparedCorpus.extended(corpus, clones, vocab, params)
+    assert {"in", "2019"} <= set(extended.oov_codes)
+    probe = [*split_tokens(normalize_text(corpus[corpus.ids[3]].text, stop)), "zzzznotaword"]
+    for v in (view, extended):
+        exercises = v.exercises
+        docs = corpus_token_lists(exercises, stop)
+        concepts = concepts_of(exercises)
+        lexical = LexicalIndex.build(v, 0.7)
+        assert lexical.avg_len == sum(map(len, docs)) / len(docs) and lexical.ids == v.index.ids
+        assert lexical.concepts == concepts and lexical.concept_boost == 0.7
+        df = Counter(t for doc in docs for t in set(doc))
+        assert {int(view_codes(v, [t])[0]): n for t, n in df.items()} == \
+            {code: len(plist) for code, plist in lexical.postings.items()}
+        for q_tokens, q_concepts in [*zip(docs, concepts), (probe, concepts[3])]:
+            assert as_dict(lexical.score_all(view_codes(v, q_tokens), q_concepts)) == \
+                brute_force_bm25(docs, q_tokens, q_concepts, concepts, 0.7)
     recaller = Recaller.build(view)
     assert recaller.view is view
     # both channels and the view read the corpus's one row index
