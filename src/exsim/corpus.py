@@ -553,7 +553,8 @@ def load_truth(path) -> tuple[SyntheticTruth, str]:
     """The saved ground truth and the sha256 of the bytes it was parsed
     from; CorpusError naming the file when it is not JSON, or not an object
     whose "groups" map each name to a list of id strings and whose
-    "flipped" is a list of objects."""
+    "flipped" is a list of objects, each with string "a_id" and "b_id"
+    (naming the first entry that is not)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -567,8 +568,11 @@ def load_truth(path) -> tuple[SyntheticTruth, str]:
     for name, members in groups.items():
         if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
             raise CorpusError(f"{path}: group {name!r} is not a list of exercise ids")
-    if not all(isinstance(f, dict) for f in flipped):
-        raise CorpusError(f"{path}: \"flipped\" is not a list of objects")
+    for i, f in enumerate(flipped):
+        if not (isinstance(f, dict) and isinstance(f.get("a_id"), str)
+                and isinstance(f.get("b_id"), str)):
+            raise CorpusError(f"{path}: \"flipped\" entry {i} is not an object with "
+                              "string \"a_id\" and \"b_id\"")
     return SyntheticTruth(groups=groups, flipped=flipped), hashlib.sha256(raw).hexdigest()
 
 

@@ -19,8 +19,7 @@ An entry holds a reference to the caller's (frozen) exercise until it is
 evicted, so at most ``cache.size`` of them. A request by id and one by the
 bank's own exercise object are separate entries that serve equal lists.
 Steps that read the labeled pairs or ``truth.json`` refuse one naming an id
-the corpus lacks; an untrained ranker is refused at load and by
-``step_eval``.
+the corpus lacks; an untrained ranker is refused at load.
 
 Lineage. Every trained snapshot records ``made_from``, the short digests
 of the workspace files its step read: the encoder its corpus, and once
@@ -31,9 +30,9 @@ or ``step_clean``) the encoder and the labeled pairs. One helper,
 of the file in the workspace now, raising ``ConfigurationError`` that
 names the artifact, the file and the step to rerun. Every step after
 ``step_pretrain`` checks the encoder (``step_finetune`` only its corpus:
-it is the step that reads new pairs); ``Pipeline.load`` and ``step_eval``
-check the ranker, and ``Pipeline.load`` the heads too, in one error. So
-heads or a ranker fitted under another encoder are never served.
+it is the step that reads new pairs); ``Pipeline.load`` checks the ranker
+and the heads, in one error. So heads or a ranker fitted under another
+encoder are never served, nor evaluated.
 
 Per-process contract: a process parses ``corpus.snap`` and
 ``pairs.jsonl`` once per content, and never a file it saved (see
@@ -63,8 +62,10 @@ exercises followed by the clones its dedup pairs add
 Stems are normalized when a view is made, answers and analyses only when a
 step reads them, and embeddings only when a step asks for them.
 
-Query flow. A stage is built from one view; a miss passes one
-``PreparedQuery`` over it. ``Pipeline.load`` prepares the corpus once
+Query flow. Recall, ranking and re-rank are built once, by
+``Pipeline.load``, and ``step_eval`` scores those same stages: the recall
+lists and the ranked lists of its report are what ``Pipeline.recaller``
+and ``Pipeline.ranker`` return. ``Pipeline.load`` prepares the corpus once
 (``pairclf.PreparedCorpus``): each exercise's stem is read from the column
 the corpus keeps, or normalized once in a new process, and embedded once
 under the encoder. The recall indexes, dedup, the variant split and the
@@ -80,18 +81,16 @@ ranker's matrix. Any other exercise is normalized once and embedded once
 under the encoder and, when it has candidates to rank, once under the
 ranker's backbone, so a miss runs ``embed_text`` twice only for a query
 that is not a bank object.
-A miss with a student profile runs the stage and difficulty filters in
-recall, on the merged list, before any pair is scored: the kernel, dedup,
-ranking and the variant split see only rows the student can be served,
-and the served list has the bits of filtering after ranking. The first
-stage to score pairs, dedup when its head is loaded, makes the miss's one
-edit-distance kernel call over the recalled list and builds its one block
-of feature rows; ranking reads the similarities back and the variant split
-the block's rows. The stages pass candidates as
-arrays of corpus rows (``recall.Candidates``); ids are looked up once, for
-the served list. ``step_eval`` builds its recall and ranking stages the
-same way and prepares its bank queries over the view those stages are built
-from.
+A miss with a student profile runs the stage and difficulty filters once,
+in recall, on the merged list, before any pair is scored: the kernel,
+dedup, ranking and the variant split see only rows the student can be
+served, and the served list has the bits of filtering after ranking.
+Re-rank is the variant split alone. The first stage to score pairs, dedup
+when its head is loaded, makes the miss's one edit-distance kernel call
+over the recalled list and builds its one block of feature rows; ranking
+reads the similarities back and the variant split the block's rows. The
+stages pass candidates as arrays of corpus rows (``recall.Candidates``);
+ids are looked up once, for the served list.
 
 Stop words live in the vocabulary (``Vocab.stop_words``), which the encoder
 snapshot keeps; every stage normalizes text with its vocabulary's. Only
@@ -120,7 +119,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Union
 
 from . import conflearn, corpus as corpus_mod, encoder as encoder_mod
 from . import ranking, recall as recall_mod, rerank as rerank_mod
@@ -339,30 +338,18 @@ def _load_trained(workdir, config: Config, lineage=("corpus", "pairs"),
     return corpus, vocab, params, versions, pairs
 
 
-def _load_ranker(workdir, versions: dict[str, str],
-                 **heads: PairClassifier) -> ranking.RankerParams:
-    """The trained ranker; ConfigurationError when it is untrained, or when
-    it or one of ``heads`` (``FILES`` name -> loaded head) was made from
-    files other than the workspace's ``versions``, all named in one error."""
-    params = ranking.load_ranker(_path(workdir, "ranker"))
-    if not params.trained:
-        raise ConfigurationError([FILES["ranker"] + " (untrained)"])
-    _refuse_stale({"ranker": params.made_from,
-                   **{name: head.made_from for name, head in heads.items()}}, versions)
-    return params
-
-
 def _load_truth(workdir, corpus: Corpus) -> tuple[Optional[SyntheticTruth], Optional[str]]:
     """The ground truth and the short digest of the bytes it was parsed
-    from, (None, None) without a truth file; CorpusError when a group names
-    an id ``corpus`` lacks, as the truth of another bank does (its groups
-    hold every id of its bank, the flipped pairs' included)."""
+    from, (None, None) without a truth file; CorpusError when a group or a
+    flipped pair names an id ``corpus`` lacks, as the truth of another bank
+    does."""
     path = _path(workdir, "truth")
     if not path.exists():
         return None, None
     truth, digest = corpus_mod.load_truth(path)
-    unknown = next((ex_id for members in truth.groups.values() for ex_id in members
-                    if ex_id not in corpus), None)
+    named = [*(ex_id for members in truth.groups.values() for ex_id in members),
+             *(f[side] for f in truth.flipped for side in ("a_id", "b_id"))]
+    unknown = next((ex_id for ex_id in named if ex_id not in corpus), None)
     if unknown is not None:
         raise CorpusError(f"{path.name} names id {unknown!r}, which the corpus lacks: it is "
                           "another bank's truth; rerun step_synth, or delete it if the "
@@ -516,9 +503,9 @@ def step_clean(workdir, config: Config):
     cl_cfg = conflearn.CleanConfig(
         folds=config.get_int("cl.folds", minimum=2), seed=config.get_int("cl.seed", minimum=0),
         retrain=_rank_config(config))
+    truth, _ = _load_truth(workdir, corpus)
     params, cleaned, report = conflearn.clean_and_retrain(
         pairs, PreparedCorpus(corpus, vocab, encoder), cl_cfg)
-    truth, _ = _load_truth(workdir, corpus)
     if truth is not None:
         report.score_flips(truth.flipped)
     ranking.save_ranker(params, _path(workdir, "ranker"),
@@ -567,53 +554,38 @@ def _recall_config(config: Config) -> RecallConfig:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation harness over built components
-
-def recall_lists(recaller: Recaller, corpus: Corpus, seed_ids: Sequence[str],
-                 k: int) -> dict[str, list[str]]:
-    """Top-k recall output per seed (merge stage, before ranking), each
-    prepared once; returns id lists."""
-    out = {}
-    for seed_id in seed_ids:
-        query = PreparedQuery(corpus[seed_id], recaller.view)
-        out[seed_id] = recaller.recall(query).ids[:k]
-    return out
-
-
-def ranked_lists(recaller: Recaller, ranker: ranking.Ranker, corpus: Corpus,
-                 query_ids: Sequence[str]) -> dict[str, list[str]]:
-    """Recall then rank per query, each prepared once for both; returns
-    ranked id lists."""
-    out = {}
-    for query_id in query_ids:
-        query = PreparedQuery(corpus[query_id], recaller.view)
-        out[query_id] = ranker.rank(query, recaller.recall(query)).ids
-    return out
-
+# Evaluation over the served stages
 
 def step_eval(workdir, config: Config) -> EvalReport:
-    """Recall@K over annotations plus P@1/3/5 after ranking; writes report.json.
-    Refuses an ``eval.k_recall`` or ``eval.ks`` entry below 1, which would
-    report a figure of no cut-off, and an empty ``eval.ks``."""
+    """Recall@K over annotations of the loaded pipeline's recall stage, and
+    P@k of its ranking, with every query prepared and recalled once over
+    the stages' view; writes report.json. Refuses an ``eval.k_recall`` or ``eval.ks``
+    entry below 1, which would report a figure of no cut-off, an empty
+    ``eval.ks``, labeled pairs or a truth file naming an id the corpus
+    lacks (before any artifact is loaded), and whatever ``Pipeline.load``
+    refuses."""
     k_recall = config.get_int("eval.k_recall", minimum=1)
     ks = tuple(config.get_list("eval.ks", int))
     if min(ks, default=0) < 1:
         raise ValueError(f"config eval.ks = {config.get('eval.ks')!r}: "
                          "expected at least one cut-off, each at least 1")
-    corpus, vocab, encoder, versions, pairs = _load_trained(workdir, config, read_pairs=True)
-    ranker_params = _load_ranker(workdir, versions)
-    view = PreparedCorpus(corpus, vocab, encoder)
-    recaller = Recaller.build(view, config=_recall_config(config))
-    ranker = ranking.Ranker(ranker_params, view)
+    corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
+    pairs, _ = corpus_mod.load_pairs(_path(workdir, "pairs"))
+    corpus_mod.validate_pairs(corpus, pairs)
+    relevant = _relevant(workdir, corpus, pairs)
+    pipe = Pipeline.load(workdir, config)
 
     annotated = annotated_similars(pairs)
-    seed_ids = sorted(annotated)
-    recall_value, per_seed = evaluate_recall(
-        recall_lists(recaller, corpus, seed_ids, k_recall), annotated, k_recall)
-
-    relevant = _relevant(workdir, corpus, pairs)
-    values, per_query = evaluate_precision(
-        ranked_lists(recaller, ranker, corpus, list(relevant)), relevant, ks)
+    recall_ids, ranked_ids = {}, {}
+    for ex_id in sorted({*annotated, *relevant}):
+        query = PreparedQuery(pipe.corpus[ex_id], pipe.recaller.view)
+        recalled = pipe.recaller.recall(query)
+        if ex_id in annotated:
+            recall_ids[ex_id] = recalled.ids[:k_recall]
+        if ex_id in relevant:
+            ranked_ids[ex_id] = pipe.ranker.rank(query, recalled).ids
+    recall_value, per_seed = evaluate_recall(recall_ids, annotated, k_recall)
+    values, per_query = evaluate_precision(ranked_ids, relevant, ks)
 
     report = EvalReport(config_hash=config.hash(), k_recall=k_recall,
                         recall_at_k=recall_value, per_seed=per_seed,
@@ -656,7 +628,11 @@ class Pipeline:
         corpus, vocab, encoder, versions, _ = _load_trained(workdir, config)
         heads = {name: PairClassifier.load(_path(workdir, name), name)
                  for name in ("dedup", "variant") if _path(workdir, name).exists()}
-        ranker_params = _load_ranker(workdir, versions, **heads)
+        ranker_params = ranking.load_ranker(_path(workdir, "ranker"))
+        if not ranker_params.trained:
+            raise ConfigurationError([FILES["ranker"] + " (untrained)"])
+        _refuse_stale({"ranker": ranker_params.made_from,
+                       **{name: head.made_from for name, head in heads.items()}}, versions)
         # every exercise's text normalized and embedded once, shared by the
         # recall indexes (the vector index is the view's matrix), the dedup
         # and variant heads and the ranker (which embeds each row once more
@@ -724,5 +700,4 @@ class Pipeline:
         query = PreparedQuery(exercise, self.recaller.view)
         candidates = self.recaller.recall(query, profile, self.corpus)
         ranked = self.ranker.rank(query, candidates)
-        return rerank_mod.rerank(query, ranked, profile, self.corpus, self.variant_clf,
-                                 self.rerank_config)
+        return rerank_mod.rerank(query, ranked, profile, self.variant_clf, self.rerank_config)

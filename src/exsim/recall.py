@@ -46,12 +46,12 @@ rule is applied with boolean masks over the corpus rows.
 
 Filters before pair work. A miss with a student profile runs the re-rank's
 stage and difficulty filters (``rerank.stage_filter`` and
-``rerank.personalize_filter``) on the merged list, before dedup. Neither
-channel nor the merge reads the profile, and dedup, ranking and the variant
-split each score a candidate from its own pair alone, so the kernel and
-every feature row are spent only on rows the student can be served, and
-the served list has the bits of filtering the whole ranked list in
-``rerank``, which runs the filters again and finds nothing to drop.
+``rerank.personalize_filter``) on the merged list, before dedup; no other
+stage filters. Neither channel nor the merge reads the profile, and dedup,
+ranking and the variant split each score a candidate from its own pair
+alone, so the kernel and every feature row are spent only on rows the
+student can be served, and the served list has the bits of filtering the
+whole ranked list.
 
 Finally, candidates the duplicate classifier flags against the query are
 dropped so near-identical exercises are never recommended. Dedup scores

@@ -15,20 +15,20 @@ Every step preserves the incoming ranking order and is idempotent. With no
 profile and no classifier the whole stage is a pass-through, so the
 pipeline is testable end to end before any re-rank model exists.
 
-A stage is built from one view; a miss passes one ``PreparedQuery``.
-:func:`rerank` takes the miss's ``pairclf.PreparedQuery`` and candidates
-as ``recall.Candidates``, rows of the corpus. The two filters are masks
-over the corpus's per-row ``learning_stages`` and ``difficulties`` arrays,
-built with the corpus. A profiled miss runs them first in
-``recall.Recaller.recall``, before any pair is scored, so here they keep
-every row; they run again so that ``rerank`` serves any ranked list, and
-``passed`` names them either way. The variant head's featurizer is over
+The two filters are masks over the corpus's per-row ``learning_stages`` and
+``difficulties`` arrays, built with the corpus, applied to candidates as
+``recall.Candidates``, rows of the corpus. They read nothing but a
+candidate's own row, so ``recall.Recaller.recall`` runs them on a profiled
+miss's merged list, before any pair is scored, and that is the one place a
+miss is filtered. :func:`rerank` is the split alone: it takes the miss's
+``pairclf.PreparedQuery`` and its ranked list, and ``passed`` names the
+filters recall ran for the profile. The variant head's featurizer is over
 the loaded ``PreparedCorpus``, the view of dedup's featurizer, and the
-split scores every kept row in one batch, reading its feature rows back
+split scores every ranked row in one batch, reading its feature rows back
 from the block the query kept for dedup (``PreparedQuery.feature_rows``),
 scored by ``prob_rows``. It makes no edit-distance kernel call and builds
-no feature row of its own: the kept candidates are a subset of the
-recalled list. This is bit-identical to ``VariantClassifier.prob`` per
+no feature row of its own: the ranked candidates are the recalled rows,
+reordered. This is bit-identical to ``VariantClassifier.prob`` per
 candidate (see the rules in ``pairclf``); the split puts a candidate first
 at ``RerankConfig.variant_threshold``.
 
@@ -225,25 +225,20 @@ def train_variant(pairs: Sequence[LabeledPair], corpus: Corpus,
 # Full re-rank
 
 def rerank(query: PreparedQuery, candidates: Candidates,
-           profile: Optional[StudentProfile], corpus: Corpus,
+           profile: Optional[StudentProfile],
            variant_clf: Optional[VariantClassifier] = None,
            config: RerankConfig = RerankConfig()) -> RerankedResult:
-    """Stage filter, difficulty filter, then variant split, order preserved;
-    ``candidates`` are rows of ``corpus``."""
-    passed: list[str] = []
-    kept = candidates
-    if profile is not None:
-        kept = stage_filter(kept, profile, corpus)
-        passed.append("stage")
-        kept = personalize_filter(kept, query.exercise.metadata.difficulty, profile, corpus)
-        passed.append("difficulty")
+    """The variant split of a ranked list, order preserved. ``candidates``
+    are what recall kept for ``profile``, so with a profile ``passed`` names
+    the stage and difficulty filters recall ran."""
+    passed = ["stage", "difficulty"] if profile is not None else []
     if variant_clf is None or not config.enable_variant:
-        return RerankedResult(kept, passed)
+        return RerankedResult(candidates, passed)
     passed.append("variant")
     probs = (variant_clf.classifier.prob_rows(variant_clf.featurizer.feature_rows(
-        query, kept.index, kept.rows)) if len(kept) else np.zeros(0))
+        query, candidates.index, candidates.rows)) if len(candidates) else np.zeros(0))
     # stable partition: variants first, each side in ranking order
     similar = ~(probs >= config.variant_threshold)
     order = np.argsort(similar, kind="stable")
-    return RerankedResult(kept.take(order), passed, variant_probs=probs[order],
-                          n_variant=len(kept) - int(similar.sum()))
+    return RerankedResult(candidates.take(order), passed, variant_probs=probs[order],
+                          n_variant=len(candidates) - int(similar.sum()))

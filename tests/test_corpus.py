@@ -394,10 +394,19 @@ def test_load_pairs_bad_record_cites_line(tmp_path, line):
     ('[["e0001", "e0002"]]', 'expected an object with "groups" and "flipped"'),
     ('{"groups": {"g": ["e0001"]}, "flipped": [', "malformed JSON"),
     ('{"groups": {"g": "e0001"}, "flipped": []}', "group 'g' is not a list of exercise ids"),
-], ids=["no-groups", "list", "bad-json", "string-group"])
+    ('{"groups": {"g": ["e0001"]}, "flipped": [{}]}',
+     '"flipped" entry 0 is not an object with string "a_id" and "b_id"'),
+    ('{"groups": {"g": ["e0001", "e0002"]}, "flipped": [{"a_id": "e0001", "b_id": "e0002"},'
+     ' {"a_id": 1, "b_id": "e0001"}]}',
+     '"flipped" entry 1 is not an object with string "a_id" and "b_id"'),
+    ('{"groups": {"g": ["e0001"]}, "flipped": ["e0001"]}',
+     '"flipped" entry 0 is not an object with string "a_id" and "b_id"'),
+], ids=["no-groups", "list", "bad-json", "string-group", "empty-flip", "int-flip-id",
+        "string-flip"])
 def test_load_truth_refuses_a_malformed_file_naming_it(tmp_path, text, message):
     """Each used to fail with a raw KeyError, TypeError or JSONDecodeError,
-    or, for a group given as a string, to load."""
+    or, for a group given as a string or a flip without string ids, to
+    load."""
     path = tmp_path / "truth.json"
     path.write_text(text)
     with pytest.raises(CorpusError, match=re.escape(f"{path}: {message}")):

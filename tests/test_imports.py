@@ -16,6 +16,11 @@ of the deny-list ``NEWER_NAMES`` (names added after 3.10), neither imported
 Text becomes tokens in one module: under ``src/exsim`` only ``pairclf``
 reads a function of ``TEXT_TO_TOKENS`` (``textnorm`` defines them). The
 ``# noqa: F401`` imports that perfbench's tracer looks up are not reads.
+
+The serving stages are built in one place: under ``src/exsim`` only
+``Pipeline.load`` calls ``Recaller.build`` or constructs a ``Ranker``, and
+only ``Pipeline._compute`` calls ``rerank.rerank``, so what ``step_eval``
+scores is what a query is served.
 """
 
 import ast
@@ -238,3 +243,54 @@ def test_only_pairclf_turns_text_into_tokens(path):
     found = text_to_token_reads((ROOT / path).read_text(encoding="utf-8"))
     assert not found, ", ".join(f"{path}:{line} reads {name}, which only pairclf may"
                                 for line, name in found)
+
+
+# the calls that build or compose the serving stages, and the one function
+# of src/exsim that may make each
+STAGE_CALLS = {"Recaller.build": "src/exsim/pipeline.py:Pipeline.load",
+               "Ranker": "src/exsim/pipeline.py:Pipeline.load",
+               "rerank": "src/exsim/pipeline.py:Pipeline._compute"}
+
+
+def stage_calls(source: str) -> list[tuple[int, str, str]]:
+    """(line, enclosing function's dotted name, call) of each call of a
+    ``STAGE_CALLS`` name, by that name or as an attribute of another."""
+    found = []
+
+    def visit(node: ast.AST, scope: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                called = ast.unparse(child.func)
+                found.extend((child.lineno, scope, name) for name in STAGE_CALLS
+                             if called == name or called.endswith("." + name))
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_the_check_finds_the_stage_calls():
+    source = ("from . import ranking, rerank as rerank_mod\n"
+              "def step_eval(view):\n    r = recall_mod.Recaller.build(view)\n"
+              "    k = ranking.Ranker(p, view)\n"
+              "class Pipeline:\n    def load(cls):\n"
+              "        return Recaller.build(v), Ranker(p, v)\n"
+              "    def _compute(self, q):\n        return rerank_mod.rerank(q, c, None)\n"
+              "other = LexicalIndex.build(view)\n")
+    assert stage_calls(source) == [(3, "step_eval", "Recaller.build"), (4, "step_eval", "Ranker"),
+                                   (7, "Pipeline.load", "Ranker"),
+                                   (7, "Pipeline.load", "Recaller.build"),
+                                   (9, "Pipeline._compute", "rerank")]
+
+
+def test_only_pipeline_load_builds_the_serving_stages():
+    paths = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "src/exsim").glob("*.py"))
+    found = [(f"{path}:{scope}", name, line) for path in paths
+             for line, scope, name in stage_calls((ROOT / path).read_text(encoding="utf-8"))]
+    strays = [f"{where}:{line} calls {name}, which only {STAGE_CALLS[name]} may"
+              for where, name, line in found if where != STAGE_CALLS[name]]
+    assert not strays, ", ".join(strays)
+    assert {name for _, name, _ in found} == set(STAGE_CALLS)

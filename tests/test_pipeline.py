@@ -29,6 +29,7 @@ from exsim import corpus as corpus_mod
 from exsim import pipeline as pl
 from exsim.corpus import Corpus, CorpusError, LabeledPair, SyntheticSpec, load_corpus, save_pairs
 from exsim.encoder import load_encoder
+from exsim.evaluate import annotated_similars
 from exsim.pairclf import PreparedCorpus, PreparedQuery, pair_features
 from exsim.recall import VectorIndex
 from exsim.rerank import ABILITIES, STAGE_MODES, StudentProfile
@@ -540,13 +541,15 @@ def test_a_truth_of_another_bank_is_refused(workspace, tmp_path):
     save_pairs([dataclasses.replace(p, a_id="new-" + p.a_id, b_id="new-" + p.b_id)
                 for p in pairs], workdir / pl.FILES["pairs"])
     pl.step_pretrain(workdir, config)
-    # step_eval refuses a ranker of the old encoder before it reads the truth
-    pl.step_train_rank(workdir, config)
+    # the truth is refused before any artifact of the old encoder is read
     for step in (pl.step_index, pl.step_clean, pl.step_eval):
         with pytest.raises(CorpusError, match=r"truth.json names id '[^n]\S*', which the "
                                               "corpus lacks.*rerun step_synth"):
             step(workdir, config)
     (workdir / pl.FILES["truth"]).unlink()
+    # step_eval serves through Pipeline.load, which refuses the old heads
+    pl.step_index(workdir, config)
+    pl.step_train_rank(workdir, config)
     assert pl.step_eval(workdir, config).per_seed
 
 
@@ -558,6 +561,32 @@ def test_a_truth_group_given_as_a_string_is_refused(workspace, tmp_path):
         json.dumps({"groups": {"t00": corpus.ids[0]}, "flipped": []}))
     with pytest.raises(CorpusError, match=r"truth.json: group 't00' is not a list"):
         pl.step_eval(workdir, config)
+
+
+def must_not_train(*args, **kwargs):
+    raise AssertionError("trained before truth.json was checked")
+
+
+@pytest.mark.parametrize("flipped, message", [
+    ([{}], r'truth.json: "flipped" entry 0 is not an object with string "a_id" and "b_id"'),
+    ([{"a_id": "e0002", "b_id": "e0006"}, {"a_id": 1, "b_id": "e0001"}],
+     r'truth.json: "flipped" entry 1 is not an object with string "a_id" and "b_id"'),
+    ([{"a_id": "e0002", "b_id": "no-such-id"}],
+     r"truth.json names id 'no-such-id', which the corpus lacks"),
+], ids=["empty-entry", "int-id", "unknown-id"])
+def test_a_malformed_flipped_list_is_refused_before_any_training(workspace, tmp_path,
+                                                                 monkeypatch, flipped,
+                                                                 message):
+    """``[{}]`` used to load: step_clean ran every fold and trained its
+    ranker, then raised a bare KeyError scoring the flips."""
+    workdir, config, _ = copy_workspace(workspace, tmp_path)
+    path = workdir / pl.FILES["truth"]
+    path.write_text(json.dumps({**json.loads(path.read_text()), "flipped": flipped}))
+    monkeypatch.setattr(conflearn, "clean_and_retrain", must_not_train)
+    monkeypatch.setattr(recall, "train_dedup", must_not_train)
+    for step in (pl.step_index, pl.step_clean, pl.step_eval):
+        with pytest.raises(CorpusError, match=message):
+            step(workdir, config)
 
 
 def test_pairs_naming_an_unknown_id_are_refused(workspace, tmp_path):
@@ -633,22 +662,74 @@ def test_a_reseeded_encoder_refuses_the_heads_and_ranker_fitted_before(workspace
     reseeded = pl.Config({**config.values, "encoder.seed": "7"})
     pl.step_pretrain(workdir, reseeded)
     pl.step_finetune(workdir, reseeded)
-    with pytest.raises(pl.ConfigurationError) as refused:
-        pl.Pipeline.load(workdir, reseeded)
-    assert refused.value.missing == [
-        "ranker.params (made from another encoder.params: rerun step_train_rank)",
-        "dedup.params (made from another encoder.params: rerun step_index)",
-        "variant.params (made from another encoder.params: rerun step_index)"]
-    with pytest.raises(pl.ConfigurationError) as refused:
-        pl.step_eval(workdir, reseeded)
-    assert refused.value.missing == [
-        "ranker.params (made from another encoder.params: rerun step_train_rank)"]
+    for load in (pl.Pipeline.load, pl.step_eval):
+        with pytest.raises(pl.ConfigurationError) as refused:
+            load(workdir, reseeded)
+        assert refused.value.missing == [
+            "ranker.params (made from another encoder.params: rerun step_train_rank)",
+            "dedup.params (made from another encoder.params: rerun step_index)",
+            "variant.params (made from another encoder.params: rerun step_index)"], load
     pl.step_index(workdir, reseeded)
     pl.step_train_rank(workdir, reseeded)
     pipe = pl.Pipeline.load(workdir, reseeded)
     for name in ("encoder", "dedup", "variant", "ranker"):
         assert pipe.versions[name] != before[name], name
     assert pipe.query(corpus.ids[5]).all_ids()
+
+
+def test_step_eval_refuses_a_dedup_head_fitted_under_another_encoder(workspace, tmp_path):
+    """step_eval used to build a recall stage of its own, without the dedup
+    head, so it reported on a head it never checked."""
+    workdir, config, corpus = copy_workspace(workspace, tmp_path)
+    old_head = (workdir / pl.FILES["dedup"]).read_bytes()
+    reseeded = pl.Config({**config.values, "encoder.seed": "7"})
+    for step in (pl.step_pretrain, pl.step_finetune, pl.step_index, pl.step_train_rank):
+        step(workdir, reseeded)
+    assert pl.step_eval(workdir, reseeded).per_query
+    (workdir / pl.FILES["dedup"]).write_bytes(old_head)
+    with pytest.raises(pl.ConfigurationError) as refused:
+        pl.step_eval(workdir, reseeded)
+    assert refused.value.missing == [
+        "dedup.params (made from another encoder.params: rerun step_index)"]
+
+
+@pytest.mark.parametrize("threshold", [None, "0.05"])
+def test_the_report_scores_the_served_recall_and_ranking(workspace, tmp_path, threshold):
+    """Each seed's recall count and each query's P@k counts are those of
+    the lists ``Pipeline.load``'s recaller and ranker return. At a dedup
+    threshold of 0.05 the served dedup drops annotated similars that a
+    recall without the head keeps, so the report shows the drop."""
+    workdir, config, corpus = copy_workspace(workspace, tmp_path)
+    truth = workspace[3]
+    if threshold is not None:
+        config = pl.Config({**config.values, "recall.dedup_threshold": threshold})
+    pl.step_eval(workdir, config)
+    report = json.loads((workdir / pl.FILES["report"]).read_text())
+    pipe = pl.Pipeline.load(workdir, config)
+    annotated = annotated_similars(corpus_mod.load_pairs(workdir / pl.FILES["pairs"])[0])
+    k = report["recall"]["k"]
+
+    def recalled(ex_id, recaller=pipe.recaller):
+        query = PreparedQuery(pipe.corpus[ex_id], recaller.view)
+        return query, recaller.recall(query)
+
+    def found(recaller):
+        return {ex_id: (len(similars), len(set(recalled(ex_id, recaller)[1].ids[:k]) & similars))
+                for ex_id, similars in annotated.items()}
+
+    served = found(pipe.recaller)
+    assert {s["seed_id"]: (s["annotated"], s["found"])
+            for s in report["recall"]["per_seed"]} == served
+    undeduped = found(dataclasses.replace(pipe.recaller, dedup=None))
+    assert (sum(f for _, f in served.values())
+            < sum(f for _, f in undeduped.values())) == (threshold is not None)
+    per_query = report["precision"]["per_query"]
+    assert [q["query_id"] for q in per_query] == corpus.ids
+    for q in per_query:
+        ranked = pipe.ranker.rank(*recalled(q["query_id"])).ids
+        assert q["relevant_in_top_k"] == {
+            str(cut): len(set(ranked[:cut]) & truth.mates(q["query_id"]))
+            for cut in report["precision"]["ks"]}
 
 
 def test_changed_pairs_refuse_what_was_made_from_them(workspace, tmp_path):
@@ -1062,6 +1143,21 @@ def test_a_miss_prepares_its_query_once(workspace, monkeypatch, kind, profile):
                           "pair_feature_rows": 1, "_directional_rows": 1}
 
 
+@pytest.mark.parametrize("kind", ["corpus", "probe"])
+@pytest.mark.parametrize("profile", [None, PROFILE])
+def test_a_miss_runs_each_filter_once(workspace, monkeypatch, kind, profile):
+    """In recall, before any pair work; re-rank used to run both again."""
+    workdir, config, corpus, _ = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+    counts = Counter()
+    for name in ("stage_filter", "personalize_filter"):
+        monkeypatch.setattr(rerank, name, counted(counts, name, vars(rerank)[name]))
+    result, hit = pipe.query_with_cache_info(request_of(pipe, corpus, kind), profile)
+    assert not hit and result.all_ids()
+    calls = 0 if profile is None else 1
+    assert counts == Counter(stage_filter=calls, personalize_filter=calls)
+
+
 @pytest.mark.parametrize("profile", [None, PROFILE])
 def test_a_bank_exercise_serves_what_its_equal_copy_does(workspace, profile):
     """A request by id reads the bank exercise's prepared row; an equal but
@@ -1403,8 +1499,9 @@ PROFILES = [PROFILE] + [StudentProfile(ability, mode, stage) for ability in ABIL
 @pytest.mark.parametrize("kind", ["corpus", "probe", "oov-probe", "markup"])
 def test_a_profiled_query_equals_rerank_of_the_whole_ranking(workspace, kind):
     """Recall filters a profiled miss's merged list before any pair work.
-    That serves the bits of ranking the whole recalled list and filtering
-    it in ``rerank``: ids, scores, variant probabilities and ``passed``."""
+    That serves the bits of ranking the whole recalled list, filtering the
+    ranking, then the variant split: ids, scores, variant probabilities and
+    ``passed``."""
     workdir, config, corpus, _ = workspace
     pipe = pl.Pipeline.load(workdir, config)
     request = request_of(pipe, corpus, kind)
@@ -1413,8 +1510,11 @@ def test_a_profiled_query_equals_rerank_of_the_whole_ranking(workspace, kind):
     for profile in PROFILES:
         served = pipe.query(request, profile)
         query = PreparedQuery(pipe.resolve(request), pipe.recaller.view)
-        late = rerank.rerank(query, pipe.ranker.rank(query, pipe.recaller.recall(query)),
-                             profile, pipe.corpus, pipe.variant_clf, pipe.rerank_config)
+        ranked = pipe.ranker.rank(query, pipe.recaller.recall(query))
+        filtered = rerank.personalize_filter(
+            rerank.stage_filter(ranked, profile, pipe.corpus),
+            query.exercise.metadata.difficulty, profile, pipe.corpus)
+        late = rerank.rerank(query, filtered, profile, pipe.variant_clf, pipe.rerank_config)
         assert served.ids == late.ids
         assert served.scores.tobytes() == late.scores.tobytes()
         assert served.n_variant == late.n_variant

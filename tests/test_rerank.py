@@ -144,27 +144,43 @@ def test_permissive_profile_is_superset(fixture_corpus):
 
 def test_rerank_pass_through_without_profile_or_classifier(fixture_corpus):
     corpus, query, cands = fixture_corpus
-    out = rr.rerank(query, cands, None, corpus, None)
+    out = rr.rerank(query, cands, None, None)
     assert out.variant == []
     assert [i.ex_id for i in out.similar] == ids(cands)
     assert all(i.passed == () for i in out.similar)
 
 
+def test_rerank_keeps_every_candidate_and_names_the_filters(fixture_corpus):
+    """Recall filters a profiled miss; re-rank drops nothing it is given."""
+    corpus, query, cands = fixture_corpus
+    strict = profile("weak", "synchronous", (1, 1))
+    out = rr.rerank(query, cands, strict, None)
+    assert out.all_ids() == ids(cands)
+    assert all(i.passed == ("stage", "difficulty") for i in out.similar)
+
+
+def both_filters(cands, p, corpus, query_difficulty=3):
+    return rr.personalize_filter(rr.stage_filter(cands, p, corpus), query_difficulty, p,
+                                 corpus)
+
+
 def test_rerank_empty_when_filters_remove_all(fixture_corpus):
     corpus, query, cands = fixture_corpus
     strict = profile("weak", "synchronous", (1, 1))
-    out = rr.rerank(query, cands, strict, corpus, None)
+    kept = both_filters(cands, strict, corpus)
+    assert len(kept) == 0
+    out = rr.rerank(query, kept, strict, None)
     assert out.variant == [] and out.similar == []
 
 
 def test_rerank_output_subset_and_order(fixture_corpus):
     corpus, query, cands = fixture_corpus
     p = profile("average", "synchronous", (8, 2))
-    out = rr.rerank(query, cands, p, corpus, None)
-    out_ids = out.all_ids()
-    assert set(out_ids) <= set(ids(cands))
-    kept_order = [i for i in ids(cands) if i in out_ids]
-    assert out_ids == kept_order
+    kept = both_filters(cands, p, corpus)
+    out_ids = rr.rerank(query, kept, p, None).all_ids()
+    assert out_ids == ids(kept)
+    assert 0 < len(out_ids) < len(cands)
+    assert out_ids == [i for i in ids(cands) if i in out_ids]
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +237,8 @@ def test_rerank_splits_variant_first(variant_setup):
     elsewhere = rr.VariantClassifier(clf.classifier, PairFeaturizer(
         PreparedCorpus(list(corpus), vocab, params)))
     with pytest.raises(ValueError, match="rows of this featurizer's view"):
-        rr.rerank(query, cands, None, corpus, elsewhere)
-    out = rr.rerank(query, cands, None, corpus, clf)
+        rr.rerank(query, cands, None, elsewhere)
+    out = rr.rerank(query, cands, None, clf)
     assert p.b_id in [i.ex_id for i in out.variant]
     for lst in (out.variant, out.similar):
         scores = [i.score for i in lst]
