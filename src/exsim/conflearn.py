@@ -1,4 +1,4 @@
-"""Label-noise cleaning: estimate the noisy/true label joint, prune, retrain.
+"""Label-noise cleaning: estimate the noisy/true label joint, then prune.
 
 Annotated similarity labels disagree between annotators, so a slice of the
 training pairs is simply wrong. The cleaning cycle:
@@ -17,8 +17,9 @@ training pairs is simply wrong. The cleaning cycle:
    as confidently belonging to which class, giving a 2x2 count matrix of
    noisy label vs inferred true label;
 3. pruning: each off-diagonal count removes that many pairs of the
-   corresponding noisy label, lowest self-class probability first;
-4. training the full ranker once, on the surviving pairs.
+   corresponding noisy label, lowest self-class probability first.
+
+``pipeline.step_clean`` then trains the ranker once, on the surviving pairs.
 
 With an oracle probability function (the true 0/1 indicator) the joint is
 exactly diagonal and nothing is pruned.
@@ -28,14 +29,13 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .corpus import LabeledPair
 from .pairclf import PreparedCorpus, pair_feature_rows, row_pair_similarities, train_pair_head
-from .ranking import RankConfig, train_ranker
 
 log = logging.getLogger(__name__)
 
@@ -44,7 +44,6 @@ log = logging.getLogger(__name__)
 class CleanConfig:
     folds: int = 5
     seed: int = 0
-    retrain: RankConfig = field(default_factory=RankConfig)
 
 
 @dataclass
@@ -170,19 +169,16 @@ class CleaningReport:
                       "recall": hits / len(known) if known else None}
 
 
-def clean_and_retrain(pairs: Sequence[LabeledPair], view: PreparedCorpus,
-                      config: CleanConfig = CleanConfig()):
-    """Full cycle: out-of-fold probs, joint, prune, then one ranker trained
-    on the cleaned pairs, every step over ``view``, whose params are the
-    encoder. Returns (params, cleaned_pairs, report)."""
+def clean(pairs: Sequence[LabeledPair], view: PreparedCorpus,
+          config: CleanConfig = CleanConfig()) -> tuple[list[LabeledPair], CleaningReport]:
+    """Full cycle over ``view``, whose params are the encoder: out-of-fold
+    probs, joint, prune. Returns (cleaned_pairs, report)."""
     probs = out_of_fold_probs(pairs, view, config)
     labels = [1 if p.is_similar else 0 for p in pairs]
     joint = build_confident_joint(probs, labels)
     cleaned, pruned_idx = prune(pairs, joint, probs)
     log.info("confident joint %s; pruning %d of %d pairs",
              joint.counts.tolist(), len(pruned_idx), len(pairs))
-    params, _ = train_ranker(cleaned, view, config.retrain, encoder=view.params)
-
     report = CleaningReport(
         joint=joint.counts.tolist(),
         thresholds=joint.thresholds.tolist(),
@@ -191,4 +187,4 @@ def clean_and_retrain(pairs: Sequence[LabeledPair], view: PreparedCorpus,
         pruned=[{"index": i, "a_id": pairs[i].a_id, "b_id": pairs[i].b_id,
                  "label": pairs[i].label} for i in pruned_idx],
     )
-    return params, cleaned, report
+    return cleaned, report

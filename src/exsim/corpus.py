@@ -304,6 +304,9 @@ class LabeledPair:
     votes: tuple[str, ...] = ()
 
     def __post_init__(self):
+        for ex_id in (self.a_id, self.b_id):
+            if not isinstance(ex_id, str):
+                raise CorpusError(f"pair id {ex_id!r} is not a string")
         if self.a_id == self.b_id:
             raise CorpusError(f"pair members must differ, got {self.a_id!r} twice")
         if self.label not in (SIMILAR, DISSIMILAR):

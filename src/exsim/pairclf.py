@@ -15,16 +15,14 @@ Training. :meth:`PairClassifier.train` fits a head by Newton's method on
 the convex objective, mean binary cross-entropy plus a small L2 penalty on
 the weights, with a backtracking line search. It converges in 10 to 15
 steps on both heads; the Hessian is summed over row blocks of the features,
-so a fit holds no second copy of them. Training pairs take one form: row
-pairs of a :class:`PreparedCorpus`. :func:`row_pair_similarities` gives
-their edit similarities, each distinct pair once, and it is the one such
-function (the ranker's task instances call it too); :func:`train_pair_head`
-fits a head on one feature row per pair. The dedup head, the variant head
-and the cleaning folds all go through it. The 1/sqrt(2) makes the first
-block the symmetric half of an orthonormal rotation of [u, v], which keeps
-both the logits and the L2 penalty: a head here is a head over
-[u, v, |u - v|, u * v, sim] with equal weights on u and v, where a fit on
-both orders of every pair ends anyway.
+so a fit holds no second copy of them. The variant head and the cleaning
+folds fit on row pairs of a :class:`PreparedCorpus` (:func:`train_pair_head`,
+with :func:`row_pair_similarities`, which the ranker's tasks call too); the
+dedup head on bank rows against clones prepared as queries (``recall``).
+The 1/sqrt(2) makes the first block the symmetric half of an orthonormal
+rotation of [u, v], which keeps both the logits and the L2 penalty: a head
+here is a head over [u, v, |u - v|, u * v, sim] with equal weights on u and
+v, where a fit on both orders of every pair ends anyway.
 
 Hot path. Every uncached query scores up to a hundred (query, candidate)
 pairs in three stages: dedup, ranking and the variant split (a profiled
@@ -393,18 +391,6 @@ class _Stems(NamedTuple):
     oov_codes: dict[str, int]
 
 
-def _make_stems(vocab: Vocab, tokens: Iterable[list[str]],
-                after: Optional[_Stems] = None) -> _Stems:
-    """``tokens`` coded under ``vocab``; with ``after``, as rows that follow
-    its rows, with its out-of-vocabulary codes."""
-    table = CodeTable(vocab, after.oov_codes if after else None)
-    column = _text_column(tokens, table)
-    if after is None:
-        return _Stems(vocab, column, table.extra)
-    return _Stems(vocab, TextColumn(*_stacked(after.column, column)),
-                  {**after.oov_codes, **table.extra})
-
-
 def _stacked(top: TextColumn, bottom: TextColumn) -> tuple[np.ndarray, np.ndarray]:
     """The codes of ``top``'s rows then ``bottom``'s, in the lane of the
     longer of the two widest rows, as ``pad_codes`` over both; and their
@@ -424,7 +410,8 @@ def _corpus_stems(corpus: Corpus, vocab: Vocab,
     if kept is None or kept.vocab != vocab:
         if tokens is None:
             tokens = (text_tokens(ex.text, vocab.stop_words) for ex in corpus)
-        kept = _make_stems(vocab, tokens)
+        table = CodeTable(vocab)
+        kept = _Stems(vocab, _text_column(tokens, table), table.extra)
         kept.column.codes.flags.writeable = False
         kept.column.lengths.flags.writeable = False
         corpus.stems = kept
@@ -432,9 +419,10 @@ def _corpus_stems(corpus: Corpus, vocab: Vocab,
 
 
 class PreparedCorpus:
-    """Each exercise's texts normalized once and held as padded token codes
-    with their lengths, column-wise: the one place where an exercise's text
-    becomes codes and vocabulary ids, for training and for serving.
+    """The rows of one ``Corpus``: each exercise's texts normalized once and
+    held as padded token codes with their lengths, column-wise, the one
+    place where an exercise's text becomes codes and vocabulary ids, for
+    training and for serving.
 
     The stem side (``Exercise.text``, stem and options) is coded at
     construction into ``codes``/``lengths``. The answer/analysis side,
@@ -456,31 +444,30 @@ class PreparedCorpus:
     ``params`` (row i is bit-identical to the ``PreparedQuery.embedding`` of
     exercise i), computed on first read; ``params`` is the encoder's, and
     training views need none. The recall indexes read the same codes and
-    the same embeddings. ``index`` gives the rows; a view of a ``Corpus``
-    shares the corpus's, so candidates recalled from that corpus are rows
-    of the view.
+    the same embeddings. ``index`` is the corpus's, so candidates recalled
+    from the corpus are rows of the view; an exercise outside it is a
+    ``PreparedQuery`` over the view.
 
-    A process codes a corpus's stems once. A view of a ``Corpus`` keeps its
-    stem column (codes and lengths, read-only) in the corpus, as
-    ``Corpus.stems``, keyed by the vocabulary's tokens and stop words: a
-    later view of that corpus under an equal vocabulary, a vocabulary
-    loaded again included, reads the column, normalizes no stem and takes
-    the vocabulary the column was made under as its ``vocab``. A corpus
-    keeps one column, the last one made, which is the column a loaded
-    pipeline's view holds anyway; the analysis column, the embeddings and
-    the lane masks stay the view's own, so training data is not kept.
-    :meth:`extended` reads the kept column.
+    A process codes a corpus's stems once: the view keeps its stem column
+    (codes and lengths, read-only) in the corpus, as ``Corpus.stems``, keyed
+    by the vocabulary's tokens and stop words. A later view of that corpus
+    under an equal vocabulary, a vocabulary loaded again included, reads the
+    column, normalizes no stem and takes the vocabulary the column was made
+    under as its ``vocab``. A corpus keeps one column, the last one made;
+    the analysis column, the embeddings and the lane masks stay the view's
+    own, so training data is not kept.
     """
 
-    def __init__(self, exercises: Iterable[Exercise], vocab: Vocab,
-                 params: Optional[EncoderParams] = None):
-        if isinstance(exercises, Corpus):
-            self._prepare(exercises, exercises.index, _corpus_stems(exercises, vocab), params)
-        else:
-            exercises = list(exercises)
-            self._prepare(exercises, RowIndex(ex.id for ex in exercises),
-                          _make_stems(vocab, (text_tokens(ex.text, vocab.stop_words)
-                                              for ex in exercises)), params)
+    def __init__(self, corpus: Corpus, vocab: Vocab, params: Optional[EncoderParams] = None):
+        stems = _corpus_stems(corpus, vocab)
+        self.exercises = list(corpus)
+        self.index = corpus.index
+        self.params = params
+        self.vocab = stems.vocab
+        self.codes, self.lengths = stems.column
+        self.oov_codes = stems.oov_codes
+        self.lane_masks = _row_masks(self.lengths, self.codes.shape[1])
+        self._embeddings: Optional[np.ndarray] = None
 
     @classmethod
     def with_own_vocab(cls, corpus: Corpus, stop_words: Iterable[str] = ()) -> "PreparedCorpus":
@@ -490,37 +477,11 @@ class PreparedCorpus:
         stop = canonical_stop_words(stop_words)
         stems = [text_tokens(ex.text, stop) for ex in corpus]
         analyses = [text_tokens(ex.answer_analysis, stop) for ex in corpus]
-        view = cls.__new__(cls)
-        view._prepare(corpus, corpus.index, _corpus_stems(
-            corpus, Vocab.build(stems + analyses, stop_words=stop), stems), None)
+        vocab = Vocab.build(stems + analyses, stop_words=stop)
+        _corpus_stems(corpus, vocab, stems)
+        view = cls(corpus, vocab)
         view.analysis = _text_column(analyses, view.code_table())
         return view
-
-    @classmethod
-    def extended(cls, corpus: Corpus, others: Iterable[Exercise], vocab: Vocab,
-                 params: Optional[EncoderParams] = None) -> "PreparedCorpus":
-        """A view of ``corpus``'s exercises followed by ``others``, equal to
-        ``PreparedCorpus([*corpus, *others], vocab, params)``: the corpus's
-        rows are the column it keeps (made and kept here if it has none under
-        ``vocab``), so only ``others`` are normalized."""
-        others = list(others)
-        bank = _corpus_stems(corpus, vocab)
-        exercises = [*corpus, *others]
-        view = cls.__new__(cls)
-        view._prepare(exercises, RowIndex(ex.id for ex in exercises),
-                      _make_stems(bank.vocab, (text_tokens(ex.text, vocab.stop_words)
-                                               for ex in others), after=bank), params)
-        return view
-
-    def _prepare(self, exercises, index: RowIndex, stems: _Stems, params) -> None:
-        self.exercises = list(exercises)
-        self.index = index
-        self.params = params
-        self.vocab = stems.vocab
-        self.codes, self.lengths = stems.column
-        self.oov_codes = stems.oov_codes
-        self.lane_masks = _row_masks(self.lengths, self.codes.shape[1])
-        self._embeddings: Optional[np.ndarray] = None
 
     @cached_property
     def analysis(self) -> TextColumn:

@@ -37,28 +37,24 @@ encoder are never served, nor evaluated.
 Per-process contract: a process parses ``corpus.snap`` and
 ``pairs.jsonl`` once per content, and never a file it saved (see
 ``corpus``'s persistence section), so a build in one process parses
-neither. A step reads ``pairs.jsonl`` once;
-what it records as made from ``pairs.jsonl`` or ``truth.json`` carries the
-digest of the bytes it parsed. The corpus keeps the stem column of its views
+neither. A step reads ``pairs.jsonl`` once; what it records as made from
+``pairs.jsonl`` or ``truth.json`` carries the digest of the bytes it
+parsed. The corpus keeps the stem column of its views
 (``pairclf.PreparedCorpus``), so in a build in one process no step after
 ``step_pretrain`` and no ``Pipeline.load`` normalizes a stem:
-``step_index`` normalizes only its clones, ``step_train_rank`` and
-``step_clean`` only the analyses they read. Steps run as processes of
-their own prepare the bank once each and write the same bytes. Nothing
-trained is kept.
+``step_index`` normalizes only the dedup clones, each once, and
+``step_train_rank`` and ``step_clean`` only the analyses they read. Steps
+run as processes of their own prepare the bank once each and write the
+same bytes. Nothing trained is kept.
 
-Text becomes tokens in one place, ``pairclf``, and is kept as codes.
-``step_pretrain`` builds the vocabulary while it prepares the view and
-pre-trains on the view (``encoder.pretrain``); it writes one snapshot, the
-encoder with its vocabulary, and only after training succeeds, so a failed
-run, or a failed write, leaves the workspace as it was. ``step_finetune``
-rewrites that snapshot in one write too. It passes its view to
-``encoder.fine_tune``, which trains on the view's stem ids;
-``step_train_rank`` trains the ranker over it, and ``step_clean`` its fold
-heads and the one ranker it trains, on the cleaned pairs (see
-``clean_and_retrain``). ``step_index`` prepares one view, the bank's
-exercises followed by the clones its dedup pairs add
-(``PreparedCorpus.extended``), and both heads train from row pairs of it.
+Text becomes tokens in one place, ``pairclf``, and is kept as codes. Every
+step prepares one view, the rows of the bank. ``step_pretrain`` builds the
+vocabulary while it prepares it and writes one snapshot, the encoder with
+its vocabulary, only after training succeeds, so a failed run, or a failed
+write, leaves the workspace as it was; ``step_finetune`` rewrites it in one
+write too. The encoder trains on the view's stem ids, the ranker, the
+variant head and the cleaning folds on its rows, and the dedup head on its
+rows against clones prepared as served probes (``recall.train_dedup``).
 Stems are normalized when a view is made, answers and analyses only when a
 step reads them, and embeddings only when a step asks for them.
 
@@ -424,33 +420,26 @@ def step_finetune(workdir, config: Config):
 
 
 def step_index(workdir, config: Config) -> None:
-    """Fit the dedup head (given ground truth) and the variant head (given
-    variant-labeled pairs), each a logistic regression over the pair
-    features solved by Newton's method (``PairClassifier.train``). Both
-    train from row pairs of one view: the bank's exercises, then the clones
-    ``generate_dedup_pairs`` makes. Each head records the encoder and the
-    file it was fitted from: rerun this step after either changes. A head
-    it cannot fit is removed, so the load serves without it rather than
-    refusing one fitted from files since removed. The recall indexes are
-    not artifacts: ``Pipeline.load`` builds them."""
+    """Fit the dedup head (given ground truth, ``recall.train_dedup``) and
+    the variant head (given variant-labeled pairs), both over one view of
+    the bank. Each head records the encoder and the file it was fitted
+    from: rerun this step after either changes. A head it cannot fit is
+    removed, so the load serves without it rather than refusing one fitted
+    from files since removed. The recall indexes are not artifacts:
+    ``Pipeline.load`` builds them."""
     corpus, vocab, params, versions, pairs = _load_trained(
         workdir, config, read_pairs=_path(workdir, "pairs").exists())
     truth, truth_version = _load_truth(workdir, corpus)
-    clones, dedup = [], None
-    if truth is not None:
-        dedup_pairs = corpus_mod.generate_dedup_pairs(corpus, truth, seed=97)
-        clones, rows, labels = recall_mod.dedup_rows(dedup_pairs, corpus)
-        dedup = rows, labels
     variant = any(p.variant is not None for p in pairs or ())
-    if dedup is None:
+    if truth is None:
         _path(workdir, "dedup").unlink(missing_ok=True)
     if not variant:
         _path(workdir, "variant").unlink(missing_ok=True)
-    if dedup is None and not variant:
+    if truth is None and not variant:
         return
-    view = PreparedCorpus.extended(corpus, clones, vocab, params)
-    if dedup is not None:
-        recall_mod.train_dedup(view, *dedup).save(
+    view = PreparedCorpus(corpus, vocab, params)
+    if truth is not None:
+        recall_mod.train_dedup(corpus, truth, view).save(
             _path(workdir, "dedup"), "dedup",
             {"encoder": versions["encoder"], "truth": truth_version})
     if variant:
@@ -496,18 +485,20 @@ def step_train_rank(workdir, config: Config):
 
 
 def step_clean(workdir, config: Config):
-    """Confidence-learning cycle over one view of the bank; trains and saves
-    the ranker on the cleaned pairs, once. With ground truth the report
-    scores the prune; ``step_eval`` reports the ranker's precision."""
+    """Confidence-learning cycle over one view of the bank
+    (``conflearn.clean``), then the ranker trained and saved on the cleaned
+    pairs, once. With ground truth the report scores the prune;
+    ``step_eval`` reports the ranker's precision."""
     corpus, vocab, encoder, versions, pairs = _load_trained(workdir, config, read_pairs=True)
-    cl_cfg = conflearn.CleanConfig(
-        folds=config.get_int("cl.folds", minimum=2), seed=config.get_int("cl.seed", minimum=0),
-        retrain=_rank_config(config))
+    cl_cfg = conflearn.CleanConfig(folds=config.get_int("cl.folds", minimum=2),
+                                   seed=config.get_int("cl.seed", minimum=0))
+    rank_cfg = _rank_config(config)
     truth, _ = _load_truth(workdir, corpus)
-    params, cleaned, report = conflearn.clean_and_retrain(
-        pairs, PreparedCorpus(corpus, vocab, encoder), cl_cfg)
+    view = PreparedCorpus(corpus, vocab, encoder)
+    cleaned, report = conflearn.clean(pairs, view, cl_cfg)
     if truth is not None:
         report.score_flips(truth.flipped)
+    params, _ = ranking.train_ranker(cleaned, view, rank_cfg, encoder=encoder)
     ranking.save_ranker(params, _path(workdir, "ranker"),
                         {name: versions[name] for name in ("encoder", "pairs")})
     corpus_mod.save_pairs(cleaned, _path(workdir, "pairs_clean"))

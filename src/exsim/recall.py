@@ -57,12 +57,13 @@ Finally, candidates the duplicate classifier flags against the query are
 dropped so near-identical exercises are never recommended. Dedup scores
 all merged candidates at once from the query's ``pairclf.PreparedQuery``:
 one kernel call over the merged list, then one block of feature rows over
-it (the query's ``query_embedding`` vector, the view's rows and the edit
-similarities). Ranking reads the similarities back and the variant split
-the block's rows, for their subsets. The rows are scored by ``prob_rows``,
-so the batch is bit-identical to calling ``DuplicateDetector.prob`` per
-candidate (see the rules in ``pairclf``). A query prepared over another
-view, even one of the same exercises and vocabulary, is refused.
+it, which ranking and the variant split read back for their subsets.
+``prob_rows`` makes the batch bit-identical to ``DuplicateDetector.prob``
+per candidate (see the rules in ``pairclf``). ``train_dedup`` fits the head
+on ``corpus.generate_dedup_pairs``' clone pairs with each clone prepared as
+a served probe is, so it is fitted on the feature rows a miss builds. A
+query prepared over another view, even one of the same exercises and
+vocabulary, is refused.
 
 A stage is built from one view; a miss passes one ``PreparedQuery`` over
 it. ``Recaller.build`` takes one ``pairclf.PreparedCorpus`` (the one
@@ -79,16 +80,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import rerank as rerank_mod
-from .corpus import Corpus, Exercise, RowIndex
+from . import corpus as corpus_mod
+from .corpus import Corpus, RowIndex, SyntheticTruth
 # embed_text stays bound, unused: perfbench's tracer wraps it where imported
 from .encoder import embed_text  # noqa: F401
 from .pairclf import (PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery,
-                      UntrainedModelError, train_pair_head)
+                      UntrainedModelError, edit_similarities, pad_codes, pair_feature_rows)
 from .textnorm import RESERVED_TOKENS, Vocab
 # normalize_text stays bound, unused: perfbench's tracer wraps it where imported
 from .textnorm import normalize_text  # noqa: F401
@@ -456,31 +458,27 @@ class DuplicateDetector:
         return self.classifier.prob(self.featurizer.features(a, b))
 
 
-def dedup_rows(dedup_pairs: Sequence[tuple[Exercise, Exercise, int]],
-               corpus: Corpus) -> tuple[list[Exercise], np.ndarray, np.ndarray]:
-    """``dedup_pairs`` (made by ``generate_dedup_pairs``) as row pairs of one
-    view: ``corpus``'s exercises, then each exercise of a pair that is not
-    the bank's own object (the generated clones), in pair order. Returns
-    those exercises, each pair's two rows (pairs, 2) and the labels."""
-    extra: list[Exercise] = []
-
-    def row(ex: Exercise) -> int:
-        if corpus.get(ex.id) is ex:
-            return corpus.index.row_of[ex.id]
-        extra.append(ex)
-        return len(corpus) + len(extra) - 1
-
-    rows = np.array([(row(a), row(b)) for a, b, _ in dedup_pairs], dtype=np.intp)
-    labels = np.array([label for _, _, label in dedup_pairs], dtype=np.int64)
-    return extra, rows.reshape(-1, 2), labels
-
-
-def train_dedup(view: PreparedCorpus, rows: np.ndarray, labels: np.ndarray) -> PairClassifier:
-    """Fit the dedup head (saved as kind ``"dedup"``) on the row pairs
-    ``rows`` (pairs, 2) of ``view`` (see :func:`dedup_rows`)."""
-    if not len(labels):
+def train_dedup(corpus: Corpus, truth: SyntheticTruth, view: PreparedCorpus) -> PairClassifier:
+    """Fit the dedup head (saved as kind ``"dedup"``) on the pairs of
+    ``generate_dedup_pairs`` over ``view``, a view of ``corpus``: each
+    anchor's row against the other side prepared as a served probe is. A
+    clone's own codes lie past every code of the view, so one kernel call
+    over the rows and the probes' codes gives each distance exactly."""
+    dedup_pairs = corpus_mod.generate_dedup_pairs(corpus, truth, seed=97)
+    if not dedup_pairs:
         raise UntrainedModelError("no duplicate-labeled pairs to train on")
-    return train_pair_head(view, rows[:, 0], rows[:, 1], labels)
+    # a query holds two arrays over every row of the view: keep only what
+    # its feature row reads
+    codes, embeddings = [], []
+    for _, other, _ in dedup_pairs:
+        query = PreparedQuery(other, view)
+        codes.append(query.codes[0, :int(query.length[0])])
+        embeddings.append(query.view_embedding)
+    anchors = np.array([view.index.row_of[a.id] for a, _, _ in dedup_pairs], dtype=np.intp)
+    sims = edit_similarities(view.codes[anchors], view.lengths[anchors], *pad_codes(codes))
+    return PairClassifier.train(
+        pair_feature_rows(view.embeddings[anchors], np.stack(embeddings), sims),
+        np.array([label for _, _, label in dedup_pairs]))
 
 
 # ---------------------------------------------------------------------------

@@ -208,9 +208,8 @@ class VariantClassifier:
 def train_variant(pairs: Sequence[LabeledPair], corpus: Corpus,
                   view: PreparedCorpus) -> PairClassifier:
     """Fit the variant head (saved as kind ``"variant"``) on the
-    variant-flagged labeled pairs (variant=1, plain-similar=0). A pair's
-    rows of ``view`` are its ids' rows in ``corpus``, whose exercises are
-    the view's first rows."""
+    variant-flagged labeled pairs (variant=1, plain-similar=0), as rows
+    of ``view``, the view of ``corpus``."""
     flagged = [p for p in pairs if p.variant is not None]
     if not flagged:
         raise UntrainedModelError("no variant-flagged pairs to train on")

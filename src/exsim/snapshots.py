@@ -40,7 +40,8 @@ _FORMAT = 3
 
 # the build step that writes each kind of snapshot
 WRITTEN_BY = {"corpus": "step_synth or step_ingest", "encoder": "step_pretrain",
-              "dedup": "step_index", "variant": "step_index", "ranker": "step_train_rank"}
+              "dedup": "step_index", "variant": "step_index",
+              "ranker": "step_train_rank or step_clean"}
 
 
 class SnapshotFormatError(ValueError):

@@ -4,7 +4,7 @@ import pytest
 from exsim import conflearn as cl
 from exsim import encoder as enc
 from exsim import ranking
-from exsim.corpus import LabeledPair, SyntheticSpec, generate_synthetic
+from exsim.corpus import Corpus, LabeledPair, SyntheticSpec, generate_synthetic
 from exsim.pairclf import (PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery,
                            edit_similarities, pair_feature_rows)
 from test_pairclf import both_order_fit, both_order_probs
@@ -134,15 +134,14 @@ def test_stratification_requires_enough_examples():
         cl.stratified_folds(labels, 5, np.random.default_rng(0))
 
 
-def test_clean_and_retrain_bookkeeping(cl_setup):
+def test_clean_bookkeeping(cl_setup):
     corpus, truth, pairs, view = cl_setup
-    cfg = cl.CleanConfig(folds=4, seed=1)
-    cfg.retrain.epochs = 1
-    ranker_params, cleaned, report = cl.clean_and_retrain(pairs, view, cfg)
+    cleaned, report = cl.clean(pairs, view, cl.CleanConfig(folds=4, seed=1))
     assert report.n_pruned == len(pairs) - len(cleaned)
     assert report.n_pairs == len(pairs)
     assert len(report.pruned) == report.n_pruned
-    assert ranker_params.trained
+    assert [p for i, p in enumerate(pairs) if i not in {r["index"] for r in report.pruned}] \
+        == cleaned
     parsed = __import__("json").loads(report.to_json())
     assert parsed["joint"][0][0] >= 0
 
@@ -154,7 +153,7 @@ def test_out_of_fold_probs_equal_per_pair_reference(cl_setup):
     corpus, _, pairs, view = cl_setup
     cfg = cl.CleanConfig(folds=4, seed=1)
     probs = cl.out_of_fold_probs(pairs, view, cfg)
-    own = PairFeaturizer(PreparedCorpus([], view.vocab, view.params))
+    own = PairFeaturizer(PreparedCorpus(Corpus([]), view.vocab, view.params))
     queries = {ex.id: PreparedQuery(ex, own.view) for ex in corpus}
     rows = [own.features(queries[p.a_id], queries[p.b_id]) for p in pairs]
     assignment = fold_assignment(pairs, cfg)
@@ -213,13 +212,15 @@ def test_out_of_fold_probs_equal_the_both_order_fit(cl_setup):
 
 
 def test_out_of_fold_probs_trains_no_ranker(cl_setup, monkeypatch):
+    """Nor does the whole cleaning cycle: ``step_clean`` trains the ranker."""
     def refuse(*args, **kwargs):
-        raise AssertionError("out_of_fold_probs trained a ranker")
+        raise AssertionError("cleaning trained a ranker")
 
-    monkeypatch.setattr(cl, "train_ranker", refuse)
+    assert not hasattr(cl, "train_ranker")
     monkeypatch.setattr(ranking, "train_ranker", refuse)
     _, _, pairs, view = cl_setup
     assert len(cl.out_of_fold_probs(pairs, view, cl.CleanConfig(folds=4, seed=1))) == len(pairs)
+    assert cl.clean(pairs, view, cl.CleanConfig(folds=4, seed=1))[1].n_pairs == len(pairs)
 
 
 def test_out_of_fold_probs_need_the_view_params(cl_setup):

@@ -380,8 +380,12 @@ def test_jsonl_round_trip(tmp_path, small_synth):
     '{"a_id": "a", "b_id": "b", "label": "similar", "votes": "similar"}',
     '{"a_id": "a", "b_id": "b", "label": "dissimilar", "variant": "variant"}',
     '{"a_id": "a", "b_id": "b", "label": "dissimilar", "variant": "plain-similar"}',
+    '{"a_id": ["e0001"], "b_id": "e0002", "label": "similar"}',
+    '{"a_id": "e0001", "b_id": {"id": "e0002"}, "label": "similar"}',
+    '{"a_id": 7, "b_id": "e0002", "label": "similar"}',
 ], ids=["array", "int-votes", "string", "null", "unknown-vote", "list-vote",
-        "string-votes", "dissimilar-variant", "dissimilar-plain-similar"])
+        "string-votes", "dissimilar-variant", "dissimilar-plain-similar", "list-id",
+        "object-id", "int-id"])
 def test_load_pairs_bad_record_cites_line(tmp_path, line):
     path = tmp_path / "p.jsonl"
     path.write_text('{"a_id": "a", "b_id": "b", "label": "similar"}\n' + line + "\n")

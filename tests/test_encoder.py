@@ -351,8 +351,8 @@ def view_ids(seqs, vocab):
     matrix and its lengths, with the vocabulary's size."""
     words = [f"t{chr(ord('a') + i)}" for i in range(vocab)]
     vocabulary = Vocab(words)
-    view = PreparedCorpus([exercise(f"e{i}", " ".join(words[t] for t in s))
-                           for i, s in enumerate(seqs)], vocabulary)
+    view = PreparedCorpus(Corpus([exercise(f"e{i}", " ".join(words[t] for t in s))
+                                  for i, s in enumerate(seqs)]), vocabulary)
     ids = view.token_ids(view.codes)
     assert [row[:n].tolist() for row, n in zip(ids, view.lengths.tolist())] == \
         [[vocabulary.id_of(words[t]) for t in s] for s in seqs]

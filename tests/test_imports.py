@@ -252,9 +252,9 @@ STAGE_CALLS = {"Recaller.build": "src/exsim/pipeline.py:Pipeline.load",
                "rerank": "src/exsim/pipeline.py:Pipeline._compute"}
 
 
-def stage_calls(source: str) -> list[tuple[int, str, str]]:
-    """(line, enclosing function's dotted name, call) of each call of a
-    ``STAGE_CALLS`` name, by that name or as an attribute of another."""
+def stage_calls(source: str, names=STAGE_CALLS) -> list[tuple[int, str, str]]:
+    """(line, enclosing function's dotted name, call) of each call of one of
+    ``names``, by that name or as an attribute of another."""
     found = []
 
     def visit(node: ast.AST, scope: str):
@@ -264,7 +264,7 @@ def stage_calls(source: str) -> list[tuple[int, str, str]]:
                 continue
             if isinstance(child, ast.Call):
                 called = ast.unparse(child.func)
-                found.extend((child.lineno, scope, name) for name in STAGE_CALLS
+                found.extend((child.lineno, scope, name) for name in names
                              if called == name or called.endswith("." + name))
             visit(child, scope)
 
@@ -286,11 +286,36 @@ def test_the_check_finds_the_stage_calls():
                                    (9, "Pipeline._compute", "rerank")]
 
 
-def test_only_pipeline_load_builds_the_serving_stages():
+def assert_only_their_owners_call(names: dict[str, str]) -> None:
+    """Every call of a ``names`` key under src/exsim is in the function its
+    value names, and each key is called."""
     paths = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "src/exsim").glob("*.py"))
     found = [(f"{path}:{scope}", name, line) for path in paths
-             for line, scope, name in stage_calls((ROOT / path).read_text(encoding="utf-8"))]
-    strays = [f"{where}:{line} calls {name}, which only {STAGE_CALLS[name]} may"
-              for where, name, line in found if where != STAGE_CALLS[name]]
+             for line, scope, name in stage_calls((ROOT / path).read_text(encoding="utf-8"),
+                                                  names)]
+    strays = [f"{where}:{line} calls {name}, which only {names[name]} may"
+              for where, name, line in found if where != names[name]]
     assert not strays, ", ".join(strays)
-    assert {name for _, name, _ in found} == set(STAGE_CALLS)
+    assert {name for _, name, _ in found} == set(names)
+
+
+def test_only_pipeline_load_builds_the_serving_stages():
+    assert_only_their_owners_call(STAGE_CALLS)
+
+
+# the dedup head's training pairs are made where the head is fitted
+DEDUP_DATA_CALLS = {"generate_dedup_pairs": "src/exsim/recall.py:train_dedup"}
+
+
+def test_the_check_finds_the_dedup_pair_calls():
+    source = ("from . import corpus as corpus_mod\n"
+              "def step_index(workdir):\n    pairs = corpus_mod.generate_dedup_pairs(c, t)\n"
+              "def train_dedup(corpus, truth, view):\n"
+              "    return generate_dedup_pairs(corpus, truth, seed=97)\n"
+              "other = generate_synthetic(spec)\n")
+    assert stage_calls(source, DEDUP_DATA_CALLS) == [
+        (3, "step_index", "generate_dedup_pairs"), (5, "train_dedup", "generate_dedup_pairs")]
+
+
+def test_only_train_dedup_makes_the_dedup_pairs():
+    assert_only_their_owners_call(DEDUP_DATA_CALLS)

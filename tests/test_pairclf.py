@@ -451,7 +451,7 @@ words = st.lists(st.sampled_from(["ab", "cd", "ef", "xy", "zq", "mn"]),
 @settings(max_examples=50, deadline=None)
 @given(words, st.lists(words, min_size=1, max_size=6))
 def test_query_pairs_codes_tell_oov_tokens_apart(query_words, corpus_words):
-    corpus = [exercise(f"e{i}", " ".join(w)) for i, w in enumerate(corpus_words)]
+    corpus = Corpus([exercise(f"e{i}", " ".join(w)) for i, w in enumerate(corpus_words)])
     query = exercise("q", " ".join(query_words))
     expected = [reference_similarity(query_words, w) for w in corpus_words]
     view = PreparedCorpus(corpus, VOCAB, PARAMS)
@@ -462,7 +462,7 @@ def test_query_pairs_codes_tell_oov_tokens_apart(query_words, corpus_words):
 
 def test_unk_tokens_that_differ_as_strings_are_an_edit():
     assert VOCAB.id_of("xy") == VOCAB.id_of("zq") == UNK_ID
-    view = PreparedCorpus([exercise("e", "ab zq")], VOCAB, PARAMS)
+    view = PreparedCorpus(Corpus([exercise("e", "ab zq")]), VOCAB, PARAMS)
     feat = PairFeaturizer(view)
     sims = [feat.feature_rows(PreparedQuery(exercise("q", text), view), view.index,
                               np.array([0]))[0, -1]
@@ -483,7 +483,7 @@ def test_analysis_side_shares_the_stem_codes(monkeypatch):
     normalize = pairclf.normalize_text
     monkeypatch.setattr(pairclf, "normalize_text",
                         lambda *args: calls.append(args[0]) or normalize(*args))
-    view = PreparedCorpus(exs, VOCAB)
+    view = PreparedCorpus(Corpus(exs), VOCAB)
     assert calls == [ex.text for ex in exs]
     analysis = view.analysis
     assert view.analysis is analysis
@@ -564,35 +564,11 @@ def test_views_of_a_corpus_share_its_stem_column(small_synth, tmp_path, monkeypa
     assert len(calls) == 2 * len(corpus)
 
 
-def test_extended_view_equals_a_view_of_the_list(small_synth, monkeypatch):
-    """Rows, codes, lanes and tables equal those of one view of the list,
-    with out-of-vocabulary tokens and a row longer than any of the bank's
-    among the others; only the others are normalized."""
-    corpus = fresh(small_synth[0])
-    vocab = Vocab.build(stem_tokens(corpus)[:4])
-    others = [exercise("o1", "qwerty " + corpus.ids[0]), exercise("o2", " ".join(["zz"] * 70)),
-              dataclasses.replace(corpus[corpus.ids[1]])]
-    PreparedCorpus(corpus, vocab)
-    calls = []
-    normalize = pairclf.normalize_text
-    monkeypatch.setattr(pairclf, "normalize_text",
-                        lambda *args: calls.append(args[0]) or normalize(*args))
-    extended = PreparedCorpus.extended(corpus, others, vocab, PARAMS)
-    assert calls == [ex.text for ex in others]
-    whole = PreparedCorpus([*corpus, *others], vocab, PARAMS)
-    assert extended.index.ids == whole.index.ids
-    assert extended.codes.shape == whole.codes.shape
-    for name in ("codes", "lengths", "lane_masks"):
-        assert np.array_equal(getattr(extended, name), getattr(whole, name)), name
-    assert extended.oov_codes == whole.oov_codes
-    assert extended.exercises == whole.exercises and extended.params is PARAMS
-
-
 def test_view_embeddings_equal_single_text_embedding():
     """Each row equals the embedding of an equal copy of its exercise, which
     is prepared from its own text."""
     exs = [exercise("a", "ab cd xy"), exercise("b", "ef")]
-    view = PreparedCorpus(exs, VOCAB, PARAMS)
+    view = PreparedCorpus(Corpus(exs), VOCAB, PARAMS)
     feat = PairFeaturizer(view)
     for row, ex in enumerate(exs):
         query = PreparedQuery(dataclasses.replace(ex), view)
@@ -626,7 +602,7 @@ def test_prob_rows_equal_prob_per_row(n, width, decades, strided, seed):
 def test_prepared_query_reads_kept_similarities_by_row(query_words, corpus_words, data):
     """Later, smaller and reordered row sets read back what the first call
     computed, equal to the reference DP, also through the featurizer."""
-    corpus = [exercise(f"e{i}", " ".join(w)) for i, w in enumerate(corpus_words)]
+    corpus = Corpus([exercise(f"e{i}", " ".join(w)) for i, w in enumerate(corpus_words)])
     view = PreparedCorpus(corpus, VOCAB, PARAMS)
     query = PreparedQuery(exercise("q", " ".join(query_words)), view)
     expected = [reference_similarity(query_words, w) for w in corpus_words]
@@ -646,13 +622,13 @@ def test_prepared_query_is_refused_by_another_view():
     tokens "xy" and "zq" other codes, which its kept similarities and
     embeddings would not follow."""
     exs = [exercise("a", "ab xy"), exercise("b", "zq ef")]
-    first = PreparedCorpus(exs, VOCAB, PARAMS)
-    reordered = PreparedCorpus(exs[::-1], VOCAB, PARAMS)
+    first = PreparedCorpus(Corpus(exs), VOCAB, PARAMS)
+    reordered = PreparedCorpus(Corpus(exs[::-1]), VOCAB, PARAMS)
     assert first.oov_codes != reordered.oov_codes
     rows = np.array([0, 1])
     for ex in (exercise("q", "zq ef"), exs[0]):
         query = PreparedQuery(ex, first)
-        for second in (reordered, PreparedCorpus(exs, VOCAB, PARAMS)):
+        for second in (reordered, PreparedCorpus(Corpus(exs), VOCAB, PARAMS)):
             with pytest.raises(ValueError, match="prepared query"):
                 PairFeaturizer(second).feature_rows(query, second.index, rows)
     query = PreparedQuery(exercise("q", "zq ef"), first)
@@ -679,8 +655,8 @@ def test_prepared_lanes_equal_reference(query_words, corpus_words):
     shorter, and blocks of 3 rows with compares of 64 bools."""
     def text(words):  # markup alone normalizes to no token
         return " ".join(words) or "<p></p>"
-    view = PreparedCorpus([exercise(f"e{i}", text(w)) for i, w in enumerate(corpus_words)],
-                          VOCAB, PARAMS)
+    view = PreparedCorpus(Corpus([exercise(f"e{i}", text(w))
+                                  for i, w in enumerate(corpus_words)]), VOCAB, PARAMS)
     assert view.lengths.tolist() == [len(w) for w in corpus_words]
     assert view.codes.shape[1] % 8 == 0 and view.codes.shape[1] > max(view.lengths)
     query = PreparedQuery(exercise("q", text(query_words)), view)
@@ -706,7 +682,7 @@ def test_prepared_query_keeps_one_feature_block(monkeypatch):
                         lambda *args: calls.append(len(args[2])) or real(*args))
     exs = [exercise(f"e{i}", text) for i, text in enumerate(
         ["ab cd", "cd ef xy", "ab", "zq zq ab", "ef"])]
-    view = PreparedCorpus(exs, VOCAB, PARAMS)
+    view = PreparedCorpus(Corpus(exs), VOCAB, PARAMS)
     query = PreparedQuery(exercise("q", "ab cd zq"), view)
     u, v = query.view_embedding, view.embeddings
     sims = query.edit_similarities(np.arange(len(exs)))
@@ -727,7 +703,8 @@ def test_prepared_query_over_rows_longer_than_a_word():
     texts = [" ".join(rng.choice(vocab_words, size=int(rng.integers(60, 150))))
              for _ in range(12)]
     texts.append(" ".join(texts[0].split()[:-1] + ["mn"] * 3))
-    view = PreparedCorpus([exercise(f"e{i}", t) for i, t in enumerate(texts)], VOCAB, PARAMS)
+    view = PreparedCorpus(Corpus([exercise(f"e{i}", t) for i, t in enumerate(texts)]),
+                          VOCAB, PARAMS)
     assert max(view.lengths) > 128
     query = PreparedQuery(exercise("q", texts[0] + " zq"), view)
     rows = np.arange(len(texts))
@@ -752,7 +729,7 @@ def test_prepared_query_keeps_one_view_embedding(monkeypatch):
     ids = np.array([VOCAB.id_of(t) for t in ("ab", "xy", "cd")])
     expected = {id(p): real(ids, p) for p in (PARAMS, other)}
     exs = [exercise("a", "ab"), exercise("b", "cd ef")]
-    view = PreparedCorpus(exs, VOCAB, PARAMS)
+    view = PreparedCorpus(Corpus(exs), VOCAB, PARAMS)
     featurizer = PairFeaturizer(view)
     query = PreparedQuery(exercise("q", "ab xy cd"), view)
     for _ in range(2):
@@ -775,9 +752,9 @@ def test_prepared_query_refuses_another_preparation():
     same tokens, may have other tokens (its stop words differ) and other
     ids."""
     exs = [exercise("a", "ab")]
-    view = PreparedCorpus(exs, VOCAB, PARAMS)
+    view = PreparedCorpus(Corpus(exs), VOCAB, PARAMS)
     for vocab in (Vocab(["ab", "cd", "ef"], ("the",)), Vocab(["ab", "cd", "ef"])):
-        query = PreparedQuery(exercise("q", "ab"), PreparedCorpus(exs, vocab, PARAMS))
+        query = PreparedQuery(exercise("q", "ab"), PreparedCorpus(Corpus(exs), vocab, PARAMS))
         with pytest.raises(ValueError, match="prepared query"):
             PairFeaturizer(view).feature_rows(query, view.index, np.array([0]))
     rows = PairFeaturizer(view).feature_rows(PreparedQuery(exercise("q", "ab"), view),
@@ -791,10 +768,10 @@ def test_featurizer_refuses_rows_of_another_index():
     """Rows of another index, even one over the same ids, are not the view's
     rows."""
     exs = [exercise("a", "ab"), exercise("b", "cd")]
-    view = PreparedCorpus(exs, VOCAB, PARAMS)
+    view = PreparedCorpus(Corpus(exs), VOCAB, PARAMS)
     query = PreparedQuery(exercise("q", "ab"), view)
     with pytest.raises(ValueError, match="rows of this featurizer's view"):
-        PairFeaturizer(view).feature_rows(query, PreparedCorpus(exs, VOCAB).index,
+        PairFeaturizer(view).feature_rows(query, PreparedCorpus(Corpus(exs), VOCAB).index,
                                           np.array([0]))
     rows = PairFeaturizer(view).feature_rows(query, view.index, np.array([1, 0]))
     assert rows[:, -1].tolist() == [0.0, 1.0]

@@ -212,7 +212,7 @@ def test_every_keyed_field_defaults_to_its_key():
         else:
             value = type(default)(config.get(key))
         assert default == value, key
-    assert conflearn.CleanConfig().retrain == pl._rank_config(config)
+    assert ranking.RankConfig() == pl._rank_config(config)
     assert encoder.FinetuneConfig().seed == encoder.PretrainConfig().seed
 
 
@@ -522,7 +522,7 @@ def test_a_ranker_of_another_vocabulary_is_refused(workspace, tmp_path):
     for load in (pl.Pipeline.load, pl.step_eval):
         with pytest.raises(pl.ConfigurationError,
                            match=r"ranker.params \(made from another encoder.params: "
-                                 r"rerun step_train_rank\)"):
+                                 r"rerun step_train_rank or step_clean\)"):
             load(workdir, stop)
     pl.step_index(workdir, stop)
     pl.step_train_rank(workdir, stop)
@@ -582,7 +582,7 @@ def test_a_malformed_flipped_list_is_refused_before_any_training(workspace, tmp_
     workdir, config, _ = copy_workspace(workspace, tmp_path)
     path = workdir / pl.FILES["truth"]
     path.write_text(json.dumps({**json.loads(path.read_text()), "flipped": flipped}))
-    monkeypatch.setattr(conflearn, "clean_and_retrain", must_not_train)
+    monkeypatch.setattr(conflearn, "clean", must_not_train)
     monkeypatch.setattr(recall, "train_dedup", must_not_train)
     for step in (pl.step_index, pl.step_clean, pl.step_eval):
         with pytest.raises(CorpusError, match=message):
@@ -666,7 +666,8 @@ def test_a_reseeded_encoder_refuses_the_heads_and_ranker_fitted_before(workspace
         with pytest.raises(pl.ConfigurationError) as refused:
             load(workdir, reseeded)
         assert refused.value.missing == [
-            "ranker.params (made from another encoder.params: rerun step_train_rank)",
+            "ranker.params (made from another encoder.params: "
+            "rerun step_train_rank or step_clean)",
             "dedup.params (made from another encoder.params: rerun step_index)",
             "variant.params (made from another encoder.params: rerun step_index)"], load
     pl.step_index(workdir, reseeded)
@@ -875,7 +876,8 @@ def with_format_version(path, version):
 
 @pytest.mark.parametrize("name, step", [
     ("corpus", "step_synth or step_ingest"), ("encoder", "step_pretrain"),
-    ("dedup", "step_index"), ("variant", "step_index"), ("ranker", "step_train_rank")])
+    ("dedup", "step_index"), ("variant", "step_index"),
+    ("ranker", "step_train_rank or step_clean")])
 @pytest.mark.parametrize("version", [1, 2, None])
 def test_a_snapshot_of_another_format_version_is_refused(workspace, tmp_path, name, step,
                                                          version):
@@ -1272,8 +1274,8 @@ def test_a_process_parses_and_prepares_the_bank_once(tmp_path, new_process):
     steps = build(workdir, pl.Config(CONFIG))
     corpus = corpus_mod.load_snapshot(workdir / pl.FILES["corpus"])
     truth, _ = corpus_mod.load_truth(workdir / pl.FILES["truth"])
-    clones, _, _ = recall.dedup_rows(corpus_mod.generate_dedup_pairs(corpus, truth, seed=97),
-                                     corpus)
+    clones = [b for _, b, _ in corpus_mod.generate_dedup_pairs(corpus, truth, seed=97)
+              if corpus.get(b.id) is not b]
     stems = Counter(ex.text for ex in corpus)
     analyses = Counter(ex.answer_analysis for ex in corpus)
     assert steps == {
@@ -1348,8 +1350,9 @@ def test_steps_run_as_processes_of_their_own_write_what_one_process_writes(tmp_p
 def test_step_index_heads_equal_a_per_pair_fit(workspace):
     """The dedup and variant heads step_index writes equal ``train`` fitted
     on per-pair ``features`` rows, one per pair, over a view of the bank
-    alone: a bank exercise reads its row, a clone of the dedup pairs is
-    prepared from its own text."""
+    alone, bit for bit: a bank exercise reads its row, a clone of the dedup
+    pairs is prepared from its own text. ``train_dedup`` returns the same
+    head."""
     workdir, config, _, _ = workspace
     corpus, vocab, params, _, _ = pl._load_trained(workdir, config)
     featurizer = pairclf.PairFeaturizer(PreparedCorpus(corpus, vocab, params))
@@ -1366,43 +1369,53 @@ def test_step_index_heads_equal_a_per_pair_fit(workspace):
             rows.append(featurizer.features(a, b))
             labels.append(label)
         expected = pairclf.PairClassifier.train(np.array(rows), np.array(labels))
-        written = pairclf.PairClassifier.load(workdir / pl.FILES[head], head)
-        assert written.weights.tolist() == expected.weights.tolist(), head
-        assert written.bias == expected.bias, head
+        heads = [pairclf.PairClassifier.load(workdir / pl.FILES[head], head)]
+        if head == "dedup":
+            heads.append(recall.train_dedup(corpus, truth, featurizer.view))
+        for fitted in heads:
+            assert fitted.weights.tobytes() == expected.weights.tobytes(), head
+            assert fitted.bias == expected.bias, head
 
 
 def step_index_pairs(workdir, config):
-    """The view step_index fits its heads over, and by head name the row
-    pairs and labels it fits them on."""
+    """The view step_index fits its heads over, and by head name the pairs
+    it fits them on: both sides' embeddings, the edit similarities and the
+    labels. A dedup pair's second side is prepared as a query over the
+    view; a bank exercise reads its row."""
     corpus, vocab, params, _, pairs = pl._load_trained(workdir, config, read_pairs=True)
     truth, _ = corpus_mod.load_truth(workdir / pl.FILES["truth"])
-    clones, rows, labels = recall.dedup_rows(
-        corpus_mod.generate_dedup_pairs(corpus, truth, seed=97), corpus)
-    flagged = [p for p in pairs if p.variant is not None]
-    variant_rows = np.array([[corpus.index.row_of[p.a_id], corpus.index.row_of[p.b_id]]
-                             for p in flagged])
-    variant_labels = np.array([int(p.variant == corpus_mod.VARIANT) for p in flagged])
-    view = PreparedCorpus.extended(corpus, clones, vocab, params)
-    return view, {"dedup": (rows, labels), "variant": (variant_rows, variant_labels)}
+    view = PreparedCorpus(corpus, vocab, params)
+    flagged = [(corpus[p.a_id], corpus[p.b_id], int(p.variant == corpus_mod.VARIANT))
+               for p in pairs if p.variant is not None]
+    fitted = {}
+    for head, triples in (("dedup", corpus_mod.generate_dedup_pairs(corpus, truth, seed=97)),
+                          ("variant", flagged)):
+        u, v, sims = [], [], []
+        for a, b, _ in triples:
+            query = PreparedQuery(b, view)
+            u.append(view.embeddings[view.index.row_of[a.id]])
+            v.append(query.view_embedding)
+            sims.append(query.edit_similarities(np.array([view.index.row_of[a.id]]))[0])
+        fitted[head] = (np.array(u), np.array(v), np.array(sims),
+                        np.array([label for _, _, label in triples]))
+    return view, fitted
 
 
 def test_step_index_heads_equal_the_both_order_fit(workspace):
-    """The dedup and variant heads score every pair of the view, the pairs
-    they were fitted on and all others, as heads fitted on both orders of
-    each pair over [u, v, |u - v|, u * v, sim] score the mean of both
-    orders: within 1e-12."""
+    """The dedup and variant heads score the pairs they were fitted on and
+    every pair of the bank's rows as heads fitted on both orders of each
+    pair over [u, v, |u - v|, u * v, sim] score the mean of both orders:
+    within 1e-12."""
     workdir, config, _, _ = workspace
     view, fitted = step_index_pairs(workdir, config)
-    every = np.array(np.triu_indices(len(view.exercises), 1))
-    for head, (rows, labels) in fitted.items():
+    a, b = np.triu_indices(len(view.exercises), 1)
+    every = (view.embeddings[a], view.embeddings[b],
+             pairclf.row_pair_similarities(view.codes, view.lengths, a, b))
+    for head, (u, v, sims, labels) in fitted.items():
         written = pairclf.PairClassifier.load(workdir / pl.FILES[head], head)
         assert written.weights.shape == (3 * view.params.d + 1,)
-        sims = pairclf.row_pair_similarities(view.codes, view.lengths, rows[:, 0], rows[:, 1])
-        old = both_order_fit(view.embeddings[rows[:, 0]], view.embeddings[rows[:, 1]],
-                             sims, labels)
-        a, b = every
-        sims = pairclf.row_pair_similarities(view.codes, view.lengths, a, b)
-        u, v = view.embeddings[a], view.embeddings[b]
+        old = both_order_fit(u, v, sims, labels)
+        u, v, sims = (np.concatenate(both) for both in zip((u, v, sims), every))
         np.testing.assert_allclose(written.prob_rows(pairclf.pair_feature_rows(u, v, sims)),
                                    both_order_probs(old, u, v, sims), rtol=0, atol=1e-12,
                                    err_msg=head)
@@ -1441,7 +1454,6 @@ def test_step_clean_trains_the_ranker_once(workspace, tmp_path, monkeypatch):
         trained.append(len(pairs))
         return train_ranker(pairs, *args, **kwargs)
 
-    monkeypatch.setattr(conflearn, "train_ranker", counting)
     monkeypatch.setattr(ranking, "train_ranker", counting)
     _, cleaned, report = pl.step_clean(workdir, config)
     assert trained == [len(cleaned)] and len(cleaned) < report.n_pairs

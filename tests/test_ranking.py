@@ -399,7 +399,7 @@ def test_rank_is_permutation_sorted_with_id_ties(tiny_setup):
         if earlier.score == later.score:
             assert earlier.ex_id < later.ex_id
     # candidates must be rows of the ranker's view
-    other = candidates_of(PreparedCorpus(list(corpus), view.vocab).index,
+    other = candidates_of(PreparedCorpus(Corpus(list(corpus)), view.vocab).index,
                           [Candidate(corpus.ids[1], 0.0, "exact")])
     with pytest.raises(ValueError, match="rows of this ranker's view"):
         ranker.rank(query, other)
@@ -509,7 +509,7 @@ def test_score_pairs_equal_from_view_and_from_own_text(tiny_setup):
     assert vocab.id_of("oova") == vocab.id_of("oovb") == UNK_ID
     query = dataclasses.replace(corpus[corpus.ids[7]], id="probe",
                                 stem=corpus[corpus.ids[7]].stem + " oovb")
-    ranker = rk.Ranker(params, PreparedCorpus(exs, vocab, encoder))
+    ranker = rk.Ranker(params, PreparedCorpus(Corpus(exs), vocab, encoder))
     rows = [4, 2, 0, 3]  # a reordered subset of the view
     index = ranker.view.index
     ranked = ranker.rank(PreparedQuery(query, ranker.view), candidates_of(

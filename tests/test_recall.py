@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from exsim.corpus import (RowIndex, SyntheticSpec, _clone, generate_dedup_pairs,
-                          generate_synthetic)
+from exsim.corpus import Corpus, RowIndex, SyntheticSpec, _clone, generate_synthetic
 from exsim.encoder import embed_text, init_params
 from exsim.pairclf import (CodeTable, PairClassifier, PairFeaturizer, PreparedCorpus,
                            PreparedQuery, pad_codes)
 from exsim.recall import (
     BM25_B, BM25_K1, KEPT_COUNTS, SOURCES, Candidate, Candidates, DuplicateDetector,
-    LexicalIndex, RecallConfig, Recaller, VectorIndex, dedup_rows, merge_candidates,
-    train_dedup,
+    LexicalIndex, RecallConfig, Recaller, VectorIndex, merge_candidates, train_dedup,
 )
 from exsim.textnorm import Vocab, normalize_text, split_tokens
 
@@ -455,11 +453,8 @@ def test_merge_equals_list_reference(ids, data, n):
 @pytest.fixture(scope="module")
 def dedup_setup(small_trained_module):
     corpus, truth, pairs, vocab, params = small_trained_module
-    clones, rows, labels = dedup_rows(
-        generate_dedup_pairs(corpus, truth, seed=13, n_anchors=40), corpus)
-    detector = DuplicateDetector(
-        train_dedup(PreparedCorpus([*corpus, *clones], vocab, params), rows, labels),
-        PairFeaturizer(PreparedCorpus(corpus, vocab, params)))
+    view = PreparedCorpus(corpus, vocab, params)
+    detector = DuplicateDetector(train_dedup(corpus, truth, view), PairFeaturizer(view))
     return corpus, truth, vocab, params, detector
 
 
@@ -474,29 +469,6 @@ def small_trained_module():
     params, _ = enc.fine_tune(
         params, pairs, view, enc.FinetuneConfig(epochs=3, n_negatives=6, seed=2))
     return corpus, truth, pairs, view.vocab, params
-
-
-def test_dedup_rows_put_every_other_exercise_after_the_bank(small_trained_module):
-    """A bank exercise (the corpus's own object) is its corpus row; anything
-    else, a clone, an equal copy of a bank exercise or a clone named with
-    another bank exercise's id, is a row of its own after the bank, in pair
-    order, so a view of the bank then those rows holds each pair's texts."""
-    corpus, _, _, vocab, _ = small_trained_module
-    exs, n = list(corpus), len(corpus)
-    copy = dataclasses.replace(exs[2])
-    named_as_5 = dataclasses.replace(exs[4], id=exs[5].id)
-    pairs = [(exs[0], exs[1], 0), (exs[2], copy, 1), (exs[3], named_as_5, 0),
-             (exs[5], exs[3], 0)]
-    extra, rows, labels = dedup_rows(pairs, corpus)
-    assert len(extra) == 2 and extra[0] is copy and extra[1] is named_as_5
-    assert rows.tolist() == [[0, 1], [2, n], [3, n + 1], [5, 3]]
-    assert labels.tolist() == [label for _, _, label in pairs]
-    view = PreparedCorpus([*corpus, *extra], vocab)
-    for (a, b, _), (ra, rb) in zip(pairs, rows):
-        assert view.exercises[ra] is a and view.exercises[rb] is b
-    assert np.array_equal(view.codes[n + 1], view.codes[4])
-    assert not np.array_equal(view.codes[n + 1], view.codes[5])
-    assert dedup_rows([], corpus)[1].shape == (0, 2)
 
 
 def test_dedup_identical_exercise_is_duplicate(dedup_setup):
@@ -535,7 +507,6 @@ def test_dedup_table_semantics(dedup_setup):
 
 def test_recall_excludes_duplicates_of_query(dedup_setup):
     corpus, truth, vocab, params, detector = dedup_setup
-    from exsim.corpus import Corpus
     query = corpus[corpus.ids[5]]
     clone = _clone(query, query.stem, "-twin")
     bigger = Corpus(list(corpus) + [clone], levels=corpus.levels, d_img=corpus.d_img)
@@ -565,8 +536,8 @@ def test_indexes_built_from_a_view_equal_those_built_from_text(medium_synth):
     """The view's rows equal every exercise embedded afresh from its own
     text, and BM25 over its codes scores every bank exercise and a probe as
     the per-document loop over each exercise's own tokens does: over the
-    bank's view, and over an extended view whose clones add codes past the
-    vocabulary."""
+    bank's view, and over a view of the bank and clones whose tokens add
+    codes past the vocabulary."""
     corpus, _, _ = medium_synth
     stop = ("the", "of")
     vocab = vocab_of(corpus, stop)
@@ -578,10 +549,10 @@ def test_indexes_built_from_a_view_equal_those_built_from_text(medium_synth):
     assert vector.ids == corpus.ids
     clones = [_clone(corpus[ex_id], f"{corpus[ex_id].stem} in 2019", "-y")
               for ex_id in corpus.ids[::10]]
-    extended = PreparedCorpus.extended(corpus, clones, vocab, params)
-    assert {"in", "2019"} <= set(extended.oov_codes)
+    with_clones = PreparedCorpus(Corpus([*corpus, *clones]), vocab, params)
+    assert {"in", "2019"} <= set(with_clones.oov_codes)
     probe = [*split_tokens(normalize_text(corpus[corpus.ids[3]].text, stop)), "zzzznotaword"]
-    for v in (view, extended):
+    for v in (view, with_clones):
         exercises = v.exercises
         docs = corpus_token_lists(exercises, stop)
         concepts = concepts_of(exercises)

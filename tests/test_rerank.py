@@ -235,7 +235,7 @@ def test_rerank_splits_variant_first(variant_setup):
     cands = ranked_candidates(corpus, mates)
     # the split reads candidates from the rows of its featurizer's view
     elsewhere = rr.VariantClassifier(clf.classifier, PairFeaturizer(
-        PreparedCorpus(list(corpus), vocab, params)))
+        PreparedCorpus(Corpus(list(corpus)), vocab, params)))
     with pytest.raises(ValueError, match="rows of this featurizer's view"):
         rr.rerank(query, cands, None, elsewhere)
     out = rr.rerank(query, cands, None, clf)
