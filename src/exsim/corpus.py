@@ -153,33 +153,39 @@ class Exercise:
 
     @classmethod
     def from_record(cls, rec: dict, strings: dict[str, str]) -> "Exercise":
-        """The exercise of one record. Its ``exercise_type`` and knowledge
-        concepts are the entries of ``strings``, the caller's table for one
-        load, so equal values of a load are one object."""
+        """The exercise of one record, nothing converted: ids, texts, options
+        and concepts must be JSON strings, difficulty and stage entries JSON
+        integers. Its ``exercise_type`` and concepts are entries of
+        ``strings``, the caller's table for one load: one object per value."""
         try:
             missing = [k for k in EXERCISE_FIELDS if k not in rec]
             if missing:
                 raise CorpusError(f"missing fields: {missing}")
             for name in ("options", "image_features", "knowledge_concepts", "learning_stage"):
-                if isinstance(rec[name], (str, bytes)):
+                value = rec[name]
+                if isinstance(value, (str, bytes)):
                     raise CorpusError(f"{name} must be a list, not a string")
+                # a snapshot's image features are an array already
+                if name != "image_features" and not isinstance(value, list):
+                    raise CorpusError(f"{name} must be a list, not {value!r}")
             stage = rec["learning_stage"]
             if len(stage) != 2:
                 raise CorpusError("learning_stage must be [grade, semester]")
             return cls(
-                id=str(rec["id"]),
-                stem=str(rec["stem"]),
-                options=tuple(str(o) for o in rec["options"]),
-                answer=str(rec["answer"]),
-                analysis=str(rec["analysis"]),
+                id=_string("id", rec["id"]),
+                stem=_string("stem", rec["stem"]),
+                options=tuple(_string("option", o) for o in rec["options"]),
+                answer=_string("answer", rec["answer"]),
+                analysis=_string("analysis", rec["analysis"]),
                 image_features=rec["image_features"],
                 metadata=Metadata(
-                    exercise_type=_shared(strings, str(rec["exercise_type"])),
-                    difficulty=int(rec["difficulty"]),
-                    knowledge_concepts=tuple(_shared(strings, str(c))
+                    exercise_type=_shared(strings, _string("exercise_type",
+                                                           rec["exercise_type"])),
+                    difficulty=_integer("difficulty", rec["difficulty"]),
+                    knowledge_concepts=tuple(_shared(strings, _string("knowledge concept", c))
                                              for c in rec["knowledge_concepts"]),
                 ),
-                learning_stage=(int(stage[0]), int(stage[1])),
+                learning_stage=tuple(_integer("learning_stage entry", v) for v in stage),
             )
         except CorpusError:
             raise
@@ -372,6 +378,18 @@ class SyntheticTruth:
 
 # ---------------------------------------------------------------------------
 # JSONL ingestion
+
+def _string(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise CorpusError(f"{name} {value!r} is not a string")
+    return value
+
+
+def _integer(name: str, value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CorpusError(f"{name} {value!r} is not an integer")
+    return value
+
 
 def _shared(strings: dict, value):
     """``value``, or the equal value ``strings`` holds: a string, or a tuple

@@ -382,9 +382,9 @@ def metadata_task_loss(stem_embeddings: np.ndarray, targets: dict[str, np.ndarra
 # ---------------------------------------------------------------------------
 # Corpus-level preparation
 #
-# Text never becomes tokens here. Training reads a ``pairclf.PreparedCorpus``
-# of the corpus (one whose ``index`` is the corpus's), which normalized each
-# exercise's texts once: the ids of its stem codes (stem and options) and of
+# Text never becomes tokens here. Training reads a ``pairclf.PreparedCorpus``,
+# the rows of one corpus (``view.corpus``), which normalized each exercise's
+# texts once: the ids of its stem codes (stem and options) and of
 # its ``texts``, every stem then every answer and analysis, row for row with
 # the corpus. The metadata targets are one array per task over the same
 # rows, and a batch reads its rows of each.
@@ -429,19 +429,17 @@ def init_params(corpus: Corpus, vocab: Vocab, d: int, seed: int) -> EncoderParam
         n_concepts=len(corpus.concepts), seed=seed)
 
 
-def pretrain(corpus: Corpus, view: PreparedCorpus,
-             config: PretrainConfig = PretrainConfig()):
-    """Multi-task pre-training over the corpus, given its ``view`` (whose
-    vocabulary the params are sized by); returns (params, history).
+def pretrain(view: PreparedCorpus, config: PretrainConfig = PretrainConfig()):
+    """Multi-task pre-training over the corpus ``view`` is the rows of
+    (whose vocabulary the params are sized by); returns (params, history).
 
     history maps loss names to per-epoch means. Aborts with
     TrainingDivergedError if any loss, or any param after the last update,
     stops being finite.
     """
+    corpus = view.corpus
     if len(corpus) < 2:
         raise ValueError("pre-training needs at least 2 exercises")
-    if view.index is not corpus.index:
-        raise ValueError("pretrain: the view was not prepared from this corpus")
     codes, lengths = view.texts()
     n = len(corpus)
     for ex, length in zip(corpus, lengths[:n].tolist()):

@@ -62,15 +62,14 @@ work is organised around three pieces:
   code table, its embedding under the view's params, its edit
   similarities to the view's rows and its block of feature rows over them.
   The stages score shrinking subsets of the recalled list, so one kernel
-  call, made by whichever stage asks first, serves all three. Dedup and the
-  variant split share one featurizer over the view, so the block dedup
-  builds, one feature row per candidate, serves both: the variant split
-  reads its rows back. With the ranker's own block, a miss builds feature
-  rows twice. The very ``Exercise`` object the view holds at row r (checked
-  by identity, never by id) reads that row's codes and length, and its
-  embedding is the view's row r, the same bits by rule 2 below. Any other
-  exercise, a probe or an equal copy of a bank exercise, is coded from its
-  own text.
+  call, made by whichever stage asks first, serves all three. The block
+  dedup builds, one feature row per candidate, serves the variant split
+  too: it reads its rows back. With the ranker's own block, a miss builds
+  feature rows twice. The very ``Exercise`` object the view holds at row r
+  (checked by identity, never by id) reads that row's codes and length,
+  and its embedding is the view's row r, the same bits by rule 2 below.
+  Any other exercise, a probe or an equal copy of a bank exercise, is
+  coded from its own text.
 
 Text becomes tokens in this module alone (:func:`text_tokens`), and token
 strings live only while a text is coded, or while
@@ -78,12 +77,11 @@ strings live only while a text is coded, or while
 reference :meth:`PairFeaturizer.features` normalizes both texts again, so
 it stays independent of the view's codes.
 
-A stage is built from one view; a miss passes one ``PreparedQuery`` over
-it. A view embeds under one backbone, the encoder's. A
-:class:`PairFeaturizer` is over one view and reads its params from it, and
-:meth:`PairFeaturizer.feature_rows` reads a pair's candidate side straight
-from the view's rows, through the query's block. It refuses rows of another
-``RowIndex`` and a query prepared over another view; nothing else holds a
+A stage is built from one view, which holds the ``Corpus`` it is the rows
+of, and a miss passes one ``PreparedQuery`` over it. A view embeds under
+one backbone, the encoder's. The dedup and variant heads are bare
+:class:`PairClassifier` s that score the query's feature rows, whose
+candidate side is read straight from the view's rows; nothing else holds a
 second copy of the view's codes or params to disagree with. A stage with a
 backbone of its own (the ranker) keeps its own rows and embeds a probe with
 :meth:`PreparedQuery.embedding`.
@@ -121,7 +119,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Exercise, RowIndex
+from .corpus import Corpus, Exercise
 from .encoder import EncoderParams, embed_corpus, embed_text
 from .snapshots import load_arrays, save_arrays
 from .textnorm import UNK_ID, Vocab, canonical_stop_words, normalize_text, split_tokens
@@ -444,9 +442,10 @@ class PreparedCorpus:
     ``params`` (row i is bit-identical to the ``PreparedQuery.embedding`` of
     exercise i), computed on first read; ``params`` is the encoder's, and
     training views need none. The recall indexes read the same codes and
-    the same embeddings. ``index`` is the corpus's, so candidates recalled
-    from the corpus are rows of the view; an exercise outside it is a
-    ``PreparedQuery`` over the view.
+    the same embeddings. ``corpus`` is the corpus the view is the rows of,
+    which the trainers and the re-rank filters read, and ``index`` its
+    index, so candidates recalled from it are rows of the view; an exercise
+    outside it is a ``PreparedQuery`` over the view.
 
     A process codes a corpus's stems once: the view keeps its stem column
     (codes and lengths, read-only) in the corpus, as ``Corpus.stems``, keyed
@@ -460,6 +459,7 @@ class PreparedCorpus:
 
     def __init__(self, corpus: Corpus, vocab: Vocab, params: Optional[EncoderParams] = None):
         stems = _corpus_stems(corpus, vocab)
+        self.corpus = corpus
         self.exercises = list(corpus)
         self.index = corpus.index
         self.params = params
@@ -542,10 +542,12 @@ class PreparedQuery:
     The very ``Exercise`` object the view holds at row r (an identity check,
     never the id) reads row r's codes and length. Any other exercise, a
     probe or an equal copy, is coded here from its own text, with the
-    view's stop words and code table. ``ids`` are the vocabulary
-    ids of ``codes`` and ``concepts`` the knowledge concepts. The rest is
-    computed on first use and kept:
+    view's stop words and code table. ``concepts`` are the knowledge
+    concepts. The rest is computed on first use and kept, so a query
+    allocates nothing per view row until a stage scores pairs:
 
+    * :attr:`ids`, the vocabulary ids of ``codes``; a bank query's embeddings
+      are rows, so only a probe's are read.
     * :attr:`view_embedding`, the single-text ``embed_text`` vector under the
       view's params: the view's row r for a bank query (the same bits, rule
       2), else :meth:`embedding` under ``view.params``, computed once.
@@ -567,10 +569,15 @@ class PreparedQuery:
         else:
             self.codes, self.length = pad_codes([view.code_table().encode(
                 text_tokens(exercise.text, view.vocab.stop_words))])
-        self.ids = view.token_ids(self.codes)[0, :int(self.length[0])]
-        self._sims = np.full(len(view.lengths), np.nan)
-        self._block_at = np.full(len(view.lengths), -1, dtype=np.intp)
+        # per view row, allocated by the first edit_similarities/feature_rows call
+        self._sims: Optional[np.ndarray] = None
+        self._block_at: Optional[np.ndarray] = None
         self._block: Optional[np.ndarray] = None
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """The vocabulary ids of ``codes``, mapped on first use."""
+        return self.view.token_ids(self.codes)[0, :int(self.length[0])]
 
     def require_view(self, view: PreparedCorpus) -> None:
         """Refuses any ``view`` but the one this query was prepared over, even
@@ -594,6 +601,8 @@ class PreparedQuery:
 
     def edit_similarities(self, rows: np.ndarray) -> np.ndarray:
         """Edit similarity of the query to each of the view's ``rows``."""
+        if self._sims is None:
+            self._sims = np.full(len(self.view.lengths), np.nan)
         todo = rows[np.isnan(self._sims[rows])]
         if len(todo):
             dist = self.view.distances(self.codes, int(self.length[0]), todo)
@@ -606,6 +615,8 @@ class PreparedQuery:
         the view's row. Rows not featurized yet go through one
         :func:`pair_feature_rows` call, kept in the query's block; rows
         featurized before are read back, the same bits (rule 4)."""
+        if self._block_at is None:
+            self._block_at = np.full(len(self.view.lengths), -1, dtype=np.intp)
         at = self._block_at[rows]
         todo = rows[at < 0]
         if len(todo) or self._block is None:
@@ -638,9 +649,9 @@ def pair_feature_rows(u: np.ndarray, v: np.ndarray, sims: np.ndarray) -> np.ndar
 
 @dataclass
 class PairFeaturizer:
-    """Turns (query, candidate) pairs into the classifier's feature rows,
-    over one prepared ``view``: its ``params`` (the encoder's), its rows as
-    candidates, and queries prepared over it."""
+    """The per-pair reference the served path is checked against: the
+    feature row of one pair of queries prepared over ``view``, under its
+    ``params``. The served stages read :meth:`PreparedQuery.feature_rows`."""
 
     view: PreparedCorpus
 
@@ -655,17 +666,6 @@ class PairFeaturizer:
         sim = edit_similarity(*(text_tokens(q.exercise.text, q.view.vocab.stop_words)
                                 for q in (a, b)))
         return pair_features(self.embedding(a), self.embedding(b), sim)
-
-    def feature_rows(self, query: PreparedQuery, index: RowIndex,
-                     rows: np.ndarray) -> np.ndarray:
-        """The feature rows of the pairs (query, row) over ``index``'s
-        ``rows``, read from the query's block (``PreparedQuery.feature_rows``).
-        Refuses rows of an index other than the view's and a query prepared
-        over another view (``PreparedQuery.require_view``)."""
-        if index is not self.view.index:
-            raise ValueError("candidates are not rows of this featurizer's view")
-        query.require_view(self.view)
-        return query.feature_rows(rows)
 
 
 def row_pair_similarities(codes: np.ndarray, lengths: np.ndarray, left: np.ndarray,

@@ -58,32 +58,31 @@ rows against clones prepared as served probes (``recall.train_dedup``).
 Stems are normalized when a view is made, answers and analyses only when a
 step reads them, and embeddings only when a step asks for them.
 
-Query flow. Recall, ranking and re-rank are built once, by
-``Pipeline.load``, and ``step_eval`` scores those same stages: the recall
-lists and the ranked lists of its report are what ``Pipeline.recaller``
-and ``Pipeline.ranker`` return. ``Pipeline.load`` prepares the corpus once
-(``pairclf.PreparedCorpus``): each exercise's stem is read from the column
-the corpus keeps, or normalized once in a new process, and embedded once
-under the encoder. The recall indexes, dedup, the variant split and the
-ranker are built from that one view alone, and the dedup and variant heads
-share one featurizer over it; its embedding matrix is the vector index. The
-ranker keeps a matrix of its own, each row embedded once under its own
-backbone at load. A cache miss prepares the query once, as
-``PreparedQuery(exercise, view)``, and passes it, and only it, to recall,
-ranking and re-rank. A bank exercise (the very object the loaded corpus
-holds, which a request by id resolves to) reads its prepared row: it is not
-normalized again, and its embeddings are its rows of the view and of the
-ranker's matrix. Any other exercise is normalized once and embedded once
-under the encoder and, when it has candidates to rank, once under the
-ranker's backbone, so a miss runs ``embed_text`` twice only for a query
-that is not a bank object.
+Query flow. ``Pipeline.load`` builds recall, ranking and re-rank once, and
+the recall and ranked lists of ``step_eval``'s report are what those same
+stages, ``Pipeline.recaller`` and ``Pipeline.ranker``, return. It prepares
+the corpus once (``pairclf.PreparedCorpus``): each stem is read from the
+column the corpus keeps, or normalized once in a new process, and embedded
+once under the encoder. The recall indexes and the ranker are built from
+that one view, whose embedding matrix is the vector index; the dedup and
+variant heads are bare ``pairclf.PairClassifier`` s. The ranker keeps a
+matrix of its own, each row embedded once under its own backbone at load.
+A cache miss prepares the query once, as ``PreparedQuery(exercise, view)``,
+and passes it, and only it, to recall, ranking and re-rank. A bank exercise
+(the very object the loaded corpus holds, which a request by id resolves
+to) reads its prepared row: it is not normalized again, and its embeddings
+are its rows of the view and of the ranker's matrix. Any other exercise is
+normalized once and embedded once under the encoder and, when it has
+candidates to rank, once under the ranker's backbone.
 A miss with a student profile runs the stage and difficulty filters once,
 in recall, on the merged list, before any pair is scored: the kernel,
 dedup, ranking and the variant split see only rows the student can be
 served, and the served list has the bits of filtering after ranking.
-Re-rank is the variant split alone. The first stage to score pairs, dedup
-when its head is loaded, makes the miss's one edit-distance kernel call
-over the recalled list and builds its one block of feature rows; ranking
+Re-rank is the variant split alone, by the variant head at
+``rerank.variant_threshold``; a workspace without ``variant.params``
+serves with no split. The first stage to score pairs, dedup when its head
+is loaded, makes the miss's one edit-distance kernel call over the
+recalled list and builds the query's one block of feature rows; ranking
 reads the similarities back and the variant split the block's rows. The
 stages pass candidates as arrays of corpus rows (``recall.Candidates``);
 ids are looked up once, for the served list.
@@ -123,9 +122,9 @@ from .corpus import (Corpus, CorpusError, Exercise, LabeledPair, SyntheticSpec,
                      SyntheticTruth)
 from .evaluate import (EvalReport, annotated_similars, config_hash,
                        evaluate_precision, evaluate_recall)
-from .pairclf import PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery
+from .pairclf import PairClassifier, PreparedCorpus, PreparedQuery
 from .recall import RecallConfig, Recaller
-from .rerank import RerankConfig, RerankedResult, StudentProfile, VariantClassifier
+from .rerank import RerankedResult, StudentProfile
 from .snapshots import WRITTEN_BY, atomic_write, file_digest, short_digest
 from .textnorm import Vocab, canonical_stop_words
 
@@ -172,7 +171,6 @@ DEFAULTS = {
     "cl.folds": "5",
     "cl.seed": "0",
     "rerank.variant_threshold": "0.5",
-    "rerank.enable_variant": "on",
     "cache.size": "256",
     "eval.k_recall": "100",
     "eval.ks": "1,3,5",
@@ -396,7 +394,7 @@ def step_pretrain(workdir, config: Config):
     stop_words = config.stop_words()
     corpus = corpus_mod.load_snapshot(_path(workdir, "corpus"))
     view = PreparedCorpus.with_own_vocab(corpus, stop_words)
-    params, history = encoder_mod.pretrain(corpus, view, pre_cfg)
+    params, history = encoder_mod.pretrain(view, pre_cfg)
     encoder_mod.save_encoder(params, view.vocab, _path(workdir, "encoder"),
                              {"corpus": short_digest(corpus.digest)})
     return params, history
@@ -439,11 +437,11 @@ def step_index(workdir, config: Config) -> None:
         return
     view = PreparedCorpus(corpus, vocab, params)
     if truth is not None:
-        recall_mod.train_dedup(corpus, truth, view).save(
+        recall_mod.train_dedup(truth, view).save(
             _path(workdir, "dedup"), "dedup",
             {"encoder": versions["encoder"], "truth": truth_version})
     if variant:
-        rerank_mod.train_variant(pairs, corpus, view).save(
+        rerank_mod.train_variant(pairs, view).save(
             _path(workdir, "variant"), "variant",
             {name: versions[name] for name in ("encoder", "pairs")})
 
@@ -595,9 +593,9 @@ class Pipeline:
     vocab: Vocab
     recaller: Recaller
     ranker: ranking.Ranker
-    variant_clf: Optional[VariantClassifier]
+    variant: Optional[PairClassifier]
+    variant_threshold: float
     config: Config
-    rerank_config: RerankConfig
     versions: dict[str, str]
     cache_size: int = 256
     _cache: "OrderedDict[tuple, RerankedResult]" = field(default_factory=OrderedDict)
@@ -607,10 +605,8 @@ class Pipeline:
     def load(cls, workdir, config: Optional[Config] = None) -> "Pipeline":
         config = config or Config()
         recall_config = _recall_config(config)
-        rerank_config = RerankConfig(
-            # against NaN no probability compares, so nothing would be split
-            variant_threshold=_finite_float(config, "rerank.variant_threshold"),
-            enable_variant=config.get_bool("rerank.enable_variant"))
+        # against NaN no probability compares, so nothing would be split
+        variant_threshold = _finite_float(config, "rerank.variant_threshold")
         cache_size = config.get_int("cache.size", minimum=0)
         required = ("corpus", "encoder", "ranker")
         missing = [name for name in required if not _path(workdir, name).exists()]
@@ -629,18 +625,11 @@ class Pipeline:
         # and variant heads and the ranker (which embeds each row once more
         # into a matrix of its own, under its own backbone, here at load)
         view = PreparedCorpus(corpus, vocab, encoder)
-        featurizer = PairFeaturizer(view)
-        dedup = variant_clf = None
-        if "dedup" in heads:
-            dedup = recall_mod.DuplicateDetector(heads["dedup"], featurizer)
-        if "variant" in heads:
-            variant_clf = VariantClassifier(heads["variant"], featurizer)
-        recaller = Recaller.build(view, dedup=dedup, config=recall_config)
+        recaller = Recaller.build(view, dedup=heads.get("dedup"), config=recall_config)
         return cls(corpus=corpus, vocab=view.vocab, recaller=recaller,
                    ranker=ranking.Ranker(ranker_params, view),
-                   variant_clf=variant_clf, config=config,
-                   rerank_config=rerank_config, versions=versions,
-                   cache_size=cache_size)
+                   variant=heads.get("variant"), variant_threshold=variant_threshold,
+                   config=config, versions=versions, cache_size=cache_size)
 
     # -- query flow ----------------------------------------------------------
 
@@ -689,6 +678,6 @@ class Pipeline:
     def _compute(self, exercise: Exercise,
                  profile: Optional[StudentProfile]) -> RerankedResult:
         query = PreparedQuery(exercise, self.recaller.view)
-        candidates = self.recaller.recall(query, profile, self.corpus)
+        candidates = self.recaller.recall(query, profile)
         ranked = self.ranker.rank(query, candidates)
-        return rerank_mod.rerank(query, ranked, profile, self.variant_clf, self.rerank_config)
+        return rerank_mod.rerank(query, ranked, profile, self.variant, self.variant_threshold)

@@ -54,26 +54,26 @@ student can be served, and the served list has the bits of filtering the
 whole ranked list.
 
 Finally, candidates the duplicate classifier flags against the query are
-dropped so near-identical exercises are never recommended. Dedup scores
-all merged candidates at once from the query's ``pairclf.PreparedQuery``:
-one kernel call over the merged list, then one block of feature rows over
-it, which ranking and the variant split read back for their subsets.
-``prob_rows`` makes the batch bit-identical to ``DuplicateDetector.prob``
-per candidate (see the rules in ``pairclf``). ``train_dedup`` fits the head
-on ``corpus.generate_dedup_pairs``' clone pairs with each clone prepared as
-a served probe is, so it is fitted on the feature rows a miss builds. A
-query prepared over another view, even one of the same exercises and
-vocabulary, is refused.
+dropped so near-identical exercises are never recommended. The dedup head
+is a bare ``pairclf.PairClassifier``; it scores all merged candidates at
+once, ``prob_rows`` over the query's feature rows of the merged list
+(``PreparedQuery.feature_rows``): one kernel call, then one block of
+feature rows, which ranking and the variant split read back for their
+subsets. The batch is bit-identical to the per-pair reference
+``DuplicateDetector.prob`` per candidate (see the rules in ``pairclf``).
+``train_dedup`` fits the head on ``corpus.generate_dedup_pairs``' clone
+pairs with each clone prepared as a served probe is, so it is fitted on
+the feature rows a miss builds.
 
 A stage is built from one view; a miss passes one ``PreparedQuery`` over
 it. ``Recaller.build`` takes one ``pairclf.PreparedCorpus`` (the one
-``Pipeline.load`` shares with dedup, the ranker and the variant split) and
-nothing else: BM25 reads the view's stem codes and its exercises'
-concepts, the vector index is the view's embedding matrix itself, and a
-dedup head must be over the same view. So the corpus is normalized and
-embedded once; the rows equal ``embed_corpus``'s bit for bit, and dedup and
-the variant split read the same rows. ``Recaller.recall`` takes the miss's
-``PreparedQuery`` alone.
+``Pipeline.load`` shares with the ranker) and a head: BM25 reads the view's
+stem codes and its exercises' concepts, the vector index is the view's
+embedding matrix itself, and dedup and the filters read the view's rows and
+its corpus. So the corpus is normalized and embedded once; the rows equal
+``embed_corpus``'s bit for bit. ``Recaller.recall`` takes the miss's
+``PreparedQuery`` and profile alone, and refuses a query prepared over
+another view, even one of the same exercises and vocabulary.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ import numpy as np
 
 from . import rerank as rerank_mod
 from . import corpus as corpus_mod
-from .corpus import Corpus, RowIndex, SyntheticTruth
+from .corpus import RowIndex, SyntheticTruth
 # embed_text stays bound, unused: perfbench's tracer wraps it where imported
 from .encoder import embed_text  # noqa: F401
 from .pairclf import (PairClassifier, PairFeaturizer, PreparedCorpus, PreparedQuery,
@@ -447,7 +447,8 @@ def merge_candidates(exact: Candidates, embed: Candidates, n: int) -> Candidates
 
 @dataclass
 class DuplicateDetector:
-    """Duplicate probability over the symmetric pair features, so
+    """The per-pair reference the served dedup is checked against: the
+    duplicate probability of one pair over the symmetric pair features, so
     prob(a, b) == prob(b, a) holds exactly. Recall drops a candidate at
     ``RecallConfig.dedup_threshold``."""
 
@@ -458,27 +459,22 @@ class DuplicateDetector:
         return self.classifier.prob(self.featurizer.features(a, b))
 
 
-def train_dedup(corpus: Corpus, truth: SyntheticTruth, view: PreparedCorpus) -> PairClassifier:
+def train_dedup(truth: SyntheticTruth, view: PreparedCorpus) -> PairClassifier:
     """Fit the dedup head (saved as kind ``"dedup"``) on the pairs of
-    ``generate_dedup_pairs`` over ``view``, a view of ``corpus``: each
-    anchor's row against the other side prepared as a served probe is. A
-    clone's own codes lie past every code of the view, so one kernel call
-    over the rows and the probes' codes gives each distance exactly."""
-    dedup_pairs = corpus_mod.generate_dedup_pairs(corpus, truth, seed=97)
+    ``generate_dedup_pairs`` over the view's corpus: each anchor's row
+    against the other side prepared as a served probe is. A clone's own
+    codes lie past every code of the view, so one kernel call over the rows
+    and the probes' codes gives each distance exactly."""
+    dedup_pairs = corpus_mod.generate_dedup_pairs(view.corpus, truth, seed=97)
     if not dedup_pairs:
         raise UntrainedModelError("no duplicate-labeled pairs to train on")
-    # a query holds two arrays over every row of the view: keep only what
-    # its feature row reads
-    codes, embeddings = [], []
-    for _, other, _ in dedup_pairs:
-        query = PreparedQuery(other, view)
-        codes.append(query.codes[0, :int(query.length[0])])
-        embeddings.append(query.view_embedding)
+    queries = [PreparedQuery(other, view) for _, other, _ in dedup_pairs]
     anchors = np.array([view.index.row_of[a.id] for a, _, _ in dedup_pairs], dtype=np.intp)
-    sims = edit_similarities(view.codes[anchors], view.lengths[anchors], *pad_codes(codes))
-    return PairClassifier.train(
-        pair_feature_rows(view.embeddings[anchors], np.stack(embeddings), sims),
-        np.array([label for _, _, label in dedup_pairs]))
+    sims = edit_similarities(view.codes[anchors], view.lengths[anchors],
+                             *pad_codes([q.codes[0, :int(q.length[0])] for q in queries]))
+    probes = np.stack([q.view_embedding for q in queries])
+    return PairClassifier.train(pair_feature_rows(view.embeddings[anchors], probes, sims),
+                                np.array([label for _, _, label in dedup_pairs]))
 
 
 # ---------------------------------------------------------------------------
@@ -487,23 +483,19 @@ def train_dedup(corpus: Corpus, truth: SyntheticTruth, view: PreparedCorpus) -> 
 @dataclass
 class Recaller:
     """Bundles everything a recall query needs, built from one prepared
-    ``view``: both indexes, and the dedup head that reads its rows."""
+    ``view``: both indexes, and the dedup head that scores its rows."""
 
     view: PreparedCorpus
     lexical: LexicalIndex
     vector: VectorIndex
-    dedup: Optional[DuplicateDetector] = None
+    dedup: Optional[PairClassifier] = None
     config: RecallConfig = field(default_factory=RecallConfig)
 
     @classmethod
-    def build(cls, view: PreparedCorpus, dedup: Optional[DuplicateDetector] = None,
+    def build(cls, view: PreparedCorpus, dedup: Optional[PairClassifier] = None,
               config: Optional[RecallConfig] = None) -> "Recaller":
-        """Both indexes from ``view``, embedded under the encoder; a ``dedup``
-        head must have its featurizer over the same view, whose rows it
-        reads."""
+        """Both indexes from ``view``, embedded under the encoder."""
         config = config or RecallConfig()
-        if dedup is not None and dedup.featurizer.view is not view:
-            raise ValueError("the dedup head's featurizer is not over this view")
         return cls(view=view, lexical=LexicalIndex.build(view, config.concept_boost),
                    vector=VectorIndex.build(view), dedup=dedup, config=config)
 
@@ -512,13 +504,12 @@ class Recaller:
         return query.view_embedding
 
     def recall(self, query: PreparedQuery,
-               profile: Optional[rerank_mod.StudentProfile] = None,
-               corpus: Optional[Corpus] = None) -> Candidates:
+               profile: Optional[rerank_mod.StudentProfile] = None) -> Candidates:
         """Merged, deduplicated candidates of ``query``, as rows of the view;
         the query keeps the dedup feature rows for the later stages. With a
         ``profile``, the merged list first goes through ``rerank``'s stage
-        and difficulty filters over ``corpus``, whose rows the view's are.
-        Refuses a query prepared over another view."""
+        and difficulty filters over the view's corpus. Refuses a query
+        prepared over another view."""
         query.require_view(self.view)
         cfg = self.config
         query_id = query.exercise.id
@@ -533,11 +524,11 @@ class Recaller:
             # the student is served no other row, and dedup, ranking and the
             # variant split score each row on its own, so the pair work
             # starts from the rows that can be served
+            corpus = self.view.corpus
             merged = rerank_mod.personalize_filter(
                 rerank_mod.stage_filter(merged, profile, corpus),
                 query.exercise.metadata.difficulty, profile, corpus)
         if self.dedup is None or not len(merged):
             return merged
-        probs = self.dedup.classifier.prob_rows(
-            self.dedup.featurizer.feature_rows(query, merged.index, merged.rows))
+        probs = self.dedup.prob_rows(query.feature_rows(merged.rows))
         return merged.take(probs < cfg.dedup_threshold)

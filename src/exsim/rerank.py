@@ -16,21 +16,16 @@ profile and no classifier the whole stage is a pass-through, so the
 pipeline is testable end to end before any re-rank model exists.
 
 The two filters are masks over the corpus's per-row ``learning_stages`` and
-``difficulties`` arrays, built with the corpus, applied to candidates as
-``recall.Candidates``, rows of the corpus. They read nothing but a
-candidate's own row, so ``recall.Recaller.recall`` runs them on a profiled
-miss's merged list, before any pair is scored, and that is the one place a
-miss is filtered. :func:`rerank` is the split alone: it takes the miss's
-``pairclf.PreparedQuery`` and its ranked list, and ``passed`` names the
-filters recall ran for the profile. The variant head's featurizer is over
-the loaded ``PreparedCorpus``, the view of dedup's featurizer, and the
-split scores every ranked row in one batch, reading its feature rows back
-from the block the query kept for dedup (``PreparedQuery.feature_rows``),
-scored by ``prob_rows``. It makes no edit-distance kernel call and builds
-no feature row of its own: the ranked candidates are the recalled rows,
-reordered. This is bit-identical to ``VariantClassifier.prob`` per
-candidate (see the rules in ``pairclf``); the split puts a candidate first
-at ``RerankConfig.variant_threshold``.
+``difficulties`` arrays, applied to candidates as ``recall.Candidates``,
+rows of the corpus. They read nothing but a candidate's own row, so
+``recall.Recaller.recall`` runs them on a profiled miss's merged list,
+before any pair is scored, the one place a miss is filtered. :func:`rerank`
+is the split alone, by a bare ``pairclf.PairClassifier`` at one threshold:
+it scores the miss's ranked list, rows of the query's view, in one
+``prob_rows`` batch over the feature rows the query kept for dedup
+(``PreparedQuery.feature_rows``), with no kernel call or feature row of its
+own, bit for bit as the per-pair reference ``VariantClassifier.prob`` (see
+the rules in ``pairclf``). ``passed`` names the filters recall ran.
 
 Results are stored column-wise (:class:`RerankedResult`): a served list is
 kept in the query cache, so per-item objects are only built on access.
@@ -134,12 +129,6 @@ class RerankedResult:
         return {"variant": items(self.variant), "similar": items(self.similar)}
 
 
-@dataclass
-class RerankConfig:
-    variant_threshold: float = 0.5
-    enable_variant: bool = True
-
-
 # ---------------------------------------------------------------------------
 # Filters
 
@@ -191,7 +180,8 @@ def personalize_filter(candidates: Candidates, query_difficulty: int,
 
 @dataclass
 class VariantClassifier:
-    """Variant-vs-plain-similar probability of a (query, candidate) pair.
+    """The per-pair reference the served variant split is checked against:
+    the variant-vs-plain-similar probability of one (query, candidate) pair.
 
     Like every pair head it is symmetric: its features do not depend on
     which side is which, so prob(q, c) == prob(c, q) bit for bit. The label
@@ -205,15 +195,14 @@ class VariantClassifier:
         return self.classifier.prob(self.featurizer.features(query, candidate))
 
 
-def train_variant(pairs: Sequence[LabeledPair], corpus: Corpus,
-                  view: PreparedCorpus) -> PairClassifier:
+def train_variant(pairs: Sequence[LabeledPair], view: PreparedCorpus) -> PairClassifier:
     """Fit the variant head (saved as kind ``"variant"``) on the
     variant-flagged labeled pairs (variant=1, plain-similar=0), as rows
-    of ``view``, the view of ``corpus``."""
+    of ``view``."""
     flagged = [p for p in pairs if p.variant is not None]
     if not flagged:
         raise UntrainedModelError("no variant-flagged pairs to train on")
-    row_of = corpus.index.row_of
+    row_of = view.index.row_of
     rows_a = np.array([row_of[p.a_id] for p in flagged], dtype=np.intp)
     rows_b = np.array([row_of[p.b_id] for p in flagged], dtype=np.intp)
     labels = np.array([1 if p.variant == VARIANT else 0 for p in flagged])
@@ -225,19 +214,23 @@ def train_variant(pairs: Sequence[LabeledPair], corpus: Corpus,
 
 def rerank(query: PreparedQuery, candidates: Candidates,
            profile: Optional[StudentProfile],
-           variant_clf: Optional[VariantClassifier] = None,
-           config: RerankConfig = RerankConfig()) -> RerankedResult:
-    """The variant split of a ranked list, order preserved. ``candidates``
-    are what recall kept for ``profile``, so with a profile ``passed`` names
-    the stage and difficulty filters recall ran."""
+           variant: Optional[PairClassifier] = None,
+           variant_threshold: float = 0.5) -> RerankedResult:
+    """The variant split of a ranked list, order preserved: a candidate goes
+    first when ``variant`` gives it at least ``variant_threshold``.
+    ``candidates`` are what recall kept for ``profile``, so with a profile
+    ``passed`` names the stage and difficulty filters recall ran. Refuses
+    candidates that are not rows of the query's view."""
+    if candidates.index is not query.view.index:
+        raise ValueError("candidates are not rows of the query's view")
     passed = ["stage", "difficulty"] if profile is not None else []
-    if variant_clf is None or not config.enable_variant:
+    if variant is None:
         return RerankedResult(candidates, passed)
     passed.append("variant")
-    probs = (variant_clf.classifier.prob_rows(variant_clf.featurizer.feature_rows(
-        query, candidates.index, candidates.rows)) if len(candidates) else np.zeros(0))
+    probs = (variant.prob_rows(query.feature_rows(candidates.rows)) if len(candidates)
+             else np.zeros(0))
     # stable partition: variants first, each side in ranking order
-    similar = ~(probs >= config.variant_threshold)
+    similar = ~(probs >= variant_threshold)
     order = np.argsort(similar, kind="stable")
     return RerankedResult(candidates.take(order), passed, variant_probs=probs[order],
                           n_variant=len(candidates) - int(similar.sum()))

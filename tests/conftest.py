@@ -18,8 +18,7 @@ def small_trained(small_synth):
     """Pre-trained and fine-tuned encoder over the small corpus."""
     corpus, truth, pairs = small_synth
     view = PreparedCorpus.with_own_vocab(corpus)
-    params, _ = encoder_mod.pretrain(
-        corpus, view, encoder_mod.PretrainConfig(d=16, epochs=8, seed=2))
+    params, _ = encoder_mod.pretrain(view, encoder_mod.PretrainConfig(d=16, epochs=8, seed=2))
     params, _ = encoder_mod.fine_tune(
         params, pairs, view, encoder_mod.FinetuneConfig(epochs=3, n_negatives=6, seed=2))
     return corpus, truth, pairs, view.vocab, params

@@ -79,7 +79,7 @@ def cl_setup():
                          vocab_size=150, seed=29)
     corpus, truth, pairs = generate_synthetic(spec, d_img=8)
     view = PreparedCorpus.with_own_vocab(corpus)
-    params, _ = enc.pretrain(corpus, view, enc.PretrainConfig(d=16, epochs=6, seed=2))
+    params, _ = enc.pretrain(view, enc.PretrainConfig(d=16, epochs=6, seed=2))
     params, _ = enc.fine_tune(
         params, pairs, view, enc.FinetuneConfig(epochs=2, n_negatives=6, seed=2))
     return corpus, truth, pairs, PreparedCorpus(corpus, view.vocab, params)

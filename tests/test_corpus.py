@@ -63,12 +63,22 @@ def with_fields(**fields) -> str:
 
 @pytest.mark.parametrize("line, message", [
     ("{not json", "malformed JSON"),
-    (with_fields(difficulty="hard"), "malformed exercise record: invalid literal for int"),
-    (with_fields(difficulty=1e400), "malformed exercise record: cannot convert float inf"),
+    (with_fields(difficulty="hard"), "difficulty 'hard' is not an integer"),
+    (with_fields(difficulty=1e400), "difficulty inf is not an integer"),
     (with_fields(image_features=[["abc"]]),
      "malformed exercise record: could not convert string to float"),
-    (with_fields(learning_stage=[7, "spring"]),
-     "malformed exercise record: invalid literal for int"),
+    (with_fields(learning_stage=[7, "spring"]), "learning_stage entry 'spring' is not an integer"),
+    # nothing is converted: a float, a bool or a digit string is no integer,
+    # and null or a number is no string
+    (with_fields(difficulty=3.7), "difficulty 3.7 is not an integer"),
+    (with_fields(difficulty=True), "difficulty True is not an integer"),
+    (with_fields(difficulty="3"), "difficulty '3' is not an integer"),
+    (with_fields(learning_stage=[7.9, 1]), "learning_stage entry 7.9 is not an integer"),
+    (with_fields(learning_stage=[7, True]), "learning_stage entry True is not an integer"),
+    (with_fields(answer=None), "answer None is not a string"),
+    (with_fields(id=5), "id 5 is not a string"),
+    (with_fields(learning_stage={"a": 1, "b": 2}),
+     r"learning_stage must be a list, not \{'a': 1, 'b': 2\}"),
     ("5", "malformed exercise record: argument of type 'int'"),
     # the record checks' own errors are not wrapped again
     (with_fields(learning_stage=[7]), "learning_stage must be"),
@@ -80,8 +90,10 @@ def with_fields(**fields) -> str:
     (with_fields(image_features=["12"]),
      "exercise 'e1': image feature vectors must be lists of numbers, not strings"),
 ], ids=["json", "difficulty", "inf-difficulty", "image-features", "stage-entry",
-        "not-an-object", "stage-length", "no-concepts", "string-options",
-        "string-concepts", "string-stage", "string-image-row"])
+        "float-difficulty", "bool-difficulty", "string-difficulty", "float-stage-entry",
+        "bool-stage-entry", "null-answer", "number-id", "object-stage", "not-an-object",
+        "stage-length", "no-concepts", "string-options", "string-concepts", "string-stage",
+        "string-image-row"])
 def test_load_corpus_malformed_line_cites_line(tmp_path, line, message):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(make_exercise().to_record()) + "\n" + line + "\n")

@@ -20,7 +20,9 @@ reads a function of ``TEXT_TO_TOKENS`` (``textnorm`` defines them). The
 The serving stages are built in one place: under ``src/exsim`` only
 ``Pipeline.load`` calls ``Recaller.build`` or constructs a ``Ranker``, and
 only ``Pipeline._compute`` calls ``rerank.rerank``, so what ``step_eval``
-scores is what a query is served.
+scores is what a query is served. Nothing under ``src/exsim`` constructs a
+per-pair reference (``PER_PAIR_REFERENCES``): the stages score bare heads
+over the query's feature rows, and only tests compare those with them.
 """
 
 import ast
@@ -310,8 +312,8 @@ DEDUP_DATA_CALLS = {"generate_dedup_pairs": "src/exsim/recall.py:train_dedup"}
 def test_the_check_finds_the_dedup_pair_calls():
     source = ("from . import corpus as corpus_mod\n"
               "def step_index(workdir):\n    pairs = corpus_mod.generate_dedup_pairs(c, t)\n"
-              "def train_dedup(corpus, truth, view):\n"
-              "    return generate_dedup_pairs(corpus, truth, seed=97)\n"
+              "def train_dedup(truth, view):\n"
+              "    return generate_dedup_pairs(view.corpus, truth, seed=97)\n"
               "other = generate_synthetic(spec)\n")
     assert stage_calls(source, DEDUP_DATA_CALLS) == [
         (3, "step_index", "generate_dedup_pairs"), (5, "train_dedup", "generate_dedup_pairs")]
@@ -319,3 +321,27 @@ def test_the_check_finds_the_dedup_pair_calls():
 
 def test_only_train_dedup_makes_the_dedup_pairs():
     assert_only_their_owners_call(DEDUP_DATA_CALLS)
+
+
+# the per-pair classes the tests check the served stages against
+PER_PAIR_REFERENCES = ("PairFeaturizer", "DuplicateDetector", "VariantClassifier")
+
+
+def test_the_check_finds_the_per_pair_constructions():
+    source = ("from . import pairclf, recall as recall_mod\n"
+              "class Pipeline:\n    def load(cls):\n"
+              "        f = pairclf.PairFeaturizer(view)\n"
+              "        return recall_mod.DuplicateDetector(h, f), VariantClassifier(h, f)\n"
+              "featurizer: PairFeaturizer\n"
+              "def prob(self, a, b):\n    return self.featurizer.features(a, b)\n")
+    assert stage_calls(source, PER_PAIR_REFERENCES) == [
+        (4, "Pipeline.load", "PairFeaturizer"), (5, "Pipeline.load", "DuplicateDetector"),
+        (5, "Pipeline.load", "VariantClassifier")]
+
+
+def test_no_library_function_constructs_a_per_pair_reference():
+    found = [f"{path.relative_to(ROOT)}:{line} ({scope or 'module'}) constructs {name}"
+             for path in sorted((ROOT / "src/exsim").glob("*.py"))
+             for line, scope, name in stage_calls(path.read_text(encoding="utf-8"),
+                                                  PER_PAIR_REFERENCES)]
+    assert not found, ", ".join(found)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from gradcheck import assert_grads_match, finite_difference
 from hypothesis import example, given, settings, strategies as st
 
 from exsim import encoder as enc
-from exsim import pairclf
+from exsim import pairclf, rerank
 from exsim.corpus import Corpus, Exercise, Metadata
 from exsim.encoder import EncoderParams
 from exsim.pairclf import (
@@ -14,6 +15,7 @@ from exsim.pairclf import (
     edit_similarities, edit_similarity, levenshtein, pair_feature_rows,
     pair_features,
 )
+from exsim.recall import Candidates
 from exsim.textnorm import UNK_ID, Vocab, normalize_text, split_tokens
 
 
@@ -455,17 +457,14 @@ def test_query_pairs_codes_tell_oov_tokens_apart(query_words, corpus_words):
     query = exercise("q", " ".join(query_words))
     expected = [reference_similarity(query_words, w) for w in corpus_words]
     view = PreparedCorpus(corpus, VOCAB, PARAMS)
-    rows = PairFeaturizer(view).feature_rows(PreparedQuery(query, view), view.index,
-                                             np.arange(len(corpus)))
+    rows = PreparedQuery(query, view).feature_rows(np.arange(len(corpus)))
     assert rows[:, -1].tolist() == expected
 
 
 def test_unk_tokens_that_differ_as_strings_are_an_edit():
     assert VOCAB.id_of("xy") == VOCAB.id_of("zq") == UNK_ID
     view = PreparedCorpus(Corpus([exercise("e", "ab zq")]), VOCAB, PARAMS)
-    feat = PairFeaturizer(view)
-    sims = [feat.feature_rows(PreparedQuery(exercise("q", text), view), view.index,
-                              np.array([0]))[0, -1]
+    sims = [PreparedQuery(exercise("q", text), view).feature_rows(np.array([0]))[0, -1]
             for text in ("ab xy", "ab zq")]
     assert sims == [0.5, 1.0]
     ids = view.token_ids(view.codes)
@@ -597,23 +596,38 @@ def test_prob_rows_equal_prob_per_row(n, width, decades, strided, seed):
     assert clf.prob_rows(x).tolist() == [clf.prob(row) for row in x]
 
 
+def test_a_bank_query_allocates_nothing_per_view_row():
+    """Preparing a bank row's query and reading its embedding allocates no
+    array over the view's rows: those are made when a stage scores pairs."""
+    exs = [exercise(f"e{i}", ("ab cd", "ef ab", "cd xy")[i % 3]) for i in range(1200)]
+    view = PreparedCorpus(Corpus(exs), VOCAB, PARAMS)
+    view.embeddings
+    tracemalloc.start()
+    try:
+        query = PreparedQuery(exs[5], view)
+        assert query.view_embedding is not None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert query.row == 5 and peak < 8 * len(exs)
+    assert query.edit_similarities(np.array([5]))[0] == 1.0
+
+
 @settings(max_examples=50, deadline=None)
 @given(words, st.lists(words, min_size=2, max_size=8), st.data())
 def test_prepared_query_reads_kept_similarities_by_row(query_words, corpus_words, data):
     """Later, smaller and reordered row sets read back what the first call
-    computed, equal to the reference DP, also through the featurizer."""
+    computed, equal to the reference DP, also through the feature rows."""
     corpus = Corpus([exercise(f"e{i}", " ".join(w)) for i, w in enumerate(corpus_words)])
     view = PreparedCorpus(corpus, VOCAB, PARAMS)
     query = PreparedQuery(exercise("q", " ".join(query_words)), view)
     expected = [reference_similarity(query_words, w) for w in corpus_words]
     everyone = np.arange(len(corpus))
     assert query.edit_similarities(everyone).tolist() == expected
-    featurizer = PairFeaturizer(view)
     for _ in range(3):
         rows = np.array(data.draw(st.lists(st.sampled_from(everyone.tolist()),
                                            max_size=len(corpus))), dtype=np.int64)
-        assert featurizer.feature_rows(query, view.index, rows)[:, -1].tolist() == \
-            [expected[r] for r in rows]
+        assert query.feature_rows(rows)[:, -1].tolist() == [expected[r] for r in rows]
 
 
 def test_prepared_query_is_refused_by_another_view():
@@ -630,13 +644,12 @@ def test_prepared_query_is_refused_by_another_view():
         query = PreparedQuery(ex, first)
         for second in (reordered, PreparedCorpus(Corpus(exs), VOCAB, PARAMS)):
             with pytest.raises(ValueError, match="prepared query"):
-                PairFeaturizer(second).feature_rows(query, second.index, rows)
+                query.require_view(second)
     query = PreparedQuery(exercise("q", "zq ef"), first)
-    assert PairFeaturizer(first).feature_rows(
-        query, first.index, rows)[:, -1].tolist() == [0.0, 1.0]
+    query.require_view(first)
+    assert query.feature_rows(rows)[:, -1].tolist() == [0.0, 1.0]
     query = PreparedQuery(exercise("q", "zq ef"), reordered)
-    assert PairFeaturizer(reordered).feature_rows(
-        query, reordered.index, rows)[:, -1].tolist() == [1.0, 0.0]
+    assert query.feature_rows(rows)[:, -1].tolist() == [1.0, 0.0]
 
 
 # rows of up to 90 tokens, in and out of the vocabulary
@@ -734,8 +747,7 @@ def test_prepared_query_keeps_one_view_embedding(monkeypatch):
     query = PreparedQuery(exercise("q", "ab xy cd"), view)
     for _ in range(2):
         assert np.array_equal(featurizer.embedding(query), expected[id(PARAMS)])
-        assert np.array_equal(featurizer.feature_rows(query, view.index,
-                                                      np.array([1, 0]))[:, 8:12],
+        assert np.array_equal(query.feature_rows(np.array([1, 0]))[:, 8:12],
                               query.view_embedding * view.embeddings[[1, 0]])
     assert [id(p) for p in calls] == [id(PARAMS)]
     calls.clear()
@@ -756,22 +768,26 @@ def test_prepared_query_refuses_another_preparation():
     for vocab in (Vocab(["ab", "cd", "ef"], ("the",)), Vocab(["ab", "cd", "ef"])):
         query = PreparedQuery(exercise("q", "ab"), PreparedCorpus(Corpus(exs), vocab, PARAMS))
         with pytest.raises(ValueError, match="prepared query"):
-            PairFeaturizer(view).feature_rows(query, view.index, np.array([0]))
-    rows = PairFeaturizer(view).feature_rows(PreparedQuery(exercise("q", "ab"), view),
-                                             view.index, np.array([0]))
+            query.require_view(view)
+    rows = PreparedQuery(exercise("q", "ab"), view).feature_rows(np.array([0]))
     # the same text on both sides: |u - v| is 0 and u * v is u * u
     assert not rows[0, 4:8].any() and rows[:, -1].tolist() == [1.0]
     assert np.array_equal(rows[0, 8:12], view.embeddings[0] * view.embeddings[0])
 
 
-def test_featurizer_refuses_rows_of_another_index():
-    """Rows of another index, even one over the same ids, are not the view's
-    rows."""
+def test_rerank_refuses_rows_of_another_index():
+    """Rows of another index, even one over the same ids, are not the rows of
+    the query's view: re-rank refuses them, with a variant head or without."""
     exs = [exercise("a", "ab"), exercise("b", "cd")]
     view = PreparedCorpus(Corpus(exs), VOCAB, PARAMS)
     query = PreparedQuery(exercise("q", "ab"), view)
-    with pytest.raises(ValueError, match="rows of this featurizer's view"):
-        PairFeaturizer(view).feature_rows(query, PreparedCorpus(Corpus(exs), VOCAB).index,
-                                          np.array([0]))
-    rows = PairFeaturizer(view).feature_rows(query, view.index, np.array([1, 0]))
-    assert rows[:, -1].tolist() == [0.0, 1.0]
+    head = PairClassifier(np.zeros(3 * PARAMS.d + 1), 0.0)
+
+    def rows_of(index):
+        return Candidates(index, np.array([1, 0]), np.ones(2), np.zeros(2, dtype=np.int8))
+    for variant in (head, None):
+        with pytest.raises(ValueError, match="not rows of the query's view"):
+            rerank.rerank(query, rows_of(PreparedCorpus(Corpus(exs), VOCAB).index), None,
+                          variant)
+    assert rerank.rerank(query, rows_of(view.index), None, head).all_ids() == ["b", "a"]
+    assert query.feature_rows(np.array([1, 0]))[:, -1].tolist() == [0.0, 1.0]

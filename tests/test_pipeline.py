@@ -7,6 +7,7 @@ import dataclasses
 import errno
 import functools
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -30,7 +31,7 @@ from exsim import pipeline as pl
 from exsim.corpus import Corpus, CorpusError, LabeledPair, SyntheticSpec, load_corpus, save_pairs
 from exsim.encoder import load_encoder
 from exsim.evaluate import annotated_similars
-from exsim.pairclf import PreparedCorpus, PreparedQuery, pair_features
+from exsim.pairclf import PairFeaturizer, PreparedCorpus, PreparedQuery, pair_features
 from exsim.recall import VectorIndex
 from exsim.rerank import ABILITIES, STAGE_MODES, StudentProfile
 from exsim.snapshots import SnapshotFormatError
@@ -157,14 +158,14 @@ def test_load_refuses_an_empty_workspace(tmp_path):
 
 
 def test_config_refuses_an_unknown_bool_spelling():
-    config = pl.Config({"rank.moe": "enabled", "rerank.enable_variant": "Off"})
     with pytest.raises(ValueError, match="rank.moe = 'enabled'"):
-        config.get_bool("rank.moe")
-    assert config.get_bool("rerank.enable_variant") is False
+        pl.Config({"rank.moe": "enabled"}).get_bool("rank.moe")
+    assert pl.Config({"rank.moe": "Off"}).get_bool("rank.moe") is False
     assert pl.Config({"rank.moe": "YES"}).get_bool("rank.moe") is True
 
 
-# the step-config field each config key sets; the other keys set no field
+# the step-config field (or the function parameter) each config key sets;
+# the other keys set no field
 KEYED_FIELDS = {
     "encoder.d": (encoder.PretrainConfig, "d"),
     "encoder.epochs": (encoder.PretrainConfig, "epochs"),
@@ -189,8 +190,7 @@ KEYED_FIELDS = {
     "rank.tasks": (ranking.RankConfig, "tasks"),
     "cl.folds": (conflearn.CleanConfig, "folds"),
     "cl.seed": (conflearn.CleanConfig, "seed"),
-    "rerank.variant_threshold": (rerank.RerankConfig, "variant_threshold"),
-    "rerank.enable_variant": (rerank.RerankConfig, "enable_variant"),
+    "rerank.variant_threshold": (rerank.rerank, "variant_threshold"),
 }
 
 
@@ -202,7 +202,8 @@ def test_every_keyed_field_defaults_to_its_key():
     assert set(KEYED_FIELDS) | {"stopwords", "cache.size", "eval.k_recall", "eval.ks"} == \
         set(pl.DEFAULTS)
     for key, (cls, name) in KEYED_FIELDS.items():
-        default = getattr(cls(), name)
+        default = (inspect.signature(cls).parameters[name].default
+                   if inspect.isfunction(cls) else getattr(cls(), name))
         if key == "rank.tasks":
             value = ranking.resolve_tasks(config.get_list(key))
         elif key == "rank.alpha":
@@ -227,6 +228,9 @@ def test_config_load_reads_a_file_and_refuses_an_unknown_or_repeated_key(tmp_pat
             ("encoder.epochs = 3\nrank.moe = off\nencoder.epochs = 4\n",
              ":3: config key 'encoder.epochs' given again, first at line 1$"),
             ("rank.moe = off\n\n encoder.epoch = 4\n", ":3: unknown config key 'encoder.epoch'$"),
+            # no key turns the variant split off
+            ("rank.moe = off\nrerank.enable_variant = on\n",
+             ":2: unknown config key 'rerank.enable_variant'$"),
             ("rank.moe = off\nrank.epochs 4\n", ":2: expected key = value$")):
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
@@ -238,7 +242,6 @@ def test_load_refuses_a_bad_rerank_key(workspace):
     probability compares, so the variant step ran and split nothing."""
     workdir, config, _, _ = workspace
     for key, value, message in (
-            ("rerank.enable_variant", "enabled", "rerank.enable_variant = 'enabled'"),
             ("rerank.variant_threshold", "nan", "rerank.variant_threshold = nan: "
                                                 "expected a finite number"),
             ("rerank.variant_threshold", "inf", "rerank.variant_threshold = inf: "),
@@ -941,7 +944,7 @@ def test_query_flow_and_cache(workspace):
     assert [d["id"] for d in record["variant"] + record["similar"]] == profiled.all_ids()
     json.dumps(record)
 
-    dedup, threshold = pipe.recaller.dedup, pipe.recaller.config.dedup_threshold
+    dedup, threshold = dedup_detector(pipe), pipe.recaller.config.dedup_threshold
     view = pipe.recaller.view
     query = PreparedQuery(corpus[query_id], view)
     assert dedup.prob(query, PreparedQuery(probe, view)) >= threshold
@@ -964,6 +967,16 @@ def own_embedding(ex, vocab, params):
     """One exercise embedded alone from its own text under ``params``."""
     return encoder.embed_text(np.array([vocab.id_of(t) for t in own_tokens(ex, vocab)],
                                        dtype=np.int64), params)
+
+
+def dedup_detector(pipe):
+    """The per-pair reference of the loaded dedup head, over the served view."""
+    return recall.DuplicateDetector(pipe.recaller.dedup, PairFeaturizer(pipe.recaller.view))
+
+
+def variant_classifier(pipe):
+    """The per-pair reference of the loaded variant head, over the served view."""
+    return rerank.VariantClassifier(pipe.variant, PairFeaturizer(pipe.recaller.view))
 
 
 def dedup_reference(detector, a, b, u, v):
@@ -1019,7 +1032,7 @@ def reference_query(pipe, query, profile=None):
         embed = list(rec.vector.search(q_vec, rec.config.k_embed, exclude_id=query.id))
     kept = [c for c in reference_merge(exact, embed, rec.config.n)
             if rec.dedup is None
-            or dedup_reference(rec.dedup, query, corpus[c.ex_id], q_vec,
+            or dedup_reference(dedup_detector(pipe), query, corpus[c.ex_id], q_vec,
                                rec.vector.matrix[rec.vector.index.row_of[c.ex_id]])
             < rec.config.dedup_threshold]
     scores = ranker_reference(pipe, query, [corpus[c.ex_id] for c in kept])
@@ -1027,7 +1040,7 @@ def reference_query(pipe, query, profile=None):
     if profile is not None:
         ranked = [c for c in ranked if profile_keeps(profile, query, corpus[c[0]])]
     threshold = pipe.config.get_float("rerank.variant_threshold")
-    scored = [(ex_id, score, variant_reference(pipe.variant_clf, query, corpus[ex_id]))
+    scored = [(ex_id, score, variant_reference(variant_classifier(pipe), query, corpus[ex_id]))
               for ex_id, score in ranked]
     return ([s for s in scored if s[2] >= threshold],
             [s for s in scored if not s[2] >= threshold])
@@ -1046,17 +1059,14 @@ def test_batched_scores_equal_per_pair(workspace, kind):
     u = own_embedding(query, pipe.vocab, rec.view.params)
     v = rec.vector.matrix[rows]
     prepared = PreparedQuery(query, rec.view)
-    block = rec.dedup.featurizer.feature_rows(prepared, rec.view.index, rows)
-    got = rec.dedup.classifier.prob_rows(block).tolist()
-    assert got == [dedup_reference(rec.dedup, query, ex, u, row)
+    got = rec.dedup.prob_rows(prepared.feature_rows(rows)).tolist()
+    assert got == [dedup_reference(dedup_detector(pipe), query, ex, u, row)
                    for ex, row in zip(others, v)]
     # the variant split reads the rows of the block dedup built
-    assert pipe.variant_clf.featurizer.view is rec.view
-    got = pipe.variant_clf.classifier.prob_rows(
-        pipe.variant_clf.featurizer.feature_rows(prepared, rec.view.index, rows)).tolist()
-    assert got == [variant_reference(pipe.variant_clf, query, ex) for ex in others]
-    assert got == [pipe.variant_clf.prob(prepared, PreparedQuery(ex, rec.view))
-                   for ex in others]
+    got = pipe.variant.prob_rows(prepared.feature_rows(rows)).tolist()
+    variant = variant_classifier(pipe)
+    assert got == [variant_reference(variant, query, ex) for ex in others]
+    assert got == [variant.prob(prepared, PreparedQuery(ex, rec.view)) for ex in others]
 
     result = pipe.query(query if kind == "probe" else query.id)
     variant, similar = reference_query(pipe, query)
@@ -1098,7 +1108,7 @@ def load_without_dedup(workspace, tmp_path):
     workdir, config, corpus = copy_workspace(workspace, tmp_path)
     (workdir / pl.FILES["dedup"]).unlink()
     pipe = pl.Pipeline.load(workdir, config)
-    assert pipe.recaller.dedup is None and pipe.variant_clf is not None
+    assert pipe.recaller.dedup is None and pipe.variant is not None
     return pipe, corpus
 
 
@@ -1371,7 +1381,7 @@ def test_step_index_heads_equal_a_per_pair_fit(workspace):
         expected = pairclf.PairClassifier.train(np.array(rows), np.array(labels))
         heads = [pairclf.PairClassifier.load(workdir / pl.FILES[head], head)]
         if head == "dedup":
-            heads.append(recall.train_dedup(corpus, truth, featurizer.view))
+            heads.append(recall.train_dedup(truth, featurizer.view))
         for fitted in heads:
             assert fitted.weights.tobytes() == expected.weights.tobytes(), head
             assert fitted.bias == expected.bias, head
@@ -1434,9 +1444,9 @@ def test_pair_heads_are_symmetric(workspace, kind):
     query = PreparedQuery(query, view)
     others = [PreparedQuery(ex, view) for ex in pipe.corpus if ex.id != query.exercise.id]
     rows = np.array([c.row for c in others])
-    dedup, variant = pipe.recaller.dedup, pipe.variant_clf
+    dedup, variant = dedup_detector(pipe), variant_classifier(pipe)
     featurizer = dedup.featurizer
-    assert featurizer.feature_rows(query, view.index, rows).tobytes() == np.array(
+    assert query.feature_rows(rows).tobytes() == np.array(
         [featurizer.features(query, c) for c in others]).tobytes()
     for c in others:
         assert featurizer.features(query, c).tobytes() == featurizer.features(c, query).tobytes()
@@ -1526,7 +1536,7 @@ def test_a_profiled_query_equals_rerank_of_the_whole_ranking(workspace, kind):
         filtered = rerank.personalize_filter(
             rerank.stage_filter(ranked, profile, pipe.corpus),
             query.exercise.metadata.difficulty, profile, pipe.corpus)
-        late = rerank.rerank(query, filtered, profile, pipe.variant_clf, pipe.rerank_config)
+        late = rerank.rerank(query, filtered, profile, pipe.variant, pipe.variant_threshold)
         assert served.ids == late.ids
         assert served.scores.tobytes() == late.scores.tobytes()
         assert served.n_variant == late.n_variant
@@ -1538,14 +1548,32 @@ def test_a_profiled_query_equals_rerank_of_the_whole_ranking(workspace, kind):
 
 
 def test_recall_filters_need_the_corpus(workspace):
+    """The filters refuse candidates that are not rows of the corpus they
+    are given; recall gives them the corpus its view is the rows of."""
     workdir, config, corpus, _ = workspace
     pipe = pl.Pipeline.load(workdir, config)
     query = PreparedQuery(pipe.corpus[corpus.ids[7]], pipe.recaller.view)
+    merged = pipe.recaller.recall(query)
     for other in (None, Corpus(pipe.corpus)):
-        with pytest.raises(ValueError, match="not rows of this corpus"):
-            pipe.recaller.recall(query, PROFILE, other)
-    assert len(pipe.recaller.recall(query, PROFILE, pipe.corpus)) < \
-        len(pipe.recaller.recall(query))
+        for refused in (lambda: rerank.stage_filter(merged, PROFILE, other),
+                        lambda: rerank.personalize_filter(merged, 3, PROFILE, other)):
+            with pytest.raises(ValueError, match="not rows of this corpus"):
+                refused()
+    assert pipe.recaller.view.corpus is pipe.corpus
+    assert len(pipe.recaller.recall(query, PROFILE)) < len(merged)
+
+
+def test_a_bank_query_maps_no_token_ids(workspace, monkeypatch):
+    """A bank query's embeddings are rows of the view and of the ranker's
+    matrix, so a miss by id never maps its codes to vocabulary ids."""
+    workdir, config, corpus, _ = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+
+    def refuse(self, codes):
+        raise AssertionError("token_ids called")
+    monkeypatch.setattr(PreparedCorpus, "token_ids", refuse)
+    for profile in (None, PROFILE):
+        assert pipe.query(corpus.ids[7], profile).all_ids()
 
 
 @pytest.mark.parametrize("profile", [None, PROFILE])

@@ -9,8 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from exsim.corpus import Corpus, RowIndex, SyntheticSpec, _clone, generate_synthetic
 from exsim.encoder import embed_text, init_params
-from exsim.pairclf import (CodeTable, PairClassifier, PairFeaturizer, PreparedCorpus,
-                           PreparedQuery, pad_codes)
+from exsim.pairclf import CodeTable, PairFeaturizer, PreparedCorpus, PreparedQuery, pad_codes
 from exsim.recall import (
     BM25_B, BM25_K1, KEPT_COUNTS, SOURCES, Candidate, Candidates, DuplicateDetector,
     LexicalIndex, RecallConfig, Recaller, VectorIndex, merge_candidates, train_dedup,
@@ -454,7 +453,7 @@ def test_merge_equals_list_reference(ids, data, n):
 def dedup_setup(small_trained_module):
     corpus, truth, pairs, vocab, params = small_trained_module
     view = PreparedCorpus(corpus, vocab, params)
-    detector = DuplicateDetector(train_dedup(corpus, truth, view), PairFeaturizer(view))
+    detector = DuplicateDetector(train_dedup(truth, view), PairFeaturizer(view))
     return corpus, truth, vocab, params, detector
 
 
@@ -465,7 +464,7 @@ def small_trained_module():
                          vocab_size=150, seed=31)
     corpus, truth, pairs = generate_synthetic(spec, d_img=8)
     view = PreparedCorpus.with_own_vocab(corpus)
-    params, _ = enc.pretrain(corpus, view, enc.PretrainConfig(d=16, epochs=8, seed=2))
+    params, _ = enc.pretrain(view, enc.PretrainConfig(d=16, epochs=8, seed=2))
     params, _ = enc.fine_tune(
         params, pairs, view, enc.FinetuneConfig(epochs=3, n_negatives=6, seed=2))
     return corpus, truth, pairs, view.vocab, params
@@ -511,7 +510,7 @@ def test_recall_excludes_duplicates_of_query(dedup_setup):
     clone = _clone(query, query.stem, "-twin")
     bigger = Corpus(list(corpus) + [clone], levels=corpus.levels, d_img=corpus.d_img)
     view = PreparedCorpus(bigger, vocab, params)
-    recaller = Recaller.build(view, DuplicateDetector(detector.classifier, PairFeaturizer(view)),
+    recaller = Recaller.build(view, detector.classifier,
                               RecallConfig(k_exact=50, k_embed=50, n=30))
     out = recaller.recall(PreparedQuery(query, view))
     ids = [c.ex_id for c in out]
@@ -570,21 +569,6 @@ def test_indexes_built_from_a_view_equal_those_built_from_text(medium_synth):
     # both channels and the view read the corpus's one row index
     assert recaller.lexical.index is recaller.vector.index is corpus.index is view.index
     assert np.array_equal(recaller.vector.matrix, vector.matrix)
-
-
-def test_recaller_refuses_a_dedup_head_over_another_view(medium_synth):
-    """Dedup reads the rows of its featurizer's view, so that view must be
-    the one the indexes are built from."""
-    corpus, _, _ = medium_synth
-    vocab = vocab_of(corpus)
-    params = init_params(corpus, vocab, d=12, seed=0)
-    view = PreparedCorpus(corpus, vocab, params)
-    head = PairClassifier(np.zeros(4 * 12 + 1), 0.0)
-    with pytest.raises(ValueError, match="not over this view"):
-        Recaller.build(view, DuplicateDetector(
-            head, PairFeaturizer(PreparedCorpus(corpus, vocab, params))))
-    recaller = Recaller.build(view, DuplicateDetector(head, PairFeaturizer(view)))
-    assert recaller.dedup.featurizer.view is view
 
 
 def test_recall_refuses_a_query_over_another_view(medium_synth):

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from test_recall import candidates_of
@@ -192,11 +194,11 @@ def variant_setup():
                          vocab_size=150, seed=37)
     corpus, truth, pairs = generate_synthetic(spec, d_img=8)
     view = PreparedCorpus.with_own_vocab(corpus)
-    params, _ = enc.pretrain(corpus, view, enc.PretrainConfig(d=16, epochs=8, seed=2))
+    params, _ = enc.pretrain(view, enc.PretrainConfig(d=16, epochs=8, seed=2))
     params, _ = enc.fine_tune(
         params, pairs, view, enc.FinetuneConfig(epochs=3, n_negatives=6, seed=2))
     served = PreparedCorpus(corpus, view.vocab, params)
-    clf = rr.VariantClassifier(rr.train_variant(pairs, corpus, served), PairFeaturizer(served))
+    clf = rr.VariantClassifier(rr.train_variant(pairs, served), PairFeaturizer(served))
     return corpus, truth, pairs, view.vocab, params, clf
 
 
@@ -207,7 +209,8 @@ def test_variant_classifier_accuracy(variant_setup):
     view = clf.featurizer.view
     for p in flagged:
         a, b = PreparedQuery(corpus[p.a_id], view), PreparedQuery(corpus[p.b_id], view)
-        got = clf.prob(a, b) >= rr.RerankConfig().variant_threshold
+        got = clf.prob(a, b) >= inspect.signature(rr.rerank).parameters[
+            "variant_threshold"].default
         correct += got == (p.variant == "variant")
     assert correct / len(flagged) > 0.8
 
@@ -233,12 +236,11 @@ def test_rerank_splits_variant_first(variant_setup):
     query = PreparedQuery(corpus[p.a_id], clf.featurizer.view)
     mates = sorted(truth.mates(p.a_id))
     cands = ranked_candidates(corpus, mates)
-    # the split reads candidates from the rows of its featurizer's view
-    elsewhere = rr.VariantClassifier(clf.classifier, PairFeaturizer(
-        PreparedCorpus(Corpus(list(corpus)), vocab, params)))
-    with pytest.raises(ValueError, match="rows of this featurizer's view"):
-        rr.rerank(query, cands, None, elsewhere)
-    out = rr.rerank(query, cands, None, clf)
+    # the split reads candidates from the rows of the query's view
+    elsewhere = ranked_candidates(Corpus(list(corpus)), mates)
+    with pytest.raises(ValueError, match="not rows of the query's view"):
+        rr.rerank(query, elsewhere, None, clf.classifier)
+    out = rr.rerank(query, cands, None, clf.classifier)
     assert p.b_id in [i.ex_id for i in out.variant]
     for lst in (out.variant, out.similar):
         scores = [i.score for i in lst]
