@@ -218,9 +218,11 @@ class RowIndex:
 class Corpus:
     """Ordered, immutable exercise collection with closed metadata dictionaries.
 
-    ``index`` is the corpus's :class:`RowIndex`; ``learning_stages`` (n, 2)
-    and ``difficulties`` (n,) hold every exercise's metadata in row order,
-    for the re-rank filters. Each is built on first use and kept.
+    ``exercises`` holds the exercises in row order, one tuple that every view
+    of the corpus reads. ``index`` is the corpus's :class:`RowIndex`;
+    ``learning_stages`` (n, 2) and ``difficulties`` (n,) hold every
+    exercise's metadata in row order, for the re-rank filters. Each of these
+    three is built on first use and kept.
 
     ``digest`` is the sha256 of the snapshot the corpus was saved to or
     loaded from (:func:`save_snapshot`, :func:`load_snapshot`), else None.
@@ -238,7 +240,7 @@ class Corpus:
             self._by_id[ex.id] = ex
         self.digest: Optional[str] = None
         self.stems = None
-        exs = list(self._by_id.values())
+        self.exercises = exs = tuple(self._by_id.values())
         self.levels = int(levels) if levels is not None else max(
             (ex.metadata.difficulty for ex in exs), default=1)
         dims = {ex.image_features.shape[1] for ex in exs if len(ex.image_features)}
@@ -261,7 +263,7 @@ class Corpus:
         return len(self._by_id)
 
     def __iter__(self):
-        return iter(self._by_id.values())
+        return iter(self.exercises)
 
     def __contains__(self, ex_id: str) -> bool:
         return ex_id in self._by_id

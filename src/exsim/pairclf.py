@@ -443,9 +443,10 @@ class PreparedCorpus:
     exercise i), computed on first read; ``params`` is the encoder's, and
     training views need none. The recall indexes read the same codes and
     the same embeddings. ``corpus`` is the corpus the view is the rows of,
-    which the trainers and the re-rank filters read, and ``index`` its
-    index, so candidates recalled from it are rows of the view; an exercise
-    outside it is a ``PreparedQuery`` over the view.
+    which the trainers and the re-rank filters read, ``exercises`` its row
+    tuple (``Corpus.exercises`` itself) and ``index`` its index, so
+    candidates recalled from it are rows of the view; an exercise outside
+    it is a ``PreparedQuery`` over the view.
 
     A process codes a corpus's stems once: the view keeps its stem column
     (codes and lengths, read-only) in the corpus, as ``Corpus.stems``, keyed
@@ -460,7 +461,7 @@ class PreparedCorpus:
     def __init__(self, corpus: Corpus, vocab: Vocab, params: Optional[EncoderParams] = None):
         stems = _corpus_stems(corpus, vocab)
         self.corpus = corpus
-        self.exercises = list(corpus)
+        self.exercises = corpus.exercises
         self.index = corpus.index
         self.params = params
         self.vocab = stems.vocab

@@ -589,8 +589,6 @@ def step_eval(workdir, config: Config) -> EvalReport:
 
 @dataclass
 class Pipeline:
-    corpus: Corpus
-    vocab: Vocab
     recaller: Recaller
     ranker: ranking.Ranker
     variant: Optional[PairClassifier]
@@ -626,10 +624,20 @@ class Pipeline:
         # into a matrix of its own, under its own backbone, here at load)
         view = PreparedCorpus(corpus, vocab, encoder)
         recaller = Recaller.build(view, dedup=heads.get("dedup"), config=recall_config)
-        return cls(corpus=corpus, vocab=view.vocab, recaller=recaller,
+        return cls(recaller=recaller,
                    ranker=ranking.Ranker(ranker_params, view),
                    variant=heads.get("variant"), variant_threshold=variant_threshold,
                    config=config, versions=versions, cache_size=cache_size)
+
+    @property
+    def corpus(self) -> Corpus:
+        """The served corpus, the recall view's."""
+        return self.recaller.view.corpus
+
+    @property
+    def vocab(self) -> Vocab:
+        """The served vocabulary, the recall view's."""
+        return self.recaller.view.vocab
 
     # -- query flow ----------------------------------------------------------
 

@@ -26,10 +26,13 @@ plain loop and ``sorted(..., key=(-score, id))[:k]`` would, bit for bit:
   differ); a frequent code's dense vector adds +0.0 to the other rows,
   which is exact. Every term is positive, so a document shares a query
   token exactly when its score is above 0.
-- Top-k finds the k-th best score by partition and keeps every row scoring
-  at least that much, so ties at the cut survive; those rows are ordered by
-  ``np.lexsort`` on (-score, the row's rank in sorted-id order), so ties
-  break by id, not by row.
+- Top-k selects from a dense vector of one score per row. The (k+1)-th
+  best score is found by one partition (k + 1 leaves room for the excluded
+  row), so the rows scoring at least that much hold the k best of the
+  other rows with every tie at the cut; the excluded row is dropped from
+  those few, which ``np.lexsort`` orders by (-score, the row's rank in
+  sorted-id order), so ties break by id, not by row, before the cut at k.
+  BM25 selects only rows a query token touched.
 
 Candidates travel as :class:`Candidates`: the corpus rows, their scores and
 a source code per row, in arrays, from top-k through ranking to the served
@@ -80,7 +83,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -167,27 +170,27 @@ class RecallConfig:
 # ---------------------------------------------------------------------------
 # Top-k shared by both channels
 
-def _top_k(rows: np.ndarray, scores: np.ndarray, index: RowIndex, k: int,
-           exclude_row: int, source: int) -> Candidates:
-    """The k best of ``rows`` by (-score, id), as ``sorted`` with that key
-    would give them.
+def _top_k(scores: np.ndarray, index: RowIndex, k: int, exclude_row: int,
+           source: int, floor: float = -np.inf) -> Candidates:
+    """The k best rows of ``scores`` (one score per row of ``index``) other
+    than ``exclude_row``, by (-score, id), as ``sorted`` with that key would
+    give them; only rows scoring above ``floor`` are candidates.
 
-    The k-th best score is found by partition and every row scoring at least
-    that much is kept, so ties straddling position k are all ordered by id
-    before the cut.
+    Every row scoring at least the (k+1)-th best score is kept: a superset of
+    the k best of the other rows, with all their ties. When that score is
+    not above ``floor``, fewer than k + 1 rows are candidates, and all of
+    them are kept.
     """
     if k <= 0:
         return Candidates.empty(index)
+    cut = len(scores) - k - 1
+    # with k + 1 rows or fewer, every candidate is kept unpartitioned
+    bar = np.partition(scores, cut)[cut] if cut > 0 else floor
+    rows = np.flatnonzero(scores > floor if bar <= floor else scores >= bar)
     if exclude_row >= 0:
-        keep = rows != exclude_row
-        rows, scores = rows[keep], scores[keep]
-    if k < len(scores):
-        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-        keep = scores >= kth
-        rows, scores = rows[keep], scores[keep]
-    order = np.lexsort((index.id_rank[rows], -scores))[:k]
-    return Candidates(index, rows[order], scores[order],
-                      np.full(len(order), source, dtype=np.int8))
+        rows = rows[rows != exclude_row]
+    rows = rows[np.lexsort((index.id_rank[rows], -scores[rows]))[:k]]
+    return Candidates(index, rows, scores[rows], np.full(len(rows), source, dtype=np.int8))
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +242,28 @@ class Postings:
 
 
 class RowScores:
-    """Scores of the documents sharing a query token: ``rows`` ascending and
-    ``scores`` aligned with them; ``len`` is the number of such documents."""
+    """One query's BM25 scores: ``vector`` holds a score per row of the index,
+    and the rows a query token touched are those scoring above ``floor``
+    (0, or -inf when a negative concept bonus may take a touched row below
+    0). ``rows`` (ascending), ``scores`` (aligned with them) and ``len``
+    (the number of touched rows) are computed when read."""
 
-    __slots__ = ("rows", "scores")
+    __slots__ = ("vector", "floor")
 
-    def __init__(self, rows: np.ndarray, scores: np.ndarray):
-        self.rows = rows
-        self.scores = scores
+    def __init__(self, vector: np.ndarray, floor: float = 0.0):
+        self.vector = vector
+        self.floor = floor
+
+    @property
+    def rows(self) -> np.ndarray:
+        return np.flatnonzero(self.vector > self.floor)
+
+    @property
+    def scores(self) -> np.ndarray:
+        return self.vector[self.rows]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return int(np.count_nonzero(self.vector > self.floor))
 
 
 class LexicalIndex:
@@ -260,6 +274,8 @@ class LexicalIndex:
     ``lengths`` of each row, with codes equal exactly when tokens are
     equal; ``vocab`` and ``oov_codes`` spell them (``oov_codes`` maps each
     out-of-vocabulary token to its code, numbered on from ``len(vocab)``).
+    ``concept_sets`` lists each row's distinct concepts, and ``concept_rows``
+    maps each concept to the rows holding it, ascending.
     Each code's postings are numpy arrays holding the per-posting BM25
     denominator, and its idf is a ``math.log`` float, both computed once,
     as is ``rank``, each indexed code's place in the sorted order of the
@@ -272,7 +288,8 @@ class LexicalIndex:
     ``DENSE_SHARE`` of the documents) over every row, whose +0.0 entries
     leave the other rows' sums exactly as they were. A document is touched
     exactly when its score is above 0, as every term is positive; then the
-    query adds ``boost * shared`` to the touched rows sharing a concept.
+    query adds ``boost * shared`` to the touched rows among ``concept_rows``
+    of its concepts, ``shared`` being how many of them a row holds.
     Every float operation is the one a per-document loop over sorted token
     strings performs, in the same order, so such a loop reproduces the
     scores bit for bit. Kept arrays are written once per (code, count) and
@@ -282,12 +299,11 @@ class LexicalIndex:
 
     def __init__(self, index: RowIndex, codes: np.ndarray, lengths: np.ndarray,
                  vocab: Vocab, oov_codes: dict[str, int],
-                 concept_sets: list[frozenset[str]], concept_boost: float = 0.5):
+                 concept_sets: Iterable[Iterable[str]], concept_boost: float = 0.5):
         self.index = index
         self.ids = ids = index.ids
         n = len(ids)
         self.avg_len = int(lengths.sum()) / n if n else 0.0
-        self.concepts = concept_sets
         self.concept_boost = concept_boost
         # one key per token occurrence, row by row; unique sorts them by code,
         # then row, and counts each (code, row)'s term frequency
@@ -318,49 +334,51 @@ class LexicalIndex:
     @classmethod
     def build(cls, view: PreparedCorpus, concept_boost: float = 0.5) -> "LexicalIndex":
         """Index the view's stem codes and its exercises' concepts."""
-        concept_sets = [frozenset(ex.metadata.knowledge_concepts) for ex in view.exercises]
         return cls(view.index, view.codes, view.lengths, view.vocab, view.oov_codes,
-                   concept_sets, concept_boost)
+                   (ex.metadata.knowledge_concepts for ex in view.exercises), concept_boost)
 
     def score_all(self, query_codes: np.ndarray,
                   query_concepts: frozenset[str]) -> RowScores:
-        """BM25 over documents sharing a code of ``query_codes`` (the query's
-        codes under the index's table, unpadded), plus the concept bonus."""
+        """BM25 of every row for ``query_codes`` (the query's codes under the
+        index's table, unpadded), plus the concept bonus of the touched rows."""
         counts: dict[int, int] = {}
         for c in query_codes.tolist():
             counts[c] = counts.get(c, 0) + 1
         rank = self.rank
-        hits = sorted((c for c in counts if c in rank), key=rank.__getitem__)
-        if not hits:
-            return RowScores(np.empty(0, dtype=np.intp), np.empty(0))
-        n = len(self.ids)
-        scores = np.zeros(n)
-        for c in hits:
+        scores = np.zeros(len(self.ids))
+        for c in sorted((c for c in counts if c in rank), key=rank.__getitem__):
             plist = self.postings[c]
             if plist.dense:
                 scores += plist.contributions(counts[c])
             else:
                 scores[plist.rows] += plist.contributions(counts[c])
-        # every term is positive, so a row is touched exactly when it scores above 0
-        touched = scores > 0
-        if query_concepts and self.concept_boost:
-            shared = np.zeros(n, dtype=np.int64)
-            for c in query_concepts:
-                rows = self.concept_rows.get(c)
-                if rows is not None:
-                    shared[rows] += 1
-            bonus = touched & (shared > 0)
-            scores[bonus] = scores[bonus] + self.concept_boost * shared[bonus]
-        rows = np.flatnonzero(touched)
-        return RowScores(rows, scores[rows])
+        boost = self.concept_boost
+        found = [self.concept_rows[c] for c in query_concepts if c in self.concept_rows]
+        if not (boost and found):
+            return RowScores(scores)
+        floor = 0.0
+        if boost < 0:
+            # the bonus may take a touched row to 0 or below, so every
+            # untouched row goes below any score
+            scores[scores == 0] = -np.inf
+            floor = -np.inf
+        # a row is listed once per query concept it holds, and each copy
+        # writes the same sum
+        shared = np.zeros(len(scores), dtype=np.intp)
+        for rows in found:
+            shared[rows] += 1
+        rows = np.concatenate(found)
+        rows = rows[scores[rows] > floor]
+        scores[rows] += boost * shared[rows]
+        return RowScores(scores, floor)
 
     def search(self, query_codes: np.ndarray, query_concepts: frozenset[str],
                k: int, exclude_id: Optional[str] = None) -> Candidates:
-        """The k best-scoring documents other than ``exclude_id``, ordered by
-        (-score, id)."""
+        """The k touched rows of highest score other than ``exclude_id``,
+        ordered by (-score, id); ties at the cut break by id."""
         scored = self.score_all(query_codes, query_concepts)
-        return _top_k(scored.rows, scored.scores, self.index, k,
-                      self.index.row_of.get(exclude_id, -1), EXACT)
+        return _top_k(scored.vector, self.index, k, self.index.row_of.get(exclude_id, -1),
+                      EXACT, floor=scored.floor)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +409,11 @@ class VectorIndex:
     def search(self, query: np.ndarray, k: int,
                exclude_id: Optional[str] = None) -> Candidates:
         """The k rows of highest cosine other than ``exclude_id``, ordered by
-        (-score, id)."""
+        (-score, id); ties at the cut break by id."""
         query = np.asarray(query, dtype=np.float64)
         if query.shape != (self.dim,):
             raise ValueError(f"query must have dimension {self.dim}")
-        scores = self.matrix @ query
-        return _top_k(np.arange(len(self.ids)), scores, self.index, k,
+        return _top_k(self.matrix @ query, self.index, k,
                       self.index.row_of.get(exclude_id, -1), EMBED)
 
 

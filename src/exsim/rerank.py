@@ -27,8 +27,9 @@ it scores the miss's ranked list, rows of the query's view, in one
 own, bit for bit as the per-pair reference ``VariantClassifier.prob`` (see
 the rules in ``pairclf``). ``passed`` names the filters recall ran.
 
-Results are stored column-wise (:class:`RerankedResult`): a served list is
-kept in the query cache, so per-item objects are only built on access.
+A :class:`RerankedResult` keeps the ranked ``Candidates`` it serves (rows,
+scores and source codes) and the variant probabilities, and nothing per
+item: ids, source names and items are spelled each time they are read.
 """
 
 from __future__ import annotations
@@ -83,32 +84,44 @@ class RerankedItem:
 
 
 class RerankedResult:
-    """The served list, column-wise: the first ``n_variant`` entries are the
-    variant list, the rest the similar list, each in ranking order.
+    """The served list: ``candidates`` in served order, the first
+    ``n_variant`` of them the variant list and the rest the similar list,
+    each in ranking order.
 
     ``variant_probs`` is None when no variant step ran; ``passed`` is shared
-    by every item. The ids of the candidates' rows are looked up here;
-    ``variant`` and ``similar`` build their items on access.
+    by every item. ``ids`` and ``sources`` are looked up from the
+    candidates' rows and source codes when read, and ``variant`` and
+    ``similar`` build their items when read.
     """
 
-    __slots__ = ("ids", "scores", "sources", "variant_probs", "passed", "n_variant")
+    __slots__ = ("candidates", "variant_probs", "passed", "n_variant")
 
     def __init__(self, candidates: Candidates, passed: Sequence[str] = (),
                  variant_probs: Optional[np.ndarray] = None, n_variant: int = 0):
-        self.ids = tuple(candidates.ids)
-        self.scores = candidates.scores
-        self.sources = tuple(candidates.source_names)
+        self.candidates = candidates
         self.passed = tuple(passed)
         self.variant_probs = variant_probs
         self.n_variant = n_variant
 
+    @property
+    def ids(self) -> tuple[str, ...]:
+        return tuple(self.candidates.ids)
+
+    @property
+    def scores(self) -> np.ndarray:
+        return self.candidates.scores
+
+    @property
+    def sources(self) -> tuple[str, ...]:
+        return tuple(self.candidates.source_names)
+
     def _items(self, start: int, stop: int) -> list[RerankedItem]:
-        probs = ([None] * (stop - start) if self.variant_probs is None
+        part = self.candidates.take(slice(start, stop))
+        probs = ([None] * len(part) if self.variant_probs is None
                  else self.variant_probs[start:stop].tolist())
         return [RerankedItem(ex_id, score, source, self.passed, prob)
                 for ex_id, score, source, prob in zip(
-                    self.ids[start:stop], self.scores[start:stop].tolist(),
-                    self.sources[start:stop], probs)]
+                    part.ids, part.scores.tolist(), part.source_names, probs)]
 
     @property
     def variant(self) -> list[RerankedItem]:
@@ -116,10 +129,10 @@ class RerankedResult:
 
     @property
     def similar(self) -> list[RerankedItem]:
-        return self._items(self.n_variant, len(self.ids))
+        return self._items(self.n_variant, len(self.candidates))
 
     def all_ids(self) -> list[str]:
-        return list(self.ids)
+        return self.candidates.ids
 
     def to_dict(self) -> dict:
         def items(lst):

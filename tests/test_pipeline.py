@@ -422,6 +422,20 @@ def test_load_accepts_the_smallest_serving_values(workspace):
     assert again is not result and again.all_ids() == result.all_ids()
 
 
+def test_loaded_pipeline_keeps_one_copy_of_the_corpus(workspace):
+    """The pipeline's corpus and vocabulary are the recall view's, read-only,
+    and every view of the corpus reads the corpus's own row tuple."""
+    workdir, config, _, _ = workspace
+    pipe = pl.Pipeline.load(workdir, config)
+    view = pipe.recaller.view
+    assert pipe.corpus is view.corpus and pipe.vocab is view.vocab
+    assert view.exercises is pipe.corpus.exercises and pipe.ranker.view is view
+    assert isinstance(view.exercises, tuple) and list(view.exercises) == list(pipe.corpus)
+    assert not {"corpus", "vocab"} & {f.name for f in dataclasses.fields(pipe)}
+    with pytest.raises(AttributeError):
+        pipe.corpus = view.corpus
+
+
 @pytest.mark.parametrize("alpha", ["0.5,0.5", "0.2,0.2,0.3,0.3", ""])
 def test_rank_alpha_needs_three_weights(alpha):
     with pytest.raises(ValueError, match=f"rank.alpha = '{alpha}'"):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -254,12 +255,29 @@ rows_st = st.lists(st.tuples(st.text(alphabet="pqrs", min_size=1, max_size=3), d
 
 @settings(max_examples=300, deadline=None)
 @given(rows=rows_st, query=st.lists(st.sampled_from(["a", "b", "c", "d", "zz"]), max_size=6),
-       q_concepts=concepts_st, boost=st.sampled_from([0.0, 0.5, 1.0]),
+       q_concepts=concepts_st, boost=st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
        k=st.integers(0, 14), pick=st.integers(0, 5))
 @example(rows=[], query=["a"], q_concepts=frozenset(), boost=0.5, k=3, pick=1)
 # summed in code order (d, b, a), not token order, the score differs in its last bit
 @example(rows=[("p", ["d", "a", "d", "b"], frozenset())], query=["b", "d", "b", "a"],
          q_concepts=frozenset(), boost=0.5, k=3, pick=0)
+# the excluded "q" is the k-th best, tied with "r", the (k+1)-th
+@example(rows=[("p", ["a", "b"], frozenset()), ("r", ["a"], frozenset()),
+               ("q", ["a"], frozenset()), ("s", ["c"], frozenset())],
+         query=["a", "b"], q_concepts=frozenset(), boost=0.5, k=2, pick=2)
+# exactly k + 1 rows are touched, the excluded "q" the best of them
+@example(rows=[("p", ["a"], frozenset()), ("r", ["b", "c"], frozenset()),
+               ("q", ["a", "b"], frozenset()), ("s", ["d"], frozenset()),
+               ("pq", ["c"], frozenset())],
+         query=["a", "b"], q_concepts=frozenset(), boost=0.5, k=2, pick=2)
+# k = N - 1, the excluded "q" touched and "p" not
+@example(rows=[("s", ["a"], frozenset()), ("q", ["a", "b"], frozenset()),
+               ("r", ["b"], frozenset()), ("p", ["c"], frozenset())],
+         query=["a", "b"], q_concepts=frozenset(), boost=0.5, k=3, pick=5)
+# the bonus takes the touched "p" below 0, and "q", untouched, gets none
+@example(rows=[("p", ["a"], frozenset({"k1"})), ("q", ["b"], frozenset({"k1"})),
+               ("r", ["a", "b"], frozenset()), ("s", ["a"], frozenset())],
+         query=["a"], q_concepts=frozenset({"k1"}), boost=-1.0, k=3, pick=0)
 def test_lexical_search_equals_sorted_oracle(rows, query, q_concepts, boost, k, pick):
     ids = [row[0] for row in rows]
     docs = [row[1] for row in rows]
@@ -282,15 +300,22 @@ UNIT_ROWS = [np.array(v, dtype=np.float64) / np.linalg.norm(v)
 
 
 @settings(max_examples=300, deadline=None)
-@given(ids=ids_st, data=st.data(),
+# (id, which of UNIT_ROWS) rows of the index, ids as in ids_st
+@given(rows=st.lists(st.tuples(st.text(alphabet="pqrs", min_size=1, max_size=3),
+                               st.integers(0, len(UNIT_ROWS) - 1)),
+                     max_size=12, unique_by=lambda row: row[0]),
        query=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
        k=st.integers(0, 14), pick=st.integers(0, 5))
-@example(ids=[], data=None, query=[1, 0, 0], k=2, pick=0)
-def test_vector_search_equals_sorted_oracle(ids, data, query, k, pick):
-    n = len(ids)
-    which = data.draw(st.lists(st.integers(0, len(UNIT_ROWS) - 1),
-                               min_size=n, max_size=n)) if n else []
-    matrix = (np.stack([UNIT_ROWS[w] for w in which]) if n
+@example(rows=[], query=[1, 0, 0], k=2, pick=0)
+# the excluded "q" is the k-th best, tied with "r", the (k+1)-th
+@example(rows=[("p", 0), ("r", 2), ("q", 2), ("s", 4)], query=[1, 0, 0], k=2, pick=2)
+# the excluded "p" is the best, and the (k+1)-th best, "q", is served
+@example(rows=[("p", 0), ("q", 2), ("r", 4)], query=[1, 0, 0], k=1, pick=3)
+# k = N - 1, the excluded "q" the best and "p" tied with "s"
+@example(rows=[("s", 1), ("q", 3), ("p", 1)], query=[1, 1, 1], k=2, pick=4)
+def test_vector_search_equals_sorted_oracle(rows, query, k, pick):
+    ids = [row[0] for row in rows]
+    matrix = (np.stack([UNIT_ROWS[w] for _, w in rows]) if rows
               else np.zeros((0, 3)))
     index = VectorIndex(matrix, RowIndex(ids))
     q = np.array(query, dtype=np.float64)
@@ -557,7 +582,11 @@ def test_indexes_built_from_a_view_equal_those_built_from_text(medium_synth):
         concepts = concepts_of(exercises)
         lexical = LexicalIndex.build(v, 0.7)
         assert lexical.avg_len == sum(map(len, docs)) / len(docs) and lexical.ids == v.index.ids
-        assert lexical.concepts == concepts and lexical.concept_boost == 0.7
+        assert lexical.concept_boost == 0.7
+        # each concept maps to exactly the rows holding it, ascending
+        assert {c: rows.tolist() for c, rows in lexical.concept_rows.items()} == \
+            {c: [r for r, held in enumerate(concepts) if c in held]
+             for c in set().union(*concepts)}
         df = Counter(t for doc in docs for t in set(doc))
         assert {int(view_codes(v, [t])[0]): n for t, n in df.items()} == \
             {code: len(plist) for code, plist in lexical.postings.items()}
@@ -585,3 +614,32 @@ def test_recall_refuses_a_query_over_another_view(medium_synth):
         with pytest.raises(ValueError, match="prepared query is over another view"):
             recaller.recall(PreparedQuery(query, second))
         assert len(recaller.recall(PreparedQuery(query, recaller.view)))
+
+
+def test_channel_searches_allocate_under_a_bound_per_row():
+    """A bank query's BM25 and vector searches select their k best from one
+    score vector each: under tracemalloc, with the kept BM25 terms already
+    made by a first query, the two searches peak below 24 bytes per row (a
+    score vector, its partition copy and a mask are 17)."""
+    corpus, _, _ = generate_synthetic(SyntheticSpec(n_templates=40, per_template=50,
+                                                    vocab_size=800, seed=5), d_img=4)
+    vocab = vocab_of(corpus)
+    view = PreparedCorpus(corpus, vocab, init_params(corpus, vocab, d=16, seed=0))
+    lexical, vector = LexicalIndex.build(view), VectorIndex.build(view)
+    query = PreparedQuery(corpus[corpus.ids[11]], view)
+    codes = query.codes[0, :int(query.length[0])]
+
+    def searches():
+        lexical.search(codes, query.concepts, 200, exclude_id=query.exercise.id)
+        vector.search(query.view_embedding, 200, exclude_id=query.exercise.id)
+
+    searches()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        searches()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) >= 2000 and query.concepts
+    assert peak / len(corpus) < 24

@@ -10,7 +10,7 @@ from exsim.pairclf import PairFeaturizer, PreparedCorpus, PreparedQuery
 from exsim.corpus import (
     Corpus, Exercise, Metadata, RowIndex, SyntheticSpec, generate_synthetic,
 )
-from exsim.recall import Candidate
+from exsim.recall import SOURCES, Candidate, Candidates
 
 
 def fixture_exercise(ex_id, difficulty=3, stage=(8, 1)):
@@ -159,6 +159,39 @@ def test_rerank_keeps_every_candidate_and_names_the_filters(fixture_corpus):
     out = rr.rerank(query, cands, strict, None)
     assert out.all_ids() == ids(cands)
     assert all(i.passed == ("stage", "difficulty") for i in out.similar)
+
+
+@pytest.mark.parametrize("n_variant, with_probs", [(4, True), (0, True), (0, False)])
+def test_reranked_result_spells_ids_and_sources_when_read(fixture_corpus, monkeypatch,
+                                                          n_variant, with_probs):
+    """Construction reads no id or source name; what a result gives when
+    read equals the values spelled from its candidates up front."""
+    corpus, _, cands = fixture_corpus
+    cands = candidates_of(corpus.index, [Candidate(c.ex_id, c.score, SOURCES[k % len(SOURCES)])
+                                         for k, c in enumerate(cands)])
+    probs = np.linspace(0.9, 0.1, len(cands)) if with_probs else None
+    passed = ("stage", "difficulty", "variant")
+
+    def refuse(self):
+        raise AssertionError("a candidate list was spelled at construction")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Candidates, "ids", property(refuse))
+        patched.setattr(Candidates, "source_names", property(refuse))
+        result = rr.RerankedResult(cands, list(passed), variant_probs=probs,
+                                   n_variant=n_variant)
+    eager = list(cands)
+    items = [rr.RerankedItem(c.ex_id, c.score, c.source, passed, p)
+             for c, p in zip(eager, [None] * len(eager) if probs is None else probs.tolist())]
+    assert result.ids == tuple(c.ex_id for c in eager)
+    assert result.sources == tuple(c.source for c in eager) and len(set(result.sources)) == 3
+    assert result.scores.tolist() == [c.score for c in eager]
+    assert result.variant == items[:n_variant] and result.similar == items[n_variant:]
+    assert result.all_ids() == [c.ex_id for c in eager]
+    assert result.to_dict() == {
+        part: [{"id": i.ex_id, "score": i.score, "source": i.source,
+                "passed": list(passed), "variant_prob": i.variant_prob} for i in kept]
+        for part, kept in (("variant", items[:n_variant]), ("similar", items[n_variant:]))}
 
 
 def both_filters(cands, p, corpus, query_difficulty=3):
